@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check bench bench-sim bench-hot bench-shards bench-baseline bench-compare lake-baseline lake-regression chaos-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check bench bench-sim bench-hot bench-shards bench-baseline bench-compare bench-ledger lake-baseline lake-regression chaos-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -82,6 +82,18 @@ bench-compare:
 	@$(GO) run ./cmd/benchjson compare bench-baseline.json bench-current.json > BENCH_PR6.json
 	@echo wrote BENCH_PR6.json
 
+# The standing benchmark's ledger (bench/README.md): every workload's
+# end-to-end metrics plus the traced pass's per-layer metrics, in the
+# shape `benchjson compare` and `flexfarm bench` read. A speed claim is
+# two of these — parent commit and change, same box — compared into a
+# checked-in BENCH_PR<N>.json:
+#   go run ./cmd/benchjson compare parent.json change.json > BENCH_PR13.json
+BENCH_LEDGER ?= bench-ledger.json
+
+bench-ledger:
+	$(GO) run ./bench -trace 1 -ledger $(BENCH_LEDGER)
+	@echo wrote $(BENCH_LEDGER)
+
 # Cross-run regression gate over the result lake. lake-regression runs
 # the fixed-seed CI micro-sweep into lake-ci/ and diffs its index
 # against the checked-in baseline: the simulator is deterministic, so
@@ -149,7 +161,7 @@ faults-demo:
 	$(GO) run ./cmd/flexsim -fault-plan examples/faultplans/flap.json -duration 12 -degradation-out degradation
 
 clean:
-	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-current.json degradation.jsonl degradation.csv
+	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-current.json bench-ledger.json degradation.jsonl degradation.csv
 
 # Remove regenerated sweep/lake outputs. The checked-in results/,
 # results_full/, and results_pooled/ CSVs are figure inputs and stay.

@@ -132,3 +132,25 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 		t.Fatal("drop counts diverged under telemetry")
 	}
 }
+
+// TestEventsPerHopBudget pins the engine's event cost per packet-hop the
+// way the alloc budgets pin allocations: every hop needs its delivery
+// event, but a tx-done event only where a frame queued behind another
+// (netem.Port), so a lightly loaded fabric runs well under two events per
+// hop even with the telemetry tickers counted in (1.39 here; 2.32 when
+// tx-done was unconditional).
+func TestEventsPerHopBudget(t *testing.T) {
+	res := Run(telemetryScenario())
+	var hops int64
+	for _, c := range res.Telemetry.Counters {
+		if c.Metric == "tx_packets" {
+			hops += c.Value
+		}
+	}
+	if hops == 0 {
+		t.Fatal("no port tx_packets counters in the artifact")
+	}
+	if perHop := float64(res.Events) / float64(hops); perHop > 1.7 {
+		t.Fatalf("%d events over %d packet-hops = %.2f events/hop, budget 1.7", res.Events, hops, perHop)
+	}
+}

@@ -71,8 +71,15 @@ type Port struct {
 	classify func(*Packet) int
 	shared   *SharedBuffer
 
-	busy   bool
-	wakeAt sim.Time // earliest pending eligibility wake; 0 when none
+	// Serializer state. txEnd is where the frame in flight finishes: the
+	// dispatch position its tx-done event holds, reserved in kick but only
+	// materialised (txArmed) once something is queued behind the frame.
+	// The port is busy until txEnd has passed; with nothing queued the
+	// event would find nothing to send, so an uncongested hop costs one
+	// event (the delivery), in exactly the eager schedule's order.
+	txEnd   sim.Slot
+	txArmed bool
+	wakeAt  sim.Time // earliest pending eligibility wake; 0 when none
 
 	// Delivery pipeline: arrivals at the peer are FIFO with a constant
 	// propagation offset, so one scheduled event per port suffices
@@ -95,10 +102,10 @@ type Port struct {
 	// Fault-injection state (see faults.go). effRate is the current
 	// serialization rate: rate unless degraded by SetRateFraction.
 	down       bool
-	effRate    units.Rate
-	ge         GilbertElliott
 	geOn       bool
 	geBad      bool
+	effRate    units.Rate
+	ge         GilbertElliott
 	creditLoss float64
 	faults     FaultStats
 
@@ -148,10 +155,7 @@ func NewPort(eng *sim.Engine, name string, rate units.Rate, prop sim.Time, cfg P
 		p.bands[q.cfg.Band] = append(p.bands[q.cfg.Band], q)
 	}
 	p.rr = make([]int, maxBand+1)
-	p.txDoneFn = func() {
-		p.busy = false
-		p.kick()
-	}
+	p.txDoneFn = p.kick
 	p.deliverFn = p.deliverHead
 	p.wakeFn = p.wake
 	p.compTx = eng.Component("netem/tx")
@@ -337,9 +341,16 @@ func (p *Port) Send(pkt *Packet) {
 
 // kick starts a transmission if the port is up, idle, and a packet is
 // eligible. While administratively down the serializer stays paused;
-// SetDown(false) re-kicks it.
+// SetDown(false) re-kicks it. Entered mid-frame, it makes sure tx-done
+// will fire to serve whatever prompted the kick.
 func (p *Port) kick() {
-	if p.busy || p.down {
+	if p.down {
+		return
+	}
+	if !p.eng.Passed(p.txEnd) {
+		if !p.txArmed {
+			p.armTxDone()
+		}
 		return
 	}
 	pkt, q, wait := p.selectNext()
@@ -363,7 +374,6 @@ func (p *Port) kick() {
 		}
 		q.nextEligible = next + q.cfg.RateLimit.TxTime(pkt.Size)
 	}
-	p.busy = true
 	tx := p.effRate.TxTime(pkt.Size)
 	if p.hop != nil {
 		now := p.eng.Now()
@@ -374,10 +384,23 @@ func (p *Port) kick() {
 	if int(pkt.Kind) < len(p.stats.TxBytesKind) {
 		p.stats.TxBytesKind[pkt.Kind] += int64(pkt.Size)
 	}
-	prev := p.eng.SetComponent(p.compTx)
-	p.eng.After(tx, p.txDoneFn)
-	p.eng.SetComponent(prev)
+	p.txEnd = p.eng.Reserve(p.eng.Now() + tx)
+	p.txArmed = false
+	for _, behind := range p.queues {
+		if !behind.empty() {
+			p.armTxDone()
+			break
+		}
+	}
 	p.deliverAt(p.eng.Now()+tx+p.prop, pkt)
+}
+
+// armTxDone materialises the tx-done event of the frame in flight.
+func (p *Port) armTxDone() {
+	p.txArmed = true
+	prev := p.eng.SetComponent(p.compTx)
+	p.eng.AtSlot(p.txEnd, p.txDoneFn)
+	p.eng.SetComponent(prev)
 }
 
 // wake fires when a rate-limited queue becomes eligible again.

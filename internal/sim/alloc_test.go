@@ -4,8 +4,10 @@ import "testing"
 
 // TestZeroAllocSteadyState pins the engine's allocation budget: once the
 // event free list is warm, a schedule+dispatch cycle performs zero heap
-// allocations. A regression here (a new closure, a boxed interface, a
-// Timer escaping) fails the build, not just a benchmark dashboard.
+// allocations — whether the event is scheduled outright or reserved and
+// materialised after other scheduling. A regression here (a new closure,
+// a boxed interface, a Timer escaping) fails the build, not just a
+// benchmark dashboard.
 func TestZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
@@ -14,11 +16,15 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	e.Run(e.Now() + Millisecond) // warm the heap and free list
 	allocs := testing.AllocsPerRun(1000, func() {
+		s := e.Reserve(e.Now() + Microsecond)
 		e.After(Microsecond, fn)
+		if !e.Passed(s) {
+			e.AtSlot(s, fn)
+		}
 		e.Run(e.Now() + Millisecond)
 	})
 	if allocs != 0 {
-		t.Fatalf("After+dispatch allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("Reserve+After+AtSlot+dispatch allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // Time is an integer number of picoseconds. Events scheduled for the same
-// instant fire in the order they were scheduled, which makes every run with
-// the same inputs bit-for-bit reproducible.
+// instant fire in the order their positions were taken — by At, or by
+// Reserve for an event materialised later with AtSlot — which makes every
+// run with the same inputs bit-for-bit reproducible.
 package sim
 
 import (
@@ -91,6 +92,7 @@ func (t *Timer) Pending() bool {
 type Engine struct {
 	now     Time
 	seq     uint64
+	curSeq  uint64   // seq of the dispatching event; between Runs, the last seq taken
 	events  []*event // 4-ary min-heap ordered by (at, seq)
 	free    []*event // recycled events
 	rng     *rand.Rand
@@ -126,7 +128,13 @@ type Component uint8
 // NewEngine returns an engine whose clock starts at zero and whose random
 // stream is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), compNames: []string{"engine"}}
+	return newEngine(rand.New(rand.NewSource(seed)))
+}
+
+// newEngine starts sequence numbers at 1 so that the zero Slot, which no
+// Reserve hands out, reads as passed from the first instant.
+func newEngine(rng *rand.Rand) *Engine {
+	return &Engine{rng: rng, compNames: []string{"engine"}, seq: 1}
 }
 
 // Component interns name and returns its label. Repeated calls with the
@@ -200,15 +208,49 @@ func (e *Engine) recycle(ev *event) {
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a logic error in the caller.
 func (e *Engine) At(t Time, fn func()) Timer {
+	return e.AtSlot(e.Reserve(t), fn)
+}
+
+// Slot is a position in dispatch order — the (time, sequence) pair At
+// would have given an event — held without an event behind it. A caller
+// whose event is usually a no-op reserves its position where it would
+// have scheduled it, and materialises the event with AtSlot only once it
+// has work to do: every other event keeps its sequence number, so
+// dispatch order is exactly that of the eager schedule minus the no-ops.
+// The zero Slot has always passed (sequence numbers start at 1).
+type Slot struct {
+	at  Time
+	seq uint64
+}
+
+// Reserve takes the position At(t, ...) would take, scheduling nothing.
+// Like At it panics when t is in the past.
+func (e *Engine) Reserve(t Time) Slot {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	s := Slot{at: t, seq: e.seq}
+	e.seq++
+	return s
+}
+
+// Passed reports whether dispatch order has reached s: an event there
+// would have fired already, or is the one dispatching. Between Runs that
+// is every slot at or before Now taken before the last Run returned.
+func (e *Engine) Passed(s Slot) bool {
+	return s.at < e.now || (s.at == e.now && s.seq <= e.curSeq)
+}
+
+// AtSlot schedules fn at a reserved position. It panics if s has passed.
+func (e *Engine) AtSlot(s Slot, fn func()) Timer {
+	if e.Passed(s) {
+		panic(fmt.Sprintf("sim: materialising slot at %v already passed at %v", s.at, e.now))
+	}
 	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
+	ev.at = s.at
+	ev.seq = s.seq
 	ev.fn = fn
 	ev.comp = uint8(e.curComp)
-	e.seq++
 	e.push(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
@@ -299,6 +341,7 @@ func (e *Engine) Run(until Time) {
 		}
 		e.popMin()
 		e.now = next.at
+		e.curSeq = next.seq
 		fn := next.fn
 		comp := Component(next.comp)
 		// Recycle before dispatch: a callback that schedules reuses this
@@ -316,8 +359,10 @@ func (e *Engine) Run(until Time) {
 			e.profile(comp, time.Since(start))
 		}
 	}
-	if e.now < until {
+	if e.now <= until {
+		// Every position taken so far at or before until is behind us.
 		e.now = until
+		e.curSeq = e.seq - 1
 	}
 	if w != nil {
 		w.publish(e.now, e.Processed)

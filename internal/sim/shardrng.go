@@ -45,8 +45,5 @@ func shardStream(rootSeed int64, shard int) (uint64, uint64) {
 // counts. See internal/sim/shard.
 func NewShardEngine(rootSeed int64, shard int) *Engine {
 	s1, s2 := shardStream(rootSeed, shard)
-	return &Engine{
-		rng:       rand.New(pcgSource{pcg: randv2.NewPCG(s1, s2)}),
-		compNames: []string{"engine"},
-	}
+	return newEngine(rand.New(pcgSource{pcg: randv2.NewPCG(s1, s2)}))
 }
