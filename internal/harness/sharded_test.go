@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"flexpass/internal/faults"
@@ -95,6 +97,65 @@ func TestShardedRunTwice(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("sharded run not reproducible: %s vs %s", d1, d2)
 			}
+		})
+	}
+}
+
+// shardGolden pins flow digest and engine event count of shardScenario
+// for every built-in scheme at shards 1, 2 and 4, and of the faulted
+// pinned trace (shardFaultScenario + shardFaultPlan, flexpass) per shard
+// count. Run-twice equality cannot see a refactor that reorders shard
+// set-up (component registration, fault application, arrival
+// scheduling); these constants can. Recorded on linux/amd64, go1.24,
+// before the two runners were merged; they change only when the
+// simulated model does. Re-record with:
+//
+//	go test -run TestShardedGolden -v ./internal/harness/
+type shardGoldenRow struct {
+	digest string
+	events uint64
+}
+
+var shardGolden = map[Scheme][3]shardGoldenRow{
+	Scheme(transport.SchemeDCTCP):       {{"2e49bb4d9e8bcfa8", 265850}, {"2e49bb4d9e8bcfa8", 265623}, {"2e49bb4d9e8bcfa8", 266529}},
+	Scheme(transport.SchemeExpressPass): {{"d6c3e53b3ae4bf62", 1446157}, {"d8701f4dc1c524c7", 1294376}, {"93ddd719342c615b", 1271494}},
+	SchemeNaive:                         {{"d6c3e53b3ae4bf62", 1446157}, {"d8701f4dc1c524c7", 1294376}, {"93ddd719342c615b", 1271494}},
+	SchemeOWF:                           {{"9b98dad6288498d3", 198018}, {"e6193d1da5415c24", 193391}, {"feaf70801ad99891", 205486}},
+	SchemeLayering:                      {{"4424964421c364c0", 982150}, {"c562951f7f736645", 396286}, {"8d58e7c8e8c96374", 1238906}},
+	SchemeFlexPass:                      {{"9b6a7b33565f5ea1", 1222353}, {"2f34dab6eb1a2d8d", 373928}, {"f95c6747be3631d9", 464557}},
+	SchemeFlexPassAltQ:                  {{"802bb1a84035e749", 379589}, {"a54a273a904f1763", 436790}, {"360c3b9177840ece", 503534}},
+	SchemeFlexPassRC3:                   {{"bbee4e5caee57c66", 613797}, {"0155a0a9f5b26506", 498185}, {"2c06f1b52fa8894a", 717378}},
+	Scheme(transport.SchemeHoma):        {{"bdbe50ce47273fd0", 1455472}, {"ccefb7b8cce7f23c", 1454967}, {"bdbe50ce47273fd0", 1453812}},
+	Scheme(transport.SchemePHost):       {{"72eafc210d9535dd", 183867}, {"72eafc210d9535dd", 184862}, {"72eafc210d9535dd", 186951}},
+}
+
+var shardFaultGolden = [3]shardGoldenRow{{"808c98d9eadd27a8", 65854}, {"808c98d9eadd27a8", 67412}, {"536249be3a262ccc", 67869}}
+
+func TestShardedGolden(t *testing.T) {
+	check := func(t *testing.T, res *Result, want shardGoldenRow) {
+		t.Helper()
+		got := shardGoldenRow{recordsDigest(res), res.Events}
+		t.Logf("{%q, %d}", got.digest, got.events)
+		if runtime.GOARCH != "amd64" {
+			t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
+		}
+		if got != want {
+			t.Fatalf("got %+v, recorded %+v — runner composition changed behaviour", got, want)
+		}
+	}
+	for i, shards := range []int{1, 2, 4} {
+		i, shards := i, shards
+		for _, scheme := range allSchemeNames {
+			scheme := scheme
+			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
+				check(t, Run(shardScenario(scheme, shards)), shardGolden[scheme][i])
+			})
+		}
+		t.Run(fmt.Sprintf("faulted/shards=%d", shards), func(t *testing.T) {
+			sc := shardFaultScenario(SchemeFlexPass)
+			sc.Shards = shards
+			sc.FaultPlan = shardFaultPlan(t)
+			check(t, Run(sc), shardFaultGolden[i])
 		})
 	}
 }

@@ -75,14 +75,15 @@ func (d *DiffReport) Clean() bool {
 }
 
 // rowKey is the identity a diff matches rows on: the full dimension
-// tuple. Deliberately not the farm's content hash, so lakes produced
-// by different orchestrator versions (or hand-run artifacts) still
-// match on what the scenario actually was.
+// tuple, shard count included — results are deterministic per shard
+// count, not across counts. Deliberately not the farm's content hash,
+// so lakes produced by different orchestrator versions (or hand-run
+// artifacts) still match on what the scenario actually was.
 func rowKey(r *Row) string {
 	return strings.Join([]string{
 		r.Scheme, r.Topo, r.Workload, r.Options, r.FaultSig, r.WlPlanSig,
 		trimFloat(r.Load), trimFloat(r.Deploy), trimFloat(r.WQ),
-		fmt.Sprintf("%d", r.Seed), fmt.Sprintf("%d", r.DurationPs),
+		fmt.Sprintf("%d", r.Seed), fmt.Sprintf("%d", r.DurationPs), fmt.Sprintf("%d", r.Shards),
 	}, "|")
 }
 
@@ -92,6 +93,9 @@ func rowLabel(r *Row) string {
 		parts = append(parts, "fault="+r.Fault)
 	} else if r.FaultSig != "" {
 		parts = append(parts, "fault="+r.FaultSig)
+	}
+	if r.Shards > 0 {
+		parts = append(parts, fmt.Sprintf("shards=%d", r.Shards))
 	}
 	if r.Options != "" {
 		parts = append(parts, r.Options)

@@ -232,6 +232,25 @@ func TestDiffMissingRows(t *testing.T) {
 	}
 }
 
+// TestDiffKeysOnShards: one scenario at two shard counts is two rows —
+// they must match themselves, not collide on one key.
+func TestDiffKeysOnShards(t *testing.T) {
+	idx := testIndex()
+	sharded := idx.Rows[0]
+	sharded.ID, sharded.Shards, sharded.GoodputGbps = "a1s2", 2, 2.5
+	idx.Rows = append(idx.Rows, sharded)
+	rep, err := Diff(idx, idx, Tolerance{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.Matched != 5 {
+		t.Fatalf("self-diff of a two-shard-count lake: matched %d drifted %d", rep.Matched, rep.Drifted)
+	}
+	if l := rowLabel(&sharded); !strings.Contains(l, "shards=2") {
+		t.Errorf("sharded row label %q does not name its shard count", l)
+	}
+}
+
 func TestDiffRejectsUnknownMetric(t *testing.T) {
 	if _, err := Diff(testIndex(), testIndex(), Tolerance{}, []string{"nope"}); err == nil {
 		t.Error("unknown diff metric accepted")
