@@ -84,9 +84,9 @@ func strayCount(run *obs.Run) int64 {
 }
 
 // Scenario builds the harness scenario for these coordinates. The
-// forensics plane — the auditor oracles — rides along on single-engine
-// trials; sharded trials run completion and stray oracles only
-// (forensics requires the single-engine path).
+// forensics plane — the auditor oracles — rides along on one-engine
+// trials; sharded trials run completion and stray oracles only (the
+// recorder and auditors are single-goroutine state, see harness.Run).
 func (c Coords) Scenario(o OracleSpec) harness.Scenario {
 	sc := harness.BaseScenario(false)
 	clos, ok := farm.Topologies[c.Topo]

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"flexpass/internal/live"
@@ -9,11 +10,21 @@ import (
 // TestProfileDigestIdentical pins the profiler's behaviour-neutrality
 // contract: enabling self-profiling (and the live status board) must
 // leave the flow digest bit-identical to an unprofiled run of the same
-// scenario, while still attributing events to the expected components.
+// scenario, while still attributing events to the expected components —
+// on one engine and, with every plane publishing to the one board from
+// its own goroutine, on two.
 func TestProfileDigestIdentical(t *testing.T) {
-	plain := recordsDigest(Run(schemeDigestScenario(SchemeFlexPass)))
+	for _, shards := range []int{1, 2} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testProfileDigestIdentical(t, shards) })
+	}
+}
 
+func testProfileDigestIdentical(t *testing.T, shards int) {
 	sc := schemeDigestScenario(SchemeFlexPass)
+	sc.Shards = shards
+	plain := recordsDigest(Run(sc))
+
 	sc.Profile = true
 	board := &live.RunBoard{}
 	sc.Live = board
@@ -23,7 +34,7 @@ func TestProfileDigestIdentical(t *testing.T) {
 		t.Fatalf("profiled digest %s != plain digest %s — profiling changed behaviour", got, plain)
 	}
 
-	if res.Profiler == nil || len(res.Profile) == 0 {
+	if len(res.Profile) == 0 {
 		t.Fatal("profiled run exported no component profile")
 	}
 	byName := map[string]uint64{}

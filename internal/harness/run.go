@@ -1,0 +1,602 @@
+package harness
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"flexpass/internal/faults"
+	"flexpass/internal/forensics"
+	"flexpass/internal/live"
+	"flexpass/internal/metrics"
+	"flexpass/internal/netem"
+	"flexpass/internal/obs"
+	"flexpass/internal/prof"
+	"flexpass/internal/sim"
+	"flexpass/internal/sim/shard"
+	"flexpass/internal/topo"
+	"flexpass/internal/trace"
+	"flexpass/internal/transport"
+)
+
+// plane is everything one engine owns while a run executes: its scheme
+// instances, stats registry, trace ring, profiler, packet pool, and
+// observers. A run is a slice of planes — one per pod-block shard —
+// and everything a plane touches during the run is its own, so the hot
+// path takes no locks; the planes are folded after the fabric drains.
+type plane struct {
+	eng      *sim.Engine
+	profiler *prof.Profiler
+	reg      *obs.Registry
+	ring     *trace.Ring
+	pool     *netem.PacketPool
+	strays   *obs.Counter
+
+	// One scheme env — and so one set of scheme instances and counter
+	// sets — per plane; the legacy side is always DCTCP.
+	env                    *transport.SchemeEnv
+	legacy, active         transport.Scheme
+	compLegacy, compActive sim.Component
+
+	prober *obs.Prober
+	qs     *metrics.QueueSampler
+}
+
+// scheme returns the plane's scheme instance for a flow and the
+// profiling label stamped around its start, so every timer the transport
+// schedules — pacer ticks, RTO checks, host sends — inherits its
+// scheme's component transitively.
+func (pl *plane) scheme(upgraded bool) (transport.Scheme, sim.Component) {
+	if upgraded {
+		return pl.active, pl.compActive
+	}
+	return pl.legacy, pl.compLegacy
+}
+
+// Run executes the scenario and returns collected metrics.
+//
+// The Clos is partitioned by pod blocks (topo.ClosPodShards) into N
+// planes, each with its own engine; N > 1 runs them on one goroutine
+// each, synchronized conservatively on the agg↔core propagation delay
+// (see internal/sim/shard). Shards ≤ 1, or a fabric with nothing to cut,
+// is the same composition with N = 1. N matters in three places only:
+// the engine constructor (the RNG regime the golden digests pin), the
+// run call (one engine has no cut and no lookahead), and forensics (the
+// recorder and auditors are single-goroutine state).
+//
+// Results are deterministic for a fixed (scenario, N) but not
+// bit-identical across N: each plane draws from its own PCG stream, so
+// anything randomized (pacer jitter, fault loss) diverges. Schemes that
+// never draw randomness on a clean run (dctcp, homa, phost) produce
+// identical flow results at any N; see TestShardedMatchesSingleEngine.
+func Run(sc Scenario) *Result {
+	podShard := topo.ClosPodShards(sc.Clos, sc.Shards)
+	n := topo.Shards(podShard)
+	if sc.Forensics != nil && n > 1 {
+		panic(fmt.Sprintf("harness: forensics needs one engine, this run has %d (set Shards to 0 or 1)", n))
+	}
+	// Forensics implies telemetry: timelines need the registry and a
+	// lifecycle trace ring. Copy the options so the caller's struct is
+	// never mutated.
+	tel := sc.Telemetry
+	if sc.Forensics != nil {
+		if tel == nil {
+			tel = &obs.Options{}
+		} else {
+			cp := *tel
+			tel = &cp
+		}
+		if tel.TraceCap == 0 {
+			tel.TraceCap = 65536
+		}
+	}
+	// Live introspection implies telemetry too: /metrics bridges the
+	// registry, so there must be one.
+	if sc.Live != nil && tel == nil {
+		tel = &obs.Options{}
+	}
+
+	plan := planWorkload(sc)
+	spec := sc.Spec
+	spec.WQ = sc.WQ
+	planes := make([]*plane, n)
+	engs := make([]*sim.Engine, n)
+	for i := range planes {
+		pl := &plane{}
+		if n == 1 {
+			pl.eng = sim.NewEngine(sc.Seed)
+		} else {
+			// An independent PCG stream per (seed, i), so a plane's RNG
+			// use never depends on what the others consumed.
+			pl.eng = sim.NewShardEngine(sc.Seed, i)
+		}
+		if sc.Profile {
+			pl.profiler = prof.New()
+			pl.profiler.Attach(pl.eng)
+		}
+		if tel != nil {
+			pl.reg = obs.NewRegistry()
+			if tel.TraceCap > 0 {
+				pl.ring = trace.NewRing(pl.eng, tel.TraceCap)
+			}
+		}
+		// Every env sees the same oracle weight and options; only the
+		// engine, registry, and ring differ.
+		pl.env = &transport.SchemeEnv{
+			Eng:      pl.eng,
+			LinkRate: sc.LinkRate,
+			WQ:       sc.WQ,
+			OracleWQ: plan.oracleWQ,
+			Spec:     spec,
+			Registry: pl.reg,
+			Trace:    pl.ring,
+			Options:  sc.schemeOptions(),
+		}
+		pl.legacy = mustScheme(transport.SchemeDCTCP, pl.env)
+		pl.active = mustScheme(string(sc.Scheme), pl.env)
+		planes[i], engs[i] = pl, pl.eng
+	}
+
+	fab := topo.ClosSharded(engs, podShard, sc.Clos, topo.Params{
+		LinkRate:  sc.LinkRate,
+		LinkDelay: sc.LinkDelay,
+		HostDelay: sc.HostDelay,
+		SwitchBuf: sc.SwitchBuf,
+		BufAlpha:  sc.BufAlpha,
+		Profile:   planes[0].active.Profile(),
+	})
+	hostPlane := func(i int) *plane { return planes[fab.HostShard[i]] }
+	if sc.PoolPackets {
+		// Free lists are single-goroutine state: one pool per plane,
+		// nodes assigned by partition. Packets migrate between pools at
+		// shard cuts (put always runs on the receiving plane).
+		for _, pl := range planes {
+			pl.pool = &netem.PacketPool{}
+		}
+		for i, sw := range fab.Net.Switches {
+			sw.SetPool(planes[fab.SwitchShard[i]].pool)
+		}
+		for i, h := range fab.Net.Hosts {
+			h.SetPool(hostPlane(i).pool)
+		}
+	}
+	var rt *shard.Runtime
+	if n > 1 {
+		rt = bridgeShards(engs, fab.Cross)
+	}
+
+	// Agents and per-node telemetry live with their plane.
+	for _, pl := range planes {
+		if pl.reg != nil {
+			pl.strays = pl.reg.Counter("transport/agent", "stray_packets")
+		}
+	}
+	agents := make([]*transport.Agent, plan.hosts)
+	for i := range agents {
+		pl := hostPlane(i)
+		agents[i] = transport.NewAgent(pl.eng, fab.Net.Host(i))
+		agents[i].ObserveStrays(pl.strays)
+	}
+	if tel != nil {
+		for i, sw := range fab.Net.Switches {
+			sw.Register(planes[fab.SwitchShard[i]].reg)
+		}
+		for i, h := range fab.Net.Hosts {
+			h.Register(hostPlane(i).reg)
+		}
+	}
+	var rec *forensics.Recorder
+	if sc.Forensics != nil {
+		rec = forensics.NewRecorder(sc.Forensics)
+		fab.Net.SetHopObserver(rec)
+	}
+
+	res := &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
+
+	// Apply the fault plan at a fixed point in setup — after the fabric
+	// and observers exist, before any flow arrival is scheduled — so each
+	// engine's event tie-break order is a pure function of the scenario.
+	// Actions schedule on each matched port's own engine (see
+	// faults.Apply); the action-count bridge registers on plane 0.
+	if sc.FaultPlan != nil {
+		applied, err := faults.Apply(sc.FaultPlan, engs[0], fab.Net)
+		if err != nil {
+			panic(fmt.Sprintf("harness: %v", err))
+		}
+		applied.Register(planes[0].reg)
+		res.Faults = applied
+	}
+
+	// Flows are prebuilt with ID = spec index + 1 and their arrivals
+	// scheduled in spec order. A flow whose endpoints share a plane
+	// starts there; a cross-plane flow starts its two halves at the same
+	// instant on the two engines that own them.
+	var flowsStarted, flowsDone atomic.Int64
+	onDone := func(*transport.Flow) { flowsDone.Add(1) }
+	all := make([]*transport.Flow, 0, len(plan.flows))
+	incastOf := make(map[uint64]bool)
+	prevComp := make([]sim.Component, n)
+	for i, pl := range planes {
+		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
+		pl.compActive = pl.compLegacy
+		if string(sc.Scheme) != transport.SchemeDCTCP {
+			pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
+		}
+		prevComp[i] = pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
+	}
+	for i, fs := range plan.flows {
+		fl := &transport.Flow{
+			ID:    uint64(i + 1),
+			Src:   agents[fs.Src],
+			Dst:   agents[fs.Dst],
+			Size:  fs.Size,
+			Start: fs.At,
+		}
+		if sc.Live != nil {
+			fl.OnComplete = onDone
+		}
+		all = append(all, fl)
+		if fs.Incast {
+			incastOf[fl.ID] = true
+		}
+		upgraded := plan.upgraded(fs)
+		src, dst := hostPlane(fs.Src), hostPlane(fs.Dst)
+		sch, comp := src.scheme(upgraded)
+		eng := src.eng
+		if src == dst {
+			eng.At(fs.At, func() {
+				prev := eng.SetComponent(comp)
+				sch.Start(fl)
+				eng.SetComponent(prev)
+				flowsStarted.Add(1)
+			})
+			continue
+		}
+		snd := asSplit(sch)
+		eng.At(fs.At, func() {
+			prev := eng.SetComponent(comp)
+			snd.StartSender(fl)
+			eng.SetComponent(prev)
+			flowsStarted.Add(1)
+		})
+		rsch, rcomp := dst.scheme(upgraded)
+		rcv, reng := asSplit(rsch), dst.eng
+		reng.At(fs.At, func() {
+			prev := reng.SetComponent(rcomp)
+			rcv.StartReceiver(fl)
+			reng.SetComponent(prev)
+		})
+	}
+	for i, pl := range planes {
+		pl.eng.SetComponent(prevComp[i])
+	}
+	// Result.Flows holds the flows whose arrival fires inside the run
+	// window, in (start, ID) order — the order a single engine dispatches
+	// their arrivals in. A spec past the window never starts and is not a
+	// record (recordWorkloadObs still counts it as an incomplete member
+	// of its tenant and coflow).
+	end := sc.Duration + sc.Drain
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
+	all = all[:sort.Search(len(all), func(i int) bool { return all[i].Start > end })]
+
+	for _, pl := range planes {
+		pl.prober = obs.NewProber(pl.eng, pl.reg, tel)
+		pl.prober.Start()
+	}
+
+	// Invariant auditors: credit conservation samples the live pacer /
+	// sender counters and the fabric's rate-limited credit-queue drops.
+	var aud *forensics.Auditor
+	if sc.Forensics != nil {
+		env := planes[0].env
+		issued := func() int64 {
+			var n int64
+			env.EachCounters(func(_ string, c transport.Counters) {
+				n += c.CreditsIssued.Value()
+			})
+			return n
+		}
+		consumed := func() int64 {
+			var n int64
+			env.EachCounters(func(_ string, c transport.Counters) {
+				n += c.CreditsGranted.Value()
+			})
+			return n
+		}
+		creditDrops := func() int64 {
+			var n int64
+			eachPort(fab, func(p *netem.Port) {
+				for q := 0; q < p.NumQueues(); q++ {
+					if p.QueueConfig(q).RateLimit > 0 {
+						n += p.QueueStats(q).DroppedOver
+					}
+				}
+			})
+			return n
+		}
+		// The auditors see every prebuilt flow; the starvation check
+		// skips those that have not started yet.
+		aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
+			func() []*transport.Flow { return all }, issued, consumed, creditDrops)
+		aud.Start()
+	}
+
+	// Without telemetry an ad-hoc sampler per plane provides Q1
+	// occupancy of the ToR uplinks its engine owns; with it, the probers'
+	// per-queue gauge series are consumed instead of re-deriving the same
+	// samples with a second scheduler.
+	if sc.SampleQueues && tel == nil {
+		planeOf := make(map[*sim.Engine]*plane, n)
+		for _, pl := range planes {
+			pl.qs = metrics.NewQueueSampler(pl.eng, 100*sim.Microsecond)
+			planeOf[pl.eng] = pl
+		}
+		idx := fab.FlexQueueIndex
+		for _, up := range fab.TorUplinks {
+			up := up
+			planeOf[up.Engine()].qs.Track(func() (int64, int64) { return up.QueueBytes(idx) })
+		}
+		for _, pl := range planes {
+			pl.qs.Start()
+		}
+	}
+
+	// Progress cells: the watchdog and the live board read the run from
+	// other goroutines through one sim.Watch per engine.
+	var watches fleet
+	if sc.Live != nil || sc.Deadline > 0 || sc.StallTimeout > 0 {
+		for _, pl := range planes {
+			w := &sim.Watch{}
+			pl.eng.SetWatch(w)
+			watches = append(watches, w)
+		}
+	}
+
+	wallStart := time.Now()
+	var publishFinal func()
+	if sc.Live != nil {
+		every := sc.LiveEvery
+		if every <= 0 {
+			every = sim.Millisecond
+		}
+		// Every plane publishes on its own engine clock, like any
+		// observer: it refreshes its slot with its registry's readings —
+		// plain ints only its goroutine may read while the run executes —
+		// and posts the fleet's progress with all slots merged.
+		var mu sync.Mutex
+		slots := make([][]obs.Reading, n)
+		refresh := func(i int) {
+			final := planes[i].reg.Final()
+			mu.Lock()
+			slots[i] = final
+			mu.Unlock()
+		}
+		post := func(done bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			st := live.RunStatus{
+				SimNowPs:     watches.horizonPs(),
+				SimEndPs:     int64(end),
+				Events:       watches.events(),
+				FlowsTotal:   len(plan.flows),
+				FlowsStarted: int(flowsStarted.Load()),
+				FlowsDone:    int(flowsDone.Load()),
+				WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
+				Done:         done,
+			}
+			if secs := time.Since(wallStart).Seconds(); secs > 0 {
+				st.EventsPerSec = float64(st.Events) / secs
+			}
+			sc.Live.Publish(st, mergeReadings(slots))
+		}
+		for i, pl := range planes {
+			i := i
+			prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
+			pl.eng.Every(every, func() { refresh(i); post(false) })
+			pl.eng.SetComponent(prev)
+		}
+		publishFinal = func() {
+			for i := range planes {
+				refresh(i)
+			}
+			post(true)
+		}
+	}
+	// An aborted engine still advances its clock through each round
+	// window, so the shard protocol drains normally after a kill.
+	wd := startWatchdog(sc.Deadline, sc.StallTimeout, watches.horizonPs, watches.events, watches.abort)
+	if rt == nil {
+		engs[0].Run(end)
+	} else {
+		rt.Run(end)
+	}
+	res.WallClock = time.Since(wallStart)
+	if ke := wd.stop(); ke != nil {
+		panic(ke)
+	}
+	if publishFinal != nil {
+		publishFinal()
+	}
+
+	for _, fl := range all {
+		res.Flows.Add(metrics.Snapshot(fl, incastOf[fl.ID]))
+	}
+	if sc.SampleQueues {
+		var totals, reds []int64
+		for _, pl := range planes {
+			if pl.qs != nil {
+				totals = append(totals, pl.qs.Totals...)
+				reds = append(reds, pl.qs.Reds...)
+			}
+		}
+		if tel != nil {
+			for _, up := range fab.TorUplinks {
+				ent := fmt.Sprintf("port/%s/q%d", up.Name(), fab.FlexQueueIndex)
+				for _, pl := range planes {
+					if s := pl.prober.Find(ent, "bytes"); s != nil {
+						totals = append(totals, s.Values()...)
+					}
+					if s := pl.prober.Find(ent, "red_bytes"); s != nil {
+						reds = append(reds, s.Values()...)
+					}
+				}
+			}
+		}
+		res.QueueAvg, res.QueueP90 = metrics.Stats(totals, 0.9)
+		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(reds, 0.9)
+	}
+	countFabricDrops(fab, res)
+	rings := make([]*trace.Ring, n)
+	profiles := make([][]obs.ComponentProfile, n)
+	for i, pl := range planes {
+		res.Events += pl.eng.Processed
+		rings[i] = pl.ring
+		profiles[i] = pl.profiler.Export()
+	}
+	if rings[0] != nil {
+		res.Trace = trace.Merge(rings...)
+	}
+	if sc.Profile {
+		res.Profile = prof.MergeExports(profiles...)
+	}
+
+	if sc.Forensics != nil {
+		// Ideal-FCT estimate for ranking only: wire bytes at line rate
+		// plus a fixed propagation allowance. Crude, but monotone in the
+		// real ideal, which is all slowdown ordering needs.
+		base := 4*sc.LinkDelay + 2*sc.HostDelay
+		slowdown := func(fl *transport.Flow) float64 {
+			wire := fl.Size
+			if segs := fl.Segs(); segs > 0 {
+				wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
+			}
+			ideal := sc.LinkRate.TxTime(int(wire)) + base
+			if fct := fl.FCT(); fct > 0 && ideal > 0 {
+				return float64(fct) / float64(ideal)
+			}
+			return 0
+		}
+		res.Forensics = &forensics.Report{
+			Violations:        aud.Violations(),
+			ViolationsDropped: aud.Dropped(),
+			Timelines:         forensics.WorstTimelines(rec, res.Trace, all, slowdown, sc.Forensics),
+		}
+	}
+
+	if tel != nil {
+		// Workload accounting is global, not per-plane: fold it into
+		// plane 0's registry before the merge.
+		recordWorkloadObs(planes[0].reg, plan.flows, all)
+		runs := make([]*obs.Run, n)
+		for i, pl := range planes {
+			runs[i] = obs.Collect(pl.reg, pl.prober, obs.Manifest{})
+		}
+		m := buildManifest(sc, plan.hosts, planes[0].prober.Interval(), res, n)
+		res.Telemetry = obs.MergeRuns(m, runs...)
+		res.Telemetry.AttachTrace(res.Trace)
+		if res.Forensics != nil {
+			res.Telemetry.Forensics = res.Forensics.Export()
+		}
+		res.Telemetry.Faults = res.Faults.Export()
+	}
+	return res
+}
+
+// bridgeShards builds the parallel runtime over the planes' engines and
+// installs the cross-shard hand-off on every wire that crosses a cut.
+// The conservative lookahead is the minimum propagation delay across
+// the cut: a packet serialized on one shard cannot arrive on another
+// sooner than that, so each shard may run that far past its neighbors'
+// horizons.
+func bridgeShards(engs []*sim.Engine, cross []topo.CrossLink) *shard.Runtime {
+	lookahead := sim.Time(0)
+	for _, cl := range cross {
+		if lookahead == 0 || cl.Port.Prop() < lookahead {
+			lookahead = cl.Port.Prop()
+		}
+	}
+	rt := shard.New(engs, lookahead)
+	for _, cl := range cross {
+		edge := rt.Connect(cl.From, cl.To)
+		dst := cl.Port.Peer()
+		cl.Port.SetRemote(func(at sim.Time, pkt *netem.Packet) {
+			edge.Deliver(at, pkt, dst)
+		})
+	}
+	return rt
+}
+
+// asSplit asserts that a scheme can start a flow's two halves on two
+// engines — every built-in can; a registered third-party scheme that
+// cannot is unable to carry a flow across a shard cut.
+func asSplit(s transport.Scheme) transport.SplitScheme {
+	sp, ok := s.(transport.SplitScheme)
+	if !ok {
+		panic(fmt.Sprintf("harness: scheme %T does not implement transport.SplitScheme; run with Shards <= 1", s))
+	}
+	return sp
+}
+
+// mergeReadings folds per-plane registry finals into one reading set,
+// summing values that share (entity, metric, kind); one plane's finals
+// are returned as they are. Finals are sorted, so the merged order is
+// deterministic.
+func mergeReadings(slots [][]obs.Reading) []obs.Reading {
+	if len(slots) == 1 {
+		return slots[0]
+	}
+	type key struct {
+		entity, metric string
+		kind           obs.SampleKind
+	}
+	idx := map[key]int{}
+	var out []obs.Reading
+	for _, finals := range slots {
+		for _, r := range finals {
+			k := key{r.Entity, r.Metric, r.Kind}
+			if j, ok := idx[k]; ok {
+				out[j].Value += r.Value
+				continue
+			}
+			idx[k] = len(out)
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// eachPort visits every egress port of the fabric: switch ports, then
+// host NICs.
+func eachPort(fab *topo.Fabric, visit func(*netem.Port)) {
+	for _, sw := range fab.Net.Switches {
+		for _, p := range sw.Ports() {
+			visit(p)
+		}
+	}
+	for _, h := range fab.Net.Hosts {
+		visit(h.NIC())
+	}
+}
+
+// countFabricDrops folds every port's drop and fault-loss counters into
+// the result. Runs after the engine(s) stop, from one goroutine.
+func countFabricDrops(fab *topo.Fabric, res *Result) {
+	eachPort(fab, func(p *netem.Port) {
+		fs := p.FaultStats()
+		res.FaultDrops.Injected += fs.Injected
+		res.FaultDrops.LinkDown += fs.LinkDown
+		res.FaultDrops.BurstLoss += fs.BurstLoss
+		res.FaultDrops.CreditLoss += fs.CreditLoss
+		for q := 0; q < p.NumQueues(); q++ {
+			st := p.QueueStats(q)
+			res.DropsRed += st.DroppedRed
+			if p.QueueConfig(q).RateLimit > 0 {
+				res.DropsCredit += st.DroppedOver
+			} else {
+				res.DropsOther += st.DroppedOver
+			}
+		}
+	})
+}

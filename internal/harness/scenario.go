@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments: it builds a fabric with a
 // scheme's queue profile, generates workloads, assigns flows to legacy or
 // upgraded transports by per-rack deployment, runs the simulation, and
-// collects metrics. One driver per paper figure lives in figures.go and
-// micro.go.
+// collects metrics. Run (run.go) is the one runner: every scenario, on one
+// engine or on several, goes through it.
 package harness
 
 import (
@@ -16,7 +16,6 @@ import (
 	"flexpass/internal/metrics"
 	"flexpass/internal/netem"
 	"flexpass/internal/obs"
-	"flexpass/internal/prof"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/trace"
@@ -86,12 +85,12 @@ type Scenario struct {
 	// Shards requests the parallel engine: the Clos is partitioned into
 	// per-pod-block subtrees (cores with pod 0), each driven by its own
 	// engine goroutine, synchronized conservatively on the agg↔core
-	// propagation delay (see internal/sim/shard). 0 or 1 — or a fabric
-	// with nothing to cut — runs the exact single-engine path. The
-	// effective count (min(Shards, Clos.Pods)) lands in the manifest.
-	// Results are deterministic per shard count but not bit-identical
-	// across counts (per-shard RNG streams); Forensics requires the
-	// single-engine path and panics when combined with Shards > 1.
+	// propagation delay (see internal/sim/shard). The effective count N
+	// is min(Shards, Clos.Pods); 0, 1, or a fabric with nothing to cut is
+	// the N = 1 case of the same runner, recorded in the manifest as 0.
+	// Results are deterministic per N but not bit-identical across N
+	// (per-engine RNG streams); Forensics needs N = 1 and Run panics
+	// otherwise.
 	Shards int
 
 	// Telemetry, when non-nil, enables the obs instrumentation plane:
@@ -182,7 +181,7 @@ type Scenario struct {
 	Deadline time.Duration
 
 	// StallTimeout, when positive, kills the run when the engine horizon
-	// (fleet-minimum on the sharded path) stops advancing for this much
+	// (the minimum over engines) stops advancing for this much
 	// wall-clock time — catching both livelocks (events churning at one
 	// instant) and wedged engines. Run panics with a *KilledError
 	// (Reason "stall"). Zero disables.
@@ -248,10 +247,9 @@ type Result struct {
 	Faults     *faults.Applied
 	FaultDrops netem.FaultStats
 	// Profile is the engine self-profiler's per-component attribution
-	// (when Scenario.Profile is set); Profiler is the live accumulator
-	// for folded-stacks or table rendering.
-	Profile  []obs.ComponentProfile
-	Profiler *prof.Profiler
+	// (when Scenario.Profile is set), summed over engines; render it with
+	// prof.WriteTableProfile / prof.WriteFoldedProfile.
+	Profile []obs.ComponentProfile
 }
 
 // WorkloadRand returns the deterministic random stream Run uses for
@@ -297,8 +295,7 @@ func rackAssignment(c topo.ClosParams) []int {
 }
 
 // runPlan is the engine-independent half of a run: the generated flow
-// list and the deployment assignment. The single-engine and sharded
-// paths share it verbatim, so both see the same specs in the same order.
+// list and the deployment assignment.
 type runPlan struct {
 	hosts    int
 	rackOf   []int
@@ -384,360 +381,13 @@ func Flows(sc Scenario) []workload.FlowSpec {
 	return planWorkload(sc).flows
 }
 
-// Run executes the scenario and returns collected metrics.
-func Run(sc Scenario) *Result {
-	if sc.Shards > 1 {
-		if podShard := topo.ClosPodShards(sc.Clos, sc.Shards); topo.Shards(podShard) > 1 {
-			return runSharded(sc, podShard)
-		}
-	}
-	eng := sim.NewEngine(sc.Seed)
-	// Forensics implies telemetry: timelines need the registry and a
-	// lifecycle trace ring. Copy the options so the caller's struct is
-	// never mutated.
-	tel := sc.Telemetry
-	if sc.Forensics != nil {
-		if tel == nil {
-			tel = &obs.Options{}
-		} else {
-			cp := *tel
-			tel = &cp
-		}
-		if tel.TraceCap == 0 {
-			tel.TraceCap = 65536
-		}
-	}
-	// Live introspection implies telemetry too: /metrics bridges the
-	// registry, so there must be one.
-	if sc.Live != nil && tel == nil {
-		tel = &obs.Options{}
-	}
-	var profiler *prof.Profiler
-	if sc.Profile {
-		profiler = prof.New()
-		profiler.Attach(eng)
-	}
-	var reg *obs.Registry
-	var ring *trace.Ring
-	if tel != nil {
-		reg = obs.NewRegistry()
-		if tel.TraceCap > 0 {
-			ring = trace.NewRing(eng, tel.TraceCap)
-		}
-	}
-	plan := planWorkload(sc)
-	flows, hosts, oracleWQ := plan.flows, plan.hosts, plan.oracleWQ
-	upgraded := plan.upgraded
-
-	// Compose the transports from the scheme registry. The legacy side is
-	// always DCTCP; the upgraded side is whatever sc.Scheme names. Both
-	// share one env, so counter sets are memoized per transport label and
-	// the fabric is built with the active scheme's queue profile.
-	spec := sc.Spec
-	spec.WQ = sc.WQ
-	env := &transport.SchemeEnv{
-		Eng:      eng,
-		LinkRate: sc.LinkRate,
-		WQ:       sc.WQ,
-		OracleWQ: oracleWQ,
-		Spec:     spec,
-		Registry: reg,
-		Trace:    ring,
-		Options:  sc.schemeOptions(),
-	}
-	legacy := mustScheme(transport.SchemeDCTCP, env)
-	active := mustScheme(string(sc.Scheme), env)
-	fab := topo.Clos(eng, sc.Clos, topo.Params{
-		LinkRate:  sc.LinkRate,
-		LinkDelay: sc.LinkDelay,
-		HostDelay: sc.HostDelay,
-		SwitchBuf: sc.SwitchBuf,
-		BufAlpha:  sc.BufAlpha,
-		Profile:   active.Profile(),
-	})
-	if sc.PoolPackets {
-		fab.Net.EnablePacketPool()
-	}
-	agents := make([]*transport.Agent, hosts)
-	var strays *obs.Counter
-	if reg != nil {
-		strays = reg.Counter("transport/agent", "stray_packets")
-	}
-	for i := range agents {
-		agents[i] = transport.NewAgent(eng, fab.Net.Host(i))
-		agents[i].ObserveStrays(strays)
-	}
-	fab.Net.Register(reg)
-
-	var rec *forensics.Recorder
-	if sc.Forensics != nil {
-		rec = forensics.NewRecorder(sc.Forensics)
-		fab.Net.SetHopObserver(rec)
-	}
-
-	res := &Result{Scenario: sc, OracleWQ: oracleWQ}
-
-	// Apply the fault plan at a fixed point in setup — after the fabric
-	// and observers exist, before any flow arrival is scheduled — so the
-	// engine's event tie-break order is a pure function of the scenario.
-	if sc.FaultPlan != nil {
-		applied, err := faults.Apply(sc.FaultPlan, eng, fab.Net)
-		if err != nil {
-			panic(fmt.Sprintf("harness: %v", err))
-		}
-		applied.Register(reg)
-		res.Faults = applied
-	}
-
-	// Profiling attribution: arrival timers carry their own label, and the
-	// two transports get per-scheme labels stamped around Start so every
-	// timer a transport schedules — pacer ticks, RTO checks, host sends —
-	// inherits its scheme's component transitively.
-	compLegacy := eng.Component("transport/" + transport.SchemeDCTCP)
-	compActive := compLegacy
-	if string(sc.Scheme) != transport.SchemeDCTCP {
-		compActive = eng.Component("transport/" + string(sc.Scheme))
-	}
-
-	var all []*transport.Flow
-	incastOf := make(map[uint64]bool)
-	nextID := uint64(1)
-	prevComp := eng.SetComponent(eng.Component("harness/arrival"))
-	for _, spec := range flows {
-		spec := spec
-		id := nextID
-		nextID++
-		eng.At(spec.At, func() {
-			fl := &transport.Flow{
-				ID:    id,
-				Src:   agents[spec.Src],
-				Dst:   agents[spec.Dst],
-				Size:  spec.Size,
-				Start: eng.Now(),
-			}
-			all = append(all, fl)
-			if spec.Incast {
-				incastOf[id] = true
-			}
-			if !upgraded(spec) {
-				prev := eng.SetComponent(compLegacy)
-				legacy.Start(fl)
-				eng.SetComponent(prev)
-				return
-			}
-			prev := eng.SetComponent(compActive)
-			active.Start(fl)
-			eng.SetComponent(prev)
-		})
-	}
-	eng.SetComponent(prevComp)
-
-	prober := obs.NewProber(eng, reg, tel)
-	prober.Start()
-
-	// Invariant auditors: credit conservation samples the live pacer /
-	// sender counters and the fabric's rate-limited credit-queue drops.
-	var aud *forensics.Auditor
-	if sc.Forensics != nil {
-		issued := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsIssued.Value()
-			})
-			return n
-		}
-		consumed := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsGranted.Value()
-			})
-			return n
-		}
-		creditDrops := func() int64 {
-			var n int64
-			count := func(p *netem.Port) {
-				for q := 0; q < p.NumQueues(); q++ {
-					if p.QueueConfig(q).RateLimit > 0 {
-						n += p.QueueStats(q).DroppedOver
-					}
-				}
-			}
-			for _, sw := range fab.Net.Switches {
-				for _, p := range sw.Ports() {
-					count(p)
-				}
-			}
-			for _, h := range fab.Net.Hosts {
-				count(h.NIC())
-			}
-			return n
-		}
-		aud = forensics.WireAudit(eng, sc.Forensics, fab.Net,
-			func() []*transport.Flow { return all }, issued, consumed, creditDrops)
-		aud.Start()
-	}
-
-	// Without telemetry the ad-hoc queue sampler provides Q1 occupancy;
-	// with it, the prober's per-queue gauge series are consumed instead of
-	// re-deriving the same samples with a second scheduler.
-	var qs *metrics.QueueSampler
-	if sc.SampleQueues && prober == nil {
-		qs = metrics.NewQueueSampler(eng, 100*sim.Microsecond)
-		idx := fab.FlexQueueIndex
-		for _, up := range fab.TorUplinks {
-			up := up
-			qs.Track(func() (int64, int64) { return up.QueueBytes(idx) })
-		}
-		qs.Start()
-	}
-
-	wallStart := time.Now()
-	var publishLive func(done bool)
-	if sc.Live != nil {
-		every := sc.LiveEvery
-		if every <= 0 {
-			every = sim.Millisecond
-		}
-		board := sc.Live
-		end := sc.Duration + sc.Drain
-		publishLive = func(done bool) {
-			st := live.RunStatus{
-				SimNowPs:     int64(eng.Now()),
-				SimEndPs:     int64(end),
-				Events:       eng.Processed,
-				FlowsTotal:   len(flows),
-				FlowsStarted: len(all),
-				WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
-				Done:         done,
-			}
-			for _, fl := range all {
-				if fl.Completed {
-					st.FlowsDone++
-				}
-			}
-			if secs := time.Since(wallStart).Seconds(); secs > 0 {
-				st.EventsPerSec = float64(eng.Processed) / secs
-			}
-			board.Publish(st, reg.Final())
-		}
-		// The publisher runs on the engine clock like any observer; the
-		// board is the only state it shares with HTTP readers.
-		prev := eng.SetComponent(eng.Component("live/status"))
-		eng.Every(every, func() { publishLive(false) })
-		eng.SetComponent(prev)
-	}
-	var wd *watchdog
-	if sc.Deadline > 0 || sc.StallTimeout > 0 {
-		w := &sim.Watch{}
-		eng.SetWatch(w)
-		wd = startWatchdog(sc.Deadline, sc.StallTimeout, w.NowPs, w.Events, w.Abort)
-	}
-	eng.Run(sc.Duration + sc.Drain)
-	res.WallClock = time.Since(wallStart)
-	if ke := wd.stop(); ke != nil {
-		panic(ke)
-	}
-	if publishLive != nil {
-		publishLive(true)
-	}
-
-	for _, fl := range all {
-		res.Flows.Add(metrics.Snapshot(fl, incastOf[fl.ID]))
-	}
-	if qs != nil {
-		res.QueueAvg, res.QueueP90 = metrics.Stats(qs.Totals, 0.9)
-		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(qs.Reds, 0.9)
-	} else if sc.SampleQueues {
-		var totals, reds []int64
-		idx := fab.FlexQueueIndex
-		for _, up := range fab.TorUplinks {
-			ent := fmt.Sprintf("port/%s/q%d", up.Name(), idx)
-			if s := prober.Find(ent, "bytes"); s != nil {
-				totals = append(totals, s.Values()...)
-			}
-			if s := prober.Find(ent, "red_bytes"); s != nil {
-				reds = append(reds, s.Values()...)
-			}
-		}
-		res.QueueAvg, res.QueueP90 = metrics.Stats(totals, 0.9)
-		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(reds, 0.9)
-	}
-	countFabricDrops(fab, res)
-	res.Events = eng.Processed
-	res.Trace = ring
-	if profiler != nil {
-		res.Profiler = profiler
-		res.Profile = profiler.Export()
-	}
-
-	if sc.Forensics != nil {
-		// Ideal-FCT estimate for ranking only: wire bytes at line rate
-		// plus a fixed propagation allowance. Crude, but monotone in the
-		// real ideal, which is all slowdown ordering needs.
-		base := 4*sc.LinkDelay + 2*sc.HostDelay
-		slowdown := func(fl *transport.Flow) float64 {
-			wire := fl.Size
-			if segs := fl.Segs(); segs > 0 {
-				wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
-			}
-			ideal := sc.LinkRate.TxTime(int(wire)) + base
-			if fct := fl.FCT(); fct > 0 && ideal > 0 {
-				return float64(fct) / float64(ideal)
-			}
-			return 0
-		}
-		res.Forensics = &forensics.Report{
-			Violations:        aud.Violations(),
-			ViolationsDropped: aud.Dropped(),
-			Timelines:         forensics.WorstTimelines(rec, ring, all, slowdown, sc.Forensics),
-		}
-	}
-
-	if reg != nil {
-		recordWorkloadObs(reg, flows, all)
-		res.Telemetry = obs.Collect(reg, prober, buildManifest(sc, hosts, prober.Interval(), res, 0))
-		res.Telemetry.AttachTrace(ring)
-		if res.Forensics != nil {
-			res.Telemetry.Forensics = res.Forensics.Export()
-		}
-		res.Telemetry.Faults = res.Faults.Export()
-	}
-	return res
-}
-
-// countFabricDrops folds every port's drop and fault-loss counters into
-// the result. Runs after the engine(s) stop, from one goroutine.
-func countFabricDrops(fab *topo.Fabric, res *Result) {
-	countPort := func(p *netem.Port) {
-		fs := p.FaultStats()
-		res.FaultDrops.Injected += fs.Injected
-		res.FaultDrops.LinkDown += fs.LinkDown
-		res.FaultDrops.BurstLoss += fs.BurstLoss
-		res.FaultDrops.CreditLoss += fs.CreditLoss
-		for q := 0; q < p.NumQueues(); q++ {
-			st := p.QueueStats(q)
-			res.DropsRed += st.DroppedRed
-			if p.QueueConfig(q).RateLimit > 0 {
-				res.DropsCredit += st.DroppedOver
-			} else {
-				res.DropsOther += st.DroppedOver
-			}
-		}
-	}
-	for _, sw := range fab.Net.Switches {
-		for _, p := range sw.Ports() {
-			countPort(p)
-		}
-	}
-	for _, h := range fab.Net.Hosts {
-		countPort(h.NIC())
-	}
-}
-
 // buildManifest assembles the exported run manifest. shards is the
-// effective parallel-engine count (0 on the single-engine path, so the
-// field is omitted from the artifact exactly as before sharding).
+// run's engine count; one engine is recorded as 0, so the field is
+// omitted from the artifact exactly as before sharding.
 func buildManifest(sc Scenario, hosts int, probe sim.Time, res *Result, shards int) obs.Manifest {
+	if shards == 1 {
+		shards = 0
+	}
 	// Workload identity mirrors planWorkload's routing: trace replays get
 	// a content-addressed "trace:<digest>" (a trace run used to record an
 	// empty workload), plans their name, the parameter path its CDF name.

@@ -85,6 +85,33 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 	}
 }
 
+// TestShardedFlowRecordRule: Result.Flows holds the flows whose arrival
+// fires inside the run window, in (start, ID) order, at every shard
+// count — an unsorted trace with one spec past the window yields the
+// same two records, later-listed-but-earlier flow first, and so the
+// same digest on one engine and on two.
+func TestShardedFlowRecordRule(t *testing.T) {
+	run := func(shards int) *Result {
+		sc := shardScenario(Scheme(transport.SchemeDCTCP), shards)
+		sc.TraceFlows = []workload.FlowSpec{
+			{Src: 0, Dst: 4, Size: 200_000, At: 200 * sim.Microsecond},
+			{Src: 6, Dst: 2, Size: 100_000, At: 100 * sim.Microsecond},
+			{Src: 1, Dst: 5, Size: 50_000, At: sc.Duration + sc.Drain + sim.Millisecond},
+		}
+		return Run(sc)
+	}
+	one, two := run(1), run(2)
+	for _, res := range []*Result{one, two} {
+		recs := res.Flows.Records
+		if len(recs) != 2 || recs[0].ID != 2 || recs[1].ID != 1 {
+			t.Fatalf("shards=%d: records %+v, want flows [2 1]", res.Scenario.Shards, recs)
+		}
+	}
+	if d1, d2 := recordsDigest(one), recordsDigest(two); d1 != d2 {
+		t.Fatalf("digest %s at shards 1 != %s at shards 2", d1, d2)
+	}
+}
+
 // TestShardedRunTwice asserts reproducibility of the parallel engine
 // for every built-in scheme: two runs at the same shard count must be
 // bit-identical, whatever the goroutine interleaving did.

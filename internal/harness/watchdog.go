@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"flexpass/internal/sim"
 )
 
 // KilledError is the panic value Run raises when a scenario watchdog
@@ -135,4 +137,36 @@ func (wd *watchdog) stop() *KilledError {
 	wd.mu.Lock()
 	defer wd.mu.Unlock()
 	return wd.kill
+}
+
+// fleet is the run's progress cells, one sim.Watch per engine: what the
+// watchdog and the live board read from outside the engine goroutines.
+type fleet []*sim.Watch
+
+// horizonPs is the fleet-minimum published engine clock: the simulated
+// time every engine has reached.
+func (f fleet) horizonPs() int64 {
+	min := f[0].NowPs()
+	for _, w := range f[1:] {
+		if h := w.NowPs(); h < min {
+			min = h
+		}
+	}
+	return min
+}
+
+// events sums the engines' published dispatch counts.
+func (f fleet) events() uint64 {
+	var n uint64
+	for _, w := range f {
+		n += w.Events()
+	}
+	return n
+}
+
+// abort stops every engine of the fleet.
+func (f fleet) abort() {
+	for _, w := range f {
+		w.Abort()
+	}
 }

@@ -14,11 +14,10 @@ import (
 // registered only when the workload actually carries tenant or coflow
 // tags, so artifacts of untagged runs are unchanged.
 //
-// Both runner paths assign flow ID = spec index + 1 in spec order (the
-// single-engine loop increments nextID per spec; the sharded path
-// prebuilds IDs), which is the mapping this accounting relies on. A
-// spec whose arrival never fired (past the window) simply has no
-// started flow and counts as incomplete.
+// The runner assigns flow ID = spec index + 1, which is the mapping this
+// accounting relies on; started is Result.Flows' population, which is
+// ordered by start time and leaves out specs whose arrival falls past the
+// run window — such a spec has no started flow and counts as incomplete.
 func recordWorkloadObs(reg *obs.Registry, specs []workload.FlowSpec, started []*transport.Flow) {
 	if reg == nil {
 		return

@@ -179,7 +179,8 @@ func escapeLabelValue(s string) string {
 }
 
 // RunStatus is the /status payload a single running scenario publishes:
-// where the sim clock is, how fast it is moving, and flow progress.
+// where the sim clock is (the minimum over its engines), how fast it is
+// moving (events summed over them), and flow progress.
 type RunStatus struct {
 	SimNowPs     int64   `json:"sim_now_ps"`
 	SimEndPs     int64   `json:"sim_end_ps"`
@@ -192,15 +193,17 @@ type RunStatus struct {
 	Done         bool    `json:"done"`
 }
 
-// RunBoard is the snapshot mailbox between a running scenario (publisher,
-// the sim goroutine) and the server (reader, HTTP goroutines).
+// RunBoard is the snapshot mailbox between a running scenario (publishers:
+// its engine goroutines, one per shard) and the server (reader, HTTP
+// goroutines).
 type RunBoard struct {
 	mu       sync.Mutex
 	st       RunStatus
 	readings []obs.Reading
 }
 
-// Publish replaces the board's snapshot. Called from inside the sim loop.
+// Publish replaces the board's snapshot. Called from inside the sim
+// loop, on every engine's clock.
 func (b *RunBoard) Publish(st RunStatus, readings []obs.Reading) {
 	if b == nil {
 		return

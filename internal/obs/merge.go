@@ -16,10 +16,17 @@ package obs
 //     as-is (per-port series have disjoint entities across shards and
 //     take this path).
 //
+// One run is not copied: it is returned as it is, under m — a
+// single-engine run is the one-shard case and pays nothing for the fold.
+//
 // Trace, forensics, and fault lines are not merged here — callers attach
 // those from their own merged sources (trace.Merge, the fault log).
 func MergeRuns(m Manifest, runs ...*Run) *Run {
 	m.Schema = SchemaVersion
+	if len(runs) == 1 && runs[0] != nil {
+		runs[0].Manifest = m
+		return runs[0]
+	}
 	out := &Run{Manifest: m}
 	type seriesKey struct {
 		entity, metric, kind string

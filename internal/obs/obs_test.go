@@ -242,3 +242,27 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("csv:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
+
+// TestMergeRunsOfOneIsThatRun: the single-engine fold must not copy —
+// one input comes back as it is, under the given manifest — while two
+// inputs sum what they share.
+func TestMergeRunsOfOneIsThatRun(t *testing.T) {
+	mk := func() *Run {
+		return &Run{
+			Counters: []CounterData{{Entity: "e", Metric: "m", Kind: "counter", Value: 3}},
+			Series:   []SeriesData{{Entity: "e", Metric: "m", Values: []int64{1, 2}}},
+		}
+	}
+	one := mk()
+	got := MergeRuns(Manifest{Seed: 9}, one)
+	if got != one || &got.Series[0].Values[0] != &one.Series[0].Values[0] {
+		t.Fatal("merge of one run copied it")
+	}
+	if got.Manifest.Seed != 9 || got.Manifest.Schema != SchemaVersion {
+		t.Fatalf("merge of one run dropped the manifest: %+v", got.Manifest)
+	}
+	two := MergeRuns(Manifest{}, mk(), mk())
+	if len(two.Counters) != 1 || two.Counters[0].Value != 6 || !reflect.DeepEqual(two.Series[0].Values, []int64{2, 4}) {
+		t.Fatalf("merge of two runs: %+v", two)
+	}
+}

@@ -219,8 +219,12 @@ func WriteTableProfile(w io.Writer, profile []obs.ComponentProfile) error {
 // components are matched by name in first-seen order, events and wall
 // time summed, worst dispatch maxed, and histogram buckets merged by
 // bound. Sharded runs merge per-shard exports with this because one
-// Profiler cannot observe several engines.
+// Profiler cannot observe several engines. One export is returned as it
+// is, not copied.
 func MergeExports(exports ...[]obs.ComponentProfile) []obs.ComponentProfile {
+	if len(exports) == 1 {
+		return exports[0]
+	}
 	index := map[string]int{}
 	var out []obs.ComponentProfile
 	for _, exp := range exports {

@@ -131,3 +131,20 @@ func TestNilProfiler(t *testing.T) {
 		t.Fatal("nil profiler must write nothing")
 	}
 }
+
+// TestMergeExportsOfOneIsThatExport: one export merges to itself (no
+// copy, the single-engine fold); two exports sum per component.
+func TestMergeExportsOfOneIsThatExport(t *testing.T) {
+	p, _, _, _ := buildProfiled(t)
+	exp := p.Export()
+	if len(exp) == 0 {
+		t.Fatal("empty export")
+	}
+	if one := MergeExports(exp); &one[0] != &exp[0] {
+		t.Fatal("merge of one export copied it")
+	}
+	two := MergeExports(exp, exp)
+	if len(two) != len(exp) || two[0].Events != 2*exp[0].Events || two[0].Component != exp[0].Component {
+		t.Fatalf("merge of two exports: %+v vs %+v", two[0], exp[0])
+	}
+}

@@ -35,7 +35,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"flexpass/internal/netem"
 	"flexpass/internal/sim"
@@ -92,20 +91,11 @@ type Shard struct {
 // Engine returns the shard's engine.
 func (s *Shard) Engine() *sim.Engine { return s.eng }
 
-// counters is one shard's progress cell, padded to its own cache line so
-// the wall-clock status reader never bounces the workers' lines.
-type counters struct {
-	horizon atomic.Int64
-	events  atomic.Uint64
-	_       [48]byte
-}
-
 // Runtime coordinates one sharded run.
 type Runtime struct {
 	shards    []*Shard
 	lookahead sim.Time
 	edges     map[[2]int]*Edge
-	cells     []counters
 
 	failed   chan struct{}
 	failOnce sync.Once
@@ -126,7 +116,6 @@ func New(engs []*sim.Engine, lookahead sim.Time) *Runtime {
 	rt := &Runtime{
 		lookahead: lookahead,
 		edges:     make(map[[2]int]*Edge),
-		cells:     make([]counters, len(engs)),
 		failed:    make(chan struct{}),
 	}
 	for i, eng := range engs {
@@ -167,29 +156,6 @@ func (rt *Runtime) Connect(from, to int) *Edge {
 	dst.in = append(dst.in, e)
 	sort.Slice(dst.in, func(i, j int) bool { return dst.in[i].from < dst.in[j].from })
 	return e
-}
-
-// HorizonPs returns the fleet-minimum committed simulated time in
-// picoseconds — the conservative horizon every shard has fully executed.
-// Safe to call from any goroutine while Run executes (live /status).
-func (rt *Runtime) HorizonPs() int64 {
-	min := rt.cells[0].horizon.Load()
-	for i := range rt.cells[1:] {
-		if h := rt.cells[i+1].horizon.Load(); h < min {
-			min = h
-		}
-	}
-	return min
-}
-
-// EventsProcessed sums events dispatched across all shards as of each
-// shard's last committed window. Safe concurrently with Run.
-func (rt *Runtime) EventsProcessed() uint64 {
-	var n uint64
-	for i := range rt.cells {
-		n += rt.cells[i].events.Load()
-	}
-	return n
 }
 
 // fail records the first shard panic and releases every blocked peer.
@@ -266,9 +232,6 @@ func (s *Shard) run(until sim.Time, rounds int) {
 		}
 		s.inject(w)
 		s.eng.Run(w)
-		cell := &s.rt.cells[s.id]
-		cell.horizon.Store(int64(w))
-		cell.events.Store(s.eng.Processed)
 		for _, e := range s.out {
 			batch := e.buf
 			e.buf = nil
@@ -279,12 +242,9 @@ func (s *Shard) run(until sim.Time, rounds int) {
 			}
 		}
 	}
-	// Zero-round runs (until == 0) still publish a horizon.
+	// Zero-round runs (until == 0) still dispatch what is due at 0.
 	if rounds == 0 {
 		s.eng.Run(until)
-		cell := &s.rt.cells[s.id]
-		cell.horizon.Store(int64(until))
-		cell.events.Store(s.eng.Processed)
 	}
 }
 

@@ -89,12 +89,24 @@ func TestHandoffDeterministicMerge(t *testing.T) {
 	}
 }
 
-// TestHorizonMonotonic polls the published horizon from a second
-// goroutine while the fabric runs (the live-status access pattern, so
-// this doubles as the -race check on the progress cells) and asserts it
-// only moves forward, ending at `until`.
+// TestHorizonMonotonic polls the engines' sim.Watch cells from a second
+// goroutine while the fabric runs (the watchdog / live-status access
+// pattern, so this doubles as the -race check on windowed runs under a
+// watch) and asserts the fleet-minimum clock only moves forward, ending
+// at `until`.
 func TestHorizonMonotonic(t *testing.T) {
 	rt, engs := newRuntime(t, 2)
+	watches := []*sim.Watch{{}, {}}
+	for i, eng := range engs {
+		eng.SetWatch(watches[i])
+	}
+	horizon := func() int64 {
+		h := watches[0].NowPs()
+		if h1 := watches[1].NowPs(); h1 < h {
+			h = h1
+		}
+		return h
+	}
 	sk := &sink{eng: engs[1]}
 	e := rt.Connect(0, 1)
 	for i := 0; i < 2000; i++ {
@@ -115,23 +127,22 @@ func TestHorizonMonotonic(t *testing.T) {
 				return
 			default:
 			}
-			h := rt.HorizonPs()
+			h := horizon()
 			if h < last {
 				t.Errorf("horizon moved backwards: %d after %d", h, last)
 				return
 			}
 			last = h
-			_ = rt.EventsProcessed()
 		}
 	}()
 	until := 400 * sim.Microsecond
 	rt.Run(until)
 	close(stop)
 	wg.Wait()
-	if got := rt.HorizonPs(); got != int64(until) {
+	if got := horizon(); got != int64(until) {
 		t.Fatalf("final horizon %d != until %d", got, int64(until))
 	}
-	if rt.EventsProcessed() == 0 {
+	if watches[0].Events() == 0 {
 		t.Fatal("no events processed")
 	}
 	if len(sk.log) != 2000 {
@@ -195,21 +206,21 @@ func TestCausalityPanic(t *testing.T) {
 }
 
 // TestDegenerateRuns: a zero-length run and an edgeless single shard
-// must both terminate and publish their horizons.
+// must both terminate with their engines at `until`.
 func TestDegenerateRuns(t *testing.T) {
-	rt, _ := newRuntime(t, 2)
+	rt, zero := newRuntime(t, 2)
 	rt.Connect(0, 1)
 	rt.Run(0)
-	if got := rt.HorizonPs(); got != 0 {
-		t.Fatalf("zero-run horizon %d", got)
+	if got := zero[1].Now(); got != 0 {
+		t.Fatalf("zero-run clock %v", got)
 	}
 
 	solo, engs := newRuntime(t, 1)
 	fired := false
 	engs[0].At(sim.Microsecond, func() { fired = true })
 	solo.Run(5 * sim.Microsecond)
-	if !fired || solo.HorizonPs() != int64(5*sim.Microsecond) {
-		t.Fatalf("single-shard run: fired=%v horizon=%d", fired, solo.HorizonPs())
+	if !fired || engs[0].Now() != 5*sim.Microsecond {
+		t.Fatalf("single-shard run: fired=%v clock=%v", fired, engs[0].Now())
 	}
 }
 

@@ -160,3 +160,18 @@ func TestKindNames(t *testing.T) {
 		t.Fatal("unknown kind should be labelled")
 	}
 }
+
+// TestMergeOfOneIsThatRing: one ring merges to itself (no copy, the
+// single-engine fold); two rings interleave by time.
+func TestMergeOfOneIsThatRing(t *testing.T) {
+	a, b := NewRing(nil, 4), NewRing(nil, 4)
+	a.events = []Event{{At: 1, Flow: 1}, {At: 3, Flow: 1}}
+	b.events = []Event{{At: 2, Flow: 2}}
+	if Merge(a) != a {
+		t.Fatal("merge of one ring copied it")
+	}
+	evs := Merge(a, b).Events()
+	if len(evs) != 3 || evs[0].At != 1 || evs[1].Flow != 2 || evs[2].At != 3 {
+		t.Fatalf("merge of two rings: %+v", evs)
+	}
+}
