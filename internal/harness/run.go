@@ -77,25 +77,17 @@ func Run(sc Scenario) *Result {
 	if sc.Forensics != nil && n > 1 {
 		panic(fmt.Sprintf("harness: forensics needs one engine, this run has %d (set Shards to 0 or 1)", n))
 	}
-	// Forensics implies telemetry: timelines need the registry and a
-	// lifecycle trace ring. Copy the options so the caller's struct is
-	// never mutated.
+	// Forensics and live introspection imply telemetry: timelines need
+	// the registry and a lifecycle trace ring, /metrics bridges the
+	// registry. The caller's options are copied, never mutated.
 	tel := sc.Telemetry
-	if sc.Forensics != nil {
-		if tel == nil {
-			tel = &obs.Options{}
-		} else {
-			cp := *tel
-			tel = &cp
-		}
-		if tel.TraceCap == 0 {
-			tel.TraceCap = 65536
-		}
-	}
-	// Live introspection implies telemetry too: /metrics bridges the
-	// registry, so there must be one.
-	if sc.Live != nil && tel == nil {
+	if tel == nil && (sc.Forensics != nil || sc.Live != nil) {
 		tel = &obs.Options{}
+	}
+	if sc.Forensics != nil && tel.TraceCap == 0 {
+		cp := *tel
+		cp.TraceCap = 65536
+		tel = &cp
 	}
 
 	plan := planWorkload(sc)
@@ -122,6 +114,10 @@ func Run(sc Scenario) *Result {
 				pl.ring = trace.NewRing(pl.eng, tel.TraceCap)
 			}
 		}
+		if sc.PoolPackets {
+			// Free lists are single-goroutine state: one per plane.
+			pl.pool = &netem.PacketPool{}
+		}
 		// Every env sees the same oracle weight and options; only the
 		// engine, registry, and ring differ.
 		pl.env = &transport.SchemeEnv{
@@ -136,6 +132,7 @@ func Run(sc Scenario) *Result {
 		}
 		pl.legacy = mustScheme(transport.SchemeDCTCP, pl.env)
 		pl.active = mustScheme(string(sc.Scheme), pl.env)
+		pl.strays = pl.reg.Counter("transport/agent", "stray_packets")
 		planes[i], engs[i] = pl, pl.eng
 	}
 
@@ -148,51 +145,27 @@ func Run(sc Scenario) *Result {
 		Profile:   planes[0].active.Profile(),
 	})
 	hostPlane := func(i int) *plane { return planes[fab.HostShard[i]] }
-	if sc.PoolPackets {
-		// Free lists are single-goroutine state: one pool per plane,
-		// nodes assigned by partition. Packets migrate between pools at
-		// shard cuts (put always runs on the receiving plane).
-		for _, pl := range planes {
-			pl.pool = &netem.PacketPool{}
-		}
-		for i, sw := range fab.Net.Switches {
-			sw.SetPool(planes[fab.SwitchShard[i]].pool)
-		}
-		for i, h := range fab.Net.Hosts {
-			h.SetPool(hostPlane(i).pool)
-		}
-	}
 	var rt *shard.Runtime
 	if n > 1 {
 		rt = bridgeShards(engs, fab.Cross)
 	}
 
-	// Agents and per-node telemetry live with their plane.
-	for _, pl := range planes {
-		if pl.reg != nil {
-			pl.strays = pl.reg.Counter("transport/agent", "stray_packets")
-		}
+	// Nodes, their agents, packet pools, and telemetry live with the plane
+	// that owns them. Packets migrate between pools at shard cuts (put
+	// always runs on the receiving plane).
+	for i, sw := range fab.Net.Switches {
+		pl := planes[fab.SwitchShard[i]]
+		sw.SetPool(pl.pool)
+		sw.Register(pl.reg)
 	}
 	agents := make([]*transport.Agent, plan.hosts)
-	for i := range agents {
+	for i, h := range fab.Net.Hosts {
 		pl := hostPlane(i)
-		agents[i] = transport.NewAgent(pl.eng, fab.Net.Host(i))
+		h.SetPool(pl.pool)
+		agents[i] = transport.NewAgent(pl.eng, h)
 		agents[i].ObserveStrays(pl.strays)
+		h.Register(pl.reg)
 	}
-	if tel != nil {
-		for i, sw := range fab.Net.Switches {
-			sw.Register(planes[fab.SwitchShard[i]].reg)
-		}
-		for i, h := range fab.Net.Hosts {
-			h.Register(hostPlane(i).reg)
-		}
-	}
-	var rec *forensics.Recorder
-	if sc.Forensics != nil {
-		rec = forensics.NewRecorder(sc.Forensics)
-		fab.Net.SetHopObserver(rec)
-	}
-
 	res := &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
 
 	// Apply the fault plan at a fixed point in setup — after the fabric
@@ -216,31 +189,22 @@ func Run(sc Scenario) *Result {
 	var flowsStarted, flowsDone atomic.Int64
 	onDone := func(*transport.Flow) { flowsDone.Add(1) }
 	all := make([]*transport.Flow, 0, len(plan.flows))
-	incastOf := make(map[uint64]bool)
 	prevComp := make([]sim.Component, n)
 	for i, pl := range planes {
 		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
-		pl.compActive = pl.compLegacy
-		if string(sc.Scheme) != transport.SchemeDCTCP {
-			pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
-		}
+		pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
 		prevComp[i] = pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
 	}
 	for i, fs := range plan.flows {
 		fl := &transport.Flow{
-			ID:    uint64(i + 1),
-			Src:   agents[fs.Src],
-			Dst:   agents[fs.Dst],
-			Size:  fs.Size,
-			Start: fs.At,
-		}
-		if sc.Live != nil {
-			fl.OnComplete = onDone
+			ID:         uint64(i + 1),
+			Src:        agents[fs.Src],
+			Dst:        agents[fs.Dst],
+			Size:       fs.Size,
+			Start:      fs.At,
+			OnComplete: onDone,
 		}
 		all = append(all, fl)
-		if fs.Incast {
-			incastOf[fl.ID] = true
-		}
 		upgraded := plan.upgraded(fs)
 		src, dst := hostPlane(fs.Src), hostPlane(fs.Dst)
 		sch, comp := src.scheme(upgraded)
@@ -286,28 +250,24 @@ func Run(sc Scenario) *Result {
 		pl.prober.Start()
 	}
 
-	// Invariant auditors: credit conservation samples the live pacer /
-	// sender counters and the fabric's rate-limited credit-queue drops.
+	// The forensic plane: hop recording at every port, and the invariant
+	// auditors — credit conservation samples the live pacer / sender
+	// counters and the fabric's rate-limited credit-queue drops.
+	var rec *forensics.Recorder
 	var aud *forensics.Auditor
 	if sc.Forensics != nil {
-		env := planes[0].env
-		issued := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsIssued.Value()
-			})
-			return n
+		rec = forensics.NewRecorder(sc.Forensics)
+		fab.Net.SetHopObserver(rec)
+		credits := func(pick func(transport.Counters) *obs.Counter) func() int64 {
+			return func() (n int64) {
+				planes[0].env.EachCounters(func(_ string, c transport.Counters) { n += pick(c).Value() })
+				return n
+			}
 		}
-		consumed := func() int64 {
-			var n int64
-			env.EachCounters(func(_ string, c transport.Counters) {
-				n += c.CreditsGranted.Value()
-			})
-			return n
-		}
-		creditDrops := func() int64 {
-			var n int64
-			eachPort(fab, func(p *netem.Port) {
+		issued := credits(func(c transport.Counters) *obs.Counter { return c.CreditsIssued })
+		consumed := credits(func(c transport.Counters) *obs.Counter { return c.CreditsGranted })
+		creditDrops := func() (n int64) {
+			fab.Net.EachPort(func(p *netem.Port) {
 				for q := 0; q < p.NumQueues(); q++ {
 					if p.QueueConfig(q).RateLimit > 0 {
 						n += p.QueueStats(q).DroppedOver
@@ -328,17 +288,13 @@ func Run(sc Scenario) *Result {
 	// per-queue gauge series are consumed instead of re-deriving the same
 	// samples with a second scheduler.
 	if sc.SampleQueues && tel == nil {
-		planeOf := make(map[*sim.Engine]*plane, n)
 		for _, pl := range planes {
 			pl.qs = metrics.NewQueueSampler(pl.eng, 100*sim.Microsecond)
-			planeOf[pl.eng] = pl
-		}
-		idx := fab.FlexQueueIndex
-		for _, up := range fab.TorUplinks {
-			up := up
-			planeOf[up.Engine()].qs.Track(func() (int64, int64) { return up.QueueBytes(idx) })
-		}
-		for _, pl := range planes {
+			for _, up := range fab.TorUplinks {
+				if up.Engine() == pl.eng {
+					pl.qs.Track(func() (int64, int64) { return up.QueueBytes(fab.FlexQueueIndex) })
+				}
+			}
 			pl.qs.Start()
 		}
 	}
@@ -361,21 +317,21 @@ func Run(sc Scenario) *Result {
 		if every <= 0 {
 			every = sim.Millisecond
 		}
-		// Every plane publishes on its own engine clock, like any
-		// observer: it refreshes its slot with its registry's readings —
-		// plain ints only its goroutine may read while the run executes —
-		// and posts the fleet's progress with all slots merged.
+		// Every plane reports on its own engine clock, like any observer:
+		// it refreshes its slot with its registry's readings — plain ints
+		// only its goroutine may read while the run executes. Plane 0's
+		// tick also posts the fleet's progress with all slots merged, so
+		// the merge runs once per interval, not once per plane.
 		var mu sync.Mutex
 		slots := make([][]obs.Reading, n)
-		refresh := func(i int) {
+		report := func(i int, post, done bool) {
 			final := planes[i].reg.Final()
 			mu.Lock()
-			slots[i] = final
-			mu.Unlock()
-		}
-		post := func(done bool) {
-			mu.Lock()
 			defer mu.Unlock()
+			slots[i] = final
+			if !post {
+				return
+			}
 			st := live.RunStatus{
 				SimNowPs:     watches.horizonPs(),
 				SimEndPs:     int64(end),
@@ -392,16 +348,14 @@ func Run(sc Scenario) *Result {
 			sc.Live.Publish(st, mergeReadings(slots))
 		}
 		for i, pl := range planes {
-			i := i
 			prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
-			pl.eng.Every(every, func() { refresh(i); post(false) })
+			pl.eng.Every(every, func() { report(i, i == 0, false) })
 			pl.eng.SetComponent(prev)
 		}
 		publishFinal = func() {
 			for i := range planes {
-				refresh(i)
+				report(i, i == n-1, true) // post once every slot is final
 			}
-			post(true)
 		}
 	}
 	// An aborted engine still advances its clock through each round
@@ -421,7 +375,7 @@ func Run(sc Scenario) *Result {
 	}
 
 	for _, fl := range all {
-		res.Flows.Add(metrics.Snapshot(fl, incastOf[fl.ID]))
+		res.Flows.Add(metrics.Snapshot(fl, plan.flows[fl.ID-1].Incast))
 	}
 	if sc.SampleQueues {
 		var totals, reds []int64
@@ -458,9 +412,7 @@ func Run(sc Scenario) *Result {
 	if rings[0] != nil {
 		res.Trace = trace.Merge(rings...)
 	}
-	if sc.Profile {
-		res.Profile = prof.MergeExports(profiles...)
-	}
+	res.Profile = prof.MergeExports(profiles...)
 
 	if sc.Forensics != nil {
 		// Ideal-FCT estimate for ranking only: wire bytes at line rate
@@ -567,23 +519,10 @@ func mergeReadings(slots [][]obs.Reading) []obs.Reading {
 	return out
 }
 
-// eachPort visits every egress port of the fabric: switch ports, then
-// host NICs.
-func eachPort(fab *topo.Fabric, visit func(*netem.Port)) {
-	for _, sw := range fab.Net.Switches {
-		for _, p := range sw.Ports() {
-			visit(p)
-		}
-	}
-	for _, h := range fab.Net.Hosts {
-		visit(h.NIC())
-	}
-}
-
 // countFabricDrops folds every port's drop and fault-loss counters into
 // the result. Runs after the engine(s) stop, from one goroutine.
 func countFabricDrops(fab *topo.Fabric, res *Result) {
-	eachPort(fab, func(p *netem.Port) {
+	fab.Net.EachPort(func(p *netem.Port) {
 		fs := p.FaultStats()
 		res.FaultDrops.Injected += fs.Injected
 		res.FaultDrops.LinkDown += fs.LinkDown

@@ -66,16 +66,3 @@ func (h *Host) Register(reg *obs.Registry) {
 	reg.CounterFunc("host/"+h.name, "rx_packets", func() int64 { return h.RxPackets })
 	h.nic.Register(reg)
 }
-
-// Register exposes every node in the network.
-func (n *Network) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, s := range n.Switches {
-		s.Register(reg)
-	}
-	for _, h := range n.Hosts {
-		h.Register(reg)
-	}
-}
