@@ -29,7 +29,11 @@ race-core:
 # Parallel-engine race pass: the shard barrier/horizon/handoff protocol
 # (internal/sim/shard) plus the harness's sharded determinism suite,
 # which exercises cross-shard flow starts and fault injection, plus the
-# live board fed from two engine goroutines, under -race.
+# live board fed from two engine goroutines, under -race. Every plane
+# recycles frames through its engine's free list and a frame crossing
+# the cut is returned on the receiving goroutine, so the sharded goldens
+# and TestShardedAllocBudget ('Sharded' matches both) are the race proof
+# for the packet pools.
 race-shard:
 	$(GO) test -race ./internal/sim/shard/
 	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical' ./internal/harness/
@@ -46,7 +50,8 @@ bench-sim:
 	$(GO) test -bench . -benchtime 2s -run '^$$' ./internal/sim/
 
 # Hot-path benchmark set: scheduler dispatch/churn/cancellation plus the
-# netem per-hop costs, for a quick look while working. The standing
+# netem per-hop costs (BenchmarkHostHop matches both the Network and the
+# HandWired variant), for a quick look while working. The standing
 # benchmark's ledger below measures the same layers (sim.dispatch_ns,
 # netem.port_hop_ns, shard.speedup on big-sharded) in a comparable,
 # checked-in shape.

@@ -129,17 +129,15 @@ type TestbedConfig struct {
 	LinkRate Rate    // default 10Gbps
 	WQ       float64 // FlexPass queue weight, default 0.5
 	Seed     int64
-	// PoolPackets recycles consumed frames through a per-network free
-	// list (see DESIGN.md "Performance"). Results are byte-identical
-	// with pooling on or off; custom Receive handlers must not retain
-	// a *Packet past the callback when enabled.
-	PoolPackets bool
 }
 
 // Testbed is a small fabric with the FlexPass switch configuration, for
 // hand-built experiments: start flows by transport name and run the
 // clock. All hosts share one switch (or a dumbbell) configured with the
-// paper's three-queue layout.
+// paper's three-queue layout. The fabric owns every frame and recycles it
+// at the end of its life (DESIGN.md "Packet ownership"): a custom
+// receive handler installed on a host must not retain a *Packet past the
+// callback.
 type Testbed struct {
 	Eng    *sim.Engine
 	Fabric *topo.Fabric
@@ -184,9 +182,6 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		fab = topo.Dumbbell(eng, cfg.Hosts/2, cfg.Hosts-cfg.Hosts/2, cfg.LinkRate, params)
 	default:
 		panic("flexpass: unknown testbed kind")
-	}
-	if cfg.PoolPackets {
-		fab.Net.EnablePacketPool()
 	}
 	tb := &Testbed{Eng: eng, Fabric: fab, cfg: cfg}
 	for i := 0; i < cfg.Hosts; i++ {

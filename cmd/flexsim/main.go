@@ -57,7 +57,6 @@ func main() {
 		profOut    = flag.String("profile-out", "", "enable the engine self-profiler and write folded stacks (flamegraph input) here; '-' prints a table to stderr")
 		serveAddr  = flag.String("serve", "", "serve live /status, /metrics, and pprof on this address while the run executes (e.g. :8080)")
 		linger     = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
-		poolPkts   = flag.Bool("pool-packets", false, "recycle consumed frames through a per-network free list (results identical; lower GC pressure)")
 		faultPlan  = flag.String("fault-plan", "", "JSON fault-plan file (see internal/faults); runs the scheme clean and faulted and prints a degradation report")
 		faultSpec  = flag.String("fault", "", "inline fault shorthand, e.g. 'down@sw0->h1@2ms-3ms,burst@tor*@1ms-5ms'; same behavior as -fault-plan")
 		faultOne   = flag.Bool("fault-single", false, "with a fault plan: run once faulted instead of the clean-vs-faulted pair (composes with -telemetry-out/-forensics-out)")
@@ -98,7 +97,6 @@ func main() {
 	sc.Duration = sim.Time(*durMS * float64(sim.Millisecond))
 	sc.IncastFraction = *incast
 	sc.SampleQueues = *queues
-	sc.PoolPackets = *poolPkts
 	if *shards < 1 {
 		fmt.Fprintf(os.Stderr, "-shards must be >= 1 (got %d)\n", *shards)
 		os.Exit(1)

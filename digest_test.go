@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"runtime"
 	"testing"
+
+	"flexpass/internal/netem"
 )
 
 // FlowsDigest hashes every per-flow outcome (completion, FCT, byte and
@@ -62,9 +64,13 @@ var goldenDigests = map[string]string{
 // incast into host 4, a reverse bulk flow, and staggered short flows —
 // on a 5-host single-switch testbed under one transport ("mixed" runs
 // FlexPass, DCTCP and ExpressPass side by side) and returns the flow
-// digest.
-func runGoldenScenario(transport string, pool bool) string {
-	tb := NewTestbed(TestbedConfig{Hosts: 5, LinkRate: 10 * Gbps, Seed: 7, PoolPackets: pool})
+// digest. prepare, when non-nil, adjusts the fabric before any flow is
+// scheduled.
+func runGoldenScenario(transport string, prepare func(*Testbed)) string {
+	tb := NewTestbed(TestbedConfig{Hosts: 5, LinkRate: 10 * Gbps, Seed: 7})
+	if prepare != nil {
+		prepare(tb)
+	}
 	tp := func(i int) string {
 		if transport != "mixed" {
 			return transport
@@ -96,8 +102,8 @@ func TestGoldenDigest(t *testing.T) {
 	for _, tp := range goldenTransports {
 		tp := tp
 		t.Run(tp, func(t *testing.T) {
-			d1 := runGoldenScenario(tp, false)
-			d2 := runGoldenScenario(tp, false)
+			d1 := runGoldenScenario(tp, nil)
+			d2 := runGoldenScenario(tp, nil)
 			if d1 != d2 {
 				t.Fatalf("non-deterministic: %s vs %s", d1, d2)
 			}
@@ -115,18 +121,51 @@ func TestGoldenDigest(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestPooled proves packet recycling is invisible to results:
-// the pooled run of every golden scenario produces the byte-identical
-// digest of the unpooled run.
+// TestGoldenDigestPooled proves packet recycling is invisible to results,
+// with the heap as the reference: every golden scenario is run again on a
+// testbed whose free lists were stripped from every node (each frame is
+// then a fresh heap object nobody reuses) and must produce the
+// byte-identical digest. A transport that retains a *Packet past its
+// handler reads a recycled frame in the pooled run only, and fails here.
 func TestGoldenDigestPooled(t *testing.T) {
+	stripPools := func(tb *Testbed) {
+		for _, sw := range tb.Fabric.Net.Switches {
+			sw.SetPool(nil)
+		}
+		for _, h := range tb.Fabric.Net.Hosts {
+			h.SetPool(nil)
+		}
+	}
 	for _, tp := range goldenTransports {
 		tp := tp
 		t.Run(tp, func(t *testing.T) {
-			plain := runGoldenScenario(tp, false)
-			pooled := runGoldenScenario(tp, true)
+			pooled := runGoldenScenario(tp, nil)
+			plain := runGoldenScenario(tp, stripPools)
 			if plain != pooled {
 				t.Fatalf("pooling changed results: plain %s pooled %s", plain, pooled)
 			}
 		})
+	}
+}
+
+// TestTestbedRecyclesFrames keeps TestGoldenDigestPooled from passing
+// vacuously: a testbed is pooled as built, so the frame one host consumed
+// is the frame the sender's next NewPacket returns.
+func TestTestbedRecyclesFrames(t *testing.T) {
+	for _, kind := range []TestbedKind{SingleSwitch, DumbbellPairs} {
+		tb := NewTestbed(TestbedConfig{Kind: kind, Hosts: 4})
+		src, dst := tb.Fabric.Net.Host(0), tb.Fabric.Net.Host(3)
+		var seen *netem.Packet
+		dst.SetHandler(func(p *netem.Packet) { seen = p })
+		pkt := src.NewPacket()
+		*pkt = netem.Packet{Kind: netem.KindLegacyData, Class: netem.ClassLegacy, Dst: dst.NodeID(), Size: netem.MTUWire}
+		src.Send(pkt)
+		tb.Run(Millisecond)
+		if seen != pkt {
+			t.Fatalf("kind %d: frame not delivered", kind)
+		}
+		if src.NewPacket() != pkt {
+			t.Fatalf("kind %d: consumed frame was not recycled", kind)
+		}
 	}
 }

@@ -126,6 +126,8 @@ func TestSpecValidation(t *testing.T) {
 		`{"name": "x", "trials": 1, "faults": {"kinds": ["link-up"]}}`, // recovery kinds are not samplable
 		`{"name": "x", "trials": 1, "faults": {"links": ["[bad"]}}`,    // malformed glob
 		`{"name": "x", "trials": 1, "typo_knob": 3}`,                   // unknown field
+		`{"name": "x", "trials": 1} {"name": "second"} trailing`,       // more than one document
+		`{"name": "x", "trials": 1}}`,
 	}
 	for _, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {
@@ -194,6 +196,11 @@ func TestIsReproAndParseRepro(t *testing.T) {
 	}
 	if _, err := ParseRepro([]byte(`{"chaos": 1, "mystery": true}`)); err == nil {
 		t.Error("ParseRepro accepted an unknown field")
+	}
+	for _, tail := range []string{` {"chaos": 1}`, ` trailing`, `}`} {
+		if _, err := ParseRepro([]byte(string(data) + tail)); err == nil {
+			t.Errorf("ParseRepro accepted trailing data %q", tail)
+		}
 	}
 
 	// WriteFile/ParseReproFile round trip.

@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"flexpass/internal/faults"
 	"flexpass/internal/harness"
+	"flexpass/internal/planspec"
 	"flexpass/internal/sim"
 	"flexpass/internal/workload"
 )
@@ -85,10 +85,8 @@ func IsRepro(data []byte) bool {
 
 // ParseRepro decodes a strict-JSON repro document.
 func ParseRepro(data []byte) (*Repro, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var r Repro
-	if err := dec.Decode(&r); err != nil {
+	if err := planspec.DecodeStrict(data, &r); err != nil {
 		return nil, fmt.Errorf("chaos: parsing repro: %w", err)
 	}
 	if r.Chaos == 0 {

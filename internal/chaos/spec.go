@@ -11,7 +11,6 @@
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path"
@@ -20,6 +19,7 @@ import (
 
 	"flexpass/internal/farm"
 	"flexpass/internal/faults"
+	"flexpass/internal/planspec"
 	"flexpass/internal/transport"
 	"flexpass/internal/workload"
 )
@@ -182,10 +182,8 @@ func orDefault(axis []string, def string) []string {
 
 // ParseSpec decodes and validates a strict-JSON chaos spec.
 func ParseSpec(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := planspec.DecodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("chaos: parsing spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

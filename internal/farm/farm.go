@@ -38,6 +38,7 @@ import (
 	"flexpass/internal/harness"
 	"flexpass/internal/lake"
 	"flexpass/internal/obs"
+	"flexpass/internal/planspec"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
@@ -84,7 +85,6 @@ type Spec struct {
 	DurationMS     float64 `json:"duration_ms,omitempty"` // arrival window; default 2
 	DrainMS        float64 `json:"drain_ms,omitempty"`    // default 5x duration
 	IncastFraction float64 `json:"incast,omitempty"`
-	PoolPackets    bool    `json:"pool_packets,omitempty"`
 
 	// baseDir anchors relative plan-file entries (workload and fault
 	// axes) when the spec came from a file, so checked-in specs work
@@ -108,10 +108,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 }
 
 func parseSpec(data []byte, baseDir string) (*Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := planspec.DecodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("farm: bad sweep spec: %w", err)
 	}
 	s.baseDir = baseDir
@@ -255,7 +253,6 @@ type Point struct {
 	DurationMS     float64 `json:"duration_ms"`
 	DrainMS        float64 `json:"drain_ms"`
 	IncastFraction float64 `json:"incast,omitempty"`
-	PoolPackets    bool    `json:"pool_packets,omitempty"`
 
 	plan  *faults.Plan
 	wplan *workload.Plan
@@ -319,7 +316,6 @@ func (p Point) Scenario() harness.Scenario {
 	sc.Duration = sim.Time(p.DurationMS * float64(sim.Millisecond))
 	sc.Drain = sim.Time(p.DrainMS * float64(sim.Millisecond))
 	sc.IncastFraction = p.IncastFraction
-	sc.PoolPackets = p.PoolPackets
 	sc.FaultPlan = p.plan
 	sc.Telemetry = &obs.Options{}
 	sc.ManifestConfig = map[string]string{
@@ -409,7 +405,6 @@ func (s *Spec) Points() ([]Point, error) {
 												Fault: f, FaultHash: hashes[fi],
 												DurationMS: durMS, DrainMS: drainMS,
 												IncastFraction: s.IncastFraction,
-												PoolPackets:    s.PoolPackets,
 												plan:           plans[fi],
 												wplan:          wplans[wi],
 											})

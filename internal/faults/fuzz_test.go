@@ -21,6 +21,8 @@ func FuzzParsePlan(f *testing.F) {
 		`{"kind":"link-down","link":"a","at":"3ms"}]}`)) // overlapping
 	f.Add([]byte(`{"events":[{"kind":"credit-loss","link":"[","at":"-1ms","rate":9}]}`))
 	f.Add([]byte(`{"events":[{"kind":"link-down","link":"a","at":"2 fortnights"}]}`))
+	f.Add([]byte(`{"events":[{"kind":"link-down","link":"a","at":"NaNus","end":"Infms"}]}`))
+	f.Add([]byte(`{"events":[{"kind":"link-down","link":"a","at":"1ms","end":"1e30s"}]}`))
 	f.Add([]byte(`{"events":`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
@@ -51,6 +53,9 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add(",,,")
 	f.Add("down@a@1ms-2ms,down@a@1500us-3ms") // overlapping
 	f.Add("burst@[@1ms@NaN@-Inf@1e309")
+	f.Add("down@tor*@NaNus")
+	f.Add("down@tor*@Infms")
+	f.Add("down@tor*@1ms-1e30s")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParseSpec(spec)
 		if err != nil {

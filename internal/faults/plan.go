@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"path"
 	"sort"
@@ -271,15 +270,9 @@ func (p *Plan) Hash() string {
 // rejected so typos in plan files fail loudly instead of silently
 // producing a clean run.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := planspec.DecodeStrict(data, &p); err != nil {
 		return nil, fmt.Errorf("faults: bad plan JSON: %w", err)
-	}
-	// Trailing garbage after the plan object is damage, not data.
-	if dec.More() {
-		return nil, errors.New("faults: trailing data after plan JSON")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -165,8 +165,10 @@ func TestParsePlanJSON(t *testing.T) {
 	if _, err := ParsePlan([]byte(`{"events": [{"kind": "link-down", "link": "x", "at": "1ms", "typo_field": 3}]}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := ParsePlan([]byte(`{"events": []} trailing`)); err == nil {
-		t.Fatal("trailing garbage accepted")
+	for _, tail := range []string{` trailing`, ` {"events": []}`, `}`} {
+		if _, err := ParsePlan([]byte(`{"events": []}` + tail)); err == nil {
+			t.Fatalf("trailing data %q accepted", tail)
+		}
 	}
 	if _, err := ParsePlan([]byte(`{`)); err == nil {
 		t.Fatal("truncated JSON accepted")

@@ -22,8 +22,9 @@ import (
 )
 
 // plane is everything one engine owns while a run executes: its scheme
-// instances, stats registry, trace ring, profiler, packet pool, and
-// observers. A run is a slice of planes — one per pod-block shard —
+// instances, stats registry, trace ring, profiler, and observers (the
+// fabric owns the per-engine packet free lists; see netem.PacketPool). A
+// run is a slice of planes — one per pod-block shard —
 // and everything a plane touches during the run is its own, so the hot
 // path takes no locks; the planes are folded after the fabric drains.
 type plane struct {
@@ -31,7 +32,6 @@ type plane struct {
 	profiler *prof.Profiler
 	reg      *obs.Registry
 	ring     *trace.Ring
-	pool     *netem.PacketPool
 	strays   *obs.Counter
 
 	// One scheme env — and so one set of scheme instances and counter
@@ -114,10 +114,6 @@ func Run(sc Scenario) *Result {
 				pl.ring = trace.NewRing(pl.eng, tel.TraceCap)
 			}
 		}
-		if sc.PoolPackets {
-			// Free lists are single-goroutine state: one per plane.
-			pl.pool = &netem.PacketPool{}
-		}
 		// Every env sees the same oracle weight and options; only the
 		// engine, registry, and ring differ.
 		pl.env = &transport.SchemeEnv{
@@ -150,18 +146,14 @@ func Run(sc Scenario) *Result {
 		rt = bridgeShards(engs, fab.Cross)
 	}
 
-	// Nodes, their agents, packet pools, and telemetry live with the plane
-	// that owns them. Packets migrate between pools at shard cuts (put
-	// always runs on the receiving plane).
+	// Nodes, their agents, and telemetry live with the plane that owns
+	// them.
 	for i, sw := range fab.Net.Switches {
-		pl := planes[fab.SwitchShard[i]]
-		sw.SetPool(pl.pool)
-		sw.Register(pl.reg)
+		sw.Register(planes[fab.SwitchShard[i]].reg)
 	}
 	agents := make([]*transport.Agent, plan.hosts)
 	for i, h := range fab.Net.Hosts {
 		pl := hostPlane(i)
-		h.SetPool(pl.pool)
 		agents[i] = transport.NewAgent(pl.eng, h)
 		agents[i].ObserveStrays(pl.strays)
 		h.Register(pl.reg)

@@ -166,12 +166,6 @@ type Scenario struct {
 	// percentiles over the union of flows).
 	PoolSeeds []int64
 
-	// PoolPackets recycles consumed frames through a per-network free
-	// list (netem.Network.EnablePacketPool). Observation-only for
-	// results: flow statistics are byte-identical with pooling on or
-	// off; it trims steady-state allocation in long runs.
-	PoolPackets bool
-
 	// Deadline, when positive, caps the run's wall-clock time: a
 	// wall-clock watchdog aborts the engine(s) when it elapses and Run
 	// panics with a *KilledError (Reason "deadline"). Zero disables.

@@ -288,3 +288,37 @@ func TestShardedFaultPlanRunTwice(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedAllocBudget pins heap objects per engine event, so a return
+// to one heap frame per packet fails go test instead of waiting for the
+// benchmark's allocs column. Every frame comes from the fabric's free
+// lists (netem.PacketPool); what is left is the lists' high-water mark,
+// per-ACK tracker state, fabric build and — at two shards — the per-round
+// hand-off batches. Each budget is ~1.3x the ratio measured with pooled
+// frames and below the ratio measured with heap frames (in brackets), so
+// every row fails without the pool; mallocs are exact to ~0.05 % per
+// (scenario, shards), with or without -race.
+func TestShardedAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		scheme Scheme
+		shards int
+		budget float64 // heap objects per event
+	}{
+		{SchemeFlexPass, 1, 0.110}, // measured 0.084 [0.168]
+		{SchemeFlexPass, 2, 0.256}, // measured 0.197 [0.281]
+		{"homa", 1, 0.0031},        // measured 0.0024 [0.118]
+		{"homa", 2, 0.038},         // measured 0.029 [0.144]
+	} {
+		t.Run(fmt.Sprintf("%s/shards=%d", c.scheme, c.shards), func(t *testing.T) {
+			sc := shardScenario(c.scheme, c.shards)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := Run(sc)
+			runtime.ReadMemStats(&after)
+			mallocs := after.Mallocs - before.Mallocs
+			if got := float64(mallocs) / float64(res.Events); got > c.budget {
+				t.Fatalf("%d heap objects over %d events = %.4f allocs/event, budget %.4f", mallocs, res.Events, got, c.budget)
+			}
+		})
+	}
+}

@@ -7,22 +7,29 @@ import (
 	"flexpass/internal/units"
 )
 
-// poolPair builds two directly-connected hosts on one network with the
-// packet pool enabled.
-func poolPair(eng *sim.Engine) (*Host, *Host, *PacketPool) {
-	net := NewNetwork(eng)
-	mk := func(name string) *Host {
+// hostPair builds two directly-connected hosts, added to net when it is
+// non-nil (and so sharing its packet pool) and hand-wired otherwise.
+func hostPair(eng *sim.Engine, net *Network) (ha, hb *Host) {
+	mk := func(id NodeID, name string) *Host {
 		nic := NewPort(eng, name+"-nic", 40*units.Gbps, sim.Microsecond,
 			PortConfig{Queues: []QueueConfig{{Name: "Q0"}}}, nil)
-		h := NewHost(eng, net.AllocID(), name, nic, sim.Microsecond)
-		net.AddHost(h)
+		h := NewHost(eng, id, name, nic, sim.Microsecond)
+		if net != nil {
+			net.AddHost(h)
+		}
 		return h
 	}
-	ha, hb := mk("a"), mk("b")
+	ha, hb = mk(0, "a"), mk(1, "b")
 	ha.NIC().Connect(hb)
 	hb.NIC().Connect(ha)
-	pool := net.EnablePacketPool()
-	return ha, hb, pool
+	return ha, hb
+}
+
+// poolPair is hostPair on a network, plus the pool AddHost installed.
+func poolPair(eng *sim.Engine) (*Host, *Host, *PacketPool) {
+	net := NewNetwork(eng)
+	ha, hb := hostPair(eng, net)
+	return ha, hb, net.pool(eng)
 }
 
 // TestZeroAllocPooledHop pins the data-plane allocation budget: with the
@@ -90,7 +97,7 @@ func TestPoolRecyclesDrops(t *testing.T) {
 	h := NewHost(eng, net.AllocID(), "h", nic, 0)
 	net.AddHost(h)
 	nic.Connect(h) // loop back; destination unimportant for drop counting
-	pool := net.EnablePacketPool()
+	pool := net.pool(eng)
 
 	// Burst past the 2-frame private cap in zero simulated time: the
 	// overflow must be recycled immediately.

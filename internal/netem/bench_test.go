@@ -47,51 +47,11 @@ func BenchmarkPortForward(b *testing.B) {
 	}
 }
 
-// BenchmarkHostHop measures the end-host injection path: Host.Send with a
-// host processing delay, NIC serialization, propagation, and handler
-// dispatch at the peer. Two hosts ping-pong full frames.
-func BenchmarkHostHop(b *testing.B) {
-	eng := sim.NewEngine(1)
-	mk := func(id NodeID, name string) *Host {
-		nic := NewPort(eng, name+"-nic", 40*units.Gbps, sim.Microsecond,
-			PortConfig{Queues: []QueueConfig{{Name: "Q0"}}}, nil)
-		return NewHost(eng, id, name, nic, sim.Microsecond)
-	}
-	ha, hb := mk(0, "a"), mk(1, "b")
-	ha.NIC().Connect(hb)
-	hb.NIC().Connect(ha)
-	ha.SetHandler(func(pkt *Packet) { ha.Send(&Packet{Dst: 1, Size: MTUWire}) })
-	hb.SetHandler(func(pkt *Packet) { hb.Send(&Packet{Dst: 0, Size: MTUWire}) })
-	for i := 0; i < 4; i++ {
-		ha.Send(&Packet{Dst: 1, Size: MTUWire})
-	}
-	eng.Run(eng.Now() + sim.Millisecond)
-	b.ReportAllocs()
-	b.ResetTimer()
-	target := ha.RxPackets + hb.RxPackets + int64(b.N)
-	for ha.RxPackets+hb.RxPackets < target {
-		eng.Run(eng.Now() + sim.Millisecond)
-	}
-}
-
-// BenchmarkHostHopPooled is BenchmarkHostHop with the packet pool on:
-// endpoints allocate with NewPacket and consumed frames recycle through
-// the network free list. The delta against BenchmarkHostHop is the win
-// the -pool-packets flag buys.
-func BenchmarkHostHopPooled(b *testing.B) {
-	eng := sim.NewEngine(1)
-	net := NewNetwork(eng)
-	mk := func(name string) *Host {
-		nic := NewPort(eng, name+"-nic", 40*units.Gbps, sim.Microsecond,
-			PortConfig{Queues: []QueueConfig{{Name: "Q0"}}}, nil)
-		h := NewHost(eng, net.AllocID(), name, nic, sim.Microsecond)
-		net.AddHost(h)
-		return h
-	}
-	ha, hb := mk("a"), mk("b")
-	ha.NIC().Connect(hb)
-	hb.NIC().Connect(ha)
-	net.EnablePacketPool()
+// benchHostHop measures the end-host injection path: NewPacket, Host.Send
+// with a host processing delay, NIC serialization, propagation, handler
+// dispatch at the peer, and the end of the frame's life. Two hosts
+// ping-pong full frames.
+func benchHostHop(b *testing.B, ha, hb *Host) {
 	bounce := func(from *Host, to NodeID) {
 		pkt := from.NewPacket()
 		*pkt = Packet{Dst: to, Size: MTUWire}
@@ -102,6 +62,7 @@ func BenchmarkHostHopPooled(b *testing.B) {
 	for i := 0; i < 4; i++ {
 		bounce(ha, hb.NodeID())
 	}
+	eng := ha.eng
 	eng.Run(eng.Now() + sim.Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -109,4 +70,19 @@ func BenchmarkHostHopPooled(b *testing.B) {
 	for ha.RxPackets+hb.RxPackets < target {
 		eng.Run(eng.Now() + sim.Millisecond)
 	}
+}
+
+// BenchmarkHostHopNetwork is the hop as every fabric takes it: the hosts
+// joined a Network, so frames recycle through its free list.
+func BenchmarkHostHopNetwork(b *testing.B) {
+	ha, hb, _ := poolPair(sim.NewEngine(1))
+	benchHostHop(b, ha, hb)
+}
+
+// BenchmarkHostHopHandWired is the same hop between hosts that were never
+// added to a Network (nil pool): one heap frame per bounce, the cost
+// bench/units.go's hand-wired hosts pay.
+func BenchmarkHostHopHandWired(b *testing.B) {
+	ha, hb := hostPair(sim.NewEngine(1), nil)
+	benchHostHop(b, ha, hb)
 }

@@ -26,7 +26,7 @@ type Host struct {
 	sendFn   func()
 	comp     sim.Component // profiling attribution for delayed-send events
 
-	pool *PacketPool // optional packet free list (Network.EnablePacketPool)
+	pool *PacketPool // packet free list; nil only outside a Network
 
 	// RxPackets counts packets delivered to the handler.
 	RxPackets int64
@@ -52,13 +52,13 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) NIC() *Port { return h.nic }
 
 // SetHandler installs the receive callback. The transport framework calls
-// this once per host.
+// this once per host. The frame is recycled when fn returns: fn must not
+// retain the *Packet or its Meta (see PacketPool).
 func (h *Host) SetHandler(fn func(*Packet)) { h.handler = fn }
 
-// NewPacket returns a zeroed packet for the caller to fill and Send. With
-// pooling enabled it reuses a recycled frame; otherwise it allocates.
-// Callers overwrite the whole struct (`*pkt = Packet{...}`), so the
-// literal style of non-pooled call sites carries over unchanged.
+// NewPacket returns a zeroed packet for the caller to fill
+// (`*pkt = Packet{...}`) and Send: a recycled frame, or a heap allocation
+// on a host that was never added to a Network.
 func (h *Host) NewPacket() *Packet {
 	if h.pool != nil {
 		return h.pool.get()
@@ -98,9 +98,8 @@ func (h *Host) sendNext() {
 	h.nic.Send(pkt)
 }
 
-// Receive implements Node: deliver to the transport handler. With pooling
-// enabled the packet is recycled when the handler returns — handlers must
-// not retain it (see PacketPool).
+// Receive implements Node: deliver to the transport handler, then recycle
+// the frame — handlers must not retain it (see PacketPool).
 func (h *Host) Receive(pkt *Packet) {
 	h.RxPackets++
 	if h.handler != nil {

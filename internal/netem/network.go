@@ -5,18 +5,28 @@ import (
 )
 
 // Network is a container for the simulated fabric: the engine plus every
-// node, with stable IDs assigned in construction order.
+// node, with stable IDs assigned in construction order. It owns the
+// fabric's packet free lists, one per engine its nodes run on.
 type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*Host
 	Switches []*Switch
 	nodes    map[NodeID]Node
 	nextID   NodeID
+	pools    map[*sim.Engine]*PacketPool
 }
 
 // NewNetwork creates an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{Eng: eng, nodes: make(map[NodeID]Node)}
+	return &Network{Eng: eng, nodes: make(map[NodeID]Node), pools: make(map[*sim.Engine]*PacketPool)}
+}
+
+// pool returns the free list shared by the nodes eng drives.
+func (n *Network) pool(eng *sim.Engine) *PacketPool {
+	if n.pools[eng] == nil {
+		n.pools[eng] = &PacketPool{}
+	}
+	return n.pools[eng]
 }
 
 // AllocID hands out the next node ID.
@@ -26,14 +36,16 @@ func (n *Network) AllocID() NodeID {
 	return id
 }
 
-// AddHost registers a host.
+// AddHost registers a host and hands it its engine's packet pool.
 func (n *Network) AddHost(h *Host) {
+	h.SetPool(n.pool(h.eng))
 	n.Hosts = append(n.Hosts, h)
 	n.nodes[h.NodeID()] = h
 }
 
-// AddSwitch registers a switch.
+// AddSwitch registers a switch and hands it its engine's packet pool.
 func (n *Network) AddSwitch(s *Switch) {
+	s.SetPool(n.pool(s.eng))
 	n.Switches = append(n.Switches, s)
 	n.nodes[s.NodeID()] = s
 }

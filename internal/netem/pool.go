@@ -1,11 +1,12 @@
 package netem
 
-// PacketPool is an opt-in free list for Packet structs, shared by every
-// node of one network (one engine drives one network from one goroutine,
-// so no locking is needed; parallel sweeps each build their own network
-// and therefore their own pool).
+// PacketPool is the free list every frame of a fabric comes from and
+// returns to. A Network keeps one per engine (one goroutine, so no lock)
+// and installs it on each node as it joins; a frame that crosses a shard
+// cut is returned to the receiving engine's list. Only a node never added
+// to a Network has a nil pool and allocates from the heap.
 //
-// Ownership contract when a pool is enabled:
+// Ownership contract, unconditional:
 //
 //   - Endpoints allocate outgoing frames with Host.NewPacket and hand them
 //     to Host.Send. The network owns the packet from that point on.
@@ -16,8 +17,9 @@ package netem
 //     retain a *Packet (or its Meta) past the callback; copy what they
 //     need. All in-repo transports and observers obey this.
 //
-// Pooling never changes simulation results: packets are identical whether
-// they come from the pool or the heap (see TestGoldenDigestPooled).
+// Recycling never changes simulation results: TestGoldenDigestPooled
+// strips the pools (SetPool(nil)) and requires identical digests, so a
+// consumer that retains a frame fails a test.
 type PacketPool struct {
 	free []*Packet
 
@@ -51,29 +53,16 @@ func (p *PacketPool) put(pkt *Packet) {
 	p.Recycled++
 }
 
-// EnablePacketPool installs one shared packet free list on every host and
-// every egress port of the network. Call before the run starts.
-func (n *Network) EnablePacketPool() *PacketPool {
-	pool := &PacketPool{}
-	for _, s := range n.Switches {
-		s.SetPool(pool)
-	}
-	for _, h := range n.Hosts {
-		h.SetPool(pool)
-	}
-	return pool
-}
-
-// SetPool installs pool on every egress port of the switch. Sharded runs
-// give each shard its own pool (the free list is single-goroutine state),
-// assigning switches by partition instead of network-wide.
+// SetPool installs pool on every egress port of the switch, present and
+// future; nil (tests only) selects the heap reference path.
 func (s *Switch) SetPool(pool *PacketPool) {
+	s.pool = pool
 	for _, p := range s.ports {
 		p.pool = pool
 	}
 }
 
-// SetPool installs pool on the host and its NIC.
+// SetPool installs pool on the host and its NIC (see Switch.SetPool).
 func (h *Host) SetPool(pool *PacketPool) {
 	h.pool = pool
 	h.nic.pool = pool

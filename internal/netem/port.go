@@ -97,7 +97,7 @@ type Port struct {
 	compDeliver sim.Component // propagation / peer-delivery events
 	compPacing  sim.Component // rate-limit eligibility wakes
 
-	pool *PacketPool // optional packet free list; drops recycle through it
+	pool *PacketPool // packet free list (nil outside a Network); drops recycle through it
 
 	// Fault-injection state (see faults.go). effRate is the current
 	// serialization rate: rate unless degraded by SetRateFraction.

@@ -15,6 +15,7 @@ type Switch struct {
 	ports  []*Port
 	routes map[NodeID][]*Port
 	shared *SharedBuffer
+	pool   *PacketPool // handed to every egress port; nil outside a Network
 
 	// RxPackets counts packets entering the switch.
 	RxPackets int64
@@ -44,6 +45,7 @@ func (s *Switch) Shared() *SharedBuffer { return s.shared }
 // AddPort registers an egress port with the switch.
 func (s *Switch) AddPort(p *Port) {
 	p.SetOwner(s.id)
+	p.pool = s.pool
 	s.ports = append(s.ports, p)
 }
 

@@ -1,18 +1,39 @@
 // Package planspec holds the small wire vocabulary shared by the
-// repo's data-driven plan formats (fault plans, workload plans): a
-// sim.Time JSON codec with forgiving input and canonical output. Both
-// plan families hash their canonical JSON as the scenario identity, so
-// the codec lives in one place and marshals deterministically.
+// repo's data-driven document formats (fault plans, workload plans,
+// sweep and chaos specs, repros): the strict decoder every parser sits
+// on, and a sim.Time JSON codec with forgiving input and canonical
+// output. The plan families hash their canonical JSON as the scenario
+// identity, so the codec lives in one place and marshals
+// deterministically.
 package planspec
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"strconv"
 	"strings"
 
 	"flexpass/internal/sim"
 )
+
+// DecodeStrict decodes data into v as exactly one JSON document: a field
+// v does not declare is an error (a typo'd key fails loudly instead of
+// being ignored), and so is anything but whitespace after the document.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
+}
 
 // TimeSpec is a sim.Time with a forgiving JSON form: a bare number is
 // picoseconds (the artifact convention), a string accepts a unit suffix
@@ -51,7 +72,9 @@ func (t *TimeSpec) UnmarshalJSON(b []byte) error {
 }
 
 // ParseTime parses "2ms", "250us", "1.5s", "40ns", "7ps". A bare number
-// string is picoseconds.
+// string is picoseconds. Values that are not finite or do not fit the
+// picosecond clock are rejected: converting them to an integer is
+// implementation-defined and differs between amd64 and arm64.
 func ParseTime(s string) (sim.Time, error) {
 	s = strings.TrimSpace(s)
 	unit := sim.Picosecond
@@ -71,7 +94,11 @@ func ParseTime(s string) (sim.Time, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad time %q: %w", s, err)
 	}
-	return sim.Time(v * float64(unit)), nil
+	ps := v * float64(unit)
+	if math.IsNaN(ps) || math.Abs(ps) >= 1<<63 {
+		return 0, fmt.Errorf("bad time %q: not a finite picosecond count", s)
+	}
+	return sim.Time(ps), nil
 }
 
 // ParseWindow parses "START-END" or "START" (end 0 = open).

@@ -364,3 +364,49 @@ func TestDumbbellShardedPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestFabricsRecycleFrames checks that a fabric is pooled by construction,
+// with no installer call: the frame host dst consumed, and the frame a
+// switch egress dropped, are each the very frame the sender's next
+// NewPacket returns (the free list is LIFO and per engine).
+func TestFabricsRecycleFrames(t *testing.T) {
+	fabrics := map[string]func(*sim.Engine) *Fabric{
+		"single-switch": func(e *sim.Engine) *Fabric { return SingleSwitch(e, 4, testParams()) },
+		"dumbbell":      func(e *sim.Engine) *Fabric { return Dumbbell(e, 2, 2, 10*units.Gbps, testParams()) },
+		"clos":          func(e *sim.Engine) *Fabric { return Clos(e, SmallClos, testParams()) },
+	}
+	for name, build := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			f := build(eng)
+			src, dst := f.Net.Host(0), f.Net.Host(len(f.Net.Hosts)-1)
+			var seen *netem.Packet
+			dst.SetHandler(func(p *netem.Packet) { seen = p })
+			send := func() *netem.Packet {
+				pkt := src.NewPacket()
+				*pkt = netem.Packet{Kind: netem.KindLegacyData, Class: netem.ClassLegacy, Dst: dst.NodeID(), Flow: 1, Size: netem.MTUWire}
+				src.Send(pkt)
+				eng.Run(eng.Now() + sim.Millisecond)
+				return pkt
+			}
+			sent := send()
+			if seen != sent {
+				t.Fatal("frame not delivered")
+			}
+			if got := src.NewPacket(); got != sent {
+				t.Fatal("delivered frame was not recycled to the fabric's free list")
+			}
+			seen = nil
+			for _, p := range f.Net.PortsTo(dst.NodeID()) {
+				p.SetLossRate(1)
+			}
+			dropped := send()
+			if seen != nil {
+				t.Fatal("frame survived a loss rate of 1")
+			}
+			if got := src.NewPacket(); got != dropped {
+				t.Fatal("frame dropped at a switch egress was not recycled")
+			}
+		})
+	}
+}

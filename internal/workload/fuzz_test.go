@@ -26,6 +26,8 @@ func FuzzParseWorkloadPlan(f *testing.F) {
 	f.Add([]byte(`{"sources":[{"kind":"poisson","cdf":"websearch",` +
 		`"modulate":[{"kind":"diurnal","period":"-5ms","min":2}]}]}`))
 	f.Add([]byte(`{"sources":[{"kind":"poisson","cdf":"websearch"}]} {}`))
+	f.Add([]byte(`{"sources":[{"kind":"onoff","cdf":"hadoop","on":"NaNus","off":"Infms"}]}`))
+	f.Add([]byte(`{"sources":[{"kind":"onoff","cdf":"hadoop","on":"1e30s","off":"1ms"}]}`))
 	f.Add([]byte(`{"sources":`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))

@@ -303,14 +303,9 @@ func (p *Plan) Hash() string {
 // generating the wrong traffic. ParsePlan never touches the
 // filesystem; trace sources resolve in Resolve or ParsePlanFile.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := planspec.DecodeStrict(data, &p); err != nil {
 		return nil, fmt.Errorf("workload: bad plan JSON: %w", err)
-	}
-	if dec.More() {
-		return nil, errors.New("workload: trailing data after plan JSON")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err

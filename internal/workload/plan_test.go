@@ -42,6 +42,7 @@ func TestParsePlanRejectsBadInput(t *testing.T) {
 		{"unknown top-level field", `{"sources":[],"extra":1}`},
 		{"unknown source field", `{"sources":[{"kind":"poisson","cdf":"websearch","typo":1}]}`},
 		{"trailing data", `{"sources":[{"kind":"poisson","cdf":"websearch"}]} {}`},
+		{"trailing closer", `{"sources":[{"kind":"poisson","cdf":"websearch"}]}}`},
 		{"not json", `sources: poisson`},
 		{"empty sources", `{"sources":[]}`},
 		{"bad duration string", `{"sources":[{"kind":"onoff","cdf":"hadoop","on":"200 parsecs","off":"1ms"}]}`},
