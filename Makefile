@@ -33,10 +33,12 @@ race-core:
 # recycles frames through its engine's free list and a frame crossing
 # the cut is returned on the receiving goroutine, so the sharded goldens
 # and TestShardedAllocBudget ('Sharded' matches both) are the race proof
-# for the packet pools.
+# for the packet pools, and — a cross-plane flow's two halves start on two
+# goroutines — for the scheme halves. TestEach is the worker pool every
+# sweep, soak and farm run shares.
 race-shard:
 	$(GO) test -race ./internal/sim/shard/
-	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical' ./internal/harness/
+	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical|TestEach' ./internal/harness/
 
 check: vet build race
 

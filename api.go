@@ -281,7 +281,7 @@ func (tb *Testbed) startNow(fl *Flow) {
 		}
 		tb.schemes[fl.Transport] = sch
 	}
-	sch.Start(fl)
+	transport.Start(sch, fl)
 }
 
 // Run advances the simulation until the given absolute time.

@@ -12,12 +12,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"flexpass/internal/faults"
-	"flexpass/internal/forensics"
 	"flexpass/internal/harness"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
@@ -32,12 +30,6 @@ var (
 	seed      = flag.Int64("seed", 1, "random seed")
 	seedsN    = flag.Int("seeds", 1, "pool each deployment point over this many seeds")
 	durMS     = flag.Float64("dur", 0, "override flow arrival window (milliseconds)")
-	scheme    = flag.String("scheme", "", "override the scheme for -telemetry-out/-forensics-out runs (any registered name, e.g. flexpass, naive, owf)")
-	schemeOpt = flag.String("scheme-opt", "", "per-scheme options for -telemetry-out/-forensics-out runs, comma-separated key=value pairs")
-	telOut    = flag.String("telemetry-out", "", "run the base scenario instrumented and write its JSONL run artifact here (skips the figure sweeps)")
-	traceRing = flag.Int("trace-ring", 0, "transport trace ring capacity for -telemetry-out runs")
-	forOut    = flag.String("forensics-out", "", "run the base scenario with the forensic plane and write its artifact here (skips the figure sweeps)")
-	traceFlow = flag.String("trace-flow", "", "comma-separated flow IDs whose timelines are always exported on -forensics-out runs")
 	pprofOut  = flag.String("pprof", "", "write a CPU profile of the experiment run to this file")
 	memOut    = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 	wlPlan    = flag.String("workload-plan", "", "JSON workload-plan file driving the base scenario's traffic (composable sources; see internal/workload)")
@@ -95,67 +87,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memOut)
 		}()
-	}
-
-	if *telOut != "" || *forOut != "" {
-		// One instrumented base-scenario run instead of the figure sweeps:
-		// the artifact is for inspecting a single simulation in depth.
-		sc := base
-		sc.SampleQueues = true
-		sc.Telemetry = &obs.Options{TraceCap: *traceRing}
-		if *scheme != "" {
-			sc.Scheme = harness.Scheme(*scheme)
-		}
-		if *schemeOpt != "" {
-			sc.SchemeOptions = make(map[string]string)
-			for _, kv := range strings.Split(*schemeOpt, ",") {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok || k == "" {
-					fatal(fmt.Errorf("bad -scheme-opt entry %q (want key=value)", kv))
-				}
-				sc.SchemeOptions[k] = v
-			}
-		}
-		if *forOut != "" {
-			fo := &forensics.Options{}
-			for _, s := range strings.Split(*traceFlow, ",") {
-				if s = strings.TrimSpace(s); s == "" {
-					continue
-				}
-				id, err := strconv.ParseUint(s, 10, 64)
-				if err != nil {
-					fatal(fmt.Errorf("bad -trace-flow id %q: %v", s, err))
-				}
-				fo.Flows = append(fo.Flows, id)
-			}
-			sc.Forensics = fo
-		}
-		res := harness.Run(sc)
-		if res.Telemetry == nil {
-			fatal(fmt.Errorf("telemetry run produced no artifact"))
-		}
-		out := *telOut
-		if out == "" {
-			out = *forOut
-		}
-		if err := res.Telemetry.WriteJSONLFile(out); err != nil {
-			fatal(err)
-		}
-		if *forOut != "" && *forOut != out {
-			if err := res.Telemetry.WriteJSONLFile(*forOut); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("telemetry artifact written to %s (%d series, %d counters, %d trace events, %.0f events/sec)\n",
-			out, len(res.Telemetry.Series), len(res.Telemetry.Counters),
-			len(res.Telemetry.Trace), res.Telemetry.Manifest.EventsPerSec)
-		if rep := res.Forensics; rep != nil {
-			fmt.Printf("forensics: %d violations, %d timelines\n", len(rep.Violations), len(rep.Timelines))
-			for _, v := range rep.Violations {
-				fmt.Println("VIOLATION", v)
-			}
-		}
-		return
 	}
 
 	start := time.Now()

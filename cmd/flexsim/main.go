@@ -10,11 +10,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"flexpass/internal/chaos"
+	"flexpass/internal/farm"
 	"flexpass/internal/faults"
 	"flexpass/internal/forensics"
 	"flexpass/internal/harness"
@@ -23,9 +25,7 @@ import (
 	"flexpass/internal/obs"
 	"flexpass/internal/prof"
 	"flexpass/internal/sim"
-	"flexpass/internal/topo"
 	"flexpass/internal/transport"
-	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
 
@@ -42,7 +42,7 @@ func main() {
 		incast     = flag.Float64("incast", 0, "foreground incast volume fraction (0 disables)")
 		wq         = flag.Float64("wq", 0.5, "FlexPass queue weight")
 		full       = flag.Bool("full", false, "use the paper's 192-host Clos instead of the scaled fabric")
-		topoName   = flag.String("topo", "", "fabric by name: small (48 hosts), paper (192), big (768); overrides -full")
+		topoName   = flag.String("topo", "", "fabric by name: tiny (4 hosts), small (48), paper (192), big (768); overrides -full")
 		queues     = flag.Bool("queues", false, "sample Q1 occupancy at ToR uplinks")
 		shards     = flag.Int("shards", 1, "partition the fabric into this many per-pod-block shards, one engine goroutine each (1 = single engine; clamped to the pod count)")
 		traceIn    = flag.String("trace", "", "replay a CSV flow trace instead of generating traffic")
@@ -77,17 +77,18 @@ func main() {
 	}
 
 	sc := harness.BaseScenario(*full)
-	switch *topoName {
-	case "":
-	case "small":
-		sc.Clos = topo.SmallClos
-	case "paper":
-		sc.Clos = topo.PaperClos
-	case "big":
-		sc.Clos = topo.BigClos
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -topo %q (want small, paper, big)\n", *topoName)
-		os.Exit(1)
+	if *topoName != "" {
+		clos, ok := farm.Topologies[*topoName]
+		if !ok {
+			known := make([]string, 0, len(farm.Topologies))
+			for name := range farm.Topologies {
+				known = append(known, name)
+			}
+			sort.Strings(known)
+			fmt.Fprintf(os.Stderr, "unknown -topo %q (want %s)\n", *topoName, strings.Join(known, ", "))
+			os.Exit(1)
+		}
+		sc.Clos = clos
 	}
 	sc.Scheme = harness.Scheme(*scheme)
 	sc.Deployment = *deployment
@@ -146,28 +147,7 @@ func main() {
 		sc.TraceFlows = flows
 	}
 	if *traceOut != "" {
-		rackOf := make([]int, sc.Clos.Hosts())
-		for i := range rackOf {
-			rackOf[i] = i / sc.Clos.HostsPerTor
-		}
-		// Reuse the harness's capacity computation by a direct formula:
-		uplinks := sc.Clos.Hosts() / sc.Clos.HostsPerTor * sc.Clos.AggPerPod
-		env := workload.Env{
-			Hosts:          sc.Clos.Hosts(),
-			RackOf:         rackOf,
-			UplinkCapacity: sc.LinkRate * units.Rate(uplinks),
-			Load:           sc.Load,
-			Duration:       sc.Duration,
-		}
-		plan := sc.WorkloadPlan
-		if plan == nil {
-			plan = workload.LegacyPlan(sc.Workload, sc.IncastFraction, sc.IncastFlowSize)
-		}
-		flows, err := plan.Generate(env, harness.WorkloadRand(sc.Seed))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		flows := harness.Flows(sc)
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"flexpass/internal/farm"
 	"flexpass/internal/forensics"
@@ -66,6 +68,27 @@ func Evaluate(res *harness.Result, o OracleSpec) Verdict {
 		v.Detail = fmt.Sprintf("stray_packets = %d > %d", v.Strays, o.maxStrays())
 	}
 	return v
+}
+
+// judge is the one supervised run behind soak trials, replays and shrink
+// probes: it sets the watchdog limits, lets mutate (nil = none) edit the
+// scenario, runs it, and evaluates the oracles. A watchdog kill is
+// OutcomeKilled, any other panic out of the run OutcomeError.
+func judge(sc harness.Scenario, o OracleSpec, deadline, stall time.Duration, mutate func(*harness.Scenario)) Verdict {
+	sc.Deadline = deadline
+	sc.StallTimeout = stall
+	if mutate != nil {
+		mutate(&sc)
+	}
+	res, err := harness.Try(harness.Run, sc)
+	var ke *harness.KilledError
+	switch {
+	case errors.As(err, &ke):
+		return Verdict{Outcome: OutcomeKilled, Detail: ke.Error()}
+	case err != nil:
+		return Verdict{Outcome: OutcomeError, Detail: err.Error()}
+	}
+	return Evaluate(res, o)
 }
 
 // strayCount sums the transport agents' stray-packet counters out of

@@ -143,26 +143,8 @@ func (r *Repro) Scenario() harness.Scenario {
 // Replay runs the repro and evaluates the oracles, converting watchdog
 // kills and panics into verdicts the same way the soak runner does.
 // deadline/stall (0 = off) guard the replay itself.
-func (r *Repro) Replay(deadline, stall time.Duration) (v Verdict) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			v = verdictFromPanic(rec)
-		}
-	}()
-	sc := r.Scenario()
-	sc.Deadline = deadline
-	sc.StallTimeout = stall
-	res := harness.Run(sc)
-	return Evaluate(res, r.Oracles)
-}
-
-// verdictFromPanic maps a recovered panic to a verdict: watchdog kills
-// are OutcomeKilled, everything else OutcomeError.
-func verdictFromPanic(rec any) Verdict {
-	if ke, ok := rec.(*harness.KilledError); ok {
-		return Verdict{Outcome: OutcomeKilled, Detail: ke.Error()}
-	}
-	return Verdict{Outcome: OutcomeError, Detail: fmt.Sprint(rec)}
+func (r *Repro) Replay(deadline, stall time.Duration) Verdict {
+	return judge(r.Scenario(), r.Oracles, deadline, stall, nil)
 }
 
 // reproFor builds the (unshrunk) repro document for a failing trial,

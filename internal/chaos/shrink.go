@@ -49,7 +49,7 @@ func Shrink(r *Repro, opt ShrinkOptions) (*ShrinkResult, error) {
 	}
 	probe := func(cand Repro) Verdict {
 		res.Probes++
-		v := replayWith(&cand, opt)
+		v := judge(cand.Scenario(), cand.Oracles, opt.Deadline, opt.Stall, opt.Mutate)
 		if opt.Progress != nil {
 			opt.Progress(res.Probes, planLen(cand.Plan), len(cand.Flows), v)
 		}
@@ -102,22 +102,6 @@ func Shrink(r *Repro, opt ShrinkOptions) (*ShrinkResult, error) {
 	res.EventsAfter = planLen(work.Plan)
 	res.FlowsAfter = len(work.Flows)
 	return res, nil
-}
-
-func replayWith(r *Repro, opt ShrinkOptions) (v Verdict) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			v = verdictFromPanic(rec)
-		}
-	}()
-	sc := r.Scenario()
-	sc.Deadline = opt.Deadline
-	sc.StallTimeout = opt.Stall
-	if opt.Mutate != nil {
-		opt.Mutate(&sc)
-	}
-	res := harness.Run(sc)
-	return Evaluate(res, r.Oracles)
 }
 
 func planLen(p *faults.Plan) int {

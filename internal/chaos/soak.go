@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"time"
 
 	"flexpass/internal/harness"
@@ -53,20 +51,14 @@ type SoakOptions struct {
 	Mutate func(*harness.Scenario)
 }
 
-// Soak runs every trial through the harness and the oracles. Trials
-// that panic — including watchdog kills — are caught and classified,
-// never aborting the soak. Results come back in trial order.
+// Soak runs every trial through the harness and the oracles on one
+// harness.Each pool. Trials that panic — including watchdog kills — come
+// back from harness.Try as errors and are classified, never aborting the
+// soak. Results come back in trial order.
 func Soak(spec *Spec, trials []Trial, opt SoakOptions) (*SoakReport, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(trials) {
-		workers = len(trials)
 	}
 	rep := &SoakReport{
 		Spec:      spec.Name,
@@ -74,31 +66,13 @@ func Soak(spec *Spec, trials []Trial, opt SoakOptions) (*SoakReport, error) {
 		ByOutcome: map[Outcome]int{},
 		Results:   make([]TrialResult, len(trials)),
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rep.Results[i] = soakOne(trials[i], spec, opt)
-				if opt.Progress != nil {
-					opt.Progress(rep.Results[i])
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range trials {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			rep.Canceled = true
-			break dispatch
+	dispatched := harness.Each(ctx, opt.Workers, len(trials), func(_, i int) {
+		rep.Results[i] = soakOne(trials[i], spec, opt)
+		if opt.Progress != nil {
+			opt.Progress(rep.Results[i])
 		}
-	}
-	close(jobs)
-	wg.Wait()
+	})
+	rep.Canceled = dispatched < len(trials)
 
 	for i := range rep.Results {
 		r := &rep.Results[i]
@@ -125,7 +99,9 @@ dispatch:
 // failure — the repro document with its pinned flow list.
 func soakOne(t Trial, spec *Spec, opt SoakOptions) TrialResult {
 	start := time.Now()
-	v := runTrial(t, spec, opt.Mutate)
+	sc := t.Coords.Scenario(spec.Oracles)
+	sc.FaultPlan = t.Plan
+	v := judge(sc, spec.Oracles, spec.deadline(), spec.stall(), opt.Mutate)
 	tr := TrialResult{
 		Trial:     t,
 		Verdict:   v,
@@ -139,23 +115,6 @@ func soakOne(t Trial, spec *Spec, opt SoakOptions) TrialResult {
 		}
 	}
 	return tr
-}
-
-func runTrial(t Trial, spec *Spec, mutate func(*harness.Scenario)) (v Verdict) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			v = verdictFromPanic(rec)
-		}
-	}()
-	sc := t.Coords.Scenario(spec.Oracles)
-	sc.FaultPlan = t.Plan
-	sc.Deadline = spec.deadline()
-	sc.StallTimeout = spec.stall()
-	if mutate != nil {
-		mutate(&sc)
-	}
-	res := harness.Run(sc)
-	return Evaluate(res, spec.Oracles)
 }
 
 // writeTrialLog persists every result as one JSONL record per trial.

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -489,13 +488,6 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 	if err := os.MkdirAll(runsDir, 0o755); err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	progress := opt.Progress
 	if progress == nil {
 		progress = func(ProgressEvent) {}
@@ -508,81 +500,64 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 
 	rep := &Report{Total: len(points)}
 	var mu sync.Mutex
-	jobs := make(chan Point)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for pt := range jobs {
-				hash := pt.Hash()
-				label := pt.Label()
-				path := filepath.Join(runsDir, hash+".jsonl")
-				if !opt.Force && artifactValid(path, hash) {
-					mu.Lock()
-					rep.Skipped++
-					mu.Unlock()
-					progress(ProgressEvent{Kind: EventSkipped, Worker: worker, Hash: hash, Label: label})
-					continue
-				}
-				progress(ProgressEvent{Kind: EventStarted, Worker: worker, Hash: hash, Label: label})
-				var err error
-				var elapsed time.Duration
-				attempt := 0
-				for {
-					attempt++
-					start := time.Now()
-					err = runPoint(pt, path, attempt, opt.PointTimeout)
-					elapsed = time.Since(start)
-					if err == nil || attempt > opt.Retries || ctx.Err() != nil {
-						break
-					}
-					// Exponential backoff between attempts; a canceled
-					// context skips the wait and gives up on the point.
-					wait := opt.Backoff
-					if wait <= 0 {
-						wait = 250 * time.Millisecond
-					}
-					wait <<= uint(attempt - 1)
-					timer := time.NewTimer(wait)
-					select {
-					case <-ctx.Done():
-						timer.Stop()
-					case <-timer.C:
-					}
-					if ctx.Err() != nil {
-						break
-					}
-				}
-				mu.Lock()
-				if err != nil {
-					rep.Failures = append(rep.Failures, Failure{
-						Hash: hash, Label: label, Point: pt, Error: err.Error(),
-						Attempt:   attempt,
-						ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-					})
-					mu.Unlock()
-					progress(ProgressEvent{Kind: EventFailed, Worker: worker, Hash: hash, Label: label,
-						Err: err.Error(), Elapsed: elapsed})
-					continue
-				}
-				rep.Ran++
-				mu.Unlock()
-				progress(ProgressEvent{Kind: EventRan, Worker: worker, Hash: hash, Label: label, Elapsed: elapsed})
-			}
-		}(w)
-	}
-dispatch:
-	for _, pt := range points {
-		select {
-		case jobs <- pt:
-		case <-ctx.Done():
-			rep.Canceled = true
-			break dispatch
+	dispatched := harness.Each(ctx, opt.Workers, len(points), func(worker, i int) {
+		pt := points[i]
+		hash := pt.Hash()
+		label := pt.Label()
+		path := filepath.Join(runsDir, hash+".jsonl")
+		if !opt.Force && artifactValid(path, hash) {
+			mu.Lock()
+			rep.Skipped++
+			mu.Unlock()
+			progress(ProgressEvent{Kind: EventSkipped, Worker: worker, Hash: hash, Label: label})
+			return
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		progress(ProgressEvent{Kind: EventStarted, Worker: worker, Hash: hash, Label: label})
+		var err error
+		var elapsed time.Duration
+		attempt := 0
+		for {
+			attempt++
+			start := time.Now()
+			err = runPoint(pt, path, attempt, opt.PointTimeout)
+			elapsed = time.Since(start)
+			if err == nil || attempt > opt.Retries || ctx.Err() != nil {
+				break
+			}
+			// Exponential backoff between attempts; a canceled
+			// context skips the wait and gives up on the point.
+			wait := opt.Backoff
+			if wait <= 0 {
+				wait = 250 * time.Millisecond
+			}
+			wait <<= uint(attempt - 1)
+			timer := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				timer.Stop()
+			case <-timer.C:
+			}
+			if ctx.Err() != nil {
+				break
+			}
+		}
+		mu.Lock()
+		if err != nil {
+			rep.Failures = append(rep.Failures, Failure{
+				Hash: hash, Label: label, Point: pt, Error: err.Error(),
+				Attempt:   attempt,
+				ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+			})
+			mu.Unlock()
+			progress(ProgressEvent{Kind: EventFailed, Worker: worker, Hash: hash, Label: label,
+				Err: err.Error(), Elapsed: elapsed})
+			return
+		}
+		rep.Ran++
+		mu.Unlock()
+		progress(ProgressEvent{Kind: EventRan, Worker: worker, Hash: hash, Label: label, Elapsed: elapsed})
+	})
+	rep.Canceled = dispatched < len(points)
 
 	sort.Slice(rep.Failures, func(i, j int) bool { return rep.Failures[i].Hash < rep.Failures[j].Hash })
 	if err := writeFailures(filepath.Join(dir, FailuresFile), rep.Failures); err != nil {
@@ -650,19 +625,9 @@ func runPoint(pt Point, path string, attempt int, timeout time.Duration) error {
 	}
 }
 
-// executePoint runs the scenario, converting panics — harness.Run
-// panics on scenario contract violations, and the deadline/stall
-// watchdog panics with *harness.KilledError — into ordinary errors.
-func executePoint(pt Point, path string, attempt int, deadline time.Duration, abandoned *atomic.Bool) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ke, ok := r.(*harness.KilledError); ok {
-				err = ke
-			} else {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}
-	}()
+// executePoint runs the scenario under harness.Try, so a scenario
+// contract violation or a deadline/stall kill is this point's error.
+func executePoint(pt Point, path string, attempt int, deadline time.Duration, abandoned *atomic.Bool) error {
 	sc := pt.Scenario()
 	sc.Deadline = deadline
 	if attempt > 0 {
@@ -670,7 +635,10 @@ func executePoint(pt Point, path string, attempt int, deadline time.Duration, ab
 		// attempts column can report how many executions a point took.
 		sc.ManifestConfig["attempts"] = strconv.Itoa(attempt)
 	}
-	res := runScenario(sc)
+	res, err := harness.Try(runScenario, sc)
+	if err != nil {
+		return err
+	}
 	if res.Telemetry == nil {
 		return fmt.Errorf("run produced no telemetry artifact")
 	}

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"runtime"
-	"sync"
-
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
@@ -45,43 +42,23 @@ type DeploymentPoint struct {
 // RunPoint executes a scenario and reduces it to a DeploymentPoint,
 // pooling across sc.PoolSeeds when set.
 func RunPoint(sc Scenario) DeploymentPoint {
-	if len(sc.PoolSeeds) > 1 {
-		return RunPooled(sc, sc.PoolSeeds)
-	}
-	return reducePoint(sc, Run(sc))
+	return RunPooled(sc, sc.PoolSeeds)
 }
 
-// Sweep runs every (scheme, deployment) combination in parallel and
-// returns points in deterministic order.
+// Sweep runs every (scheme, deployment) combination — times every seed
+// of base.PoolSeeds when set — on one GOMAXPROCS-wide pool and returns
+// points in deterministic order.
 func Sweep(base Scenario, schemes []Scheme, deployments []float64) []DeploymentPoint {
-	type job struct {
-		idx int
-		sc  Scenario
-	}
-	var jobs []job
+	var scs []Scenario
 	for _, s := range schemes {
 		for _, d := range deployments {
 			sc := base
 			sc.Scheme = s
 			sc.Deployment = d
-			jobs = append(jobs, job{len(jobs), sc})
+			scs = append(scs, sc)
 		}
 	}
-	out := make([]DeploymentPoint, len(jobs))
-	par := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[j.idx] = RunPoint(j.sc)
-		}(j)
-	}
-	wg.Wait()
-	return out
+	return runPooled(scs, base.PoolSeeds)
 }
 
 // StandardDeployments are the paper's x-axis points.

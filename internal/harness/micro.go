@@ -280,7 +280,7 @@ func runIncastOnce(tp string, n int, seed int64) (maxFCT sim.Time, timeouts int)
 		flows = append(flows, fl)
 		start := fl.Start
 		fl2 := fl
-		eng.At(start, func() { sch.Start(fl2) })
+		eng.At(start, func() { transport.Start(sch, fl2) })
 	}
 	eng.Run(2 * sim.Second)
 	for _, fl := range flows {

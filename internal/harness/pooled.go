@@ -1,8 +1,8 @@
 package harness
 
 import (
-	"runtime"
-	"sync"
+	"context"
+	"sync/atomic"
 
 	"flexpass/internal/metrics"
 )
@@ -12,27 +12,38 @@ import (
 // the union of flows rather than averaged across runs — the statistically
 // honest way to tighten single-seed noise in the deployment figures.
 func RunPooled(sc Scenario, seeds []int64) DeploymentPoint {
-	if len(seeds) == 0 {
-		seeds = []int64{sc.Seed}
-	}
-	results := make([]*Result, len(seeds))
-	par := runtime.GOMAXPROCS(0)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed int64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s := sc
-			s.Seed = seed
-			results[i] = Run(s)
-		}(i, seed)
-	}
-	wg.Wait()
+	return runPooled([]Scenario{sc}, seeds)[0]
+}
 
-	// Merge every run into one synthetic result and reduce it.
+// runPooled runs every (scenario, seed) pair on one pool — no seeds means
+// each scenario's own — and reduces a scenario to its point when its last
+// seed finishes, releasing that scenario's results there.
+func runPooled(scs []Scenario, seeds []int64) []DeploymentPoint {
+	k := max(len(seeds), 1)
+	out := make([]DeploymentPoint, len(scs))
+	results := make([]*Result, len(scs)*k)
+	left := make([]atomic.Int32, len(scs)) // seeds still to finish
+	for p := range left {
+		left[p].Store(int32(k))
+	}
+	Each(context.Background(), 0, len(results), func(_, j int) {
+		p := j / k
+		sc := scs[p]
+		if len(seeds) > 0 {
+			sc.Seed = seeds[j%k]
+		}
+		results[j] = Run(sc)
+		if left[p].Add(-1) == 0 {
+			out[p] = reducePoint(scs[p], mergeSeeds(results[p*k:(p+1)*k]))
+			clear(results[p*k : (p+1)*k])
+		}
+	})
+	return out
+}
+
+// mergeSeeds folds one scenario's per-seed results, in seed order, into
+// one synthetic result.
+func mergeSeeds(results []*Result) *Result {
 	merged := results[0]
 	for _, r := range results[1:] {
 		merged.Flows.Records = append(merged.Flows.Records, r.Flows.Records...)
@@ -48,21 +59,7 @@ func RunPooled(sc Scenario, seeds []int64) DeploymentPoint {
 			merged.QueueAvg = r.QueueAvg
 		}
 	}
-	return reducePoint(sc, merged)
-}
-
-// SweepPooled is Sweep with per-point seed pooling.
-func SweepPooled(base Scenario, schemes []Scheme, deployments []float64, seeds []int64) []DeploymentPoint {
-	var out []DeploymentPoint
-	for _, s := range schemes {
-		for _, d := range deployments {
-			sc := base
-			sc.Scheme = s
-			sc.Deployment = d
-			out = append(out, RunPooled(sc, seeds))
-		}
-	}
-	return out
+	return merged
 }
 
 // reducePoint converts a (possibly merged) result into a DeploymentPoint.

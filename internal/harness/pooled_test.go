@@ -36,14 +36,25 @@ func TestRunPooledSingleSeedMatchesRunPoint(t *testing.T) {
 	}
 }
 
+// TestSweepPooledShapes: a Sweep with PoolSeeds flattens (point x seed)
+// into the one pool; every point must come back in order and equal
+// RunPooled of that point alone, field for field.
 func TestSweepPooledShapes(t *testing.T) {
 	sc := miniBase()
 	sc.Duration = 2 * sim.Millisecond
-	pts := SweepPooled(sc, []Scheme{SchemeFlexPass}, []float64{0, 1}, []int64{1, 2})
+	sc.PoolSeeds = []int64{1, 2}
+	pts := Sweep(sc, []Scheme{SchemeFlexPass}, []float64{0, 1})
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
-	if pts[0].Deployment != 0 || pts[1].Deployment != 1 {
-		t.Fatal("deployment ordering wrong")
+	for i, d := range []float64{0, 1} {
+		if pts[i].Deployment != d {
+			t.Fatalf("point %d has deployment %v, want %v", i, pts[i].Deployment, d)
+		}
+		one := sc
+		one.Scheme, one.Deployment = SchemeFlexPass, d
+		if alone := RunPooled(one, sc.PoolSeeds); pts[i] != alone {
+			t.Errorf("pooled sweep point %d = %+v, RunPooled alone = %+v", i, pts[i], alone)
+		}
 	}
 }

@@ -42,17 +42,38 @@ type plane struct {
 
 	prober *obs.Prober
 	qs     *metrics.QueueSampler
+
+	// started counts the run's flows whose sender half has begun (shared
+	// by every plane; the live board reads it).
+	started *atomic.Int64
 }
 
-// scheme returns the plane's scheme instance for a flow and the
-// profiling label stamped around its start, so every timer the transport
-// schedules — pacer ticks, RTO checks, host sends — inherits its
-// scheme's component transitively.
-func (pl *plane) scheme(upgraded bool) (transport.Scheme, sim.Component) {
-	if upgraded {
-		return pl.active, pl.compActive
-	}
-	return pl.legacy, pl.compLegacy
+// arrive schedules, at fl.Start, the halves of fl that live on this plane
+// — both for a flow whose hosts share it (one event), one for a flow that
+// crosses a cut, whose other half the other plane schedules at the same
+// instant on its own engine. The start runs under its scheme's profiling
+// label, so every timer the transport schedules — pacer ticks, RTO checks,
+// host sends — inherits that component transitively. The receiver half
+// goes first, as in transport.Start.
+func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
+	snd, rcv := fl.Src.Eng == pl.eng, fl.Dst.Eng == pl.eng
+	pl.eng.At(fl.Start, func() {
+		// Resolved here, not captured: the closure — one per flow, pending
+		// until the flow starts — stays at pl, fl and three bools.
+		sch, comp := pl.legacy, pl.compLegacy
+		if upgraded {
+			sch, comp = pl.active, pl.compActive
+		}
+		prev := pl.eng.SetComponent(comp)
+		if rcv {
+			sch.StartReceiver(fl)
+		}
+		if snd {
+			sch.StartSender(fl)
+			pl.started.Add(1)
+		}
+		pl.eng.SetComponent(prev)
+	})
 }
 
 // Run executes the scenario and returns collected metrics.
@@ -64,7 +85,9 @@ func (pl *plane) scheme(upgraded bool) (transport.Scheme, sim.Component) {
 // is the same composition with N = 1. N matters in three places only:
 // the engine constructor (the RNG regime the golden digests pin), the
 // run call (one engine has no cut and no lookahead), and forensics (the
-// recorder and auditors are single-goroutine state).
+// recorder and auditors are single-goroutine state). Arrivals are not one
+// of them: every flow starts through its scheme's two endpoint halves,
+// scheduled by plane.arrive on the plane that owns each host.
 //
 // Results are deterministic for a fixed (scenario, N) but not
 // bit-identical across N: each plane draws from its own PCG stream, so
@@ -95,8 +118,9 @@ func Run(sc Scenario) *Result {
 	spec.WQ = sc.WQ
 	planes := make([]*plane, n)
 	engs := make([]*sim.Engine, n)
+	var flowsStarted, flowsDone atomic.Int64
 	for i := range planes {
-		pl := &plane{}
+		pl := &plane{started: &flowsStarted}
 		if n == 1 {
 			pl.eng = sim.NewEngine(sc.Seed)
 		} else {
@@ -175,10 +199,8 @@ func Run(sc Scenario) *Result {
 	}
 
 	// Flows are prebuilt with ID = spec index + 1 and their arrivals
-	// scheduled in spec order. A flow whose endpoints share a plane
-	// starts there; a cross-plane flow starts its two halves at the same
-	// instant on the two engines that own them.
-	var flowsStarted, flowsDone atomic.Int64
+	// scheduled in spec order, on the plane of each endpoint: once when
+	// the two hosts share a plane, once per plane when they do not.
 	onDone := func(*transport.Flow) { flowsDone.Add(1) }
 	all := make([]*transport.Flow, 0, len(plan.flows))
 	prevComp := make([]sim.Component, n)
@@ -199,31 +221,10 @@ func Run(sc Scenario) *Result {
 		all = append(all, fl)
 		upgraded := plan.upgraded(fs)
 		src, dst := hostPlane(fs.Src), hostPlane(fs.Dst)
-		sch, comp := src.scheme(upgraded)
-		eng := src.eng
-		if src == dst {
-			eng.At(fs.At, func() {
-				prev := eng.SetComponent(comp)
-				sch.Start(fl)
-				eng.SetComponent(prev)
-				flowsStarted.Add(1)
-			})
-			continue
+		src.arrive(fl, upgraded)
+		if dst != src {
+			dst.arrive(fl, upgraded)
 		}
-		snd := asSplit(sch)
-		eng.At(fs.At, func() {
-			prev := eng.SetComponent(comp)
-			snd.StartSender(fl)
-			eng.SetComponent(prev)
-			flowsStarted.Add(1)
-		})
-		rsch, rcomp := dst.scheme(upgraded)
-		rcv, reng := asSplit(rsch), dst.eng
-		reng.At(fs.At, func() {
-			prev := reng.SetComponent(rcomp)
-			rcv.StartReceiver(fl)
-			reng.SetComponent(prev)
-		})
 	}
 	for i, pl := range planes {
 		pl.eng.SetComponent(prevComp[i])
@@ -470,17 +471,6 @@ func bridgeShards(engs []*sim.Engine, cross []topo.CrossLink) *shard.Runtime {
 		})
 	}
 	return rt
-}
-
-// asSplit asserts that a scheme can start a flow's two halves on two
-// engines — every built-in can; a registered third-party scheme that
-// cannot is unable to carry a flow across a shard cut.
-func asSplit(s transport.Scheme) transport.SplitScheme {
-	sp, ok := s.(transport.SplitScheme)
-	if !ok {
-		panic(fmt.Sprintf("harness: scheme %T does not implement transport.SplitScheme; run with Shards <= 1", s))
-	}
-	return sp
 }
 
 // mergeReadings folds per-plane registry finals into one reading set,

@@ -247,8 +247,8 @@ type Result struct {
 }
 
 // WorkloadRand returns the deterministic random stream Run uses for
-// workload generation at the given seed, so traces exported out-of-band
-// (cmd/flexsim -dump-trace) replay identically.
+// workload generation at the given seed, so flow lists produced outside a
+// run (Flows, and through it cmd/flexsim -dump-trace) replay identically.
 func WorkloadRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed*7919 + 17))
 }

@@ -12,8 +12,8 @@ import (
 // trips: the wall-clock Deadline elapsed, or the engine horizon stopped
 // advancing for StallTimeout (a wedged or livelocked run). Callers that
 // supervise runs — the farm's point executor, the chaos soak runner —
-// recover it and classify the failure by Reason instead of string
-// matching.
+// get it back from Try as the error and classify the failure by Reason
+// instead of string matching.
 type KilledError struct {
 	Reason    string        // "deadline" or "stall"
 	Elapsed   time.Duration // wall clock from run start to the kill

@@ -82,30 +82,19 @@ func Complete(eng *sim.Engine, fl *transport.Flow, stats transport.Counters, rin
 	ring.Add(trace.FlowDone, fl.ID, int64(fl.FCT()/sim.Microsecond), "fct_us")
 }
 
-// StartPair registers a sender/receiver pair on the flow's agents and
-// stamps the flow-start stats/trace events — the shared prologue of every
-// transport's Start. The caller still invokes its sender's Begin.
-func StartPair(fl *transport.Flow, snd, rcv transport.Endpoint, stats transport.Counters, ring *trace.Ring, label string) {
-	fl.Src.Register(fl.ID, snd)
-	fl.Dst.Register(fl.ID, rcv)
-	stats.Started.Inc()
-	ring.Add(trace.FlowStart, fl.ID, fl.Size, label)
-}
-
-// StartSenderSide is StartPair's send half, for sharded runs where the
-// flow's two endpoints start on different engines: it registers only the
-// sender and bills the flow-start stats/trace to the sender's shard.
-// Only this half labels the flow — the Flow's send-side fields belong to
-// the source shard's goroutine.
+// StartSenderSide registers the sender on the source agent and stamps the
+// flow-start stats/trace events on the sender's plane — the shared
+// prologue of every transport's StartSender. Only this half labels the
+// flow: the Flow's send-side fields belong to the source host's engine.
+// The caller still invokes its sender's Begin.
 func StartSenderSide(fl *transport.Flow, snd transport.Endpoint, stats transport.Counters, ring *trace.Ring, label string) {
 	fl.Src.Register(fl.ID, snd)
 	stats.Started.Inc()
 	ring.Add(trace.FlowStart, fl.ID, fl.Size, label)
 }
 
-// StartReceiverSide is StartPair's receive half: it registers only the
-// receiver on the destination agent, mutating nothing the sender's shard
-// touches.
+// StartReceiverSide registers only the receiver on the destination agent,
+// mutating nothing the sender's engine touches.
 func StartReceiverSide(fl *transport.Flow, rcv transport.Endpoint) {
 	fl.Dst.Register(fl.ID, rcv)
 }

@@ -219,18 +219,15 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	}
 }
 
-// Start wires a DCTCP sender/receiver pair onto the flow's agents and
-// begins transmission immediately.
+// Start begins both halves of a DCTCP flow on one engine: StartReceiver,
+// then StartSender, which transmits immediately.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	s := NewSender(eng, flow, cfg)
-	r := NewReceiver(eng, flow, cfg)
-	core.StartPair(flow, s, r, cfg.Stats, cfg.Trace, transport.SchemeDCTCP)
-	s.Begin()
-	return s, r
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
 }
 
-// StartSender wires only the send side (sharded runs start the two
-// endpoints on their own shard engines) and begins transmission.
+// StartSender wires only the send side, on the source host's engine, and
+// begins transmission.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeDCTCP)

@@ -201,17 +201,15 @@ func (r *Receiver) grantTick() {
 	r.scheduleGrant()
 }
 
-// Start wires a Homa-lite pair and begins the flow.
+// Start begins both halves of a Homa-lite flow on one engine:
+// StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	s := NewSender(eng, flow, cfg)
-	r := NewReceiver(eng, flow, cfg)
-	core.StartPair(flow, s, r, cfg.Stats, cfg.Trace, transport.SchemeHoma)
-	s.Begin()
-	return s, r
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
 }
 
-// StartSender wires only the send side (sharded runs start the two
-// endpoints on their own shard engines) and begins the flow.
+// StartSender wires only the send side, on the source host's engine, and
+// begins the flow.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeHoma)

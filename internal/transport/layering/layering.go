@@ -7,11 +7,7 @@
 // layered sender logic.
 package layering
 
-import (
-	"flexpass/internal/sim"
-	"flexpass/internal/transport"
-	"flexpass/internal/transport/expresspass"
-)
+import "flexpass/internal/transport/expresspass"
 
 // Config returns the layered configuration for the given pacer settings:
 // ECN-capable data (so the shared-queue marking reaches the window) and
@@ -21,19 +17,4 @@ func Config(p expresspass.PacerConfig) expresspass.Config {
 	cfg.Layered = true
 	cfg.DataECN = true
 	return cfg
-}
-
-// Start wires a layered sender/receiver pair and begins the flow.
-func Start(eng *sim.Engine, flow *transport.Flow, p expresspass.PacerConfig) (*expresspass.Sender, *expresspass.Receiver) {
-	return expresspass.Start(eng, flow, Config(p))
-}
-
-// StartSender wires only the layered send side (sharded runs).
-func StartSender(eng *sim.Engine, flow *transport.Flow, p expresspass.PacerConfig) *expresspass.Sender {
-	return expresspass.StartSender(eng, flow, Config(p))
-}
-
-// StartReceiver wires only the layered receive side (sharded runs).
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, p expresspass.PacerConfig) *expresspass.Receiver {
-	return expresspass.StartReceiver(eng, flow, Config(p))
 }

@@ -360,18 +360,15 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	r.arbiter.wake()
 }
 
-// Start wires a pHost pair onto the flow using the receiver host's
-// arbiter and begins the flow.
+// Start begins both halves of a pHost flow on one engine — StartReceiver
+// on the receiver host's arbiter, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) (*Sender, *Receiver) {
-	s := NewSender(eng, flow, cfg)
-	r := NewReceiver(eng, flow, arb, cfg)
-	core.StartPair(flow, s, r, cfg.Stats, cfg.Trace, transport.SchemePHost)
-	s.Begin()
-	return s, r
+	r := StartReceiver(eng, flow, arb, cfg)
+	return StartSender(eng, flow, cfg), r
 }
 
-// StartSender wires only the send side (sharded runs start the two
-// endpoints on their own shard engines) and begins the flow with its RTS.
+// StartSender wires only the send side, on the source host's engine, and
+// begins the flow with its RTS.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemePHost)

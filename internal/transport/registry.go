@@ -93,30 +93,28 @@ func (e *SchemeEnv) EachCounters(f func(label string, c Counters)) {
 }
 
 // Scheme is one composed transport configuration, built by a registered
-// factory for a single run: it names the queue profile the fabric must be
-// built with and starts flows on its transport.
+// factory for a single run: the queue profile the fabric must be built
+// with, plus the two endpoint halves of a flow. The halves share nothing
+// but the wire, so each may run on its own engine: the sender half on the
+// instance whose env holds the source host's engine, registry and trace
+// ring, the receiver half on the destination host's. Implementing both
+// is what lets a scheme carry a flow across a shard cut.
 type Scheme interface {
 	// Profile returns the switch queue layout this scheme deploys.
 	Profile() topo.PortProfile
-	// Start labels fl (Transport, Legacy) and begins it on this scheme's
-	// transport. The flow's agents must belong to the env's run.
-	Start(fl *Flow)
-}
-
-// SplitScheme is a scheme that can start a flow's two endpoints
-// separately, for sharded runs where source and destination host live on
-// different engines. The sender half runs on the source shard's scheme
-// instance (whose env holds that shard's engine, registry, and trace
-// ring) and is the only half that labels the flow; the receiver half
-// runs on the destination shard's instance. For flows that stay inside
-// one shard the harness keeps calling Start, which must behave exactly
-// like StartSender followed by StartReceiver on one engine.
-type SplitScheme interface {
-	Scheme
-	// StartSender labels fl and begins its send side.
+	// StartSender labels fl (Transport, Legacy) and begins its send side.
+	// It is the only half that writes the flow's send-side fields.
 	StartSender(fl *Flow)
 	// StartReceiver wires fl's receive side only.
 	StartReceiver(fl *Flow)
+}
+
+// Start begins both halves of fl on one scheme instance, for callers whose
+// two hosts share an engine. The receiver half goes first: the endpoint is
+// registered before a frame addressed to it can exist.
+func Start(s Scheme, fl *Flow) {
+	s.StartReceiver(fl)
+	s.StartSender(fl)
 }
 
 // SchemeFactory builds a scheme instance for one run.

@@ -112,7 +112,7 @@ func runScheme(t *testing.T, name string) sim.Time {
 		Dst:  transport.NewAgent(eng, fab.Net.Host(2)),
 		Size: 64_000,
 	}
-	sch.Start(fl)
+	transport.Start(sch, fl)
 	if fl.Transport == "" {
 		t.Errorf("scheme %q did not label the flow's transport", name)
 	}
@@ -144,5 +144,22 @@ func TestEveryRegisteredSchemeRuns(t *testing.T) {
 				t.Fatalf("non-deterministic: FCT %v then %v", fct, again)
 			}
 		})
+	}
+}
+
+// orderScheme records which half of a flow was started when.
+type orderScheme struct{ calls []string }
+
+func (s *orderScheme) Profile() topo.PortProfile        { return nil }
+func (s *orderScheme) StartSender(fl *transport.Flow)   { s.calls = append(s.calls, "sender") }
+func (s *orderScheme) StartReceiver(fl *transport.Flow) { s.calls = append(s.calls, "receiver") }
+
+// TestStartReceiverFirst pins transport.Start's order: the receiving
+// endpoint is registered before the sender can put a frame on the wire.
+func TestStartReceiverFirst(t *testing.T) {
+	s := &orderScheme{}
+	transport.Start(s, &transport.Flow{ID: 1})
+	if len(s.calls) != 2 || s.calls[0] != "receiver" || s.calls[1] != "sender" {
+		t.Fatalf("Start called %v, want [receiver sender]", s.calls)
 	}
 }

@@ -16,11 +16,6 @@ func newDCTCP(env *transport.SchemeEnv) transport.Scheme {
 		profile: func() topo.PortProfile {
 			return topo.PlainProfile(env.Spec.Defaults().LegacyECN)
 		},
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeDCTCP
-			fl.Legacy = true
-			dctcp.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeDCTCP
 			fl.Legacy = true

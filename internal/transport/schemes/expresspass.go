@@ -28,10 +28,6 @@ func newExpressPass(env *transport.SchemeEnv) transport.Scheme {
 	cfg := expressCfg(env, 1.0)
 	return &scheme{
 		profile: func() topo.PortProfile { return topo.NaiveProfile(env.Spec) },
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeExpressPass
-			expresspass.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeExpressPass
 			expresspass.StartSender(env.Eng, fl, cfg)
@@ -54,10 +50,6 @@ func newOWF(env *transport.SchemeEnv) transport.Scheme {
 			ospec.WQ = wq
 			return topo.OWFProfile(ospec)
 		},
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeExpressPass
-			expresspass.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeExpressPass
 			expresspass.StartSender(env.Eng, fl, cfg)
@@ -79,10 +71,6 @@ func newLayering(env *transport.SchemeEnv) transport.Scheme {
 	cfg.Pacer.Trace, cfg.Pacer.Issued = env.Trace, st.CreditsIssued
 	return &scheme{
 		profile: func() topo.PortProfile { return topo.LayeringProfile(env.Spec) },
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeLayering
-			expresspass.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeLayering
 			expresspass.StartSender(env.Eng, fl, cfg)

@@ -27,10 +27,6 @@ func flexCfg(env *transport.SchemeEnv) flexpass.Config {
 func flexScheme(env *transport.SchemeEnv, cfg flexpass.Config, profile func() topo.PortProfile) transport.Scheme {
 	return &scheme{
 		profile: profile,
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeFlexPass
-			flexpass.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeFlexPass
 			flexpass.StartSender(env.Eng, fl, cfg)

@@ -20,10 +20,6 @@ func newHoma(env *transport.SchemeEnv) transport.Scheme {
 	cfg.Trace = env.Trace
 	return &scheme{
 		profile: func() topo.PortProfile { return topo.FlexPassProfile(env.Spec) },
-		start: func(fl *transport.Flow) {
-			fl.Transport = transport.SchemeHoma
-			homa.Start(env.Eng, fl, cfg)
-		},
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeHoma
 			homa.StartSender(env.Eng, fl, cfg)

@@ -33,15 +33,9 @@ func (s *phostScheme) Profile() topo.PortProfile {
 	return topo.FlexPassProfile(s.env.Spec)
 }
 
-func (s *phostScheme) Start(fl *transport.Flow) {
-	fl.Transport = transport.SchemePHost
-	phost.Start(s.env.Eng, fl, s.arbiter(fl), s.cfg)
-}
-
 // arbiter returns (creating on first use) the destination host's grant
-// arbiter. In sharded runs only the destination shard's scheme instance
-// resolves arbiters, so each arbiter lives on the engine of the downlink
-// it serialises grants for.
+// arbiter. Only the receiver half resolves arbiters, so each arbiter lives
+// on the engine of the downlink it serialises grants for.
 func (s *phostScheme) arbiter(fl *transport.Flow) *phost.Arbiter {
 	arb := s.arbiters[fl.Dst.Host]
 	if arb == nil {
@@ -51,14 +45,14 @@ func (s *phostScheme) arbiter(fl *transport.Flow) *phost.Arbiter {
 	return arb
 }
 
-// StartSender begins the send side only (sharded runs).
+// StartSender labels the flow and begins its send side.
 func (s *phostScheme) StartSender(fl *transport.Flow) {
 	fl.Transport = transport.SchemePHost
 	phost.StartSender(s.env.Eng, fl, s.cfg)
 }
 
-// StartReceiver wires the receive side onto its destination-shard
-// arbiter (sharded runs).
+// StartReceiver wires the receive side onto the destination host's
+// arbiter.
 func (s *phostScheme) StartReceiver(fl *transport.Flow) {
 	phost.StartReceiver(s.env.Eng, fl, s.arbiter(fl), s.cfg)
 }

@@ -8,9 +8,10 @@
 //
 //	import _ "flexpass/internal/transport/schemes"
 //
-// Adding a transport is a one-package change: implement it, write a
-// factory here (or in your own wiring package) and register it — no
-// harness edits.
+// Adding a transport is a one-package change: implement its sender and
+// receiver halves, write a factory here (or in your own wiring package)
+// and register it — no harness edits, and the two halves are what let any
+// run place a flow's hosts on different engines.
 package schemes
 
 import (
@@ -36,18 +37,15 @@ func init() {
 }
 
 // scheme is the generic composed transport every factory returns: a queue
-// profile and start hooks, all closed over the run's env and configs.
-// startSender/startReceiver are the split halves sharded runs use
-// (transport.SplitScheme); every built-in fills them.
+// profile and the two endpoint start hooks, all closed over the run's env
+// and configs.
 type scheme struct {
 	profile       func() topo.PortProfile
-	start         func(fl *transport.Flow)
 	startSender   func(fl *transport.Flow)
 	startReceiver func(fl *transport.Flow)
 }
 
 func (s *scheme) Profile() topo.PortProfile        { return s.profile() }
-func (s *scheme) Start(fl *transport.Flow)         { s.start(fl) }
 func (s *scheme) StartSender(fl *transport.Flow)   { s.startSender(fl) }
 func (s *scheme) StartReceiver(fl *transport.Flow) { s.startReceiver(fl) }
 
