@@ -35,7 +35,10 @@ race-core:
 # and TestShardedAllocBudget ('Sharded' matches both) are the race proof
 # for the packet pools, and — a cross-plane flow's two halves start on two
 # goroutines — for the scheme halves. TestEach is the worker pool every
-# sweep, soak and farm run shares.
+# sweep, soak and farm run shares. The observers' budget,
+# TestObservedAllocBudget (bytes per probe tick × source with every
+# observer on), needs one engine and runs with the rest of `make check`,
+# as TestEventsPerHopBudget does.
 race-shard:
 	$(GO) test -race ./internal/sim/shard/
 	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical|TestEach' ./internal/harness/

@@ -44,6 +44,9 @@ type (
 	TelemetryOptions = obs.Options
 	// RunArtifact is a completed run's exported telemetry (manifest,
 	// time series, counters, histograms, trace) — JSONL round-trippable.
+	// A series' Values is an obs.Samples, run-length encoded in memory
+	// and a plain integer array in the file: read it with Len, Each,
+	// AppendTo or Slice.
 	RunArtifact = obs.Run
 	// FaultPlan is a deterministic scripted fault timeline
 	// (Scenario.FaultPlan); see internal/faults for the event taxonomy.

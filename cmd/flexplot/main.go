@@ -188,7 +188,7 @@ func plotArtifact(path string) {
 		}
 		ps := plot.Series{Name: s.Entity}
 		intervalSec := float64(s.IntervalPs) * 1e-12
-		for i, v := range s.Values {
+		s.Values.Each(func(i int, v int64) {
 			// Sample i covers (start+(i-1)·interval, start+i·interval];
 			// plot it at the window's closing edge.
 			t := float64(s.StartPs+int64(i)*s.IntervalPs) * 1e-9 // ms
@@ -198,7 +198,7 @@ func plotArtifact(path string) {
 			}
 			ps.X = append(ps.X, t)
 			ps.Y = append(ps.Y, y)
-		}
+		})
 		if len(ps.X) > 0 {
 			ch.Series = append(ch.Series, ps)
 		}

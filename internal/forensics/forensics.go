@@ -16,6 +16,7 @@ package forensics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"flexpass/internal/netem"
@@ -174,6 +175,11 @@ func (l *flowLog) events() []HopRecord {
 	return out
 }
 
+// released stands in the flow table for a flow whose log was given up
+// (see Recorder.Done): the flow still counts against MaxFlows and keeps
+// its place in the first-seen order, and nothing is recorded for it again.
+var released = &flowLog{}
+
 // Recorder implements netem.HopObserver, bucketing hop records per flow.
 // A nil *Recorder is a valid no-op observer component, but note that
 // installing a nil Recorder via netem.SetHopObserver still costs an
@@ -186,6 +192,18 @@ type Recorder struct {
 	flows    map[uint64]*flowLog
 	order    []uint64 // first-seen order: deterministic iteration
 	skipped  int64    // records not kept (flow cap / filter overflow)
+
+	// Completed flows WorstTimelines may still pick: the keep best
+	// scores reported to Done, best first, with every tie for the last
+	// place. The logs of the rest wait in free for the next new flow.
+	keep  int
+	worst []doneFlow
+	free  []*flowLog
+}
+
+type doneFlow struct {
+	flow  uint64
+	score float64
 }
 
 // NewRecorder builds a hop recorder from opts (nil means defaults).
@@ -194,6 +212,7 @@ func NewRecorder(opts *Options) *Recorder {
 		hopCap:   opts.hopCap(),
 		maxFlows: opts.maxFlows(),
 		flows:    make(map[uint64]*flowLog),
+		keep:     opts.timelines(),
 	}
 	if opts != nil && len(opts.Flows) > 0 {
 		r.only = make(map[uint64]struct{}, len(opts.Flows))
@@ -211,16 +230,51 @@ func (r *Recorder) log(flow uint64) *flowLog {
 		}
 	}
 	l := r.flows[flow]
+	if l == released {
+		return nil
+	}
 	if l == nil {
 		if len(r.flows) >= r.maxFlows {
 			r.skipped++
 			return nil
 		}
-		l = &flowLog{}
+		if n := len(r.free); n > 0 {
+			l, r.free = r.free[n-1], r.free[:n-1]
+		} else {
+			l = &flowLog{}
+		}
 		r.flows[flow] = l
 		r.order = append(r.order, flow)
 	}
 	return l
+}
+
+// Done tells the recorder that flow completed with the given slowdown
+// score — the score WorstTimelines will rank it by. A completed flow's
+// score never changes and the keep-th best completed score only rises,
+// so a flow strictly below it can never be exported: its log is released
+// and its memory goes to the next new flow. Ties for the last place are
+// kept, which leaves WorstTimelines' (start, ID) tie-break alone, and so
+// are incomplete flows and, under Options.Flows, every recorded flow.
+func (r *Recorder) Done(flow uint64, score float64) {
+	if r == nil || r.only != nil {
+		return
+	}
+	i := sort.Search(len(r.worst), func(i int) bool { return r.worst[i].score < score })
+	r.worst = slices.Insert(r.worst, i, doneFlow{flow, score})
+	if len(r.worst) <= r.keep {
+		return
+	}
+	floor := r.worst[r.keep-1].score
+	for last := len(r.worst) - 1; r.worst[last].score < floor; last-- {
+		out := r.worst[last].flow
+		if l := r.flows[out]; l != nil {
+			*l = flowLog{recs: l.recs[:0]}
+			r.free = append(r.free, l)
+			r.flows[out] = released
+		}
+		r.worst = r.worst[:last]
+	}
 }
 
 // HopEnqueue implements netem.HopObserver.

@@ -2,6 +2,8 @@ package forensics
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -293,5 +295,80 @@ func TestTimelineExportAndDump(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRecorderDoneKeepsExportedTimelines feeds the same hop events to a
+// recorder that hears of completions and to one that never does, over
+// random schedules — tied scores, packets that arrive after their flow
+// completed, flows that never complete, a flow cap that bites — and
+// wants the same exported timelines, flow order and skip count from
+// both, while the first gives up the logs that cannot be exported.
+func TestRecorderDoneKeepsExportedTimelines(t *testing.T) {
+	p := testPort(sim.NewEngine(1), 0)
+	var gaveUp, reused int
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		opts := &Options{Timelines: 1 + rng.Intn(4), MaxFlows: 20 + rng.Intn(40), HopCap: 4 + rng.Intn(8)}
+		told, ref := NewRecorder(opts), NewRecorder(opts)
+		flows := make([]*transport.Flow, 40)
+		score := map[uint64]float64{}
+		for i := range flows {
+			flows[i] = &transport.Flow{ID: uint64(i + 1), Size: 5000, Start: sim.Time(i / 3), Transport: "test"}
+			score[flows[i].ID] = float64(rng.Intn(6))
+		}
+		slowdown := func(f *transport.Flow) float64 { return score[f.ID] }
+		for step := 0; step < 4000; step++ {
+			fl := flows[rng.Intn(1+step/50)%len(flows)] // flows join over time
+			if rng.Intn(50) == 0 && !fl.Completed {
+				fl.Complete(sim.Time(step))
+				told.Done(fl.ID, slowdown(fl))
+				continue
+			}
+			pkt := &netem.Packet{Flow: fl.ID, Seq: uint32(step)}
+			told.HopEnqueue(sim.Time(step), p, 0, pkt, 1)
+			ref.HopEnqueue(sim.Time(step), p, 0, pkt, 1)
+		}
+		// All but a few stragglers finish, so completed flows are exported too.
+		for _, i := range rng.Perm(len(flows))[rng.Intn(opts.Timelines+1):] {
+			if fl := flows[i]; !fl.Completed {
+				fl.Complete(4000)
+				told.Done(fl.ID, slowdown(fl))
+			}
+		}
+		got := WorstTimelines(told, nil, flows, slowdown, opts)
+		want := WorstTimelines(ref, nil, flows, slowdown, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: timelines differ once the recorder hears of completions", seed)
+		}
+		if !reflect.DeepEqual(told.Flows(), ref.Flows()) || told.Skipped() != ref.Skipped() {
+			t.Fatalf("seed %d: recorded flows changed: %v (skipped %d), want %v (skipped %d)",
+				seed, told.Flows(), told.Skipped(), ref.Flows(), ref.Skipped())
+		}
+		logs := map[*flowLog]bool{}
+		for id, l := range told.flows {
+			if l == released {
+				gaveUp++
+				if fl := flows[id-1]; !fl.Completed {
+					t.Fatalf("seed %d: incomplete flow %d lost its log", seed, id)
+				}
+			} else {
+				logs[l] = true
+			}
+		}
+		reused += len(ref.flows) - len(logs) - len(told.free)
+	}
+	if gaveUp == 0 || reused == 0 {
+		t.Fatalf("released %d logs and reused %d: the recorder kept everything", gaveUp, reused)
+	}
+
+	// Under Options.Flows every recorded flow is exported: none is released.
+	only := NewRecorder(&Options{Flows: []uint64{1, 2}, Timelines: 1})
+	for fl := uint64(1); fl <= 2; fl++ {
+		only.HopEnqueue(0, p, 0, &netem.Packet{Flow: fl}, 1)
+		only.Done(fl, float64(3-fl))
+	}
+	if len(only.Hops(1)) != 1 || len(only.Hops(2)) != 1 {
+		t.Fatalf("a flow named in Options.Flows lost its log: %d and %d records", len(only.Hops(1)), len(only.Hops(2)))
 	}
 }

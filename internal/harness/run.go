@@ -201,7 +201,35 @@ func Run(sc Scenario) *Result {
 	// Flows are prebuilt with ID = spec index + 1 and their arrivals
 	// scheduled in spec order, on the plane of each endpoint: once when
 	// the two hosts share a plane, once per plane when they do not.
-	onDone := func(*transport.Flow) { flowsDone.Add(1) }
+	//
+	// The ideal-FCT estimate is for ranking forensic timelines only: wire
+	// bytes at line rate plus a fixed propagation allowance. Crude, but
+	// monotone in the real ideal, which is all slowdown ordering needs.
+	base := 4*sc.LinkDelay + 2*sc.HostDelay
+	slowdown := func(fl *transport.Flow) float64 {
+		wire := fl.Size
+		if segs := fl.Segs(); segs > 0 {
+			wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
+		}
+		ideal := sc.LinkRate.TxTime(int(wire)) + base
+		if fct := fl.FCT(); fct > 0 && ideal > 0 {
+			return float64(fct) / float64(ideal)
+		}
+		return 0
+	}
+	// The hop recorder (forensic runs only, so one engine) hears of each
+	// completion with the flow's score, and gives up the logs of flows
+	// that can no longer rank among the exported timelines.
+	var rec *forensics.Recorder
+	if sc.Forensics != nil {
+		rec = forensics.NewRecorder(sc.Forensics)
+	}
+	onDone := func(fl *transport.Flow) {
+		flowsDone.Add(1)
+		if rec != nil {
+			rec.Done(fl.ID, slowdown(fl))
+		}
+	}
 	all := make([]*transport.Flow, 0, len(plan.flows))
 	prevComp := make([]sim.Component, n)
 	for i, pl := range planes {
@@ -246,10 +274,8 @@ func Run(sc Scenario) *Result {
 	// The forensic plane: hop recording at every port, and the invariant
 	// auditors — credit conservation samples the live pacer / sender
 	// counters and the fabric's rate-limited credit-queue drops.
-	var rec *forensics.Recorder
 	var aud *forensics.Auditor
 	if sc.Forensics != nil {
-		rec = forensics.NewRecorder(sc.Forensics)
 		fab.Net.SetHopObserver(rec)
 		credits := func(pick func(transport.Counters) *obs.Counter) func() int64 {
 			return func() (n int64) {
@@ -383,10 +409,10 @@ func Run(sc Scenario) *Result {
 				ent := fmt.Sprintf("port/%s/q%d", up.Name(), fab.FlexQueueIndex)
 				for _, pl := range planes {
 					if s := pl.prober.Find(ent, "bytes"); s != nil {
-						totals = append(totals, s.Values()...)
+						totals = s.Samples().AppendTo(totals)
 					}
 					if s := pl.prober.Find(ent, "red_bytes"); s != nil {
-						reds = append(reds, s.Values()...)
+						reds = s.Samples().AppendTo(reds)
 					}
 				}
 			}
@@ -408,21 +434,6 @@ func Run(sc Scenario) *Result {
 	res.Profile = prof.MergeExports(profiles...)
 
 	if sc.Forensics != nil {
-		// Ideal-FCT estimate for ranking only: wire bytes at line rate
-		// plus a fixed propagation allowance. Crude, but monotone in the
-		// real ideal, which is all slowdown ordering needs.
-		base := 4*sc.LinkDelay + 2*sc.HostDelay
-		slowdown := func(fl *transport.Flow) float64 {
-			wire := fl.Size
-			if segs := fl.Segs(); segs > 0 {
-				wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
-			}
-			ideal := sc.LinkRate.TxTime(int(wire)) + base
-			if fct := fl.FCT(); fct > 0 && ideal > 0 {
-				return float64(fct) / float64(ideal)
-			}
-			return 0
-		}
 		res.Forensics = &forensics.Report{
 			Violations:        aud.Violations(),
 			ViolationsDropped: aud.Dropped(),

@@ -322,3 +322,44 @@ func TestShardedAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestObservedAllocBudget pins what the observers allocate the way
+// TestShardedAllocBudget pins the engine: heap bytes per (probe tick ×
+// source) over a fixed-seed telemetry + forensics + profile run whose
+// 60 ms drain is mostly idle ticks, as the benchmark's observed workload
+// is. A series costs memory per value change, not per sample
+// (obs.Samples), so the whole run — fabric, trace ring, hop logs and the
+// collected artifact included — allocates 8.7 B per tick × source; with
+// an 8 B ring slot per sample, grown by doubling and copied once at
+// exit, it allocated 41.9 [in brackets, as above]. The second run doubles
+// the drain: twice the ticks and no new value changes, so its series
+// must hold exactly as many runs as the first's.
+func TestObservedAllocBudget(t *testing.T) {
+	const budget = 13.0 // measured 8.72 [41.94]
+	observe := func(drain sim.Time) (perTickSource float64, runs, samples int) {
+		sc := forensicsScenario()
+		sc.Profile = true
+		sc.Drain = drain
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Run(sc)
+		runtime.ReadMemStats(&after)
+		for _, s := range res.Telemetry.Series {
+			runs += s.Values.Runs()
+			samples += s.Values.Len()
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(samples), runs, samples
+	}
+	got, runs, samples := observe(60 * sim.Millisecond)
+	if got > budget {
+		t.Fatalf("%.2f B allocated per tick × source over %d samples, budget %.2f", got, samples, budget)
+	}
+	_, runs2, samples2 := observe(120 * sim.Millisecond)
+	if samples2 < 2*samples-samples/10 || runs2 != runs {
+		t.Fatalf("drain doubled: %d samples in %d runs, then %d samples in %d runs; want twice the samples in the same runs",
+			samples, runs, samples2, runs2)
+	}
+	if held := 16 * runs; held > samples/10 {
+		t.Fatalf("series hold %d B for %d samples: memory follows ticks, not value changes", held, samples)
+	}
+}

@@ -58,10 +58,10 @@ func TestTelemetryRunArtifact(t *testing.T) {
 	// — the ingredients of the paper's Fig. 6-style timeline.
 	var sawQueue, sawTx bool
 	for _, s := range run.Series {
-		if s.Metric == "bytes" && s.Kind == "instant" && len(s.Values) > 0 {
+		if s.Metric == "bytes" && s.Kind == "instant" && s.Values.Len() > 0 {
 			sawQueue = true
 		}
-		if s.Metric == "tx_bytes" && s.Kind == "delta" && len(s.Values) > 0 {
+		if s.Metric == "tx_bytes" && s.Kind == "delta" && s.Values.Len() > 0 {
 			sawTx = true
 		}
 	}

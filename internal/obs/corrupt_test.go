@@ -11,7 +11,7 @@ func sampleRun() *Run {
 	return &Run{
 		Manifest: Manifest{Schema: SchemaVersion, Seed: 7, Scheme: "flexpass"},
 		Series: []SeriesData{
-			{Entity: "port/tor0/q1", Metric: "bytes", Kind: "instant", IntervalPs: 1000, Values: []int64{1, 2, 3}},
+			{Entity: "port/tor0/q1", Metric: "bytes", Kind: "instant", IntervalPs: 1000, Values: samplesOf(1, 2, 3)},
 		},
 		Counters: []CounterData{
 			{Entity: "transport/flexpass", Metric: "flows_started", Kind: "counter", Value: 9},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"flexpass/internal/sim"
 	"flexpass/internal/trace"
@@ -89,7 +90,8 @@ type ComponentProfile struct {
 	Counts    []int64 `json:"counts,omitempty"` // dispatches per bucket
 }
 
-// SeriesData is one exported time series.
+// SeriesData is one exported time series. Values is run-length encoded
+// in memory and a plain JSON array of integers on the wire.
 type SeriesData struct {
 	Entity     string  `json:"entity"`
 	Metric     string  `json:"metric"`
@@ -97,7 +99,7 @@ type SeriesData struct {
 	IntervalPs int64   `json:"interval_ps"`
 	StartPs    int64   `json:"start_ps"` // time of the first retained sample
 	Dropped    int64   `json:"dropped,omitempty"`
-	Values     []int64 `json:"values"`
+	Values     Samples `json:"values"`
 }
 
 // CounterData is one source's closing value.
@@ -155,15 +157,20 @@ type Run struct {
 }
 
 // Collect assembles a run artifact from the registry's closing values
-// and the prober's series (either may be nil).
+// and the prober's series (either may be nil). The artifact shares the
+// series' sample storage with the prober, so collect once it has stopped.
 func Collect(reg *Registry, p *Prober, m Manifest) *Run {
 	m.Schema = SchemaVersion
-	r := &Run{Manifest: m}
+	r := &Run{
+		Manifest: m,
+		Series:   make([]SeriesData, 0, len(p.Series())),
+		Counters: make([]CounterData, 0, reg.Len()),
+	}
 	for _, s := range p.Series() {
 		r.Series = append(r.Series, SeriesData{
 			Entity: s.Entity, Metric: s.Metric, Kind: s.Kind.String(),
 			IntervalPs: int64(s.Interval), StartPs: int64(s.Start()),
-			Dropped: s.Dropped(), Values: s.Values(),
+			Dropped: s.Dropped(), Values: s.Samples(),
 		})
 	}
 	for _, c := range reg.Final() {
@@ -189,12 +196,13 @@ func Collect(reg *Registry, p *Prober, m Manifest) *Run {
 
 // AttachTrace appends the ring's events to the artifact.
 func (r *Run) AttachTrace(ring *trace.Ring) {
-	for _, ev := range ring.Events() {
+	r.Trace = slices.Grow(r.Trace, ring.Len())
+	ring.Each(func(ev trace.Event) {
 		r.Trace = append(r.Trace, TraceData{
 			AtPs: int64(ev.At), Kind: ev.Kind.String(),
 			Flow: ev.Flow, Seq: ev.Seq, Note: ev.Note,
 		})
-	}
+	})
 }
 
 // FindSeries returns the series for entity/metric, or nil.
@@ -309,7 +317,7 @@ func (e *CorruptArtifactError) Unwrap() error { return e.Err }
 // nil error means the artifact was read cleanly and completely.
 func ReadJSONL(rd io.Reader) (*Run, error) {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
 	r := &Run{}
 	sawManifest := false
 	line := 0
@@ -384,14 +392,12 @@ func (r *Run) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(bw, "entity,metric,kind,time_us,value"); err != nil {
 		return err
 	}
+	// A failed write sticks in bw and comes back from Flush.
 	for _, s := range r.Series {
-		for i, v := range s.Values {
+		s.Values.Each(func(i int, v int64) {
 			t := sim.Time(s.StartPs + int64(i)*s.IntervalPs)
-			if _, err := fmt.Fprintf(bw, "%s,%s,%s,%.3f,%d\n",
-				s.Entity, s.Metric, s.Kind, t.Micros(), v); err != nil {
-				return err
-			}
-		}
+			fmt.Fprintf(bw, "%s,%s,%s,%.3f,%d\n", s.Entity, s.Metric, s.Kind, t.Micros(), v)
+		})
 	}
 	return bw.Flush()
 }

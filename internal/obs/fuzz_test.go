@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,6 +19,12 @@ import (
 // the salvaged prefix, or the no-manifest error with a nil run. The
 // lake must either ingest a row or return an error wrapping the same
 // typed failure, never a mangled row from unrecovered damage.
+//
+// Series values decode through obs.Samples' own UnmarshalJSON, so the
+// same bytes also go through it differentially against a []int64 — bare
+// and as the values of a series line — and must be taken or refused
+// alike: a decoder that is stricter turns a readable line into damage,
+// one that is laxer reads a damaged line as clean.
 func FuzzReadJSONL(f *testing.F) {
 	// Corpus: a valid two-line artifact, truncation, mid-line damage,
 	// a bare manifest, binary garbage, and pathological JSON shapes.
@@ -32,8 +39,16 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte(`{"type":123}` + "\n"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + strings.Repeat("x", 4096) + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"series","series":{"entity":"e","values":[0,0,0,-4,7]}}` + "\n"))
+	for _, values := range []string{
+		`[0,0,0,5,5,-3]`, ` [ 1 , 2 ] `, `[]`, `null`, `[null,1]`, `[1.5]`, `[1e3]`, `["1"]`, `[[1]]`,
+		`[9223372036854775808]`, `[-9223372036854775808]`, `[01]`, `[1,]`, `[1`, `[1],"values":[2]`, `[1]}},"x":{"y":{"values":[2]`,
+	} {
+		f.Add([]byte(values))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		samplesDifferential(t, data)
 		run, err := obs.ReadJSONL(bytes.NewReader(data))
 		if err != nil {
 			var cerr *obs.CorruptArtifactError
@@ -68,4 +83,49 @@ func FuzzReadJSONL(f *testing.F) {
 			t.Fatalf("reader salvaged nothing but ingest produced a row")
 		}
 	})
+}
+
+// samplesDifferential decodes data as a sample array, bare and inside a
+// series line, into obs.Samples and into a []int64.
+func samplesDifferential(t *testing.T, data []byte) {
+	same := func(what string, got obs.Samples, gotErr error, ref []int64, refErr error) {
+		t.Helper()
+		if (gotErr == nil) != (refErr == nil) {
+			t.Fatalf("%s: Samples error %v, []int64 error %v", what, gotErr, refErr)
+		}
+		have, _ := json.Marshal(got)
+		if want, _ := json.Marshal(ref); refErr == nil && !bytes.Equal(have, want) {
+			t.Fatalf("%s: Samples decoded %s, []int64 %s", what, have, want)
+		}
+	}
+	var ref []int64
+	var viaJSON, bare obs.Samples
+	refErr := json.Unmarshal(data, &ref)
+	same("json.Unmarshal", viaJSON, json.Unmarshal(data, &viaJSON), ref, refErr)
+	same("UnmarshalJSON", bare, bare.UnmarshalJSON(data), ref, refErr)
+
+	if bytes.ContainsAny(data, "\n") {
+		return // would split the line
+	}
+	line := `{"type":"series","series":{"values":` + string(data) + `}}`
+	var refLine struct {
+		Series *struct {
+			Values []int64 `json:"values"`
+		} `json:"series"`
+	}
+	refErr = json.Unmarshal([]byte(line), &refLine)
+	run, err := obs.ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + line + "\n"))
+	var cerr *obs.CorruptArtifactError
+	if err != nil && (!errors.As(err, &cerr) || cerr.Line != 2 || len(run.Series) != 0) {
+		t.Fatalf("series line %q: error %v with %d series salvaged", line, err, len(run.Series))
+	}
+	var got obs.Samples
+	ref = nil
+	if err == nil && len(run.Series) == 1 {
+		got = run.Series[0].Values
+	}
+	if refErr == nil && refLine.Series != nil {
+		ref = refLine.Series.Values
+	}
+	same("series line", got, err, ref, refErr)
 }

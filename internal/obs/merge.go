@@ -12,9 +12,10 @@ package obs
 //   - Histograms with the same (entity, metric) sum their counts and
 //     observation sums and merge their sparse bucket lists by bound.
 //   - Series with the same (entity, metric, kind, interval, start) and
-//     equal length are summed pointwise; any other series is appended
-//     as-is (per-port series have disjoint entities across shards and
-//     take this path).
+//     equal length are summed pointwise into fresh samples; any other
+//     series is appended as-is, sharing its samples with the input
+//     (per-port series have disjoint entities across shards and take
+//     this path).
 //
 // One run is not copied: it is returned as it is, under m — a
 // single-engine run is the one-shard case and pays nothing for the fold.
@@ -65,18 +66,15 @@ func MergeRuns(m Manifest, runs ...*Run) *Run {
 		}
 		for _, s := range r.Series {
 			key := seriesKey{s.Entity, s.Metric, s.Kind, s.IntervalPs, s.StartPs}
-			if j, ok := sIdx[key]; ok && len(out.Series[j].Values) == len(s.Values) {
+			if j, ok := sIdx[key]; ok && out.Series[j].Values.Len() == s.Values.Len() {
 				dst := &out.Series[j]
 				dst.Dropped += s.Dropped
-				for i, v := range s.Values {
-					dst.Values[i] += v
-				}
+				dst.Values = dst.Values.plus(s.Values)
 				continue
 			}
 			if _, ok := sIdx[key]; !ok {
 				sIdx[key] = len(out.Series)
 			}
-			s.Values = append([]int64(nil), s.Values...)
 			out.Series = append(out.Series, s)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package obs is the simulator's unified telemetry plane: a central
 // registry of named counters, gauges, and histograms keyed by entity
 // (switch/port/queue/flow/transport), a periodic prober that turns them
-// into ring-buffered time series, and a JSONL/CSV exporter that makes
-// every run a self-describing artifact.
+// into run-length-encoded time series, and a JSONL/CSV exporter that
+// makes every run a self-describing artifact.
 //
 // The whole package follows the nil-no-op convention used by trace.Ring:
 // a nil *Registry (and the nil *Counter / *Histogram it hands out)
@@ -49,13 +49,16 @@ type source struct {
 type Registry struct {
 	sources  []source
 	hists    []*Histogram
-	byKey    map[string]int      // entity+"\x00"+metric -> index in sources
-	counters map[string]*Counter // owned counters, for idempotent re-registration
+	byKey    map[sourceKey]int      // index in sources
+	counters map[sourceKey]*Counter // owned counters, for idempotent re-registration
 }
+
+// sourceKey names a source without building a joined string for it.
+type sourceKey struct{ entity, metric string }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[string]int), counters: make(map[string]*Counter)}
+	return &Registry{byKey: make(map[sourceKey]int), counters: make(map[sourceKey]*Counter)}
 }
 
 // Counter registers (or returns the existing) owned counter for
@@ -65,7 +68,7 @@ func (r *Registry) Counter(entity, metric string) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := entity + "\x00" + metric
+	key := sourceKey{entity, metric}
 	if c, ok := r.counters[key]; ok {
 		return c
 	}
@@ -92,7 +95,7 @@ func (r *Registry) register(entity, metric string, kind SampleKind, fn func() in
 	if r == nil || fn == nil {
 		return
 	}
-	key := entity + "\x00" + metric
+	key := sourceKey{entity, metric}
 	if i, ok := r.byKey[key]; ok {
 		r.sources[i] = source{entity, metric, kind, fn}
 		return

@@ -116,7 +116,7 @@ func TestProberDeltasAndInstants(t *testing.T) {
 	if d == nil || d.Kind != Cumulative {
 		t.Fatalf("missing delta series: %+v", d)
 	}
-	for i, v := range d.Values() {
+	for i, v := range d.Samples().Slice() {
 		if v != 200 {
 			t.Fatalf("delta[%d] = %d, want 200", i, v)
 		}
@@ -125,7 +125,7 @@ func TestProberDeltasAndInstants(t *testing.T) {
 	if g == nil || g.Kind != Instant {
 		t.Fatalf("missing instant series: %+v", g)
 	}
-	if got := g.Values(); got[0] != 14 || got[4] != 70 {
+	if got := g.Samples().Slice(); got[0] != 14 || got[4] != 70 {
 		t.Fatalf("instants = %v", got)
 	}
 	if g.Start() != 20*sim.Microsecond {
@@ -143,7 +143,7 @@ func TestSeriesRingWrap(t *testing.T) {
 	eng.Run(10 * sim.Microsecond)
 
 	s := p.Find("g", "v")
-	if got := s.Values(); !reflect.DeepEqual(got, []int64{7, 8, 9, 10}) {
+	if got := s.Samples().Slice(); !reflect.DeepEqual(got, []int64{7, 8, 9, 10}) {
 		t.Fatalf("values = %v", got)
 	}
 	if s.Dropped() != 6 {
@@ -204,7 +204,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 	// Spot-check semantic content survived.
 	s := got.FindSeries("transport/flexpass", "credits_wasted")
-	if s == nil || s.Kind != "delta" || len(s.Values) != 5 || s.Values[0] != 3 {
+	if s == nil || s.Kind != "delta" || s.Values.Len() != 5 || s.Values.Slice()[0] != 3 {
 		t.Fatalf("credit series: %+v", s)
 	}
 	if got.Trace[0].Kind != "credit-waste" || got.Trace[0].AtPs != int64(25*sim.Microsecond) {
@@ -230,7 +230,7 @@ func TestWriteCSV(t *testing.T) {
 			Entity: "port/a", Metric: "tx_bytes", Kind: "delta",
 			IntervalPs: int64(10 * sim.Microsecond),
 			StartPs:    int64(10 * sim.Microsecond),
-			Values:     []int64{100, 200},
+			Values:     samplesOf(100, 200),
 		}},
 	}
 	var buf bytes.Buffer
@@ -250,19 +250,19 @@ func TestMergeRunsOfOneIsThatRun(t *testing.T) {
 	mk := func() *Run {
 		return &Run{
 			Counters: []CounterData{{Entity: "e", Metric: "m", Kind: "counter", Value: 3}},
-			Series:   []SeriesData{{Entity: "e", Metric: "m", Values: []int64{1, 2}}},
+			Series:   []SeriesData{{Entity: "e", Metric: "m", Values: samplesOf(1, 2)}},
 		}
 	}
 	one := mk()
 	got := MergeRuns(Manifest{Seed: 9}, one)
-	if got != one || &got.Series[0].Values[0] != &one.Series[0].Values[0] {
+	if got != one || &got.Series[0].Values.runs[0] != &one.Series[0].Values.runs[0] {
 		t.Fatal("merge of one run copied it")
 	}
 	if got.Manifest.Seed != 9 || got.Manifest.Schema != SchemaVersion {
 		t.Fatalf("merge of one run dropped the manifest: %+v", got.Manifest)
 	}
 	two := MergeRuns(Manifest{}, mk(), mk())
-	if len(two.Counters) != 1 || two.Counters[0].Value != 6 || !reflect.DeepEqual(two.Series[0].Values, []int64{2, 4}) {
+	if len(two.Counters) != 1 || two.Counters[0].Value != 6 || !reflect.DeepEqual(two.Series[0].Values.Slice(), []int64{2, 4}) {
 		t.Fatalf("merge of two runs: %+v", two)
 	}
 }

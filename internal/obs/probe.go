@@ -9,7 +9,7 @@ type Options struct {
 	// the paper's queue-occupancy timelines use).
 	ProbeInterval sim.Time
 	// SeriesCap bounds each time series to the most recent N samples
-	// (default 8192); older samples are overwritten, ring-style, and
+	// (default 8192); older samples are dropped from the front and
 	// counted so exported series still carry their true start time.
 	SeriesCap int
 	// TraceCap, when positive, sizes the shared transport trace ring
@@ -33,33 +33,23 @@ func (o *Options) Cap() int {
 	return o.SeriesCap
 }
 
-// Series is one probed metric's ring-buffered samples. Cumulative
-// sources yield per-interval deltas; instant sources yield raw readings.
+// Series is one probed metric's samples, the most recent SeriesCap of
+// them. Cumulative sources yield per-interval deltas; instant sources
+// yield raw readings.
 type Series struct {
 	Entity, Metric string
 	Kind           SampleKind
 	Interval       sim.Time
 	start          sim.Time // engine time of the first sample ever taken
-	values         []int64
-	next           int
-	wrapped        bool
+	samples        Samples
 	dropped        int64
 }
 
-// Values returns the held samples in chronological order.
-func (s *Series) Values() []int64 {
-	if !s.wrapped {
-		out := make([]int64, len(s.values))
-		copy(out, s.values)
-		return out
-	}
-	out := make([]int64, 0, len(s.values))
-	out = append(out, s.values[s.next:]...)
-	out = append(out, s.values[:s.next]...)
-	return out
-}
+// Samples returns the held samples in chronological order. The result
+// shares storage with the series: read it once the prober has stopped.
+func (s *Series) Samples() Samples { return s.samples }
 
-// Dropped reports how many old samples were displaced by the ring.
+// Dropped reports how many old samples were displaced by the cap.
 func (s *Series) Dropped() int64 { return s.dropped }
 
 // Start returns the engine time of the oldest retained sample.
@@ -68,14 +58,11 @@ func (s *Series) Start() sim.Time {
 }
 
 func (s *Series) add(v int64, capacity int) {
-	if len(s.values) < capacity {
-		s.values = append(s.values, v)
-		return
+	if s.samples.Len() == capacity {
+		s.samples.DropFront()
+		s.dropped++
 	}
-	s.values[s.next] = v
-	s.next = (s.next + 1) % capacity
-	s.wrapped = true
-	s.dropped++
+	s.samples.Append(v)
 }
 
 // Prober samples every registry source on a fixed engine-driven cadence.

@@ -62,8 +62,7 @@ type Event struct {
 type Ring struct {
 	eng     *sim.Engine
 	events  []Event
-	next    int
-	wrapped bool
+	next    int // oldest event once the ring is full; 0 until then
 	dropped int64
 }
 
@@ -90,7 +89,6 @@ func (r *Ring) Add(kind Kind, flow uint64, seq int64, note string) {
 	}
 	r.events[r.next] = ev
 	r.next = (r.next + 1) % cap(r.events)
-	r.wrapped = true
 	r.dropped++
 }
 
@@ -118,42 +116,50 @@ func (r *Ring) Overwritten() int64 {
 	return r.dropped
 }
 
-// Events returns the held events in chronological order.
+// Each calls fn with every held event in chronological order, reading
+// the ring in place.
+func (r *Ring) Each(fn func(Event)) {
+	if r == nil {
+		return
+	}
+	for _, ev := range r.events[r.next:] {
+		fn(ev)
+	}
+	for _, ev := range r.events[:r.next] {
+		fn(ev)
+	}
+}
+
+// Events returns a copy of the held events in chronological order.
 func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if !r.wrapped {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
-	}
 	out := make([]Event, 0, len(r.events))
 	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return append(out, r.events[:r.next]...)
 }
 
 // Filter returns held events matching the predicate, in order.
 func (r *Ring) Filter(keep func(Event) bool) []Event {
 	var out []Event
-	for _, ev := range r.Events() {
+	r.Each(func(ev Event) {
 		if keep(ev) {
 			out = append(out, ev)
 		}
-	}
+	})
 	return out
 }
 
 // Dump writes the events as text, one per line.
-func (r *Ring) Dump(w io.Writer) error {
-	for _, ev := range r.Events() {
-		if _, err := fmt.Fprintf(w, "%12v %-12s flow=%d seq=%d %s\n",
-			ev.At, ev.Kind, ev.Flow, ev.Seq, ev.Note); err != nil {
-			return err
+func (r *Ring) Dump(w io.Writer) (err error) {
+	r.Each(func(ev Event) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%12v %-12s flow=%d seq=%d %s\n",
+				ev.At, ev.Kind, ev.Flow, ev.Seq, ev.Note)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // String renders the whole ring (tests, small rings only).

@@ -14,6 +14,7 @@ func TestNilRingNoOps(t *testing.T) {
 	if r.Len() != 0 || r.Events() != nil || r.Overwritten() != 0 {
 		t.Fatal("nil ring must be empty")
 	}
+	r.Each(func(Event) { t.Fatal("nil ring visited an event") })
 }
 
 func TestRingRecordsInOrder(t *testing.T) {
@@ -51,6 +52,12 @@ func TestRingWraps(t *testing.T) {
 	}
 	if r.Overwritten() != 6 {
 		t.Fatalf("overwritten = %d", r.Overwritten())
+	}
+	// Each reads the ring in place, in the order Events copies it out.
+	var seen []Event
+	r.Each(func(ev Event) { seen = append(seen, ev) })
+	if len(seen) != 4 || seen[0] != evs[0] || seen[3] != evs[3] {
+		t.Fatalf("Each visited %+v, want %+v", seen, evs)
 	}
 }
 
