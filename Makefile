@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check figs-check bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -44,6 +44,17 @@ race-shard:
 	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical|TestEach' ./internal/harness/
 
 check: vet build race
+
+# The pre-farm figure pipeline's oracle: the micro figures (1, 7, 8, 9 —
+# hand-wired transports sampled by a private obs.Prober) and the two
+# sweeps that sample Q1 occupancy (10, 17) must reproduce their 11
+# checked-in results/*.csv byte for byte (~25 s on 2 cores). A sampler,
+# transport or runner change that moves one sample fails here.
+figs-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	 { $(GO) run ./cmd/experiments -figs 1,7,8,9,10,17 -out "$$tmp" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; } && \
+	 n=0 && for f in "$$tmp"/*.csv; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; n=$$((n+1)); done && \
+	 test $$n -eq 11 && echo "figs-check: $$n CSVs byte-identical to results/"
 
 # Figure-level benchmarks (one per paper figure) plus the simulator's
 # raw events/sec self-report.

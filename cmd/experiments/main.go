@@ -394,10 +394,7 @@ func robustness(base harness.Scenario) {
 	plan := defaultFaultPlan()
 	var err error
 	if *faultFile != "" {
-		var data []byte
-		if data, err = os.ReadFile(*faultFile); err == nil {
-			plan, err = faults.ParsePlan(data)
-		}
+		plan, err = faults.ParsePlanFile(*faultFile)
 	} else if *faultSpec != "" {
 		plan, err = faults.ParseSpec(*faultSpec)
 	}

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -66,29 +65,18 @@ func main() {
 	)
 	flag.Parse()
 
-	names := transport.SchemeNames()
-	known := false
-	for _, n := range names {
-		known = known || n == *scheme
+	var topos []string
+	if *topoName != "" {
+		topos = []string{*topoName}
 	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q (registered: %s)\n", *scheme, strings.Join(names, ", "))
+	if err := farm.CheckNames([]string{*scheme}, topos, []string{*wl}); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	sc := harness.BaseScenario(*full)
 	if *topoName != "" {
-		clos, ok := farm.Topologies[*topoName]
-		if !ok {
-			known := make([]string, 0, len(farm.Topologies))
-			for name := range farm.Topologies {
-				known = append(known, name)
-			}
-			sort.Strings(known)
-			fmt.Fprintf(os.Stderr, "unknown -topo %q (want %s)\n", *topoName, strings.Join(known, ", "))
-			os.Exit(1)
-		}
-		sc.Clos = clos
+		sc.Clos = farm.Topologies[*topoName]
 	}
 	sc.Scheme = harness.Scheme(*scheme)
 	sc.Deployment = *deployment
@@ -115,10 +103,6 @@ func main() {
 		}
 	}
 	sc.Workload = workload.ByName(*wl)
-	if sc.Workload == nil {
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(1)
-	}
 	if *wlPlan != "" {
 		if *traceIn != "" {
 			fmt.Fprintln(os.Stderr, "-workload-plan and -trace are mutually exclusive (a plan can embed a trace source instead)")
@@ -210,13 +194,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "chaos repro %s: trial %d of spec %q, recorded outcome %q, %d pinned flows\n",
 				*faultPlan, repro.Trial, repro.Spec, repro.Outcome, len(repro.Flows))
 		} else {
-			plan, err = faults.ParsePlan(data)
+			plan, err = faults.ParsePlanFile(*faultPlan)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
-			}
-			if plan.Name == "" {
-				plan.Name = *faultPlan
 			}
 		}
 	} else if *faultSpec != "" {
@@ -272,7 +253,13 @@ func main() {
 		stopCPU = stop
 	}
 
-	res := runGuarded(sc)
+	// A watchdog kill or a scenario contract violation is a clean CLI
+	// error, not a panic trace.
+	res, err := harness.Try(harness.Run, sc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexsim:", err)
+		os.Exit(1)
+	}
 
 	if stopCPU != nil {
 		if err := stopCPU(); err != nil {
@@ -405,20 +392,4 @@ func main() {
 			os.Exit(1) // reproduced
 		}
 	}
-}
-
-// runGuarded runs the scenario, turning a watchdog kill into a clean
-// CLI error instead of a panic trace.
-func runGuarded(sc harness.Scenario) *harness.Result {
-	defer func() {
-		if r := recover(); r != nil {
-			ke, ok := r.(*harness.KilledError)
-			if !ok {
-				panic(r)
-			}
-			fmt.Fprintln(os.Stderr, "flexsim:", ke)
-			os.Exit(1)
-		}
-	}()
-	return harness.Run(sc)
 }

@@ -197,6 +197,18 @@ func TestIsReproAndParseRepro(t *testing.T) {
 	if _, err := ParseRepro([]byte(`{"chaos": 1, "mystery": true}`)); err == nil {
 		t.Error("ParseRepro accepted an unknown field")
 	}
+	// Coordinates are outside input: a name no registry knows is a parse
+	// error, not a panic when the scenario is built.
+	for _, bad := range []Coords{
+		{Scheme: "no-such-scheme", Topo: "tiny", Workload: "websearch"},
+		{Scheme: "flexpass", Topo: "mega", Workload: "websearch"},
+		{Scheme: "flexpass", Topo: "tiny", Workload: "nope"},
+	} {
+		doc, _ := json.Marshal(&Repro{Chaos: ReproSchema, Coords: bad})
+		if _, err := ParseRepro(doc); err == nil {
+			t.Errorf("ParseRepro accepted coordinates %+v", bad)
+		}
+	}
 	for _, tail := range []string{` {"chaos": 1}`, ` trailing`, `}`} {
 		if _, err := ParseRepro([]byte(string(data) + tail)); err == nil {
 			t.Errorf("ParseRepro accepted trailing data %q", tail)

@@ -10,7 +10,6 @@ import (
 	"flexpass/internal/harness"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
-	"flexpass/internal/workload"
 )
 
 // Outcome classifies one trial. Precedence when several oracles fire:
@@ -106,30 +105,20 @@ func strayCount(run *obs.Run) int64 {
 	return n
 }
 
-// Scenario builds the harness scenario for these coordinates. The
-// forensics plane — the auditor oracles — rides along on one-engine
-// trials; sharded trials run completion and stray oracles only (the
-// recorder and auditors are single-goroutine state, see harness.Run).
+// Scenario builds the harness scenario for these coordinates — a farm
+// point at the default queue weight, so chaos trials and sweep points are
+// built one way — plus the forensics plane, whose auditors are the
+// oracles, on one-engine trials; sharded trials run completion and stray
+// oracles only (the recorder and auditors are single-goroutine state, see
+// harness.Run). Names are checked where coordinates enter the program
+// (Spec.Validate, ParseRepro).
 func (c Coords) Scenario(o OracleSpec) harness.Scenario {
-	sc := harness.BaseScenario(false)
-	clos, ok := farm.Topologies[c.Topo]
-	if !ok {
-		panic(fmt.Sprintf("chaos: unknown topology %q", c.Topo))
-	}
-	sc.Clos = clos
-	sc.Scheme = harness.Scheme(c.Scheme)
-	sc.Workload = workload.ByName(c.Workload)
-	if sc.Workload == nil {
-		panic(fmt.Sprintf("chaos: unknown workload %q", c.Workload))
-	}
-	sc.Load = c.Load
-	sc.Deployment = c.Deployment
-	sc.Seed = c.Seed
-	sc.Shards = c.Shards
-	sc.Duration = sim.Time(c.DurationMS * float64(sim.Millisecond))
-	sc.Drain = sim.Time(c.DrainMS * float64(sim.Millisecond))
-	sc.Telemetry = &obs.Options{}
-	sc.ManifestConfig = map[string]string{"topo": c.Topo}
+	sc := farm.Point{
+		Scheme: c.Scheme, Topo: c.Topo, Workload: c.Workload,
+		Load: c.Load, Deployment: c.Deployment, WQ: 0.5,
+		Seed: c.Seed, Shards: c.Shards,
+		DurationMS: c.DurationMS, DrainMS: c.DrainMS,
+	}.Scenario()
 	if c.Shards <= 1 {
 		fo := &forensics.Options{}
 		if o.StarveAfterMS > 0 {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"flexpass/internal/farm"
 	"flexpass/internal/faults"
 	"flexpass/internal/harness"
 	"flexpass/internal/planspec"
@@ -94,6 +95,9 @@ func ParseRepro(data []byte) (*Repro, error) {
 	}
 	if r.Chaos > ReproSchema {
 		return nil, fmt.Errorf("chaos: repro schema %d, this build reads <= %d", r.Chaos, ReproSchema)
+	}
+	if err := farm.CheckNames([]string{r.Scheme}, []string{r.Topo}, []string{r.Workload}); err != nil {
+		return nil, fmt.Errorf("chaos: repro: %w", err)
 	}
 	if r.Plan != nil {
 		if err := r.Plan.Validate(); err != nil {

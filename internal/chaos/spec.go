@@ -14,14 +14,11 @@ import (
 	"fmt"
 	"os"
 	"path"
-	"strings"
 	"time"
 
 	"flexpass/internal/farm"
 	"flexpass/internal/faults"
 	"flexpass/internal/planspec"
-	"flexpass/internal/transport"
-	"flexpass/internal/workload"
 )
 
 // Spec declares a chaos search: how many trials to run, which scenario
@@ -215,25 +212,8 @@ func (s *Spec) Validate() error {
 	if s.Trials <= 0 {
 		return fmt.Errorf("chaos: trials must be > 0 (got %d)", s.Trials)
 	}
-	registered := map[string]bool{}
-	for _, n := range transport.SchemeNames() {
-		registered[n] = true
-	}
-	for _, sch := range s.schemes() {
-		if !registered[sch] {
-			return fmt.Errorf("chaos: unknown scheme %q (registered: %s)",
-				sch, strings.Join(transport.SchemeNames(), ", "))
-		}
-	}
-	for _, t := range s.topos() {
-		if _, ok := farm.Topologies[t]; !ok {
-			return fmt.Errorf("chaos: unknown topology %q (want tiny, small, paper, big)", t)
-		}
-	}
-	for _, w := range s.workloads() {
-		if workload.ByName(w) == nil {
-			return fmt.Errorf("chaos: unknown workload %q", w)
-		}
+	if err := farm.CheckNames(s.schemes(), s.topos(), s.workloads()); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	for _, n := range s.shards() {
 		if n < 0 {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,6 +137,35 @@ func ParseSpecFile(path string) (*Spec, error) {
 	return s, nil
 }
 
+// CheckNames validates scheme, topology and workload-distribution names
+// against the registries a scenario resolves them in — the one check
+// behind sweep specs, chaos specs and repros, and flexsim's flags. The
+// error names what is known.
+func CheckNames(schemes, topologies, workloads []string) error {
+	registered := transport.SchemeNames()
+	for _, sch := range schemes {
+		if !slices.Contains(registered, sch) {
+			return fmt.Errorf("unknown scheme %q (registered: %s)", sch, strings.Join(registered, ", "))
+		}
+	}
+	for _, t := range topologies {
+		if _, ok := Topologies[t]; !ok {
+			known := make([]string, 0, len(Topologies))
+			for name := range Topologies {
+				known = append(known, name)
+			}
+			sort.Strings(known)
+			return fmt.Errorf("unknown topology %q (want %s)", t, strings.Join(known, ", "))
+		}
+	}
+	for _, w := range workloads {
+		if workload.ByName(w) == nil {
+			return fmt.Errorf("unknown workload %q", w)
+		}
+	}
+	return nil
+}
+
 // Validate checks every axis value against its registry: scheme names,
 // topology labels, workload names, probability-like knobs, and fault
 // entries (plan files are parsed here, so a broken plan fails the spec,
@@ -144,30 +174,16 @@ func (s *Spec) Validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("farm: spec has no schemes")
 	}
-	registered := map[string]bool{}
-	for _, n := range transport.SchemeNames() {
-		registered[n] = true
-	}
-	for _, sch := range s.Schemes {
-		if !registered[sch] {
-			return fmt.Errorf("farm: unknown scheme %q (registered: %s)", sch, strings.Join(transport.SchemeNames(), ", "))
-		}
-	}
-	for _, t := range s.Topologies {
-		if _, ok := Topologies[t]; !ok {
-			return fmt.Errorf("farm: unknown topology %q (want tiny, small, paper, big)", t)
-		}
-	}
+	var named []string // workload axis entries that are not plan files
 	for _, w := range s.Workloads {
-		if strings.HasSuffix(w, ".json") {
-			if _, err := workload.ParsePlanFile(s.resolvePath(w)); err != nil {
-				return fmt.Errorf("farm: workload plan %q: %w", w, err)
-			}
-			continue
+		if !strings.HasSuffix(w, ".json") {
+			named = append(named, w)
+		} else if _, err := workload.ParsePlanFile(s.resolvePath(w)); err != nil {
+			return fmt.Errorf("farm: workload plan %q: %w", w, err)
 		}
-		if workload.ByName(w) == nil {
-			return fmt.Errorf("farm: unknown workload %q", w)
-		}
+	}
+	if err := CheckNames(s.Schemes, s.Topologies, named); err != nil {
+		return fmt.Errorf("farm: %w", err)
 	}
 	for _, l := range s.Loads {
 		if l <= 0 || l > 1 {
@@ -207,18 +223,7 @@ func (s *Spec) Validate() error {
 // a plan file, anything else the CLI shorthand.
 func (s *Spec) resolveFault(entry string) (*faults.Plan, error) {
 	if strings.HasSuffix(entry, ".json") {
-		data, err := os.ReadFile(s.resolvePath(entry))
-		if err != nil {
-			return nil, err
-		}
-		p, err := faults.ParsePlan(data)
-		if err != nil {
-			return nil, err
-		}
-		if p.Name == "" {
-			p.Name = strings.TrimSuffix(filepath.Base(entry), ".json")
-		}
-		return p, nil
+		return faults.ParsePlanFile(s.resolvePath(entry))
 	}
 	return faults.ParseSpec(entry)
 }

@@ -14,7 +14,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,10 +57,6 @@ func (k Kind) interval() bool {
 // ("250us", "2ms", "1.5s"), and marshaling always emits exact
 // picoseconds so a plan round-trips losslessly.
 type TimeSpec = planspec.TimeSpec
-
-// parseTime parses "2ms", "250us", "1.5s", "40ns", "7ps". A bare number
-// string is picoseconds.
-func parseTime(s string) (sim.Time, error) { return planspec.ParseTime(s) }
 
 // Event is one scripted fault. Link is a path.Match glob over port names
 // (see topo: "sw0->h1", "tor0.0->h0.0.0", "h3:nic"); a pattern may hit
@@ -278,6 +276,23 @@ func ParsePlan(data []byte) (*Plan, error) {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// ParsePlanFile reads and validates the plan in file; a plan that does
+// not name itself is named after the file's stem.
+func ParsePlanFile(file string) (*Plan, error) {
+	data, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	p, err := ParsePlan(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	if p.Name == "" {
+		p.Name = strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
+	}
+	return p, nil
 }
 
 // ParseSpec parses the CLI shorthand: comma-separated specs of

@@ -3,6 +3,9 @@ package faults
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"flexpass/internal/netem"
@@ -172,6 +175,38 @@ func TestParsePlanJSON(t *testing.T) {
 	}
 	if _, err := ParsePlan([]byte(`{`)); err == nil {
 		t.Fatal("truncated JSON accepted")
+	}
+}
+
+// TestParsePlanFile: the file front door names an unnamed plan after the
+// file stem, keeps a plan's own name, and names the file in a parse error.
+func TestParsePlanFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const ev = `"events": [{"kind": "link-down", "link": "x", "at": "1ms", "end": "2ms"}]`
+	for _, tc := range []struct{ file, body, want string }{
+		{"flap.json", `{` + ev + `}`, "flap"}, // unnamed: the file stem
+		{"b.json", `{"name": "mine", ` + ev + `}`, "mine"},
+	} {
+		p, err := ParsePlanFile(write(tc.file, tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != tc.want || len(p.Events) != 1 {
+			t.Fatalf("%s: name %q with %d events, want %q with 1", tc.file, p.Name, len(p.Events), tc.want)
+		}
+	}
+	if _, err := ParsePlanFile(write("bad.json", `{"events": [{"kind": "meteor"}]}`)); err == nil || !strings.Contains(err.Error(), "bad.json") {
+		t.Fatalf("invalid plan: err %v, want one naming the file", err)
+	}
+	if _, err := ParsePlanFile(filepath.Join(dir, "missing.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err %v", err)
 	}
 }
 

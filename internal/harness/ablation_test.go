@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexpass/internal/sim"
+	"flexpass/internal/transport"
 	"flexpass/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func TestAblationsRun(t *testing.T) {
 func TestRenoReactiveScenarioRuns(t *testing.T) {
 	sc := miniBase()
 	sc.Duration = 4 * sim.Millisecond
-	sc.Reactive = "reno"
+	sc.SchemeOptions = map[string]string{transport.OptReactive: "reno"}
 	sc.Deployment = 1.0
 	res := Run(sc)
 	if res.Flows.Incomplete() > 0 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"flexpass/internal/sim"
+	"flexpass/internal/transport"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -163,8 +164,12 @@ func Ablations(base Scenario) []AblationRow {
 	}
 	return []AblationRow{
 		mk("flexpass", func(*Scenario) {}),
-		mk("no-proactive-retx", func(sc *Scenario) { sc.DisableProRetx = true }),
-		mk("reno-reactive", func(sc *Scenario) { sc.Reactive = "reno" }),
+		mk("no-proactive-retx", func(sc *Scenario) {
+			sc.SchemeOptions = map[string]string{transport.OptDisableProRetx: "1"}
+		}),
+		mk("reno-reactive", func(sc *Scenario) {
+			sc.SchemeOptions = map[string]string{transport.OptReactive: "reno"}
+		}),
 		mk("rc3-split", func(sc *Scenario) { sc.Scheme = SchemeFlexPassRC3 }),
 		mk("alt-queueing", func(sc *Scenario) { sc.Scheme = SchemeFlexPassAltQ }),
 	}

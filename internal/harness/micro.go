@@ -3,6 +3,7 @@ package harness
 import (
 	"flexpass/internal/metrics"
 	"flexpass/internal/netem"
+	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
@@ -46,19 +47,23 @@ func agentsFor(f *topo.Fabric) []*transport.Agent {
 	return ag
 }
 
-func sampleSeries(eng *sim.Engine, interval sim.Time, groups map[string]func() int64, order []string) *metrics.Sampler {
-	s := metrics.NewSampler(eng, interval)
+// runSeries runs eng for dur while sampling each group's cumulative bytes
+// every millisecond, and returns the per-window throughputs. The sampler
+// is a private registry and prober: exactly these sources, started here —
+// after the flows, right before the run — so every tick keeps its place
+// in the engine's event order.
+func runSeries(eng *sim.Engine, dur sim.Time, groups map[string]func() int64, order []string) *ThroughputSeries {
+	reg := obs.NewRegistry()
 	for _, name := range order {
-		s.Track(name, groups[name])
+		reg.CounterFunc("group", name, groups[name])
 	}
-	s.Start()
-	return s
-}
-
-func toSeries(s *metrics.Sampler, order []string) *ThroughputSeries {
-	out := &ThroughputSeries{Interval: s.Interval(), Names: order, Series: map[string][]units.Rate{}}
-	for _, n := range order {
-		out.Series[n] = s.Rates(n)
+	p := sample(eng, reg, sim.Millisecond, dur)
+	eng.Run(dur)
+	out := &ThroughputSeries{Interval: p.Interval(), Names: order, Series: map[string][]units.Rate{}}
+	for _, s := range p.Series() {
+		rates := make([]units.Rate, 0, s.Samples().Len())
+		s.Samples().Each(func(_ int, d int64) { rates = append(rates, units.RateOf(d, s.Interval)) })
+		out.Series[s.Metric] = rates
 	}
 	return out
 }
@@ -75,13 +80,10 @@ func Fig1a(seed int64, dur sim.Time) *ThroughputSeries {
 	expresspass.Start(eng, xp, expresspass.DefaultConfig(
 		expresspass.DefaultPacerConfig(netem.CreditRateFor(10*units.Gbps, 1.0))))
 	dctcp.Start(eng, dc, dctcp.LegacyConfig())
-	order := []string{"ExpressPass", "DCTCP"}
-	s := sampleSeries(eng, sim.Millisecond, map[string]func() int64{
+	return runSeries(eng, dur, map[string]func() int64{
 		"ExpressPass": func() int64 { return xp.RxBytes },
 		"DCTCP":       func() int64 { return dc.RxBytes },
-	}, order)
-	eng.Run(dur)
-	return toSeries(s, order)
+	}, []string{"ExpressPass", "DCTCP"})
 }
 
 // Fig1b reproduces Fig 1(b): 16 HOMA and 16 DCTCP flows competing for a
@@ -113,13 +115,10 @@ func Fig1b(seed int64, dur sim.Time) *ThroughputSeries {
 			return t
 		}
 	}
-	order := []string{"HOMA", "DCTCP"}
-	s := sampleSeries(eng, sim.Millisecond, map[string]func() int64{
+	return runSeries(eng, dur, map[string]func() int64{
 		"HOMA":  sum(homaFlows),
 		"DCTCP": sum(dcFlows),
-	}, order)
-	eng.Run(dur)
-	return toSeries(s, order)
+	}, []string{"HOMA", "DCTCP"})
 }
 
 // Fig7 reproduces Fig 7's three sub-flow throughput scenarios on the
@@ -162,9 +161,7 @@ func Fig7(variant string, seed int64, dur sim.Time) *ThroughputSeries {
 	default:
 		panic("harness: Fig7 variant must be a, b, or c")
 	}
-	s := sampleSeries(eng, sim.Millisecond, groups, order)
-	eng.Run(dur)
-	return toSeries(s, order)
+	return runSeries(eng, dur, groups, order)
 }
 
 // Fig9Result carries the starvation comparison (Fig 9c).
@@ -190,12 +187,10 @@ func Fig9(seed int64, dur sim.Time) *Fig9Result {
 	expresspass.Start(engA, xp, expresspass.DefaultConfig(
 		expresspass.DefaultPacerConfig(netem.CreditRateFor(10*units.Gbps, 1.0))))
 	dctcp.Start(engA, dcA, dctcp.LegacyConfig())
-	orderA := []string{"ExpressPass", "DCTCP"}
-	sA := sampleSeries(engA, sim.Millisecond, map[string]func() int64{
+	seriesA := runSeries(engA, dur, map[string]func() int64{
 		"ExpressPass": func() int64 { return xp.RxBytes },
 		"DCTCP":       func() int64 { return dcA.RxBytes },
-	}, orderA)
-	engA.Run(dur)
+	}, []string{"ExpressPass", "DCTCP"})
 
 	// (b) FlexPass vs DCTCP.
 	engB := sim.NewEngine(seed)
@@ -206,17 +201,12 @@ func Fig9(seed int64, dur sim.Time) *Fig9Result {
 	flexpass.Start(engB, fp, flexpass.DefaultConfig(
 		expresspass.DefaultPacerConfig(netem.CreditRateFor(10*units.Gbps, 0.5))))
 	dctcp.Start(engB, dcB, dctcp.LegacyConfig())
-	orderB := []string{"FlexPass", "DCTCP"}
-	sB := sampleSeries(engB, sim.Millisecond, map[string]func() int64{
+	seriesB := runSeries(engB, dur, map[string]func() int64{
 		"FlexPass": func() int64 { return fp.RxBytes },
 		"DCTCP":    func() int64 { return dcB.RxBytes },
-	}, orderB)
-	engB.Run(dur)
+	}, []string{"FlexPass", "DCTCP"})
 
-	res := &Fig9Result{
-		ExpressPass: toSeries(sA, orderA),
-		FlexPass:    toSeries(sB, orderB),
-	}
+	res := &Fig9Result{ExpressPass: seriesA, FlexPass: seriesB}
 	_, res.StarvedExpressPassSide = metrics.StarvationFraction(
 		res.ExpressPass.Series["ExpressPass"], res.ExpressPass.Series["DCTCP"], threshold, true)
 	_, res.StarvedFlexPassSide = metrics.StarvationFraction(

@@ -40,8 +40,8 @@ type plane struct {
 	legacy, active         transport.Scheme
 	compLegacy, compActive sim.Component
 
-	prober *obs.Prober
-	qs     *metrics.QueueSampler
+	prober *obs.Prober // the telemetry plane's series
+	q1     *obs.Prober // Q1 occupancy of this plane's ToR uplinks (SampleQueues)
 
 	// started counts the run's flows whose sender half has begun (shared
 	// by every plane; the live board reads it).
@@ -148,7 +148,7 @@ func Run(sc Scenario) *Result {
 			Spec:     spec,
 			Registry: pl.reg,
 			Trace:    pl.ring,
-			Options:  sc.schemeOptions(),
+			Options:  sc.SchemeOptions,
 		}
 		pl.legacy = mustScheme(transport.SchemeDCTCP, pl.env)
 		pl.active = mustScheme(string(sc.Scheme), pl.env)
@@ -302,19 +302,20 @@ func Run(sc Scenario) *Result {
 		aud.Start()
 	}
 
-	// Without telemetry an ad-hoc sampler per plane provides Q1
-	// occupancy of the ToR uplinks its engine owns; with it, the probers'
-	// per-queue gauge series are consumed instead of re-deriving the same
-	// samples with a second scheduler.
-	if sc.SampleQueues && tel == nil {
+	// Q1 occupancy of the ToR uplinks, each sampled by the plane whose
+	// engine owns it. The prober is private rather than the telemetry
+	// plane's: Result.Queue* keeps every sample whether or not telemetry
+	// is on and whatever its SeriesCap.
+	if sc.SampleQueues {
 		for _, pl := range planes {
-			pl.qs = metrics.NewQueueSampler(pl.eng, 100*sim.Microsecond)
+			reg := obs.NewRegistry()
 			for _, up := range fab.TorUplinks {
 				if up.Engine() == pl.eng {
-					pl.qs.Track(func() (int64, int64) { return up.QueueBytes(fab.FlexQueueIndex) })
+					reg.Gauge(up.Name(), "bytes", func() int64 { total, _ := up.QueueBytes(fab.FlexQueueIndex); return total })
+					reg.Gauge(up.Name(), "red_bytes", func() int64 { _, red := up.QueueBytes(fab.FlexQueueIndex); return red })
 				}
 			}
-			pl.qs.Start()
+			pl.q1 = sample(pl.eng, reg, 100*sim.Microsecond, end)
 		}
 	}
 
@@ -399,21 +400,11 @@ func Run(sc Scenario) *Result {
 	if sc.SampleQueues {
 		var totals, reds []int64
 		for _, pl := range planes {
-			if pl.qs != nil {
-				totals = append(totals, pl.qs.Totals...)
-				reds = append(reds, pl.qs.Reds...)
-			}
-		}
-		if tel != nil {
-			for _, up := range fab.TorUplinks {
-				ent := fmt.Sprintf("port/%s/q%d", up.Name(), fab.FlexQueueIndex)
-				for _, pl := range planes {
-					if s := pl.prober.Find(ent, "bytes"); s != nil {
-						totals = s.Samples().AppendTo(totals)
-					}
-					if s := pl.prober.Find(ent, "red_bytes"); s != nil {
-						reds = s.Samples().AppendTo(reds)
-					}
+			for _, s := range pl.q1.Series() {
+				if s.Metric == "bytes" {
+					totals = s.Samples().AppendTo(totals)
+				} else {
+					reds = s.Samples().AppendTo(reds)
 				}
 			}
 		}
@@ -458,6 +449,15 @@ func Run(sc Scenario) *Result {
 		res.Telemetry.Faults = res.Faults.Export()
 	}
 	return res
+}
+
+// sample starts a private prober over reg — a measurement's own sources
+// and cadence, apart from the run's telemetry options — capped to hold
+// every tick of a run of length window, so no sample is displaced.
+func sample(eng *sim.Engine, reg *obs.Registry, every, window sim.Time) *obs.Prober {
+	p := obs.NewProber(eng, reg, &obs.Options{ProbeInterval: every, SeriesCap: int(window/every) + 1})
+	p.Start()
+	return p
 }
 
 // bridgeShards builds the parallel runtime over the planes' engines and

@@ -79,7 +79,9 @@ type Scenario struct {
 	// topology, load, and duration. TraceFlows still wins over both.
 	WorkloadPlan *workload.Plan
 
-	// SampleQueues enables Q1 occupancy sampling at ToR uplinks.
+	// SampleQueues enables Q1 occupancy sampling at ToR uplinks (every
+	// 100us, Result.Queue*). The samples come from a prober of their own,
+	// so the statistics do not depend on Telemetry or its SeriesCap.
 	SampleQueues bool
 
 	// Shards requests the parallel engine: the Clos is partitioned into
@@ -137,16 +139,10 @@ type Scenario struct {
 	Live      *live.RunBoard
 	LiveEvery sim.Time
 
-	// DisableProRetx ablates FlexPass's proactive retransmission (§4.2).
-	DisableProRetx bool
-
-	// Reactive selects FlexPass's reactive-sub-flow algorithm ("" = the
-	// paper's DCTCP; "reno" = the §4.3 loss-based extension).
-	Reactive string
-
-	// SchemeOptions carries additional per-scheme parameters by option
-	// key (see the transport.Opt* constants). The typed knobs above are
-	// folded in on top and win on conflict.
+	// SchemeOptions carries per-scheme parameters by option key (see the
+	// transport.Opt* constants): FlexPass's §4.2 proactive-retransmission
+	// ablation, its §4.3 reactive-sub-flow algorithm, and so on. Schemes
+	// only read the map.
 	SchemeOptions map[string]string
 
 	// ManifestConfig adds caller-owned entries to the exported
@@ -251,22 +247,6 @@ type Result struct {
 // run (Flows, and through it cmd/flexsim -dump-trace) replay identically.
 func WorkloadRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed*7919 + 17))
-}
-
-// schemeOptions folds the typed scenario knobs into the option map handed
-// to the scheme factory, on top of any caller-provided SchemeOptions.
-func (sc *Scenario) schemeOptions() map[string]string {
-	opts := make(map[string]string, len(sc.SchemeOptions)+2)
-	for k, v := range sc.SchemeOptions {
-		opts[k] = v
-	}
-	if sc.DisableProRetx {
-		opts[transport.OptDisableProRetx] = "1"
-	}
-	if sc.Reactive != "" {
-		opts[transport.OptReactive] = sc.Reactive
-	}
-	return opts
 }
 
 // mustScheme builds a registered scheme or panics: by the time Run is
@@ -436,7 +416,7 @@ func buildManifest(sc Scenario, hosts int, probe sim.Time, res *Result, shards i
 		WQ:                sc.WQ,
 		DurationPs:        int64(sc.Duration + sc.Drain),
 		Shards:            shards,
-		SchemeOptions:     sc.schemeOptions(),
+		SchemeOptions:     sc.SchemeOptions,
 		FaultPlan:         planName,
 		FaultPlanHash:     planHash,
 		WorkloadPlan:      wplanName,

@@ -86,9 +86,8 @@ func TestTelemetryRunArtifact(t *testing.T) {
 		t.Fatal("Result.Trace missing")
 	}
 
-	// Queue stats were derived from the probe series, not a second sampler.
 	if res.QueueAvg < 0 || res.QueueP90 < res.QueueAvg {
-		t.Fatalf("queue stats from series look wrong: avg=%d p90=%d", res.QueueAvg, res.QueueP90)
+		t.Fatalf("queue stats look wrong: avg=%d p90=%d", res.QueueAvg, res.QueueP90)
 	}
 
 	// Round-trip through a file.
@@ -112,24 +111,50 @@ func TestTelemetryRunArtifact(t *testing.T) {
 
 // TestTelemetryDoesNotPerturb verifies the observation-only claim: the
 // same scenario with and without telemetry produces identical flow
-// results (probe events only read state).
+// results (probe events only read state) and identical Q1 occupancy
+// statistics — also under a series cap far below the run's tick count,
+// which must bound the artifact's series and nothing else.
 func TestTelemetryDoesNotPerturb(t *testing.T) {
 	sc := telemetryScenario()
-	withTel := Run(sc)
+	// Small flows at high load, so the ToR uplinks' Q1 is occupied (and
+	// holds red bytes) while flows arrive — the samples a 16-entry series
+	// has long dropped by the end of the drain.
+	sc.Workload, sc.Load = workload.CacheFollower, 0.8
 	sc.Telemetry = nil
 	without := Run(sc)
+	if without.QueueAvg == 0 || without.QueueP90 == 0 || without.QueueRedAvg == 0 {
+		t.Fatalf("Q1 barely occupied (avg %d, p90 %d, red avg %d): the comparison below would be vacuous",
+			without.QueueAvg, without.QueueP90, without.QueueRedAvg)
+	}
 
-	a, b := withTel.Flows.Records, without.Flows.Records
-	if len(a) != len(b) {
-		t.Fatalf("flow counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].FCT != b[i].FCT || a[i].Size != b[i].Size {
-			t.Fatalf("flow %d diverged: telemetry %+v vs plain %+v", i, a[i], b[i])
+	for _, row := range []struct {
+		name string
+		tel  obs.Options
+	}{
+		{"default", obs.Options{TraceCap: 1024}},
+		{"cap16", obs.Options{SeriesCap: 16}},
+	} {
+		name := row.name
+		sc.Telemetry = &row.tel
+		withTel := Run(sc)
+		a, b := withTel.Flows.Records, without.Flows.Records
+		if len(a) != len(b) {
+			t.Fatalf("%s: flow counts differ: %d vs %d", name, len(a), len(b))
 		}
-	}
-	if withTel.DropsRed != without.DropsRed || withTel.DropsOther != without.DropsOther {
-		t.Fatal("drop counts diverged under telemetry")
+		for i := range a {
+			if a[i].FCT != b[i].FCT || a[i].Size != b[i].Size {
+				t.Fatalf("%s: flow %d diverged: telemetry %+v vs plain %+v", name, i, a[i], b[i])
+			}
+		}
+		if withTel.DropsRed != without.DropsRed || withTel.DropsOther != without.DropsOther {
+			t.Fatalf("%s: drop counts diverged under telemetry", name)
+		}
+		if withTel.QueueAvg != without.QueueAvg || withTel.QueueP90 != without.QueueP90 ||
+			withTel.QueueRedAvg != without.QueueRedAvg || withTel.QueueRedP90 != without.QueueRedP90 {
+			t.Fatalf("%s: Q1 occupancy diverged under telemetry: avg %d p90 %d red %d/%d vs plain avg %d p90 %d red %d/%d",
+				name, withTel.QueueAvg, withTel.QueueP90, withTel.QueueRedAvg, withTel.QueueRedP90,
+				without.QueueAvg, without.QueueP90, without.QueueRedAvg, without.QueueRedP90)
+		}
 	}
 }
 
@@ -137,8 +162,9 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 // way the alloc budgets pin allocations: every hop needs its delivery
 // event, but a tx-done event only where a frame queued behind another
 // (netem.Port), so a lightly loaded fabric runs well under two events per
-// hop even with the telemetry tickers counted in (1.39 here; 2.32 when
-// tx-done was unconditional).
+// hop even with the observers' tickers counted in (1.46 here — 1.39 before
+// this scenario's Q1 sampling got a prober of its own, 120 ticks beside
+// the telemetry plane's; 2.32 when tx-done was unconditional).
 func TestEventsPerHopBudget(t *testing.T) {
 	res := Run(telemetryScenario())
 	var hops int64

@@ -178,18 +178,20 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 		secs := float64(m.DurationPs) / float64(sim.Second)
 		row.GoodputGbps = float64(rxBytes) * 8 / secs / 1e9
 	}
-	var fcts, ccts []obs.HistData
+	// The per-transport FCT histograms merge into one fabric-wide
+	// distribution; quantiles are log-bucket upper bounds.
+	var fctLe, fctN, cctLe, cctN []int64
 	for _, h := range r.Hists {
 		if strings.HasPrefix(h.Entity, "transport/") && h.Metric == "fct_us" {
-			fcts = append(fcts, h)
+			fctLe, fctN = obs.MergeSparse(fctLe, fctN, h.Le, h.Counts)
 		}
 		if h.Entity == "workload/coflow" && h.Metric == "cct_us" {
-			ccts = append(ccts, h)
+			cctLe, cctN = obs.MergeSparse(cctLe, cctN, h.Le, h.Counts)
 		}
 	}
-	row.FCTP50Us = float64(mergedQuantile(fcts, 0.5))
-	row.FCTP99Us = float64(mergedQuantile(fcts, 0.99))
-	row.CCTP99Us = float64(mergedQuantile(ccts, 0.99))
+	row.FCTP50Us = float64(obs.SparseQuantile(fctLe, fctN, 0.5))
+	row.FCTP99Us = float64(obs.SparseQuantile(fctLe, fctN, 0.99))
+	row.CCTP99Us = float64(obs.SparseQuantile(cctLe, cctN, 0.99))
 	row.FaultActions = int64(len(r.Faults))
 	for i := range r.Forensics {
 		if r.Forensics[i].Violation != nil {
@@ -205,40 +207,6 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 		}
 	}
 	return row
-}
-
-// mergedQuantile computes the p-quantile upper bound over the union of
-// several log-bucket histograms (the per-transport FCT histograms are
-// merged into one fabric-wide distribution).
-func mergedQuantile(hists []obs.HistData, p float64) int64 {
-	merged := map[int64]int64{}
-	var n int64
-	for _, h := range hists {
-		for i, le := range h.Le {
-			merged[le] += h.Counts[i]
-			n += h.Counts[i]
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	les := make([]int64, 0, len(merged))
-	for le := range merged {
-		les = append(les, le)
-	}
-	sort.Slice(les, func(i, j int) bool { return les[i] < les[j] })
-	rank := int64(p * float64(n))
-	if rank >= n {
-		rank = n - 1
-	}
-	var seen int64
-	for _, le := range les {
-		seen += merged[le]
-		if seen > rank {
-			return le
-		}
-	}
-	return les[len(les)-1]
 }
 
 // Index is the lake: every ingested run row plus the bench table.

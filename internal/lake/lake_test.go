@@ -264,8 +264,12 @@ func TestLoadDirFallsBackToRuns(t *testing.T) {
 	}
 }
 
+// TestMergedQuantileEmpty: a run with no FCT or CCT histograms has zero
+// quantile columns.
 func TestMergedQuantileEmpty(t *testing.T) {
-	if q := mergedQuantile(nil, 0.99); q != 0 {
-		t.Errorf("empty quantile = %d", q)
+	run := sampleRun()
+	run.Hists = nil
+	if r := FromRun(run, "a.jsonl", false); r.FCTP50Us != 0 || r.FCTP99Us != 0 || r.CCTP99Us != 0 {
+		t.Errorf("empty quantiles = %g/%g/%g", r.FCTP50Us, r.FCTP99Us, r.CCTP99Us)
 	}
 }

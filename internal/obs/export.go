@@ -13,16 +13,17 @@ import (
 )
 
 // SchemaVersion identifies the JSONL artifact layout. Bump on any
-// incompatible change to the line structs below.
+// incompatible change to the line structs below. Every version so far
+// only added lines or optional manifest fields, so older artifacts stay
+// readable — what they lack decodes empty — while ReadJSONL refuses an
+// artifact stamped by a newer build than this one.
 //
 // v2 added the "fault" line type (applied fault-plan actions).
 // v3 stamped the manifest with the full scenario identity the result
 // lake keys on: the per-scheme options map, the fault-plan name and
-// content hash, and the producing repo revision. v1/v2 artifacts stay
-// readable — the new fields simply decode empty.
+// content hash, and the producing repo revision.
 // v4 added the workload-plan identity (name + content hash) for runs
-// driven by composable workload plans; older artifacts again decode
-// with the fields empty.
+// driven by composable workload plans.
 const SchemaVersion = 4
 
 // Manifest is the run's self-description: everything needed to
@@ -181,13 +182,7 @@ func Collect(reg *Registry, p *Prober, m Manifest) *Run {
 	if reg != nil {
 		for _, h := range reg.hists {
 			hd := HistData{Entity: h.entity, Metric: h.metric, Count: h.n, Sum: h.sum}
-			for i, c := range h.counts {
-				if c == 0 {
-					continue
-				}
-				hd.Le = append(hd.Le, bucketLe(i))
-				hd.Counts = append(hd.Counts, c)
-			}
+			hd.Le, hd.Counts = SparseBuckets(h.counts[:])
 			r.Hists = append(r.Hists, hd)
 		}
 	}
@@ -314,7 +309,9 @@ func (e *CorruptArtifactError) Unwrap() error { return e.Err }
 // truncated mid-line, a corrupt line, or a line of unknown type — does
 // not fail the whole read: parsing stops at the first bad line and the
 // salvaged prefix is returned together with a *CorruptArtifactError. A
-// nil error means the artifact was read cleanly and completely.
+// nil error means the artifact was read cleanly and completely. An
+// artifact without a manifest, or one whose manifest carries a schema
+// newer than SchemaVersion, is not salvaged: the run is nil.
 func ReadJSONL(rd io.Reader) (*Run, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
@@ -335,6 +332,9 @@ func ReadJSONL(rd io.Reader) (*Run, error) {
 			if l.Manifest == nil {
 				return r, &CorruptArtifactError{Line: line, Err: fmt.Errorf("manifest line without payload")}
 			}
+			if l.Manifest.Schema > SchemaVersion {
+				return nil, fmt.Errorf("obs: artifact schema %d, this build reads <= %d", l.Manifest.Schema, SchemaVersion)
+			}
 			r.Manifest = *l.Manifest
 			sawManifest = true
 		case "series":
@@ -347,6 +347,10 @@ func ReadJSONL(rd io.Reader) (*Run, error) {
 			}
 		case "hist":
 			if l.Hist != nil {
+				// The bucket arithmetic indexes the two lists together.
+				if len(l.Hist.Le) != len(l.Hist.Counts) {
+					return r, &CorruptArtifactError{Line: line, Err: fmt.Errorf("hist line with %d bounds for %d counts", len(l.Hist.Le), len(l.Hist.Counts))}
+				}
 				r.Hists = append(r.Hists, *l.Hist)
 			}
 		case "trace":

@@ -40,6 +40,8 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + strings.Repeat("x", 4096) + "\n"))
 	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"series","series":{"entity":"e","values":[0,0,0,-4,7]}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"hist","hist":{"entity":"transport/x","metric":"fct_us","count":1,"le":[64,128],"counts":[1]}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":99}}` + "\n" + `{"type":"counter","counter":{"entity":"e","metric":"m","value":3}}` + "\n"))
 	for _, values := range []string{
 		`[0,0,0,5,5,-3]`, ` [ 1 , 2 ] `, `[]`, `null`, `[null,1]`, `[1.5]`, `[1e3]`, `["1"]`, `[[1]]`,
 		`[9223372036854775808]`, `[-9223372036854775808]`, `[01]`, `[1,]`, `[1`, `[1],"values":[2]`, `[1]}},"x":{"y":{"values":[2]`,

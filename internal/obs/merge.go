@@ -56,7 +56,7 @@ func MergeRuns(m Manifest, runs ...*Run) *Run {
 				dst := &out.Hists[j]
 				dst.Count += h.Count
 				dst.Sum += h.Sum
-				dst.Le, dst.Counts = mergeSparse(dst.Le, dst.Counts, h.Le, h.Counts)
+				dst.Le, dst.Counts = MergeSparse(dst.Le, dst.Counts, h.Le, h.Counts)
 				continue
 			}
 			hIdx[key] = len(out.Hists)
@@ -79,25 +79,4 @@ func MergeRuns(m Manifest, runs ...*Run) *Run {
 		}
 	}
 	return out
-}
-
-// mergeSparse merges two sparse (bound, count) lists sorted by ascending
-// bound, summing counts on shared bounds.
-func mergeSparse(le, counts, le2, counts2 []int64) ([]int64, []int64) {
-	var mle, mcounts []int64
-	i, j := 0, 0
-	for i < len(le) || j < len(le2) {
-		switch {
-		case j >= len(le2) || (i < len(le) && le[i] < le2[j]):
-			mle, mcounts = append(mle, le[i]), append(mcounts, counts[i])
-			i++
-		case i >= len(le) || le2[j] < le[i]:
-			mle, mcounts = append(mle, le2[j]), append(mcounts, counts2[j])
-			j++
-		default:
-			mle, mcounts = append(mle, le[i]), append(mcounts, counts[i]+counts2[j])
-			i, j = i+1, j+1
-		}
-	}
-	return mle, mcounts
 }

@@ -10,10 +10,7 @@
 // on hot paths and pays nothing when telemetry is off.
 package obs
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
 // SampleKind says how the prober interprets a source's readings.
 type SampleKind uint8
@@ -180,10 +177,9 @@ func (c *Counter) Value() int64 {
 	return c.v
 }
 
-// Histogram records a value distribution in power-of-two buckets:
-// bucket i counts observations v with 2^(i-1) <= v < 2^i (bucket 0
-// holds v <= 0 and v == 1 lands in bucket 1). Good enough for
-// order-of-magnitude latency/size profiles at near-zero cost.
+// Histogram records a value distribution in power-of-two buckets (see
+// buckets.go). Good enough for order-of-magnitude latency/size profiles
+// at near-zero cost.
 type Histogram struct {
 	entity, metric string
 	counts         [64]int64
@@ -195,14 +191,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	b := 0
-	if v > 0 {
-		b = bits.Len64(uint64(v))
-	}
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	h.counts[b]++
+	h.counts[BucketOf(v, len(h.counts))]++
 	h.n++
 	h.sum += v
 }
@@ -221,36 +210,4 @@ func (h *Histogram) Sum() int64 {
 		return 0
 	}
 	return h.sum
-}
-
-// Quantile returns an upper bound (the bucket's exclusive limit 2^i)
-// for the p-quantile of the observed values, or 0 if empty.
-func (h *Histogram) Quantile(p float64) int64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	rank := int64(p * float64(h.n))
-	if rank >= h.n {
-		rank = h.n - 1
-	}
-	var seen int64
-	for i, c := range h.counts {
-		seen += c
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			return bucketLe(i)
-		}
-	}
-	return bucketLe(len(h.counts) - 1)
-}
-
-// bucketLe is bucket i's exclusive upper bound, saturating at MaxInt64
-// for the overflow bucket.
-func bucketLe(i int) int64 {
-	if i >= 63 {
-		return 1<<63 - 1
-	}
-	return 1 << uint(i)
 }

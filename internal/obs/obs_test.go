@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	r.Gauge("e", "m3", func() int64 { return 2 })
 	h := r.Histogram("e", "m4")
 	h.Observe(10)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram must stay empty")
 	}
 	if r.Len() != 0 || r.Final() != nil {
@@ -34,7 +35,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	var p *Prober
 	p.Start()
 	p.Stop()
-	if p.Ticks() != 0 || p.Series() != nil || p.Find("e", "m") != nil {
+	if p.Ticks() != 0 || p.Series() != nil {
 		t.Fatal("nil prober must no-op")
 	}
 }
@@ -81,14 +82,22 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 6 || h.Sum() != 1106 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
 	}
-	if q := h.Quantile(0.0); q != 0 {
-		t.Fatalf("q0 = %d, want bucket 0", q)
+	le, counts := SparseBuckets(h.counts[:])
+	if q := SparseQuantile(le, counts, 0.0); q != 1 {
+		t.Fatalf("q0 = %d, want 1 (bucket 0 holds v < 1)", q)
 	}
-	if q := h.Quantile(1.0); q != 1024 {
+	if q := SparseQuantile(le, counts, 1.0); q != 1024 {
 		t.Fatalf("q1 = %d, want 1024 (1000 < 2^10)", q)
 	}
-	if q := h.Quantile(0.5); q != 4 {
+	if q := SparseQuantile(le, counts, 0.5); q != 4 {
 		t.Fatalf("q50 = %d, want 4 (values 2,3 in bucket le=4)", q)
+	}
+	if q := SparseQuantile(nil, nil, 0.5); q != 0 {
+		t.Fatalf("empty quantile = %d", q)
+	}
+	// Past the last bound an observation saturates into the top bucket.
+	if b := BucketOf(1<<62, 48); b != 47 {
+		t.Fatalf("BucketOf(2^62, 48) = %d, want 47", b)
 	}
 }
 
@@ -112,8 +121,11 @@ func TestProberDeltasAndInstants(t *testing.T) {
 	if p.Ticks() != 5 {
 		t.Fatalf("ticks = %d, want 5", p.Ticks())
 	}
-	d := p.Find("port/a", "tx_bytes")
-	if d == nil || d.Kind != Cumulative {
+	if len(p.Series()) != 2 {
+		t.Fatalf("%d series, want one per source in registration order", len(p.Series()))
+	}
+	d := p.Series()[0]
+	if d.Entity != "port/a" || d.Metric != "tx_bytes" || d.Kind != Cumulative {
 		t.Fatalf("missing delta series: %+v", d)
 	}
 	for i, v := range d.Samples().Slice() {
@@ -121,8 +133,8 @@ func TestProberDeltasAndInstants(t *testing.T) {
 			t.Fatalf("delta[%d] = %d, want 200", i, v)
 		}
 	}
-	g := p.Find("port/a/q0", "bytes")
-	if g == nil || g.Kind != Instant {
+	g := p.Series()[1]
+	if g.Entity != "port/a/q0" || g.Metric != "bytes" || g.Kind != Instant {
 		t.Fatalf("missing instant series: %+v", g)
 	}
 	if got := g.Samples().Slice(); got[0] != 14 || got[4] != 70 {
@@ -142,7 +154,7 @@ func TestSeriesRingWrap(t *testing.T) {
 	p.Start()
 	eng.Run(10 * sim.Microsecond)
 
-	s := p.Find("g", "v")
+	s := p.Series()[0]
 	if got := s.Samples().Slice(); !reflect.DeepEqual(got, []int64{7, 8, 9, 10}) {
 		t.Fatalf("values = %v", got)
 	}
@@ -213,14 +225,23 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLErrors(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("")); err == nil {
-		t.Fatal("empty artifact must fail (no manifest)")
+	for _, tc := range []struct{ name, artifact string }{
+		{"empty artifact (no manifest)", ""},
+		{"unknown line type", `{"type":"wat"}`},
+		{"garbage", "not json"},
+		{"manifest from a newer schema", `{"type":"manifest","manifest":{"schema":` + strconv.Itoa(SchemaVersion+1) + `}}`},
+		{"histogram with unpaired buckets", `{"type":"manifest","manifest":{"schema":4}}` + "\n" +
+			`{"type":"hist","hist":{"entity":"transport/x","metric":"fct_us","count":1,"le":[64,128],"counts":[1]}}`},
+	} {
+		if _, err := ReadJSONL(strings.NewReader(tc.artifact)); err == nil {
+			t.Errorf("%s must fail", tc.name)
+		}
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"type":"wat"}`)); err == nil {
-		t.Fatal("unknown line type must fail")
-	}
-	if _, err := ReadJSONL(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage must fail")
+	// The current schema and every older one read cleanly.
+	for v := 0; v <= SchemaVersion; v++ {
+		if _, err := ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":` + strconv.Itoa(v) + `}}`)); err != nil {
+			t.Errorf("schema %d: %v", v, err)
+		}
 	}
 }
 

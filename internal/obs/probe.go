@@ -153,16 +153,3 @@ func (p *Prober) Series() []*Series {
 	}
 	return p.series
 }
-
-// Find returns the series for entity/metric, or nil.
-func (p *Prober) Find(entity, metric string) *Series {
-	if p == nil {
-		return nil
-	}
-	for _, s := range p.series {
-		if s.Entity == entity && s.Metric == metric {
-			return s
-		}
-	}
-	return nil
-}

@@ -155,34 +155,3 @@ func formatTick(v float64) string {
 		return fmt.Sprintf("%.2f", v)
 	}
 }
-
-// Bars renders a horizontal bar chart of labeled values.
-func Bars(w io.Writer, title string, labels []string, values []float64, unit string) error {
-	if title != "" {
-		if _, err := fmt.Fprintln(w, title); err != nil {
-			return err
-		}
-	}
-	maxV := 0.0
-	maxL := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxL {
-			maxL = len(labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	const barW = 50
-	for i, v := range values {
-		n := int(v / maxV * barW)
-		if _, err := fmt.Fprintf(w, "%-*s |%s %.3g%s\n",
-			maxL, labels[i], strings.Repeat("#", n), v, unit); err != nil {
-			return err
-		}
-	}
-	return nil
-}

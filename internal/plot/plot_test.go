@@ -56,29 +56,3 @@ func TestChartConstantSeries(t *testing.T) {
 		t.Fatal("flat series not plotted")
 	}
 }
-
-func TestBars(t *testing.T) {
-	var b strings.Builder
-	err := Bars(&b, "starvation", []string{"expresspass", "flexpass"}, []float64{96.9, 0.1}, "%")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "expresspass") || !strings.Contains(out, "flexpass") {
-		t.Fatal("labels missing")
-	}
-	// The big bar must be much longer than the small one.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	big := strings.Count(lines[1], "#")
-	small := strings.Count(lines[2], "#")
-	if big < 40 || small > 2 {
-		t.Fatalf("bar lengths wrong: %d vs %d", big, small)
-	}
-}
-
-func TestBarsAllZero(t *testing.T) {
-	var b strings.Builder
-	if err := Bars(&b, "", []string{"x"}, []float64{0}, ""); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -14,7 +14,6 @@ package prof
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -22,9 +21,9 @@ import (
 	"flexpass/internal/sim"
 )
 
-// buckets is the latency histogram size: bucket i counts dispatches with
-// duration in [2^(i-1), 2^i) ns, matching obs.Histogram's scheme. 2^47 ns
-// is ~39 hours — far past any single dispatch.
+// buckets is the latency histogram size, in obs's power-of-two buckets of
+// nanoseconds (obs.BucketOf). 2^47 ns is ~39 hours — far past any single
+// dispatch.
 const buckets = 48
 
 // Stats is one component's accumulated dispatch accounting.
@@ -65,14 +64,7 @@ func (p *Profiler) observe(c sim.Component, d time.Duration) {
 	if d > s.Max {
 		s.Max = d
 	}
-	b := 0
-	if ns := d.Nanoseconds(); ns > 0 {
-		b = bits.Len64(uint64(ns))
-	}
-	if b >= buckets {
-		b = buckets - 1
-	}
-	s.Buckets[b]++
+	s.Buckets[obs.BucketOf(d.Nanoseconds(), buckets)]++
 }
 
 // Stats returns the accumulated stats for component c.
@@ -98,14 +90,6 @@ func (p *Profiler) components() []sim.Component {
 	return out
 }
 
-// bucketLe is bucket i's exclusive ns upper bound.
-func bucketLe(i int) int64 {
-	if i >= 63 {
-		return 1<<63 - 1
-	}
-	return 1 << uint(i)
-}
-
 // Export renders the profile for the run manifest: one entry per
 // component that dispatched events, in registration order, with
 // zero-count histogram buckets elided. Nil-safe (returns nil).
@@ -123,32 +107,18 @@ func (p *Profiler) Export() []obs.ComponentProfile {
 			WallNs:    s.Wall.Nanoseconds(),
 			MaxNs:     s.Max.Nanoseconds(),
 		}
-		for i, n := range s.Buckets {
-			if n == 0 {
-				continue
-			}
-			cp.Le = append(cp.Le, bucketLe(i))
-			cp.Counts = append(cp.Counts, n)
-		}
+		cp.Le, cp.Counts = obs.SparseBuckets(s.Buckets[:])
 		out = append(out, cp)
 	}
 	return out
 }
 
-// WriteFolded emits the profile in folded-stacks form — one
-// "engine;<component> <wall_us>" line per component — the input format
-// flamegraph.pl and speedscope accept. Components that dispatched events
-// but accumulated less than a microsecond are clamped to 1 so they stay
-// visible. Lines are sorted by descending wall time.
-func (p *Profiler) WriteFolded(w io.Writer) error {
-	if p == nil || p.eng == nil {
-		return nil
-	}
-	return WriteFoldedProfile(w, p.Export())
-}
-
-// WriteFoldedProfile is WriteFolded over an exported (possibly merged)
-// profile, for sharded runs with no single live Profiler.
+// WriteFoldedProfile emits an exported (possibly merged) profile in
+// folded-stacks form — one "engine;<component> <wall_us>" line per
+// component — the input format flamegraph.pl and speedscope accept.
+// Components that dispatched events but accumulated less than a
+// microsecond are clamped to 1 so they stay visible. Lines are sorted by
+// descending wall time.
 func WriteFoldedProfile(w io.Writer, profile []obs.ComponentProfile) error {
 	profile = sortedByWall(profile)
 	for i := range profile {
@@ -172,17 +142,9 @@ func sortedByWall(profile []obs.ComponentProfile) []obs.ComponentProfile {
 	return out
 }
 
-// WriteTable renders a human-readable summary sorted by descending wall
-// time: component, events, total wall, mean and max dispatch.
-func (p *Profiler) WriteTable(w io.Writer) error {
-	if p == nil || p.eng == nil {
-		return nil
-	}
-	return WriteTableProfile(w, p.Export())
-}
-
-// WriteTableProfile is WriteTable over an exported (possibly merged)
-// profile.
+// WriteTableProfile renders an exported (possibly merged) profile as a
+// human-readable summary sorted by descending wall time: component,
+// events, total wall, mean and max dispatch.
 func WriteTableProfile(w io.Writer, profile []obs.ComponentProfile) error {
 	profile = sortedByWall(profile)
 	var totalWall time.Duration
@@ -249,29 +211,8 @@ func MergeExports(exports ...[]obs.ComponentProfile) []obs.ComponentProfile {
 			if cp.MaxNs > dst.MaxNs {
 				dst.MaxNs = cp.MaxNs
 			}
-			dst.Le, dst.Counts = mergeBuckets(dst.Le, dst.Counts, cp.Le, cp.Counts)
+			dst.Le, dst.Counts = obs.MergeSparse(dst.Le, dst.Counts, cp.Le, cp.Counts)
 		}
 	}
 	return out
-}
-
-// mergeBuckets merges two sparse (bound, count) histogram lists, both
-// sorted by ascending bound.
-func mergeBuckets(le, counts, le2, counts2 []int64) ([]int64, []int64) {
-	var mle, mcounts []int64
-	i, j := 0, 0
-	for i < len(le) || j < len(le2) {
-		switch {
-		case j >= len(le2) || (i < len(le) && le[i] < le2[j]):
-			mle, mcounts = append(mle, le[i]), append(mcounts, counts[i])
-			i++
-		case i >= len(le) || le2[j] < le[i]:
-			mle, mcounts = append(mle, le2[j]), append(mcounts, counts2[j])
-			j++
-		default:
-			mle, mcounts = append(mle, le[i]), append(mcounts, counts[i]+counts2[j])
-			i, j = i+1, j+1
-		}
-	}
-	return mle, mcounts
 }

@@ -78,7 +78,7 @@ func TestProfilerExport(t *testing.T) {
 func TestWriteFolded(t *testing.T) {
 	p, _, _, _ := buildProfiled(t)
 	var b strings.Builder
-	if err := p.WriteFolded(&b); err != nil {
+	if err := WriteFoldedProfile(&b, p.Export()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -101,7 +101,7 @@ func TestWriteFolded(t *testing.T) {
 func TestWriteTable(t *testing.T) {
 	p, _, _, _ := buildProfiled(t)
 	var b strings.Builder
-	if err := p.WriteTable(&b); err != nil {
+	if err := WriteTableProfile(&b, p.Export()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -124,11 +124,8 @@ func TestNilProfiler(t *testing.T) {
 		t.Fatal("nil profiler must export nil")
 	}
 	var b strings.Builder
-	if err := p.WriteFolded(&b); err != nil || b.Len() != 0 {
-		t.Fatal("nil profiler must write nothing")
-	}
-	if err := p.WriteTable(&b); err != nil || b.Len() != 0 {
-		t.Fatal("nil profiler must write nothing")
+	if err := WriteFoldedProfile(&b, p.Export()); err != nil || b.Len() != 0 {
+		t.Fatal("nil profiler's export must fold to nothing")
 	}
 }
 

@@ -132,9 +132,6 @@ func (rt *Runtime) Shards() int { return len(rt.shards) }
 // Shard returns shard i.
 func (rt *Runtime) Shard(i int) *Shard { return rt.shards[i] }
 
-// Lookahead returns the synchronization window length.
-func (rt *Runtime) Lookahead() sim.Time { return rt.lookahead }
-
 // Connect returns the directed edge from shard `from` to shard `to`,
 // creating it on first use. All wires between the same shard pair share
 // one edge (their deliveries are already ordered by the source engine).

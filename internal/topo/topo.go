@@ -106,39 +106,20 @@ func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 // Dumbbell builds nL senders and nR receivers joined by two switches with a
 // single bottleneck link of rate bottleneck (Fig 1: 10Gbps).
 func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fabric {
-	return dumbbellFabric(eng, eng, nL, nR, bottleneck, p)
-}
-
-// DumbbellSharded builds the dumbbell split at its natural cut — the
-// bottleneck wire: swL and the left hosts on engL (shard 0), swR and the
-// right hosts on engR (shard 1). The single-switch / N-to-1 testbed has
-// no internal wire to cut and always stays one shard.
-func DumbbellSharded(engL, engR *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fabric {
-	return dumbbellFabric(engL, engR, nL, nR, bottleneck, p)
-}
-
-func dumbbellFabric(engL, engR *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fabric {
-	sharded := engL != engR
-	net := netem.NewNetwork(engL)
+	net := netem.NewNetwork(eng)
 	sharedL := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	sharedR := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
-	swL := netem.NewSwitch(engL, net.AllocID(), "swL", sharedL)
-	swR := netem.NewSwitch(engR, net.AllocID(), "swR", sharedR)
+	swL := netem.NewSwitch(eng, net.AllocID(), "swL", sharedL)
+	swR := netem.NewSwitch(eng, net.AllocID(), "swR", sharedR)
 	net.AddSwitch(swL)
 	net.AddSwitch(swR)
 
-	lr, rl := link(engL, engR, "core", swL, swR, bottleneck, p.LinkDelay, p.Profile, sharedL, sharedR)
+	lr, rl := link(eng, eng, "core", swL, swR, bottleneck, p.LinkDelay, p.Profile, sharedL, sharedR)
 	swL.AddPort(lr)
 	swR.AddPort(rl)
 
 	f := &Fabric{Net: net, Bottleneck: lr, FlexQueueIndex: 1, Shards: 1}
-	if sharded {
-		f.Shards = 2
-		f.SwitchShard = []int{0, 1}
-		f.Cross = []CrossLink{{Port: lr, From: 0, To: 1}, {Port: rl, From: 1, To: 0}}
-	}
-
-	addHost := func(eng *sim.Engine, sw *netem.Switch, shared *netem.SharedBuffer, name string, shard int) netem.NodeID {
+	addHost := func(sw *netem.Switch, shared *netem.SharedBuffer, name string) netem.NodeID {
 		id := net.AllocID()
 		nic := netem.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
 		h := netem.NewHost(eng, id, name, nic, p.HostDelay)
@@ -149,17 +130,14 @@ func dumbbellFabric(engL, engR *sim.Engine, nL, nR int, bottleneck units.Rate, p
 		sw.AddPort(down)
 		sw.AddRoute(id, down)
 		f.RackOf = append(f.RackOf, -1)
-		if sharded {
-			f.HostShard = append(f.HostShard, shard)
-		}
 		return id
 	}
 	var left, right []netem.NodeID
 	for i := 0; i < nL; i++ {
-		left = append(left, addHost(engL, swL, sharedL, fmt.Sprintf("l%d", i), 0))
+		left = append(left, addHost(swL, sharedL, fmt.Sprintf("l%d", i)))
 	}
 	for i := 0; i < nR; i++ {
-		right = append(right, addHost(engR, swR, sharedR, fmt.Sprintf("r%d", i), 1))
+		right = append(right, addHost(swR, sharedR, fmt.Sprintf("r%d", i)))
 	}
 	for _, id := range right {
 		swL.AddRoute(id, lr)

@@ -335,36 +335,6 @@ func TestClosShardedPartition(t *testing.T) {
 	}
 }
 
-func TestDumbbellShardedPartition(t *testing.T) {
-	p := Params{
-		LinkRate:  10 * units.Gbps,
-		LinkDelay: 2 * sim.Microsecond,
-		HostDelay: sim.Microsecond,
-		SwitchBuf: 1000 * units.KB,
-		BufAlpha:  0.25,
-		Profile:   FlexPassProfile(Spec{}),
-	}
-	engL, engR := sim.NewShardEngine(1, 0), sim.NewShardEngine(1, 1)
-	fab := DumbbellSharded(engL, engR, 3, 3, 10*units.Gbps, p)
-	if fab.Shards != 2 || len(fab.Cross) != 2 {
-		t.Fatalf("Shards=%d cross=%d", fab.Shards, len(fab.Cross))
-	}
-	for _, cl := range fab.Cross {
-		if cl.Port.Engine() != []*sim.Engine{engL, engR}[cl.From] {
-			t.Fatalf("bottleneck cross port %s owned by wrong engine", cl.Port.Name())
-		}
-	}
-	for i, s := range fab.HostShard {
-		want := 0
-		if i >= 3 {
-			want = 1
-		}
-		if s != want {
-			t.Fatalf("host %d on shard %d, want %d", i, s, want)
-		}
-	}
-}
-
 // TestFabricsRecycleFrames checks that a fabric is pooled by construction,
 // with no installer call: the frame host dst consumed, and the frame a
 // switch egress dropped, are each the very frame the sender's next

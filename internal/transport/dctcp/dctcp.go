@@ -80,9 +80,6 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 // Begin starts the flow (first window of packets).
 func (s *Sender) Begin() { s.sendMore() }
 
-// Finished reports whether every segment has been cumulatively acked.
-func (s *Sender) Finished() bool { return s.finished }
-
 // Cwnd exposes the congestion window for tests.
 func (s *Sender) Cwnd() float64 { return s.win.Cwnd }
 

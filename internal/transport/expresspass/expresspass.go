@@ -94,9 +94,6 @@ func (s *Sender) Begin() {
 	s.rec.Touch()
 }
 
-// Finished reports send-side completion.
-func (s *Sender) Finished() bool { return s.finished }
-
 // sendRequest issues the credit request as a control packet in the data
 // path (not the rate-limited credit queue), so synchronized flow starts do
 // not lose their requests to the tiny credit buffer.

@@ -186,9 +186,6 @@ func (s *Sender) Begin() {
 	s.rec.Touch()
 }
 
-// Finished reports whether every segment is acknowledged.
-func (s *Sender) Finished() bool { return s.finished }
-
 // Cwnd exposes the reactive window for tests.
 func (s *Sender) Cwnd() float64 { return s.win.Cwnd() }
 

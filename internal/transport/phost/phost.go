@@ -208,9 +208,6 @@ func (s *Sender) Begin() {
 	s.rec.Touch()
 }
 
-// Finished reports send-side completion.
-func (s *Sender) Finished() bool { return s.finished }
-
 func (s *Sender) transmit(seq int, retx bool) {
 	s.trk.MarkSent(seq)
 	if retx {

@@ -50,18 +50,6 @@ func (r Rate) TxTime(bytes int) sim.Time {
 	return sim.Time(bits * int64(sim.Second) / int64(r))
 }
 
-// BytesIn returns how many whole bytes rate r delivers in duration d.
-func (r Rate) BytesIn(d sim.Time) int64 {
-	if d <= 0 {
-		return 0
-	}
-	// bits = r * d / 1s; guard overflow by splitting the multiply.
-	whole := int64(d) / int64(sim.Second)
-	frac := int64(d) % int64(sim.Second)
-	bits := int64(r)*whole + int64(r)/8*frac/(int64(sim.Second)/8)
-	return bits / 8
-}
-
 // RateOf returns the average rate at which bytes were moved over duration d.
 func RateOf(bytes int64, d sim.Time) Rate {
 	if d <= 0 {

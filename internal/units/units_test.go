@@ -47,17 +47,6 @@ func TestRateOfRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBytesIn(t *testing.T) {
-	// 10Gbps for 1ms moves 1.25MB.
-	got := (10 * Gbps).BytesIn(sim.Millisecond)
-	if got != 1_250_000 {
-		t.Fatalf("BytesIn = %d, want 1250000", got)
-	}
-	if got := (10 * Gbps).BytesIn(0); got != 0 {
-		t.Fatalf("BytesIn(0) = %d, want 0", got)
-	}
-}
-
 func TestScale(t *testing.T) {
 	if got := (40 * Gbps).Scale(0.5); got != 20*Gbps {
 		t.Fatalf("Scale(0.5) = %v", got)
