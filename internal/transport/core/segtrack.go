@@ -25,6 +25,7 @@ type SegTracker struct {
 	Inflight int
 
 	lostQ    []int
+	scanned  int  // the dup-ACK loss scan has passed [0, scanned)
 	oldest   int  // scan pointer for tail retransmission
 	rescanOK bool // a fresh ACK arrived since the last full tail rescan
 }
@@ -115,8 +116,10 @@ func (t *SegTracker) Pick() (seq int, retx bool) {
 // delivered, the cumulative edge advances, duplicate ACKs accumulate, and
 // once dupThresh duplicates are seen everything sent but unacked more
 // than dupThresh below the highest SACK is marked Lost (queued for
-// retransmission). Returns whether the cumulative edge advanced and
-// whether fresh segments were declared lost.
+// retransmission). The scan resumes where it stopped: the duplicates
+// behind a retransmission predate it, so only LoseOutstanding (an RTO)
+// declares a segment the scan has passed lost again. Returns whether the
+// cumulative edge advanced and whether fresh segments were declared lost.
 func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 	t.rescanOK = true
 	if sack < len(t.State) {
@@ -148,7 +151,7 @@ func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 	}
 	if t.DupAcks >= dupThresh {
 		edge := t.SackHigh - dupThresh + 1
-		for seq := t.CumAck; seq < edge && seq < len(t.State); seq++ {
+		for seq := max(t.CumAck, t.scanned); seq < edge && seq < len(t.State); seq++ {
 			if t.State[seq] == StSent {
 				t.State[seq] = StLost
 				t.Inflight--
@@ -156,6 +159,7 @@ func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 				newLoss = true
 			}
 		}
+		t.scanned = max(t.scanned, edge)
 	}
 	return advanced, newLoss
 }

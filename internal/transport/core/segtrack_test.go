@@ -66,6 +66,42 @@ func TestSegTrackerDupAckLoss(t *testing.T) {
 	}
 }
 
+// TestSegTrackerNoDuplicateRetransmitStorm: once a lost segment has been
+// retransmitted, the duplicate ACKs still in flight — sent before the
+// retransmission left — must not declare it lost again (that resent it
+// on every ACK: two retransmits per ACK, 83 733 on one DCTCP flow of the
+// sharded golden scenario). Only an RTO re-declares it.
+func TestSegTrackerNoDuplicateRetransmitStorm(t *testing.T) {
+	trk := NewSegTracker(8)
+	sendAll(&trk, 8)
+	for sack := 1; sack <= 4; sack++ {
+		trk.OnAck(0, sack, 3)
+	}
+	if seq := trk.PopLost(); seq != 0 {
+		t.Fatalf("PopLost = %d, want 0", seq)
+	}
+	trk.MarkSent(0) // the retransmission
+	for sack := 5; sack <= 7; sack++ {
+		if _, loss := trk.OnAck(0, sack, 3); loss {
+			t.Fatalf("dup ACK for %d re-declared the retransmitted segment lost", sack)
+		}
+		if seq := trk.PopLost(); seq != -1 {
+			t.Fatalf("PopLost after dup ACK for %d = %d, want -1", sack, seq)
+		}
+	}
+	if trk.Inflight != 1 {
+		t.Fatalf("Inflight = %d, want 1 (the retransmission)", trk.Inflight)
+	}
+	trk.LoseOutstanding()
+	if seq := trk.PopLost(); seq != 0 || trk.Inflight != 0 {
+		t.Fatalf("after RTO: PopLost = %d Inflight = %d, want 0 0", seq, trk.Inflight)
+	}
+	trk.MarkSent(0)
+	if adv, _ := trk.OnAck(8, 0, 3); !adv || !trk.Done() || trk.Inflight != 0 {
+		t.Fatalf("final ACK: advanced=%v done=%v Inflight=%d", adv, trk.Done(), trk.Inflight)
+	}
+}
+
 func TestSegTrackerPickOrderAndTailRescan(t *testing.T) {
 	trk := NewSegTracker(3)
 	sendAll(&trk, 3)
