@@ -274,6 +274,43 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardTwins is the metamorphic check that the shard count is
+// invisible: the first 12 trials of the CI smoke spec, regenerated at
+// shards 2, give the flow records and drop counts of their shards-1 twin.
+func TestShardTwins(t *testing.T) {
+	s, err := ParseSpecFile("../../ci/chaos-smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Trials = 12
+	trials, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trials {
+		run := func(shards int) *harness.Result {
+			c := tr.Coords
+			c.Shards = shards
+			sc := c.Scenario(s.Oracles)
+			sc.FaultPlan = tr.Plan
+			return harness.Run(sc)
+		}
+		one, two := run(1), run(2)
+		for i, r := range one.Flows.Records {
+			if i >= len(two.Flows.Records) || two.Flows.Records[i] != r {
+				t.Fatalf("trial %d: flow %d differs at shards 2", tr.Index, r.ID)
+			}
+		}
+		drops := func(r *harness.Result) [4]int64 {
+			return [4]int64{r.DropsRed, r.DropsCredit, r.DropsOther, r.FaultDrops.Injected}
+		}
+		if len(two.Flows.Records) != len(one.Flows.Records) || drops(one) != drops(two) {
+			t.Fatalf("trial %d: %d flows, drops %v at shards 1; %d flows, drops %v at shards 2",
+				tr.Index, len(one.Flows.Records), drops(one), len(two.Flows.Records), drops(two))
+		}
+	}
+}
+
 // brokenLinkRepro hand-builds a deterministic failure: the downlink to
 // host 0 is dead for the entire run, so the pinned flow into host 0
 // can never complete while the flow into host 1 finishes normally.

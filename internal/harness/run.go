@@ -82,18 +82,17 @@ func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
 // planes, each with its own engine; N > 1 runs them on one goroutine
 // each, synchronized conservatively on the agg↔core propagation delay
 // (see internal/sim/shard). Shards ≤ 1, or a fabric with nothing to cut,
-// is the same composition with N = 1. N matters in three places only:
-// the engine constructor (the RNG regime the golden digests pin), the
-// run call (one engine has no cut and no lookahead), and forensics (the
+// is the same composition with N = 1. N matters in two places only: the
+// run call (one engine has no cut and no lookahead) and forensics (the
 // recorder and auditors are single-goroutine state). Arrivals are not one
 // of them: every flow starts through its scheme's two endpoint halves,
 // scheduled by plane.arrive on the plane that owns each host.
 //
-// Results are deterministic for a fixed (scenario, N) but not
-// bit-identical across N: each plane draws from its own PCG stream, so
-// anything randomized (pacer jitter, fault loss) diverges. Schemes that
-// never draw randomness on a clean run (dctcp, homa, phost) produce
-// identical flow results at any N; see TestShardedMatchesSingleEngine.
+// Flow results do not depend on N: every port and pacer draws from its own
+// stream of (seed, entity), and same-instant order is the model's (see
+// internal/sim/shard), so shards = N reproduces shards = 1 exactly
+// (TestShardedGolden); Result.Events adds the second arrival of every
+// flow that crosses a cut.
 func Run(sc Scenario) *Result {
 	podShard := topo.ClosPodShards(sc.Clos, sc.Shards)
 	n := topo.Shards(podShard)
@@ -120,14 +119,7 @@ func Run(sc Scenario) *Result {
 	engs := make([]*sim.Engine, n)
 	var flowsStarted, flowsDone atomic.Int64
 	for i := range planes {
-		pl := &plane{started: &flowsStarted}
-		if n == 1 {
-			pl.eng = sim.NewEngine(sc.Seed)
-		} else {
-			// An independent PCG stream per (seed, i), so a plane's RNG
-			// use never depends on what the others consumed.
-			pl.eng = sim.NewShardEngine(sc.Seed, i)
-		}
+		pl := &plane{started: &flowsStarted, eng: sim.NewEngine(sc.Seed)}
 		if sc.Profile {
 			pl.profiler = prof.New()
 			pl.profiler.Attach(pl.eng)
@@ -478,7 +470,7 @@ func bridgeShards(engs []*sim.Engine, cross []topo.CrossLink) *shard.Runtime {
 		edge := rt.Connect(cl.From, cl.To)
 		dst := cl.Port.Peer()
 		cl.Port.SetRemote(func(at sim.Time, pkt *netem.Packet) {
-			edge.Deliver(at, pkt, dst)
+			edge.DeliverRanked(at, cl.Port.Rank(), pkt, dst)
 		})
 	}
 	return rt

@@ -90,9 +90,8 @@ type Scenario struct {
 	// propagation delay (see internal/sim/shard). The effective count N
 	// is min(Shards, Clos.Pods); 0, 1, or a fabric with nothing to cut is
 	// the N = 1 case of the same runner, recorded in the manifest as 0.
-	// Results are deterministic per N but not bit-identical across N
-	// (per-engine RNG streams); Forensics needs N = 1 and Run panics
-	// otherwise.
+	// Flow results are identical at every N (see Run); Forensics needs
+	// N = 1 and Run panics otherwise.
 	Shards int
 
 	// Telemetry, when non-nil, enables the obs instrumentation plane:

@@ -75,8 +75,9 @@ func (d *DiffReport) Clean() bool {
 }
 
 // rowKey is the identity a diff matches rows on: the full dimension
-// tuple, shard count included — results are deterministic per shard
-// count, not across counts. Deliberately not the farm's content hash,
+// tuple, shard count included — a sharded run has the results of its
+// one-engine twin but more events (TestBaselineShardInvariant), so each
+// is its own row. Deliberately not the farm's content hash,
 // so lakes produced by different orchestrator versions (or hand-run
 // artifacts) still match on what the scenario actually was.
 func rowKey(r *Row) string {

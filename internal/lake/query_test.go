@@ -251,6 +251,44 @@ func TestDiffKeysOnShards(t *testing.T) {
 	}
 }
 
+// TestBaselineShardInvariant is the lake's oracle for shard-count
+// invariance: in the checked-in CI baseline, every pair of rows that
+// differ only in shards agrees on every gated metric but events (a
+// sharded run adds its cross-shard injections and second arrivals).
+func TestBaselineShardInvariant(t *testing.T) {
+	ix, err := ReadFile("../../ci/lake-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := map[string]*Row{}
+	pairs := 0
+	for i := range ix.Rows {
+		r := &ix.Rows[i]
+		unsharded := *r
+		unsharded.Shards = 0
+		key := rowKey(&unsharded)
+		base, ok := first[key]
+		if !ok {
+			first[key] = r
+			continue
+		}
+		pairs++
+		for _, m := range DiffMetrics {
+			if m == "events" {
+				continue
+			}
+			_, a, _, _ := value(base, m)
+			_, b, _, _ := value(r, m)
+			if a != b {
+				t.Errorf("%s: %s is %v at shards %d, %v at shards %d", rowLabel(&unsharded), m, a, base.Shards, b, r.Shards)
+			}
+		}
+	}
+	if pairs == 0 || 2*pairs != len(ix.Rows) {
+		t.Fatalf("%d shard pairs among %d rows; the baseline should hold every point at two shard counts", pairs, len(ix.Rows))
+	}
+}
+
 func TestDiffRejectsUnknownMetric(t *testing.T) {
 	if _, err := Diff(testIndex(), testIndex(), Tolerance{}, []string{"nope"}); err == nil {
 		t.Error("unknown diff metric accepted")

@@ -8,9 +8,9 @@ import (
 // modelling the paper's §4.3 failure discussion ("the proactive sub-flow
 // ... can still experience non-congestion losses, e.g. due to switch
 // failures") and the credit-loss sensitivity of credit-clocked transports
-// (ExpressPass §5). Every random decision is drawn from the engine's
-// seeded stream, so faulty runs are exactly reproducible: same seed +
-// same fault schedule ⇒ bit-identical packet fates.
+// (ExpressPass §5). Every random decision is drawn from the port's own
+// stream, so faulty runs are exactly reproducible at any shard count:
+// same seed + same fault schedule ⇒ bit-identical packet fates.
 //
 // Four orthogonal fault mechanisms live on each Port, applied in a fixed
 // order at Send time (administrative state first, then targeted loss,
@@ -75,7 +75,7 @@ func (p *Port) SetLossRate(rate float64) {
 
 // SetGilbertElliott installs (or, with the zero value, removes) the burst
 // loss model. The channel starts in the Good state. Loss decisions and
-// state transitions draw from the engine's deterministic random stream:
+// state transitions draw from the port's deterministic random stream:
 // one draw per packet for the loss decision when the current state can
 // drop, plus one draw when the current state can transition.
 func (p *Port) SetGilbertElliott(g GilbertElliott) {
@@ -141,7 +141,7 @@ func (p *Port) injectFault(pkt *Packet) bool {
 		p.dropFault(pkt, DropLinkDown)
 		return true
 	}
-	if p.creditLoss > 0 && pkt.Kind == KindCredit && p.eng.Rand().Float64() < p.creditLoss {
+	if p.creditLoss > 0 && pkt.Kind == KindCredit && p.rng.Float64() < p.creditLoss {
 		p.faults.Injected++
 		p.faults.CreditLoss++
 		p.dropFault(pkt, DropCreditLoss)
@@ -152,16 +152,16 @@ func (p *Port) injectFault(pkt *Packet) bool {
 		if p.geBad {
 			loss = p.ge.LossBad
 		}
-		drop := loss > 0 && p.eng.Rand().Float64() < loss
+		drop := loss > 0 && p.rng.Float64() < loss
 		// State transition after the loss decision; a state that cannot
 		// transition consumes no randomness, which keeps the historical
 		// single-draw-per-packet sequence of the Bernoulli case intact.
 		if p.geBad {
-			if p.ge.PBadGood > 0 && p.eng.Rand().Float64() < p.ge.PBadGood {
+			if p.ge.PBadGood > 0 && p.rng.Float64() < p.ge.PBadGood {
 				p.geBad = false
 			}
 		} else {
-			if p.ge.PGoodBad > 0 && p.eng.Rand().Float64() < p.ge.PGoodBad {
+			if p.ge.PGoodBad > 0 && p.rng.Float64() < p.ge.PGoodBad {
 				p.geBad = true
 			}
 		}

@@ -197,15 +197,17 @@ func TestGilbertElliottBurstLengths(t *testing.T) {
 // draw per packet — the historical sequence — so runs recorded before
 // the Gilbert–Elliott model existed replay bit-identically.
 func TestBernoulliDrawCompat(t *testing.T) {
-	// Reference decision sequence from a fresh engine stream.
-	ref := sim.NewEngine(99)
-	var want []bool
-	for i := 0; i < 500; i++ {
-		want = append(want, ref.Rand().Float64() < 0.3)
-	}
-
 	eng := sim.NewEngine(99)
 	_, hosts, bottleneck := faultFabric(eng)
+	// Reference decision sequence from a copy of the port's own stream.
+	ref := bottleneck.rng
+	if ref != eng.Stream(uint64(bottleneck.link)) {
+		t.Fatal("port stream is not Engine.Stream of its link number")
+	}
+	var want []bool
+	for i := 0; i < 500; i++ {
+		want = append(want, ref.Float64() < 0.3)
+	}
 	bottleneck.SetLossRate(0.3)
 	dropped := make([]bool, len(want))
 	bottleneck.SetHopObserver(&seqDropWatcher{fates: dropped})

@@ -5,14 +5,16 @@ import (
 )
 
 // Network is a container for the simulated fabric: the engine plus every
-// node, with stable IDs assigned in construction order. It owns the
-// fabric's packet free lists, one per engine its nodes run on.
+// node, with stable IDs assigned in construction order, and every egress
+// port, numbered as it joins (Port.Rank). It owns the fabric's packet free
+// lists, one per engine its nodes run on.
 type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*Host
 	Switches []*Switch
 	nodes    map[NodeID]Node
 	nextID   NodeID
+	links    uint32
 	pools    map[*sim.Engine]*PacketPool
 }
 
@@ -36,15 +38,27 @@ func (n *Network) AllocID() NodeID {
 	return id
 }
 
-// AddHost registers a host and hands it its engine's packet pool.
+// number gives p the next link number, which keys its rank and stream.
+func (n *Network) number(p *Port) {
+	n.links++
+	p.link, p.rng = n.links, p.eng.Stream(uint64(n.links))
+}
+
+// AddHost registers a host, numbering its NIC, and hands it its pool.
 func (n *Network) AddHost(h *Host) {
+	n.number(h.nic)
 	h.SetPool(n.pool(h.eng))
 	n.Hosts = append(n.Hosts, h)
 	n.nodes[h.NodeID()] = h
 }
 
-// AddSwitch registers a switch and hands it its engine's packet pool.
+// AddSwitch registers a switch, numbers its ports, present and future, and
+// hands it its engine's packet pool.
 func (n *Network) AddSwitch(s *Switch) {
+	s.net = n
+	for _, p := range s.ports {
+		n.number(p)
+	}
 	s.SetPool(n.pool(s.eng))
 	n.Switches = append(n.Switches, s)
 	n.nodes[s.NodeID()] = s

@@ -64,6 +64,8 @@ type Port struct {
 	prop  sim.Time
 	peer  Node
 	owner NodeID
+	link  uint32     // number in the Network, 0 outside one; see Rank
+	rng   sim.Stream // RED marking and fault-loss draws, keyed by link
 
 	queues   []*queue
 	bands    [][]*queue
@@ -91,13 +93,13 @@ type Port struct {
 	deliverFn func()
 	wakeFn    func() // pre-bound wake: one closure per port, not per pacing stall
 
+	pool *PacketPool // packet free list (nil outside a Network); drops recycle through it
+
 	// Profiling attribution for the events this port schedules (pure
 	// metadata — never affects event order).
 	compTx      sim.Component // serialization-done events
 	compDeliver sim.Component // propagation / peer-delivery events
 	compPacing  sim.Component // rate-limit eligibility wakes
-
-	pool *PacketPool // packet free list (nil outside a Network); drops recycle through it
 
 	// Fault-injection state (see faults.go). effRate is the current
 	// serialization rate: rate unless degraded by SetRateFraction.
@@ -164,6 +166,10 @@ func NewPort(eng *sim.Engine, name string, rate units.Rate, prop sim.Time, cfg P
 	return p
 }
 
+// Rank returns the rank of this port's deliveries (sim.Engine.AtRank): 1 +
+// its link number, the same at every shard count.
+func (p *Port) Rank() uint32 { return 1 + p.link }
+
 // deliverAt queues a packet for arrival at the peer at time t.
 func (p *Port) deliverAt(t sim.Time, pkt *Packet) {
 	if p.remote != nil {
@@ -173,7 +179,7 @@ func (p *Port) deliverAt(t sim.Time, pkt *Packet) {
 	p.pipe = append(p.pipe, pipeEntry{at: t, pkt: pkt})
 	if len(p.pipe)-p.pipeHead == 1 {
 		prev := p.eng.SetComponent(p.compDeliver)
-		p.eng.At(t, p.deliverFn)
+		p.eng.AtRank(t, p.Rank(), p.deliverFn)
 		p.eng.SetComponent(prev)
 	}
 }
@@ -197,7 +203,7 @@ func (p *Port) deliverHead() {
 	p.peer.Receive(e.pkt)
 	if p.pipeHead < len(p.pipe) {
 		prev := p.eng.SetComponent(p.compDeliver)
-		p.eng.At(p.pipe[p.pipeHead].at, p.deliverFn)
+		p.eng.AtRank(p.pipe[p.pipeHead].at, p.Rank(), p.deliverFn)
 		p.eng.SetComponent(prev)
 	}
 }
@@ -207,7 +213,7 @@ func (p *Port) Connect(peer Node) { p.peer = peer }
 
 // SetRemote diverts this port's propagation stage to fn: serialized
 // packets are handed to fn with their arrival time instead of being
-// delivered to the peer on this engine. Sharded runs install the
+// delivered to the peer on this engine (at Rank). Sharded runs install the
 // cross-shard edge hand-off here for wires that cross a partition cut;
 // nil restores local delivery. The serializer (txDone, pacing wakes)
 // stays on this port's own engine either way.
@@ -320,7 +326,7 @@ func (p *Port) Send(pkt *Packet) {
 				q.stats.Marked++
 			} else if occ > int64(q.cfg.REDMin) {
 				frac := float64(occ-int64(q.cfg.REDMin)) / float64(q.cfg.REDMax-q.cfg.REDMin)
-				if p.eng.Rand().Float64() < frac*q.cfg.REDPMax {
+				if p.rng.Float64() < frac*q.cfg.REDPMax {
 					pkt.CE = true
 					q.stats.Marked++
 				}

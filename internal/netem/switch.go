@@ -16,6 +16,7 @@ type Switch struct {
 	routes map[NodeID][]*Port
 	shared *SharedBuffer
 	pool   *PacketPool // handed to every egress port; nil outside a Network
+	net    *Network    // numbers every egress port; nil outside a Network
 
 	// RxPackets counts packets entering the switch.
 	RxPackets int64
@@ -46,6 +47,9 @@ func (s *Switch) Shared() *SharedBuffer { return s.shared }
 func (s *Switch) AddPort(p *Port) {
 	p.SetOwner(s.id)
 	p.pool = s.pool
+	if s.net != nil {
+		s.net.number(p)
+	}
 	s.ports = append(s.ports, p)
 }
 

@@ -135,12 +135,13 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := NewEngine(seed)
+		rng := e.Stream(1)
 		var trace []int64
 		var tick func()
 		tick = func() {
 			trace = append(trace, int64(e.Now()))
 			if len(trace) < 200 {
-				d := Time(e.Rand().Intn(1000)+1) * Nanosecond
+				d := Time(rng.Float64()*1000+1) * Nanosecond
 				e.After(d, tick)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package shard runs several sim.Engines in parallel under a
 // conservative-lookahead synchronization protocol (the SimBricks/null
 // message family), so one fabric can be partitioned across cores without
-// giving up determinism.
+// changing its result.
 //
 // The fabric is cut only at wires with a fixed propagation delay. With
 // L = min propagation delay over all cross-shard wires (the lookahead),
@@ -17,23 +17,24 @@
 // every shard always holds all remote input for the window it is about
 // to run, and no shard ever waits on speculation or rollback.
 //
-// Determinism contract: for a fixed (seed, shard count) pair the run is
-// bit-for-bit reproducible. Incoming items are merged in the total order
-// (arrival time, source shard, per-edge sequence) and injected into the
-// engine ahead of the window in that order, so same-instant arrivals
-// from different shards always tie-break identically; per-shard RNG
-// streams (sim.NewShardEngine) keep random draws independent of the
-// goroutine interleaving. Cross-shard tie-breaking necessarily differs
-// from the single-engine global (time, seq) order, so digests are
-// comparable per shard count, not across shard counts — except for
-// runs whose event timestamps never collide at a boundary, where the
-// sharded schedule is exactly the sequential one.
+// Determinism contract: the result does not depend on the shard count.
+// Every entity draws from its own random stream (sim.Engine.Stream), and
+// the order within an instant is the model's — local events by sequence,
+// then arrivals by the rank of their link (sim.Engine.AtRank). Incoming
+// items are sorted on that same (arrival time, rank) key and injected at
+// their rank, so a cross-shard arrival takes the place the one-engine
+// delivery takes. Entities on different shards never interact inside an
+// instant (every cut wire has a positive delay), so each shard dispatches
+// its own entities' events in the one-engine order, whatever the
+// goroutine interleaving. harness.TestShardedGolden holds all ten schemes,
+// clean and faulted, to one digest at shards 1, 2 and 4.
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 
 	"flexpass/internal/netem"
@@ -41,14 +42,12 @@ import (
 )
 
 // Item is one timestamped cross-shard delivery: pkt arrives at dst (a
-// node owned by the destination shard) at time At.
+// node owned by the destination shard) at time At, at its link's Rank.
 type Item struct {
-	At  sim.Time
-	Pkt *netem.Packet
-	Dst netem.Node
-
-	from int    // source shard (merge tie-break)
-	seq  uint64 // per-edge send order (merge tie-break)
+	At   sim.Time
+	Rank uint32
+	Pkt  *netem.Packet
+	Dst  netem.Node
 }
 
 // Edge is the SPSC hand-off for one directed shard pair: the source
@@ -56,18 +55,21 @@ type Item struct {
 // one batch per round; the destination shard's goroutine receives them
 // at its next round boundary.
 type Edge struct {
-	from, to int
-	ch       chan []Item
-	buf      []Item
-	seq      uint64
+	ch  chan []Item
+	buf []Item
 }
 
-// Deliver queues a cross-shard arrival on this edge. It must be called
-// from the source shard's goroutine (netem ports do, via Port.SetRemote,
-// while their engine runs a window).
+// DeliverRanked queues a cross-shard arrival at the given rank on this
+// edge. It must be called from the source shard's goroutine (netem ports
+// do, via Port.SetRemote, while their engine runs a window).
+func (e *Edge) DeliverRanked(at sim.Time, rank uint32, pkt *netem.Packet, dst netem.Node) {
+	e.buf = append(e.buf, Item{At: at, Rank: rank, Pkt: pkt, Dst: dst})
+}
+
+// Deliver queues an arrival at rank 0, for senders without links: the
+// standing benchmark's hand-off measurement (bench/units.go).
 func (e *Edge) Deliver(at sim.Time, pkt *netem.Packet, dst netem.Node) {
-	e.buf = append(e.buf, Item{At: at, Pkt: pkt, Dst: dst, from: e.from, seq: e.seq})
-	e.seq++
+	e.DeliverRanked(at, 0, pkt, dst)
 }
 
 // Shard is one partition: an engine plus its incoming and outgoing
@@ -78,8 +80,8 @@ type Shard struct {
 	id  int
 	eng *sim.Engine
 	rt  *Runtime
-	in  []*Edge // sorted by source shard id
-	out []*Edge // sorted by destination shard id
+	in  []*Edge // in Connect order
+	out []*Edge
 
 	pending []Item // received items beyond the current horizon
 	injQ    []Item // FIFO of items scheduled into the engine
@@ -87,9 +89,6 @@ type Shard struct {
 	injFn   func()
 	comp    sim.Component
 }
-
-// Engine returns the shard's engine.
-func (s *Shard) Engine() *sim.Engine { return s.eng }
 
 // Runtime coordinates one sharded run.
 type Runtime struct {
@@ -126,12 +125,6 @@ func New(engs []*sim.Engine, lookahead sim.Time) *Runtime {
 	return rt
 }
 
-// Shards returns the shard count.
-func (rt *Runtime) Shards() int { return len(rt.shards) }
-
-// Shard returns shard i.
-func (rt *Runtime) Shard(i int) *Shard { return rt.shards[i] }
-
 // Connect returns the directed edge from shard `from` to shard `to`,
 // creating it on first use. All wires between the same shard pair share
 // one edge (their deliveries are already ordered by the source engine).
@@ -145,13 +138,10 @@ func (rt *Runtime) Connect(from, to int) *Edge {
 	}
 	// Capacity 2: one batch in flight plus one being produced, so a
 	// fast sender runs a full window ahead before blocking.
-	e := &Edge{from: from, to: to, ch: make(chan []Item, 2)}
+	e := &Edge{ch: make(chan []Item, 2)}
 	rt.edges[key] = e
-	src, dst := rt.shards[from], rt.shards[to]
-	src.out = append(src.out, e)
-	sort.Slice(src.out, func(i, j int) bool { return src.out[i].to < src.out[j].to })
-	dst.in = append(dst.in, e)
-	sort.Slice(dst.in, func(i, j int) bool { return dst.in[i].from < dst.in[j].from })
+	rt.shards[from].out = append(rt.shards[from].out, e)
+	rt.shards[to].in = append(rt.shards[to].in, e)
 	return e
 }
 
@@ -209,17 +199,9 @@ func (s *Shard) run(until sim.Time, rounds int) {
 				}
 			}
 			if grew {
-				// Total deterministic merge order: arrival time, then
-				// source shard, then per-edge send sequence.
-				sort.Slice(s.pending, func(i, j int) bool {
-					a, b := &s.pending[i], &s.pending[j]
-					if a.At != b.At {
-						return a.At < b.At
-					}
-					if a.from != b.from {
-						return a.from < b.from
-					}
-					return a.seq < b.seq
+				// The engine's own order: arrival time, then rank.
+				slices.SortStableFunc(s.pending, func(a, b Item) int {
+					return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Rank, b.Rank))
 				})
 			}
 		}
@@ -245,10 +227,10 @@ func (s *Shard) run(until sim.Time, rounds int) {
 	}
 }
 
-// inject schedules every pending item with arrival ≤ w into the engine,
-// in merge order. The engine dispatches same-instant events in schedule
-// order, so a FIFO queue drained by one pre-bound callback reproduces
-// the merge order exactly with no per-item closure.
+// inject schedules every pending item with arrival ≤ w into the engine at
+// its rank, in merge order. The engine dispatches in (time, rank, schedule)
+// order, which is merge order, so a FIFO queue drained by one pre-bound
+// callback reproduces it exactly with no per-item closure.
 func (s *Shard) inject(w sim.Time) {
 	n := 0
 	for n < len(s.pending) && s.pending[n].At <= w {
@@ -265,7 +247,7 @@ func (s *Shard) inject(w sim.Time) {
 				s.id, it.At, s.eng.Now(), s.rt.lookahead))
 		}
 		s.injQ = append(s.injQ, it)
-		s.eng.At(it.At, s.injFn)
+		s.eng.AtRank(it.At, it.Rank, s.injFn)
 	}
 	s.eng.SetComponent(prev)
 	rem := copy(s.pending, s.pending[n:])

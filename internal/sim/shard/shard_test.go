@@ -33,16 +33,20 @@ func newRuntime(t *testing.T, n int) (*Runtime, []*sim.Engine) {
 	t.Helper()
 	engs := make([]*sim.Engine, n)
 	for i := range engs {
-		engs[i] = sim.NewShardEngine(42, i)
+		engs[i] = sim.NewEngine(42)
 	}
 	return New(engs, la), engs
 }
 
 // TestHandoffDeterministicMerge drives two source shards into one sink
-// shard with colliding timestamps: the injection order must follow the
-// documented (time, source shard, edge sequence) merge order, and two
-// identical runs must observe the identical delivery log.
+// shard with colliding timestamps: same-instant arrivals must dispatch
+// after the sink's own unranked events and in link-rank order — not in
+// source-shard order — and two identical runs must observe the identical
+// delivery log.
 func TestHandoffDeterministicMerge(t *testing.T) {
+	// Flow 0 is the sink's local event; shard 2's link ranks before
+	// shard 1's.
+	place := map[uint64]int{0: 0, 2: 1, 1: 2}
 	run := func() []delivery {
 		rt, engs := newRuntime(t, 3)
 		sk := &sink{eng: engs[0]}
@@ -50,35 +54,37 @@ func TestHandoffDeterministicMerge(t *testing.T) {
 		e2 := rt.Connect(2, 0)
 		// Both senders emit at the same instants; every arrival lands
 		// exactly one lookahead later, including exact ties between the
-		// two source shards.
+		// two source shards and with the sink's local events.
 		for src, edge := range map[int]*Edge{1: e1, 2: e2} {
-			src, edge := src, edge
 			eng := engs[src]
+			rank := uint32(4 - src)
 			for i := 0; i < 40; i++ {
-				i := i
-				at := sim.Time(i) * sim.Microsecond
-				eng.At(at, func() {
-					edge.Deliver(eng.Now()+la+sim.Nanosecond, &netem.Packet{
+				eng.At(sim.Time(i)*sim.Microsecond, func() {
+					edge.DeliverRanked(eng.Now()+la+sim.Nanosecond, rank, &netem.Packet{
 						Flow: uint64(src), Seq: uint32(i),
 					}, sk)
 				})
 			}
 		}
+		for i := 0; i < 40; i++ {
+			engs[0].At(sim.Time(i)*sim.Microsecond+la+sim.Nanosecond, func() {
+				sk.Receive(&netem.Packet{Seq: uint32(i)})
+			})
+		}
 		rt.Run(100 * sim.Microsecond)
 		return sk.log
 	}
 	got := run()
-	if len(got) != 80 {
-		t.Fatalf("delivered %d of 80", len(got))
+	if len(got) != 120 {
+		t.Fatalf("logged %d of 120", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
 		if b.at < a.at {
 			t.Fatalf("deliveries out of time order at %d: %+v then %+v", i, a, b)
 		}
-		// Exact ties must resolve by source shard id (flow carries it).
-		if b.at == a.at && b.flow < a.flow {
-			t.Fatalf("tie at %v resolved against shard order: %+v then %+v", b.at, a, b)
+		if b.at == a.at && place[b.flow] < place[a.flow] {
+			t.Fatalf("tie at %v resolved against (local, rank) order: %+v then %+v", b.at, a, b)
 		}
 	}
 	again := run()

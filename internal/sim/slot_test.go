@@ -61,7 +61,10 @@ func (tr *slotTrial) probe(n *slotNode, arm bool) {
 
 // spawn adds one node at a nearby instant (ties are the common case) plus
 // a trigger event that probes it from somewhere around that instant, the
-// way a port's kick probes its tx-done slot.
+// way a port's kick probes its tx-done slot. One node in four is a ranked
+// event, the way a link delivery is: scheduled with AtRank in both modes,
+// it sorts after its instant's unranked events, and what it schedules for
+// its own instant takes its rank.
 func (tr *slotTrial) spawn(depth int) {
 	e := tr.e
 	n := &slotNode{id: len(tr.nodes), depth: depth, noop: tr.rng.Intn(2) == 0}
@@ -69,11 +72,18 @@ func (tr *slotTrial) spawn(depth int) {
 	at := e.Now() + Time(tr.rng.Intn(4))
 	trig := e.Now() + Time(tr.rng.Intn(int(at-e.Now())+2)) // up to one past at
 	takeSlot := tr.rng.Intn(3) > 0
+	var rank uint32
+	if tr.rng.Intn(4) == 0 {
+		rank = 1 + uint32(tr.rng.Intn(3))
+	}
 
-	if tr.lazy && takeSlot {
+	switch {
+	case rank > 0:
+		e.AtRank(at, rank, func() { tr.fire(n) })
+	case tr.lazy && takeSlot:
 		n.reserved = true
 		n.slot = e.Reserve(at)
-	} else {
+	default:
 		e.At(at, func() { tr.fire(n) })
 	}
 	e.At(trig, func() {
@@ -114,7 +124,8 @@ func runSlotTrial(seed int64, lazy bool) *slotTrial {
 // TestSlotDifferentialOrder is the exactness argument for lazy events: a
 // schedule whose no-op events are reserved and dropped dispatches every
 // surviving callback in the order the fully eager schedule does, and
-// Passed answers exactly "would that event have fired by now".
+// Passed answers exactly "would that event have fired by now" — ranked
+// events included.
 func TestSlotDifferentialOrder(t *testing.T) {
 	elided := 0
 	for seed := int64(1); seed <= 300; seed++ {
@@ -193,6 +204,27 @@ func TestSlotSameInstantAsDispatcher(t *testing.T) {
 	if want := []string{"dispatcher", "after", "tail"}; !slices.Equal(got, want) {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
+}
+
+// TestAtRankOrder pins the instant order: unranked events first, by
+// sequence, then ranked ones by rank whatever their sequence; an event
+// scheduled for the current instant by a ranked one takes its rank, so it
+// fires right after it, before the next rank.
+func TestAtRankOrder(t *testing.T) {
+	e := NewEngine(1)
+	const at = 5 * Nanosecond
+	var got []string
+	e.AtRank(at, 2, func() { got = append(got, "rank2") })
+	e.AtRank(at, 1, func() {
+		got = append(got, "rank1")
+		e.At(at, func() { got = append(got, "rank1-child") })
+	})
+	e.At(at, func() { got = append(got, "rank0") })
+	e.Run(Second)
+	if want := []string{"rank0", "rank1", "rank1-child", "rank2"}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	mustPanic(t, "AtRank at the reserved top rank", func() { e.AtRank(Second+1, maxRank, func() {}) })
 }
 
 // TestSlotAcrossRuns covers Passed outside the dispatch loop: before the

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"maps"
 	"testing"
 
 	"flexpass/internal/netem"
@@ -274,7 +275,7 @@ func TestClosShardedPartition(t *testing.T) {
 		BufAlpha:  0.25,
 		Profile:   FlexPassProfile(Spec{}),
 	}
-	engs := []*sim.Engine{sim.NewShardEngine(1, 0), sim.NewShardEngine(1, 1)}
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	plan := ClosPodShards(c, 2)
 	fab := ClosSharded(engs, plan, c, p)
 
@@ -332,6 +333,32 @@ func TestClosShardedPartition(t *testing.T) {
 	}
 	if len(fab.Cross) != wantCross {
 		t.Fatalf("%d cross links, want %d", len(fab.Cross), wantCross)
+	}
+	// Link numbers — the rank of each port's deliveries — are the same
+	// at every shard count: same-instant order must not see the cut.
+	ranks := func(n int) map[string]uint32 {
+		engs := make([]*sim.Engine, n)
+		for i := range engs {
+			engs[i] = sim.NewEngine(1)
+		}
+		m := map[string]uint32{}
+		ClosSharded(engs, ClosPodShards(c, n), c, p).Net.EachPort(func(port *netem.Port) {
+			m[port.Name()] = port.Rank()
+		})
+		return m
+	}
+	one := ranks(1)
+	seen := map[uint32]bool{}
+	for name, r := range one {
+		if r < 2 || seen[r] {
+			t.Fatalf("port %s has rank %d: not a unique Network link number", name, r)
+		}
+		seen[r] = true
+	}
+	for _, n := range []int{2, 4} {
+		if got := ranks(n); !maps.Equal(got, one) {
+			t.Fatalf("port ranks at %d shards differ from one engine's", n)
+		}
 	}
 }
 

@@ -84,6 +84,8 @@ type Pacer struct {
 
 	sent int // credits sent this period
 
+	rng sim.Stream // credit-interval jitter, keyed by (flow, receiver host)
+
 	// Credit-loss accounting from sequence echoes: every credit carries a
 	// sequence number which the triggered data packet echoes back, so the
 	// receiver measures credit loss exactly (as in ExpressPass), without
@@ -122,6 +124,7 @@ func NewPacer(eng *sim.Engine, host *netem.Host, dst netem.NodeID, flow uint64, 
 		flow: flow,
 		rate: cfg.InitRate,
 		w:    cfg.WInit,
+		rng:  eng.Stream(flow<<32 | uint64(uint32(host.NodeID()))),
 	}
 	p.creditFn = p.creditTick
 	p.feedbackFn = p.feedback
@@ -164,7 +167,7 @@ func (p *Pacer) OnData(echo uint32) {
 func (p *Pacer) interval() sim.Time {
 	iv := p.rate.TxTime(netem.CreditSize)
 	j := p.cfg.Jitter
-	f := 1 - j + 2*j*p.eng.Rand().Float64()
+	f := 1 - j + 2*j*p.rng.Float64()
 	return sim.Time(float64(iv) * f)
 }
 

@@ -749,7 +749,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 }
 
 // StartReceiver wires only the receive side: the proactive credit source
-// it owns lives on the destination shard with the pacer's RNG stream.
+// it owns runs on the destination host's engine.
 func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
 	r := NewReceiver(eng, flow, cfg)
 	core.StartReceiverSide(flow, r)
