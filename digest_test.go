@@ -52,12 +52,12 @@ func FlowsDigest(flows []*Flow) string {
 //
 //	go test -run TestGoldenDigest -v .
 var goldenDigests = map[string]string{
-	"flexpass":    "10a4e94034b6d1f7",
-	"expresspass": "fa4b5c89f6ae1e73",
+	"flexpass":    "7cdd8f2ef26cf0fb",
+	"expresspass": "7b9a6c2c15ee2d48",
 	"dctcp":       "0580af3cb6559723",
-	"homa":        "75a8ca3fb22ce850",
+	"homa":        "e1a707ccac364f2a",
 	"phost":       "0bc385501275211f",
-	"mixed":       "e1567e585b3580e2",
+	"mixed":       "6e5276918e87ff7d",
 }
 
 // runGoldenScenario runs a small mixed-size contention scenario — an
