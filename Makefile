@@ -103,10 +103,15 @@ loc:
 # the diff runs at zero tolerance and any drift in goodput, FCT
 # quantiles, drops, or event counts fails the target (perf self-reports
 # are informational only). Re-baseline with lake-baseline after an
-# intentional behavior change and commit ci/lake-baseline.json.
+# intentional behavior change and commit ci/lake-baseline.json. The
+# sweep indexes the runs it holds in memory; the cmp step re-indexes
+# runs/ from disk with `flexfarm ingest` and requires the same bytes.
 lake-regression:
 	rm -rf lake-ci
 	$(GO) run ./cmd/flexfarm run -spec ci/microsweep.json -out lake-ci
+	cp lake-ci/index.json lake-ci/index.sweep.json
+	$(GO) run ./cmd/flexfarm ingest -lake lake-ci
+	cmp lake-ci/index.sweep.json lake-ci/index.json
 	$(GO) run ./cmd/flexfarm diff ci/lake-baseline.json lake-ci
 
 lake-baseline:

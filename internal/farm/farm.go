@@ -488,6 +488,11 @@ type Options struct {
 // (<dir>/runs/<hash>.jsonl), resuming past valid artifacts, isolating
 // failures, and finally rebuilding <dir>/index.json. The failure log
 // is rewritten each call to hold exactly the still-failing points.
+// The index comes from the runs Execute holds — the run a point wrote,
+// or the decode that validated a skipped one, so a resume decodes each
+// artifact once. Only artifacts it did not produce (other sweeps',
+// stale, damaged) are ingested from disk; index.json is exactly what
+// lake.Load rebuilds from runs/.
 func Execute(points []Point, dir string, opt Options) (*Report, error) {
 	runsDir := filepath.Join(dir, lake.RunsDir)
 	if err := os.MkdirAll(runsDir, 0o755); err != nil {
@@ -505,14 +510,20 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 
 	rep := &Report{Total: len(points)}
 	var mu sync.Mutex
+	rows := map[string]lake.Row{} // by artifact path, for the runs this call holds
 	dispatched := harness.Each(ctx, opt.Workers, len(points), func(worker, i int) {
 		pt := points[i]
 		hash := pt.Hash()
 		label := pt.Label()
 		path := filepath.Join(runsDir, hash+".jsonl")
-		if !opt.Force && artifactValid(path, hash) {
+		var run *obs.Run
+		if !opt.Force {
+			run = validArtifact(path, hash)
+		}
+		if run != nil {
 			mu.Lock()
 			rep.Skipped++
+			rows[path] = lake.FromRun(run, path, false)
 			mu.Unlock()
 			progress(ProgressEvent{Kind: EventSkipped, Worker: worker, Hash: hash, Label: label})
 			return
@@ -524,7 +535,7 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 		for {
 			attempt++
 			start := time.Now()
-			err = runPoint(pt, path, attempt, opt.PointTimeout)
+			run, err = runPoint(pt, path, attempt, opt.PointTimeout)
 			elapsed = time.Since(start)
 			if err == nil || attempt > opt.Retries || ctx.Err() != nil {
 				break
@@ -559,6 +570,7 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 			return
 		}
 		rep.Ran++
+		rows[path] = lake.FromRun(run, path, false)
 		mu.Unlock()
 		progress(ProgressEvent{Kind: EventRan, Worker: worker, Hash: hash, Label: label, Elapsed: elapsed})
 	})
@@ -568,9 +580,17 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 	if err := writeFailures(filepath.Join(dir, FailuresFile), rep.Failures); err != nil {
 		return rep, err
 	}
+	paths, err := filepath.Glob(filepath.Join(runsDir, "*.jsonl")) // sorted, like IngestDir
+	if err != nil {
+		return rep, err
+	}
 	ix := &lake.Index{}
-	if _, errs := ix.IngestDir(runsDir); len(errs) > 0 {
-		return rep, fmt.Errorf("farm: indexing: %v", errs[0])
+	for _, p := range paths {
+		if row, ok := rows[p]; ok {
+			ix.Rows = append(ix.Rows, row)
+		} else if err := ix.IngestFile(p); err != nil {
+			return rep, fmt.Errorf("farm: indexing: %v", err)
+		}
 	}
 	ix.Sort()
 	if err := ix.WriteTo(dir); err != nil {
@@ -582,16 +602,16 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 // FailuresFile names the per-lake failure log.
 const FailuresFile = "failures.jsonl"
 
-// artifactValid reports whether an existing artifact can be resumed
-// past: it must parse cleanly end-to-end and its manifest must carry
-// the expected scenario hash. Anything else — missing, torn mid-write,
-// or produced by a different spec revision — is re-run.
-func artifactValid(path, hash string) bool {
+// validArtifact returns the artifact at path, decoded, if the point can
+// resume past it: it must parse cleanly end-to-end and its manifest must
+// carry the expected scenario hash. Anything else — missing, torn
+// mid-write, or from a different spec revision — is nil and re-run.
+func validArtifact(path, hash string) *obs.Run {
 	run, err := obs.ReadJSONLFile(path)
-	if err != nil || run == nil {
-		return false
+	if err != nil || run == nil || run.Manifest.Config["scenario_hash"] != hash {
+		return nil
 	}
-	return run.Manifest.Config["scenario_hash"] == hash
+	return run
 }
 
 // runScenario is the harness entry point, indirected so tests can
@@ -600,13 +620,13 @@ func artifactValid(path, hash string) bool {
 var runScenario = harness.Run
 
 // runPoint executes one scenario attempt and lands its artifact
-// atomically (tmp + rename). With a timeout it adds two layers of
-// supervision: the harness deadline watchdog kills the engine
-// cooperatively at timeout, and a hard backstop at ~2x abandons the
-// worker goroutine entirely if the run wedged somewhere the watchdog
-// cannot reach; an abandoned run is barred from landing its artifact,
-// so a timed-out point never masquerades as a completed one.
-func runPoint(pt Point, path string, attempt int, timeout time.Duration) error {
+// atomically (tmp + rename), returning the run it wrote. With a timeout
+// it adds two layers of supervision: the harness deadline watchdog
+// kills the engine cooperatively at timeout, and a hard backstop at ~2x
+// abandons the worker goroutine entirely if the run wedged somewhere
+// the watchdog cannot reach; an abandoned run is barred from landing
+// its artifact, so a timed-out point never masquerades as a completed one.
+func runPoint(pt Point, path string, attempt int, timeout time.Duration) (*obs.Run, error) {
 	if timeout <= 0 {
 		return executePoint(pt, path, attempt, 0, nil)
 	}
@@ -615,24 +635,27 @@ func runPoint(pt Point, path string, attempt int, timeout time.Duration) error {
 		backstop = timeout + time.Second
 	}
 	var abandoned atomic.Bool
+	var run *obs.Run // written before done is sent, read only after it arrives
 	done := make(chan error, 1)
 	go func() {
-		done <- executePoint(pt, path, attempt, timeout, &abandoned)
+		var err error
+		run, err = executePoint(pt, path, attempt, timeout, &abandoned)
+		done <- err
 	}()
 	timer := time.NewTimer(backstop)
 	defer timer.Stop()
 	select {
 	case err := <-done:
-		return err
+		return run, err
 	case <-timer.C:
 		abandoned.Store(true)
-		return fmt.Errorf("point wedged: no result after %v (deadline %v; engine watchdog unreachable)", backstop, timeout)
+		return nil, fmt.Errorf("point wedged: no result after %v (deadline %v; engine watchdog unreachable)", backstop, timeout)
 	}
 }
 
 // executePoint runs the scenario under harness.Try, so a scenario
 // contract violation or a deadline/stall kill is this point's error.
-func executePoint(pt Point, path string, attempt int, deadline time.Duration, abandoned *atomic.Bool) error {
+func executePoint(pt Point, path string, attempt int, deadline time.Duration, abandoned *atomic.Bool) (*obs.Run, error) {
 	sc := pt.Scenario()
 	sc.Deadline = deadline
 	if attempt > 0 {
@@ -642,20 +665,23 @@ func executePoint(pt Point, path string, attempt int, deadline time.Duration, ab
 	}
 	res, err := harness.Try(runScenario, sc)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if res.Telemetry == nil {
-		return fmt.Errorf("run produced no telemetry artifact")
+		return nil, fmt.Errorf("run produced no telemetry artifact")
 	}
 	if abandoned != nil && abandoned.Load() {
-		return fmt.Errorf("run finished after the backstop abandoned it; artifact discarded")
+		return nil, fmt.Errorf("run finished after the backstop abandoned it; artifact discarded")
 	}
 	tmp := path + ".tmp"
 	if err := res.Telemetry.WriteJSONLFile(tmp); err != nil {
 		os.Remove(tmp)
-		return err
+		return nil, err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, err
+	}
+	return res.Telemetry, nil
 }
 
 // writeFailures rewrites the failure log (one JSON object per line).

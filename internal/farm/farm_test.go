@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -9,9 +10,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"flexpass/internal/harness"
 	"flexpass/internal/lake"
+	"flexpass/internal/obs"
 )
 
 // testSpec is a 4-point sweep on the tiny fabric, sized to keep the
@@ -424,5 +428,122 @@ func TestWorkloadPlanAxis(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{"scheme":["flexpass"],"workload":[` + strconv.Quote(bad) + `]}`)); err == nil {
 		t.Fatal("spec with an invalid plan file should fail validation")
+	}
+}
+
+// TestExecuteIndexMatchesIngest: the index Execute builds from the runs
+// it holds is byte-identical to the one lake.Load rebuilds from runs/,
+// with a faulted point, another sweep's artifact and a torn artifact
+// (salvaged) in the directory, after a fresh sweep and again after a
+// resume that skips every point. And every run's row is the same built
+// from the run in memory as from its artifact read back.
+func TestExecuteIndexMatchesIngest(t *testing.T) {
+	s, err := ParseSpec([]byte(`{
+		"name": "ix",
+		"scheme": ["flexpass", "dctcp"],
+		"topology": ["tiny"],
+		"deployment": [1.0],
+		"duration_ms": 0.3, "drain_ms": 1.0,
+		"fault": ["", "burst@*@0.1ms-0.2ms@0.5"]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := s.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Another sweep's artifact, whole and torn, is in runs/ beforehand.
+	foreign := pts[0]
+	foreign.Sweep, foreign.Seed = "other", 2
+	other := t.TempDir()
+	if _, err := Execute([]Point{foreign}, other, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(other, lake.RunsDir, foreign.Hash()+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	runs := filepath.Join(dir, lake.RunsDir)
+	if err := os.MkdirAll(runs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{foreign.Hash() + ".jsonl": data, "torn.jsonl": data[:len(data)-5]} {
+		if err := os.WriteFile(filepath.Join(runs, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var mu sync.Mutex
+	var held []*obs.Run
+	swapRunner(t, func(sc harness.Scenario) *harness.Result {
+		res := harness.Run(sc)
+		mu.Lock()
+		held = append(held, res.Telemetry)
+		mu.Unlock()
+		return res
+	})
+
+	index := filepath.Join(dir, lake.IndexFile)
+	for _, pass := range []string{"fresh", "resume"} {
+		rep, err := Execute(pts, dir, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[string]int{"fresh": 0, "resume": len(pts)}[pass]; rep.Skipped != want || rep.Ran != len(pts)-want {
+			t.Fatalf("%s: ran %d, skipped %d", pass, rep.Ran, rep.Skipped)
+		}
+		built, err := os.ReadFile(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(index); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := lake.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		salvaged, faulted := 0, 0
+		for _, r := range ix.Rows {
+			if r.Salvaged {
+				salvaged++
+			}
+			if r.FaultActions > 0 {
+				faulted++
+			}
+		}
+		if len(ix.Rows) != len(pts)+2 || salvaged != 1 || faulted == 0 {
+			t.Fatalf("%s: %d rows (%d salvaged, %d faulted) for %d points + 2 foreign", pass, len(ix.Rows), salvaged, faulted, len(pts))
+		}
+		if err := ix.WriteTo(dir); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := os.ReadFile(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(built, rebuilt) {
+			t.Errorf("%s: Execute's index differs from the one rebuilt from runs/:\n%s\n%s", pass, built, rebuilt)
+		}
+	}
+
+	if len(held) != len(pts) {
+		t.Fatalf("%d runs executed for %d points", len(held), len(pts))
+	}
+	for _, run := range held {
+		var buf bytes.Buffer
+		if err := run.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := obs.ReadJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mem, disk := lake.FromRun(run, "a.jsonl", false), lake.FromRun(back, "a.jsonl", false); mem != disk {
+			t.Errorf("%s: row from the run in memory %+v, from its artifact %+v", mem.ID, mem, disk)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // fakeResult builds a minimal successful harness result: an artifact
-// whose manifest carries the point's scenario hash, so artifactValid
+// whose manifest carries the point's scenario hash, so validArtifact
 // accepts it on resume.
 func fakeResult(sc harness.Scenario) *harness.Result {
 	run := &obs.Run{}

@@ -236,42 +236,40 @@ type jsonlLine struct {
 }
 
 // WriteJSONL streams the artifact: first the manifest line, then one
-// line per series, counter, histogram, and trace event.
+// line per series, counter, histogram, and trace event. Every line is
+// encoded from one envelope, so Encode boxes one pointer per artifact
+// rather than a fresh envelope per line; the first error stops the rest.
 func (r *Run) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonlLine{Type: "manifest", Manifest: &r.Manifest}); err != nil {
+	l := &jsonlLine{Type: "manifest", Manifest: &r.Manifest}
+	err := enc.Encode(l)
+	for i := 0; err == nil && i < len(r.Series); i++ {
+		*l = jsonlLine{Type: "series", Series: &r.Series[i]}
+		err = enc.Encode(l)
+	}
+	for i := 0; err == nil && i < len(r.Counters); i++ {
+		*l = jsonlLine{Type: "counter", Counter: &r.Counters[i]}
+		err = enc.Encode(l)
+	}
+	for i := 0; err == nil && i < len(r.Hists); i++ {
+		*l = jsonlLine{Type: "hist", Hist: &r.Hists[i]}
+		err = enc.Encode(l)
+	}
+	for i := 0; err == nil && i < len(r.Trace); i++ {
+		*l = jsonlLine{Type: "trace", Trace: &r.Trace[i]}
+		err = enc.Encode(l)
+	}
+	for i := 0; err == nil && i < len(r.Forensics); i++ {
+		*l = jsonlLine{Type: "forensics", Forensics: &r.Forensics[i]}
+		err = enc.Encode(l)
+	}
+	for i := 0; err == nil && i < len(r.Faults); i++ {
+		*l = jsonlLine{Type: "fault", Fault: &r.Faults[i]}
+		err = enc.Encode(l)
+	}
+	if err != nil {
 		return err
-	}
-	for i := range r.Series {
-		if err := enc.Encode(jsonlLine{Type: "series", Series: &r.Series[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range r.Counters {
-		if err := enc.Encode(jsonlLine{Type: "counter", Counter: &r.Counters[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range r.Hists {
-		if err := enc.Encode(jsonlLine{Type: "hist", Hist: &r.Hists[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range r.Trace {
-		if err := enc.Encode(jsonlLine{Type: "trace", Trace: &r.Trace[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range r.Forensics {
-		if err := enc.Encode(jsonlLine{Type: "forensics", Forensics: &r.Forensics[i]}); err != nil {
-			return err
-		}
-	}
-	for i := range r.Faults {
-		if err := enc.Encode(jsonlLine{Type: "fault", Fault: &r.Faults[i]}); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strconv"
 	"strings"
@@ -221,6 +222,34 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if got.Trace[0].Kind != "credit-waste" || got.Trace[0].AtPs != int64(25*sim.Microsecond) {
 		t.Fatalf("trace: %+v", got.Trace[0])
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestWriteJSONLAllocsFlat: writing an artifact allocates the same
+// however many trace, counter and hist lines it carries — the line
+// envelope is boxed once per artifact, not once per line.
+func TestWriteJSONLAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	allocs := func(lines int) float64 {
+		run := sampleRun()
+		for i := 0; i < lines; i++ {
+			run.Trace = append(run.Trace, TraceData{AtPs: int64(i), Kind: "credit-waste", Flow: uint64(i), Seq: int64(i), Note: "no data"})
+			run.Counters = append(run.Counters, CounterData{Entity: "port/tor0/q1", Metric: "dropped", Kind: "counter", Value: int64(i)})
+			run.Hists = append(run.Hists, HistData{Entity: "transport/flexpass", Metric: "fct_us", Count: 3, Sum: 90, Le: []int64{32, 64}, Counts: []int64{1, 2}})
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := run.WriteJSONL(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(1), allocs(2000); many != few {
+		t.Errorf("WriteJSONL allocates %.0f times with 1 line of each kind, %.0f with 2000", few, many)
 	}
 }
 
