@@ -45,15 +45,19 @@ race-shard:
 
 check: vet build race
 
-# The pre-farm figure pipeline's oracle: the micro figures (1, 7, 8, 9 —
-# hand-wired transports sampled by a private obs.Prober) and the two
-# sweeps that sample Q1 occupancy (10, 17) must reproduce their 11
-# checked-in results/*.csv byte for byte (~25 s on 2 cores). A sampler,
-# transport or runner change that moves one sample fails here.
+# The pre-farm figure pipeline's oracle: the testbed figures (1, 7, 8, 9 —
+# testbed scenarios through harness.Run, throughput sampled by a private
+# obs.Prober) and the two sweeps that sample Q1 occupancy (10, 17) must
+# reproduce their 11 checked-in results/*.csv byte for byte (~25 s on 2
+# cores). A sampler, transport or runner change that moves one sample
+# fails here, naming each CSV that differs with a diff of its first
+# differing lines — the list a re-pin commit records.
 figs-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	 { $(GO) run ./cmd/experiments -figs 1,7,8,9,10,17 -out "$$tmp" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; } && \
-	 n=0 && for f in "$$tmp"/*.csv; do cmp "$$f" "results/$$(basename "$$f")" || exit 1; n=$$((n+1)); done && \
+	 n=0 && bad=0 && for f in "$$tmp"/*.csv; do n=$$((n+1)); want="results/$$(basename "$$f")"; \
+	   cmp -s "$$f" "$$want" || { bad=$$((bad+1)); echo "figs-check: $$want differs (< checked in, > regenerated):"; diff "$$want" "$$f" | head -n 12; }; done && \
+	 if [ $$bad -ne 0 ]; then echo "figs-check: $$bad of $$n CSVs differ"; exit 1; fi && \
 	 test $$n -eq 11 && echo "figs-check: $$n CSVs byte-identical to results/"
 
 # Figure-level benchmarks (one per paper figure) plus the simulator's

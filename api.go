@@ -145,7 +145,6 @@ type Testbed struct {
 	Eng    *sim.Engine
 	Fabric *topo.Fabric
 
-	cfg     TestbedConfig
 	agents  []*transport.Agent
 	env     *transport.SchemeEnv
 	schemes map[string]transport.Scheme // lazily built per transport name
@@ -177,16 +176,17 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		BufAlpha:  0.25,
 		Profile:   topo.FlexPassProfile(spec),
 	}
-	var fab *topo.Fabric
+	var layout topo.Layout
 	switch cfg.Kind {
 	case SingleSwitch:
-		fab = topo.SingleSwitch(eng, cfg.Hosts, params)
+		layout = topo.SingleSwitchLayout{N: cfg.Hosts}
 	case DumbbellPairs:
-		fab = topo.Dumbbell(eng, cfg.Hosts/2, cfg.Hosts-cfg.Hosts/2, cfg.LinkRate, params)
+		layout = topo.DumbbellLayout{Left: cfg.Hosts / 2, Right: cfg.Hosts - cfg.Hosts/2}
 	default:
 		panic("flexpass: unknown testbed kind")
 	}
-	tb := &Testbed{Eng: eng, Fabric: fab, cfg: cfg}
+	fab := layout.Build([]*sim.Engine{eng}, params)
+	tb := &Testbed{Eng: eng, Fabric: fab}
 	for i := 0; i < cfg.Hosts; i++ {
 		tb.agents = append(tb.agents, transport.NewAgent(eng, fab.Net.Host(i)))
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexpass/internal/sim"
+	"flexpass/internal/topo"
 	"flexpass/internal/transport"
 	"flexpass/internal/workload"
 )
@@ -51,11 +52,15 @@ func TestTraceReplayMatchesGenerated(t *testing.T) {
 	direct := Run(sc)
 
 	// Regenerate the same workload out-of-band and replay it.
-	rackOf := rackAssignment(sc.Clos)
-	uplinks := sc.Clos.Hosts() / sc.Clos.HostsPerTor * sc.Clos.AggPerPod
+	clos := sc.Clos.(topo.ClosParams)
+	rackOf := make([]int, clos.Hosts())
+	for i := range rackOf {
+		rackOf[i] = i / clos.HostsPerTor
+	}
+	uplinks := clos.Hosts() / clos.HostsPerTor * clos.AggPerPod
 	bg := workload.BackgroundParams{
 		CDF:            sc.Workload,
-		Hosts:          sc.Clos.Hosts(),
+		Hosts:          clos.Hosts(),
 		RackOf:         rackOf,
 		UplinkCapacity: sc.LinkRate.Scale(float64(uplinks)),
 		Load:           sc.Load,

@@ -2,10 +2,15 @@ package harness
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"flexpass/internal/faults"
 	"flexpass/internal/forensics"
 	"flexpass/internal/obs"
+	"flexpass/internal/sim"
+	"flexpass/internal/topo"
+	"flexpass/internal/workload"
 )
 
 func forensicsScenario() Scenario {
@@ -126,6 +131,40 @@ func TestForensicsDoesNotPerturb(t *testing.T) {
 	if with.DropsRed != without.DropsRed || with.DropsCredit != without.DropsCredit ||
 		with.DropsOther != without.DropsOther {
 		t.Fatal("drop counts diverged under forensics")
+	}
+}
+
+// TestTestbedObservers: a testbed is a layout like any other, so a Fig
+// 9(b)-shaped run (FlexPass h0→h1 beside DCTCP h2→h1) takes telemetry,
+// forensics, the profiler and a fault plan on the receiver's downlink —
+// and the observers still change no flow record.
+func TestTestbedObservers(t *testing.T) {
+	sc := testbed(topo.SingleSwitchLayout{N: 3}, SchemeFlexPass, 2.0/3, 1, 5*sim.Millisecond,
+		workload.FlowSpec{Src: 0, Dst: 1, Size: 3_000_000}, workload.FlowSpec{Src: 2, Dst: 1, Size: 3_000_000})
+	sc.Drain = 50 * sim.Millisecond
+	plan, err := faults.ParseSpec("down@sw0->h1@1ms-2ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.FaultPlan = plan
+	plain := Run(sc)
+	sc.Telemetry, sc.Forensics, sc.Profile = &obs.Options{}, &forensics.Options{}, true
+	res := Run(sc)
+
+	if !reflect.DeepEqual(res.Flows.Records, plain.Flows.Records) || len(plain.Flows.Records) != 2 {
+		t.Fatalf("observed records %+v, plain %+v", res.Flows.Records, plain.Flows.Records)
+	}
+	if res.Flows.Incomplete() != 0 || res.FaultDrops.Injected == 0 {
+		t.Fatalf("%d flows incomplete, %d fault drops: the run does not exercise the fault", res.Flows.Incomplete(), res.FaultDrops.Injected)
+	}
+	if v := res.Forensics.Violations; len(v) != 0 {
+		t.Fatalf("violations on a healthy testbed: %v", v)
+	}
+	if len(res.Telemetry.Forensics) == 0 || len(res.Profile) == 0 {
+		t.Fatalf("%d exported timelines, %d profile rows", len(res.Telemetry.Forensics), len(res.Profile))
+	}
+	if got := res.Telemetry.Manifest.Topology; got != "single-switch hosts=3" {
+		t.Fatalf("manifest topology %q", got)
 	}
 }
 

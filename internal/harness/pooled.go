@@ -51,13 +51,11 @@ func mergeSeeds(results []*Result) *Result {
 		merged.DropsCredit += r.DropsCredit
 		merged.DropsOther += r.DropsOther
 		merged.Events += r.Events
-		// Queue stats: keep the worst observed percentile.
-		if r.QueueP90 > merged.QueueP90 {
-			merged.QueueP90 = r.QueueP90
-		}
-		if r.QueueAvg > merged.QueueAvg {
-			merged.QueueAvg = r.QueueAvg
-		}
+		// Queue stats, red bytes included: keep the worst seed's.
+		merged.QueueAvg = max(merged.QueueAvg, r.QueueAvg)
+		merged.QueueP90 = max(merged.QueueP90, r.QueueP90)
+		merged.QueueRedAvg = max(merged.QueueRedAvg, r.QueueRedAvg)
+		merged.QueueRedP90 = max(merged.QueueRedP90, r.QueueRedP90)
 	}
 	return merged
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexpass/internal/sim"
+	"flexpass/internal/workload"
 )
 
 func TestRunPooledMergesSeeds(t *testing.T) {
@@ -36,7 +37,39 @@ func TestRunPooledSingleSeedMatchesRunPoint(t *testing.T) {
 	}
 }
 
-// TestSweepPooledShapes: a Sweep with PoolSeeds flattens (point x seed)
+// TestRunPooledQueueWorstSeed: pooled Q1 statistics are the worst seed's,
+// red bytes as well as totals, on a scenario whose Q1 is occupied (the
+// one TestTelemetryDoesNotPerturb uses) and whose first seed is not the
+// worst on red bytes.
+func TestRunPooledQueueWorstSeed(t *testing.T) {
+	sc := telemetryScenario()
+	sc.Telemetry = nil
+	sc.Workload, sc.Load = workload.CacheFollower, 0.8
+	seeds := []int64{8, 9, 7}
+	var want, first DeploymentPoint
+	for i, seed := range seeds {
+		one := sc
+		one.Seed = seed
+		r := Run(one)
+		if i == 0 {
+			first.QueueRedAvg, first.QueueRedP90 = r.QueueRedAvg, r.QueueRedP90
+		}
+		want.QueueAvg, want.QueueP90 = max(want.QueueAvg, r.QueueAvg), max(want.QueueP90, r.QueueP90)
+		want.QueueRedAvg, want.QueueRedP90 = max(want.QueueRedAvg, r.QueueRedAvg), max(want.QueueRedP90, r.QueueRedP90)
+	}
+	if want.QueueRedAvg == 0 || first.QueueRedAvg == want.QueueRedAvg && first.QueueRedP90 == want.QueueRedP90 {
+		t.Fatalf("red Q1 stats: first seed %+v, worst %+v — the comparison below would be vacuous", first, want)
+	}
+	got := RunPooled(sc, seeds)
+	if got.QueueAvg != want.QueueAvg || got.QueueP90 != want.QueueP90 ||
+		got.QueueRedAvg != want.QueueRedAvg || got.QueueRedP90 != want.QueueRedP90 {
+		t.Fatalf("pooled Q1 avg %d p90 %d red %d/%d, want the worst seed's: avg %d p90 %d red %d/%d",
+			got.QueueAvg, got.QueueP90, got.QueueRedAvg, got.QueueRedP90,
+			want.QueueAvg, want.QueueP90, want.QueueRedAvg, want.QueueRedP90)
+	}
+}
+
+// TestSweepPooledShapes:a Sweep with PoolSeeds flattens (point x seed)
 // into the one pool; every point must come back in order and equal
 // RunPooled of that point alone, field for field.
 func TestSweepPooledShapes(t *testing.T) {

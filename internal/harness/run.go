@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,9 +25,9 @@ import (
 // plane is everything one engine owns while a run executes: its scheme
 // instances, stats registry, trace ring, profiler, and observers (the
 // fabric owns the per-engine packet free lists; see netem.PacketPool). A
-// run is a slice of planes — one per pod-block shard —
-// and everything a plane touches during the run is its own, so the hot
-// path takes no locks; the planes are folded after the fabric drains.
+// run is a slice of planes — one per cut of the layout — and everything a
+// plane touches during the run is its own, so the hot path takes no
+// locks; the planes are folded after the fabric drains.
 type plane struct {
 	eng      *sim.Engine
 	profiler *prof.Profiler
@@ -76,29 +77,50 @@ func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
 	})
 }
 
-// Run executes the scenario and returns collected metrics.
+// Run executes the scenario and returns collected metrics: build, then
+// run and fold.
 //
-// The Clos is partitioned by pod blocks (topo.ClosPodShards) into N
-// planes, each with its own engine; N > 1 runs them on one goroutine
-// each, synchronized conservatively on the agg↔core propagation delay
-// (see internal/sim/shard). Shards ≤ 1, or a fabric with nothing to cut,
-// is the same composition with N = 1. N matters in two places only: the
-// run call (one engine has no cut and no lookahead) and forensics (the
-// recorder and auditors are single-goroutine state). Arrivals are not one
-// of them: every flow starts through its scheme's two endpoint halves,
-// scheduled by plane.arrive on the plane that owns each host.
+// The layout is cut into N = sc.Clos.Planes(sc.Shards) planes — a Clos by
+// pod blocks, a testbed never — each with its own engine; N > 1 runs them
+// on one goroutine each, synchronized conservatively on the propagation
+// delay across the cut (see internal/sim/shard). One plane is the same
+// composition with N = 1. N matters in two places only: the run call (one
+// engine has no cut and no lookahead) and forensics (the recorder and
+// auditors are single-goroutine state). Arrivals are not one of them:
+// every flow starts through its scheme's two endpoint halves, scheduled
+// by plane.arrive on the plane that owns each host.
 //
 // Flow results do not depend on N: every port and pacer draws from its own
 // stream of (seed, entity), and same-instant order is the model's (see
 // internal/sim/shard), so shards = N reproduces shards = 1 exactly
 // (TestShardedGolden); Result.Events adds the second arrival of every
 // flow that crosses a cut.
-func Run(sc Scenario) *Result {
-	podShard := topo.ClosPodShards(sc.Clos, sc.Shards)
-	n := topo.Shards(podShard)
+func Run(sc Scenario) *Result { return build(sc).run() }
+
+// built is a run between its two halves: fabric, planes, observers and
+// every arrival in place, no event dispatched yet. A caller that samples
+// sources of its own (the throughput figures) starts them here.
+type built struct {
+	sc                      Scenario
+	plan                    *runPlan
+	planes                  []*plane
+	fab                     *topo.Fabric
+	rt                      *shard.Runtime // nil on one plane
+	res                     *Result
+	flows                   []*transport.Flow // prebuilt, in spec order
+	all                     []*transport.Flow // those starting inside the run window, in (start, ID) order
+	rec                     *forensics.Recorder
+	aud                     *forensics.Auditor
+	flowsStarted, flowsDone atomic.Int64
+}
+
+// build is Run's first half.
+func build(sc Scenario) *built {
+	n := sc.Clos.Planes(sc.Shards)
 	if sc.Forensics != nil && n > 1 {
 		panic(fmt.Sprintf("harness: forensics needs one engine, this run has %d (set Shards to 0 or 1)", n))
 	}
+	end := sc.Duration + sc.Drain
 	// Forensics and live introspection imply telemetry: timelines need
 	// the registry and a lifecycle trace ring, /metrics bridges the
 	// registry. The caller's options are copied, never mutated.
@@ -113,13 +135,13 @@ func Run(sc Scenario) *Result {
 	}
 
 	plan := planWorkload(sc)
+	b := &built{sc: sc, plan: plan}
 	spec := sc.Spec
 	spec.WQ = sc.WQ
 	planes := make([]*plane, n)
 	engs := make([]*sim.Engine, n)
-	var flowsStarted, flowsDone atomic.Int64
 	for i := range planes {
-		pl := &plane{started: &flowsStarted, eng: sim.NewEngine(sc.Seed)}
+		pl := &plane{started: &b.flowsStarted, eng: sim.NewEngine(sc.Seed)}
 		if sc.Profile {
 			pl.profiler = prof.New()
 			pl.profiler.Attach(pl.eng)
@@ -147,8 +169,9 @@ func Run(sc Scenario) *Result {
 		pl.strays = pl.reg.Counter("transport/agent", "stray_packets")
 		planes[i], engs[i] = pl, pl.eng
 	}
+	b.planes = planes
 
-	fab := topo.ClosSharded(engs, podShard, sc.Clos, topo.Params{
+	fab := sc.Clos.Build(engs, topo.Params{
 		LinkRate:  sc.LinkRate,
 		LinkDelay: sc.LinkDelay,
 		HostDelay: sc.HostDelay,
@@ -156,25 +179,32 @@ func Run(sc Scenario) *Result {
 		BufAlpha:  sc.BufAlpha,
 		Profile:   planes[0].active.Profile(),
 	})
-	hostPlane := func(i int) *plane { return planes[fab.HostShard[i]] }
-	var rt *shard.Runtime
+	b.fab = fab
+	// planeOf maps node i to its plane under the fabric's host or switch
+	// partition; a one-plane fabric records none.
+	planeOf := func(shard []int, i int) *plane {
+		if shard == nil {
+			return planes[0]
+		}
+		return planes[shard[i]]
+	}
 	if n > 1 {
-		rt = bridgeShards(engs, fab.Cross)
+		b.rt = bridgeShards(engs, fab.Cross)
 	}
 
 	// Nodes, their agents, and telemetry live with the plane that owns
 	// them.
 	for i, sw := range fab.Net.Switches {
-		sw.Register(planes[fab.SwitchShard[i]].reg)
+		sw.Register(planeOf(fab.SwitchShard, i).reg)
 	}
 	agents := make([]*transport.Agent, plan.hosts)
 	for i, h := range fab.Net.Hosts {
-		pl := hostPlane(i)
+		pl := planeOf(fab.HostShard, i)
 		agents[i] = transport.NewAgent(pl.eng, h)
 		agents[i].ObserveStrays(pl.strays)
 		h.Register(pl.reg)
 	}
-	res := &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
+	b.res = &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
 
 	// Apply the fault plan at a fixed point in setup — after the fabric
 	// and observers exist, before any flow arrival is scheduled — so each
@@ -187,42 +217,26 @@ func Run(sc Scenario) *Result {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
 		applied.Register(planes[0].reg)
-		res.Faults = applied
+		b.res.Faults = applied
 	}
 
 	// Flows are prebuilt with ID = spec index + 1 and their arrivals
 	// scheduled in spec order, on the plane of each endpoint: once when
 	// the two hosts share a plane, once per plane when they do not.
 	//
-	// The ideal-FCT estimate is for ranking forensic timelines only: wire
-	// bytes at line rate plus a fixed propagation allowance. Crude, but
-	// monotone in the real ideal, which is all slowdown ordering needs.
-	base := 4*sc.LinkDelay + 2*sc.HostDelay
-	slowdown := func(fl *transport.Flow) float64 {
-		wire := fl.Size
-		if segs := fl.Segs(); segs > 0 {
-			wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
-		}
-		ideal := sc.LinkRate.TxTime(int(wire)) + base
-		if fct := fl.FCT(); fct > 0 && ideal > 0 {
-			return float64(fct) / float64(ideal)
-		}
-		return 0
-	}
 	// The hop recorder (forensic runs only, so one engine) hears of each
 	// completion with the flow's score, and gives up the logs of flows
 	// that can no longer rank among the exported timelines.
-	var rec *forensics.Recorder
 	if sc.Forensics != nil {
-		rec = forensics.NewRecorder(sc.Forensics)
+		b.rec = forensics.NewRecorder(sc.Forensics)
 	}
 	onDone := func(fl *transport.Flow) {
-		flowsDone.Add(1)
-		if rec != nil {
-			rec.Done(fl.ID, slowdown(fl))
+		b.flowsDone.Add(1)
+		if b.rec != nil {
+			b.rec.Done(fl.ID, b.slowdown(fl))
 		}
 	}
-	all := make([]*transport.Flow, 0, len(plan.flows))
+	b.flows = make([]*transport.Flow, len(plan.flows))
 	prevComp := make([]sim.Component, n)
 	for i, pl := range planes {
 		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
@@ -238,9 +252,9 @@ func Run(sc Scenario) *Result {
 			Start:      fs.At,
 			OnComplete: onDone,
 		}
-		all = append(all, fl)
+		b.flows[i] = fl
 		upgraded := plan.upgraded(fs)
-		src, dst := hostPlane(fs.Src), hostPlane(fs.Dst)
+		src, dst := planeOf(fab.HostShard, fs.Src), planeOf(fab.HostShard, fs.Dst)
 		src.arrive(fl, upgraded)
 		if dst != src {
 			dst.arrive(fl, upgraded)
@@ -254,9 +268,9 @@ func Run(sc Scenario) *Result {
 	// their arrivals in. A spec past the window never starts and is not a
 	// record (recordWorkloadObs still counts it as an incomplete member
 	// of its tenant and coflow).
-	end := sc.Duration + sc.Drain
+	all := slices.Clone(b.flows)
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-	all = all[:sort.Search(len(all), func(i int) bool { return all[i].Start > end })]
+	b.all = all[:sort.Search(len(all), func(i int) bool { return all[i].Start > end })]
 
 	for _, pl := range planes {
 		pl.prober = obs.NewProber(pl.eng, pl.reg, tel)
@@ -266,9 +280,8 @@ func Run(sc Scenario) *Result {
 	// The forensic plane: hop recording at every port, and the invariant
 	// auditors — credit conservation samples the live pacer / sender
 	// counters and the fabric's rate-limited credit-queue drops.
-	var aud *forensics.Auditor
 	if sc.Forensics != nil {
-		fab.Net.SetHopObserver(rec)
+		fab.Net.SetHopObserver(b.rec)
 		credits := func(pick func(transport.Counters) *obs.Counter) func() int64 {
 			return func() (n int64) {
 				planes[0].env.EachCounters(func(_ string, c transport.Counters) { n += pick(c).Value() })
@@ -289,9 +302,9 @@ func Run(sc Scenario) *Result {
 		}
 		// The auditors see every prebuilt flow; the starvation check
 		// skips those that have not started yet.
-		aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
-			func() []*transport.Flow { return all }, issued, consumed, creditDrops)
-		aud.Start()
+		b.aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
+			func() []*transport.Flow { return b.all }, issued, consumed, creditDrops)
+		b.aud.Start()
 	}
 
 	// Q1 occupancy of the ToR uplinks, each sampled by the plane whose
@@ -310,7 +323,29 @@ func Run(sc Scenario) *Result {
 			pl.q1 = sample(pl.eng, reg, 100*sim.Microsecond, end)
 		}
 	}
+	return b
+}
 
+// slowdown ranks forensic timelines: the FCT over an ideal of wire bytes
+// at line rate plus a fixed propagation allowance. Crude, but monotone in
+// the real ideal, which is all slowdown ordering needs.
+func (b *built) slowdown(fl *transport.Flow) float64 {
+	wire := fl.Size
+	if segs := fl.Segs(); segs > 0 {
+		wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
+	}
+	ideal := b.sc.LinkRate.TxTime(int(wire)) + 4*b.sc.LinkDelay + 2*b.sc.HostDelay
+	if fct := fl.FCT(); fct > 0 && ideal > 0 {
+		return float64(fct) / float64(ideal)
+	}
+	return 0
+}
+
+// run is Run's second half: supervise and run the engines, then fold the
+// planes into the result.
+func (b *built) run() *Result {
+	sc, planes, res := b.sc, b.planes, b.res
+	n, end := len(planes), sc.Duration+sc.Drain
 	// Progress cells: the watchdog and the live board read the run from
 	// other goroutines through one sim.Watch per engine.
 	var watches fleet
@@ -348,9 +383,9 @@ func Run(sc Scenario) *Result {
 				SimNowPs:     watches.horizonPs(),
 				SimEndPs:     int64(end),
 				Events:       watches.events(),
-				FlowsTotal:   len(plan.flows),
-				FlowsStarted: int(flowsStarted.Load()),
-				FlowsDone:    int(flowsDone.Load()),
+				FlowsTotal:   len(b.plan.flows),
+				FlowsStarted: int(b.flowsStarted.Load()),
+				FlowsDone:    int(b.flowsDone.Load()),
 				WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
 				Done:         done,
 			}
@@ -373,10 +408,10 @@ func Run(sc Scenario) *Result {
 	// An aborted engine still advances its clock through each round
 	// window, so the shard protocol drains normally after a kill.
 	wd := startWatchdog(sc.Deadline, sc.StallTimeout, watches.horizonPs, watches.events, watches.abort)
-	if rt == nil {
-		engs[0].Run(end)
+	if b.rt == nil {
+		planes[0].eng.Run(end)
 	} else {
-		rt.Run(end)
+		b.rt.Run(end)
 	}
 	res.WallClock = time.Since(wallStart)
 	if ke := wd.stop(); ke != nil {
@@ -386,8 +421,8 @@ func Run(sc Scenario) *Result {
 		publishFinal()
 	}
 
-	for _, fl := range all {
-		res.Flows.Add(metrics.Snapshot(fl, plan.flows[fl.ID-1].Incast))
+	for _, fl := range b.all {
+		res.Flows.Add(metrics.Snapshot(fl, b.plan.flows[fl.ID-1].Incast))
 	}
 	if sc.SampleQueues {
 		var totals, reds []int64
@@ -403,7 +438,7 @@ func Run(sc Scenario) *Result {
 		res.QueueAvg, res.QueueP90 = metrics.Stats(totals, 0.9)
 		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(reds, 0.9)
 	}
-	countFabricDrops(fab, res)
+	countFabricDrops(b.fab, res)
 	rings := make([]*trace.Ring, n)
 	profiles := make([][]obs.ComponentProfile, n)
 	for i, pl := range planes {
@@ -418,21 +453,21 @@ func Run(sc Scenario) *Result {
 
 	if sc.Forensics != nil {
 		res.Forensics = &forensics.Report{
-			Violations:        aud.Violations(),
-			ViolationsDropped: aud.Dropped(),
-			Timelines:         forensics.WorstTimelines(rec, res.Trace, all, slowdown, sc.Forensics),
+			Violations:        b.aud.Violations(),
+			ViolationsDropped: b.aud.Dropped(),
+			Timelines:         forensics.WorstTimelines(b.rec, res.Trace, b.all, b.slowdown, sc.Forensics),
 		}
 	}
 
-	if tel != nil {
+	if planes[0].reg != nil { // telemetry on
 		// Workload accounting is global, not per-plane: fold it into
 		// plane 0's registry before the merge.
-		recordWorkloadObs(planes[0].reg, plan.flows, all)
+		recordWorkloadObs(planes[0].reg, b.plan.flows, b.all)
 		runs := make([]*obs.Run, n)
 		for i, pl := range planes {
 			runs[i] = obs.Collect(pl.reg, pl.prober, obs.Manifest{})
 		}
-		m := buildManifest(sc, plan.hosts, planes[0].prober.Interval(), res, n)
+		m := buildManifest(sc, planes[0].prober.Interval(), res, n)
 		res.Telemetry = obs.MergeRuns(m, runs...)
 		res.Telemetry.AttachTrace(res.Trace)
 		if res.Forensics != nil {

@@ -46,8 +46,9 @@ var Schemes = []Scheme{SchemeNaive, SchemeOWF, SchemeLayering, SchemeFlexPass}
 type Scenario struct {
 	Seed int64
 
-	// Fabric.
-	Clos      topo.ClosParams
+	// Fabric. Clos is the fabric's shape — a Clos, or a one-plane testbed
+	// (topo.SingleSwitchLayout, topo.DumbbellLayout); Run builds it.
+	Clos      topo.Layout
 	LinkRate  units.Rate
 	LinkDelay sim.Time
 	HostDelay sim.Time
@@ -66,7 +67,7 @@ type Scenario struct {
 	// bit-identically to the historical direct-parameter path.
 	Workload       *workload.CDF
 	Load           float64
-	Deployment     float64 // fraction of FlexPass/ExpressPass-enabled racks
+	Deployment     float64 // fraction of FlexPass/ExpressPass-enabled deployment groups (racks)
 	IncastFraction float64 // foreground incast volume fraction (0 = none)
 	IncastFlowSize int64
 	Duration       sim.Time // arrival window
@@ -80,16 +81,17 @@ type Scenario struct {
 	WorkloadPlan *workload.Plan
 
 	// SampleQueues enables Q1 occupancy sampling at ToR uplinks (every
-	// 100us, Result.Queue*). The samples come from a prober of their own,
-	// so the statistics do not depend on Telemetry or its SeriesCap.
+	// 100us, Result.Queue*; a testbed has none). The samples come from a
+	// prober of their own, so the statistics do not depend on Telemetry or
+	// its SeriesCap.
 	SampleQueues bool
 
-	// Shards requests the parallel engine: the Clos is partitioned into
-	// per-pod-block subtrees (cores with pod 0), each driven by its own
-	// engine goroutine, synchronized conservatively on the agg↔core
-	// propagation delay (see internal/sim/shard). The effective count N
-	// is min(Shards, Clos.Pods); 0, 1, or a fabric with nothing to cut is
-	// the N = 1 case of the same runner, recorded in the manifest as 0.
+	// Shards requests the parallel engine: the fabric is cut into
+	// Clos.Planes(Shards) planes — a Clos into per-pod-block subtrees
+	// (cores with pod 0), a testbed layout always into one — each driven
+	// by its own engine goroutine, synchronized conservatively on the
+	// propagation delay across the cut (see internal/sim/shard). One plane
+	// is the N = 1 case of the same runner, recorded in the manifest as 0.
 	// Flow results are identical at every N (see Run); Forensics needs
 	// N = 1 and Run panics otherwise.
 	Shards int
@@ -258,46 +260,38 @@ func mustScheme(name string, env *transport.SchemeEnv) transport.Scheme {
 	return s
 }
 
-// rackAssignment computes host→rack without building the fabric.
-func rackAssignment(c topo.ClosParams) []int {
-	rackOf := make([]int, c.Hosts())
-	for i := range rackOf {
-		rackOf[i] = i / c.HostsPerTor
-	}
-	return rackOf
-}
-
 // runPlan is the engine-independent half of a run: the generated flow
 // list and the deployment assignment.
 type runPlan struct {
 	hosts    int
-	rackOf   []int
+	rackOf   []int // deployment group per host
 	enabled  map[int]bool
 	flows    []workload.FlowSpec
 	oracleWQ float64
 }
 
 // upgraded reports whether a flow runs the active (non-legacy) scheme:
-// both endpoints' racks must be deployment-enabled.
+// both endpoints' deployment groups must be enabled.
 func (p *runPlan) upgraded(f workload.FlowSpec) bool {
 	return p.enabled[p.rackOf[f.Src]] && p.enabled[p.rackOf[f.Dst]]
 }
 
-// planWorkload generates the scenario's flow list, rack deployment, and
+// planWorkload generates the scenario's flow list, group deployment, and
 // the oWF oracle weight (which needs the true upgraded-traffic
 // fraction, hence workload first).
 func planWorkload(sc Scenario) *runPlan {
-	p := &runPlan{
-		hosts:  sc.Clos.Hosts(),
-		rackOf: rackAssignment(sc.Clos),
+	p := &runPlan{hosts: sc.Clos.Hosts()}
+	p.rackOf = make([]int, p.hosts)
+	groups := 0
+	for i := range p.rackOf {
+		p.rackOf[i] = sc.Clos.Group(i)
+		groups = max(groups, p.rackOf[i]+1)
 	}
-	racks := p.hosts / sc.Clos.HostsPerTor
-	p.enabled = workload.DeployRacks(racks, sc.Deployment)
-	uplinks := racks * sc.Clos.AggPerPod // ToR uplink count
+	p.enabled = workload.DeployRacks(groups, sc.Deployment)
 	env := workload.Env{
 		Hosts:          p.hosts,
 		RackOf:         p.rackOf,
-		UplinkCapacity: units.Rate(int64(sc.LinkRate) * int64(uplinks)),
+		UplinkCapacity: sc.Clos.Capacity(sc.LinkRate),
 		Load:           sc.Load,
 		Duration:       sc.Duration,
 	}
@@ -357,7 +351,7 @@ func Flows(sc Scenario) []workload.FlowSpec {
 // buildManifest assembles the exported run manifest. shards is the
 // run's engine count; one engine is recorded as 0, so the field is
 // omitted from the artifact exactly as before sharding.
-func buildManifest(sc Scenario, hosts int, probe sim.Time, res *Result, shards int) obs.Manifest {
+func buildManifest(sc Scenario, probe sim.Time, res *Result, shards int) obs.Manifest {
 	if shards == 1 {
 		shards = 0
 	}
@@ -405,9 +399,8 @@ func buildManifest(sc Scenario, hosts int, probe sim.Time, res *Result, shards i
 		vioDropped = res.Forensics.ViolationsDropped
 	}
 	return obs.Manifest{
-		Seed: sc.Seed,
-		Topology: fmt.Sprintf("clos pods=%d agg/pod=%d tor/pod=%d hosts/tor=%d cores=%d hosts=%d",
-			sc.Clos.Pods, sc.Clos.AggPerPod, sc.Clos.TorPerPod, sc.Clos.HostsPerTor, sc.Clos.Cores, hosts),
+		Seed:              sc.Seed,
+		Topology:          sc.Clos.String(),
 		Scheme:            string(sc.Scheme),
 		Workload:          wl,
 		Load:              sc.Load,

@@ -221,8 +221,9 @@ func componentEvents(res *Result) map[string]uint64 {
 // crossings counts the flows of sc that start inside its run window with
 // their hosts on different shards.
 func crossings(sc Scenario) (n uint64) {
-	podShard := topo.ClosPodShards(sc.Clos, sc.Shards)
-	perPod := sc.Clos.TorPerPod * sc.Clos.HostsPerTor
+	clos := sc.Clos.(topo.ClosParams)
+	podShard := topo.ClosPodShards(clos, sc.Shards)
+	perPod := clos.TorPerPod * clos.HostsPerTor
 	for _, fs := range planWorkload(sc).flows {
 		if fs.At <= sc.Duration+sc.Drain && podShard[fs.Src/perPod] != podShard[fs.Dst/perPod] {
 			n++

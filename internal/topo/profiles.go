@@ -120,19 +120,6 @@ func AltQueueProfile(s Spec) PortProfile {
 	}
 }
 
-// HomaProfile builds 8 strict-priority queues (class = priority, 0 highest)
-// with an ECN threshold on queue 0, where Fig 1(b) maps the DCTCP flows.
-func HomaProfile(legacyECN units.ByteSize) PortProfile {
-	return func(rate units.Rate) netem.PortConfig {
-		qs := make([]netem.QueueConfig, 8)
-		for i := range qs {
-			qs[i] = netem.QueueConfig{Name: "P" + string(rune('0'+i)), Band: i}
-		}
-		qs[0].ECNThreshold = legacyECN
-		return netem.PortConfig{Queues: qs}
-	}
-}
-
 // PlainProfile is a single FIFO queue with a DCTCP ECN threshold — the
 // 0%-deployment (all legacy) configuration.
 func PlainProfile(legacyECN units.ByteSize) PortProfile {

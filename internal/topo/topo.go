@@ -39,26 +39,20 @@ type CrossLink struct {
 
 // Fabric is a built topology.
 type Fabric struct {
-	Net    *netem.Network
-	RackOf []int // rack (ToR) index per host; -1 when rack-less (dumbbell sides)
+	Net *netem.Network
 
 	// TorUplinks lists ToR→Agg egress ports; their aggregate capacity
 	// defines "network load" in §6.2. Empty for non-Clos fabrics.
 	TorUplinks []*netem.Port
 
-	// Bottleneck is the contended port in dumbbell/single-switch setups
-	// (nil for Clos).
-	Bottleneck *netem.Port
-
 	// FlexQueueIndex is the queue index carrying FlexPass data in the
 	// active profile (for occupancy sampling); -1 when not applicable.
 	FlexQueueIndex int
 
-	// Partition metadata for sharded builds (Shards == 1 on single-engine
-	// fabrics; the slices are then nil). HostShard and SwitchShard follow
+	// Partition metadata of a Clos build (nil on the one-plane testbed
+	// fabrics): HostShard and SwitchShard give each node's engine index in
 	// the network's host/switch registration order; Cross lists every
 	// egress port whose wire crosses a shard cut.
-	Shards      int
 	HostShard   []int
 	SwitchShard []int
 	Cross       []CrossLink
@@ -95,10 +89,6 @@ func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 		down.Connect(h)
 		sw.AddPort(down)
 		sw.AddRoute(id, down)
-		f.RackOf = append(f.RackOf, 0)
-	}
-	if len(sw.Ports()) > 0 {
-		f.Bottleneck = sw.Ports()[0]
 	}
 	return f
 }
@@ -118,7 +108,7 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 	swL.AddPort(lr)
 	swR.AddPort(rl)
 
-	f := &Fabric{Net: net, Bottleneck: lr, FlexQueueIndex: 1, Shards: 1}
+	f := &Fabric{Net: net, FlexQueueIndex: 1}
 	addHost := func(sw *netem.Switch, shared *netem.SharedBuffer, name string) netem.NodeID {
 		id := net.AllocID()
 		nic := netem.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
@@ -129,7 +119,6 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 		down.Connect(h)
 		sw.AddPort(down)
 		sw.AddRoute(id, down)
-		f.RackOf = append(f.RackOf, -1)
 		return id
 	}
 	var left, right []netem.NodeID
@@ -193,68 +182,34 @@ func ClosPodShards(c ClosParams, want int) []int {
 	return podShard
 }
 
-// Shards returns the shard count a pod→shard plan uses.
-func Shards(podShard []int) int {
-	max := 0
-	for _, s := range podShard {
-		if s > max {
-			max = s
-		}
-	}
-	return max + 1
-}
-
-// Clos builds the 3-tier fabric with ECMP routing and symmetric hashing.
+// Clos builds the 3-tier fabric with ECMP routing and symmetric hashing
+// on one engine.
 func Clos(eng *sim.Engine, c ClosParams, p Params) *Fabric {
-	return closFabric([]*sim.Engine{eng}, nil, c, p)
+	return c.Build([]*sim.Engine{eng}, p)
 }
 
-// ClosSharded builds the same fabric as Clos partitioned across the
-// given engines: pod pod's switches, hosts, and ports schedule on
-// engs[podShard[pod]]; the core switches on engs[0]. Construction order,
-// node IDs, port names, and routing are identical to Clos — only the
-// engine each node schedules on differs — and every wire whose endpoints
-// land on different engines is reported in Fabric.Cross for the caller
-// to bridge (netem.Port.SetRemote).
-func ClosSharded(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fabric {
-	if len(podShard) != c.Pods {
-		panic("topo: podShard length != Pods")
-	}
-	for _, s := range podShard {
-		if s < 0 || s >= len(engs) {
-			panic("topo: podShard entry out of engine range")
-		}
-	}
-	return closFabric(engs, podShard, c, p)
-}
-
-// closFabric is the shared Clos builder. podShard == nil means the
-// single-engine build (everything on engs[0]).
-func closFabric(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fabric {
+// Build builds the Clos partitioned by pod blocks (ClosPodShards) across
+// engs: a pod's switches, hosts, and ports schedule on its shard's engine,
+// the core switches on engs[0]. Construction order, node IDs, port names,
+// and routing do not depend on len(engs) — only the engine each node
+// schedules on does — and every wire whose endpoints land on different
+// engines is reported in Fabric.Cross for the caller to bridge
+// (netem.Port.SetRemote).
+func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 	if c.Cores%c.AggPerPod != 0 {
 		panic("topo: Cores must be divisible by AggPerPod")
 	}
 	upPerAgg := c.Cores / c.AggPerPod
-	shardOfPod := func(pod int) int {
-		if podShard == nil {
-			return 0
-		}
-		return podShard[pod]
-	}
+	podShard := ClosPodShards(c, len(engs))
 	eng := engs[0] // core tier and the network container
 	net := netem.NewNetwork(eng)
-	f := &Fabric{Net: net, FlexQueueIndex: 1, Shards: 1}
-	if podShard != nil {
-		f.Shards = len(engs)
-	}
+	f := &Fabric{Net: net, FlexQueueIndex: 1}
 
 	newSwitch := func(e *sim.Engine, name string, shard int) *netem.Switch {
 		sh := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 		sw := netem.NewSwitch(e, net.AllocID(), name, sh)
 		net.AddSwitch(sw)
-		if podShard != nil {
-			f.SwitchShard = append(f.SwitchShard, shard)
-		}
+		f.SwitchShard = append(f.SwitchShard, shard)
 		return sw
 	}
 
@@ -266,22 +221,21 @@ func closFabric(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fab
 	tors := make([][]*netem.Switch, c.Pods) // [pod][t]
 	hostIDs := make([][][]netem.NodeID, c.Pods)
 	for pod := 0; pod < c.Pods; pod++ {
-		podEng := engs[shardOfPod(pod)]
+		podEng := engs[podShard[pod]]
 		aggs[pod] = make([]*netem.Switch, c.AggPerPod)
 		for a := range aggs[pod] {
-			aggs[pod][a] = newSwitch(podEng, fmt.Sprintf("agg%d.%d", pod, a), shardOfPod(pod))
+			aggs[pod][a] = newSwitch(podEng, fmt.Sprintf("agg%d.%d", pod, a), podShard[pod])
 		}
 		tors[pod] = make([]*netem.Switch, c.TorPerPod)
 		hostIDs[pod] = make([][]netem.NodeID, c.TorPerPod)
 		for t := range tors[pod] {
-			tors[pod][t] = newSwitch(podEng, fmt.Sprintf("tor%d.%d", pod, t), shardOfPod(pod))
+			tors[pod][t] = newSwitch(podEng, fmt.Sprintf("tor%d.%d", pod, t), podShard[pod])
 		}
 	}
 
 	// Hosts and host<->ToR links.
-	rack := 0
 	for pod := 0; pod < c.Pods; pod++ {
-		podEng := engs[shardOfPod(pod)]
+		podEng := engs[podShard[pod]]
 		for t := 0; t < c.TorPerPod; t++ {
 			tor := tors[pod][t]
 			for hidx := 0; hidx < c.HostsPerTor; hidx++ {
@@ -291,17 +245,13 @@ func closFabric(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fab
 				h := netem.NewHost(podEng, id, name, nic, p.HostDelay)
 				nic.Connect(tor)
 				net.AddHost(h)
-				if podShard != nil {
-					f.HostShard = append(f.HostShard, shardOfPod(pod))
-				}
+				f.HostShard = append(f.HostShard, podShard[pod])
 				down := netem.NewPort(podEng, tor.Name()+"->"+name, p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), tor.Shared())
 				down.Connect(h)
 				tor.AddPort(down)
 				tor.AddRoute(id, down)
 				hostIDs[pod][t] = append(hostIDs[pod][t], id)
-				f.RackOf = append(f.RackOf, rack)
 			}
-			rack++
 		}
 	}
 
@@ -316,7 +266,7 @@ func closFabric(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fab
 		}
 		for t := 0; t < c.TorPerPod; t++ {
 			tor := tors[pod][t]
-			podEng := engs[shardOfPod(pod)]
+			podEng := engs[podShard[pod]]
 			torUp[pod][t] = make([]*netem.Port, c.AggPerPod)
 			for a := 0; a < c.AggPerPod; a++ {
 				agg := aggs[pod][a]
@@ -338,7 +288,7 @@ func closFabric(engs []*sim.Engine, podShard []int, c ClosParams, p Params) *Fab
 		coreDown[i] = make([]*netem.Port, c.Pods)
 	}
 	for pod := 0; pod < c.Pods; pod++ {
-		sp := shardOfPod(pod)
+		sp := podShard[pod]
 		podEng := engs[sp]
 		aggUp[pod] = make([][]*netem.Port, c.AggPerPod)
 		for a := 0; a < c.AggPerPod; a++ {

@@ -61,13 +61,14 @@ func TestSingleSwitchConnectivity(t *testing.T) {
 func TestDumbbellConnectivityAndBottleneck(t *testing.T) {
 	eng := sim.NewEngine(1)
 	f := Dumbbell(eng, 2, 2, 10*units.Gbps, testParams())
-	if f.Bottleneck == nil {
-		t.Fatal("no bottleneck port")
+	bottleneck := f.Net.Switches[0].Ports()[0]
+	if bottleneck.Name() != "core:fwd" {
+		t.Fatalf("left switch's first port is %s, not the bottleneck", bottleneck.Name())
 	}
 	if got := deliver(t, f, 0, 2); got < 0 {
 		t.Fatal("left->right delivery failed")
 	}
-	if f.Bottleneck.Stats().TxPackets == 0 {
+	if bottleneck.Stats().TxPackets == 0 {
 		t.Fatal("bottleneck did not carry the packet")
 	}
 }
@@ -91,8 +92,8 @@ func TestPaperClosShape(t *testing.T) {
 		t.Fatalf("%d ToR uplinks, want 64", len(f.TorUplinks))
 	}
 	// Racks: 6 hosts per rack, 32 racks.
-	if f.RackOf[0] != 0 || f.RackOf[5] != 0 || f.RackOf[6] != 1 || f.RackOf[191] != 31 {
-		t.Fatalf("rack assignment wrong: %v...", f.RackOf[:8])
+	if c.Group(0) != 0 || c.Group(5) != 0 || c.Group(6) != 1 || c.Group(191) != 31 {
+		t.Fatalf("rack assignment wrong: %d %d %d %d", c.Group(0), c.Group(5), c.Group(6), c.Group(191))
 	}
 }
 
@@ -164,7 +165,6 @@ func TestProfilesBuild(t *testing.T) {
 		NaiveProfile(Spec{}),
 		LayeringProfile(Spec{}),
 		AltQueueProfile(Spec{}),
-		HomaProfile(100 * units.KB),
 		PlainProfile(100 * units.KB),
 	}
 	for i, prof := range specs {
@@ -229,18 +229,36 @@ func TestAltQueueProfileShape(t *testing.T) {
 	}
 }
 
-func TestHomaProfileEightPriorities(t *testing.T) {
-	cfg := HomaProfile(100 * units.KB)(10 * units.Gbps)
-	if len(cfg.Queues) != 8 {
-		t.Fatalf("%d queues, want 8", len(cfg.Queues))
-	}
-	for i, q := range cfg.Queues {
-		if q.Band != i {
-			t.Fatalf("queue %d band %d; want strict priority ladder", i, q.Band)
+// TestLayouts: each layout builds the fabric its accessors describe —
+// host count, one plane for a testbed, the deployment groups the
+// harness enables — and names itself for the manifest.
+func TestLayouts(t *testing.T) {
+	for _, c := range []struct {
+		l      Layout
+		groups []int
+		planes int // at want = 4
+		name   string
+	}{
+		{SmallClos, []int{0, 0, 0, 0, 0, 0, 1}, 4, "clos pods=4 agg/pod=1 tor/pod=2 hosts/tor=6 cores=2 hosts=48"},
+		{SingleSwitchLayout{N: 3}, []int{0, 1, 2}, 1, "single-switch hosts=3"},
+		{DumbbellLayout{Left: 2, Right: 3}, []int{0, 1, 0, 1, 2}, 1, "dumbbell left=2 right=3"},
+	} {
+		engs := make([]*sim.Engine, c.l.Planes(4))
+		for i := range engs {
+			engs[i] = sim.NewEngine(1)
+		}
+		f := c.l.Build(engs, testParams())
+		if len(engs) != c.planes || len(f.Net.Hosts) != c.l.Hosts() || c.l.String() != c.name {
+			t.Fatalf("%v: %d planes, %d hosts built of %d", c.l, len(engs), len(f.Net.Hosts), c.l.Hosts())
+		}
+		for i, g := range c.groups {
+			if c.l.Group(i) != g {
+				t.Fatalf("%v: host %d in group %d, want %d", c.l, i, c.l.Group(i), g)
+			}
 		}
 	}
-	if cfg.Queues[0].ECNThreshold == 0 {
-		t.Fatal("P0 needs the DCTCP marking threshold")
+	if got := PaperClos.Capacity(40 * units.Gbps); got != 64*40*units.Gbps {
+		t.Fatalf("paper Clos load capacity %v, want 64 ToR uplinks", got)
 	}
 }
 
@@ -254,8 +272,8 @@ func TestClosPodShards(t *testing.T) {
 		if len(plan) != c.Pods {
 			t.Fatalf("want=%d: plan length %d", tc.want, len(plan))
 		}
-		if got := Shards(plan); got != tc.shards {
-			t.Fatalf("want=%d: %d shards, expected %d (plan %v)", tc.want, got, tc.shards, plan)
+		if got := plan[len(plan)-1] + 1; got != tc.shards || c.Planes(tc.want) != tc.shards {
+			t.Fatalf("want=%d: %d shards, Planes %d, expected %d (plan %v)", tc.want, got, c.Planes(tc.want), tc.shards, plan)
 		}
 		for pod := 1; pod < len(plan); pod++ {
 			if plan[pod] < plan[pod-1] {
@@ -277,11 +295,8 @@ func TestClosShardedPartition(t *testing.T) {
 	}
 	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	plan := ClosPodShards(c, 2)
-	fab := ClosSharded(engs, plan, c, p)
+	fab := c.Build(engs, p)
 
-	if fab.Shards != 2 {
-		t.Fatalf("Shards = %d", fab.Shards)
-	}
 	if len(fab.HostShard) != c.Hosts() || len(fab.SwitchShard) != len(fab.Net.Switches) {
 		t.Fatalf("partition metadata sizes: hosts %d/%d switches %d/%d",
 			len(fab.HostShard), c.Hosts(), len(fab.SwitchShard), len(fab.Net.Switches))
@@ -342,7 +357,7 @@ func TestClosShardedPartition(t *testing.T) {
 			engs[i] = sim.NewEngine(1)
 		}
 		m := map[string]uint32{}
-		ClosSharded(engs, ClosPodShards(c, n), c, p).Net.EachPort(func(port *netem.Port) {
+		c.Build(engs, p).Net.EachPort(func(port *netem.Port) {
 			m[port.Name()] = port.Rank()
 		})
 		return m

@@ -216,13 +216,6 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	}
 }
 
-// Start begins both halves of a DCTCP flow on one engine: StartReceiver,
-// then StartSender, which transmits immediately.
-func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
-}
-
 // StartSender wires only the send side, on the source host's engine, and
 // begins transmission.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {

@@ -9,6 +9,13 @@ import (
 	"flexpass/internal/units"
 )
 
+// Start begins both halves of a DCTCP flow on one engine: StartReceiver,
+// then StartSender, which transmits immediately.
+func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
+}
+
 func testFabric(t *testing.T, hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
 	t.Helper()
 	eng := sim.NewEngine(1)

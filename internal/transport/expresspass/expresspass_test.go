@@ -11,6 +11,13 @@ import (
 	"flexpass/internal/units"
 )
 
+// Start begins both halves of an ExpressPass flow on one engine:
+// StartReceiver, then StartSender.
+func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
+}
+
 const gig = units.Gbps
 
 func naiveFabric(hosts int, rate units.Rate) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
@@ -117,7 +124,8 @@ func TestExpressPassStarvesDCTCPInSharedQueue(t *testing.T) {
 	xp := xpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	Start(eng, xp, DefaultConfig(DefaultPacerConfig(fullCreditRate(10*gig))))
-	dctcp.Start(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -139,7 +147,8 @@ func TestLayeredModeDoesNotStarveDCTCP(t *testing.T) {
 	cfg.Layered = true
 	cfg.DataECN = true
 	Start(eng, xp, cfg)
-	dctcp.Start(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -83,7 +83,8 @@ func TestDCTCPSurvivesRandomLoss(t *testing.T) {
 		transport.NewAgent(eng, f.Net.Host(1)),
 	}
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 2_000_000, Transport: "dctcp", Legacy: true}
-	dctcp.Start(eng, fl, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, fl, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, fl, dctcp.LegacyConfig())
 	eng.Run(2 * sim.Second)
 	if !fl.Completed {
 		t.Fatal("DCTCP did not complete under 2% loss")

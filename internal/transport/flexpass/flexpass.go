@@ -732,13 +732,6 @@ func (r *Receiver) checkComplete() {
 	}
 }
 
-// Start begins both halves of a FlexPass flow on one engine:
-// StartReceiver, then StartSender.
-func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
-}
-
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {

@@ -12,6 +12,13 @@ import (
 	"flexpass/internal/units"
 )
 
+// Start begins both halves of a FlexPass flow on one engine:
+// StartReceiver, then StartSender.
+func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
+}
+
 const gig = units.Gbps
 
 // flexFabric builds a single-switch fabric with the FlexPass queue layout.
@@ -66,7 +73,8 @@ func TestFlexPassSharesFairlyWithDCTCP(t *testing.T) {
 	fp := fpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	Start(eng, fp, flexCfg(10*gig, 0.5))
-	dctcp.Start(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -39,7 +39,8 @@ func TestRenoReactiveStillYieldsToLegacy(t *testing.T) {
 	fp := fpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	Start(eng, fp, cfg)
-	dctcp.Start(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

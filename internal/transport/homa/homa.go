@@ -201,13 +201,6 @@ func (r *Receiver) grantTick() {
 	r.scheduleGrant()
 }
 
-// Start begins both halves of a Homa-lite flow on one engine:
-// StartReceiver, then StartSender.
-func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
-}
-
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {

@@ -3,6 +3,7 @@ package homa
 import (
 	"testing"
 
+	"flexpass/internal/netem"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
@@ -10,7 +11,43 @@ import (
 	"flexpass/internal/units"
 )
 
+// Start begins both halves of a Homa-lite flow on one engine:
+// StartReceiver, then StartSender.
+func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
+	r := StartReceiver(eng, flow, cfg)
+	return StartSender(eng, flow, cfg), r
+}
+
 const gig = units.Gbps
+
+// homaProfile is Homa's native layout: 8 strict-priority queues (class =
+// priority, 0 highest) with an ECN threshold on queue 0, where the DCTCP
+// flows of TestManyHomaFlowsStarveDCTCP ride.
+func homaProfile(legacyECN units.ByteSize) topo.PortProfile {
+	return func(rate units.Rate) netem.PortConfig {
+		qs := make([]netem.QueueConfig, 8)
+		for i := range qs {
+			qs[i] = netem.QueueConfig{Name: "P" + string(rune('0'+i)), Band: i}
+		}
+		qs[0].ECNThreshold = legacyECN
+		return netem.PortConfig{Queues: qs}
+	}
+}
+
+func TestHomaProfileEightPriorities(t *testing.T) {
+	cfg := homaProfile(100 * units.KB)(10 * units.Gbps)
+	if len(cfg.Queues) != 8 {
+		t.Fatalf("%d queues, want 8", len(cfg.Queues))
+	}
+	for i, q := range cfg.Queues {
+		if q.Band != i {
+			t.Fatalf("queue %d band %d; want strict priority ladder", i, q.Band)
+		}
+	}
+	if cfg.Queues[0].ECNThreshold == 0 {
+		t.Fatal("P0 needs the DCTCP marking threshold")
+	}
+}
 
 func homaFabric(nPairs int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
 	eng := sim.NewEngine(1)
@@ -20,7 +57,7 @@ func homaFabric(nPairs int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
 		HostDelay: 1 * sim.Microsecond,
 		SwitchBuf: 4500 * units.KB,
 		BufAlpha:  0.25,
-		Profile:   topo.HomaProfile(100 * units.KB),
+		Profile:   homaProfile(100 * units.KB),
 	})
 	agents := make([]*transport.Agent, len(f.Net.Hosts))
 	for i := range agents {
@@ -67,7 +104,8 @@ func TestManyHomaFlowsStarveDCTCP(t *testing.T) {
 	for i := 16; i < 32; i++ {
 		fl := &transport.Flow{ID: id, Src: ag[i], Dst: ag[32+i], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 		dcFlows = append(dcFlows, fl)
-		dctcp.Start(eng, fl, dctcp.LegacyConfig())
+		dctcp.StartReceiver(eng, fl, dctcp.LegacyConfig())
+		dctcp.StartSender(eng, fl, dctcp.LegacyConfig())
 		id++
 	}
 	eng.Run(60 * sim.Millisecond)

@@ -19,7 +19,8 @@ func flexOverPHost(eng *sim.Engine, fl *transport.Flow, arb *Arbiter, rate units
 	cfg.NewCreditSource = func(e *sim.Engine, f *transport.Flow) flexpass.CreditSource {
 		return NewFlexSource(e, arb, f, DefaultConfig())
 	}
-	flexpass.Start(eng, fl, cfg)
+	flexpass.StartReceiver(eng, fl, cfg)
+	flexpass.StartSender(eng, fl, cfg)
 }
 
 func TestFlexPassOverPHostCompletes(t *testing.T) {
@@ -52,7 +53,8 @@ func TestFlexPassOverPHostCoexistsWithDCTCP(t *testing.T) {
 	fp := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[2], Size: 1 << 30, Transport: "flexpass+phost"}
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	flexOverPHost(eng, fp, arbs[2], 10*gig)
-	dctcp.Start(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
+	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -357,13 +357,6 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	r.arbiter.wake()
 }
 
-// Start begins both halves of a pHost flow on one engine — StartReceiver
-// on the receiver host's arbiter, then StartSender.
-func Start(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, arb, cfg)
-	return StartSender(eng, flow, cfg), r
-}
-
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow with its RTS.
 func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {

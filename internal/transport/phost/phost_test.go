@@ -9,6 +9,13 @@ import (
 	"flexpass/internal/units"
 )
 
+// Start begins both halves of a pHost flow on one engine — StartReceiver
+// on the receiver host's arbiter, then StartSender.
+func Start(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) (*Sender, *Receiver) {
+	r := StartReceiver(eng, flow, arb, cfg)
+	return StartSender(eng, flow, cfg), r
+}
+
 const gig = units.Gbps
 
 func fabric(hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent, []*Arbiter) {
