@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check figs-check bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check figs-check bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -107,7 +107,9 @@ loc:
 # the diff runs at zero tolerance and any drift in goodput, FCT
 # quantiles, drops, or event counts fails the target (perf self-reports
 # are informational only). Re-baseline with lake-baseline after an
-# intentional behavior change and commit ci/lake-baseline.json. The
+# intentional behavior change and commit ci/lake-baseline.json:
+# lake-baseline prints the diff it is about to accept (it never fails
+# on drift), so the re-pin commit can record which columns moved. The
 # sweep indexes the runs it holds in memory; the cmp step re-indexes
 # runs/ from disk with `flexfarm ingest` and requires the same bytes.
 lake-regression:
@@ -121,6 +123,7 @@ lake-regression:
 lake-baseline:
 	rm -rf lake-ci
 	$(GO) run ./cmd/flexfarm run -spec ci/microsweep.json -out lake-ci
+	-$(GO) run ./cmd/flexfarm diff ci/lake-baseline.json lake-ci
 	cp lake-ci/index.json ci/lake-baseline.json
 	@echo wrote ci/lake-baseline.json
 
@@ -178,4 +181,4 @@ clean:
 # Remove regenerated sweep/lake outputs. The checked-in results/,
 # results_full/, and results_pooled/ CSVs are figure inputs and stay.
 clean-results:
-	rm -rf lake-ci results_sweep chaos-ci
+	rm -rf lake-ci results_sweep chaos-ci lake-fig10 fig10.json

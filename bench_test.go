@@ -297,8 +297,8 @@ func TestPublicAPIScenario(t *testing.T) {
 	if len(res.Flows.Records) == 0 {
 		t.Fatal("no flows")
 	}
-	if res.Flows.Incomplete() != 0 {
-		t.Fatalf("%d incomplete", res.Flows.Incomplete())
+	if n := metrics.Summarize(res.Flows.Records).Incomplete(); n != 0 {
+		t.Fatalf("%d incomplete", n)
 	}
 }
 

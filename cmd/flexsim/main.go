@@ -344,25 +344,18 @@ func main() {
 		}
 	}
 
-	c := &res.Flows
-	small := metrics.Small()
-	legacy, upgraded := small, small
-	legacy.Legacy = metrics.Bool(true)
-	upgraded.Legacy = metrics.Bool(false)
-
+	s := metrics.Summarize(res.Flows.Records)
 	fmt.Printf("scheme=%s deployment=%.0f%% load=%.0f%% workload=%s seed=%d\n",
-		sc.Scheme, sc.Deployment*100, sc.Load*100, sc.Workload.Name, sc.Seed)
+		sc.Scheme, sc.Deployment*100, sc.Load*100, sc.WorkloadName(), sc.Seed)
 	fmt.Printf("flows: %d total, %d incomplete, %d small (<100kB)\n",
-		len(c.Records), c.Incomplete(), c.Count(small))
-	fmt.Printf("overall avg FCT:          %v\n", metrics.Mean(c.FCTs(metrics.Filter{})))
-	fmt.Printf("99%%-ile FCT (<100kB):     %v\n", metrics.Percentile(c.FCTs(small), 0.99))
-	fmt.Printf("  legacy traffic:         %v\n", metrics.Percentile(c.FCTs(legacy), 0.99))
-	fmt.Printf("  upgraded traffic:       %v\n", metrics.Percentile(c.FCTs(upgraded), 0.99))
-	fmt.Printf("FCT stddev (<100kB):      legacy %v / upgraded %v\n",
-		metrics.StdDev(c.FCTs(legacy)), metrics.StdDev(c.FCTs(upgraded)))
-	to := c.SumInt(metrics.Filter{}, func(r metrics.FlowRecord) int { return r.Timeouts })
+		s.Flows, s.Incomplete(), s.SmallCompleted)
+	fmt.Printf("overall avg FCT:          %v\n", s.MeanFCT)
+	fmt.Printf("99%%-ile FCT (<100kB):     %v\n", s.P99Small)
+	fmt.Printf("  legacy traffic:         %v\n", s.P99SmallLegacy)
+	fmt.Printf("  upgraded traffic:       %v\n", s.P99SmallNew)
+	fmt.Printf("FCT stddev (<100kB):      legacy %v / upgraded %v\n", s.StdSmallLegacy, s.StdSmallNew)
 	fmt.Printf("timeouts: %d, selective drops: %d, credit drops: %d, data drops: %d\n",
-		to, res.DropsRed, res.DropsCredit, res.DropsOther)
+		s.Timeouts, res.DropsRed, res.DropsCredit, res.DropsOther)
 	if res.Faults != nil {
 		fs := res.FaultDrops
 		fmt.Printf("faults: %d actions applied, %d packets destroyed (link-down %d, burst %d, credit %d)\n",

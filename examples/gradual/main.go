@@ -26,16 +26,9 @@ func main() {
 			sc := base
 			sc.Scheme = scheme
 			sc.Deployment = dep
-			res := flexpass.Run(sc)
-			small := metrics.Small()
-			legacy, upgraded := small, small
-			legacy.Legacy = metrics.Bool(true)
-			upgraded.Legacy = metrics.Bool(false)
+			s := metrics.Summarize(flexpass.Run(sc).Flows.Records)
 			fmt.Printf("%-10s %-6.2f %-16v %-16v %-14v\n",
-				scheme, dep,
-				metrics.Percentile(res.Flows.FCTs(legacy), 0.99),
-				metrics.Percentile(res.Flows.FCTs(upgraded), 0.99),
-				metrics.Mean(res.Flows.FCTs(metrics.Filter{})))
+				scheme, dep, s.P99SmallLegacy, s.P99SmallNew, s.MeanFCT)
 		}
 		fmt.Println()
 	}

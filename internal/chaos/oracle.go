@@ -8,6 +8,7 @@ import (
 	"flexpass/internal/farm"
 	"flexpass/internal/forensics"
 	"flexpass/internal/harness"
+	"flexpass/internal/metrics"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 )
@@ -50,7 +51,8 @@ func Evaluate(res *harness.Result, o OracleSpec) Verdict {
 		v.Violations = len(res.Forensics.Violations)
 		v.ViolationsDropped = res.Forensics.ViolationsDropped
 	}
-	v.Incomplete = res.Flows.Incomplete()
+	flows := metrics.Summarize(res.Flows.Records)
+	v.Incomplete = flows.Incomplete()
 	v.Strays = strayCount(res.Telemetry)
 	switch {
 	case v.Violations > 0:
@@ -61,7 +63,7 @@ func Evaluate(res *harness.Result, o OracleSpec) Verdict {
 		v.Detail = fmt.Sprintf("%d violations dropped over the auditor retention cap", v.ViolationsDropped)
 	case o.requireCompletion() && v.Incomplete > 0:
 		v.Outcome = OutcomeIncomplete
-		v.Detail = fmt.Sprintf("%d of %d flows incomplete after drain", v.Incomplete, len(res.Flows.Records))
+		v.Detail = fmt.Sprintf("%d of %d flows incomplete after drain", v.Incomplete, flows.Flows)
 	case o.maxStrays() >= 0 && v.Strays > o.maxStrays():
 		v.Outcome = OutcomeStrays
 		v.Detail = fmt.Sprintf("stray_packets = %d > %d", v.Strays, o.maxStrays())

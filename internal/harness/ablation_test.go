@@ -39,8 +39,8 @@ func TestRenoReactiveScenarioRuns(t *testing.T) {
 	sc.SchemeOptions = map[string]string{transport.OptReactive: "reno"}
 	sc.Deployment = 1.0
 	res := Run(sc)
-	if res.Flows.Incomplete() > 0 {
-		t.Fatalf("%d incomplete with Reno reactive", res.Flows.Incomplete())
+	if incomplete(res) > 0 {
+		t.Fatalf("%d incomplete with Reno reactive", incomplete(res))
 	}
 }
 

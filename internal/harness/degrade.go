@@ -37,32 +37,17 @@ type RunSummary struct {
 
 // Summarize condenses a run result.
 func Summarize(res *Result) RunSummary {
-	all := metrics.Filter{}
-	done := metrics.Filter{OnlyDone: true}
-	fcts := res.Flows.FCTs(done)
-	var rx int64
-	var last sim.Time
-	for _, r := range res.Flows.Records {
-		rx += r.RxBytes
-		if r.Completed && r.Start+r.FCT > last {
-			last = r.Start + r.FCT
-		}
-	}
-	window := res.Scenario.Duration + res.Scenario.Drain
-	goodput := 0.0
-	if window > 0 {
-		goodput = float64(rx) * 8 / (float64(window) / float64(sim.Second)) / 1e9
-	}
+	s := metrics.Summarize(res.Flows.Records)
 	return RunSummary{
-		GoodputGbps:   goodput,
-		FCTAvgUs:      metrics.Mean(fcts).Micros(),
-		FCTP99Us:      metrics.Percentile(fcts, 0.99).Micros(),
-		Completed:     res.Flows.Count(done),
-		Flows:         res.Flows.Count(all),
-		Timeouts:      res.Flows.SumInt(all, func(r metrics.FlowRecord) int { return r.Timeouts }),
-		Retransmits:   res.Flows.SumInt(all, func(r metrics.FlowRecord) int { return r.Retransmits }),
+		GoodputGbps:   s.GoodputGbps(res.Scenario.Duration + res.Scenario.Drain),
+		FCTAvgUs:      s.MeanFCT.Micros(),
+		FCTP99Us:      s.P99FCT.Micros(),
+		Completed:     s.Completed,
+		Flows:         s.Flows,
+		Timeouts:      s.Timeouts,
+		Retransmits:   s.Retransmits,
 		InjectedDrops: res.FaultDrops.Injected,
-		LastFinishPs:  int64(last),
+		LastFinishPs:  int64(s.LastFinish),
 	}
 }
 

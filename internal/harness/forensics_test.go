@@ -154,8 +154,8 @@ func TestTestbedObservers(t *testing.T) {
 	if !reflect.DeepEqual(res.Flows.Records, plain.Flows.Records) || len(plain.Flows.Records) != 2 {
 		t.Fatalf("observed records %+v, plain %+v", res.Flows.Records, plain.Flows.Records)
 	}
-	if res.Flows.Incomplete() != 0 || res.FaultDrops.Injected == 0 {
-		t.Fatalf("%d flows incomplete, %d fault drops: the run does not exercise the fault", res.Flows.Incomplete(), res.FaultDrops.Injected)
+	if incomplete(res) != 0 || res.FaultDrops.Injected == 0 {
+		t.Fatalf("%d flows incomplete, %d fault drops: the run does not exercise the fault", incomplete(res), res.FaultDrops.Injected)
 	}
 	if v := res.Forensics.Violations; len(v) != 0 {
 		t.Fatalf("violations on a healthy testbed: %v", v)

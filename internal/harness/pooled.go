@@ -62,54 +62,34 @@ func mergeSeeds(results []*Result) *Result {
 
 // reducePoint converts a (possibly merged) result into a DeploymentPoint.
 func reducePoint(sc Scenario, res *Result) DeploymentPoint {
-	c := &res.Flows
-	small := metrics.Small()
-	smallLegacy, smallNew := small, small
-	smallLegacy.Legacy = metrics.Bool(true)
-	smallNew.Legacy = metrics.Bool(false)
-
-	pt := DeploymentPoint{
+	s := metrics.Summarize(res.Flows.Records)
+	return DeploymentPoint{
 		Scheme:     sc.Scheme,
 		Deployment: sc.Deployment,
 		Load:       sc.Load,
 		WQ:         sc.WQ,
-		Workload:   sc.Workload.Name,
+		Workload:   sc.WorkloadName(),
 
-		P99Small:       metrics.Percentile(c.FCTs(small), 0.99),
-		AvgAll:         metrics.Mean(c.FCTs(metrics.Filter{})),
-		P99SmallLegacy: metrics.Percentile(c.FCTs(smallLegacy), 0.99),
-		P99SmallNew:    metrics.Percentile(c.FCTs(smallNew), 0.99),
-		StdSmallLegacy: metrics.StdDev(c.FCTs(smallLegacy)),
-		StdSmallNew:    metrics.StdDev(c.FCTs(smallNew)),
+		P99Small:       s.P99Small,
+		AvgAll:         s.MeanFCT,
+		P99SmallLegacy: s.P99SmallLegacy,
+		P99SmallNew:    s.P99SmallNew,
+		StdSmallLegacy: s.StdSmallLegacy,
+		StdSmallNew:    s.StdSmallNew,
+
+		AvgReorderKB:  s.ReorderKB,
+		RedundantFrac: s.RedundantFrac,
 
 		QueueAvg:    res.QueueAvg,
 		QueueP90:    res.QueueP90,
 		QueueRedAvg: res.QueueRedAvg,
 		QueueRedP90: res.QueueRedP90,
 
-		Timeouts:   c.SumInt(metrics.Filter{}, func(r metrics.FlowRecord) int { return r.Timeouts }),
-		Incomplete: c.Incomplete(),
+		Timeouts:   s.Timeouts,
+		Incomplete: s.Incomplete(),
 		OracleWQ:   res.OracleWQ,
 		DropsRed:   res.DropsRed,
 		DropsCred:  res.DropsCredit,
 		DropsOther: res.DropsOther,
 	}
-
-	var reorderSum, reorderN float64
-	var dupSegs, rxBytes int64
-	for _, r := range c.Records {
-		if !r.Legacy {
-			reorderSum += float64(r.MaxReorderB)
-			reorderN++
-		}
-		dupSegs += int64(r.Redundant)
-		rxBytes += r.RxBytes
-	}
-	if reorderN > 0 {
-		pt.AvgReorderKB = reorderSum / reorderN / 1000
-	}
-	if rxBytes > 0 {
-		pt.RedundantFrac = float64(dupSegs*1460) / float64(rxBytes)
-	}
-	return pt
 }

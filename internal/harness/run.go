@@ -360,10 +360,6 @@ func (b *built) run() *Result {
 	wallStart := time.Now()
 	var publishFinal func()
 	if sc.Live != nil {
-		every := sc.LiveEvery
-		if every <= 0 {
-			every = sim.Millisecond
-		}
 		// Every plane reports on its own engine clock, like any observer:
 		// it refreshes its slot with its registry's readings — plain ints
 		// only its goroutine may read while the run executes. Plane 0's
@@ -396,7 +392,7 @@ func (b *built) run() *Result {
 		}
 		for i, pl := range planes {
 			prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
-			pl.eng.Every(every, func() { report(i, i == 0, false) })
+			pl.eng.Every(liveEvery, func() { report(i, i == 0, false) })
 			pl.eng.SetComponent(prev)
 		}
 		publishFinal = func() {
@@ -421,8 +417,9 @@ func (b *built) run() *Result {
 		publishFinal()
 	}
 
-	for _, fl := range b.all {
-		res.Flows.Add(metrics.Snapshot(fl, b.plan.flows[fl.ID-1].Incast))
+	res.Flows.Records = make([]metrics.FlowRecord, len(b.all))
+	for i, fl := range b.all {
+		res.Flows.Records[i] = snapshot(fl, b.plan.flows[fl.ID-1].Incast)
 	}
 	if sc.SampleQueues {
 		var totals, reds []int64
@@ -469,6 +466,7 @@ func (b *built) run() *Result {
 		}
 		m := buildManifest(sc, planes[0].prober.Interval(), res, n)
 		res.Telemetry = obs.MergeRuns(m, runs...)
+		res.Telemetry.Flows = res.Flows.Records
 		res.Telemetry.AttachTrace(res.Trace)
 		if res.Forensics != nil {
 			res.Telemetry.Forensics = res.Forensics.Export()
@@ -476,6 +474,29 @@ func (b *built) run() *Result {
 		res.Telemetry.Faults = res.Faults.Export()
 	}
 	return res
+}
+
+// liveEvery is the sim-time period of a run's live status reports.
+const liveEvery = sim.Millisecond
+
+// snapshot is fl's row in the run's flow table.
+func snapshot(fl *transport.Flow, incast bool) metrics.FlowRecord {
+	return metrics.FlowRecord{
+		ID:          fl.ID,
+		Size:        fl.Size,
+		Start:       fl.Start,
+		FCT:         fl.FCT(),
+		Completed:   fl.Completed,
+		Legacy:      fl.Legacy,
+		Incast:      incast,
+		Transport:   fl.Transport,
+		Timeouts:    fl.Timeouts,
+		Retransmits: fl.Retransmits,
+		ProRetx:     fl.ProRetx,
+		Redundant:   fl.RedundantSegs,
+		MaxReorderB: fl.MaxReorderB,
+		RxBytes:     fl.RxBytes,
+	}
 }
 
 // sample starts a private prober over reg — a measurement's own sources

@@ -131,14 +131,13 @@ type Scenario struct {
 	// in Result.Profile and, with telemetry on, the manifest.
 	Profile bool
 
-	// Live, when non-nil, receives periodic progress snapshots (sim-clock
-	// position, flow counts, registry readings) every LiveEvery of sim
-	// time (default 1ms) so an introspection server can report /status
-	// and /metrics while the run executes. Implies telemetry. The board
-	// is the thread-safety boundary: the engine publishes into it, HTTP
+	// Live, when non-nil, receives progress snapshots (sim-clock
+	// position, flow counts, registry readings) every millisecond of sim
+	// time so an introspection server can report /status and /metrics
+	// while the run executes. Implies telemetry. The board is the
+	// thread-safety boundary: the engine publishes into it, HTTP
 	// goroutines read from it.
-	Live      *live.RunBoard
-	LiveEvery sim.Time
+	Live *live.RunBoard
 
 	// SchemeOptions carries per-scheme parameters by option key (see the
 	// transport.Opt* constants): FlexPass's §4.2 proactive-retransmission
@@ -348,24 +347,27 @@ func Flows(sc Scenario) []workload.FlowSpec {
 	return planWorkload(sc).flows
 }
 
+// WorkloadName identifies the traffic the scenario runs, routed as
+// planWorkload routes it: a trace replay by content ("trace:<digest>"), a
+// plan by its name, the parameter workload by its CDF's name.
+func (sc Scenario) WorkloadName() string {
+	switch {
+	case sc.TraceFlows != nil:
+		return workload.TraceID(sc.TraceFlows)
+	case sc.WorkloadPlan != nil:
+		return sc.WorkloadPlan.Name
+	case sc.Workload != nil:
+		return sc.Workload.Name
+	}
+	return ""
+}
+
 // buildManifest assembles the exported run manifest. shards is the
 // run's engine count; one engine is recorded as 0, so the field is
 // omitted from the artifact exactly as before sharding.
 func buildManifest(sc Scenario, probe sim.Time, res *Result, shards int) obs.Manifest {
 	if shards == 1 {
 		shards = 0
-	}
-	// Workload identity mirrors planWorkload's routing: trace replays get
-	// a content-addressed "trace:<digest>" (a trace run used to record an
-	// empty workload), plans their name, the parameter path its CDF name.
-	wl := ""
-	switch {
-	case sc.TraceFlows != nil:
-		wl = workload.TraceID(sc.TraceFlows)
-	case sc.WorkloadPlan != nil:
-		wl = sc.WorkloadPlan.Name
-	case sc.Workload != nil:
-		wl = sc.Workload.Name
 	}
 	wallMS := float64(res.WallClock) / float64(time.Millisecond)
 	eps := 0.0
@@ -402,7 +404,7 @@ func buildManifest(sc Scenario, probe sim.Time, res *Result, shards int) obs.Man
 		Seed:              sc.Seed,
 		Topology:          sc.Clos.String(),
 		Scheme:            string(sc.Scheme),
-		Workload:          wl,
+		Workload:          sc.WorkloadName(),
 		Load:              sc.Load,
 		Deployment:        sc.Deployment,
 		WQ:                sc.WQ,

@@ -240,7 +240,7 @@ func TestShardedCompletionParity(t *testing.T) {
 			sc1, sc4 := shardFaultScenario(scheme), shardFaultScenario(scheme)
 			sc1.Shards = 1
 			r1, r4 := Run(sc1), Run(sc4)
-			if s, p := r1.Flows.Incomplete(), r4.Flows.Incomplete(); s != 0 || p != 0 {
+			if s, p := incomplete(r1), incomplete(r4); s != 0 || p != 0 {
 				t.Fatalf("pinned-trace incomplete flows: single %d, sharded %d", s, p)
 			}
 		})

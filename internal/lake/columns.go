@@ -53,8 +53,14 @@ var runColumns = []column{
 	{name: "flows", gi: func(r *Row) *int64 { return &r.Flows }},
 	{name: "completed", gi: func(r *Row) *int64 { return &r.Completed }},
 	{name: "goodput_gbps", gf: func(r *Row) *float64 { return &r.GoodputGbps }},
+	{name: "avg_fct_us", gf: func(r *Row) *float64 { return &r.AvgFCTUs }},
 	{name: "fct_p50_us", gf: func(r *Row) *float64 { return &r.FCTP50Us }},
 	{name: "fct_p99_us", gf: func(r *Row) *float64 { return &r.FCTP99Us }},
+	{name: "p99_small_us", gf: func(r *Row) *float64 { return &r.P99SmallUs }},
+	{name: "p99_small_legacy_us", gf: func(r *Row) *float64 { return &r.P99SmallLegacyUs }},
+	{name: "p99_small_new_us", gf: func(r *Row) *float64 { return &r.P99SmallNewUs }},
+	{name: "std_small_legacy_us", gf: func(r *Row) *float64 { return &r.StdSmallLegacyUs }},
+	{name: "std_small_new_us", gf: func(r *Row) *float64 { return &r.StdSmallNewUs }},
 	{name: "timeouts", gi: func(r *Row) *int64 { return &r.Timeouts }},
 	{name: "retransmits", gi: func(r *Row) *int64 { return &r.Retransmits }},
 	{name: "credits_issued", gi: func(r *Row) *int64 { return &r.CreditsIss }},

@@ -18,7 +18,9 @@ import (
 // DiffMetrics is the deterministic metric set a diff gates on, in
 // report order.
 var DiffMetrics = []string{
-	"goodput_gbps", "fct_p50_us", "fct_p99_us",
+	"goodput_gbps", "avg_fct_us", "fct_p50_us", "fct_p99_us",
+	"p99_small_us", "p99_small_legacy_us", "p99_small_new_us",
+	"std_small_legacy_us", "std_small_new_us",
 	"flows", "completed", "timeouts", "retransmits",
 	"drops_red", "drops_total", "fault_drops",
 	"coflows", "coflows_done", "cct_p99_us", "events",

@@ -4,9 +4,11 @@
 // cross-run regression diffs over it. One row per run; every manifest
 // dimension (scheme, options, topology, workload, load, deployment, wq,
 // seed, fault plan, revision) is a queryable column, and the headline
-// metrics (goodput, FCT quantiles, drops by cause, events/sec) are
-// derived from the artifact's counters and histograms at ingest time —
-// so every paper figure is one query and every regression one diff.
+// metrics are derived at ingest time: every per-flow statistic (flow
+// counts, goodput, exact FCT order statistics with the paper's small-flow
+// breakdowns) by metrics.Summarize over the artifact's flow lines, drops
+// by cause, credits and coflows from its counters — so every paper figure
+// is one query and every regression one diff.
 //
 // Damaged artifacts are not lost: ingestion rides obs.ReadJSONL's
 // salvage path, keeping whatever prefix parses and marking the row
@@ -22,18 +24,19 @@ import (
 	"strconv"
 	"strings"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 )
 
 // Row is one run flattened into the lake's schema. Dimension columns
 // come from the manifest; metric columns are derived from the
-// artifact's counters, histograms, and fault lines.
+// artifact's flow lines, counters, histograms, and fault lines.
 type Row struct {
 	// Identity dimensions.
 	ID        string // scenario content hash (config "scenario_hash") or artifact stem
 	File      string // artifact basename the row was ingested from
-	Schema    int    // artifact schema version (1, 2, 3, ...)
+	Schema    int    // artifact schema version
 	Salvaged  bool   // artifact was damaged; row built from the salvaged prefix
 	Sweep     string // sweep name (config "sweep"), if farmed
 	Scheme    string
@@ -51,31 +54,39 @@ type Row struct {
 	Deploy    float64
 	WQ        float64
 
-	// Metrics.
-	DurationPs   int64
-	Flows        int64 // flows started, summed over transports
-	Completed    int64
-	GoodputGbps  float64 // delivered payload bytes over the run window
-	FCTP50Us     float64 // log-bucket upper bound, merged over transports
-	FCTP99Us     float64
-	Timeouts     int64
-	Retransmits  int64
-	CreditsIss   int64   // credits issued by receivers
-	CreditsWaste int64   // credits that arrived with nothing to send
-	DropsRed     int64   // selective (red-threshold) drops
-	DropsTotal   int64   // all queue drops
-	FaultActions int64   // applied fault-plan actions (artifact "fault" lines)
-	FaultDrops   int64   // packets destroyed by fault injection
-	Tenants      int64   // distinct tenant load classes the workload tagged
-	Coflows      int64   // coflow groups generated (RPC jobs, tagged incasts)
-	CoflowsDone  int64   // coflows whose every member flow completed
-	CCTP99Us     float64 // coflow completion time p99 (log-bucket bound)
-	Violations   int64   // auditor violations kept in the artifact ("forensics" violation lines)
-	VioDropped   int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
-	Attempts     int64   // farm execution attempts that produced this artifact (config "attempts"; 0 = unfarmed or pre-retry)
-	Events       int64
-	WallMS       float64 // perf self-report; machine-dependent
-	EventsPerSec float64
+	// Metrics. Flows through StdSmallNewUs come from the flow lines (FCT
+	// statistics over completed flows, "small" under 100 kB); the rest
+	// from the manifest, counters, histograms and fault lines.
+	DurationPs       int64
+	Flows            int64 // flows started
+	Completed        int64
+	Timeouts         int64
+	Retransmits      int64
+	GoodputGbps      float64 // delivered payload bytes over the run window
+	AvgFCTUs         float64
+	FCTP50Us         float64
+	FCTP99Us         float64
+	P99SmallUs       float64
+	P99SmallLegacyUs float64
+	P99SmallNewUs    float64
+	StdSmallLegacyUs float64
+	StdSmallNewUs    float64
+	CreditsIss       int64   // credits issued by receivers
+	CreditsWaste     int64   // credits that arrived with nothing to send
+	DropsRed         int64   // selective (red-threshold) drops
+	DropsTotal       int64   // all queue drops
+	FaultActions     int64   // applied fault-plan actions (artifact "fault" lines)
+	FaultDrops       int64   // packets destroyed by fault injection
+	Tenants          int64   // distinct tenant load classes the workload tagged
+	Coflows          int64   // coflow groups generated (RPC jobs, tagged incasts)
+	CoflowsDone      int64   // coflows whose every member flow completed
+	CCTP99Us         float64 // coflow completion time p99 (log-bucket bound)
+	Violations       int64   // auditor violations kept in the artifact ("forensics" violation lines)
+	VioDropped       int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
+	Attempts         int64   // farm execution attempts that produced this artifact (config "attempts"; 0 = unfarmed or pre-retry)
+	Events           int64
+	WallMS           float64 // perf self-report; machine-dependent
+	EventsPerSec     float64
 }
 
 // OptionsString canonicalizes a scheme-option map as space-separated
@@ -137,7 +148,16 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 		row.Sweep = s
 	}
 
-	var rxBytes int64
+	f := metrics.Summarize(r.Flows)
+	row.Flows, row.Completed = int64(f.Flows), int64(f.Completed)
+	row.Timeouts, row.Retransmits = int64(f.Timeouts), int64(f.Retransmits)
+	row.GoodputGbps = f.GoodputGbps(sim.Time(m.DurationPs))
+	row.AvgFCTUs = f.MeanFCT.Micros()
+	row.FCTP50Us, row.FCTP99Us = f.P50FCT.Micros(), f.P99FCT.Micros()
+	row.P99SmallUs = f.P99Small.Micros()
+	row.P99SmallLegacyUs, row.P99SmallNewUs = f.P99SmallLegacy.Micros(), f.P99SmallNew.Micros()
+	row.StdSmallLegacyUs, row.StdSmallNewUs = f.StdSmallLegacy.Micros(), f.StdSmallNew.Micros()
+
 	tenants := map[string]bool{}
 	for _, c := range r.Counters {
 		isTransport := strings.HasPrefix(c.Entity, "transport/")
@@ -147,16 +167,6 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 			tenants[c.Entity] = true
 		}
 		switch {
-		case isTransport && c.Metric == "flows_started":
-			row.Flows += c.Value
-		case isTransport && c.Metric == "flows_completed":
-			row.Completed += c.Value
-		case isTransport && c.Metric == "rx_bytes":
-			rxBytes += c.Value
-		case isTransport && c.Metric == "timeouts":
-			row.Timeouts += c.Value
-		case isTransport && c.Metric == "retransmits":
-			row.Retransmits += c.Value
 		case isTransport && c.Metric == "credits_issued":
 			row.CreditsIss += c.Value
 		case isTransport && c.Metric == "credits_wasted":
@@ -174,23 +184,14 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 		}
 	}
 	row.Tenants = int64(len(tenants))
-	if m.DurationPs > 0 {
-		secs := float64(m.DurationPs) / float64(sim.Second)
-		row.GoodputGbps = float64(rxBytes) * 8 / secs / 1e9
-	}
-	// The per-transport FCT histograms merge into one fabric-wide
-	// distribution; quantiles are log-bucket upper bounds.
-	var fctLe, fctN, cctLe, cctN []int64
+	// Coflow completion times have no flow line; their p99 is a log-bucket
+	// upper bound.
+	var cctLe, cctN []int64
 	for _, h := range r.Hists {
-		if strings.HasPrefix(h.Entity, "transport/") && h.Metric == "fct_us" {
-			fctLe, fctN = obs.MergeSparse(fctLe, fctN, h.Le, h.Counts)
-		}
 		if h.Entity == "workload/coflow" && h.Metric == "cct_us" {
 			cctLe, cctN = obs.MergeSparse(cctLe, cctN, h.Le, h.Counts)
 		}
 	}
-	row.FCTP50Us = float64(obs.SparseQuantile(fctLe, fctN, 0.5))
-	row.FCTP99Us = float64(obs.SparseQuantile(fctLe, fctN, 0.99))
 	row.CCTP99Us = float64(obs.SparseQuantile(cctLe, cctN, 0.99))
 	row.FaultActions = int64(len(r.Faults))
 	for i := range r.Forensics {

@@ -8,12 +8,14 @@ import (
 	"strings"
 	"testing"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/obs"
+	"flexpass/internal/sim"
 )
 
-// sampleRun builds a synthetic v3 artifact covering every metric the
-// lake derives: transport counters on two labels, queue drop counters,
-// port fault counters, FCT histograms, and applied fault lines.
+// sampleRun builds a synthetic artifact covering every metric the lake
+// derives: a flow table on two transports, credit counters, queue drop
+// counters, port fault counters, and applied fault lines.
 func sampleRun() *obs.Run {
 	return &obs.Run{
 		Manifest: obs.Manifest{
@@ -27,34 +29,47 @@ func sampleRun() *obs.Run {
 			Config:   map[string]string{"scenario_hash": "deadbeef", "topo": "tiny", "sweep": "t"},
 			WallMS:   12.5, Events: 1000, EventsPerSec: 80000,
 		},
+		Flows: sampleFlows(),
 		Counters: []obs.CounterData{
 			{Entity: "transport/flexpass", Metric: "flows_started", Value: 10},
-			{Entity: "transport/flexpass", Metric: "flows_completed", Value: 9},
-			{Entity: "transport/flexpass", Metric: "rx_bytes", Value: 150_000},
-			{Entity: "transport/flexpass", Metric: "timeouts", Value: 2},
-			{Entity: "transport/flexpass", Metric: "retransmits", Value: 3},
 			{Entity: "transport/flexpass", Metric: "credits_issued", Value: 40},
 			{Entity: "transport/flexpass", Metric: "credits_wasted", Value: 4},
-			{Entity: "transport/dctcp", Metric: "flows_started", Value: 5},
-			{Entity: "transport/dctcp", Metric: "flows_completed", Value: 5},
-			{Entity: "transport/dctcp", Metric: "rx_bytes", Value: 100_000},
 			{Entity: "port/tor0->h0", Metric: "tx_bytes", Value: 999}, // not a lake metric
 			{Entity: "port/tor0->h0", Metric: "faults_injected", Value: 6},
 			{Entity: "port/tor0->h0/q1", Metric: "dropped", Value: 11},
 			{Entity: "port/tor0->h0/q1", Metric: "dropped_red", Value: 7},
 		},
 		Hists: []obs.HistData{
-			// 10 flows at <=64us, 1 at <=4096us.
-			{Entity: "transport/flexpass", Metric: "fct_us", Count: 11, Sum: 0,
-				Le: []int64{64, 4096}, Counts: []int64{10, 1}},
-			{Entity: "transport/dctcp", Metric: "fct_us", Count: 5, Sum: 0,
-				Le: []int64{64}, Counts: []int64{5}},
+			// Bucket bounds the FCT columns must not read.
+			{Entity: "transport/flexpass", Metric: "fct_us", Count: 9, Le: []int64{64, 128}, Counts: []int64{6, 3}},
 		},
 		Faults: []obs.FaultData{
 			{AtPs: 1, Kind: "link-down", Link: "tor0->h0"},
 			{AtPs: 2, Kind: "link-up", Link: "tor0->h0"},
 		},
 	}
+}
+
+// sampleFlows is a 15-flow table: ten upgraded flexpass flows of 15 kB
+// finishing in 10, 20, ... 90 us with the tenth incomplete, then five
+// legacy dctcp flows of 20 kB finishing in 15, 25, 35, 45 and 1000 us —
+// 250 kB delivered, 2 timeouts, 3 retransmits.
+func sampleFlows() []metrics.FlowRecord {
+	var recs []metrics.FlowRecord
+	for i := 1; i <= 10; i++ {
+		r := metrics.FlowRecord{ID: uint64(i), Size: 15_000, Start: sim.Time(i), FCT: sim.Time(i) * 10 * sim.Microsecond,
+			Completed: true, Transport: "flexpass", RxBytes: 15_000}
+		if i == 10 {
+			r.FCT, r.Completed, r.Timeouts = -1, false, 2
+		}
+		recs = append(recs, r)
+	}
+	recs[0].Retransmits = 3
+	for i, us := range []sim.Time{15, 25, 35, 45, 1000} {
+		recs = append(recs, metrics.FlowRecord{ID: uint64(11 + i), Size: 20_000, Start: sim.Time(11 + i),
+			FCT: us * sim.Microsecond, Completed: true, Legacy: true, Transport: "dctcp", RxBytes: 20_000})
+	}
+	return recs
 }
 
 func writeArtifact(t *testing.T, dir, name string, r *obs.Run) string {
@@ -93,7 +108,7 @@ func TestFromRunDerivesMetrics(t *testing.T) {
 		t.Errorf("fault/revision dims wrong: %+v", r)
 	}
 	if r.Flows != 15 || r.Completed != 14 || r.Timeouts != 2 || r.Retransmits != 3 {
-		t.Errorf("transport sums wrong: %+v", r)
+		t.Errorf("flow-table sums wrong: %+v", r)
 	}
 	if r.CreditsIss != 40 || r.CreditsWaste != 4 {
 		t.Errorf("credit sums wrong: %+v", r)
@@ -108,58 +123,67 @@ func TestFromRunDerivesMetrics(t *testing.T) {
 	if r.GoodputGbps < 0.999 || r.GoodputGbps > 1.001 {
 		t.Errorf("goodput = %g, want 1", r.GoodputGbps)
 	}
-	// Merged FCT: 15 of 16 at <=64us; p50 = 64, p99 = 4096.
-	if r.FCTP50Us != 64 || r.FCTP99Us != 4096 {
-		t.Errorf("merged FCT quantiles = %g/%g, want 64/4096", r.FCTP50Us, r.FCTP99Us)
+	checkFCTColumns(t, r)
+}
+
+// checkFCTColumns holds a sampleRun row's FCT columns to the exact order
+// statistics of sampleFlows' 14 completed flows (10 ... 90, 15 ... 45 and
+// 1000 us): nearest-rank p50 is the 7th smallest, p99 the largest.
+func checkFCTColumns(t *testing.T, r Row) {
+	t.Helper()
+	us := func(v ...sim.Time) (out []sim.Time) {
+		for _, x := range v {
+			out = append(out, x*sim.Microsecond)
+		}
+		return out
+	}
+	legacy, upgraded := us(15, 25, 35, 45, 1000), us(10, 20, 30, 40, 50, 60, 70, 80, 90)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"avg_fct_us", r.AvgFCTUs, (1570 * sim.Microsecond / 14).Micros()},
+		{"fct_p50_us", r.FCTP50Us, 40},
+		{"fct_p99_us", r.FCTP99Us, 1000},
+		{"p99_small_us", r.P99SmallUs, 1000},
+		{"p99_small_legacy_us", r.P99SmallLegacyUs, 1000},
+		{"p99_small_new_us", r.P99SmallNewUs, 90},
+		{"std_small_legacy_us", r.StdSmallLegacyUs, metrics.StdDev(legacy).Micros()},
+		{"std_small_new_us", r.StdSmallNewUs, metrics.StdDev(upgraded).Micros()},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
 	}
 }
 
-// TestIngestOldSchemas checks v1/v2 manifests (no scheme options, no
-// fault hash, no revision) still ingest, with the new columns empty.
+// TestIngestOldSchemas: an artifact from before the flow table (schema
+// < 5) has nothing to compute the per-flow columns from, so ingest skips
+// it with an error that names the schema, and a directory scan keeps the
+// current artifacts beside it.
 func TestIngestOldSchemas(t *testing.T) {
-	for schema, extra := range map[int]string{
-		1: ``,
-		2: `{"type":"fault","fault":{"at_ps":5,"kind":"burst-loss","link":"tor0->h0","value":0.5}}`,
-	} {
-		lines := []string{
-			`{"type":"manifest","manifest":{"schema":` + itoa(schema) + `,"seed":3,"topology":"clos","scheme":"dctcp","workload":"hadoop","load":0.4,"duration_ps":1000000000,"wall_ms":1,"events":10,"events_per_sec":10}}`,
-			`{"type":"counter","counter":{"entity":"transport/dctcp","metric":"rx_bytes","kind":"delta","value":50000}}`,
-			`{"type":"hist","hist":{"entity":"transport/dctcp","metric":"fct_us","count":2,"sum":60,"le":[32],"counts":[2]}}`,
-		}
-		if extra != "" {
-			lines = append(lines, extra)
-		}
-		dir := t.TempDir()
-		path := filepath.Join(dir, "old.jsonl")
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	dir := t.TempDir()
+	writeArtifact(t, dir, "new.jsonl", sampleRun())
+	for _, schema := range []string{"1", "2", "4"} {
+		old := `{"type":"manifest","manifest":{"schema":` + schema + `,"seed":3,"scheme":"dctcp","duration_ps":1000000000}}` + "\n" +
+			`{"type":"counter","counter":{"entity":"transport/dctcp","metric":"rx_bytes","kind":"delta","value":50000}}` + "\n"
+		if err := os.WriteFile(filepath.Join(dir, "old"+schema+".jsonl"), []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ix := &Index{}
-		if err := ix.IngestFile(path); err != nil {
-			t.Fatalf("schema %d: %v", schema, err)
-		}
-		r := ix.Rows[0]
-		if r.Schema != schema || r.Scheme != "dctcp" || r.Workload != "hadoop" {
-			t.Errorf("schema %d: dims wrong: %+v", schema, r)
-		}
-		if r.Options != "" || r.FaultSig != "" || r.Revision != "" {
-			t.Errorf("schema %d: v3 columns should be empty: %+v", schema, r)
-		}
-		if r.GoodputGbps != 0.4 { // 50000*8/1ms = 0.4 Gbps
-			t.Errorf("schema %d: goodput = %g", schema, r.GoodputGbps)
-		}
-		wantActions := int64(0)
-		if schema == 2 {
-			wantActions = 1
-		}
-		if r.FaultActions != wantActions {
-			t.Errorf("schema %d: fault actions = %d, want %d", schema, r.FaultActions, wantActions)
+	}
+	ix := &Index{}
+	n, errs := ix.IngestDir(dir)
+	if n != 1 || len(ix.Rows) != 1 || ix.Rows[0].Seed != 7 {
+		t.Fatalf("ingested %d rows %+v, want the one current artifact", n, ix.Rows)
+	}
+	if len(errs) != 3 {
+		t.Fatalf("%d errors for three old artifacts: %v", len(errs), errs)
+	}
+	for i, schema := range []string{"1", "2", "4"} {
+		if msg := errs[i].Error(); !strings.Contains(msg, "old"+schema+".jsonl") || !strings.Contains(msg, "schema "+schema) {
+			t.Errorf("error %q does not name the file and its schema", msg)
 		}
 	}
-}
-
-func itoa(n int) string {
-	return string(rune('0' + n))
 }
 
 // TestIngestSalvagesCorruptArtifact truncates an artifact mid-line and
@@ -172,10 +196,11 @@ func TestIngestSalvagesCorruptArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the manifest and first counter line, then tear the file
-	// mid-way through the next line.
+	// Keep the manifest and the flow lines, then tear the file mid-way
+	// through the next line.
 	lines := strings.SplitAfter(string(data), "\n")
-	torn := lines[0] + lines[1] + lines[2][:len(lines[2])/2]
+	nf := len(sampleFlows())
+	torn := strings.Join(lines[:1+nf], "") + lines[1+nf][:len(lines[1+nf])/2]
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +224,14 @@ func TestIngestSalvagesCorruptArtifact(t *testing.T) {
 	if r.Scheme != "flexpass" || r.Seed != 7 {
 		t.Errorf("manifest dims lost in salvage: %+v", r)
 	}
-	if r.Flows != 10 {
-		t.Errorf("salvaged prefix should hold one counter line: flows=%d", r.Flows)
+	// The flow table precedes the damage: every per-flow column is exact,
+	// while the counters behind it are lost.
+	if r.Flows != 15 || r.Completed != 14 || r.GoodputGbps < 0.999 || r.GoodputGbps > 1.001 {
+		t.Errorf("salvaged flow table incomplete: %+v", r)
+	}
+	checkFCTColumns(t, r)
+	if r.CreditsIss != 0 || r.DropsTotal != 0 {
+		t.Errorf("counters past the damage leaked into the row: %+v", r)
 	}
 }
 
@@ -264,12 +295,13 @@ func TestLoadDirFallsBackToRuns(t *testing.T) {
 	}
 }
 
-// TestMergedQuantileEmpty: a run with no FCT or CCT histograms has zero
-// quantile columns.
+// TestMergedQuantileEmpty: a run with no flow lines and no CCT histogram
+// has zero FCT and CCT columns.
 func TestMergedQuantileEmpty(t *testing.T) {
 	run := sampleRun()
-	run.Hists = nil
-	if r := FromRun(run, "a.jsonl", false); r.FCTP50Us != 0 || r.FCTP99Us != 0 || r.CCTP99Us != 0 {
-		t.Errorf("empty quantiles = %g/%g/%g", r.FCTP50Us, r.FCTP99Us, r.CCTP99Us)
+	run.Flows, run.Hists = nil, nil
+	r := FromRun(run, "a.jsonl", false)
+	if r.Flows != 0 || r.FCTP50Us != 0 || r.FCTP99Us != 0 || r.P99SmallUs != 0 || r.AvgFCTUs != 0 || r.CCTP99Us != 0 {
+		t.Errorf("empty run has FCT columns %+v", r)
 	}
 }

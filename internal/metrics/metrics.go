@@ -8,141 +8,139 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"flexpass/internal/sim"
-	"flexpass/internal/transport"
 	"flexpass/internal/units"
 )
 
-// FlowRecord is an immutable snapshot of a finished (or abandoned) flow.
+// FlowRecord is an immutable snapshot of a finished (or abandoned) flow:
+// one row of a run's flow table, and one "flow" line of its artifact.
 type FlowRecord struct {
-	ID          uint64
-	Size        int64
-	Start       sim.Time
-	FCT         sim.Time // -1 if not completed
-	Completed   bool
-	Legacy      bool
-	Incast      bool
-	Transport   string
-	Timeouts    int
-	Retransmits int
-	ProRetx     int
-	Redundant   int
-	MaxReorderB int64
-	RxBytes     int64
+	ID          uint64   `json:"id"`
+	Size        int64    `json:"size"`
+	Start       sim.Time `json:"start_ps"`
+	FCT         sim.Time `json:"fct_ps"` // -1 if not completed
+	Completed   bool     `json:"completed,omitempty"`
+	Legacy      bool     `json:"legacy,omitempty"`
+	Incast      bool     `json:"incast,omitempty"`
+	Transport   string   `json:"transport"`
+	Timeouts    int      `json:"timeouts,omitempty"`
+	Retransmits int      `json:"retransmits,omitempty"`
+	ProRetx     int      `json:"pro_retx,omitempty"`
+	Redundant   int      `json:"redundant,omitempty"`
+	MaxReorderB int64    `json:"max_reorder_b,omitempty"`
+	RxBytes     int64    `json:"rx_bytes"`
 }
 
-// Snapshot captures a flow's stats.
-func Snapshot(f *transport.Flow, incast bool) FlowRecord {
-	return FlowRecord{
-		ID:          f.ID,
-		Size:        f.Size,
-		Start:       f.Start,
-		FCT:         f.FCT(),
-		Completed:   f.Completed,
-		Legacy:      f.Legacy,
-		Incast:      incast,
-		Transport:   f.Transport,
-		Timeouts:    f.Timeouts,
-		Retransmits: f.Retransmits,
-		ProRetx:     f.ProRetx,
-		Redundant:   f.RedundantSegs,
-		MaxReorderB: f.MaxReorderB,
-		RxBytes:     f.RxBytes,
-	}
-}
-
-// Collector accumulates flow records.
+// Collector is a run's flow table.
 type Collector struct {
 	Records []FlowRecord
 }
 
-// Add appends a record.
-func (c *Collector) Add(r FlowRecord) { c.Records = append(c.Records, r) }
+// SmallFlow bounds the paper's "small flows": those under 100 kB.
+const SmallFlow = 100_000
 
-// Filter selects flow records.
+// Filter selects flow records by size.
 type Filter struct {
-	MaxSize   int64 // 0 = no bound; the paper's "small flows" are <100kB
-	MinSize   int64
-	Legacy    *bool // nil = both
-	Incast    *bool
-	Transport string
-	OnlyDone  bool
+	MaxSize int64 // 0 = no bound
 }
 
-// Small is the paper's small-flow filter (<100kB).
-func Small() Filter { return Filter{MaxSize: 100_000, OnlyDone: true} }
+// Small is the paper's small-flow filter.
+func Small() Filter { return Filter{MaxSize: SmallFlow} }
 
-// Bool is a convenience for taking a *bool literal.
-func Bool(v bool) *bool { return &v }
-
-func (f Filter) match(r FlowRecord) bool {
-	if f.OnlyDone && !r.Completed {
-		return false
-	}
-	if f.MaxSize > 0 && r.Size >= f.MaxSize {
-		return false
-	}
-	if r.Size < f.MinSize {
-		return false
-	}
-	if f.Legacy != nil && r.Legacy != *f.Legacy {
-		return false
-	}
-	if f.Incast != nil && r.Incast != *f.Incast {
-		return false
-	}
-	if f.Transport != "" && r.Transport != f.Transport {
-		return false
-	}
-	return true
-}
-
-// FCTs returns completion times of matching completed flows.
+// FCTs returns completion times of the completed flows the filter
+// selects, in record order.
 func (c *Collector) FCTs(f Filter) []sim.Time {
-	f.OnlyDone = true
 	var out []sim.Time
 	for _, r := range c.Records {
-		if f.match(r) {
+		if r.Completed && (f.MaxSize == 0 || r.Size < f.MaxSize) {
 			out = append(out, r.FCT)
 		}
 	}
 	return out
 }
 
-// Count returns how many records match.
-func (c *Collector) Count(f Filter) int {
-	n := 0
-	for _, r := range c.Records {
-		if f.match(r) {
-			n++
-		}
-	}
-	return n
+// Summary is every per-flow statistic a run reports: the deployment
+// figures, the degradation report, flexsim's summary and the lake's
+// per-flow columns all read this one reduction. FCT statistics cover
+// completed flows; quantiles are nearest-rank order statistics.
+type Summary struct {
+	Flows, Completed      int
+	SmallCompleted        int   // completed flows under SmallFlow
+	RxBytes               int64 // payload delivered, every flow
+	Timeouts, Retransmits int
+
+	MeanFCT, P50FCT, P99FCT sim.Time // every completed flow
+
+	// Completed flows under SmallFlow: all of them, legacy, upgraded.
+	P99Small, P99SmallLegacy, P99SmallNew sim.Time
+	StdSmallLegacy, StdSmallNew           sim.Time
+
+	ReorderKB     float64  // mean reordering-buffer high-water mark of upgraded flows, kB
+	RedundantFrac float64  // duplicate segment volume over delivered volume
+	LastFinish    sim.Time // latest completion instant
 }
 
-// SumInt sums an integer field over matching records.
-func (c *Collector) SumInt(f Filter, field func(FlowRecord) int) int {
-	n := 0
-	for _, r := range c.Records {
-		if f.match(r) {
-			n += field(r)
-		}
+// Incomplete counts flows that never finished (excluded from FCT
+// statistics, but a red flag if large).
+func (s Summary) Incomplete() int { return s.Flows - s.Completed }
+
+// GoodputGbps is the delivered payload over window, in Gb/s.
+func (s Summary) GoodputGbps(window sim.Time) float64 {
+	if window <= 0 {
+		return 0
 	}
-	return n
+	return float64(s.RxBytes) * 8 / (float64(window) / float64(sim.Second)) / 1e9
 }
 
-// Incomplete counts flows that never finished (excluded from FCT stats but
-// a red flag if large).
-func (c *Collector) Incomplete() int {
-	n := 0
-	for _, r := range c.Records {
+// Summarize reduces a flow table to its Summary.
+func Summarize(records []FlowRecord) Summary {
+	s := Summary{Flows: len(records)}
+	var all, small, legacy, upgraded []sim.Time
+	var reorderSum, reorderN float64
+	var redundant int64
+	for _, r := range records {
+		s.RxBytes += r.RxBytes
+		s.Timeouts += r.Timeouts
+		s.Retransmits += r.Retransmits
+		redundant += int64(r.Redundant)
+		if !r.Legacy {
+			reorderSum += float64(r.MaxReorderB)
+			reorderN++
+		}
 		if !r.Completed {
-			n++
+			continue
+		}
+		all = append(all, r.FCT)
+		s.LastFinish = max(s.LastFinish, r.Start+r.FCT)
+		if r.Size >= SmallFlow {
+			continue
+		}
+		small = append(small, r.FCT)
+		if r.Legacy {
+			legacy = append(legacy, r.FCT)
+		} else {
+			upgraded = append(upgraded, r.FCT)
 		}
 	}
-	return n
+	s.Completed, s.SmallCompleted = len(all), len(small)
+	// Mean and standard deviation sum in record order, before the sorts.
+	s.MeanFCT = Mean(all)
+	s.StdSmallLegacy, s.StdSmallNew = StdDev(legacy), StdDev(upgraded)
+	for _, ts := range [][]sim.Time{all, small, legacy, upgraded} {
+		slices.Sort(ts)
+	}
+	s.P50FCT, s.P99FCT = nearestRank(all, 0.5), nearestRank(all, 0.99)
+	s.P99Small = nearestRank(small, 0.99)
+	s.P99SmallLegacy, s.P99SmallNew = nearestRank(legacy, 0.99), nearestRank(upgraded, 0.99)
+	if reorderN > 0 {
+		s.ReorderKB = reorderSum / reorderN / 1000
+	}
+	if s.RxBytes > 0 {
+		s.RedundantFrac = float64(redundant*1460) / float64(s.RxBytes)
+	}
+	return s
 }
 
 // Mean averages the durations; 0 for empty input.
@@ -160,20 +158,18 @@ func Mean(ts []sim.Time) sim.Time {
 // Percentile returns the p-quantile (0<p<=1) using nearest-rank on a
 // sorted copy; 0 for empty input.
 func Percentile(ts []sim.Time, p float64) sim.Time {
-	if len(ts) == 0 {
+	sorted := slices.Clone(ts)
+	slices.Sort(sorted)
+	return nearestRank(sorted, p)
+}
+
+// nearestRank is the p-quantile of sorted; 0 for empty input.
+func nearestRank(sorted []sim.Time, p float64) sim.Time {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]sim.Time, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // StdDev returns the standard deviation of the durations.
@@ -188,17 +184,6 @@ func StdDev(ts []sim.Time) sim.Time {
 		ss += d * d
 	}
 	return sim.Time(math.Sqrt(ss / float64(len(ts))))
-}
-
-// Max returns the maximum duration; 0 for empty input.
-func Max(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }
 
 // StarvationFraction returns the fraction of sampling windows in which the

@@ -1,64 +1,103 @@
-package metrics
+package metrics_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
 )
 
-func rec(size int64, fct sim.Time, legacy bool) FlowRecord {
-	return FlowRecord{Size: size, FCT: fct, Completed: true, Legacy: legacy}
+func rec(size int64, fct sim.Time, legacy bool) metrics.FlowRecord {
+	return metrics.FlowRecord{Size: size, FCT: fct, Completed: true, Legacy: legacy}
 }
 
 func TestFilterSmallFlows(t *testing.T) {
-	var c Collector
-	c.Add(rec(50_000, sim.Millisecond, true))
-	c.Add(rec(200_000, 2*sim.Millisecond, true))
-	c.Add(rec(99_999, 3*sim.Millisecond, false))
-	c.Add(FlowRecord{Size: 10, Completed: false})
-	fcts := c.FCTs(Small())
-	if len(fcts) != 2 {
-		t.Fatalf("small flows = %d, want 2", len(fcts))
+	c := metrics.Collector{Records: []metrics.FlowRecord{
+		rec(50_000, sim.Millisecond, true),
+		rec(200_000, 2*sim.Millisecond, true),
+		rec(99_999, 3*sim.Millisecond, false),
+		{Size: 10, FCT: -1},
+	}}
+	if fcts := c.FCTs(metrics.Small()); !slices.Equal(fcts, []sim.Time{sim.Millisecond, 3 * sim.Millisecond}) {
+		t.Fatalf("small-flow FCTs = %v", fcts)
 	}
-	legacyOnly := Small()
-	legacyOnly.Legacy = Bool(true)
-	if n := c.Count(legacyOnly); n != 1 {
-		t.Fatalf("legacy small = %d, want 1", n)
+	if fcts := c.FCTs(metrics.Filter{}); len(fcts) != 3 {
+		t.Fatalf("completed FCTs = %v, want 3", fcts)
 	}
-	if c.Incomplete() != 1 {
-		t.Fatalf("incomplete = %d, want 1", c.Incomplete())
+	s := metrics.Summarize(c.Records)
+	if s.SmallCompleted != 2 || s.Incomplete() != 1 || s.P99SmallLegacy != sim.Millisecond {
+		t.Fatalf("small %d, incomplete %d, legacy small p99 %v; want 2, 1, 1ms",
+			s.SmallCompleted, s.Incomplete(), s.P99SmallLegacy)
+	}
+}
+
+// TestSummarize pins every field of the one reducer on a table small
+// enough to check by hand.
+func TestSummarize(t *testing.T) {
+	us := sim.Microsecond
+	recs := []metrics.FlowRecord{
+		{Size: 1000, Start: 0, FCT: 10 * us, Completed: true, Legacy: true, RxBytes: 1000, Timeouts: 1},
+		{Size: 2000, Start: 5 * us, FCT: 30 * us, Completed: true, Legacy: true, RxBytes: 2000, Retransmits: 2},
+		{Size: 3000, Start: 1 * us, FCT: 20 * us, Completed: true, RxBytes: 3000, MaxReorderB: 4000, Redundant: 1},
+		{Size: 500_000, Start: 2 * us, FCT: 400 * us, Completed: true, RxBytes: 500_000, MaxReorderB: 2000},
+		{Size: 4000, Start: 3 * us, FCT: -1, RxBytes: 1460, Timeouts: 3},
+	}
+	got := metrics.Summarize(recs)
+	want := metrics.Summary{
+		Flows: 5, Completed: 4, SmallCompleted: 3,
+		RxBytes: 507_460, Timeouts: 4, Retransmits: 2,
+		MeanFCT: 115 * us, P50FCT: 20 * us, P99FCT: 400 * us,
+		P99Small: 30 * us, P99SmallLegacy: 30 * us, P99SmallNew: 20 * us,
+		StdSmallLegacy: 10 * us, StdSmallNew: 0,
+		ReorderKB:     2, // (4000 + 2000 + 0) / 3 upgraded flows
+		RedundantFrac: 1460.0 / 507_460,
+		LastFinish:    402 * us,
+	}
+	if got != want {
+		t.Fatalf("Summarize:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Incomplete() != 1 {
+		t.Fatalf("incomplete = %d", got.Incomplete())
+	}
+	// 507 460 B in 1 ms is 4.05968 Gb/s.
+	if g := got.GoodputGbps(sim.Millisecond); g < 4.0596 || g > 4.0597 {
+		t.Fatalf("goodput = %g", g)
+	}
+	if z := metrics.Summarize(nil); z != (metrics.Summary{}) || z.GoodputGbps(0) != 0 {
+		t.Fatalf("empty table: %+v", z)
 	}
 }
 
 func TestStatsBasics(t *testing.T) {
 	ts := []sim.Time{1, 2, 3, 4, 5}
-	if Mean(ts) != 3 {
-		t.Fatalf("mean = %v", Mean(ts))
+	if metrics.Mean(ts) != 3 {
+		t.Fatalf("mean = %v", metrics.Mean(ts))
 	}
-	if Max(ts) != 5 {
-		t.Fatalf("max = %v", Max(ts))
+	if slices.Max(ts) != 5 {
+		t.Fatalf("max = %v", slices.Max(ts))
 	}
-	if p := Percentile(ts, 0.5); p != 3 {
+	if p := metrics.Percentile(ts, 0.5); p != 3 {
 		t.Fatalf("median = %v", p)
 	}
-	if p := Percentile(ts, 0.99); p != 5 {
+	if p := metrics.Percentile(ts, 0.99); p != 5 {
 		t.Fatalf("p99 = %v", p)
 	}
-	if p := Percentile(ts, 1.0); p != 5 {
+	if p := metrics.Percentile(ts, 1.0); p != 5 {
 		t.Fatalf("p100 = %v", p)
 	}
-	if Mean(nil) != 0 || Percentile(nil, 0.5) != 0 || StdDev(nil) != 0 {
+	if metrics.Mean(nil) != 0 || metrics.Percentile(nil, 0.5) != 0 || metrics.StdDev(nil) != 0 {
 		t.Fatal("empty inputs must yield 0")
 	}
 }
 
 func TestStdDev(t *testing.T) {
 	ts := []sim.Time{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := StdDev(ts); got != 2 {
+	if got := metrics.StdDev(ts); got != 2 {
 		t.Fatalf("stddev = %v, want 2", got)
 	}
 }
@@ -78,8 +117,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		qa, qb := Percentile(ts, pa), Percentile(ts, pb)
-		return qa <= qb && qb <= Max(ts)
+		qa, qb := metrics.Percentile(ts, pa), metrics.Percentile(ts, pb)
+		return qa <= qb && qb <= slices.Max(ts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Fatal(err)
@@ -133,14 +172,14 @@ func TestStarvationFraction(t *testing.T) {
 	g := 1 * units.Gbps
 	a := []units.Rate{10 * g, 10 * g, 1 * g, 1 * g}
 	b := []units.Rate{1 * g, 1 * g, 10 * g, 10 * g}
-	fa, fb := StarvationFraction(a, b, 2*g, false)
+	fa, fb := metrics.StarvationFraction(a, b, 2*g, false)
 	if fa != 0.5 || fb != 0.5 {
 		t.Fatalf("fractions = %v %v, want 0.5 0.5", fa, fb)
 	}
 	// skipIdle drops all-zero windows.
 	a2 := []units.Rate{0, 10 * g}
 	b2 := []units.Rate{0, 1 * g}
-	fa2, fb2 := StarvationFraction(a2, b2, 2*g, true)
+	fa2, fb2 := metrics.StarvationFraction(a2, b2, 2*g, true)
 	if fa2 != 0 || fb2 != 1 {
 		t.Fatalf("skipIdle fractions = %v %v, want 0 1", fa2, fb2)
 	}
@@ -158,7 +197,7 @@ func TestQueueSampler(t *testing.T) {
 	if len(totals) != 4 {
 		t.Fatalf("%d samples, want 4", len(totals))
 	}
-	mean, p90 := Stats(totals, 0.9)
+	mean, p90 := metrics.Stats(totals, 0.9)
 	if mean != 75_000 {
 		t.Fatalf("mean = %d, want 75000", mean)
 	}
@@ -173,7 +212,7 @@ func TestQueueSampler(t *testing.T) {
 func quantiles(ts []sim.Time, n int) []sim.Time {
 	var out []sim.Time
 	for i := 0; i < n; i++ {
-		out = append(out, Percentile(ts, float64(i+1)/float64(n)))
+		out = append(out, metrics.Percentile(ts, float64(i+1)/float64(n)))
 	}
 	return out
 }
@@ -235,17 +274,17 @@ func TestQuantilesEdgeCases(t *testing.T) {
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
-	if Percentile(nil, 0.99) != 0 {
+	if metrics.Percentile(nil, 0.99) != 0 {
 		t.Fatal("empty input must yield 0")
 	}
 	ts := []sim.Time{30, 10, 20}
-	if got := Percentile(ts, 0); got != 10 { // clamps to the minimum
+	if got := metrics.Percentile(ts, 0); got != 10 { // clamps to the minimum
 		t.Fatalf("p0 = %v, want 10", got)
 	}
-	if got := Percentile(ts, 1); got != 30 {
+	if got := metrics.Percentile(ts, 1); got != 30 {
 		t.Fatalf("p100 = %v, want 30", got)
 	}
-	if got := Percentile([]sim.Time{5}, 0.5); got != 5 {
+	if got := metrics.Percentile([]sim.Time{5}, 0.5); got != 5 {
 		t.Fatalf("single-sample p50 = %v, want 5", got)
 	}
 }

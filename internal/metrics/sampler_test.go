@@ -1,8 +1,9 @@
-package metrics
+package metrics_test
 
 import (
 	"testing"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
@@ -64,14 +65,14 @@ func TestStarvationFractionEdgeCases(t *testing.T) {
 		return out
 	}
 	// Length mismatch truncates to the shorter series.
-	fa, fb := StarvationFraction(mk(0), mk(0, 100, 100), 10, false)
+	fa, fb := metrics.StarvationFraction(mk(0), mk(0, 100, 100), 10, false)
 	if fa != 1 || fb != 1 {
 		t.Fatalf("truncation: fa=%v fb=%v", fa, fb)
 	}
-	if fa, fb := StarvationFraction(nil, nil, 10, false); fa != 0 || fb != 0 {
+	if fa, fb := metrics.StarvationFraction(nil, nil, 10, false); fa != 0 || fb != 0 {
 		t.Fatal("empty input must be 0/0")
 	}
-	if fa, fb := StarvationFraction(mk(0), mk(0), 10, true); fa != 0 || fb != 0 {
+	if fa, fb := metrics.StarvationFraction(mk(0), mk(0), 10, true); fa != 0 || fb != 0 {
 		t.Fatal("all-idle with skipIdle must be 0/0")
 	}
 }
@@ -115,14 +116,14 @@ func TestQueueSamplerCollects(t *testing.T) {
 }
 
 func TestStatsMeanAndQuantile(t *testing.T) {
-	mean, p90 := Stats([]int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, 0.9)
+	mean, p90 := metrics.Stats([]int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, 0.9)
 	if mean != 55 {
 		t.Fatalf("mean = %d, want 55", mean)
 	}
 	if p90 != 90 {
 		t.Fatalf("p90 = %d, want 90", p90)
 	}
-	if mean, pctl := Stats(nil, 0.9); mean != 0 || pctl != 0 {
+	if mean, pctl := metrics.Stats(nil, 0.9); mean != 0 || pctl != 0 {
 		t.Fatal("empty Stats must be 0/0")
 	}
 }

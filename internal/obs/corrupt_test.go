@@ -3,13 +3,20 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"flexpass/internal/metrics"
 )
 
 func sampleRun() *Run {
 	return &Run{
 		Manifest: Manifest{Schema: SchemaVersion, Seed: 7, Scheme: "flexpass"},
+		Flows: []metrics.FlowRecord{
+			{ID: 1, Size: 5000, Start: 10, FCT: 900, Completed: true, Transport: "flexpass", RxBytes: 5000},
+			{ID: 2, Size: 9000, Start: 20, FCT: -1, Legacy: true, Transport: "dctcp", Timeouts: 1, RxBytes: 2920},
+		},
 		Series: []SeriesData{
 			{Entity: "port/tor0/q1", Metric: "bytes", Kind: "instant", IntervalPs: 1000, Values: samplesOf(1, 2, 3)},
 		},
@@ -53,7 +60,7 @@ func TestReadJSONLTruncatedMidLine(t *testing.T) {
 	if run == nil {
 		t.Fatal("no partial artifact salvaged")
 	}
-	if run.Manifest.Seed != 7 || len(run.Series) != 1 || len(run.Counters) != 1 {
+	if run.Manifest.Seed != 7 || len(run.Flows) != 2 || len(run.Series) != 1 || len(run.Counters) != 1 {
 		t.Fatalf("salvaged prefix incomplete: %+v", run)
 	}
 	if len(run.Forensics) != 0 {
@@ -69,7 +76,7 @@ func TestReadJSONLGarbledLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	lines[1] = `{"type":"series","series":` // garbled: unterminated JSON
+	lines[1] = `{"type":"flow","flow":` // garbled: unterminated JSON
 	run, err := ReadJSONL(strings.NewReader(strings.Join(lines, "\n")))
 	var corrupt *CorruptArtifactError
 	if !errors.As(err, &corrupt) || corrupt.Line != 2 {
@@ -78,7 +85,7 @@ func TestReadJSONLGarbledLine(t *testing.T) {
 	if run == nil || run.Manifest.Seed != 7 {
 		t.Fatal("manifest before the damage not salvaged")
 	}
-	if len(run.Series) != 0 || len(run.Counters) != 0 {
+	if len(run.Flows) != 0 || len(run.Series) != 0 || len(run.Counters) != 0 {
 		t.Fatal("lines after the damage were parsed")
 	}
 }
@@ -86,7 +93,7 @@ func TestReadJSONLGarbledLine(t *testing.T) {
 // TestReadJSONLUnknownType: a line of unknown type (e.g. from a newer
 // schema) is damage, not silently droppable data.
 func TestReadJSONLUnknownType(t *testing.T) {
-	in := `{"type":"manifest","manifest":{"schema":1,"seed":3}}
+	in := `{"type":"manifest","manifest":{"schema":5,"seed":3}}
 {"type":"hologram","entity":"x"}
 `
 	run, err := ReadJSONL(strings.NewReader(in))
@@ -112,18 +119,26 @@ func TestReadJSONLNoManifest(t *testing.T) {
 	}
 }
 
-// TestReadJSONLCleanRoundTripWithForensics: the forensics line type
-// survives a clean write/read cycle.
+// TestReadJSONLCleanRoundTripWithForensics: the flow and forensics line
+// types survive a clean write/read cycle, the flow lines directly after
+// the manifest.
 func TestReadJSONLCleanRoundTripWithForensics(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sampleRun().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	run, err := ReadJSONL(&buf)
+	text := buf.String()
+	run, err := ReadJSONL(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(run.Forensics) != 1 || run.Violations()[0].Auditor != "credit-conservation" {
 		t.Fatalf("forensics line did not round-trip: %+v", run.Forensics)
+	}
+	if want := sampleRun().Flows; !slices.Equal(run.Flows, want) {
+		t.Fatalf("flow lines did not round-trip: %+v, want %+v", run.Flows, want)
+	}
+	if lines := strings.SplitN(text, "\n", 3); !strings.HasPrefix(lines[1], `{"type":"flow","flow":{"id":1,`) {
+		t.Fatalf("second line is not the first flow: %s", lines[1])
 	}
 }

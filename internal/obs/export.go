@@ -8,23 +8,20 @@ import (
 	"os"
 	"slices"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/sim"
 	"flexpass/internal/trace"
 )
 
 // SchemaVersion identifies the JSONL artifact layout. Bump on any
-// incompatible change to the line structs below. Every version so far
-// only added lines or optional manifest fields, so older artifacts stay
-// readable — what they lack decodes empty — while ReadJSONL refuses an
-// artifact stamped by a newer build than this one.
-//
-// v2 added the "fault" line type (applied fault-plan actions).
-// v3 stamped the manifest with the full scenario identity the result
-// lake keys on: the per-scheme options map, the fault-plan name and
-// content hash, and the producing repo revision.
-// v4 added the workload-plan identity (name + content hash) for runs
-// driven by composable workload plans.
-const SchemaVersion = 4
+// incompatible change to the line structs below. ReadJSONL reads
+// MinSchemaVersion through SchemaVersion: v5 put the flow table in the
+// artifact, and every per-flow statistic is computed from it, so an older
+// artifact has nothing to compute them from and is re-run, not read.
+const (
+	SchemaVersion    = 5
+	MinSchemaVersion = 5
+)
 
 // Manifest is the run's self-description: everything needed to
 // re-run or interpret the artifact without the producing binary.
@@ -39,9 +36,7 @@ type Manifest struct {
 	WQ         float64 `json:"wq,omitempty"`
 	DurationPs int64   `json:"duration_ps"`
 	// Shards is the parallel-engine partition count the run executed
-	// with; omitted (reads back 0) for single-engine runs and for v1–v3
-	// artifacts written before sharding existed, both of which mean one
-	// engine.
+	// with; omitted (reads back 0) for single-engine runs.
 	Shards int `json:"shards,omitempty"`
 	// SchemeOptions is the resolved per-scheme option map the run used
 	// (typed scenario knobs already folded in) — part of the scenario
@@ -67,15 +62,14 @@ type Manifest struct {
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// Profile is the engine self-profiler's per-component attribution
-	// (when the run enabled it). Absent on unprofiled runs, so v3
-	// artifacts stay byte-compatible.
+	// (when the run enabled it); absent on unprofiled runs.
 	Profile []ComponentProfile `json:"profile,omitempty"`
 	// ViolationsDropped counts auditor violations discarded over the
 	// forensics retention cap. The artifact's forensics lines are the
 	// kept violations; a nonzero value here marks them as a truncated
 	// sample, which downstream consumers (the lake's violations_dropped
 	// column, chaos oracles) must treat as "at least". Absent (0) on
-	// clean or non-forensic runs, so older artifacts decode unchanged.
+	// clean or non-forensic runs.
 	ViolationsDropped int64 `json:"violations_dropped,omitempty"`
 }
 
@@ -144,11 +138,13 @@ type FaultData struct {
 	Value float64 `json:"value,omitempty"`
 }
 
-// Run is a complete run artifact: one manifest plus every collected
-// series, closing counter, histogram, trace event, forensics line
-// (auditor violations and flow timelines), and applied fault action.
+// Run is a complete run artifact: one manifest, the run's flow table,
+// and every collected series, closing counter, histogram, trace event,
+// forensics line (auditor violations and flow timelines), and applied
+// fault action.
 type Run struct {
 	Manifest  Manifest
+	Flows     []metrics.FlowRecord // in (start, ID) order
 	Series    []SeriesData
 	Counters  []CounterData
 	Hists     []HistData
@@ -225,25 +221,32 @@ func (r *Run) SeriesMatching(metric string) []SeriesData {
 // payload pointers. Emitting a shared envelope keeps readers trivial —
 // they switch on "type" and unmarshal once.
 type jsonlLine struct {
-	Type      string         `json:"type"`
-	Manifest  *Manifest      `json:"manifest,omitempty"`
-	Series    *SeriesData    `json:"series,omitempty"`
-	Counter   *CounterData   `json:"counter,omitempty"`
-	Hist      *HistData      `json:"hist,omitempty"`
-	Trace     *TraceData     `json:"trace,omitempty"`
-	Forensics *ForensicsData `json:"forensics,omitempty"`
-	Fault     *FaultData     `json:"fault,omitempty"`
+	Type      string              `json:"type"`
+	Manifest  *Manifest           `json:"manifest,omitempty"`
+	Flow      *metrics.FlowRecord `json:"flow,omitempty"`
+	Series    *SeriesData         `json:"series,omitempty"`
+	Counter   *CounterData        `json:"counter,omitempty"`
+	Hist      *HistData           `json:"hist,omitempty"`
+	Trace     *TraceData          `json:"trace,omitempty"`
+	Forensics *ForensicsData      `json:"forensics,omitempty"`
+	Fault     *FaultData          `json:"fault,omitempty"`
 }
 
 // WriteJSONL streams the artifact: first the manifest line, then one
-// line per series, counter, histogram, and trace event. Every line is
-// encoded from one envelope, so Encode boxes one pointer per artifact
-// rather than a fresh envelope per line; the first error stops the rest.
+// line per flow — so a torn artifact keeps its flow table — then one per
+// series, counter, histogram, trace event, forensics line and fault
+// action. Every line is encoded from one envelope, so Encode boxes one
+// pointer per artifact rather than a fresh envelope per line; the first
+// error stops the rest.
 func (r *Run) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	l := &jsonlLine{Type: "manifest", Manifest: &r.Manifest}
 	err := enc.Encode(l)
+	for i := 0; err == nil && i < len(r.Flows); i++ {
+		*l = jsonlLine{Type: "flow", Flow: &r.Flows[i]}
+		err = enc.Encode(l)
+	}
 	for i := 0; err == nil && i < len(r.Series); i++ {
 		*l = jsonlLine{Type: "series", Series: &r.Series[i]}
 		err = enc.Encode(l)
@@ -309,7 +312,8 @@ func (e *CorruptArtifactError) Unwrap() error { return e.Err }
 // salvaged prefix is returned together with a *CorruptArtifactError. A
 // nil error means the artifact was read cleanly and completely. An
 // artifact without a manifest, or one whose manifest carries a schema
-// newer than SchemaVersion, is not salvaged: the run is nil.
+// outside MinSchemaVersion..SchemaVersion, is not salvaged: the run is
+// nil.
 func ReadJSONL(rd io.Reader) (*Run, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
@@ -330,11 +334,15 @@ func ReadJSONL(rd io.Reader) (*Run, error) {
 			if l.Manifest == nil {
 				return r, &CorruptArtifactError{Line: line, Err: fmt.Errorf("manifest line without payload")}
 			}
-			if l.Manifest.Schema > SchemaVersion {
-				return nil, fmt.Errorf("obs: artifact schema %d, this build reads <= %d", l.Manifest.Schema, SchemaVersion)
+			if v := l.Manifest.Schema; v < MinSchemaVersion || v > SchemaVersion {
+				return nil, fmt.Errorf("obs: artifact schema %d, this build reads schemas %d to %d", v, MinSchemaVersion, SchemaVersion)
 			}
 			r.Manifest = *l.Manifest
 			sawManifest = true
+		case "flow":
+			if l.Flow != nil {
+				r.Flows = append(r.Flows, *l.Flow)
+			}
 		case "series":
 			if l.Series != nil {
 				r.Series = append(r.Series, *l.Series)

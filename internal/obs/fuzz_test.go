@@ -26,22 +26,26 @@ import (
 // alike: a decoder that is stricter turns a readable line into damage,
 // one that is laxer reads a damaged line as clean.
 func FuzzReadJSONL(f *testing.F) {
-	// Corpus: a valid two-line artifact, truncation, mid-line damage,
-	// a bare manifest, binary garbage, and pathological JSON shapes.
-	valid := `{"type":"manifest","manifest":{"schema":4,"scheme":"flexpass","seed":1}}` + "\n" +
+	// Corpus: a valid three-line artifact, truncation, mid-line damage,
+	// a bare manifest, binary garbage, pathological JSON shapes, and an
+	// artifact from before the schema floor.
+	valid := `{"type":"manifest","manifest":{"schema":5,"scheme":"flexpass","seed":1}}` + "\n" +
+		`{"type":"flow","flow":{"id":1,"size":5000,"start_ps":10,"fct_ps":900,"completed":true,"transport":"flexpass","rx_bytes":5000}}` + "\n" +
 		`{"type":"counter","counter":{"entity":"transport/agent","metric":"stray_packets","value":3}}` + "\n"
 	f.Add([]byte(valid))
 	f.Add([]byte(valid[:len(valid)/2]))
-	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"counter","counter":` + "\n"))
-	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}`))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + `{"type":"counter","counter":` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}`))
 	f.Add([]byte("\x00\x01\x02garbage\xff"))
 	f.Add([]byte(`{"type":"series","series":{}}` + "\n"))
 	f.Add([]byte(`{"type":123}` + "\n"))
 	f.Add([]byte("\n\n\n"))
-	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + strings.Repeat("x", 4096) + "\n"))
-	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"series","series":{"entity":"e","values":[0,0,0,-4,7]}}` + "\n"))
-	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"hist","hist":{"entity":"transport/x","metric":"fct_us","count":1,"le":[64,128],"counts":[1]}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + strings.Repeat("x", 4096) + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + `{"type":"series","series":{"entity":"e","values":[0,0,0,-4,7]}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + `{"type":"hist","hist":{"entity":"transport/x","metric":"fct_us","count":1,"le":[64,128],"counts":[1]}}` + "\n"))
 	f.Add([]byte(`{"type":"manifest","manifest":{"schema":99}}` + "\n" + `{"type":"counter","counter":{"entity":"e","metric":"m","value":3}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + `{"type":"flow","flow":{"id":"x"}}` + "\n"))
+	f.Add([]byte(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + `{"type":"flow","flow":{"id":1,"fct_ps":-1}}` + "\n"))
 	for _, values := range []string{
 		`[0,0,0,5,5,-3]`, ` [ 1 , 2 ] `, `[]`, `null`, `[null,1]`, `[1.5]`, `[1e3]`, `["1"]`, `[[1]]`,
 		`[9223372036854775808]`, `[-9223372036854775808]`, `[01]`, `[1,]`, `[1`, `[1],"values":[2]`, `[1]}},"x":{"y":{"values":[2]`,
@@ -116,7 +120,7 @@ func samplesDifferential(t *testing.T, data []byte) {
 		} `json:"series"`
 	}
 	refErr = json.Unmarshal([]byte(line), &refLine)
-	run, err := obs.ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":4}}` + "\n" + line + "\n"))
+	run, err := obs.ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":5}}` + "\n" + line + "\n"))
 	var cerr *obs.CorruptArtifactError
 	if err != nil && (!errors.As(err, &cerr) || cerr.Line != 2 || len(run.Series) != 0) {
 		t.Fatalf("series line %q: error %v with %d series salvaged", line, err, len(run.Series))

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/sim"
 	"flexpass/internal/trace"
 )
@@ -191,6 +192,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		WallMS:     1.5, Events: eng.Processed, EventsPerSec: 1e6,
 	})
 	run.AttachTrace(ring)
+	run.Flows = []metrics.FlowRecord{
+		{ID: 1, Size: 1460, Start: 3, FCT: 9 * sim.Microsecond, Completed: true, Transport: "flexpass", RxBytes: 1460},
+		{ID: 2, Size: 90_000, Start: 7, FCT: -1, Legacy: true, Incast: true, Transport: "dctcp", Timeouts: 2, Retransmits: 5, RxBytes: 4380},
+	}
 
 	if run.Manifest.Schema != SchemaVersion {
 		t.Fatalf("schema = %d", run.Manifest.Schema)
@@ -229,7 +234,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 var raceEnabled bool
 
 // TestWriteJSONLAllocsFlat: writing an artifact allocates the same
-// however many trace, counter and hist lines it carries — the line
+// however many flow, trace, counter and hist lines it carries — the line
 // envelope is boxed once per artifact, not once per line.
 func TestWriteJSONLAllocsFlat(t *testing.T) {
 	if raceEnabled {
@@ -239,6 +244,7 @@ func TestWriteJSONLAllocsFlat(t *testing.T) {
 		run := sampleRun()
 		for i := 0; i < lines; i++ {
 			run.Trace = append(run.Trace, TraceData{AtPs: int64(i), Kind: "credit-waste", Flow: uint64(i), Seq: int64(i), Note: "no data"})
+			run.Flows = append(run.Flows, metrics.FlowRecord{ID: uint64(i), Size: 5000, Start: sim.Time(i), FCT: 900, Completed: true, Transport: "flexpass", RxBytes: 5000})
 			run.Counters = append(run.Counters, CounterData{Entity: "port/tor0/q1", Metric: "dropped", Kind: "counter", Value: int64(i)})
 			run.Hists = append(run.Hists, HistData{Entity: "transport/flexpass", Metric: "fct_us", Count: 3, Sum: 90, Le: []int64{32, 64}, Counts: []int64{1, 2}})
 		}
@@ -259,18 +265,25 @@ func TestReadJSONLErrors(t *testing.T) {
 		{"unknown line type", `{"type":"wat"}`},
 		{"garbage", "not json"},
 		{"manifest from a newer schema", `{"type":"manifest","manifest":{"schema":` + strconv.Itoa(SchemaVersion+1) + `}}`},
-		{"histogram with unpaired buckets", `{"type":"manifest","manifest":{"schema":4}}` + "\n" +
+		{"manifest from before flow lines", `{"type":"manifest","manifest":{"schema":` + strconv.Itoa(MinSchemaVersion-1) + `}}`},
+		{"histogram with unpaired buckets", `{"type":"manifest","manifest":{"schema":5}}` + "\n" +
 			`{"type":"hist","hist":{"entity":"transport/x","metric":"fct_us","count":1,"le":[64,128],"counts":[1]}}`},
 	} {
 		if _, err := ReadJSONL(strings.NewReader(tc.artifact)); err == nil {
 			t.Errorf("%s must fail", tc.name)
 		}
 	}
-	// The current schema and every older one read cleanly.
-	for v := 0; v <= SchemaVersion; v++ {
+	// Every schema from the floor up reads cleanly; one below it is
+	// refused with a message that names the floor, and nothing salvaged.
+	for v := MinSchemaVersion; v <= SchemaVersion; v++ {
 		if _, err := ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":` + strconv.Itoa(v) + `}}`)); err != nil {
 			t.Errorf("schema %d: %v", v, err)
 		}
+	}
+	run, err := ReadJSONL(strings.NewReader(`{"type":"manifest","manifest":{"schema":4}}` + "\n" +
+		`{"type":"counter","counter":{"entity":"e","metric":"m","value":1}}`))
+	if run != nil || err == nil || !strings.Contains(err.Error(), "schema 4") || !strings.Contains(err.Error(), strconv.Itoa(MinSchemaVersion)) {
+		t.Errorf("schema 4 artifact: run %v, error %v", run, err)
 	}
 }
 
