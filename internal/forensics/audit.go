@@ -58,6 +58,12 @@ type Auditor struct {
 	violations []Violation
 	dropped    int64
 	started    bool
+
+	// The tick and check emit records under: emit is bound once, not
+	// once per check per tick.
+	now    sim.Time
+	check  string
+	emitFn func(entity string, flow uint64, detail string)
 }
 
 // NewAuditor builds an auditor ticking at the given period, retaining at
@@ -69,7 +75,9 @@ func NewAuditor(eng *sim.Engine, every sim.Time, max int) *Auditor {
 	if max <= 0 {
 		max = 1024
 	}
-	return &Auditor{eng: eng, every: every, max: max}
+	a := &Auditor{eng: eng, every: every, max: max}
+	a.emitFn = a.emit
+	return a
 }
 
 // Add registers a check.
@@ -93,19 +101,23 @@ func (a *Auditor) Start() {
 
 // tick runs every check once.
 func (a *Auditor) tick() {
-	now := a.eng.Now()
-	for i := range a.checks {
-		c := &a.checks[i]
-		c.Fn(now, func(entity string, flow uint64, detail string) {
-			if len(a.violations) >= a.max {
-				a.dropped++
-				return
-			}
-			a.violations = append(a.violations, Violation{
-				At: now, Auditor: c.Name, Entity: entity, Flow: flow, Detail: detail,
-			})
-		})
+	a.now = a.eng.Now()
+	for _, c := range a.checks {
+		a.check = c.Name
+		c.Fn(a.now, a.emitFn)
 	}
+}
+
+// emit records one finding of the running check, or counts it over the
+// retention cap.
+func (a *Auditor) emit(entity string, flow uint64, detail string) {
+	if len(a.violations) >= a.max {
+		a.dropped++
+		return
+	}
+	a.violations = append(a.violations, Violation{
+		At: a.now, Auditor: a.check, Entity: entity, Flow: flow, Detail: detail,
+	})
 }
 
 // Violations returns the retained findings in emission order.

@@ -173,6 +173,27 @@ func TestAuditorEmissionAndCap(t *testing.T) {
 	}
 }
 
+// TestAuditorTickAllocatesNothing: a tick whose checks find nothing
+// allocates nothing — emit is bound once per auditor, not once per check
+// per tick.
+func TestAuditorTickAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := netem.NewSwitch(eng, 0, "sw0", netem.NewSharedBuffer(100*units.KB, 0.25))
+	sw.AddPort(testPort(eng, 0))
+	flows := []*transport.Flow{{ID: 1, Size: 1000}}
+	a := NewAuditor(eng, sim.Millisecond, 0)
+	a.Add(CreditConservation(func() int64 { return 2 }, func() int64 { return 1 }, func() int64 { return 1 }))
+	a.Add(BufferAccounting(sw))
+	a.Add(ProgressWatchdog(func() []*transport.Flow { return flows }, sim.Second))
+	a.tick() // the watchdog's first sight of a flow is state, not per tick
+	if n := testing.AllocsPerRun(100, a.tick); n != 0 {
+		t.Fatalf("a clean audit tick allocated %v objects, want 0", n)
+	}
+	if vs := a.Violations(); len(vs) != 0 {
+		t.Fatalf("clean state flagged: %v", vs)
+	}
+}
+
 func TestCreditConservationCheck(t *testing.T) {
 	issued, consumed, dropped := int64(10), int64(6), int64(4)
 	c := CreditConservation(

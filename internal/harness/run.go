@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -47,34 +48,69 @@ type plane struct {
 	// started counts the run's flows whose sender half has begun (shared
 	// by every plane; the live board reads it).
 	started *atomic.Int64
+
+	// The arrival cursor: the flow starts this plane owes, in dispatch
+	// order, and the one pending event that works through them.
+	arrivals []arrival
+	next     int
+	startFn  func() // pre-bound pl.startNext
 }
 
-// arrive schedules, at fl.Start, the halves of fl that live on this plane
-// — both for a flow whose hosts share it (one event), one for a flow that
-// crosses a cut, whose other half the other plane schedules at the same
-// instant on its own engine. The start runs under its scheme's profiling
-// label, so every timer the transport schedules — pacer ticks, RTO checks,
-// host sends — inherits that component transitively. The receiver half
-// goes first, as in transport.Start.
+// arrival is one flow start a plane owes, at the dispatch position an
+// eager schedule would have given its event.
+type arrival struct {
+	slot     sim.Slot
+	fl       *transport.Flow
+	upgraded bool
+}
+
+// arrive reserves, at fl.Start, the start of the halves of fl that live
+// on this plane — both for a flow whose hosts share it, one for a flow
+// that crosses a cut, whose other half the other plane reserves at the
+// same instant on its own engine. Reserve takes the position At would
+// have, so the arrival keeps its dispatch key; armArrivals schedules it.
 func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
-	snd, rcv := fl.Src.Eng == pl.eng, fl.Dst.Eng == pl.eng
-	pl.eng.At(fl.Start, func() {
-		// Resolved here, not captured: the closure — one per flow, pending
-		// until the flow starts — stays at pl, fl and three bools.
-		sch, comp := pl.legacy, pl.compLegacy
-		if upgraded {
-			sch, comp = pl.active, pl.compActive
-		}
-		prev := pl.eng.SetComponent(comp)
-		if rcv {
-			sch.StartReceiver(fl)
-		}
-		if snd {
-			sch.StartSender(fl)
-			pl.started.Add(1)
-		}
-		pl.eng.SetComponent(prev)
-	})
+	pl.arrivals = append(pl.arrivals, arrival{pl.eng.Reserve(fl.Start), fl, upgraded})
+}
+
+// armArrivals puts the reserved arrivals in dispatch order — start time,
+// then reservation order, which a stable sort on start keeps — and
+// schedules the first. Each arrival is still one event, so events and
+// their attribution are those of one pending event per flow.
+func (pl *plane) armArrivals() {
+	slices.SortStableFunc(pl.arrivals, func(a, b arrival) int { return cmp.Compare(a.fl.Start, b.fl.Start) })
+	pl.startFn = pl.startNext
+	prev := pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
+	if len(pl.arrivals) > 0 {
+		pl.eng.AtSlot(pl.arrivals[0].slot, pl.startFn)
+	}
+	pl.eng.SetComponent(prev)
+}
+
+// startNext starts the cursor's flow and re-arms at the next arrival. The
+// start runs under its scheme's profiling label, so every timer the
+// transport schedules — pacer ticks, RTO checks, host sends — inherits
+// that component transitively. The receiver half goes first, as in
+// transport.Start.
+func (pl *plane) startNext() {
+	a := pl.arrivals[pl.next]
+	pl.next++
+	sch, comp := pl.legacy, pl.compLegacy
+	if a.upgraded {
+		sch, comp = pl.active, pl.compActive
+	}
+	prev := pl.eng.SetComponent(comp)
+	if a.fl.Dst.Eng == pl.eng {
+		sch.StartReceiver(a.fl)
+	}
+	if a.fl.Src.Eng == pl.eng {
+		sch.StartSender(a.fl)
+		pl.started.Add(1)
+	}
+	pl.eng.SetComponent(prev)
+	if pl.next < len(pl.arrivals) {
+		pl.eng.AtSlot(pl.arrivals[pl.next].slot, pl.startFn)
+	}
 }
 
 // Run executes the scenario and returns collected metrics: build, then
@@ -87,8 +123,9 @@ func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
 // composition with N = 1. N matters in two places only: the run call (one
 // engine has no cut and no lookahead) and forensics (the recorder and
 // auditors are single-goroutine state). Arrivals are not one of them:
-// every flow starts through its scheme's two endpoint halves, scheduled
-// by plane.arrive on the plane that owns each host.
+// every flow starts through its scheme's two endpoint halves, reserved
+// by plane.arrive on the plane that owns each host and started by that
+// plane's arrival cursor.
 //
 // Flow results do not depend on N: every port and pacer draws from its own
 // stream of (seed, entity), and same-instant order is the model's (see
@@ -221,7 +258,7 @@ func build(sc Scenario) *built {
 	}
 
 	// Flows are prebuilt with ID = spec index + 1 and their arrivals
-	// scheduled in spec order, on the plane of each endpoint: once when
+	// reserved in spec order, on the plane of each endpoint: once when
 	// the two hosts share a plane, once per plane when they do not.
 	//
 	// The hop recorder (forensic runs only, so one engine) hears of each
@@ -237,11 +274,9 @@ func build(sc Scenario) *built {
 		}
 	}
 	b.flows = make([]*transport.Flow, len(plan.flows))
-	prevComp := make([]sim.Component, n)
-	for i, pl := range planes {
+	for _, pl := range planes {
 		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
 		pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
-		prevComp[i] = pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
 	}
 	for i, fs := range plan.flows {
 		fl := &transport.Flow{
@@ -260,8 +295,8 @@ func build(sc Scenario) *built {
 			dst.arrive(fl, upgraded)
 		}
 	}
-	for i, pl := range planes {
-		pl.eng.SetComponent(prevComp[i])
+	for _, pl := range planes {
+		pl.armArrivals()
 	}
 	// Result.Flows holds the flows whose arrival fires inside the run
 	// window, in (start, ID) order — the order a single engine dispatches

@@ -31,7 +31,8 @@ func (n *Network) pool(eng *sim.Engine) *PacketPool {
 	return n.pools[eng]
 }
 
-// AllocID hands out the next node ID.
+// AllocID hands out the next node ID, densely from 0: switches index
+// their route tables by it.
 func (n *Network) AllocID() NodeID {
 	id := n.nextID
 	n.nextID++

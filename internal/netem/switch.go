@@ -2,18 +2,29 @@ package netem
 
 import (
 	"fmt"
+	"slices"
 
 	"flexpass/internal/sim"
 )
 
 // Switch forwards packets to egress ports using destination-based routes
 // with ECMP. All egress ports of a switch share its buffer pool.
+//
+// The route table is dense, indexed by destination id (Network.AllocID
+// hands ids out from 0): routes[dst] indexes dst's ECMP group, and group 0
+// is the empty set, the entry of every destination without a route.
+// Groups are interned, so a Clos switch holds one group per distinct port
+// sequence (each downlink, one uplink set), not one set per destination;
+// a group never changes once built, which is what keeps one destination's
+// AddRoute from reaching another's.
 type Switch struct {
 	id     NodeID
 	name   string
 	eng    *sim.Engine
 	ports  []*Port
-	routes map[NodeID][]*Port
+	routes []int32
+	groups [][]*Port
+	grow   []*Port // AddRoute's scratch set
 	shared *SharedBuffer
 	pool   *PacketPool // handed to every egress port; nil outside a Network
 	net    *Network    // numbers every egress port; nil outside a Network
@@ -29,7 +40,7 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, shared *SharedBuffer) *S
 		id:     id,
 		name:   name,
 		eng:    eng,
-		routes: make(map[NodeID][]*Port),
+		groups: [][]*Port{nil},
 		shared: shared,
 	}
 }
@@ -58,14 +69,37 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // AddRoute appends egress choices for dst. Calling it repeatedly grows the
 // ECMP set; the order of additions is part of the deterministic config.
+// It never changes the set of any other destination. dst indexes the
+// table, so it must not be negative.
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
-	s.routes[dst] = append(s.routes[dst], ports...)
+	if n := int(dst) + 1; n > len(s.routes) {
+		s.routes = append(s.routes, make([]int32, n-len(s.routes))...)
+	}
+	s.grow = append(append(s.grow[:0], s.groups[s.routes[dst]]...), ports...)
+	s.routes[dst] = s.intern(s.grow)
+}
+
+// intern returns the index of the group equal to set, adding a copy when
+// there is none. A switch has about as many groups as ports, so a scan
+// is build-time cost only.
+func (s *Switch) intern(set []*Port) int32 {
+	for i, g := range s.groups {
+		if slices.Equal(g, set) {
+			return int32(i)
+		}
+	}
+	s.groups = append(s.groups, slices.Clone(set))
+	return int32(len(s.groups) - 1)
 }
 
 // Receive implements Node: route and enqueue.
 func (s *Switch) Receive(pkt *Packet) {
 	s.RxPackets++
-	choices := s.routes[pkt.Dst]
+	var g int32
+	if uint(pkt.Dst) < uint(len(s.routes)) {
+		g = s.routes[pkt.Dst]
+	}
+	choices := s.groups[g]
 	switch len(choices) {
 	case 0:
 		panic(fmt.Sprintf("netem: switch %s has no route to node %d", s.name, pkt.Dst))

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"flexpass/internal/sim"
@@ -142,15 +144,30 @@ type nodeFunc func(*Packet)
 func (f nodeFunc) NodeID() NodeID    { return -1 }
 func (f nodeFunc) Receive(p *Packet) { f(p) }
 
+// TestSwitchPanicsOnMissingRoute: a destination without a route is a
+// config error, not a runtime condition — whether its table entry exists
+// and is empty (an id below one that has a route) or lies beyond the
+// table.
 func TestSwitchPanicsOnMissingRoute(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, 10, "sw", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing route must panic (config error, not runtime condition)")
+	p := NewPort(eng, "p", 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
+	p.Connect(&sink{id: 5, eng: eng})
+	sw.AddRoute(5, p)
+	for _, dst := range []NodeID{3, 6, 42, -1} {
+		if !panics(func() { sw.Receive(&Packet{Dst: dst, Size: 100}) }) {
+			t.Errorf("no panic for a packet to node %d", dst)
 		}
-	}()
-	sw.Receive(&Packet{Dst: 42, Size: 100})
+	}
+	if empty := NewSwitch(eng, 11, "empty", nil); !panics(func() { empty.Receive(&Packet{Dst: 0}) }) {
+		t.Error("a switch without routes forwarded a packet")
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 func TestHostWithoutHandlerDropsSilently(t *testing.T) {
@@ -163,23 +180,48 @@ func TestHostWithoutHandlerDropsSilently(t *testing.T) {
 	}
 }
 
+// TestECMPRouteGrowsByAddRoute: repeated AddRoutes append to a
+// destination's ECMP set in order; destinations routed over the same port
+// sequence share one interned group, and growing one of them leaves every
+// other destination's set and order as it was.
 func TestECMPRouteGrowsByAddRoute(t *testing.T) {
 	eng := sim.NewEngine(1)
 	sw := NewSwitch(eng, 10, "sw", nil)
-	sk := &sink{id: 1, eng: eng}
-	p1 := NewPort(eng, "p1", 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
-	p2 := NewPort(eng, "p2", 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
-	p1.Connect(sk)
-	p2.Connect(sk)
-	sw.AddRoute(1, p1)
-	sw.AddRoute(1, p2) // appends to the ECMP set
-	seen := map[string]bool{}
+	var p [3]*Port
+	for i := range p {
+		p[i] = NewPort(eng, fmt.Sprintf("p%d", i), 10*units.Gbps, 0, PortConfig{Queues: []QueueConfig{{}}}, nil)
+		p[i].Connect(&sink{id: 1, eng: eng})
+		sw.AddPort(p[i])
+	}
+	sw.AddRoute(1, p[0], p[1])
+	sw.AddRoute(2, p[0], p[1])
+	sw.AddRoute(3, p[0])
+	sw.AddRoute(3, p[1]) // appends: the same sequence as 1 and 2
+	sw.AddRoute(1, p[2]) // grows 1 alone
+	sw.AddRoute(4, p[1], p[0])
+	want := map[NodeID][]*Port{
+		1: {p[0], p[1], p[2]},
+		2: {p[0], p[1]},
+		3: {p[0], p[1]},
+		4: {p[1], p[0]}, // order is part of the set
+	}
+	for dst, ports := range want {
+		if got := sw.groups[sw.routes[dst]]; !slices.Equal(got, ports) {
+			t.Errorf("route to %d = %v, want %v", dst, got, ports)
+		}
+	}
+	// The empty group, [p0] (3 on its way), and the three sets above.
+	if len(sw.groups) != 5 {
+		t.Errorf("%d groups, want 5: equal sequences must share one", len(sw.groups))
+	}
+	// The grown-by-appending route forwards over both its ports, and only
+	// those.
 	for f := uint64(0); f < 64; f++ {
-		sw.Receive(&Packet{Dst: 1, Flow: f, Size: 100})
+		sw.Receive(&Packet{Dst: 3, Flow: f, Size: 100})
 	}
 	eng.Run(sim.Second)
-	if p1.Stats().TxPackets == 0 || p2.Stats().TxPackets == 0 {
-		t.Fatal("appended ECMP member unused")
+	if p[0].Stats().TxPackets == 0 || p[1].Stats().TxPackets == 0 || p[2].Stats().TxPackets != 0 {
+		t.Fatalf("route to 3 put %d/%d/%d packets on p0/p1/p2, want p0 and p1 only",
+			p[0].Stats().TxPackets, p[1].Stats().TxPackets, p[2].Stats().TxPackets)
 	}
-	_ = seen
 }

@@ -53,10 +53,16 @@ type Item struct {
 // Edge is the SPSC hand-off for one directed shard pair: the source
 // shard's goroutine appends items during its window and flushes them as
 // one batch per round; the destination shard's goroutine receives them
-// at its next round boundary.
+// at its next round boundary. Batches are recycled: once the receiver has
+// merged a batch it clears it and hands it back on free, where the sender
+// takes its next buffer. At most four are in circulation — one filling at
+// the sender, two in ch, one being merged — so free never blocks and a
+// run allocates batches only until their capacity reaches its busiest
+// round. An empty round sends nil and keeps its buffer.
 type Edge struct {
-	ch  chan []Item
-	buf []Item
+	ch   chan []Item
+	free chan []Item
+	buf  []Item
 }
 
 // DeliverRanked queues a cross-shard arrival at the given rank on this
@@ -138,7 +144,9 @@ func (rt *Runtime) Connect(from, to int) *Edge {
 	}
 	// Capacity 2: one batch in flight plus one being produced, so a
 	// fast sender runs a full window ahead before blocking.
-	e := &Edge{ch: make(chan []Item, 2)}
+	// free holds every buffer the edge can own (see Edge), so returning
+	// one never blocks.
+	e := &Edge{ch: make(chan []Item, 2), free: make(chan []Item, 4)}
 	rt.edges[key] = e
 	rt.shards[from].out = append(rt.shards[from].out, e)
 	rt.shards[to].in = append(rt.shards[to].in, e)
@@ -196,6 +204,11 @@ func (s *Shard) run(until sim.Time, rounds int) {
 				if len(batch) > 0 {
 					s.pending = append(s.pending, batch...)
 					grew = true
+					clear(batch) // hold no *Packet while parked
+					select {
+					case e.free <- batch[:0]:
+					default:
+					}
 				}
 			}
 			if grew {
@@ -212,12 +225,23 @@ func (s *Shard) run(until sim.Time, rounds int) {
 		s.inject(w)
 		s.eng.Run(w)
 		for _, e := range s.out {
-			batch := e.buf
-			e.buf = nil
+			var batch []Item // an idle round sends nil and keeps its buffer
+			if len(e.buf) > 0 {
+				batch = e.buf
+			}
 			select {
 			case e.ch <- batch:
 			case <-s.rt.failed:
 				return
+			}
+			// Refill only after the send: ch then holds at most two, so
+			// a fresh buffer is the fourth at most.
+			if batch != nil {
+				select {
+				case e.buf = <-e.free:
+				default:
+					e.buf = nil
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -227,6 +228,53 @@ func TestDegenerateRuns(t *testing.T) {
 	solo.Run(5 * sim.Microsecond)
 	if !fired || engs[0].Now() != 5*sim.Microsecond {
 		t.Fatalf("single-shard run: fired=%v clock=%v", fired, engs[0].Now())
+	}
+}
+
+// bouncer sends every packet it receives straight back across the cut,
+// one lookahead later, so every round is busy on both edges.
+type bouncer struct {
+	eng  *sim.Engine
+	out  *Edge
+	peer netem.Node
+	hits int
+}
+
+func (b *bouncer) NodeID() netem.NodeID { return 0 }
+func (b *bouncer) Receive(pkt *netem.Packet) {
+	b.hits++
+	b.out.Deliver(b.eng.Now()+la+sim.Nanosecond, pkt, b.peer)
+}
+
+// TestHandoffRecyclesBatches: a two-shard ping-pong allocates for its
+// setup and its high-water marks, not per round — the hand-off batches
+// go back to their edge once merged. Ten times the busy rounds may cost
+// only a handful more heap objects.
+func TestHandoffRecyclesBatches(t *testing.T) {
+	pingPong := func(rounds int) (mallocs uint64, hits int) {
+		rt, engs := newRuntime(t, 2)
+		a := &bouncer{eng: engs[0], out: rt.Connect(0, 1)}
+		b := &bouncer{eng: engs[1], out: rt.Connect(1, 0), peer: a}
+		a.peer = b
+		pkts := make([]netem.Packet, 8)
+		for i := range pkts {
+			pkt := &pkts[i]
+			engs[0].At(sim.Time(i)*sim.Nanosecond, func() { a.Receive(pkt) })
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt.Run(sim.Time(rounds) * la)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, a.hits + b.hits
+	}
+	short, shortHits := pingPong(200)
+	long, longHits := pingPong(2000)
+	t.Logf("%d heap objects over 200 rounds, %d over 2000", short, long)
+	if longHits < 9*shortHits {
+		t.Fatalf("ping-pong not busy every round: %d bounces in 200 rounds, %d in 2000", shortHits, longHits)
+	}
+	if long > short+32 {
+		t.Fatalf("heap objects grow with rounds: %d over 200 rounds, %d over 2000", short, long)
 	}
 }
 

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"maps"
+	"runtime"
 	"testing"
 
 	"flexpass/internal/netem"
@@ -420,5 +421,26 @@ func TestFabricsRecycleFrames(t *testing.T) {
 				t.Fatal("frame dropped at a switch egress was not recycled")
 			}
 		})
+	}
+}
+
+// TestBigClosBuildAllocs bounds the heap objects of building BigClos on two
+// shards. Route tables are dense and ECMP sets interned per switch, so the
+// build allocates per port and per distinct port set; with a copied set per
+// (switch, destination) it made ≈ 148 K objects.
+func TestBigClosBuildAllocs(t *testing.T) {
+	const budget = 60_000 // measured 44 572
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fab := BigClos.Build(engs, testParams())
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("%d heap objects", got)
+	if got > budget {
+		t.Fatalf("BigClos build at two shards made %d heap objects, budget %d", got, budget)
+	}
+	if len(fab.Net.Hosts) != BigClos.Hosts() {
+		t.Fatalf("%d hosts, want %d", len(fab.Net.Hosts), BigClos.Hosts())
 	}
 }
