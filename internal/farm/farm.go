@@ -1,6 +1,7 @@
 // Package farm is the experiment orchestrator behind cmd/flexfarm: it
 // expands a JSON sweep spec — lists over scheme, scheme options,
-// topology, workload, load, deployment, wq, fault plan, and seed —
+// topology, workload, load, deployment, wq, selective-drop threshold,
+// fault plan, and seed —
 // into the cross-product of scenarios, executes them across a worker
 // pool (one harness.Run per worker), and lands every run as a
 // content-addressed obs JSONL artifact ready for lake ingestion.
@@ -42,6 +43,7 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
 
@@ -74,8 +76,11 @@ type Spec struct {
 	Loads       []float64 `json:"load,omitempty"`       // default [0.5]
 	Deployments []float64 `json:"deployment,omitempty"` // default [0.5]
 	WQs         []float64 `json:"wq,omitempty"`         // default [0.5]
-	Seeds       []int64   `json:"seed,omitempty"`       // default [1]
-	Shards      []int     `json:"shards,omitempty"`     // parallel-engine shard counts; default [0] = single engine
+	// RedKBs sweeps the FlexPass Q1 selective-dropping threshold in kB
+	// (topo.Spec.FlexRed); default [0] = the profile's own.
+	RedKBs []int64 `json:"red_kb,omitempty"`
+	Seeds  []int64 `json:"seed,omitempty"`   // default [1]
+	Shards []int   `json:"shards,omitempty"` // parallel-engine shard counts; default [0] = single engine
 
 	// Faults lists fault timelines: "" (or omitted) is a clean run, a
 	// path ending in .json is a plan file, anything else is the
@@ -85,6 +90,9 @@ type Spec struct {
 	DurationMS     float64 `json:"duration_ms,omitempty"` // arrival window; default 2
 	DrainMS        float64 `json:"drain_ms,omitempty"`    // default 5x duration
 	IncastFraction float64 `json:"incast,omitempty"`
+	// Queues samples Q1 occupancy at the ToR uplinks of every point
+	// (harness.Scenario.SampleQueues), for the lake's q1_* columns.
+	Queues bool `json:"queues,omitempty"`
 
 	// baseDir anchors relative plan-file entries (workload and fault
 	// axes) when the spec came from a file, so checked-in specs work
@@ -200,6 +208,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("farm: wq %g outside (0,1)", w)
 		}
 	}
+	for _, r := range s.RedKBs {
+		if r < 0 {
+			return fmt.Errorf("farm: red_kb %d negative", r)
+		}
+	}
 	if s.DurationMS < 0 || s.DrainMS < 0 {
 		return fmt.Errorf("farm: negative duration")
 	}
@@ -257,6 +270,11 @@ type Point struct {
 	DurationMS     float64 `json:"duration_ms"`
 	DrainMS        float64 `json:"drain_ms"`
 	IncastFraction float64 `json:"incast,omitempty"`
+	// RedKB overrides the Q1 selective-dropping threshold (0 = the
+	// profile's); Queues samples Q1 occupancy. Both are omitted when
+	// unset, so the hashes of points without them are unchanged.
+	RedKB  int64 `json:"red_kb,omitempty"`
+	Queues bool  `json:"queues,omitempty"`
 
 	plan  *faults.Plan
 	wplan *workload.Plan
@@ -292,6 +310,9 @@ func (p Point) Label() string {
 	if p.Fault != "" {
 		l += " fault=" + p.Fault
 	}
+	if p.RedKB > 0 {
+		l += fmt.Sprintf(" red_kb=%d", p.RedKB)
+	}
 	if p.Shards > 0 {
 		l += fmt.Sprintf(" shards=%d", p.Shards)
 	}
@@ -320,12 +341,17 @@ func (p Point) Scenario() harness.Scenario {
 	sc.Duration = sim.Time(p.DurationMS * float64(sim.Millisecond))
 	sc.Drain = sim.Time(p.DrainMS * float64(sim.Millisecond))
 	sc.IncastFraction = p.IncastFraction
+	sc.SampleQueues = p.Queues
 	sc.FaultPlan = p.plan
 	sc.Telemetry = &obs.Options{}
 	sc.ManifestConfig = map[string]string{
 		"scenario_hash": p.Hash(),
 		"topo":          p.Topo,
 		"sweep":         p.Sweep,
+	}
+	if p.RedKB > 0 {
+		sc.Spec.FlexRed = units.ByteSize(p.RedKB) * units.KB
+		sc.ManifestConfig["red_kb"] = strconv.FormatInt(p.RedKB, 10)
 	}
 	return sc
 }
@@ -339,8 +365,8 @@ func orDefault[T any](axis []T, def T) []T {
 }
 
 // Points expands the spec's cross-product in a fixed axis order
-// (scheme, options, topology, workload, load, deployment, wq, fault,
-// seed, shards), resolving every fault entry once.
+// (scheme, options, topology, workload, load, deployment, wq, red_kb,
+// fault, seed, shards), resolving every fault entry once.
 func (s *Spec) Points() ([]Point, error) {
 	opts := s.Options
 	if len(opts) == 0 {
@@ -351,6 +377,7 @@ func (s *Spec) Points() ([]Point, error) {
 	loads := orDefault(s.Loads, 0.5)
 	deps := orDefault(s.Deployments, 0.5)
 	wqs := orDefault(s.WQs, 0.5)
+	reds := orDefault(s.RedKBs, 0)
 	seeds := orDefault(s.Seeds, 1)
 	shards := orDefault(s.Shards, 0)
 	fault := orDefault(s.Faults, "")
@@ -397,21 +424,24 @@ func (s *Spec) Points() ([]Point, error) {
 					for _, load := range loads {
 						for _, dep := range deps {
 							for _, wq := range wqs {
-								for fi, f := range fault {
-									for _, seed := range seeds {
-										for _, nsh := range shards {
-											pts = append(pts, Point{
-												Sweep: s.Name, Scheme: sch, Options: opt,
-												Topo: tp, Workload: wl,
-												WorkloadHash: whashes[wi],
-												Load:         load, Deployment: dep, WQ: wq,
-												Seed: seed, Shards: nsh,
-												Fault: f, FaultHash: hashes[fi],
-												DurationMS: durMS, DrainMS: drainMS,
-												IncastFraction: s.IncastFraction,
-												plan:           plans[fi],
-												wplan:          wplans[wi],
-											})
+								for _, red := range reds {
+									for fi, f := range fault {
+										for _, seed := range seeds {
+											for _, nsh := range shards {
+												pts = append(pts, Point{
+													Sweep: s.Name, Scheme: sch, Options: opt,
+													Topo: tp, Workload: wl,
+													WorkloadHash: whashes[wi],
+													Load:         load, Deployment: dep, WQ: wq,
+													Seed: seed, Shards: nsh,
+													Fault: f, FaultHash: hashes[fi],
+													DurationMS: durMS, DrainMS: drainMS,
+													RedKB: red, Queues: s.Queues,
+													IncastFraction: s.IncastFraction,
+													plan:           plans[fi],
+													wplan:          wplans[wi],
+												})
+											}
 										}
 									}
 								}

@@ -422,5 +422,9 @@ func buildManifest(sc Scenario, probe sim.Time, res *Result, shards int) obs.Man
 		EventsPerSec:      eps,
 		Profile:           res.Profile,
 		ViolationsDropped: vioDropped,
+		Q1AvgB:            res.QueueAvg,
+		Q1P90B:            res.QueueP90,
+		Q1RedAvgB:         res.QueueRedAvg,
+		Q1RedP90B:         res.QueueRedP90,
 	}
 }

@@ -49,6 +49,7 @@ var runColumns = []column{
 	{name: "load", gf: func(r *Row) *float64 { return &r.Load }},
 	{name: "deployment", gf: func(r *Row) *float64 { return &r.Deploy }},
 	{name: "wq", gf: func(r *Row) *float64 { return &r.WQ }},
+	{name: "red_kb", gi: func(r *Row) *int64 { return &r.RedKB }},
 	{name: "duration_ps", gi: func(r *Row) *int64 { return &r.DurationPs }},
 	{name: "flows", gi: func(r *Row) *int64 { return &r.Flows }},
 	{name: "completed", gi: func(r *Row) *int64 { return &r.Completed }},
@@ -61,6 +62,12 @@ var runColumns = []column{
 	{name: "p99_small_new_us", gf: func(r *Row) *float64 { return &r.P99SmallNewUs }},
 	{name: "std_small_legacy_us", gf: func(r *Row) *float64 { return &r.StdSmallLegacyUs }},
 	{name: "std_small_new_us", gf: func(r *Row) *float64 { return &r.StdSmallNewUs }},
+	{name: "reorder_kb", gf: func(r *Row) *float64 { return &r.ReorderKB }},
+	{name: "redundant_frac", gf: func(r *Row) *float64 { return &r.RedundantFrac }},
+	{name: "q1_avg_b", gi: func(r *Row) *int64 { return &r.Q1AvgB }},
+	{name: "q1_p90_b", gi: func(r *Row) *int64 { return &r.Q1P90B }},
+	{name: "q1_red_avg_b", gi: func(r *Row) *int64 { return &r.Q1RedAvgB }},
+	{name: "q1_red_p90_b", gi: func(r *Row) *int64 { return &r.Q1RedP90B }},
 	{name: "timeouts", gi: func(r *Row) *int64 { return &r.Timeouts }},
 	{name: "retransmits", gi: func(r *Row) *int64 { return &r.Retransmits }},
 	{name: "credits_issued", gi: func(r *Row) *int64 { return &r.CreditsIss }},

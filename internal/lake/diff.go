@@ -85,7 +85,7 @@ func (d *DiffReport) Clean() bool {
 func rowKey(r *Row) string {
 	return strings.Join([]string{
 		r.Scheme, r.Topo, r.Workload, r.Options, r.FaultSig, r.WlPlanSig,
-		trimFloat(r.Load), trimFloat(r.Deploy), trimFloat(r.WQ),
+		trimFloat(r.Load), trimFloat(r.Deploy), trimFloat(r.WQ), fmt.Sprintf("%d", r.RedKB),
 		fmt.Sprintf("%d", r.Seed), fmt.Sprintf("%d", r.DurationPs), fmt.Sprintf("%d", r.Shards),
 	}, "|")
 }

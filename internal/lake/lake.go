@@ -3,7 +3,7 @@
 // persisted on disk, and answers filter/group-by/aggregate queries and
 // cross-run regression diffs over it. One row per run; every manifest
 // dimension (scheme, options, topology, workload, load, deployment, wq,
-// seed, fault plan, revision) is a queryable column, and the headline
+// red_kb, seed, fault plan, revision) is a queryable column, and the headline
 // metrics are derived at ingest time: every per-flow statistic (flow
 // counts, goodput, exact FCT order statistics with the paper's small-flow
 // breakdowns) by metrics.Summarize over the artifact's flow lines, drops
@@ -53,8 +53,9 @@ type Row struct {
 	Load      float64
 	Deploy    float64
 	WQ        float64
+	RedKB     int64 // Q1 selective-drop threshold override in kB (config "red_kb"; 0 = the profile's)
 
-	// Metrics. Flows through StdSmallNewUs come from the flow lines (FCT
+	// Metrics. Flows through RedundantFrac come from the flow lines (FCT
 	// statistics over completed flows, "small" under 100 kB); the rest
 	// from the manifest, counters, histograms and fault lines.
 	DurationPs       int64
@@ -71,6 +72,12 @@ type Row struct {
 	P99SmallNewUs    float64
 	StdSmallLegacyUs float64
 	StdSmallNewUs    float64
+	ReorderKB        float64 // mean reordering-buffer high-water mark of upgraded flows
+	RedundantFrac    float64 // duplicate segment volume over delivered volume
+	Q1AvgB           int64   // ToR-uplink Q1 occupancy, when sampled (manifest q1_*)
+	Q1P90B           int64
+	Q1RedAvgB        int64
+	Q1RedP90B        int64
 	CreditsIss       int64   // credits issued by receivers
 	CreditsWaste     int64   // credits that arrived with nothing to send
 	DropsRed         int64   // selective (red-threshold) drops
@@ -133,6 +140,10 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 		WQ:        m.WQ,
 
 		DurationPs:   m.DurationPs,
+		Q1AvgB:       m.Q1AvgB,
+		Q1P90B:       m.Q1P90B,
+		Q1RedAvgB:    m.Q1RedAvgB,
+		Q1RedP90B:    m.Q1RedP90B,
 		Events:       int64(m.Events),
 		WallMS:       m.WallMS,
 		EventsPerSec: m.EventsPerSec,
@@ -157,6 +168,7 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 	row.P99SmallUs = f.P99Small.Micros()
 	row.P99SmallLegacyUs, row.P99SmallNewUs = f.P99SmallLegacy.Micros(), f.P99SmallNew.Micros()
 	row.StdSmallLegacyUs, row.StdSmallNewUs = f.StdSmallLegacy.Micros(), f.StdSmallNew.Micros()
+	row.ReorderKB, row.RedundantFrac = f.ReorderKB, f.RedundantFrac
 
 	tenants := map[string]bool{}
 	for _, c := range r.Counters {
@@ -202,12 +214,16 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 	// A nonzero violations_dropped marks the kept violations as a
 	// truncated sample: the true count is at least Violations+VioDropped.
 	row.VioDropped = m.ViolationsDropped
-	if a := m.Config["attempts"]; a != "" {
-		if n, err := strconv.ParseInt(a, 10, 64); err == nil {
-			row.Attempts = n
-		}
-	}
+	row.Attempts = configInt(m.Config, "attempts")
+	row.RedKB = configInt(m.Config, "red_kb")
 	return row
+}
+
+// configInt reads an integer the farm stamped into the manifest config;
+// absent or malformed reads 0.
+func configInt(config map[string]string, key string) int64 {
+	n, _ := strconv.ParseInt(config[key], 10, 64)
+	return n
 }
 
 // Index is the lake: every ingested run row plus the bench table.

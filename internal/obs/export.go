@@ -71,6 +71,13 @@ type Manifest struct {
 	// column, chaos oracles) must treat as "at least". Absent (0) on
 	// clean or non-forensic runs.
 	ViolationsDropped int64 `json:"violations_dropped,omitempty"`
+	// Q1 occupancy of the ToR uplinks in bytes — mean and p90 of all
+	// bytes and of the red (reactive) bytes — when the run sampled it
+	// (harness.Scenario.SampleQueues); absent otherwise.
+	Q1AvgB    int64 `json:"q1_avg_b,omitempty"`
+	Q1P90B    int64 `json:"q1_p90_b,omitempty"`
+	Q1RedAvgB int64 `json:"q1_red_avg_b,omitempty"`
+	Q1RedP90B int64 `json:"q1_red_p90_b,omitempty"`
 }
 
 // ComponentProfile is one engine component's dispatch accounting: how
