@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check figs-check bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -45,23 +45,68 @@ race-shard:
 
 check: vet build race
 
-# The pre-farm figure pipeline's oracle: the testbed figures (1, 7, 8, 9 —
-# testbed scenarios through harness.Run, throughput sampled by a private
-# obs.Prober) and the two sweeps that sample Q1 occupancy (10, 17) must
-# reproduce their 11 checked-in results/*.csv byte for byte (~25 s on 2
-# cores). A sampler, transport or runner change that moves one sample
-# fails here, naming each CSV that differs with a diff of its first
-# differing lines — the list a re-pin commit records.
+# The paper's deployment figures (Figs 5, 10-18 and the §4.3 ablations)
+# are farm sweeps: each is a checked-in spec under ci/figures/ (the
+# ablations are two, one sweep name), and its CSV in results/ is one lake
+# query over the lake the specs ran into — FIG_<csv> below is that query.
+# A seed axis grouped without `seed` is a mean over seeds.
+FIG_AGG = p99_small_us,avg_fct_us,p99_small_legacy_us,p99_small_new_us,std_small_legacy_us,std_small_new_us,reorder_kb,redundant_frac,timeouts,flows,completed
+FIG_fig5a       = -where sweep=fig5a -group-by scheme,deployment -agg $(FIG_AGG)
+FIG_fig5b       = -where sweep=fig5b -group-by scheme,deployment -agg $(FIG_AGG)
+FIG_fig10_12_13 = -where sweep=fig10 -group-by scheme,deployment -agg $(FIG_AGG),q1_avg_b,q1_p90_b,q1_red_avg_b,q1_red_p90_b
+FIG_fig11       = -where sweep=fig11 -group-by scheme,deployment -agg $(FIG_AGG)
+FIG_fig14       = -where sweep=fig14 -group-by scheme,load,deployment -agg $(FIG_AGG)
+FIG_fig15_16    = -where sweep=fig15 -group-by workload,scheme,deployment -agg $(FIG_AGG)
+FIG_fig17       = -where sweep=fig17 -group-by red_kb -agg p99_small_us,avg_fct_us,q1_avg_b,q1_p90_b
+FIG_fig18       = -where sweep=fig18 -group-by wq,deployment -agg p99_small_us,p99_small_legacy_us
+FIG_ablations   = -where sweep=ablations -group-by scheme,options -agg p99_small_us,avg_fct_us,reorder_kb,timeouts,redundant_frac
+
+# fig-csvs LAKE=<dir> OUT=<dir> [SPECS=<globs>] [CSVS=<names>], the step
+# behind figs, figs-check and figs-paper, runs each spec into a lake of
+# its own under LAKE (a sweep re-indexes every run in its lake, so one
+# shared lake would decode each earlier sweep's artifacts again), indexes
+# them all into LAKE, and writes one CSV per query into OUT.
+SPECS = ci/figures/*.json
+CSVS  = fig5a fig5b fig10_12_13 fig11 fig14 fig15_16 fig17 fig18 ablations
+fig-csvs:
+	@test -n "$(LAKE)" -a -n "$(OUT)" || { echo "fig-csvs: set LAKE= and OUT="; exit 1; }
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/" ./cmd/flexfarm && mkdir -p "$(OUT)" && \
+	 for s in $(SPECS); do "$$bin/flexfarm" run -spec "$$s" -out "$(LAKE)/$$(basename "$$s" .json)" -summary-every 0 || exit 1; done && \
+	 "$$bin/flexfarm" ingest -lake "$(LAKE)" "$(LAKE)"/*/runs && \
+	 $(foreach f,$(CSVS),"$$bin/flexfarm" query -lake "$(LAKE)" -csv $(FIG_$(f)) > "$(OUT)/$(f).csv" &&) true
+
+# Regenerate all 18 results/*.csv: the nine testbed CSVs (Figs 1, 7, 8,
+# 9 — cmd/experiments) and the nine deployment CSVs (the ci/figures
+# sweeps). A point resumes by scenario hash, not by revision, so the
+# sweeps run into a fresh temp lake: a reused one would serve runs from
+# older code.
+figs:
+	$(GO) run ./cmd/experiments -figs 1,7,8,9 -out results
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(MAKE) --no-print-directory fig-csvs LAKE="$$tmp" OUT=results
+
+# The figure oracle: `make figs` into a temp directory must reproduce
+# every checked-in results/*.csv byte for byte. A sampler, transport,
+# runner, farm or lake change that moves one cell fails here, naming each
+# CSV that differs with a diff of its first differing lines — the list a
+# re-pin commit records.
 figs-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	 { $(GO) run ./cmd/experiments -figs 1,7,8,9,10,17 -out "$$tmp" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; } && \
-	 n=0 && bad=0 && for f in "$$tmp"/*.csv; do n=$$((n+1)); want="results/$$(basename "$$f")"; \
-	   cmp -s "$$f" "$$want" || { bad=$$((bad+1)); echo "figs-check: $$want differs (< checked in, > regenerated):"; diff "$$want" "$$f" | head -n 12; }; done && \
+	 { $(GO) run ./cmd/experiments -figs 1,7,8,9 -out "$$tmp/out" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; } && \
+	 $(MAKE) --no-print-directory fig-csvs LAKE="$$tmp/lake" OUT="$$tmp/out" && \
+	 n=0 && bad=0 && for want in results/*.csv; do n=$$((n+1)); got="$$tmp/out/$$(basename "$$want")"; \
+	   cmp -s "$$want" "$$got" || { bad=$$((bad+1)); echo "figs-check: $$want differs (< checked in, > regenerated):"; diff "$$want" "$$got" | head -n 12; }; done && \
 	 if [ $$bad -ne 0 ]; then echo "figs-check: $$bad of $$n CSVs differ"; exit 1; fi && \
-	 test $$n -eq 11 && echo "figs-check: $$n CSVs byte-identical to results/"
+	 test $$n -eq 18 -a $$(ls "$$tmp"/out/*.csv | wc -l) -eq 18 && echo "figs-check: $$n CSVs byte-identical to results/"
 
-# Figure-level benchmarks (one per paper figure) plus the simulator's
-# raw events/sec self-report.
+# Figs 10 and 11 at the paper's scale: the 192-host fabric, 50 ms of
+# arrivals, 100 ms of drain, three seeds (hours of CPU; not a CI gate),
+# into results_paper/. lake-paper/ is kept so an interrupted run
+# resumes — delete it after changing the code.
+figs-paper:
+	$(MAKE) --no-print-directory fig-csvs LAKE=lake-paper OUT=results_paper SPECS='ci/figures/paper/*.json' CSVS='fig10_12_13 fig11'
+
+# The testbed-figure benchmarks plus the simulator's raw events/sec
+# self-report.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
@@ -178,7 +223,7 @@ faults-demo:
 clean:
 	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-ledger.json degradation.jsonl degradation.csv
 
-# Remove regenerated sweep/lake outputs. The checked-in results/,
-# results_full/, and results_pooled/ CSVs are figure inputs and stay.
+# Remove regenerated sweep/lake outputs. The checked-in results/ CSVs
+# are the figures and stay.
 clean-results:
-	rm -rf lake-ci results_sweep chaos-ci lake-fig10 fig10.json
+	rm -rf lake-ci results_sweep chaos-ci lake-fig10 fig10.json lake-paper results_paper

@@ -161,15 +161,20 @@ func TestPointHashesStable(t *testing.T) {
 }
 
 // TestCheckedInSpecsValid pins every sweep spec the repo ships — the
-// CI micro-sweep and the examples — as parseable and expandable.
+// CI micro-sweep, the figure specs and the examples — as parseable and
+// expandable.
 func TestCheckedInSpecsValid(t *testing.T) {
 	specs, err := filepath.Glob("../../examples/sweeps/*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs = append(specs, "../../ci/microsweep.json")
-	if len(specs) < 3 {
-		t.Fatalf("expected at least 3 checked-in specs, found %v", specs)
+	figures, err := filepath.Glob("../../ci/figures/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs = append(append(specs, figures...), "../../ci/microsweep.json")
+	if len(specs) < 13 {
+		t.Fatalf("expected at least 13 checked-in specs, found %v", specs)
 	}
 	for _, path := range specs {
 		s, err := ParseSpecFile(path)
