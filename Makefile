@@ -47,9 +47,10 @@ check: vet build race
 
 # The paper's deployment figures (Figs 5, 10-18 and the §4.3 ablations)
 # are farm sweeps: each is a checked-in spec under ci/figures/ (the
-# ablations are two, one sweep name), and its CSV in results/ is one lake
-# query over the lake the specs ran into — FIG_<csv> below is that query.
-# A seed axis grouped without `seed` is a mean over seeds.
+# ablations are two specs sharing one sweep name), and its CSV in
+# results/ is one lake query over the lake the specs ran into —
+# FIG_<csv> below is that query. A seed axis grouped without `seed` is
+# a mean over seeds.
 FIG_AGG = p99_small_us,avg_fct_us,p99_small_legacy_us,p99_small_new_us,std_small_legacy_us,std_small_new_us,reorder_kb,redundant_frac,timeouts,flows,completed
 FIG_fig5a       = -where sweep=fig5a -group-by scheme,deployment -agg $(FIG_AGG)
 FIG_fig5b       = -where sweep=fig5b -group-by scheme,deployment -agg $(FIG_AGG)

@@ -33,8 +33,6 @@ type (
 	Scenario = harness.Scenario
 	// Result carries a run's collected metrics.
 	Result = harness.Result
-	// DeploymentPoint is one (scheme, deployment%) measurement.
-	DeploymentPoint = harness.DeploymentPoint
 	// FlowRecord is a finished flow's statistics snapshot.
 	FlowRecord = metrics.FlowRecord
 	// CDF is a flow-size distribution.
@@ -106,11 +104,6 @@ func NewScenario(full bool) Scenario { return harness.BaseScenario(full) }
 
 // Run executes a scenario.
 func Run(sc Scenario) *Result { return harness.Run(sc) }
-
-// Sweep runs every (scheme, deployment) combination in parallel.
-func Sweep(base Scenario, schemes []Scheme, deployments []float64) []DeploymentPoint {
-	return harness.Sweep(base, schemes, deployments)
-}
 
 // TestbedKind selects a small fabric shape.
 type TestbedKind int
@@ -293,7 +286,8 @@ func (tb *Testbed) Run(until Time) { tb.Eng.Run(until) }
 // Flows returns every flow started on the testbed.
 func (tb *Testbed) Flows() []*Flow { return tb.flows }
 
-// Figure drivers (see EXPERIMENTS.md).
+// Testbed-figure drivers (see EXPERIMENTS.md). The deployment figures
+// are sweep specs under ci/figures/, run with cmd/flexfarm.
 var (
 	// Fig1a: ExpressPass starving DCTCP on a dumbbell.
 	Fig1a = harness.Fig1a
@@ -305,16 +299,4 @@ var (
 	Fig8 = harness.Fig8
 	// Fig9: starvation-time comparison.
 	Fig9 = harness.Fig9
-	// Fig5a / Fig5b: flow-splitting and queueing ablations.
-	Fig5a = harness.Fig5a
-	Fig5b = harness.Fig5b
-	// Fig10 / Fig11: deployment sweeps (background / mixed traffic).
-	Fig10 = harness.Fig10
-	Fig11 = harness.Fig11
-	// Fig14: load sensitivity; Fig15and16: workload sweep.
-	Fig14      = harness.Fig14
-	Fig15and16 = harness.Fig15and16
-	// Fig17 / Fig18: selective-dropping threshold and w_q trade-offs.
-	Fig17 = harness.Fig17
-	Fig18 = harness.Fig18
 )

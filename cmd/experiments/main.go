@@ -1,10 +1,12 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation (§2, §4.3, §6, Appendix A), printing readable tables and
-// writing CSV series under -out.
+// Command experiments regenerates the paper's testbed figures — Figs 1,
+// 7, 8 and 9, time series and incast tails on 10 GbE single-switch and
+// dumbbell layouts — printing readable tables and writing CSV series
+// under -out, and runs the -figs robustness degradation report.
 //
-// By default it runs at a reduced scale (smaller Clos, shorter traces)
-// that finishes on a laptop; -full uses the paper's 192-host fabric and
-// durations (hours of CPU).
+// The deployment figures (Figs 5, 10-18 and the §4.3 ablations) are farm
+// sweeps: a spec per figure under ci/figures/ and one `flexfarm query`
+// each (`make figs`). -full, -dur and -workload-plan shape the
+// robustness run's base scenario.
 package main
 
 import (
@@ -25,11 +27,10 @@ import (
 
 var (
 	outDir    = flag.String("out", "results", "output directory for CSV files")
-	full      = flag.Bool("full", false, "paper-scale fabric and durations")
-	figs      = flag.String("figs", "all", "comma-separated figure list (1,5,7,8,9,10,11,14,15,17,18,queue,robustness) or 'all'")
+	full      = flag.Bool("full", false, "robustness run on the paper-scale fabric and durations")
+	figs      = flag.String("figs", "all", "comma-separated figure list (1,7,8,9,robustness) or 'all'")
 	seed      = flag.Int64("seed", 1, "random seed")
-	seedsN    = flag.Int("seeds", 1, "pool each deployment point over this many seeds")
-	durMS     = flag.Float64("dur", 0, "override flow arrival window (milliseconds)")
+	durMS     = flag.Float64("dur", 0, "override the robustness run's flow arrival window (milliseconds)")
 	pprofOut  = flag.String("pprof", "", "write a CPU profile of the experiment run to this file")
 	memOut    = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 	wlPlan    = flag.String("workload-plan", "", "JSON workload-plan file driving the base scenario's traffic (composable sources; see internal/workload)")
@@ -51,11 +52,6 @@ func main() {
 
 	base := harness.BaseScenario(*full)
 	base.Seed = *seed
-	if *seedsN > 1 {
-		for i := 0; i < *seedsN; i++ {
-			base.PoolSeeds = append(base.PoolSeeds, *seed+int64(i))
-		}
-	}
 	if *durMS > 0 {
 		base.Duration = sim.Time(*durMS * float64(sim.Millisecond))
 	}
@@ -101,30 +97,6 @@ func main() {
 	}
 	if sel("8") {
 		fig8()
-	}
-	if sel("10") {
-		fig10(base)
-	}
-	if sel("11") {
-		fig11(base)
-	}
-	if sel("5") {
-		fig5(base)
-	}
-	if sel("14") {
-		fig14(base)
-	}
-	if sel("15") {
-		fig15(base)
-	}
-	if sel("17") {
-		fig17(base)
-	}
-	if sel("18") {
-		fig18(base)
-	}
-	if sel("ablations") || all {
-		ablations(base)
 	}
 	if sel("robustness") {
 		robustness(base)
@@ -243,140 +215,6 @@ func fig8() {
 	}
 }
 
-func pointsCSV(name string, pts []harness.DeploymentPoint) {
-	var rows [][]string
-	for _, p := range pts {
-		rows = append(rows, []string{
-			string(p.Scheme), fmt.Sprintf("%.2f", p.Deployment),
-			fmt.Sprintf("%.2f", p.Load), p.Workload, fmt.Sprintf("%.2f", p.WQ),
-			fmt.Sprintf("%.1f", p.P99Small.Micros()),
-			fmt.Sprintf("%.1f", p.AvgAll.Micros()),
-			fmt.Sprintf("%.1f", p.P99SmallLegacy.Micros()),
-			fmt.Sprintf("%.1f", p.P99SmallNew.Micros()),
-			fmt.Sprintf("%.1f", p.StdSmallLegacy.Micros()),
-			fmt.Sprintf("%.1f", p.StdSmallNew.Micros()),
-			fmt.Sprintf("%.2f", p.AvgReorderKB),
-			fmt.Sprintf("%.5f", p.RedundantFrac),
-			fmt.Sprint(p.QueueAvg), fmt.Sprint(p.QueueP90),
-			fmt.Sprint(p.QueueRedAvg), fmt.Sprint(p.QueueRedP90),
-			fmt.Sprint(p.Timeouts), fmt.Sprint(p.Incomplete),
-		})
-	}
-	writeCSV(name, []string{
-		"scheme", "deployment", "load", "workload", "wq",
-		"p99_small_us", "avg_all_us", "p99_small_legacy_us", "p99_small_new_us",
-		"std_small_legacy_us", "std_small_new_us", "avg_reorder_kb",
-		"redundant_frac", "q1_avg_b", "q1_p90_b", "q1_red_avg_b", "q1_red_p90_b",
-		"timeouts", "incomplete",
-	}, rows)
-}
-
-func printPoints(pts []harness.DeploymentPoint) {
-	fmt.Printf("  %-14s %-5s %-10s %-10s %-10s %-10s\n",
-		"scheme", "dep", "p99small", "avgAll", "p99sLegacy", "p99sNew")
-	for _, p := range pts {
-		fmt.Printf("  %-14s %-5.2f %-10v %-10v %-10v %-10v\n",
-			p.Scheme, p.Deployment, p.P99Small, p.AvgAll, p.P99SmallLegacy, p.P99SmallNew)
-	}
-}
-
-func fig10(base harness.Scenario) {
-	fmt.Println("== Figures 10/12/13 + queue occupancy: deployment sweep (web search) ==")
-	pts := harness.Fig10(base)
-	pointsCSV("fig10_12_13.csv", pts)
-	printPoints(pts)
-	for _, p := range pts {
-		if p.Scheme == harness.SchemeFlexPass && (p.Deployment == 0.5 || p.Deployment == 1.0) {
-			fmt.Printf("  [queue] flexpass dep=%.0f%%: Q1 avg %dB (red %dB), p90 %dB (red %dB); redundancy %.2f%%\n",
-				p.Deployment*100, p.QueueAvg, p.QueueRedAvg, p.QueueP90, p.QueueRedP90, p.RedundantFrac*100)
-		}
-	}
-}
-
-func fig11(base harness.Scenario) {
-	fmt.Println("== Figure 11: deployment sweep with 10% foreground incast ==")
-	pts := harness.Fig11(base)
-	pointsCSV("fig11.csv", pts)
-	printPoints(pts)
-}
-
-func fig5(base harness.Scenario) {
-	fmt.Println("== Figure 5: flow-splitting and queueing ablations ==")
-	a := harness.Fig5a(base)
-	pointsCSV("fig5a.csv", a)
-	for _, p := range a {
-		fmt.Printf("  (a) %-14s dep=%.2f p99small=%v reorder=%.1fkB\n",
-			p.Scheme, p.Deployment, p.P99Small, p.AvgReorderKB)
-	}
-	b := harness.Fig5b(base)
-	pointsCSV("fig5b.csv", b)
-	for _, p := range b {
-		fmt.Printf("  (b) %-14s dep=%.2f p99small=%v\n", p.Scheme, p.Deployment, p.P99Small)
-	}
-}
-
-func fig14(base harness.Scenario) {
-	fmt.Println("== Figure 14: load sensitivity (10/40/70%) ==")
-	pts := harness.Fig14(base, []float64{0.1, 0.4, 0.7})
-	pointsCSV("fig14.csv", pts)
-	fmt.Printf("  %-14s %-5s %-5s %-10s\n", "scheme", "load", "dep", "p99small")
-	for _, p := range pts {
-		fmt.Printf("  %-14s %-5.1f %-5.2f %-10v\n", p.Scheme, p.Load, p.Deployment, p.P99Small)
-	}
-}
-
-func fig15(base harness.Scenario) {
-	fmt.Println("== Figures 15/16: workload sweep ==")
-	pts := harness.Fig15and16(base, []string{"cachefollower", "websearch", "datamining", "hadoop"})
-	pointsCSV("fig15_16.csv", pts)
-	fmt.Printf("  %-14s %-14s %-5s %-10s %-10s\n", "workload", "scheme", "dep", "p99small", "avgAll")
-	for _, p := range pts {
-		fmt.Printf("  %-14s %-14s %-5.2f %-10v %-10v\n", p.Workload, p.Scheme, p.Deployment, p.P99Small, p.AvgAll)
-	}
-}
-
-func fig17(base harness.Scenario) {
-	fmt.Println("== Figure 17: selective-dropping threshold trade-off (full deployment) ==")
-	pts := harness.Fig17(base, []units.ByteSize{
-		50 * units.KB, 100 * units.KB, 150 * units.KB, 200 * units.KB,
-	})
-	var rows [][]string
-	thresholds := []int{50, 100, 150, 200}
-	fmt.Printf("  %-12s %-10s %-10s\n", "threshold", "p99small", "avgAll")
-	for i, p := range pts {
-		fmt.Printf("  %-12s %-10v %-10v\n", fmt.Sprintf("%dkB", thresholds[i]), p.P99Small, p.AvgAll)
-		rows = append(rows, []string{
-			fmt.Sprint(thresholds[i]),
-			fmt.Sprintf("%.1f", p.P99Small.Micros()),
-			fmt.Sprintf("%.1f", p.AvgAll.Micros()),
-			fmt.Sprint(p.QueueAvg), fmt.Sprint(p.QueueP90),
-		})
-	}
-	writeCSV("fig17.csv", []string{"threshold_kb", "p99_small_us", "avg_all_us", "q1_avg_b", "q1_p90_b"}, rows)
-}
-
-func ablations(base harness.Scenario) {
-	fmt.Println("== Design-choice ablations (50% deployment) ==")
-	rows := harness.Ablations(base)
-	var csv [][]string
-	fmt.Printf("  %-20s %-10s %-10s %-10s %-8s %s\n",
-		"variant", "p99small", "avgAll", "reorderKB", "RTOs", "redundant")
-	for _, r := range rows {
-		p := r.Point
-		fmt.Printf("  %-20s %-10v %-10v %-10.1f %-8d %.4f\n",
-			r.Name, p.P99Small, p.AvgAll, p.AvgReorderKB, p.Timeouts, p.RedundantFrac)
-		csv = append(csv, []string{
-			r.Name,
-			fmt.Sprintf("%.1f", p.P99Small.Micros()),
-			fmt.Sprintf("%.1f", p.AvgAll.Micros()),
-			fmt.Sprintf("%.2f", p.AvgReorderKB),
-			fmt.Sprint(p.Timeouts),
-			fmt.Sprintf("%.5f", p.RedundantFrac),
-		})
-	}
-	writeCSV("ablations.csv", []string{"variant", "p99_small_us", "avg_all_us", "reorder_kb", "timeouts", "redundant_frac"}, csv)
-}
-
 // defaultFaultPlan is the built-in robustness scenario: flap one ToR
 // downlink for 1ms, then 4ms of bursty loss on a ToR uplink. Both port
 // names exist in the small and paper Clos alike.
@@ -409,20 +247,4 @@ func robustness(base harness.Scenario) {
 		fatal(err)
 	}
 	fmt.Printf("  degradation report in %s.csv and %s.jsonl\n", stem, stem)
-}
-
-func fig18(base harness.Scenario) {
-	fmt.Println("== Figure 18: queue-weight (w_q) trade-off ==")
-	rows := harness.Fig18(base, []float64{0.4, 0.45, 0.5, 0.55, 0.6})
-	var csv [][]string
-	fmt.Printf("  %-6s %-22s %-12s\n", "wq", "maxLegacyDegradation", "p99smallFull")
-	for _, r := range rows {
-		fmt.Printf("  %-6.2f %-22.1f%% %-12v\n", r.WQ, r.MaxLegacyDegradation*100, r.P99SmallFull)
-		csv = append(csv, []string{
-			fmt.Sprintf("%.2f", r.WQ),
-			fmt.Sprintf("%.4f", r.MaxLegacyDegradation),
-			fmt.Sprintf("%.1f", r.P99SmallFull.Micros()),
-		})
-	}
-	writeCSV("fig18.csv", []string{"wq", "max_legacy_degradation", "p99_small_full_us"}, csv)
 }

@@ -1,9 +1,10 @@
-// Command flexplot renders the CSV files cmd/experiments writes — and the
-// JSONL run artifacts cmd/flexsim -telemetry-out writes — as ASCII charts
-// in the terminal.
+// Command flexplot renders the figure CSVs in results/ — the testbed
+// series cmd/experiments writes and the `flexfarm query -csv` tables of
+// the deployment figures — and the JSONL run artifacts cmd/flexsim
+// -telemetry-out writes, as ASCII charts in the terminal.
 //
 //	flexplot results/fig1a.csv              # time series (Gbps over ms)
-//	flexplot -x deployment -y p99_small_us -group scheme results/fig10_12_13.csv
+//	flexplot -x deployment -y 'mean(p99_small_us)' -group scheme results/fig10_12_13.csv
 //	flexplot run.jsonl                      # list available telemetry series
 //	flexplot -y bytes -entity 'port/tor0:up0/q1' run.jsonl
 //	flexplot -y tx_bytes -rate run.jsonl    # delta series as bytes/sec
@@ -147,7 +148,7 @@ func main() {
 	}
 }
 
-// plotArtifact renders series from a flexsim/experiments telemetry run
+// plotArtifact renders series from a flexsim or flexfarm telemetry run
 // artifact. Without -y it lists what the artifact contains.
 func plotArtifact(path string) {
 	run, err := obs.ReadJSONLFile(path)

@@ -3,13 +3,15 @@
 // rack, and watch tail latency of small flows improve for upgraded
 // traffic without harming legacy traffic. Compare with the naïve
 // ExpressPass rollout, which wrecks the legacy tail mid-deployment.
+//
+// The full four-scheme figure is the sweep spec ci/figures/fig10.json,
+// run by `make figs` into results/fig10_12_13.csv.
 package main
 
 import (
 	"fmt"
 
 	"flexpass"
-	"flexpass/internal/harness"
 	"flexpass/internal/metrics"
 )
 
@@ -32,5 +34,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-	_ = harness.SchemeOWF // (see cmd/experiments for the full four-scheme study)
 }

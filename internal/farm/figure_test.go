@@ -35,13 +35,14 @@ func readTable(t *testing.T, name string) table {
 }
 
 // where returns the rows whose named columns hold the given cells
-// (col, cell, col, cell, ...).
+// (col, cell, col, cell, ...); none when a column is missing.
 func (tb table) where(kv ...string) [][]string {
 	var out [][]string
 	for _, r := range tb.rows {
 		ok := true
 		for i := 0; i < len(kv); i += 2 {
-			ok = ok && r[slices.Index(tb.header, kv[i])] == kv[i+1]
+			c := slices.Index(tb.header, kv[i])
+			ok = ok && c >= 0 && r[c] == kv[i+1]
 		}
 		if ok {
 			out = append(out, r)
@@ -218,11 +219,16 @@ func figureShapes(read func(string) table) []string {
 	// Fig 8: credit-scheduled transports never time out in incast;
 	// DCTCP does.
 	f8 := read("fig8.csv")
+	tc, xc := slices.Index(f8.header, "timeouts"), slices.Index(f8.header, "transport")
+	claim(tc >= 0 && xc >= 0, "fig8: no transport and timeouts columns in %v", f8.header)
 	timeouts := map[string]int{}
 	for _, r := range f8.rows {
-		n, err := strconv.Atoi(r[slices.Index(f8.header, "timeouts")])
+		if tc < 0 || xc < 0 {
+			break
+		}
+		n, err := strconv.Atoi(r[tc])
 		claim(err == nil, "fig8: bad timeouts cell in %v", r)
-		timeouts[r[slices.Index(f8.header, "transport")]] += n
+		timeouts[r[xc]] += n
 	}
 	claim(timeouts["flexpass"] == 0 && timeouts["expresspass"] == 0,
 		"fig8: flexpass %d and expresspass %d timeouts, want 0", timeouts["flexpass"], timeouts["expresspass"])

@@ -9,30 +9,6 @@ import (
 	"flexpass/internal/workload"
 )
 
-func TestAblationsRun(t *testing.T) {
-	base := miniBase()
-	base.Duration = 4 * sim.Millisecond
-	rows := Ablations(base)
-	if len(rows) != 5 {
-		t.Fatalf("%d ablation rows", len(rows))
-	}
-	names := map[string]bool{}
-	for _, r := range rows {
-		names[r.Name] = true
-		if r.Point.Incomplete > 0 {
-			t.Errorf("%s: %d incomplete flows", r.Name, r.Point.Incomplete)
-		}
-		if r.Point.P99Small == 0 {
-			t.Errorf("%s: missing tail measurement", r.Name)
-		}
-	}
-	for _, want := range []string{"flexpass", "no-proactive-retx", "reno-reactive", "rc3-split", "alt-queueing"} {
-		if !names[want] {
-			t.Errorf("ablation %q missing", want)
-		}
-	}
-}
-
 func TestRenoReactiveScenarioRuns(t *testing.T) {
 	sc := miniBase()
 	sc.Duration = 4 * sim.Millisecond

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"flexpass/internal/metrics"
@@ -62,15 +64,26 @@ func TestFlexPassDeploymentShape(t *testing.T) {
 	// The paper's central claims at small scale: during deployment
 	// FlexPass barely harms legacy traffic and upgraded traffic gets a
 	// much better tail; naïve ExpressPass wrecks the legacy tail.
-	base := miniBase()
-	pts := Sweep(base, []Scheme{SchemeNaive, SchemeFlexPass}, []float64{0, 0.5, 1.0})
-	byKey := map[string]DeploymentPoint{}
-	for _, p := range pts {
-		byKey[string(p.Scheme)+"/"+fstr(p.Deployment)] = p
+	type point struct {
+		scheme     Scheme
+		deployment float64
 	}
-	base0 := byKey["naive/0.00"].P99Small // all-legacy baseline
+	var pts []point
+	for _, s := range []Scheme{SchemeNaive, SchemeFlexPass} {
+		for _, d := range []float64{0, 0.5, 1.0} {
+			pts = append(pts, point{s, d})
+		}
+	}
+	sums := make([]metrics.Summary, len(pts))
+	Each(context.Background(), 0, len(pts), func(_, i int) {
+		sc := miniBase()
+		sc.Scheme, sc.Deployment = pts[i].scheme, pts[i].deployment
+		sums[i] = metrics.Summarize(Run(sc).Flows.Records)
+	})
+	at := func(s Scheme, d float64) metrics.Summary { return sums[slices.Index(pts, point{s, d})] }
+	base0 := at(SchemeNaive, 0).P99Small // all-legacy baseline
 
-	fp50 := byKey["flexpass/0.50"]
+	fp50 := at(SchemeFlexPass, 0.5)
 	if fp50.P99SmallLegacy > base0*3/2 {
 		t.Errorf("FlexPass at 50%%: legacy p99 %v vs baseline %v — too much harm",
 			fp50.P99SmallLegacy, base0)
@@ -80,34 +93,22 @@ func TestFlexPassDeploymentShape(t *testing.T) {
 			fp50.P99SmallNew, fp50.P99SmallLegacy)
 	}
 
-	nv50 := byKey["naive/0.50"]
+	nv50 := at(SchemeNaive, 0.5)
 	if nv50.P99SmallLegacy < base0*3/2 {
 		t.Errorf("naïve at 50%%: legacy p99 %v vs baseline %v — expected strong degradation",
 			nv50.P99SmallLegacy, base0)
 	}
 
-	fp100 := byKey["flexpass/1.00"]
+	fp100 := at(SchemeFlexPass, 1)
 	if fp100.P99Small >= base0 {
 		t.Errorf("FlexPass fully deployed p99 %v not better than DCTCP baseline %v",
 			fp100.P99Small, base0)
 	}
-	fp0 := byKey["flexpass/0.00"]
-	if fp100.AvgAll > fp0.AvgAll*5/4 {
+	fp0 := at(SchemeFlexPass, 0)
+	if fp100.MeanFCT > fp0.MeanFCT*5/4 {
 		t.Errorf("FlexPass fully deployed avg FCT %v vs baseline %v — utilization lost",
-			fp100.AvgAll, fp0.AvgAll)
+			fp100.MeanFCT, fp0.MeanFCT)
 	}
-}
-
-func fstr(f float64) string {
-	switch f {
-	case 0:
-		return "0.00"
-	case 0.5:
-		return "0.50"
-	case 1:
-		return "1.00"
-	}
-	return "?"
 }
 
 func TestFig1aStarvationShape(t *testing.T) {
@@ -193,34 +194,6 @@ func TestFig8IncastShape(t *testing.T) {
 	if byTP["flexpass"].MaxFCT >= byTP["dctcp"].MaxFCT {
 		t.Errorf("FlexPass tail %v not better than DCTCP %v",
 			byTP["flexpass"].MaxFCT, byTP["dctcp"].MaxFCT)
-	}
-}
-
-func TestFig17ThresholdTradeoff(t *testing.T) {
-	base := miniBase()
-	base.Duration = 5 * sim.Millisecond
-	pts := Fig17(base, []units.ByteSize{50 * units.KB, 150 * units.KB})
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.Incomplete > 0 {
-			t.Fatalf("threshold %v left %d flows incomplete", p.WQ, p.Incomplete)
-		}
-	}
-}
-
-func TestFig18WQSweepRuns(t *testing.T) {
-	base := miniBase()
-	base.Duration = 4 * sim.Millisecond
-	rows := Fig18(base, []float64{0.4, 0.6})
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.P99SmallFull == 0 {
-			t.Fatalf("wq=%.2f: missing full-deployment point", r.WQ)
-		}
 	}
 }
 

@@ -157,11 +157,6 @@ type Scenario struct {
 	// valid for the configured fabric.
 	TraceFlows []workload.FlowSpec
 
-	// PoolSeeds, when non-empty, makes Sweep/RunPoint pool flow records
-	// across one run per seed before computing statistics (tail
-	// percentiles over the union of flows).
-	PoolSeeds []int64
-
 	// Deadline, when positive, caps the run's wall-clock time: a
 	// wall-clock watchdog aborts the engine(s) when it elapses and Run
 	// panics with a *KilledError (Reason "deadline"). Zero disables.

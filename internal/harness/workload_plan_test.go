@@ -204,16 +204,16 @@ func TestShardedRecordsWorkloadObs(t *testing.T) {
 	}
 }
 
-// A deployment point is labeled with the traffic its run used: a
-// plan-only scenario (Workload nil, as a farm point builds one) with the
-// plan's name, and a plan beside a CDF with the plan, which is what the
-// generator runs.
-func TestRunPointLabelsPlanWorkload(t *testing.T) {
+// A run is labeled with the traffic it used: a plan-only scenario
+// (Workload nil, as a farm point builds one) with the plan's name, and a
+// plan beside a CDF with the plan, which is what the generator runs.
+func TestRunLabelsPlanWorkload(t *testing.T) {
 	sc := planScenario()
 	sc.Workload = nil
 	sc.WorkloadPlan = parsePlanOrDie(t, `{"name":"flash","sources":[{"kind":"poisson","cdf":"websearch"}]}`)
-	if pt := RunPoint(sc); pt.Workload != "flash" {
-		t.Fatalf("plan-only point labeled %q, want the plan's name", pt.Workload)
+	sc.Telemetry = &obs.Options{}
+	if got := Run(sc).Telemetry.Manifest.Workload; got != "flash" {
+		t.Fatalf("plan-only run labeled %q, want the plan's name", got)
 	}
 	sc.Workload = workload.WebSearch
 	if got := sc.WorkloadName(); got != "flash" {

@@ -1,6 +1,6 @@
 // Package plot renders simple ASCII line charts and bar charts in the
-// terminal — enough to eyeball the CSV series cmd/experiments writes
-// without leaving the shell (cmd/flexplot is the CLI).
+// terminal — enough to eyeball the figure CSVs in results/ without
+// leaving the shell (cmd/flexplot is the CLI).
 package plot
 
 import (
