@@ -1,13 +1,51 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
+	"flexpass/internal/metrics"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
 	"flexpass/internal/workload"
 )
+
+// TestAblationsRun runs the five §4.3 design-choice variants of
+// ci/figures/ablations*.json at 50% deployment: each must complete every
+// flow and measure a small-flow tail.
+func TestAblationsRun(t *testing.T) {
+	variants := []struct {
+		name string
+		mod  func(*Scenario)
+	}{
+		{"flexpass", func(*Scenario) {}},
+		{"no-proactive-retx", func(sc *Scenario) {
+			sc.SchemeOptions = map[string]string{transport.OptDisableProRetx: "1"}
+		}},
+		{"reno-reactive", func(sc *Scenario) {
+			sc.SchemeOptions = map[string]string{transport.OptReactive: "reno"}
+		}},
+		{"rc3-split", func(sc *Scenario) { sc.Scheme = SchemeFlexPassRC3 }},
+		{"alt-queueing", func(sc *Scenario) { sc.Scheme = SchemeFlexPassAltQ }},
+	}
+	sums := make([]metrics.Summary, len(variants))
+	Each(context.Background(), 0, len(variants), func(_, i int) {
+		sc := miniBase()
+		sc.Duration = 4 * sim.Millisecond
+		sc.Scheme, sc.Deployment = SchemeFlexPass, 0.5
+		variants[i].mod(&sc)
+		sums[i] = metrics.Summarize(Run(sc).Flows.Records)
+	})
+	for i, s := range sums {
+		if n := s.Incomplete(); n > 0 {
+			t.Errorf("%s: %d incomplete flows", variants[i].name, n)
+		}
+		if s.P99Small == 0 {
+			t.Errorf("%s: missing tail measurement", variants[i].name)
+		}
+	}
+}
 
 func TestRenoReactiveScenarioRuns(t *testing.T) {
 	sc := miniBase()

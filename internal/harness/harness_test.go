@@ -197,6 +197,51 @@ func TestFig8IncastShape(t *testing.T) {
 	}
 }
 
+// TestFig17ThresholdTradeoff runs FlexPass fully deployed at two Q1
+// selective-dropping thresholds, as ci/figures/fig17.json's red_kb axis
+// does: both must complete every flow.
+func TestFig17ThresholdTradeoff(t *testing.T) {
+	thresholds := []units.ByteSize{50 * units.KB, 150 * units.KB}
+	left := make([]int, len(thresholds))
+	Each(context.Background(), 0, len(thresholds), func(_, i int) {
+		sc := miniBase()
+		sc.Duration = 5 * sim.Millisecond
+		sc.Scheme, sc.Deployment = SchemeFlexPass, 1.0
+		sc.Spec.FlexRed = thresholds[i]
+		sc.SampleQueues = true
+		left[i] = incomplete(Run(sc))
+	})
+	for i, n := range left {
+		if n > 0 {
+			t.Errorf("threshold %v left %d flows incomplete", thresholds[i], n)
+		}
+	}
+}
+
+// TestFig18WQSweepRuns runs FlexPass at two queue weights w_q, as
+// ci/figures/fig18.json's wq axis does: each must measure a legacy
+// small-flow tail with nothing deployed and a small-flow tail fully
+// deployed.
+func TestFig18WQSweepRuns(t *testing.T) {
+	wqs, deps := []float64{0.4, 0.6}, []float64{0, 1}
+	sums := make([]metrics.Summary, len(wqs)*len(deps))
+	Each(context.Background(), 0, len(sums), func(_, i int) {
+		sc := miniBase()
+		sc.Duration = 4 * sim.Millisecond
+		sc.Scheme = SchemeFlexPass
+		sc.WQ, sc.Deployment = wqs[i/len(deps)], deps[i%len(deps)]
+		sums[i] = metrics.Summarize(Run(sc).Flows.Records)
+	})
+	for w, wq := range wqs {
+		if sums[w*len(deps)].P99SmallLegacy == 0 {
+			t.Errorf("wq=%.2f: missing legacy tail at 0%% deployment", wq)
+		}
+		if sums[w*len(deps)+1].P99Small == 0 {
+			t.Errorf("wq=%.2f: missing full-deployment point", wq)
+		}
+	}
+}
+
 func TestOracleWQTracksDeployment(t *testing.T) {
 	sc := miniBase()
 	sc.Duration = 4 * sim.Millisecond
