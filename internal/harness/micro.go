@@ -83,8 +83,8 @@ func runSeries(sc Scenario, groups ...group) *ThroughputSeries {
 	b.run()
 	out := &ThroughputSeries{Interval: p.Interval(), Names: names, Series: map[string][]units.Rate{}}
 	for _, s := range p.Series() {
-		rates := make([]units.Rate, 0, s.Samples().Len())
-		s.Samples().Each(func(_ int, d int64) { rates = append(rates, units.RateOf(d, s.Interval)) })
+		rates := make([]units.Rate, 0, s.Values.Len())
+		s.Values.Each(func(_ int, d int64) { rates = append(rates, units.RateOf(d, sim.Time(s.IntervalPs))) })
 		out.Series[s.Metric] = rates
 	}
 	return out

@@ -401,7 +401,7 @@ func (b *built) run() *Result {
 		// tick also posts the fleet's progress with all slots merged, so
 		// the merge runs once per interval, not once per plane.
 		var mu sync.Mutex
-		slots := make([][]obs.Reading, n)
+		slots := make([][]obs.CounterData, n)
 		report := func(i int, post, done bool) {
 			final := planes[i].reg.Final()
 			mu.Lock()
@@ -461,9 +461,9 @@ func (b *built) run() *Result {
 		for _, pl := range planes {
 			for _, s := range pl.q1.Series() {
 				if s.Metric == "bytes" {
-					totals = s.Samples().AppendTo(totals)
+					totals = s.Values.AppendTo(totals)
 				} else {
-					reds = s.Samples().AppendTo(reds)
+					reds = s.Values.AppendTo(reds)
 				}
 			}
 		}
@@ -571,16 +571,13 @@ func bridgeShards(engs []*sim.Engine, cross []topo.CrossLink) *shard.Runtime {
 // summing values that share (entity, metric, kind); one plane's finals
 // are returned as they are. Finals are sorted, so the merged order is
 // deterministic.
-func mergeReadings(slots [][]obs.Reading) []obs.Reading {
+func mergeReadings(slots [][]obs.CounterData) []obs.CounterData {
 	if len(slots) == 1 {
 		return slots[0]
 	}
-	type key struct {
-		entity, metric string
-		kind           obs.SampleKind
-	}
+	type key struct{ entity, metric, kind string }
 	idx := map[key]int{}
-	var out []obs.Reading
+	var out []obs.CounterData
 	for _, finals := range slots {
 		for _, r := range finals {
 			k := key{r.Entity, r.Metric, r.Kind}

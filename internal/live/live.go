@@ -36,7 +36,7 @@ import (
 // invoked from HTTP goroutines and must be safe for concurrent use.
 type Server struct {
 	status   func() any
-	readings func() []obs.Reading
+	readings func() []obs.CounterData
 
 	mux *http.ServeMux
 	ln  net.Listener
@@ -46,7 +46,7 @@ type Server struct {
 // NewServer builds a server over the two snapshot callbacks. Either may
 // be nil: a nil status serves an empty object, a nil readings serves an
 // empty exposition.
-func NewServer(status func() any, readings func() []obs.Reading) *Server {
+func NewServer(status func() any, readings func() []obs.CounterData) *Server {
 	s := &Server{status: status, readings: readings, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/status", s.handleStatus)
@@ -110,7 +110,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var rs []obs.Reading
+	var rs []obs.CounterData
 	if s.readings != nil {
 		rs = s.readings()
 	}
@@ -122,8 +122,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // (version 0.0.4): readings sharing a metric become one family named
 // flexpass_<metric> with the entity as a label, preceded by a single
 // # TYPE line (counter for cumulative readings, gauge for instant ones).
-func WriteMetrics(w io.Writer, readings []obs.Reading) error {
-	rs := make([]obs.Reading, len(readings))
+func WriteMetrics(w io.Writer, readings []obs.CounterData) error {
+	rs := make([]obs.CounterData, len(readings))
 	copy(rs, readings)
 	// Registry.Final sorts entity-then-metric; exposition groups families
 	// by metric, so re-sort.
@@ -138,7 +138,7 @@ func WriteMetrics(w io.Writer, readings []obs.Reading) error {
 		name := "flexpass_" + sanitizeMetricName(r.Metric)
 		if r.Metric != prev {
 			typ := "gauge"
-			if r.Kind == obs.Cumulative {
+			if r.Kind == obs.Cumulative.String() {
 				typ = "counter"
 			}
 			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
@@ -199,12 +199,12 @@ type RunStatus struct {
 type RunBoard struct {
 	mu       sync.Mutex
 	st       RunStatus
-	readings []obs.Reading
+	readings []obs.CounterData
 }
 
 // Publish replaces the board's snapshot. Called from inside the sim
 // loop, on every engine's clock.
-func (b *RunBoard) Publish(st RunStatus, readings []obs.Reading) {
+func (b *RunBoard) Publish(st RunStatus, readings []obs.CounterData) {
 	if b == nil {
 		return
 	}
@@ -225,7 +225,7 @@ func (b *RunBoard) Status() RunStatus {
 }
 
 // Readings returns the latest published metric readings.
-func (b *RunBoard) Readings() []obs.Reading {
+func (b *RunBoard) Readings() []obs.CounterData {
 	if b == nil {
 		return nil
 	}

@@ -12,13 +12,13 @@ import (
 	"flexpass/internal/obs"
 )
 
-func testReadings() []obs.Reading {
+func testReadings() []obs.CounterData {
 	// Entity-then-metric order, as Registry.Final produces.
-	return []obs.Reading{
-		{Entity: "farm", Metric: "points_done", Kind: obs.Cumulative, Value: 7},
-		{Entity: "farm", Metric: "points_total", Kind: obs.Instant, Value: 16},
-		{Entity: "port/tor0:up0", Metric: "tx_bytes", Kind: obs.Cumulative, Value: 12345},
-		{Entity: "port/tor1:up0", Metric: "tx_bytes", Kind: obs.Cumulative, Value: 999},
+	return []obs.CounterData{
+		{Entity: "farm", Metric: "points_done", Kind: "delta", Value: 7},
+		{Entity: "farm", Metric: "points_total", Kind: "instant", Value: 16},
+		{Entity: "port/tor0:up0", Metric: "tx_bytes", Kind: "delta", Value: 12345},
+		{Entity: "port/tor1:up0", Metric: "tx_bytes", Kind: "delta", Value: 999},
 	}
 }
 
@@ -72,8 +72,8 @@ func TestWriteMetricsFormat(t *testing.T) {
 
 func TestWriteMetricsSanitizesAndEscapes(t *testing.T) {
 	var b strings.Builder
-	err := WriteMetrics(&b, []obs.Reading{
-		{Entity: `we"ird\entity`, Metric: "fct p99-us", Kind: obs.Instant, Value: 1},
+	err := WriteMetrics(&b, []obs.CounterData{
+		{Entity: `we"ird\entity`, Metric: "fct p99-us", Kind: "instant", Value: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

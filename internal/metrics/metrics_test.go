@@ -139,7 +139,7 @@ func startProber(eng *sim.Engine, reg *obs.Registry, interval sim.Time) *obs.Pro
 // series to throughputs.
 func ratesOf(p *obs.Prober) []units.Rate {
 	var out []units.Rate
-	p.Series()[0].Samples().Each(func(_ int, d int64) {
+	p.Series()[0].Values.Each(func(_ int, d int64) {
 		out = append(out, units.RateOf(d, p.Interval()))
 	})
 	return out
@@ -193,7 +193,7 @@ func TestQueueSampler(t *testing.T) {
 	p := startProber(eng, reg, sim.Millisecond)
 	eng.At(1500*sim.Microsecond, func() { occ = 100_000 })
 	eng.Run(4 * sim.Millisecond)
-	totals := p.Series()[0].Samples().Slice()
+	totals := p.Series()[0].Values.Slice()
 	if len(totals) != 4 {
 		t.Fatalf("%d samples, want 4", len(totals))
 	}

@@ -31,7 +31,7 @@ func TestSamplerDeltasAndRates(t *testing.T) {
 	if len(p.Series()) != 1 {
 		t.Fatalf("%d series, want 1 (duplicate registration added a source?)", len(p.Series()))
 	}
-	deltas := p.Series()[0].Samples().Slice()
+	deltas := p.Series()[0].Values.Slice()
 	if len(deltas) != 4 {
 		t.Fatalf("series len = %d, want 4 (duplicate registration doubled samples?)", len(deltas))
 	}
@@ -96,9 +96,9 @@ func TestQueueSamplerCollects(t *testing.T) {
 	var totals, reds []int64
 	for _, s := range p.Series() {
 		if s.Metric == "bytes" {
-			totals = s.Samples().AppendTo(totals)
+			totals = s.Values.AppendTo(totals)
 		} else {
-			reds = s.Samples().AppendTo(reds)
+			reds = s.Values.AppendTo(reds)
 		}
 	}
 	if len(totals) != 4 || len(reds) != 4 {

@@ -6,12 +6,12 @@ import (
 	"flexpass/internal/obs"
 )
 
-// This file wires the fabric's existing *Stats structs into the obs
-// registry so the periodic prober can turn them into time series —
-// cumulative counters become per-interval deltas (port utilisation,
-// drop/mark rates) and occupancies become instant gauges (queue depth,
-// shared-buffer usage). All Register methods are nil-safe on reg, so
-// construction code calls them unconditionally.
+// This file wires the fabric's existing *Stats fields into the obs
+// registry by address, so the periodic prober turns them into time series
+// by reading memory — cumulative counters become per-interval deltas
+// (port utilisation, drop/mark rates) and occupancies become instant
+// gauges (queue depth, shared-buffer usage). All Register methods are
+// nil-safe on reg, so construction code calls them unconditionally.
 
 // Register exposes the port's transmit counters and per-queue state
 // under "port/<name>" and "port/<name>/q<i>".
@@ -20,24 +20,23 @@ func (p *Port) Register(reg *obs.Registry) {
 		return
 	}
 	ent := "port/" + p.name
-	reg.CounterFunc(ent, "tx_bytes", func() int64 { return p.stats.TxBytes })
-	reg.CounterFunc(ent, "tx_packets", func() int64 { return p.stats.TxPackets })
-	reg.CounterFunc(ent, "faults_injected", func() int64 { return p.faults.Injected })
+	reg.CounterAt(ent, "tx_bytes", &p.stats.TxBytes)
+	reg.CounterAt(ent, "tx_packets", &p.stats.TxPackets)
+	reg.CounterAt(ent, "faults_injected", &p.faults.Injected)
 	// Per-cause injected-loss breakdown (see FaultStats): registered
 	// unconditionally so degradation artifacts can attribute every
 	// injected drop to the fault event that caused it.
-	reg.CounterFunc(ent, "faults_link_down", func() int64 { return p.faults.LinkDown })
-	reg.CounterFunc(ent, "faults_burst_loss", func() int64 { return p.faults.BurstLoss })
-	reg.CounterFunc(ent, "faults_credit_loss", func() int64 { return p.faults.CreditLoss })
+	reg.CounterAt(ent, "faults_link_down", &p.faults.LinkDown)
+	reg.CounterAt(ent, "faults_burst_loss", &p.faults.BurstLoss)
+	reg.CounterAt(ent, "faults_credit_loss", &p.faults.CreditLoss)
 	for i, q := range p.queues {
-		q := q
 		qe := fmt.Sprintf("%s/q%d", ent, i)
-		reg.Gauge(qe, "bytes", q.lenBytes)
-		reg.Gauge(qe, "red_bytes", func() int64 { return q.redB })
-		reg.CounterFunc(qe, "dropped", func() int64 { return q.stats.Dropped })
-		reg.CounterFunc(qe, "dropped_red", func() int64 { return q.stats.DroppedRed })
-		reg.CounterFunc(qe, "marked", func() int64 { return q.stats.Marked })
-		reg.CounterFunc(qe, "enqueued_bytes", func() int64 { return q.stats.EnqueuedB })
+		reg.GaugeAt(qe, "bytes", &q.bytes)
+		reg.GaugeAt(qe, "red_bytes", &q.redB)
+		reg.CounterAt(qe, "dropped", &q.stats.Dropped)
+		reg.CounterAt(qe, "dropped_red", &q.stats.DroppedRed)
+		reg.CounterAt(qe, "marked", &q.stats.Marked)
+		reg.CounterAt(qe, "enqueued_bytes", &q.stats.EnqueuedB)
 	}
 }
 
@@ -48,9 +47,9 @@ func (s *Switch) Register(reg *obs.Registry) {
 		return
 	}
 	ent := "switch/" + s.name
-	reg.CounterFunc(ent, "rx_packets", func() int64 { return s.RxPackets })
+	reg.CounterAt(ent, "rx_packets", &s.RxPackets)
 	if s.shared != nil {
-		reg.Gauge(ent, "shared_buffer_bytes", s.shared.Used)
+		reg.GaugeAt(ent, "shared_buffer_bytes", &s.shared.used)
 	}
 	for _, p := range s.ports {
 		p.Register(reg)
@@ -63,6 +62,6 @@ func (h *Host) Register(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc("host/"+h.name, "rx_packets", func() int64 { return h.RxPackets })
+	reg.CounterAt("host/"+h.name, "rx_packets", &h.RxPackets)
 	h.nic.Register(reg)
 }

@@ -161,27 +161,12 @@ type Run struct {
 }
 
 // Collect assembles a run artifact from the registry's closing values
-// and the prober's series (either may be nil). The artifact shares the
-// series' sample storage with the prober, so collect once it has stopped.
+// and the prober's series (either may be nil). The artifact takes the
+// prober's series as they are, storage and all, so collect once it has
+// stopped.
 func Collect(reg *Registry, p *Prober, m Manifest) *Run {
 	m.Schema = SchemaVersion
-	r := &Run{
-		Manifest: m,
-		Series:   make([]SeriesData, 0, len(p.Series())),
-		Counters: make([]CounterData, 0, reg.Len()),
-	}
-	for _, s := range p.Series() {
-		r.Series = append(r.Series, SeriesData{
-			Entity: s.Entity, Metric: s.Metric, Kind: s.Kind.String(),
-			IntervalPs: int64(s.Interval), StartPs: int64(s.Start()),
-			Dropped: s.Dropped(), Values: s.Samples(),
-		})
-	}
-	for _, c := range reg.Final() {
-		r.Counters = append(r.Counters, CounterData{
-			Entity: c.Entity, Metric: c.Metric, Kind: c.Kind.String(), Value: c.Value,
-		})
-	}
+	r := &Run{Manifest: m, Series: p.Series(), Counters: reg.Final()}
 	if reg != nil {
 		for _, h := range reg.hists {
 			hd := HistData{Entity: h.entity, Metric: h.metric, Count: h.n, Sum: h.sum}
@@ -239,12 +224,23 @@ type jsonlLine struct {
 	Fault     *FaultData          `json:"fault,omitempty"`
 }
 
+// seriesLine is a series line as written: SeriesData's wire twin, whose
+// Values — a shallower field, so it shadows the series' own — holds the
+// samples already encoded, in one buffer every series line reuses.
+type seriesLine struct {
+	Type   string `json:"type"`
+	Series struct {
+		*SeriesData
+		Values *json.RawMessage `json:"values"`
+	} `json:"series"`
+}
+
 // WriteJSONL streams the artifact: first the manifest line, then one
 // line per flow — so a torn artifact keeps its flow table — then one per
 // series, counter, histogram, trace event, forensics line and fault
 // action. Every line is encoded from one envelope, so Encode boxes one
-// pointer per artifact rather than a fresh envelope per line; the first
-// error stops the rest.
+// pointer per artifact rather than a fresh envelope per line, and every
+// series line's values from one buffer; the first error stops the rest.
 func (r *Run) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -254,9 +250,13 @@ func (r *Run) WriteJSONL(w io.Writer) error {
 		*l = jsonlLine{Type: "flow", Flow: &r.Flows[i]}
 		err = enc.Encode(l)
 	}
+	sl := &seriesLine{Type: "series"}
+	var values json.RawMessage
+	sl.Series.Values = &values
 	for i := 0; err == nil && i < len(r.Series); i++ {
-		*l = jsonlLine{Type: "series", Series: &r.Series[i]}
-		err = enc.Encode(l)
+		sl.Series.SeriesData = &r.Series[i]
+		values = r.Series[i].Values.AppendJSON(values[:0])
+		err = enc.Encode(sl)
 	}
 	for i := 0; err == nil && i < len(r.Counters); i++ {
 		*l = jsonlLine{Type: "counter", Counter: &r.Counters[i]}

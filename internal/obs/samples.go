@@ -110,29 +110,29 @@ func (s Samples) plus(o Samples) Samples {
 	}
 }
 
-// MarshalJSON emits what json.Marshal emits for the same []int64. Each
-// run's value is formatted once and the output is sized before it is
-// filled, so a series line costs one allocation however long it is.
-func (s Samples) MarshalJSON() ([]byte, error) {
+// MarshalJSON emits what json.Marshal emits for the same []int64.
+func (s Samples) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
+
+// AppendJSON appends the wire form to dst: the JSON array a []int64 of
+// the same samples encodes to, null when nil, [] when empty. Each run's
+// value is formatted once, so a flat series costs one number and a copy
+// per sample.
+func (s Samples) AppendJSON(dst []byte) []byte {
 	if s.runs == nil {
-		return []byte("null"), nil
+		return append(dst, "null"...)
 	}
 	var num [20]byte
-	size := 2
-	for _, r := range s.runs {
-		size += int(r.n) * (len(strconv.AppendInt(num[:0], r.v, 10)) + 1)
-	}
-	out := append(make([]byte, 0, size), '[')
+	dst = append(dst, '[')
 	for _, r := range s.runs {
 		d := strconv.AppendInt(num[:0], r.v, 10)
 		for k := int64(0); k < r.n; k++ {
-			out = append(append(out, d...), ',')
+			dst = append(append(dst, d...), ',')
 		}
 	}
 	if s.n > 0 {
-		out = out[:len(out)-1]
+		dst = dst[:len(dst)-1]
 	}
-	return append(out, ']'), nil
+	return append(dst, ']')
 }
 
 // UnmarshalJSON decodes a JSON array straight into runs, accepting and
