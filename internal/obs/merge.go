@@ -1,34 +1,47 @@
 package obs
 
+import "slices"
+
 // MergeRuns folds several per-shard run artifacts into one, under a
 // caller-provided manifest. Sharded runs give each shard its own
 // Registry and Prober (counters are plain int64s owned by one
 // goroutine), collect each shard with Collect after the fabric drains,
 // and merge here:
 //
-//   - Counters with the same (entity, metric, kind) are summed, keeping
-//     first-seen order — so pass the shards in shard order and the merged
-//     artifact is deterministic.
+//   - Counters with the same (entity, metric, kind) are summed.
 //   - Histograms with the same (entity, metric) sum their counts and
 //     observation sums and merge their sparse bucket lists by bound.
 //   - Series with the same (entity, metric, kind, interval, start) and
-//     equal length are summed pointwise into fresh samples; any other
-//     series is appended as-is, sharing its samples with the input
+//     equal length are summed pointwise into fresh samples; they cover
+//     the same ticks, so the sum keeps the drop count each copy has. Any
+//     other series is kept as-is, sharing its samples with the input
 //     (per-port series have disjoint entities across shards and take
 //     this path).
 //
-// One run is not copied: it is returned as it is, under m — a
-// single-engine run is the one-shard case and pays nothing for the fold.
+// The merged counters and series are in (entity, metric) order, ties in
+// the order the runs are passed, so the artifact is the same lines in
+// the same order at every shard count. One run is not copied: it is
+// sorted in place and returned under m — a single-engine run is the
+// one-shard case and pays nothing else for the fold.
 //
 // Trace, forensics, and fault lines are not merged here — callers attach
 // those from their own merged sources (trace.Merge, the fault log).
 func MergeRuns(m Manifest, runs ...*Run) *Run {
 	m.Schema = SchemaVersion
-	if len(runs) == 1 && runs[0] != nil {
-		runs[0].Manifest = m
-		return runs[0]
-	}
 	out := &Run{Manifest: m}
+	if len(runs) == 1 && runs[0] != nil {
+		out = runs[0]
+		out.Manifest = m
+	} else {
+		out.merge(runs)
+	}
+	slices.SortStableFunc(out.Counters, func(a, b CounterData) int { return byName(a.Entity, a.Metric, b.Entity, b.Metric) })
+	slices.SortStableFunc(out.Series, func(a, b SeriesData) int { return byName(a.Entity, a.Metric, b.Entity, b.Metric) })
+	return out
+}
+
+// merge folds runs into out, which starts empty.
+func (out *Run) merge(runs []*Run) {
 	type seriesKey struct {
 		entity, metric, kind string
 		intervalPs, startPs  int64
@@ -68,7 +81,6 @@ func MergeRuns(m Manifest, runs ...*Run) *Run {
 			key := seriesKey{s.Entity, s.Metric, s.Kind, s.IntervalPs, s.StartPs}
 			if j, ok := sIdx[key]; ok && out.Series[j].Values.Len() == s.Values.Len() {
 				dst := &out.Series[j]
-				dst.Dropped += s.Dropped
 				dst.Values = dst.Values.plus(s.Values)
 				continue
 			}
@@ -78,5 +90,4 @@ func MergeRuns(m Manifest, runs ...*Run) *Run {
 			out.Series = append(out.Series, s)
 		}
 	}
-	return out
 }
