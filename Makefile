@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench bench-sim bench-hot bench-ledger loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -139,6 +139,19 @@ BENCH_LEDGER ?= bench-ledger.json
 bench-ledger:
 	$(GO) run ./bench -trace 1 -ledger $(BENCH_LEDGER)
 	@echo wrote $(BENCH_LEDGER)
+
+# A speed or memory claim, as one command: bench-pair BASE=<rev>
+# [PAIRS=10] [WORKLOAD=<name>] [SEED=1] builds ./bench at BASE (a git
+# worktree under .bench_build/) and in the working tree, runs PAIRS
+# alternating pairs, and writes bench-pair.json: per workload and
+# end-to-end metric, both sides' median and quartiles, the change's wins,
+# and whether the medians sit further apart than the base's quartile
+# spread (claimable).
+PAIRS ?= 10
+SEED  ?= 1
+bench-pair:
+	@test -n "$(BASE)" || { echo "bench-pair: set BASE=<rev>"; exit 1; }
+	$(GO) run ./ci/benchpair -base '$(BASE)' -pairs $(PAIRS) -workload '$(WORKLOAD)' -seed $(SEED) -out bench-pair.json
 
 # Non-test Go lines per package, bench/ excluded: the measure behind the
 # ROADMAP aim "net non-test LoC goes down".
