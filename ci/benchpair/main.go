@@ -11,9 +11,11 @@
 // built there; the change is the working tree. Pair i runs the base first
 // when i is even and the change first when it is odd, so slow drift of the
 // host lands on both sides alike. Each run is one `bench -reps 1` process,
-// read through the summary line it prints. A metric whose base quartile spread
-// is at least the distance between the two medians is marked not
-// claimable: the base's own runs vary by more than the change moved it.
+// read through the summary line it prints; a metric or workload missing
+// from one side stops the run. The output is a lake.BenchReport, which
+// `flexfarm bench` reads: each metric is marked claimable by the house
+// claim rule and regressed by the bound BENCHMARK.json gives it (see
+// compare).
 package main
 
 import (
@@ -30,6 +32,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
+
+	"flexpass/internal/lake"
 )
 
 func main() {
@@ -41,50 +46,9 @@ func main() {
 
 // metric is one end-to-end metric as BENCHMARK.json declares it.
 type metric struct {
-	Name   string `json:"name"`
-	Better string `json:"better"` // "lower" or "higher"
-}
-
-// quartiles summarize one side's runs of one metric.
-type quartiles struct {
-	Q1     float64 `json:"q1"`
-	Median float64 `json:"median"`
-	Q3     float64 `json:"q3"`
-}
-
-// comparison is one (workload, metric) row of the output.
-type comparison struct {
-	Better    string    `json:"better"`
-	Base      quartiles `json:"base"`
-	Change    quartiles `json:"change"`
-	DeltaPct  float64   `json:"delta_pct"` // change median against base median
-	Wins      int       `json:"wins"`      // pairs the change read better in
-	Losses    int       `json:"losses"`    // pairs it read worse in; ties count for neither
-	Claimable bool      `json:"claimable"` // medians further apart than the base's quartile spread
-	BaseRuns  []float64 `json:"base_runs"`
-	Runs      []float64 `json:"change_runs"`
-}
-
-// workloadReport is one workload's rows, plus what each side's runs
-// printed as their flow digests (one, if behaviour is unchanged across
-// runs) and the most operations one run failed.
-type workloadReport struct {
-	BaseDigests   []string               `json:"base_digests"`
-	ChangeDigests []string               `json:"change_digests"`
-	BaseFailed    int                    `json:"base_failed"`
-	ChangeFailed  int                    `json:"change_failed"`
-	Metrics       map[string]*comparison `json:"metrics"`
-}
-
-// report is the one file benchpair writes.
-type report struct {
-	Base           string                     `json:"base"`
-	BaseRevision   string                     `json:"base_revision"`
-	ChangeRevision string                     `json:"change_revision"`
-	Seed           int64                      `json:"seed"`
-	Pairs          int                        `json:"pairs"`
-	CPUs           int                        `json:"cpus"`
-	Workloads      map[string]*workloadReport `json:"workloads"`
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // the relative worsening that counts as a regression
 }
 
 // runs is what one side's runs of one workload read, run by run.
@@ -142,37 +106,18 @@ func run(args []string, stdout io.Writer) error {
 			if side == 1 {
 				changeRev = sum.Revision
 			}
-			for w, ws := range sum.Workloads {
-				r := got[side][w]
-				if r == nil {
-					r = &runs{metrics: map[string][]float64{}}
-					got[side][w] = r
-				}
-				if !slices.Contains(r.digests, ws.Digest) {
-					r.digests = append(r.digests, ws.Digest)
-				}
-				r.failed = max(r.failed, ws.Failed)
-				for _, m := range metrics {
-					r.metrics[m.Name] = append(r.metrics[m.Name], ws.Metrics[m.Name])
-				}
+			if err := accumulate(got[side], sides[side], sum, metrics); err != nil {
+				return err
 			}
 		}
 	}
 
-	rep := report{Base: *base, BaseRevision: baseRev, ChangeRevision: changeRev, Seed: *seed, Pairs: *pairs,
-		CPUs: runtime.NumCPU(), Workloads: map[string]*workloadReport{}}
-	for w, ch := range got[1] {
-		b := got[0][w]
-		if b == nil {
-			return fmt.Errorf("workload %s: the base has no such workload", w)
-		}
-		wr := &workloadReport{BaseDigests: b.digests, ChangeDigests: ch.digests, BaseFailed: b.failed,
-			ChangeFailed: ch.failed, Metrics: map[string]*comparison{}}
-		for _, m := range metrics {
-			wr.Metrics[m.Name] = compare(m.Better, b.metrics[m.Name], ch.metrics[m.Name])
-		}
-		rep.Workloads[w] = wr
+	workloads, err := pairUp(got, metrics)
+	if err != nil {
+		return err
 	}
+	rep := lake.BenchReport{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Base: *base, BaseRevision: baseRev,
+		ChangeRevision: changeRev, Seed: *seed, Pairs: *pairs, CPUs: runtime.NumCPU(), Workloads: workloads}
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -257,15 +202,68 @@ func runBench(bin, dir, workload string, seed int64) (*summary, error) {
 	return nil, fmt.Errorf("%s %s: no summary line", bin, strings.Join(args, " "))
 }
 
+// accumulate adds one run of one side to that side's per-workload runs.
+// A metric the contract names but the run did not print is an error, not
+// a zero.
+func accumulate(got map[string]*runs, side string, sum *summary, metrics []metric) error {
+	for w, ws := range sum.Workloads {
+		r := got[w]
+		if r == nil {
+			r = &runs{metrics: map[string][]float64{}}
+			got[w] = r
+		}
+		if !slices.Contains(r.digests, ws.Digest) {
+			r.digests = append(r.digests, ws.Digest)
+		}
+		r.failed = max(r.failed, ws.Failed)
+		for _, m := range metrics {
+			v, ok := ws.Metrics[m.Name]
+			if !ok {
+				return fmt.Errorf("%s, workload %s: the summary line has no metric %s", side, w, m.Name)
+			}
+			r.metrics[m.Name] = append(r.metrics[m.Name], v)
+		}
+	}
+	return nil
+}
+
+// pairUp compares the base's runs (got[0]) with the change's (got[1])
+// workload by workload. A workload only one side ran is an error.
+func pairUp(got [2]map[string]*runs, metrics []metric) (map[string]*lake.BenchWorkload, error) {
+	for w := range got[0] {
+		if got[1][w] == nil {
+			return nil, fmt.Errorf("workload %s: only the base ran it", w)
+		}
+	}
+	out := map[string]*lake.BenchWorkload{}
+	for w, ch := range got[1] {
+		b := got[0][w]
+		if b == nil {
+			return nil, fmt.Errorf("workload %s: only the change ran it", w)
+		}
+		wr := &lake.BenchWorkload{BaseDigests: b.digests, ChangeDigests: ch.digests, BaseFailed: b.failed,
+			ChangeFailed: ch.failed, Metrics: map[string]*lake.Comparison{}}
+		for _, m := range metrics {
+			wr.Metrics[m.Name] = compare(m, b.metrics[m.Name], ch.metrics[m.Name])
+		}
+		out[w] = wr
+	}
+	return out, nil
+}
+
 // compare summarizes one metric's pairs: base[i] and change[i] ran as
-// pair i.
-func compare(better string, base, change []float64) *comparison {
-	c := &comparison{Better: better, Base: summarize(base), Change: summarize(change), BaseRuns: base, Runs: change}
+// pair i. A gain is claimable by the house rule: at least 10 pairs, the
+// change better in 9 of every 10, and its median further to the better
+// side than the base's quartile spread. A regression is a median worse
+// than the base's by more than the metric's bound.
+func compare(m metric, base, change []float64) *lake.Comparison {
+	c := &lake.Comparison{Better: m.Better, Base: summarize(base), Change: summarize(change), BaseRuns: base, Runs: change}
 	sign := 1.0 // > 0 when the change reads better
-	if better == "lower" {
+	if m.Better == "lower" {
 		sign = -1
 	}
-	for i := range min(len(base), len(change)) {
+	pairs := min(len(base), len(change))
+	for i := range pairs {
 		switch d := sign * (change[i] - base[i]); {
 		case d > 0:
 			c.Wins++
@@ -276,14 +274,16 @@ func compare(better string, base, change []float64) *comparison {
 	if c.Base.Median != 0 {
 		c.DeltaPct = 100 * (c.Change.Median - c.Base.Median) / c.Base.Median
 	}
-	c.Claimable = math.Abs(c.Change.Median-c.Base.Median) > c.Base.Q3-c.Base.Q1
+	gain := sign * (c.Change.Median - c.Base.Median)
+	c.Claimable = pairs >= 10 && 10*c.Wins >= 9*pairs && gain > c.Base.Q3-c.Base.Q1
+	c.Regressed = -gain > m.Bound*math.Abs(c.Base.Median)
 	return c
 }
 
-func summarize(vs []float64) quartiles {
+func summarize(vs []float64) lake.Quartiles {
 	s := slices.Clone(vs)
 	slices.Sort(s)
-	return quartiles{quantile(s, 0.25), quantile(s, 0.5), quantile(s, 0.75)}
+	return lake.Quartiles{Q1: quantile(s, 0.25), Median: quantile(s, 0.5), Q3: quantile(s, 0.75)}
 }
 
 // quantile interpolates linearly between the closest ranks of sorted s.

@@ -5,7 +5,7 @@
 //	                [-serve :8080] [-serve-linger 60s] [-summary-every 2s]
 //	flexfarm ingest -lake results_sweep [artifact-dir...]
 //	flexfarm query  -lake results_sweep [-where k=v,...] [-group-by a,b] [-agg m:fn,...] [-csv]
-//	flexfarm bench  -lake results_sweep [-ingest FILE.json...] [-bench NAME] [-metric UNIT]
+//	flexfarm bench  [-lake results_sweep] [-bench NAME] [-metric NAME] [-csv] [FILE.json...]
 //	flexfarm diff   BASELINE CANDIDATE [-tolerance PCT] [-abs X] [-metrics m,...]
 //
 // run expands the sweep spec's cross-product, executes it on all cores
@@ -21,6 +21,11 @@
 // like p99 FCT by scheme and load is:
 //
 //	flexfarm query -lake results_sweep -group-by scheme,load -agg fct_p99_us:mean
+//
+// bench lists the bench table: the rows of bench-pair reports and bench
+// ledgers, in time order. The perf trajectory of one metric is
+//
+//	flexfarm bench -bench observed -metric alloc_mb BENCH_PR*.json
 //
 // diff compares two lakes (directories or index files) scenario by
 // scenario and exits 1 when any deterministic metric drifts beyond
@@ -261,19 +266,20 @@ func queryCmd(args []string) {
 
 func benchCmd(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	lakeDir := fs.String("lake", "", "lake directory or index file (required)")
-	bench := fs.String("bench", "", "filter by benchmark name")
-	metric := fs.String("metric", "", "filter by metric unit (e.g. ns/op)")
+	lakeDir := fs.String("lake", "", "lake directory or index file to add the files to (default: query the files alone)")
+	bench := fs.String("bench", "", "filter by workload or benchmark name")
+	metric := fs.String("metric", "", "filter by metric (e.g. alloc_mb)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	fs.Parse(args)
-	if *lakeDir == "" {
-		fatal(fmt.Errorf("bench needs -lake"))
+	ix := &lake.Index{}
+	var err error
+	if *lakeDir != "" {
+		if ix, err = lake.Load(*lakeDir); err != nil {
+			fatal(err)
+		}
 	}
-	ix, err := lake.Load(*lakeDir)
-	if err != nil {
-		fatal(err)
-	}
-	// Positional args are benchjson artifacts to ingest before querying.
+	// Positional args are bench-pair reports or bench ledgers to ingest
+	// before querying; without -lake they are held in memory only.
 	ingested := 0
 	for _, p := range fs.Args() {
 		n, err := ix.IngestBenchFile(p)
@@ -282,8 +288,8 @@ func benchCmd(args []string) {
 		}
 		ingested += n
 	}
-	if ingested > 0 {
-		ix.Sort()
+	ix.Sort()
+	if ingested > 0 && *lakeDir != "" {
 		target := *lakeDir
 		if fi, err := os.Stat(target); err == nil && fi.IsDir() {
 			if err := ix.WriteTo(target); err != nil {

@@ -16,6 +16,7 @@
 package lake
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -275,7 +276,9 @@ func (ix *Index) IngestDir(dir string) (int, []error) {
 
 // Sort orders rows by (sweep, scheme, topo, workload, load, deploy,
 // wq, options, fault sig, seed) so indexes built from the same runs
-// compare byte-identically regardless of ingest order.
+// compare byte-identically regardless of ingest order, and bench rows
+// by (generated_at, source, bench, metric, side), so they read in time
+// order.
 func (ix *Index) Sort() {
 	sort.Slice(ix.Rows, func(i, j int) bool {
 		a, b := &ix.Rows[i], &ix.Rows[j]
@@ -286,13 +289,8 @@ func (ix *Index) Sort() {
 	})
 	sort.Slice(ix.Bench, func(i, j int) bool {
 		a, b := &ix.Bench[i], &ix.Bench[j]
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		return a.Metric < b.Metric
+		return cmp.Or(cmp.Compare(a.GeneratedAt, b.GeneratedAt), cmp.Compare(a.Source, b.Source),
+			cmp.Compare(a.Bench, b.Bench), cmp.Compare(a.Metric, b.Metric), cmp.Compare(a.Side, b.Side)) < 0
 	})
 }
 
