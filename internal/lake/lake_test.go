@@ -261,7 +261,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if n, errs := ix.IngestDir(dir); n != 1 || len(errs) != 0 {
 		t.Fatalf("ingest: n=%d errs=%v", n, errs)
 	}
-	ix.Bench = []BenchRow{{Source: "B.json", Bench: "EngineDispatch", Metric: "ns/op", Value: 123.5}}
+	ix.Bench = []BenchRow{{Source: "B.json", Bench: "observed", Metric: "alloc_mb", Side: "change", Revision: "3354d46286ea", Value: 56.2}}
 	ix.Sort()
 	path := filepath.Join(dir, IndexFile)
 	if err := ix.WriteFile(path); err != nil {
