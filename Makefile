@@ -129,11 +129,9 @@ bench-hot:
 	@$(GO) test -bench '$(HOT_NETEM)' -benchmem -benchtime 1s -run '^$$' ./internal/netem/
 
 # The standing benchmark's ledger (bench/README.md): every workload's
-# end-to-end metrics plus the traced pass's per-layer metrics, in the
-# shape `benchjson compare` and `flexfarm bench` read. A speed claim is
-# two of these — parent commit and change, same box — compared into a
-# checked-in BENCH_PR<N>.json:
-#   go run ./cmd/benchjson compare parent.json change.json > BENCH_PR13.json
+# end-to-end metrics plus the traced pass's per-layer metrics, one side
+# only, in the shape `flexfarm bench` reads. A speed claim is not two
+# ledgers but a bench-pair report (below).
 BENCH_LEDGER ?= bench-ledger.json
 
 bench-ledger:
@@ -145,8 +143,9 @@ bench-ledger:
 # worktree under .bench_build/) and in the working tree, runs PAIRS
 # alternating pairs, and writes bench-pair.json: per workload and
 # end-to-end metric, both sides' median and quartiles, the change's wins,
-# and whether the medians sit further apart than the base's quartile
-# spread (claimable).
+# whether the gain meets the claim rule (claimable) and whether the
+# change is worse than BENCHMARK.json's bound (regressed). It is checked
+# in as BENCH_PR<N>.json; `flexfarm bench BENCH_PR*.json` lists them all.
 PAIRS ?= 10
 SEED  ?= 1
 bench-pair:
