@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -45,13 +45,24 @@ race-shard:
 
 check: vet build race
 
-# The paper's deployment figures (Figs 5, 10-18 and the §4.3 ablations)
-# are farm sweeps: each is a checked-in spec under ci/figures/ (the
-# ablations are two specs sharing one sweep name), and its CSV in
-# results/ is one lake query over the lake the specs ran into —
-# FIG_<csv> below is that query. A seed axis grouped without `seed` is
-# a mean over seeds.
+# Every figure is a farm sweep: a checked-in spec under ci/figures/ (the
+# ablations are two specs under one sweep name; Fig 7(c) is a point of
+# fig9), and its CSV in results/ is one lake query over the lake the
+# specs ran into — FIG_<csv> below is that query. A seed axis grouped
+# without `seed` is a mean over seeds. The testbed figures (Figs 1, 7,
+# 8, 9) replay the flow lists under ci/figures/testbed/; a throughput
+# figure is one run's counter series in 1 ms windows (-series).
 FIG_AGG = p99_small_us,avg_fct_us,p99_small_legacy_us,p99_small_new_us,std_small_legacy_us,std_small_new_us,reorder_kb,redundant_frac,timeouts,flows,completed
+FIG_SUB = Proactive=transport/flexpass:rx_bytes_pro,Reactive=transport/flexpass:rx_bytes_re
+FIG_fig1a       = -where sweep=fig1a -series ExpressPass=transport/expresspass:rx_bytes,DCTCP=transport/dctcp:rx_bytes
+FIG_fig1b       = -where sweep=fig1b -series HOMA=transport/homa:rx_bytes,DCTCP=transport/dctcp:rx_bytes
+FIG_fig7a       = -where sweep=fig7,workload=fig7a -series $(FIG_SUB)
+FIG_fig7b       = -where sweep=fig7,workload=fig7b -series $(FIG_SUB),Flow1=port/h0:nic:tx_bytes,Flow2=port/h1:nic:tx_bytes
+FIG_fig7c       = -where sweep=fig9,scheme=flexpass -series DCTCP=transport/dctcp:rx_bytes,$(FIG_SUB)
+FIG_fig8        = -where sweep=fig8 -group-by flows,scheme -agg fct_max_us:max,timeouts:sum
+FIG_fig9a       = -where sweep=fig9,scheme=naive -series ExpressPass=transport/expresspass:rx_bytes,DCTCP=transport/dctcp:rx_bytes
+FIG_fig9b       = -where sweep=fig9,scheme=flexpass -series FlexPass=transport/flexpass:rx_bytes,DCTCP=transport/dctcp:rx_bytes
+FIG_fig9c       = -where sweep=fig9 -group-by scheme -agg legacy_starved_frac
 FIG_fig5a       = -where sweep=fig5a -group-by scheme,deployment -agg $(FIG_AGG)
 FIG_fig5b       = -where sweep=fig5b -group-by scheme,deployment -agg $(FIG_AGG)
 FIG_fig10_12_13 = -where sweep=fig10 -group-by scheme,deployment -agg $(FIG_AGG),q1_avg_b,q1_p90_b,q1_red_avg_b,q1_red_p90_b
@@ -68,7 +79,7 @@ FIG_ablations   = -where sweep=ablations -group-by scheme,options -agg p99_small
 # shared lake would decode each earlier sweep's artifacts again), indexes
 # them all into LAKE, and writes one CSV per query into OUT.
 SPECS = ci/figures/*.json
-CSVS  = fig5a fig5b fig10_12_13 fig11 fig14 fig15_16 fig17 fig18 ablations
+CSVS  = fig1a fig1b fig7a fig7b fig7c fig8 fig9a fig9b fig9c fig5a fig5b fig10_12_13 fig11 fig14 fig15_16 fig17 fig18 ablations
 fig-csvs:
 	@test -n "$(LAKE)" -a -n "$(OUT)" || { echo "fig-csvs: set LAKE= and OUT="; exit 1; }
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && $(GO) build -o "$$bin/" ./cmd/flexfarm && mkdir -p "$(OUT)" && \
@@ -76,13 +87,10 @@ fig-csvs:
 	 "$$bin/flexfarm" ingest -lake "$(LAKE)" "$(LAKE)"/*/runs && \
 	 $(foreach f,$(CSVS),"$$bin/flexfarm" query -lake "$(LAKE)" -csv $(FIG_$(f)) > "$(OUT)/$(f).csv" &&) true
 
-# Regenerate all 18 results/*.csv: the nine testbed CSVs (Figs 1, 7, 8,
-# 9 — cmd/experiments) and the nine deployment CSVs (the ci/figures
-# sweeps). A point resumes by scenario hash, not by revision, so the
-# sweeps run into a fresh temp lake: a reused one would serve runs from
-# older code.
+# Regenerate all 18 results/*.csv. A point resumes by scenario hash, not
+# by revision, so the sweeps run into a fresh temp lake: a reused one
+# would serve runs from older code.
 figs:
-	$(GO) run ./cmd/experiments -figs 1,7,8,9 -out results
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && $(MAKE) --no-print-directory fig-csvs LAKE="$$tmp" OUT=results
 
 # The figure oracle: `make figs` into a temp directory must reproduce
@@ -92,7 +100,6 @@ figs:
 # re-pin commit records.
 figs-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	 { $(GO) run ./cmd/experiments -figs 1,7,8,9 -out "$$tmp/out" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; } && \
 	 $(MAKE) --no-print-directory fig-csvs LAKE="$$tmp/lake" OUT="$$tmp/out" && \
 	 n=0 && bad=0 && for want in results/*.csv; do n=$$((n+1)); got="$$tmp/out/$$(basename "$$want")"; \
 	   cmp -s "$$want" "$$got" || { bad=$$((bad+1)); echo "figs-check: $$want differs (< checked in, > regenerated):"; diff "$$want" "$$got" | head -n 12; }; done && \
@@ -105,11 +112,6 @@ figs-check:
 # resumes — delete it after changing the code.
 figs-paper:
 	$(MAKE) --no-print-directory fig-csvs LAKE=lake-paper OUT=results_paper SPECS='ci/figures/paper/*.json' CSVS='fig10_12_13 fig11'
-
-# The testbed-figure benchmarks plus the simulator's raw events/sec
-# self-report.
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # Scheduler-only microbenchmarks: BenchmarkEventChurn reports events/sec.
 bench-sim:
@@ -226,17 +228,19 @@ forensics-demo:
 	$(GO) run ./cmd/flexsim -incast 0.1 -duration 2 -forensics-out forensics.jsonl
 	$(GO) run ./cmd/flexplot timeline forensics.jsonl
 
-# Scripted fault injection: runs the sample flap+burst plan as a
-# clean-vs-faulted pair and writes the per-scheme degradation report
-# (goodput/tail-FCT deltas, injected drops by cause, recovery time) to
-# degradation.jsonl + degradation.csv.
+# Scripted fault injection as a sweep: the four deployment schemes, each
+# clean and under the sample flap+burst plan (a fault axis of "" and the
+# plan), then the degradation report — goodput, tail FCT, injected drops
+# and the last completion per scheme and fault — as one query.
 faults-demo:
-	$(GO) run ./cmd/flexsim -fault-plan examples/faultplans/flap.json -duration 12 -degradation-out degradation
+	$(GO) run ./cmd/flexfarm run -spec examples/sweeps/degradation.json -out results_faults
+	$(GO) run ./cmd/flexfarm query -lake results_faults -group-by scheme,fault \
+	  -agg goodput_gbps,fct_p99_us,completed,flows,timeouts,fault_drops,last_finish_us
 
 clean:
-	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-ledger.json degradation.jsonl degradation.csv
+	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-ledger.json
 
 # Remove regenerated sweep/lake outputs. The checked-in results/ CSVs
 # are the figures and stay.
 clean-results:
-	rm -rf lake-ci results_sweep chaos-ci lake-fig10 fig10.json lake-paper results_paper
+	rm -rf lake-ci results_sweep results_faults chaos-ci lake-fig10 fig10.json lake-paper results_paper

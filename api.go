@@ -51,18 +51,15 @@ type (
 	FaultPlan = faults.Plan
 	// FaultEvent is one scripted fault in a plan.
 	FaultEvent = faults.Event
-	// Degradation is a clean-vs-faulted robustness report.
-	Degradation = harness.Degradation
 )
 
-// Fault-plan construction and the graceful-degradation harness.
+// Fault-plan construction. A clean-vs-faulted comparison is a sweep with
+// a fault axis (examples/sweeps/degradation.json, `make faults-demo`).
 var (
 	// ParseFaultPlan decodes and validates a JSON fault plan.
 	ParseFaultPlan = faults.ParsePlan
 	// ParseFaultSpec parses the CLI shorthand (down@LINK@WINDOW,...).
 	ParseFaultSpec = faults.ParseSpec
-	// RunDegradation runs schemes clean and faulted and reports deltas.
-	RunDegradation = harness.RunDegradation
 )
 
 // ReadRunArtifact loads a JSONL run artifact written by
@@ -285,18 +282,3 @@ func (tb *Testbed) Run(until Time) { tb.Eng.Run(until) }
 
 // Flows returns every flow started on the testbed.
 func (tb *Testbed) Flows() []*Flow { return tb.flows }
-
-// Testbed-figure drivers (see EXPERIMENTS.md). The deployment figures
-// are sweep specs under ci/figures/, run with cmd/flexfarm.
-var (
-	// Fig1a: ExpressPass starving DCTCP on a dumbbell.
-	Fig1a = harness.Fig1a
-	// Fig1b: 16 HOMA flows starving 16 DCTCP flows.
-	Fig1b = harness.Fig1b
-	// Fig7: FlexPass sub-flow throughput shares on the testbed.
-	Fig7 = harness.Fig7
-	// Fig8: incast tail FCT for DCTCP/ExpressPass/FlexPass.
-	Fig8 = harness.Fig8
-	// Fig9: starvation-time comparison.
-	Fig9 = harness.Fig9
-)

@@ -5,6 +5,7 @@
 //	                [-serve :8080] [-serve-linger 60s] [-summary-every 2s]
 //	flexfarm ingest -lake results_sweep [artifact-dir...]
 //	flexfarm query  -lake results_sweep [-where k=v,...] [-group-by a,b] [-agg m:fn,...] [-csv]
+//	                [-series NAME=entity:metric,...]
 //	flexfarm bench  [-lake results_sweep] [-bench NAME] [-metric NAME] [-csv] [FILE.json...]
 //	flexfarm diff   BASELINE CANDIDATE [-tolerance PCT] [-abs X] [-metrics m,...]
 //
@@ -21,6 +22,12 @@
 // like p99 FCT by scheme and load is:
 //
 //	flexfarm query -lake results_sweep -group-by scheme,load -agg fct_p99_us:mean
+//
+// and a throughput figure (Figs 1, 7, 9) is one run's counter series in
+// 1 ms windows, as CSV in Gb/s:
+//
+//	flexfarm query -lake results_sweep -where sweep=fig9,scheme=flexpass \
+//	  -series FlexPass=transport/flexpass:rx_bytes,DCTCP=transport/dctcp:rx_bytes
 //
 // bench lists the bench table: the rows of bench-pair reports and bench
 // ledgers, in time order. The perf trajectory of one metric is
@@ -224,6 +231,7 @@ func queryCmd(args []string) {
 	agg := fs.String("agg", "", "comma-separated aggregates col:fn (fn: mean,sum,min,max,count,p50,p90,p99); default count")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	cols := fs.Bool("columns", false, "list queryable columns and exit")
+	series := fs.String("series", "", "NAME=entity:metric,...: the one run -where selects, as each counter series' Gb/s per 1 ms window (CSV)")
 	fs.Parse(args)
 	if *cols {
 		fmt.Println(strings.Join(lake.ColumnNames(), "\n"))
@@ -243,6 +251,24 @@ func queryCmd(args []string) {
 			fatal(err)
 		}
 		q.Where = append(q.Where, cond)
+	}
+	if *series != "" {
+		sc, err := lake.ParseSeries(*series)
+		if err != nil {
+			fatal(err)
+		}
+		run, err := ix.Artifact(*lakeDir, q.Where)
+		if err != nil {
+			fatal(err)
+		}
+		t, err := lake.SeriesTable(run, sc)
+		if err == nil {
+			err = t.WriteCSV(os.Stdout)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		return
 	}
 	q.GroupBy = splitList(*groupBy)
 	if *agg != "" {

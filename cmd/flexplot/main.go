@@ -1,7 +1,7 @@
-// Command flexplot renders the figure CSVs in results/ — the testbed
-// series cmd/experiments writes and the `flexfarm query -csv` tables of
-// the deployment figures — and the JSONL run artifacts cmd/flexsim
-// -telemetry-out writes, as ASCII charts in the terminal.
+// Command flexplot renders the figure CSVs in results/ — the `flexfarm
+// query -series` throughput series of the testbed figures and the
+// `flexfarm query -csv` tables of the rest — and the JSONL run artifacts
+// cmd/flexsim -telemetry-out writes, as ASCII charts in the terminal.
 //
 //	flexplot results/fig1a.csv              # time series (Gbps over ms)
 //	flexplot -x deployment -y 'mean(p99_small_us)' -group scheme results/fig10_12_13.csv

@@ -41,7 +41,7 @@ func main() {
 		incast     = flag.Float64("incast", 0, "foreground incast volume fraction (0 disables)")
 		wq         = flag.Float64("wq", 0.5, "FlexPass queue weight")
 		full       = flag.Bool("full", false, "use the paper's 192-host Clos instead of the scaled fabric")
-		topoName   = flag.String("topo", "", "fabric by name: tiny (4 hosts), small (48), paper (192), big (768); overrides -full")
+		topoName   = flag.String("topo", "", "fabric by name: Clos tiny (4 hosts), small (48), paper (192), big (768); testbed (10 GbE) single3, single9, dumbbell2, dumbbell32; overrides -full")
 		queues     = flag.Bool("queues", false, "sample Q1 occupancy at ToR uplinks")
 		shards     = flag.Int("shards", 1, "partition the fabric into this many per-pod-block shards, one engine goroutine each (1 = single engine; clamped to the pod count)")
 		traceIn    = flag.String("trace", "", "replay a CSV flow trace instead of generating traffic")
@@ -56,10 +56,8 @@ func main() {
 		profOut    = flag.String("profile-out", "", "enable the engine self-profiler and write folded stacks (flamegraph input) here; '-' prints a table to stderr")
 		serveAddr  = flag.String("serve", "", "serve live /status, /metrics, and pprof on this address while the run executes (e.g. :8080)")
 		linger     = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
-		faultPlan  = flag.String("fault-plan", "", "JSON fault-plan file (see internal/faults); runs the scheme clean and faulted and prints a degradation report")
+		faultPlan  = flag.String("fault-plan", "", "JSON fault-plan file (see internal/faults) injected into the run, or a chaos repro to replay; a clean-vs-faulted comparison is a sweep with a fault axis (make faults-demo)")
 		faultSpec  = flag.String("fault", "", "inline fault shorthand, e.g. 'down@sw0->h1@2ms-3ms,burst@tor*@1ms-5ms'; same behavior as -fault-plan")
-		faultOne   = flag.Bool("fault-single", false, "with a fault plan: run once faulted instead of the clean-vs-faulted pair (composes with -telemetry-out/-forensics-out)")
-		degradeOut = flag.String("degradation-out", "", "stem for the degradation report artifact; writes <stem>.jsonl and <stem>.csv")
 		deadline   = flag.Duration("deadline", 0, "wall-clock deadline; a run still going after this is killed with a clean error (0 = off)")
 		stallTO    = flag.Duration("stall-timeout", 0, "kill the run when the engine horizon stops advancing for this long (livelock/wedge guard; 0 = off)")
 	)
@@ -76,7 +74,7 @@ func main() {
 
 	sc := harness.BaseScenario(*full)
 	if *topoName != "" {
-		sc.Clos = farm.Topologies[*topoName]
+		sc = harness.BaseFor(farm.Topologies[*topoName])
 	}
 	sc.Scheme = harness.Scheme(*scheme)
 	sc.Deployment = *deployment
@@ -207,24 +205,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	// The watchdog limits guard every run mode, including each leg of
-	// the degradation pair.
 	sc.Deadline = *deadline
 	sc.StallTimeout = *stallTO
-	if plan != nil && !*faultOne {
-		// Degradation mode: run the selected scheme clean and faulted on
-		// the same seed and report the deltas.
-		d := harness.RunDegradation(sc, plan, []harness.Scheme{sc.Scheme})
-		fmt.Print(d.String())
-		if *degradeOut != "" {
-			if err := d.WriteFiles(*degradeOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "degradation report written to %s.jsonl and %s.csv\n", *degradeOut, *degradeOut)
-		}
-		return
-	}
 	if repro == nil {
 		sc.FaultPlan = plan
 	}

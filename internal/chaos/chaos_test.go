@@ -10,7 +10,10 @@ import (
 
 	"flexpass/internal/faults"
 	"flexpass/internal/harness"
+	"flexpass/internal/netem"
 	"flexpass/internal/sim"
+	"flexpass/internal/topo"
+	"flexpass/internal/units"
 )
 
 func testSpec() *Spec {
@@ -111,6 +114,41 @@ func TestGeneratedPlansAreValid(t *testing.T) {
 			}
 			seen[key] = append(seen[key], slot{at, end})
 		}
+	}
+}
+
+// TestTestbedTopologies: a spec may sample the testbed fabrics, and each
+// trial's faults name ports of the fabric its scenario builds.
+func TestTestbedTopologies(t *testing.T) {
+	s, err := ParseSpec([]byte(`{"name": "testbed", "trials": 8, "seed": 3, "topologies": ["single3", "dumbbell2"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials, err := Generate(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := map[string]bool{}
+	for _, tr := range trials {
+		sampled[tr.Topo] = true
+		sc := tr.Coords.Scenario(s.Oracles)
+		fab := sc.Clos.Build([]*sim.Engine{sim.NewEngine(1)}, topo.Params{
+			LinkRate: sc.LinkRate, LinkDelay: sc.LinkDelay, HostDelay: sc.HostDelay,
+			SwitchBuf: sc.SwitchBuf, BufAlpha: sc.BufAlpha, Profile: topo.PlainProfile(80 * units.KB),
+		})
+		ports := map[string]bool{}
+		fab.Net.EachPort(func(p *netem.Port) { ports[p.Name()] = true })
+		for _, ev := range tr.Plan.Events {
+			if !ports[ev.Link] {
+				t.Errorf("trial %d on %s (%s) faults %q, not a port of it", tr.Index, tr.Topo, sc.Clos, ev.Link)
+			}
+		}
+		if sc.LinkRate != 10*units.Gbps {
+			t.Errorf("trial %d on %s runs at %v, not the testbed's 10 GbE", tr.Index, tr.Topo, sc.LinkRate)
+		}
+	}
+	if !sampled["single3"] || !sampled["dumbbell2"] {
+		t.Errorf("8 trials sampled only %v", sampled)
 	}
 }
 

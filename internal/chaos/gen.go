@@ -64,14 +64,13 @@ func portPool(label string) ([]string, error) {
 	if v, ok := portPools.Load(label); ok {
 		return v.([]string), nil
 	}
-	clos, ok := farm.Topologies[label]
+	layout, ok := farm.Topologies[label]
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown topology %q", label)
 	}
-	// Port names depend only on the Clos shape, not on rates or
+	// Port names depend only on the fabric's shape, not on rates or
 	// buffers, so a throwaway fabric with nominal parameters is enough.
-	eng := sim.NewEngine(1)
-	fab := topo.Clos(eng, clos, topo.Params{
+	fab := layout.Build([]*sim.Engine{sim.NewEngine(1)}, topo.Params{
 		LinkRate:  40 * units.Gbps,
 		LinkDelay: 2 * sim.Microsecond,
 		HostDelay: 1 * sim.Microsecond,

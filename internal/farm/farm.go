@@ -47,16 +47,24 @@ import (
 	"flexpass/internal/workload"
 )
 
-// Topologies names the fabrics a sweep spec may reference.
-var Topologies = map[string]topo.ClosParams{
+// Topologies names the fabrics a sweep spec may reference. A Clos runs
+// on the §6.2 base, a testbed layout on the §6.1 one (harness.BaseFor).
+var Topologies = map[string]topo.Layout{
 	// tiny: 4 hosts in 2 racks — for orchestrator tests and smoke sweeps.
-	"tiny": {Pods: 2, AggPerPod: 1, TorPerPod: 1, HostsPerTor: 2, Cores: 1},
+	"tiny": topo.ClosParams{Pods: 2, AggPerPod: 1, TorPerPod: 1, HostsPerTor: 2, Cores: 1},
 	// small: the repo's scaled 48-host Clos (tests and benchmarks).
 	"small": topo.SmallClos,
 	// paper: the §6.2 192-host fabric.
 	"paper": topo.PaperClos,
 	// big: the 768-host fabric for parallel-engine scaling runs.
 	"big": topo.BigClos,
+	// The §6.1 testbed shapes of Figs 1, 7, 8 and 9: hosts l0, l1, ...
+	// and r0, r1, ... across one bottleneck (pair i is one deployment
+	// group), and n hosts on one switch (each its own group).
+	"dumbbell2":  topo.DumbbellLayout{Left: 2, Right: 2},
+	"dumbbell32": topo.DumbbellLayout{Left: 32, Right: 32},
+	"single3":    topo.SingleSwitchLayout{N: 3},
+	"single9":    topo.SingleSwitchLayout{N: 9},
 }
 
 // Spec is a JSON sweep specification. Every list axis cross-multiplies;
@@ -87,9 +95,11 @@ type Spec struct {
 	// faults.ParseSpec CLI shorthand.
 	Faults []string `json:"fault,omitempty"`
 
-	DurationMS     float64 `json:"duration_ms,omitempty"` // arrival window; default 2
-	DrainMS        float64 `json:"drain_ms,omitempty"`    // default 5x duration
-	IncastFraction float64 `json:"incast,omitempty"`
+	DurationMS float64 `json:"duration_ms,omitempty"` // arrival window; default 2
+	// DrainMS is the time past the arrival window; omitted, 5x duration.
+	// 0 is no drain: the run ends with the window.
+	DrainMS        *float64 `json:"drain_ms,omitempty"`
+	IncastFraction float64  `json:"incast,omitempty"`
 	// Queues samples Q1 occupancy at the ToR uplinks of every point
 	// (harness.Scenario.SampleQueues), for the lake's q1_* columns.
 	Queues bool `json:"queues,omitempty"`
@@ -213,7 +223,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("farm: red_kb %d negative", r)
 		}
 	}
-	if s.DurationMS < 0 || s.DrainMS < 0 {
+	if s.DurationMS < 0 || s.DrainMS != nil && *s.DrainMS < 0 {
 		return fmt.Errorf("farm: negative duration")
 	}
 	for _, n := range s.Shards {
@@ -323,8 +333,7 @@ func (p Point) Label() string {
 // scenario hash, topology label, and sweep name into the manifest so
 // the lake can key on them.
 func (p Point) Scenario() harness.Scenario {
-	sc := harness.BaseScenario(false)
-	sc.Clos = Topologies[p.Topo]
+	sc := harness.BaseFor(Topologies[p.Topo])
 	sc.Scheme = harness.Scheme(p.Scheme)
 	sc.SchemeOptions = p.Options
 	if p.wplan != nil {
@@ -386,9 +395,9 @@ func (s *Spec) Points() ([]Point, error) {
 	if durMS == 0 {
 		durMS = 2
 	}
-	drainMS := s.DrainMS
-	if drainMS == 0 {
-		drainMS = 5 * durMS
+	drainMS := 5 * durMS
+	if s.DrainMS != nil {
+		drainMS = *s.DrainMS
 	}
 
 	plans := make([]*faults.Plan, len(fault))

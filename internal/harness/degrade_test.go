@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"flexpass/internal/faults"
@@ -227,57 +226,6 @@ func TestFaultArtifactLines(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("artifact lacks a %q fault line: %v", want, kinds)
 		}
-	}
-}
-
-// TestRunDegradationReport: the clean-vs-faulted pair runner produces a
-// coherent report — clean runs inject nothing, faulted runs inject
-// something, and both exports are well-formed.
-func TestRunDegradationReport(t *testing.T) {
-	base := faultScenario(SchemeFlexPass)
-	plan := flapPlan(t)
-	d := RunDegradation(base, plan, []Scheme{SchemeFlexPass, Scheme(transport.SchemeDCTCP)})
-
-	if len(d.Schemes) != 2 {
-		t.Fatalf("report covers %d schemes, want 2", len(d.Schemes))
-	}
-	if d.PlanEnd != int64(plan.End()) || d.Events != 2 {
-		t.Fatalf("plan header wrong: %+v", d)
-	}
-	for _, s := range d.Schemes {
-		if s.Clean.InjectedDrops != 0 {
-			t.Fatalf("%s: clean run injected %d drops", s.Scheme, s.Clean.InjectedDrops)
-		}
-		if s.Faulted.InjectedDrops == 0 {
-			t.Fatalf("%s: faulted run injected nothing", s.Scheme)
-		}
-		if s.Clean.GoodputGbps <= 0 || s.Faulted.GoodputGbps <= 0 {
-			t.Fatalf("%s: degenerate goodput: %+v", s.Scheme, s)
-		}
-		if s.Clean.Flows != s.Faulted.Flows {
-			t.Fatalf("%s: clean and faulted saw different workloads (%d vs %d flows)",
-				s.Scheme, s.Clean.Flows, s.Faulted.Flows)
-		}
-		if s.RecoveryPs < 0 {
-			t.Fatalf("%s: negative recovery time", s.Scheme)
-		}
-	}
-
-	var jsonl, csv bytes.Buffer
-	if err := d.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(jsonl.String(), "\n"); lines != 3 {
-		t.Fatalf("JSONL has %d lines, want header + 2 schemes", lines)
-	}
-	if lines := strings.Count(csv.String(), "\n"); lines != 3 {
-		t.Fatalf("CSV has %d lines, want header + 2 rows", lines)
-	}
-	if !strings.Contains(csv.String(), "flexpass") || !strings.Contains(jsonl.String(), `"degradation-plan"`) {
-		t.Fatalf("exports missing expected content:\n%s\n%s", csv.String(), jsonl.String())
 	}
 }
 

@@ -139,9 +139,9 @@ func TestForensicsDoesNotPerturb(t *testing.T) {
 // forensics, the profiler and a fault plan on the receiver's downlink —
 // and the observers still change no flow record.
 func TestTestbedObservers(t *testing.T) {
-	sc := testbed(topo.SingleSwitchLayout{N: 3}, SchemeFlexPass, 2.0/3, 1, 5*sim.Millisecond,
-		workload.FlowSpec{Src: 0, Dst: 1, Size: 3_000_000}, workload.FlowSpec{Src: 2, Dst: 1, Size: 3_000_000})
-	sc.Drain = 50 * sim.Millisecond
+	sc := BaseFor(topo.SingleSwitchLayout{N: 3})
+	sc.Deployment, sc.Duration, sc.Drain = 2.0/3, 5*sim.Millisecond, 50*sim.Millisecond
+	sc.TraceFlows = []workload.FlowSpec{{Src: 0, Dst: 1, Size: 3_000_000}, {Src: 2, Dst: 1, Size: 3_000_000}}
 	plan, err := faults.ParseSpec("down@sw0->h1@1ms-2ms")
 	if err != nil {
 		t.Fatal(err)

@@ -21,17 +21,6 @@ func miniBase() Scenario {
 // incomplete counts the run's flows that never finished.
 func incomplete(res *Result) int { return metrics.Summarize(res.Flows.Records).Incomplete() }
 
-func meanRate(rs []units.Rate, skip int) units.Rate {
-	if len(rs) <= skip {
-		return 0
-	}
-	var sum int64
-	for _, r := range rs[skip:] {
-		sum += int64(r)
-	}
-	return units.Rate(sum / int64(len(rs)-skip))
-}
-
 func TestRunProducesCompleteFlows(t *testing.T) {
 	sc := miniBase()
 	sc.Duration = 5 * sim.Millisecond
@@ -108,92 +97,6 @@ func TestFlexPassDeploymentShape(t *testing.T) {
 	if fp100.MeanFCT > fp0.MeanFCT*5/4 {
 		t.Errorf("FlexPass fully deployed avg FCT %v vs baseline %v — utilization lost",
 			fp100.MeanFCT, fp0.MeanFCT)
-	}
-}
-
-func TestFig1aStarvationShape(t *testing.T) {
-	s := Fig1a(1, 60*sim.Millisecond)
-	xp := meanRate(s.Series["ExpressPass"], 5)
-	dc := meanRate(s.Series["DCTCP"], 5)
-	tot := xp + dc
-	if tot < 7*units.Gbps {
-		t.Fatalf("bottleneck underutilized: %v", tot)
-	}
-	if float64(dc)/float64(tot) > 0.25 {
-		t.Fatalf("DCTCP share %.2f; expected starvation", float64(dc)/float64(tot))
-	}
-}
-
-func TestFig1bHomaStarvationShape(t *testing.T) {
-	s := Fig1b(1, 40*sim.Millisecond)
-	ho := meanRate(s.Series["HOMA"], 5)
-	dc := meanRate(s.Series["DCTCP"], 5)
-	if ho+dc == 0 {
-		t.Fatal("no progress")
-	}
-	if float64(dc)/float64(ho+dc) > 0.3 {
-		t.Fatalf("DCTCP share %.2f under 16 HOMA flows; expected starvation",
-			float64(dc)/float64(ho+dc))
-	}
-}
-
-func TestFig7SubflowShares(t *testing.T) {
-	// (a) alone: proactive ≈ w_q, reactive grabs the rest; link ~full.
-	a := Fig7("a", 1, 40*sim.Millisecond)
-	pro := meanRate(a.Series["Proactive"], 5)
-	re := meanRate(a.Series["Reactive"], 5)
-	if pro+re < 8*units.Gbps {
-		t.Fatalf("Fig7a total %v, want ~9.5Gbps", pro+re)
-	}
-	proShare := float64(pro) / float64(pro+re)
-	if proShare < 0.35 || proShare > 0.65 {
-		t.Fatalf("Fig7a proactive share %.2f, want ~0.5", proShare)
-	}
-	// (c) vs DCTCP: both take ~half; reactive nearly silent.
-	c := Fig7("c", 1, 60*sim.Millisecond)
-	dc := meanRate(c.Series["DCTCP"], 5)
-	proC := meanRate(c.Series["Proactive"], 5)
-	reC := meanRate(c.Series["Reactive"], 5)
-	dcShare := float64(dc) / float64(dc+proC+reC)
-	if dcShare < 0.35 || dcShare > 0.65 {
-		t.Fatalf("Fig7c DCTCP share %.2f, want ~0.5", dcShare)
-	}
-	if float64(reC)/float64(proC+reC) > 0.35 {
-		t.Fatalf("Fig7c reactive share among sub-flows %.2f; should be small under competition",
-			float64(reC)/float64(proC+reC))
-	}
-}
-
-func TestFig9StarvationMetric(t *testing.T) {
-	r := Fig9(1, 80*sim.Millisecond)
-	if r.StarvedExpressPassSide < 0.5 {
-		t.Fatalf("DCTCP starved %.0f%% of windows under naïve ExpressPass, want most",
-			r.StarvedExpressPassSide*100)
-	}
-	if r.StarvedFlexPassSide > 0.1 {
-		t.Fatalf("DCTCP starved %.0f%% of windows under FlexPass, want ~0",
-			r.StarvedFlexPassSide*100)
-	}
-}
-
-func TestFig8IncastShape(t *testing.T) {
-	rows := Fig8([]int{64}, []int64{1})
-	byTP := map[string]Fig8Row{}
-	for _, r := range rows {
-		byTP[r.Transport] = r
-	}
-	if byTP["dctcp"].Timeouts == 0 {
-		t.Error("DCTCP should hit RTOs in a 64-way incast")
-	}
-	if byTP["flexpass"].Timeouts != 0 {
-		t.Errorf("FlexPass hit %d timeouts, want 0", byTP["flexpass"].Timeouts)
-	}
-	if byTP["expresspass"].Timeouts != 0 {
-		t.Errorf("ExpressPass hit %d timeouts, want 0", byTP["expresspass"].Timeouts)
-	}
-	if byTP["flexpass"].MaxFCT >= byTP["dctcp"].MaxFCT {
-		t.Errorf("FlexPass tail %v not better than DCTCP %v",
-			byTP["flexpass"].MaxFCT, byTP["dctcp"].MaxFCT)
 	}
 }
 

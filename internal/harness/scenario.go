@@ -39,9 +39,6 @@ const (
 	SchemeFlexPassRC3  Scheme = transport.SchemeFlexPassRC3  // §4.3 ablation: RC3-style flow splitting
 )
 
-// Schemes lists the four §6.2 deployment schemes in paper order.
-var Schemes = []Scheme{SchemeNaive, SchemeOWF, SchemeLayering, SchemeFlexPass}
-
 // Scenario fully describes one simulation run.
 type Scenario struct {
 	Seed int64
@@ -198,6 +195,20 @@ func BaseScenario(full bool) Scenario {
 		sc.Clos = topo.PaperClos
 		sc.Duration = 50 * sim.Millisecond
 		sc.Drain = 100 * sim.Millisecond
+	}
+	return sc
+}
+
+// BaseFor returns the scenario a fabric starts from: BaseScenario's §6.2
+// configuration on a Clos, and on a testbed layout (one switch, a
+// dumbbell) the §6.1 testbed — 10 GbE links and its switch thresholds
+// (ECN at 60 kB in both queues, selective drop at 100 kB).
+func BaseFor(layout topo.Layout) Scenario {
+	sc := BaseScenario(false)
+	sc.Clos = layout
+	if _, clos := layout.(topo.ClosParams); !clos {
+		sc.LinkRate = 10 * units.Gbps
+		sc.Spec = topo.Spec{WQ: 0.5, FlexECN: 60 * units.KB, FlexRed: 100 * units.KB, LegacyECN: 60 * units.KB}
 	}
 	return sc
 }

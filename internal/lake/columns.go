@@ -57,6 +57,8 @@ var runColumns = []column{
 	{name: "avg_fct_us", gf: func(r *Row) *float64 { return &r.AvgFCTUs }},
 	{name: "fct_p50_us", gf: func(r *Row) *float64 { return &r.FCTP50Us }},
 	{name: "fct_p99_us", gf: func(r *Row) *float64 { return &r.FCTP99Us }},
+	{name: "fct_max_us", gf: func(r *Row) *float64 { return &r.FCTMaxUs }},
+	{name: "last_finish_us", gf: func(r *Row) *float64 { return &r.LastFinishUs }},
 	{name: "p99_small_us", gf: func(r *Row) *float64 { return &r.P99SmallUs }},
 	{name: "p99_small_legacy_us", gf: func(r *Row) *float64 { return &r.P99SmallLegacyUs }},
 	{name: "p99_small_new_us", gf: func(r *Row) *float64 { return &r.P99SmallNewUs }},
@@ -64,6 +66,7 @@ var runColumns = []column{
 	{name: "std_small_new_us", gf: func(r *Row) *float64 { return &r.StdSmallNewUs }},
 	{name: "reorder_kb", gf: func(r *Row) *float64 { return &r.ReorderKB }},
 	{name: "redundant_frac", gf: func(r *Row) *float64 { return &r.RedundantFrac }},
+	{name: "legacy_starved_frac", gf: func(r *Row) *float64 { return &r.LegacyStarvedFrac }},
 	{name: "q1_avg_b", gi: func(r *Row) *int64 { return &r.Q1AvgB }},
 	{name: "q1_p90_b", gi: func(r *Row) *int64 { return &r.Q1P90B }},
 	{name: "q1_red_avg_b", gi: func(r *Row) *int64 { return &r.Q1RedAvgB }},

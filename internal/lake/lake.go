@@ -68,6 +68,8 @@ type Row struct {
 	AvgFCTUs         float64
 	FCTP50Us         float64
 	FCTP99Us         float64
+	FCTMaxUs         float64 // slowest completed flow
+	LastFinishUs     float64 // latest completion instant
 	P99SmallUs       float64
 	P99SmallLegacyUs float64
 	P99SmallNewUs    float64
@@ -75,26 +77,29 @@ type Row struct {
 	StdSmallNewUs    float64
 	ReorderKB        float64 // mean reordering-buffer high-water mark of upgraded flows
 	RedundantFrac    float64 // duplicate segment volume over delivered volume
-	Q1AvgB           int64   // ToR-uplink Q1 occupancy, when sampled (manifest q1_*)
-	Q1P90B           int64
-	Q1RedAvgB        int64
-	Q1RedP90B        int64
-	CreditsIss       int64   // credits issued by receivers
-	CreditsWaste     int64   // credits that arrived with nothing to send
-	DropsRed         int64   // selective (red-threshold) drops
-	DropsTotal       int64   // all queue drops
-	FaultActions     int64   // applied fault-plan actions (artifact "fault" lines)
-	FaultDrops       int64   // packets destroyed by fault injection
-	Tenants          int64   // distinct tenant load classes the workload tagged
-	Coflows          int64   // coflow groups generated (RPC jobs, tagged incasts)
-	CoflowsDone      int64   // coflows whose every member flow completed
-	CCTP99Us         float64 // coflow completion time p99 (log-bucket bound)
-	Violations       int64   // auditor violations kept in the artifact ("forensics" violation lines)
-	VioDropped       int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
-	Attempts         int64   // farm execution attempts that produced this artifact (config "attempts"; 0 = unfarmed or pre-retry)
-	Events           int64
-	WallMS           float64 // perf self-report; machine-dependent
-	EventsPerSec     float64
+	// LegacyStarvedFrac is the share of non-idle SeriesWindow windows in
+	// which legacy (DCTCP) traffic got under a fifth of the link rate.
+	LegacyStarvedFrac float64
+	Q1AvgB            int64 // ToR-uplink Q1 occupancy, when sampled (manifest q1_*)
+	Q1P90B            int64
+	Q1RedAvgB         int64
+	Q1RedP90B         int64
+	CreditsIss        int64   // credits issued by receivers
+	CreditsWaste      int64   // credits that arrived with nothing to send
+	DropsRed          int64   // selective (red-threshold) drops
+	DropsTotal        int64   // all queue drops
+	FaultActions      int64   // applied fault-plan actions (artifact "fault" lines)
+	FaultDrops        int64   // packets destroyed by fault injection
+	Tenants           int64   // distinct tenant load classes the workload tagged
+	Coflows           int64   // coflow groups generated (RPC jobs, tagged incasts)
+	CoflowsDone       int64   // coflows whose every member flow completed
+	CCTP99Us          float64 // coflow completion time p99 (log-bucket bound)
+	Violations        int64   // auditor violations kept in the artifact ("forensics" violation lines)
+	VioDropped        int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
+	Attempts          int64   // farm execution attempts that produced this artifact (config "attempts"; 0 = unfarmed or pre-retry)
+	Events            int64
+	WallMS            float64 // perf self-report; machine-dependent
+	EventsPerSec      float64
 }
 
 // OptionsString canonicalizes a scheme-option map as space-separated
@@ -166,10 +171,12 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 	row.GoodputGbps = f.GoodputGbps(sim.Time(m.DurationPs))
 	row.AvgFCTUs = f.MeanFCT.Micros()
 	row.FCTP50Us, row.FCTP99Us = f.P50FCT.Micros(), f.P99FCT.Micros()
+	row.FCTMaxUs, row.LastFinishUs = f.MaxFCT.Micros(), f.LastFinish.Micros()
 	row.P99SmallUs = f.P99Small.Micros()
 	row.P99SmallLegacyUs, row.P99SmallNewUs = f.P99SmallLegacy.Micros(), f.P99SmallNew.Micros()
 	row.StdSmallLegacyUs, row.StdSmallNewUs = f.StdSmallLegacy.Micros(), f.StdSmallNew.Micros()
 	row.ReorderKB, row.RedundantFrac = f.ReorderKB, f.RedundantFrac
+	row.LegacyStarvedFrac = legacyStarved(r)
 
 	tenants := map[string]bool{}
 	for _, c := range r.Counters {

@@ -2,13 +2,18 @@ package lake
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"path"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"flexpass/internal/obs"
 )
 
 // The query layer answers filter / group-by / aggregate questions over
@@ -242,35 +247,26 @@ func (ix *Index) Run(q Query) (*Table, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
+	// A group sorts by its keys in group-by order: a numeric column's by
+	// value, a string column's as a string.
 	type group struct {
 		keys []string
+		nums []float64
 		vals [][]float64 // one slice per aggregate
 	}
 	groups := map[string]*group{}
-	var order []string
-	for i := range ix.Rows {
-		r := &ix.Rows[i]
-		match := true
-		for _, c := range q.Where {
-			if !c.Match(r) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		keys := make([]string, len(q.GroupBy))
+	var order []*group
+	for _, r := range ix.where(q.Where) {
+		keys, nums := make([]string, len(q.GroupBy)), make([]float64, len(q.GroupBy))
 		for j, col := range q.GroupBy {
-			s, _, _, _ := value(r, col)
-			keys[j] = s
+			keys[j], nums[j], _, _ = value(r, col)
 		}
 		gk := strings.Join(keys, "\x00")
 		g, ok := groups[gk]
 		if !ok {
-			g = &group{keys: keys, vals: make([][]float64, len(q.Aggs))}
+			g = &group{keys: keys, nums: nums, vals: make([][]float64, len(q.Aggs))}
 			groups[gk] = g
-			order = append(order, gk)
+			order = append(order, g)
 		}
 		for j, a := range q.Aggs {
 			if a.Fn == "count" {
@@ -283,14 +279,20 @@ func (ix *Index) Run(q Query) (*Table, error) {
 			}
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, func(a, b *group) int {
+		for j := range a.keys {
+			if c := cmp.Or(cmp.Compare(a.nums[j], b.nums[j]), strings.Compare(a.keys[j], b.keys[j])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
 	t := &Table{}
 	t.Header = append(t.Header, q.GroupBy...)
 	for _, a := range q.Aggs {
 		t.Header = append(t.Header, a.label())
 	}
-	for _, gk := range order {
-		g := groups[gk]
+	for _, g := range order {
 		row := append([]string(nil), g.keys...)
 		for j, a := range q.Aggs {
 			row = append(row, trimFloat(a.apply(g.vals[j])))
@@ -298,6 +300,38 @@ func (ix *Index) Run(q Query) (*Table, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// where returns the rows every condition matches.
+func (ix *Index) where(conds []Cond) []*Row {
+	var out []*Row
+	for i := range ix.Rows {
+		if !slices.ContainsFunc(conds, func(c Cond) bool { return !c.Match(&ix.Rows[i]) }) {
+			out = append(out, &ix.Rows[i])
+		}
+	}
+	return out
+}
+
+// Artifact reads the artifact of the one row where selects from the lake
+// directory dir: its runs/, or a sub-lake's (dir/*/runs/, the layout
+// `make fig-csvs` queries).
+func (ix *Index) Artifact(dir string, where []Cond) (*obs.Run, error) {
+	if err := (Query{Where: where}).validate(); err != nil {
+		return nil, err
+	}
+	rows := ix.where(where)
+	if len(rows) != 1 {
+		return nil, fmt.Errorf("lake: the filter selects %d runs, want exactly one", len(rows))
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, RunsDir, rows[0].File))
+	if err == nil && len(paths) == 0 {
+		paths, err = filepath.Glob(filepath.Join(dir, "*", RunsDir, rows[0].File))
+	}
+	if err != nil || len(paths) == 0 {
+		return nil, fmt.Errorf("lake: no artifact %s under %s", rows[0].File, dir)
+	}
+	return obs.ReadJSONLFile(paths[0])
 }
 
 // WriteText renders the table column-aligned for terminals.

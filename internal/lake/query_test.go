@@ -93,6 +93,29 @@ func TestQueryGroupAggregate(t *testing.T) {
 	}
 }
 
+// TestQueryGroupsSortByValue: an int group key orders by value, not as a
+// string ("50" after "200"), ahead of the string key after it.
+func TestQueryGroupsSortByValue(t *testing.T) {
+	ix := &Index{}
+	for _, kb := range []int64{200, 50, 150, 100} {
+		for _, s := range []string{"naive", "flexpass"} {
+			ix.Rows = append(ix.Rows, Row{Scheme: s, RedKB: kb})
+		}
+	}
+	tab, err := ix.Run(Query{GroupBy: []string{"red_kb", "scheme"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range tab.Rows {
+		got = append(got, r[0]+"/"+r[1])
+	}
+	want := "50/flexpass 50/naive 100/flexpass 100/naive 150/flexpass 150/naive 200/flexpass 200/naive"
+	if strings.Join(got, " ") != want {
+		t.Errorf("groups in order %v, want %s", got, want)
+	}
+}
+
 func TestQueryWhereFilters(t *testing.T) {
 	ix := testIndex()
 	tab, err := ix.Run(Query{

@@ -61,9 +61,9 @@ func (c *Collector) FCTs(f Filter) []sim.Time {
 	return out
 }
 
-// Summary is every per-flow statistic a run reports: the deployment
-// figures, the degradation report, flexsim's summary and the lake's
-// per-flow columns all read this one reduction. FCT statistics cover
+// Summary is every per-flow statistic a run reports: the lake's per-flow
+// columns (and so every figure and the degradation report), flexsim's
+// summary and chaos all read this one reduction. FCT statistics cover
 // completed flows; quantiles are nearest-rank order statistics.
 type Summary struct {
 	Flows, Completed      int
@@ -71,7 +71,7 @@ type Summary struct {
 	RxBytes               int64 // payload delivered, every flow
 	Timeouts, Retransmits int
 
-	MeanFCT, P50FCT, P99FCT sim.Time // every completed flow
+	MeanFCT, P50FCT, P99FCT, MaxFCT sim.Time // every completed flow
 
 	// Completed flows under SmallFlow: all of them, legacy, upgraded.
 	P99Small, P99SmallLegacy, P99SmallNew sim.Time
@@ -113,6 +113,7 @@ func Summarize(records []FlowRecord) Summary {
 			continue
 		}
 		all = append(all, r.FCT)
+		s.MaxFCT = max(s.MaxFCT, r.FCT)
 		s.LastFinish = max(s.LastFinish, r.Start+r.FCT)
 		if r.Size >= SmallFlow {
 			continue

@@ -51,7 +51,7 @@ func TestSummarize(t *testing.T) {
 	want := metrics.Summary{
 		Flows: 5, Completed: 4, SmallCompleted: 3,
 		RxBytes: 507_460, Timeouts: 4, Retransmits: 2,
-		MeanFCT: 115 * us, P50FCT: 20 * us, P99FCT: 400 * us,
+		MeanFCT: 115 * us, P50FCT: 20 * us, P99FCT: 400 * us, MaxFCT: 400 * us,
 		P99Small: 30 * us, P99SmallLegacy: 30 * us, P99SmallNew: 20 * us,
 		StdSmallLegacy: 10 * us, StdSmallNew: 0,
 		ReorderKB:     2, // (4000 + 2000 + 0) / 3 upgraded flows

@@ -16,6 +16,7 @@ package flexpass
 
 import (
 	"flexpass/internal/netem"
+	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/trace"
 	"flexpass/internal/transport"
@@ -77,6 +78,9 @@ type Config struct {
 
 	// Stats aggregates transport-wide counters (zero value no-ops).
 	Stats transport.Counters
+	// RxPro and RxRe split Stats.RxBytes by the sub-flow that delivered
+	// the bytes (nil no-ops).
+	RxPro, RxRe *obs.Counter
 
 	// Reactive selects the reactive sub-flow's congestion control
 	// (default DCTCP; see reactive.go for the §4.3 extension point).
@@ -713,8 +717,10 @@ func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
 	r.cfg.Stats.RxBytes.Add(payload)
 	if proactive {
 		r.flow.RxBytesPro += payload
+		r.cfg.RxPro.Add(payload)
 	} else {
 		r.flow.RxBytesRe += payload
+		r.cfg.RxRe.Add(payload)
 	}
 	for r.cum < len(r.got) && r.got[r.cum] {
 		r.deliveredB += int64(r.flow.SegPayload(r.cum))

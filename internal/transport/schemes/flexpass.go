@@ -10,7 +10,8 @@ import (
 
 // flexCfg builds the FlexPass connection config from the env's w_q and
 // scheme options, billing to the shared "flexpass" counter set (the AltQ
-// and RC3 ablations are the same transport under different knobs).
+// and RC3 ablations are the same transport under different knobs) plus
+// its per-sub-flow rx_bytes_pro and rx_bytes_re.
 func flexCfg(env *transport.SchemeEnv) flexpass.Config {
 	cfg := flexpass.DefaultConfig(
 		core.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, legacyWQ(env.WQ))))
@@ -19,6 +20,8 @@ func flexCfg(env *transport.SchemeEnv) flexpass.Config {
 	cfg.PreCreditOnly = env.BoolOption(transport.OptPreCreditOnly)
 	st := env.Counters(transport.SchemeFlexPass)
 	cfg.Stats = st
+	ent := "transport/" + transport.SchemeFlexPass
+	cfg.RxPro, cfg.RxRe = env.Registry.Counter(ent, "rx_bytes_pro"), env.Registry.Counter(ent, "rx_bytes_re")
 	cfg.Trace = env.Trace
 	cfg.Pacer.Trace, cfg.Pacer.Issued = env.Trace, st.CreditsIssued
 	return cfg
