@@ -217,6 +217,63 @@ func TestFigureSpecs(t *testing.T) {
 	}
 }
 
+// TestDegradationSpec runs two schemes of examples/sweeps/degradation.json
+// (clean and under the flap plan, drain shortened) and holds the report
+// query `make faults-demo` prints: one row per scheme and fault, the
+// clean runs injecting nothing, the faulted ones something, and each
+// pair delivering over the same flows.
+func TestDegradationSpec(t *testing.T) {
+	s, err := ParseSpecFile("../../examples/sweeps/degradation.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := s.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := slices.DeleteFunc(all, func(p Point) bool { return p.Scheme != "flexpass" && p.Scheme != "naive" })
+	for i := range pts {
+		pts[i].DrainMS = 30
+	}
+	dir := t.TempDir()
+	if rep, err := Execute(pts, dir, Options{Workers: 2}); err != nil || rep.Ran != 4 {
+		t.Fatalf("sweep: %+v, %v", rep, err)
+	}
+	ix, err := lake.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs, err := lake.ParseAggs("goodput_gbps,flows,completed,fault_drops,last_finish_us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ix.Run(lake.Query{GroupBy: []string{"scheme", "fault"}, Aggs: aggs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := table{header: tab.Header, rows: tab.Rows}
+	if len(got.rows) != 4 {
+		t.Fatalf("report has %d rows, want 4: %v", len(got.rows), got.rows)
+	}
+	for _, sch := range []string{"flexpass", "naive"} {
+		clean, faulted := []string{"scheme", sch, "fault", ""}, []string{"scheme", sch, "fault", "flap-and-recover"}
+		if d := got.num("mean(fault_drops)", clean...); d != 0 {
+			t.Errorf("%s: the clean run injected %g drops", sch, d)
+		}
+		if d := got.num("mean(fault_drops)", faulted...); !(d > 0) {
+			t.Errorf("%s: the faulted run injected %g drops", sch, d)
+		}
+		for _, kv := range [][]string{clean, faulted} {
+			if g, done := got.num("mean(goodput_gbps)", kv...), got.num("mean(last_finish_us)", kv...); !(g > 0 && done > 0) {
+				t.Errorf("%s %v: goodput %g Gb/s, last completion %gus", sch, kv[3], g, done)
+			}
+		}
+		if n, m := got.num("mean(flows)", clean...), got.num("mean(flows)", faulted...); n != m || !(n > 0) {
+			t.Errorf("%s: clean and faulted runs saw %g and %g flows", sch, n, m)
+		}
+	}
+}
+
 // figureShapes checks the paper's orderings on the checked-in figure
 // CSVs and returns every claim that does not hold.
 func figureShapes(read func(string) table) []string {
