@@ -192,7 +192,8 @@ lake-baseline:
 # (invariant violations, non-completing flows, and stray-packet surges
 # all fail the trial). The seed is pinned, so the job is deterministic;
 # a failing trial leaves chaos-ci/repro-<N>.json, which CI uploads and
-# `flexfarm chaos replay` (or `flexsim -fault-plan`) reproduces exactly.
+# `flexsim -fault chaos-ci/repro-<N>.json` replays exactly (exit 1 while
+# the failure reproduces).
 chaos-smoke:
 	rm -rf chaos-ci
 	$(GO) run ./cmd/flexfarm chaos run -spec ci/chaos-smoke.json -out chaos-ci -shrink
@@ -215,10 +216,15 @@ sweep-demo:
 # background with a 2.5x flash window plus ON/OFF bursts) and then the
 # multi-tenant RPC mix, whose artifact lands per-tenant and coflow
 # counters (workload/tenant/*, workload/coflow cct_us) in run.jsonl.
+# -workload takes a sweep's workload entry, so the flash crowd's flow
+# list dumped as a trace replays as one (flash-crowd.csv, a trace plan
+# named like the plan; its arrival times are rounded to the ns).
 workload-demo:
-	$(GO) run ./cmd/flexsim -workload-plan examples/workloads/flash-crowd.json -duration 5
-	$(GO) run ./cmd/flexsim -workload-plan examples/workloads/tenant-classes.json -duration 5 -telemetry-out run.jsonl
+	$(GO) run ./cmd/flexsim -workload examples/workloads/flash-crowd.json -duration 5
+	$(GO) run ./cmd/flexsim -workload examples/workloads/tenant-classes.json -duration 5 -telemetry-out run.jsonl
 	@echo "per-tenant and coflow counters:" && grep -h '"workload/' run.jsonl | head -12
+	$(GO) run ./cmd/flexsim -workload examples/workloads/flash-crowd.json -duration 5 -dump-trace flash-crowd.csv
+	$(GO) run ./cmd/flexsim -workload flash-crowd.csv -duration 5
 
 # Observation-only flow forensics on an incast run: records hop-by-hop
 # packet events, runs the invariant auditors (credit conservation,
@@ -238,7 +244,7 @@ faults-demo:
 	  -agg goodput_gbps,fct_p99_us,completed,flows,timeouts,fault_drops,last_finish_us
 
 clean:
-	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl bench-ledger.json
+	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl flash-crowd.csv bench-ledger.json
 
 # Remove regenerated sweep/lake outputs. The checked-in results/ CSVs
 # are the figures and stay.

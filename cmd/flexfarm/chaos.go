@@ -16,20 +16,19 @@ import (
 //
 //	flexfarm chaos run    -spec chaos.json -out DIR [-trials N] [-seed S] [-workers N] [-shrink] [-v]
 //	flexfarm chaos shrink REPRO.json [-out FILE] [-deadline D] [-stall D] [-v]
-//	flexfarm chaos replay REPRO.json [-deadline D] [-stall D]
+//
+// A repro replays with `flexsim -fault REPRO.json`.
 func chaosCmd(args []string) {
 	if len(args) < 1 {
-		fatal(fmt.Errorf("chaos needs a verb: run, shrink, or replay"))
+		fatal(fmt.Errorf("chaos needs a verb: run or shrink"))
 	}
 	switch args[0] {
 	case "run":
 		chaosRunCmd(args[1:])
 	case "shrink":
 		chaosShrinkCmd(args[1:])
-	case "replay":
-		chaosReplayCmd(args[1:])
 	default:
-		fatal(fmt.Errorf("unknown chaos verb %q (want run, shrink, or replay)", args[0]))
+		fatal(fmt.Errorf("unknown chaos verb %q (want run or shrink; a repro replays with flexsim -fault)", args[0]))
 	}
 }
 
@@ -91,6 +90,10 @@ func chaosRunCmd(args []string) {
 		fatal(err)
 	}
 	if *shrink && rep.Failed > 0 {
+		opt := chaos.ShrinkOptions{
+			Deadline: time.Duration(spec.DeadlineMS * float64(time.Millisecond)),
+			Stall:    time.Duration(spec.StallMS * float64(time.Millisecond)),
+		}
 		for _, tr := range rep.Results {
 			if !tr.Verdict.Failed() || tr.ReproPath == "" {
 				continue
@@ -98,7 +101,9 @@ func chaosRunCmd(args []string) {
 			if ctx.Err() != nil {
 				break
 			}
-			shrinkInPlace(tr.ReproPath, spec, *verbose)
+			if err := shrinkFile(tr.ReproPath, tr.ReproPath, opt, *verbose); err != nil {
+				fmt.Fprintf(os.Stderr, "shrink %s: %v\n", tr.ReproPath, err)
+			}
 		}
 	}
 	fmt.Fprintf(os.Stderr, "chaos %q: %d passed, %d failed of %d", spec.Name, rep.Passed, rep.Failed, rep.Trials)
@@ -116,30 +121,25 @@ func chaosRunCmd(args []string) {
 	}
 }
 
-// shrinkInPlace minimizes one repro file, overwriting it on success.
-func shrinkInPlace(path string, spec *chaos.Spec, verbose bool) {
+// shrinkFile minimizes the repro at path and writes it to target (path
+// itself to shrink in place), logging the result when verbose.
+func shrinkFile(path, target string, opt chaos.ShrinkOptions, verbose bool) error {
 	r, err := chaos.ParseReproFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrink %s: %v\n", path, err)
-		return
-	}
-	opt := chaos.ShrinkOptions{
-		Deadline: time.Duration(spec.DeadlineMS * float64(time.Millisecond)),
-		Stall:    time.Duration(spec.StallMS * float64(time.Millisecond)),
+		return err
 	}
 	res, err := chaos.Shrink(r, opt)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shrink %s: %v\n", path, err)
-		return
+		return err
 	}
-	if err := res.Repro.WriteFile(path); err != nil {
-		fmt.Fprintf(os.Stderr, "shrink %s: %v\n", path, err)
-		return
+	if err := res.Repro.WriteFile(target); err != nil {
+		return err
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr, "shrunk %s: %d->%d fault events, %d->%d flows (%d probes)\n",
-			path, res.EventsBefore, res.EventsAfter, res.FlowsBefore, res.FlowsAfter, res.Probes)
+		fmt.Fprintf(os.Stderr, "shrunk %s: %d->%d fault events, %d->%d flows (%d probes) -> %s\n",
+			path, res.EventsBefore, res.EventsAfter, res.FlowsBefore, res.FlowsAfter, res.Probes, target)
 	}
+	return nil
 }
 
 func chaosShrinkCmd(args []string) {
@@ -152,56 +152,17 @@ func chaosShrinkCmd(args []string) {
 	if fs.NArg() != 1 {
 		fatal(fmt.Errorf("chaos shrink needs exactly one repro file"))
 	}
-	path := fs.Arg(0)
-	r, err := chaos.ParseReproFile(path)
-	if err != nil {
-		fatal(err)
-	}
 	opt := chaos.ShrinkOptions{Deadline: *deadline, Stall: *stall}
 	if *verbose {
 		opt.Progress = func(probe, events, flows int, v chaos.Verdict) {
 			fmt.Fprintf(os.Stderr, "probe %3d: %d events, %d flows -> %s\n", probe, events, flows, v.Outcome)
 		}
 	}
-	res, err := chaos.Shrink(r, opt)
-	if err != nil {
-		fatal(err)
-	}
 	target := *out
 	if target == "" {
-		target = path
+		target = fs.Arg(0)
 	}
-	if err := res.Repro.WriteFile(target); err != nil {
+	if err := shrinkFile(fs.Arg(0), target, opt, true); err != nil {
 		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "shrunk %s: %d->%d fault events, %d->%d flows (%d probes) -> %s\n",
-		path, res.EventsBefore, res.EventsAfter, res.FlowsBefore, res.FlowsAfter, res.Probes, target)
-}
-
-func chaosReplayCmd(args []string) {
-	fs := flag.NewFlagSet("chaos replay", flag.ExitOnError)
-	deadline := fs.Duration("deadline", 0, "wall-clock kill for the replay (0 = off)")
-	stall := fs.Duration("stall", 0, "engine-horizon stall kill for the replay (0 = off)")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatal(fmt.Errorf("chaos replay needs exactly one repro file"))
-	}
-	r, err := chaos.ParseReproFile(fs.Arg(0))
-	if err != nil {
-		fatal(err)
-	}
-	v := r.Replay(*deadline, *stall)
-	fmt.Printf("outcome: %s\n", v.Outcome)
-	if v.Detail != "" {
-		fmt.Printf("detail:  %s\n", v.Detail)
-	}
-	fmt.Printf("violations=%d dropped=%d incomplete=%d strays=%d\n",
-		v.Violations, v.ViolationsDropped, v.Incomplete, v.Strays)
-	if r.Outcome != "" && v.Outcome != r.Outcome {
-		fmt.Fprintf(os.Stderr, "replay outcome %q differs from the recorded %q\n", v.Outcome, r.Outcome)
-		os.Exit(1)
-	}
-	if v.Failed() {
-		os.Exit(1) // reproduced: the failure is still there
 	}
 }

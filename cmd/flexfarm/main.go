@@ -11,9 +11,10 @@
 //
 // run expands the sweep spec's cross-product, executes it on all cores
 // with content-addressed, resumable artifacts, and indexes the lake.
-// The spec's workload axis accepts distribution names ("websearch") and
-// workload-plan files (*.json, see internal/workload); plan entries are
-// identified by content hash, queryable as workload_plan_sig.
+// The spec's workload axis accepts distribution names ("websearch"),
+// workload-plan files (*.json, see internal/workload) and flow traces
+// (*.csv); plan and trace entries are identified by content hash,
+// queryable as workload_plan_sig.
 // While it runs, progress is a rate-limited summary line (done/total,
 // running, failed, ETA); -v restores one line per point. With -serve the
 // process exposes live /status (JSON progress), /metrics (Prometheus),

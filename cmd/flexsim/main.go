@@ -1,14 +1,24 @@
-// Command flexsim runs one large-scale FlexPass deployment simulation and
-// prints a metrics summary.
+// Command flexsim runs one FlexPass simulation and prints a metrics
+// summary. Its scenario flags are a one-point sweep spec (internal/farm):
+// the run is the farm point with the same coordinates, checked by the
+// same rules, with flexsim's observers — telemetry, forensics, the engine
+// self-profiler, the live board and the watchdog — on top.
 //
 // Example:
 //
 //	flexsim -scheme flexpass -deployment 0.5 -load 0.5 -workload websearch
+//
+// -workload takes a sweep's workload entry: a distribution name, a
+// workload-plan .json or a flow-trace .csv. -fault takes a fault entry:
+// the CLI shorthand or a fault-plan .json. A chaos repro given to -fault
+// replaces the whole scenario and replays the failing trial, exiting 1
+// while the failure reproduces.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -16,7 +26,6 @@ import (
 
 	"flexpass/internal/chaos"
 	"flexpass/internal/farm"
-	"flexpass/internal/faults"
 	"flexpass/internal/forensics"
 	"flexpass/internal/harness"
 	"flexpass/internal/live"
@@ -28,291 +37,244 @@ import (
 	"flexpass/internal/workload"
 )
 
-func main() {
+// options is a parsed command line: the scenario flags as a one-point
+// sweep spec, and the observers around it.
+type options struct {
+	spec  farm.Spec
+	fault string // the -fault entry; a chaos repro replaces spec
+
+	forensics  bool
+	traceFlows []uint64
+
+	dumpTrace, telOut, forOut, pprofOut, memOut, profOut, serveAddr string
+	traceRing                                                       int
+	linger, deadline, stall                                         time.Duration
+}
+
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("flexsim", flag.ExitOnError)
+	o := &options{}
 	var (
-		scheme = flag.String("scheme", transport.SchemeFlexPass,
+		scheme = fs.String("scheme", transport.SchemeFlexPass,
 			"deployment scheme, one of: "+strings.Join(transport.SchemeNames(), ", "))
-		schemeOpts = flag.String("scheme-opt", "", "per-scheme options as comma-separated key=value pairs (e.g. reactive=reno,disable_proretx=1)")
-		deployment = flag.Float64("deployment", 0.5, "fraction of FlexPass/ExpressPass-enabled racks")
-		load       = flag.Float64("load", 0.5, "target core (ToR uplink) utilization")
-		wl         = flag.String("workload", "websearch", "flow size distribution: websearch, cachefollower, datamining, hadoop")
-		seed       = flag.Int64("seed", 1, "random seed")
-		durMS      = flag.Float64("duration", 15, "flow arrival window, milliseconds")
-		incast     = flag.Float64("incast", 0, "foreground incast volume fraction (0 disables)")
-		wq         = flag.Float64("wq", 0.5, "FlexPass queue weight")
-		full       = flag.Bool("full", false, "use the paper's 192-host Clos instead of the scaled fabric")
-		topoName   = flag.String("topo", "", "fabric by name: Clos tiny (4 hosts), small (48), paper (192), big (768); testbed (10 GbE) single3, single9, dumbbell2, dumbbell32; overrides -full")
-		queues     = flag.Bool("queues", false, "sample Q1 occupancy at ToR uplinks")
-		shards     = flag.Int("shards", 1, "partition the fabric into this many per-pod-block shards, one engine goroutine each (1 = single engine; clamped to the pod count)")
-		traceIn    = flag.String("trace", "", "replay a CSV flow trace instead of generating traffic")
-		wlPlan     = flag.String("workload-plan", "", "JSON workload-plan file (see internal/workload): composable sources (poisson/onoff/lognormal/incast/rpc/trace) with rate modulators; replaces -workload/-incast")
-		traceOut   = flag.String("dump-trace", "", "write the generated workload as a CSV trace and exit")
-		telOut     = flag.String("telemetry-out", "", "write the run artifact (manifest, series, counters, trace) as JSONL — or CSV if the path ends in .csv")
-		traceRing  = flag.Int("trace-ring", 0, "capacity of the transport event trace ring (0 disables; dumped to stderr unless -telemetry-out captures it)")
-		forOut     = flag.String("forensics-out", "", "enable the forensic plane (hop recording, invariant auditors, worst-flow timelines) and write the run artifact as JSONL here")
-		traceFlow  = flag.String("trace-flow", "", "comma-separated flow IDs whose timelines are always exported (implies forensics)")
-		pprofOut   = flag.String("pprof", "", "write a CPU profile of the simulation to this file")
-		memOut     = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
-		profOut    = flag.String("profile-out", "", "enable the engine self-profiler and write folded stacks (flamegraph input) here; '-' prints a table to stderr")
-		serveAddr  = flag.String("serve", "", "serve live /status, /metrics, and pprof on this address while the run executes (e.g. :8080)")
-		linger     = flag.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
-		faultPlan  = flag.String("fault-plan", "", "JSON fault-plan file (see internal/faults) injected into the run, or a chaos repro to replay; a clean-vs-faulted comparison is a sweep with a fault axis (make faults-demo)")
-		faultSpec  = flag.String("fault", "", "inline fault shorthand, e.g. 'down@sw0->h1@2ms-3ms,burst@tor*@1ms-5ms'; same behavior as -fault-plan")
-		deadline   = flag.Duration("deadline", 0, "wall-clock deadline; a run still going after this is killed with a clean error (0 = off)")
-		stallTO    = flag.Duration("stall-timeout", 0, "kill the run when the engine horizon stops advancing for this long (livelock/wedge guard; 0 = off)")
+		schemeOpts = fs.String("scheme-opt", "", "per-scheme options as comma-separated key=value pairs (e.g. reactive=reno,disable_proretx=1)")
+		deployment = fs.Float64("deployment", 0.5, "fraction of FlexPass/ExpressPass-enabled racks")
+		load       = fs.Float64("load", 0.5, "target core (ToR uplink) utilization")
+		wl         = fs.String("workload", "websearch", "workload entry: a flow size distribution (websearch, cachefollower, datamining, hadoop), a workload-plan .json (composable sources with rate modulators, see internal/workload) or a flow-trace .csv")
+		seed       = fs.Int64("seed", 1, "random seed")
+		durMS      = fs.Float64("duration", 15, "flow arrival window, milliseconds")
+		incast     = fs.Float64("incast", 0, "foreground incast volume fraction (0 disables)")
+		wq         = fs.Float64("wq", 0.5, "FlexPass queue weight")
+		topoName   = fs.String("topo", "small", "fabric by name: Clos tiny (4 hosts), small (48), paper (192), big (768); testbed (10 GbE) single3, single9, dumbbell2, dumbbell32")
+		queues     = fs.Bool("queues", false, "sample Q1 occupancy at ToR uplinks")
+		shards     = fs.Int("shards", 0, "partition the fabric into this many per-pod-block shards, one engine goroutine each (0 or 1 = single engine; clamped to the pod count)")
+		traceFlow  = fs.String("trace-flow", "", "comma-separated flow IDs whose timelines are always exported (implies forensics)")
 	)
-	flag.Parse()
+	fs.StringVar(&o.dumpTrace, "dump-trace", "", "write the scenario's flow list as a CSV trace and exit")
+	fs.StringVar(&o.telOut, "telemetry-out", "", "write the run artifact (manifest, series, counters, trace) as JSONL — or CSV if the path ends in .csv")
+	fs.IntVar(&o.traceRing, "trace-ring", 0, "capacity of the transport event trace ring (0 disables; dumped to stderr unless -telemetry-out captures it)")
+	fs.StringVar(&o.forOut, "forensics-out", "", "enable the forensic plane (hop recording, invariant auditors, worst-flow timelines) and write the run artifact as JSONL here")
+	fs.StringVar(&o.pprofOut, "pprof", "", "write a CPU profile of the simulation to this file")
+	fs.StringVar(&o.memOut, "memprofile", "", "write a heap profile (post-run, after GC) to this file")
+	fs.StringVar(&o.profOut, "profile-out", "", "enable the engine self-profiler and write folded stacks (flamegraph input) here; '-' prints a table to stderr")
+	fs.StringVar(&o.serveAddr, "serve", "", "serve live /status, /metrics, and pprof on this address while the run executes (e.g. :8080)")
+	fs.DurationVar(&o.linger, "serve-linger", 0, "keep the -serve endpoint up this long after the run finishes")
+	fs.StringVar(&o.fault, "fault", "", "fault entry: inline shorthand, e.g. 'down@sw0->h1@2ms-3ms,burst@tor*@1ms-5ms', or a fault-plan .json (see internal/faults); a chaos repro .json replays its whole trial; a clean-vs-faulted comparison is a sweep with a fault axis (make faults-demo)")
+	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline; a run still going after this is killed with a clean error (0 = off)")
+	fs.DurationVar(&o.stall, "stall-timeout", 0, "kill the run when the engine horizon stops advancing for this long (livelock/wedge guard; 0 = off)")
+	fs.Parse(args)
 
-	var topos []string
-	if *topoName != "" {
-		topos = []string{*topoName}
+	// The §6.2 base's drain, on every fabric.
+	drainMS := float64(harness.BaseScenario(false).Drain) / float64(sim.Millisecond)
+	o.spec = farm.Spec{
+		Name:    "flexsim",
+		Schemes: []string{*scheme}, Topologies: []string{*topoName}, Workloads: []string{*wl},
+		Loads: []float64{*load}, Deployments: []float64{*deployment}, WQs: []float64{*wq},
+		Seeds: []int64{*seed}, Shards: []int{*shards},
+		DurationMS: *durMS, DrainMS: &drainMS,
+		IncastFraction: *incast, Queues: *queues,
 	}
-	if err := farm.CheckNames([]string{*scheme}, topos, []string{*wl}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	sc := harness.BaseScenario(*full)
-	if *topoName != "" {
-		sc = harness.BaseFor(farm.Topologies[*topoName])
-	}
-	sc.Scheme = harness.Scheme(*scheme)
-	sc.Deployment = *deployment
-	sc.Load = *load
-	sc.Seed = *seed
-	sc.WQ = *wq
-	sc.Duration = sim.Time(*durMS * float64(sim.Millisecond))
-	sc.IncastFraction = *incast
-	sc.SampleQueues = *queues
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "-shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(1)
-	}
-	sc.Shards = *shards
 	if *schemeOpts != "" {
-		sc.SchemeOptions = make(map[string]string)
+		opts := map[string]string{}
 		for _, kv := range strings.Split(*schemeOpts, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok || k == "" {
-				fmt.Fprintf(os.Stderr, "bad -scheme-opt entry %q (want key=value)\n", kv)
-				os.Exit(1)
+				return nil, fmt.Errorf("bad -scheme-opt entry %q (want key=value)", kv)
 			}
-			sc.SchemeOptions[k] = v
+			opts[k] = v
 		}
+		o.spec.Options = []map[string]string{opts}
 	}
-	sc.Workload = workload.ByName(*wl)
-	if *wlPlan != "" {
-		if *traceIn != "" {
-			fmt.Fprintln(os.Stderr, "-workload-plan and -trace are mutually exclusive (a plan can embed a trace source instead)")
-			os.Exit(1)
+	if o.fault != "" {
+		o.spec.Faults = []string{o.fault}
+	}
+	o.forensics = o.forOut != "" || *traceFlow != ""
+	for _, s := range strings.Split(*traceFlow, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
 		}
-		p, err := workload.ParsePlanFile(*wlPlan)
+		id, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return nil, fmt.Errorf("bad -trace-flow id %q: %v", s, err)
 		}
-		sc.WorkloadPlan = p
+		o.traceFlows = append(o.traceFlows, id)
 	}
+	return o, nil
+}
 
-	if *traceIn != "" {
-		f, err := os.Open(*traceIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		flows, err := workload.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sc.TraceFlows = flows
+// point is the flags' one sweep point, validated and resolved as a
+// sweep spec's points are.
+func (o *options) point() (farm.Point, error) {
+	if err := o.spec.Validate(); err != nil {
+		return farm.Point{}, err
 	}
-	if *traceOut != "" {
-		flows := harness.Flows(sc)
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := workload.WriteTrace(f, flows); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %d flows to %s\n", len(flows), *traceOut)
-		return
+	pts, err := o.spec.Points()
+	if err != nil {
+		return farm.Point{}, err
 	}
+	return pts[0], nil
+}
 
-	if *telOut != "" || *traceRing > 0 {
-		sc.Telemetry = &obs.Options{TraceCap: *traceRing}
+// repro parses the -fault entry if it is a chaos repro, and is nil for
+// any other entry (the spec's validation reports an unreadable plan).
+func (o *options) repro() (*chaos.Repro, error) {
+	if !strings.HasSuffix(o.fault, ".json") {
+		return nil, nil
 	}
-	if *forOut != "" || *traceFlow != "" {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "forensics (-forensics-out / -trace-flow) needs one engine; drop -shards or set it to 1")
-			os.Exit(1)
-		}
-		fo := &forensics.Options{}
-		for _, s := range strings.Split(*traceFlow, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			id, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -trace-flow id %q: %v\n", s, err)
-				os.Exit(1)
-			}
-			fo.Flows = append(fo.Flows, id)
-		}
-		sc.Forensics = fo
+	data, err := os.ReadFile(o.fault)
+	if err != nil || !chaos.IsRepro(data) {
+		return nil, nil
 	}
-	var plan *faults.Plan
-	var repro *chaos.Repro
-	if *faultPlan != "" && *faultSpec != "" {
-		fmt.Fprintln(os.Stderr, "-fault-plan and -fault are mutually exclusive")
-		os.Exit(1)
-	}
-	if *faultPlan != "" {
-		data, err := os.ReadFile(*faultPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if chaos.IsRepro(data) {
-			// A chaos repro document carries the whole failing scenario —
-			// coordinates, oracle thresholds, fault plan, and the pinned
-			// flow list — so the replay is bit-identical to the failing
-			// trial. It replaces every scenario flag.
-			repro, err = chaos.ParseRepro(data)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			sc = repro.Scenario()
-			fmt.Fprintf(os.Stderr, "chaos repro %s: trial %d of spec %q, recorded outcome %q, %d pinned flows\n",
-				*faultPlan, repro.Trial, repro.Spec, repro.Outcome, len(repro.Flows))
-		} else {
-			plan, err = faults.ParsePlanFile(*faultPlan)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	} else if *faultSpec != "" {
-		var err error
-		if plan, err = faults.ParseSpec(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	sc.Deadline = *deadline
-	sc.StallTimeout = *stallTO
-	if repro == nil {
-		sc.FaultPlan = plan
-	}
-	sc.Profile = *profOut != ""
+	return chaos.ParseRepro(data)
+}
 
-	var srv *live.Server
-	if *serveAddr != "" {
-		board := &live.RunBoard{}
-		sc.Live = board
-		s, bound, err := board.Serve(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		srv = s
-		fmt.Fprintf(os.Stderr, "introspection: http://%s/status  /metrics  /debug/pprof/\n", bound)
+// scenario assembles the run: a chaos repro named by -fault, or the
+// flags' point with telemetry off; then the observers the flags ask for.
+func (o *options) scenario() (harness.Scenario, *chaos.Repro, error) {
+	var sc harness.Scenario
+	repro, err := o.repro()
+	if err != nil {
+		return sc, nil, err
 	}
-
-	var stopCPU func() error
-	if *pprofOut != "" {
-		stop, err := obs.StartCPUProfile(*pprofOut)
+	if repro != nil {
+		sc = repro.Scenario()
+	} else {
+		pt, err := o.point()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return sc, nil, err
 		}
-		stopCPU = stop
+		sc = pt.Scenario()
+		sc.Telemetry = nil
 	}
+	if o.telOut != "" || o.traceRing > 0 {
+		sc.Telemetry = &obs.Options{TraceCap: o.traceRing}
+	}
+	if o.forensics {
+		if sc.Forensics == nil {
+			sc.Forensics = &forensics.Options{}
+		}
+		sc.Forensics.Flows = o.traceFlows
+	}
+	sc.Deadline = o.deadline
+	sc.StallTimeout = o.stall
+	sc.Profile = o.profOut != ""
+	return sc, repro, nil
+}
 
-	// A watchdog kill or a scenario contract violation is a clean CLI
-	// error, not a panic trace.
-	res, err := harness.Try(harness.Run, sc)
+// check ends the run with err, if any: a watchdog kill or a scenario
+// contract violation is a clean CLI error, not a panic trace.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexsim:", err)
 		os.Exit(1)
 	}
+}
+
+// create writes the file at path through write.
+func create(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	check(err)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	check(err)
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	check(err)
+	sc, repro, err := o.scenario()
+	check(err)
+	if repro != nil {
+		fmt.Fprintf(os.Stderr, "chaos repro %s: trial %d of spec %q, recorded outcome %q, %d pinned flows\n",
+			o.fault, repro.Trial, repro.Spec, repro.Outcome, len(repro.Flows))
+	}
+	if o.dumpTrace != "" {
+		flows := harness.Flows(sc)
+		create(o.dumpTrace, func(w io.Writer) error { return workload.WriteTrace(w, flows) })
+		fmt.Printf("wrote %d flows to %s\n", len(flows), o.dumpTrace)
+		return
+	}
+
+	var srv *live.Server
+	if o.serveAddr != "" {
+		board := &live.RunBoard{}
+		sc.Live = board
+		var bound string
+		srv, bound, err = board.Serve(o.serveAddr)
+		check(err)
+		fmt.Fprintf(os.Stderr, "introspection: http://%s/status  /metrics  /debug/pprof/\n", bound)
+	}
+	var stopCPU func() error
+	if o.pprofOut != "" {
+		stopCPU, err = obs.StartCPUProfile(o.pprofOut)
+		check(err)
+	}
+
+	res, err := harness.Try(harness.Run, sc)
+	check(err)
 
 	if stopCPU != nil {
-		if err := stopCPU(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *pprofOut)
+		check(stopCPU())
+		fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", o.pprofOut)
 	}
-	if *memOut != "" {
-		if err := obs.WriteHeapProfile(*memOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memOut)
+	if o.memOut != "" {
+		check(obs.WriteHeapProfile(o.memOut))
+		fmt.Fprintf(os.Stderr, "heap profile written to %s\n", o.memOut)
 	}
-	if *profOut != "" && res.Profile != nil {
-		if *profOut == "-" {
-			_ = prof.WriteTableProfile(os.Stderr, res.Profile)
-		} else {
-			f, err := os.Create(*profOut)
-			if err == nil {
-				err = prof.WriteFoldedProfile(f, res.Profile)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "engine profile (folded stacks) written to %s\n", *profOut)
-			_ = prof.WriteTableProfile(os.Stderr, res.Profile)
+	if o.profOut != "" && res.Profile != nil {
+		if o.profOut != "-" {
+			create(o.profOut, func(w io.Writer) error { return prof.WriteFoldedProfile(w, res.Profile) })
+			fmt.Fprintf(os.Stderr, "engine profile (folded stacks) written to %s\n", o.profOut)
 		}
+		_ = prof.WriteTableProfile(os.Stderr, res.Profile)
 	}
 	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "run done; keeping introspection endpoint up for %s\n", *linger)
-			time.Sleep(*linger)
+		if o.linger > 0 {
+			fmt.Fprintf(os.Stderr, "run done; keeping introspection endpoint up for %s\n", o.linger)
+			time.Sleep(o.linger)
 		}
 		srv.Close()
 	}
-	if res.Telemetry != nil && *telOut != "" {
-		var err error
-		if strings.HasSuffix(*telOut, ".csv") {
-			var f *os.File
-			if f, err = os.Create(*telOut); err == nil {
-				err = res.Telemetry.WriteCSV(f)
-				f.Close()
-			}
+	if res.Telemetry != nil && o.telOut != "" {
+		if strings.HasSuffix(o.telOut, ".csv") {
+			create(o.telOut, res.Telemetry.WriteCSV)
 		} else {
-			err = res.Telemetry.WriteJSONLFile(*telOut)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			check(res.Telemetry.WriteJSONLFile(o.telOut))
 		}
 		fmt.Fprintf(os.Stderr, "telemetry written to %s (%d series, %d counters, %d trace events)\n",
-			*telOut, len(res.Telemetry.Series), len(res.Telemetry.Counters), len(res.Telemetry.Trace))
-	} else if *traceRing > 0 && res.Trace != nil && res.Trace.Len() > 0 {
+			o.telOut, len(res.Telemetry.Series), len(res.Telemetry.Counters), len(res.Telemetry.Trace))
+	} else if o.traceRing > 0 && res.Trace != nil && res.Trace.Len() > 0 {
 		fmt.Fprintf(os.Stderr, "-- trace ring (%d events, %d overwritten) --\n",
 			res.Trace.Len(), res.Trace.Overwritten())
 		_ = res.Trace.Dump(os.Stderr)
 	}
 	if rep := res.Forensics; rep != nil {
-		if *forOut != "" {
-			if err := res.Telemetry.WriteJSONLFile(*forOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if o.forOut != "" {
+			check(res.Telemetry.WriteJSONLFile(o.forOut))
 			fmt.Fprintf(os.Stderr, "forensics written to %s (%d violations, %d timelines)\n",
-				*forOut, len(rep.Violations), len(rep.Timelines))
+				o.forOut, len(rep.Violations), len(rep.Timelines))
 		}
 		for _, v := range rep.Violations {
 			fmt.Fprintln(os.Stderr, "VIOLATION", v)
@@ -359,6 +321,8 @@ func main() {
 			fmt.Printf(" (%s)", v.Detail)
 		}
 		fmt.Println()
+		fmt.Printf("violations=%d dropped=%d incomplete=%d strays=%d\n",
+			v.Violations, v.ViolationsDropped, v.Incomplete, v.Strays)
 		if repro.Outcome != "" && v.Outcome != repro.Outcome {
 			fmt.Fprintf(os.Stderr, "replay outcome %q differs from the recorded %q\n", v.Outcome, repro.Outcome)
 			os.Exit(1)

@@ -177,6 +177,50 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestDrainRule: a chaos spec's drain_ms follows the sweep rule —
+// omitted is 5x the duration, an explicit 0 is no drain.
+func TestDrainRule(t *testing.T) {
+	for in, want := range map[string]float64{
+		`{"name": "d", "trials": 2, "duration_ms": 0.4}`:                  2,
+		`{"name": "d", "trials": 2, "duration_ms": 0.4, "drain_ms": 0}`:   0,
+		`{"name": "d", "trials": 2, "duration_ms": 0.4, "drain_ms": 1.5}`: 1.5,
+	} {
+		s, err := ParseSpec([]byte(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials, err := Generate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trials {
+			if tr.DrainMS != want {
+				t.Errorf("%s: trial %d drains %g ms, want %g", in, tr.Index, tr.DrainMS, want)
+			}
+		}
+	}
+}
+
+// TestForensicsOnOnePlane: the auditors are on whenever the trial runs
+// on one plane — a testbed layout at any shard count, a Clos at shards
+// 0 or 1 — and off only where the fabric is really cut.
+func TestForensicsOnOnePlane(t *testing.T) {
+	for _, c := range []struct {
+		topo   string
+		shards int
+		want   bool
+	}{
+		{"single3", 2, true}, {"dumbbell2", 4, true},
+		{"tiny", 0, true}, {"tiny", 1, true}, {"tiny", 2, false},
+	} {
+		co := Coords{Scheme: "flexpass", Topo: c.topo, Shards: c.shards, Workload: "websearch",
+			Load: 0.5, Deployment: 0.5, Seed: 1, DurationMS: 0.3, DrainMS: 1}
+		if got := co.Scenario(OracleSpec{}).Forensics != nil; got != c.want {
+			t.Errorf("%s at shards %d: forensics %v, want %v", c.topo, c.shards, got, c.want)
+		}
+	}
+}
+
 // TestLinksGlobFiltersPool: a links glob restricts sampling to matching
 // ports, and a glob matching nothing is an error, not an empty soak.
 func TestLinksGlobFiltersPool(t *testing.T) {

@@ -110,10 +110,11 @@ func strayCount(run *obs.Run) int64 {
 // Scenario builds the harness scenario for these coordinates — a farm
 // point at the default queue weight, so chaos trials and sweep points are
 // built one way — plus the forensics plane, whose auditors are the
-// oracles, on one-engine trials; sharded trials run completion and stray
-// oracles only (the recorder and auditors are single-goroutine state, see
-// harness.Run). Names are checked where coordinates enter the program
-// (Spec.Validate, ParseRepro).
+// oracles, on trials that run on one plane; a trial its fabric cuts into
+// several runs completion and stray oracles only (the recorder and
+// auditors are single-goroutine state, see harness.Run). A testbed layout
+// is one plane at any shard count. Names are checked where coordinates
+// enter the program (Spec.Validate, ParseRepro).
 func (c Coords) Scenario(o OracleSpec) harness.Scenario {
 	sc := farm.Point{
 		Scheme: c.Scheme, Topo: c.Topo, Workload: c.Workload,
@@ -121,7 +122,7 @@ func (c Coords) Scenario(o OracleSpec) harness.Scenario {
 		Seed: c.Seed, Shards: c.Shards,
 		DurationMS: c.DurationMS, DrainMS: c.DrainMS,
 	}.Scenario()
-	if c.Shards <= 1 {
+	if farm.Topologies[c.Topo].Planes(c.Shards) == 1 {
 		fo := &forensics.Options{}
 		if o.StarveAfterMS > 0 {
 			fo.StarveAfter = sim.Time(o.StarveAfterMS * float64(sim.Millisecond))

@@ -16,7 +16,7 @@ import (
 
 // ReproSchema versions the repro document layout. The "chaos" key
 // doubles as the marker that distinguishes a repro document from a
-// bare fault plan, so `flexsim -fault-plan repro.json` can detect and
+// bare fault plan, so `flexsim -fault repro.json` can detect and
 // replay the full scenario rather than just its fault timeline.
 const ReproSchema = 1
 

@@ -46,7 +46,9 @@ type Spec struct {
 	DeployMax float64 `json:"deploy_max,omitempty"` // default 0.5
 
 	DurationMS float64 `json:"duration_ms,omitempty"` // arrival window; default 2
-	DrainMS    float64 `json:"drain_ms,omitempty"`    // default 5x duration
+	// DrainMS is the time past the arrival window, as in a sweep spec:
+	// omitted, 5x duration; 0 is no drain.
+	DrainMS *float64 `json:"drain_ms,omitempty"`
 
 	// Per-trial watchdog limits (0 = off). These ride on the harness
 	// deadline/stall watchdog, so a runaway trial is killed, recorded
@@ -74,7 +76,7 @@ type FaultSpec struct {
 
 // OracleSpec sets the failure thresholds. The forensics auditors
 // (credit conservation, shared-buffer bounds, starvation) are always
-// hard oracles on single-engine trials; these knobs tune the
+// hard oracles on one-plane trials; these knobs tune the
 // supplementary checks.
 type OracleSpec struct {
 	// StarveAfterMS overrides the starvation auditor's patience.
@@ -97,12 +99,7 @@ const (
 func (s *Spec) schemes() []string   { return orDefault(s.Schemes, "flexpass") }
 func (s *Spec) topos() []string     { return orDefault(s.Topos, "tiny") }
 func (s *Spec) workloads() []string { return orDefault(s.Workloads, "websearch") }
-func (s *Spec) shards() []int {
-	if len(s.Shards) == 0 {
-		return []int{0}
-	}
-	return s.Shards
-}
+func (s *Spec) shards() []int       { return orDefault(s.Shards, 0) }
 func (s *Spec) loadRange() (float64, float64) {
 	lo, hi := s.LoadMin, s.LoadMax
 	if lo == 0 && hi == 0 {
@@ -123,10 +120,10 @@ func (s *Spec) durationMS() float64 {
 	return s.DurationMS
 }
 func (s *Spec) drainMS() float64 {
-	if s.DrainMS == 0 {
+	if s.DrainMS == nil {
 		return 5 * s.durationMS()
 	}
-	return s.DrainMS
+	return *s.DrainMS
 }
 func (s *Spec) deadline() time.Duration {
 	return time.Duration(s.DeadlineMS * float64(time.Millisecond))
@@ -170,9 +167,9 @@ func (o *OracleSpec) requireCompletion() bool {
 	return *o.RequireCompletion
 }
 
-func orDefault(axis []string, def string) []string {
+func orDefault[T any](axis []T, def T) []T {
 	if len(axis) == 0 {
-		return []string{def}
+		return []T{def}
 	}
 	return axis
 }

@@ -436,6 +436,45 @@ func TestWorkloadPlanAxis(t *testing.T) {
 	}
 }
 
+// A workload axis entry ending in .csv is a flow trace: the one-source
+// trace plan a wrapper .json would name, with the wrapper's point hash
+// and plan name, so a figure spec may name its traces directly. A trace
+// that cannot be read fails validation.
+func TestTraceWorkloadEntry(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "burst.csv")
+	if err := os.WriteFile(trace, []byte("at_us,src,dst,size_bytes,incast\n0.000,0,2,30000,0\n2.000,1,3,8000,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wrapper := filepath.Join(dir, "wrapper.json")
+	if err := os.WriteFile(wrapper, []byte(`{"name": "burst", "sources": [{"kind": "trace", "path": "burst.csv"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specFor := func(entry string) string {
+		return `{"name": "tr", "scheme": ["flexpass"], "topology": ["tiny"], "workload": [` + strconv.Quote(entry) + `]}`
+	}
+	var pts [2]Point
+	for i, entry := range []string{trace, wrapper} {
+		s, err := ParseSpec([]byte(specFor(entry)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = p[0]
+	}
+	csvPlan, jsonPlan := pts[0].Scenario().WorkloadPlan, pts[1].Scenario().WorkloadPlan
+	if pts[0].WorkloadHash == "" || pts[0].Hash() != pts[1].Hash() || csvPlan.Name != jsonPlan.Name {
+		t.Fatalf("trace entry: point %s, plan %q; wrapper: point %s, plan %q",
+			pts[0].Hash(), csvPlan.Name, pts[1].Hash(), jsonPlan.Name)
+	}
+	if _, err := ParseSpec([]byte(specFor(filepath.Join(dir, "missing.csv")))); err == nil {
+		t.Fatal("spec naming an unreadable trace should fail validation")
+	}
+}
+
 // TestExecuteIndexMatchesIngest: the index Execute builds from the runs
 // it holds is byte-identical to the one lake.Load rebuilds from runs/,
 // with a faulted point, another sweep's artifact and a torn artifact

@@ -152,7 +152,7 @@ func TestFig1bHomaStarvationShape(t *testing.T) {
 
 func TestFig7SubflowShares(t *testing.T) {
 	// (a) alone: proactive ≈ w_q, reactive grabs the rest; link ~full.
-	ix, dir := sweep(t, "fig7", 40, func(p farm.Point) bool { return strings.HasSuffix(p.Workload, "fig7a.json") })
+	ix, dir := sweep(t, "fig7", 40, func(p farm.Point) bool { return strings.HasSuffix(p.Workload, "fig7a.csv") })
 	a := seriesMeans(t, ix, dir, "sweep=fig7,workload=fig7a", fig7Sub, 5)
 	pro, re := a["Proactive"], a["Reactive"]
 	if pro+re < 8 {
@@ -186,7 +186,7 @@ func TestFig9StarvationMetric(t *testing.T) {
 
 func TestFig8IncastShape(t *testing.T) {
 	ix, _ := sweep(t, "fig8", 0, func(p farm.Point) bool {
-		return strings.HasSuffix(p.Workload, "/incast64.json") && p.Seed == 1
+		return strings.HasSuffix(p.Workload, "/incast64.csv") && p.Seed == 1
 	})
 	m := grouped(t, ix, []string{"scheme"}, "timeouts:sum,fct_max_us:max,flows:sum,completed:sum")
 	if m["dctcp sum(timeouts)"] == 0 {

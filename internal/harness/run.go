@@ -135,8 +135,7 @@ func (pl *plane) startNext() {
 func Run(sc Scenario) *Result { return build(sc).run() }
 
 // built is a run between its two halves: fabric, planes, observers and
-// every arrival in place, no event dispatched yet. A caller that samples
-// sources of its own (the throughput figures) starts them here.
+// every arrival in place, no event dispatched yet.
 type built struct {
 	sc                      Scenario
 	plan                    *runPlan
