@@ -138,8 +138,7 @@ type Testbed struct {
 	agents  []*transport.Agent
 	env     *transport.SchemeEnv
 	schemes map[string]transport.Scheme // lazily built per transport name
-	nextID  uint64
-	flows   []*Flow
+	flows   transport.Flows             // every flow started, by ID; the agents' demux table
 }
 
 // NewTestbed builds a testbed.
@@ -178,7 +177,7 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	fab := layout.Build([]*sim.Engine{eng}, params)
 	tb := &Testbed{Eng: eng, Fabric: fab}
 	for i := 0; i < cfg.Hosts; i++ {
-		tb.agents = append(tb.agents, transport.NewAgent(eng, fab.Net.Host(i)))
+		tb.agents = append(tb.agents, transport.NewAgent(eng, fab.Net.Host(i), &tb.flows))
 	}
 	tb.env = &transport.SchemeEnv{
 		Eng:      eng,
@@ -248,9 +247,8 @@ func (tb *Testbed) StartFlowAt(at Time, transportName string, src, dst int, size
 }
 
 func (tb *Testbed) newFlow(transportName string, src, dst int, size int64, at Time) *Flow {
-	tb.nextID++
 	fl := &Flow{
-		ID:        tb.nextID,
+		ID:        uint64(len(tb.flows) + 1),
 		Src:       tb.agents[src],
 		Dst:       tb.agents[dst],
 		Size:      size,
@@ -258,8 +256,7 @@ func (tb *Testbed) newFlow(transportName string, src, dst int, size int64, at Ti
 		Transport: transportName,
 		Legacy:    transportName == transport.SchemeDCTCP,
 	}
-	tb.flows = append(tb.flows, fl)
-	return fl
+	return tb.flows.Add(fl)
 }
 
 func (tb *Testbed) startNow(fl *Flow) {

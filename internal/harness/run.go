@@ -143,7 +143,7 @@ type built struct {
 	fab                     *topo.Fabric
 	rt                      *shard.Runtime // nil on one plane
 	res                     *Result
-	flows                   []*transport.Flow // prebuilt, in spec order
+	flows                   transport.Flows   // prebuilt in one slab, by ID (spec order); the agents' demux table
 	all                     []*transport.Flow // those starting inside the run window, in (start, ID) order
 	rec                     *forensics.Recorder
 	aud                     *forensics.Auditor
@@ -233,10 +233,11 @@ func build(sc Scenario) *built {
 	for i, sw := range fab.Net.Switches {
 		sw.Register(planeOf(fab.SwitchShard, i).reg)
 	}
+	b.flows = make(transport.Flows, len(plan.flows))
 	agents := make([]*transport.Agent, plan.hosts)
 	for i, h := range fab.Net.Hosts {
 		pl := planeOf(fab.HostShard, i)
-		agents[i] = transport.NewAgent(pl.eng, h)
+		agents[i] = transport.NewAgent(pl.eng, h, &b.flows)
 		agents[i].ObserveStrays(pl.strays)
 		h.Register(pl.reg)
 	}
@@ -256,9 +257,9 @@ func build(sc Scenario) *built {
 		b.res.Faults = applied
 	}
 
-	// Flows are prebuilt with ID = spec index + 1 and their arrivals
-	// reserved in spec order, on the plane of each endpoint: once when
-	// the two hosts share a plane, once per plane when they do not.
+	// Flows are prebuilt in one slab with ID = spec index + 1 and their
+	// arrivals reserved in spec order, on the plane of each endpoint: once
+	// when the two hosts share a plane, once per plane when they do not.
 	//
 	// The hop recorder (forensic runs only, so one engine) hears of each
 	// completion with the flow's score, and gives up the logs of flows
@@ -272,13 +273,14 @@ func build(sc Scenario) *built {
 			b.rec.Done(fl.ID, b.slowdown(fl))
 		}
 	}
-	b.flows = make([]*transport.Flow, len(plan.flows))
+	slab := make([]transport.Flow, len(plan.flows))
 	for _, pl := range planes {
 		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
 		pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
 	}
 	for i, fs := range plan.flows {
-		fl := &transport.Flow{
+		fl := &slab[i]
+		*fl = transport.Flow{
 			ID:         uint64(i + 1),
 			Src:        agents[fs.Src],
 			Dst:        agents[fs.Dst],

@@ -20,8 +20,8 @@ type PacerConfig struct {
 	// MaxRate is the ceiling credit rate (the per-link credit limit, i.e.
 	// w_q-scaled line rate times the credit/data ratio).
 	MaxRate units.Rate
-	// InitRate is the starting credit rate; zero means MaxRate (ExpressPass
-	// starts at full speed and backs off on credit loss).
+	// InitRate is the starting credit rate (DefaultPacerConfig: MaxRate —
+	// ExpressPass starts at full speed and backs off on credit loss).
 	InitRate units.Rate
 	// Period is the feedback update period (≈ one RTT).
 	Period sim.Time
@@ -39,7 +39,7 @@ type PacerConfig struct {
 	// disables the cap.
 	SMax units.Rate
 	// Jitter is the relative credit-interval jitter (ExpressPass jitters
-	// credit sends to avoid synchronization). Default 0.1 when zero.
+	// credit sends to avoid synchronization).
 	Jitter float64
 
 	// Trace, when non-nil, records a credit-issue event per credit sent
@@ -51,11 +51,13 @@ type PacerConfig struct {
 }
 
 // DefaultPacerConfig returns the §6.2 parameters for a given per-flow
-// credit ceiling.
+// credit ceiling. A scheme builds it once; every pacer of the scheme reads
+// it through a pointer and none writes it.
 func DefaultPacerConfig(maxRate units.Rate) PacerConfig {
 	return PacerConfig{
 		CreditClass:    netem.ClassCredit,
 		MaxRate:        maxRate,
+		InitRate:       maxRate,
 		Period:         40 * sim.Microsecond,
 		TargetLoss:     0.125,
 		Aggressiveness: 2.0,
@@ -70,9 +72,10 @@ func DefaultPacerConfig(maxRate units.Rate) PacerConfig {
 	}
 }
 
-// Pacer is the receiver-side credit generator of one flow.
+// Pacer is the receiver-side credit generator of one flow, a value inside
+// its receiver.
 type Pacer struct {
-	cfg  PacerConfig
+	cfg  *PacerConfig
 	eng  *sim.Engine
 	host *netem.Host // the receiver host credits egress from
 	dst  netem.NodeID
@@ -105,18 +108,10 @@ type Pacer struct {
 	TotalCredits int
 }
 
-// NewPacer builds a pacer sending credits from host toward dst for flow.
-func NewPacer(eng *sim.Engine, host *netem.Host, dst netem.NodeID, flow uint64, cfg PacerConfig) *Pacer {
-	if cfg.InitRate == 0 {
-		cfg.InitRate = cfg.MaxRate
-	}
-	if cfg.Jitter == 0 {
-		cfg.Jitter = 0.1
-	}
-	if cfg.WInit == 0 {
-		cfg.WInit = 0.5
-	}
-	p := &Pacer{
+// Init readies the pacer, inactive, to send credits from host toward dst
+// for flow.
+func (p *Pacer) Init(eng *sim.Engine, host *netem.Host, dst netem.NodeID, flow uint64, cfg *PacerConfig) {
+	*p = Pacer{
 		cfg:  cfg,
 		eng:  eng,
 		host: host,
@@ -128,7 +123,6 @@ func NewPacer(eng *sim.Engine, host *netem.Host, dst netem.NodeID, flow uint64, 
 	}
 	p.creditFn = p.creditTick
 	p.feedbackFn = p.feedback
-	return p
 }
 
 // Rate returns the current credit rate (for tests and stats).

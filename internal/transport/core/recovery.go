@@ -9,22 +9,33 @@
 // each transport's event sequence bit for bit (see the RecoveryConfig
 // knobs for the deliberate asymmetries between DCTCP and the
 // credit-clocked transports).
+//
+// The helpers are values: a sender embeds its RecoveryTimer and
+// SegTracker, a receiver its Reassembly and Pacer, so a flow's state is a
+// few allocations whatever it uses. Configs are shared by pointer, built
+// once per scheme, and never written after.
 package core
 
 import "flexpass/internal/sim"
 
-// RecoveryConfig parameterizes a RecoveryTimer.
-type RecoveryConfig struct {
+// RecoveryOwner is the sender a RecoveryTimer serves. The sender
+// implements it as methods and embeds the timer by value, so a flow's
+// recovery state binds no closures.
+type RecoveryOwner interface {
 	// BaseRTO returns the un-backed-off timeout (a constant MinRTO for
 	// the credit transports; srtt+4·rttvar floored at MinRTO for DCTCP).
-	BaseRTO func() sim.Time
+	BaseRTO() sim.Time
 	// Expire fires when the deadline truly passed. It runs with the timer
 	// idle; re-arm with Touch when retransmission was scheduled.
-	Expire func()
+	Expire()
 	// Idle reports that no timeout should be outstanding (flow finished,
 	// or nothing in flight). A pending check dissolves silently when it
 	// wakes idle.
-	Idle func() bool
+	Idle() bool
+}
+
+// RecoveryConfig parameterizes a RecoveryTimer.
+type RecoveryConfig struct {
 	// MaxShift caps the exponential-backoff shift applied to BaseRTO when
 	// computing the deadline (4 for the credit transports, 6 for DCTCP).
 	MaxShift uint
@@ -40,30 +51,30 @@ type RecoveryConfig struct {
 // it re-derives the true deadline from the last progress stamp when it
 // fires.
 type RecoveryTimer struct {
-	cfg     RecoveryConfig
+	owner   RecoveryOwner
 	eng     *sim.Engine
+	cfg     RecoveryConfig
 	backoff uint
 	pending bool
 	last    sim.Time
 	checkFn func() // pre-bound check: one closure per flow, not per arm
 }
 
-// NewRecoveryTimer builds an idle timer; Touch arms it.
-func NewRecoveryTimer(eng *sim.Engine, cfg RecoveryConfig) *RecoveryTimer {
-	t := &RecoveryTimer{cfg: cfg, eng: eng}
+// Init readies the timer embedded in owner, idle; Touch arms it.
+func (t *RecoveryTimer) Init(eng *sim.Engine, owner RecoveryOwner, cfg RecoveryConfig) {
+	*t = RecoveryTimer{owner: owner, eng: eng, cfg: cfg}
 	t.checkFn = t.check
-	return t
 }
 
 // Touch stamps progress now and makes sure a check is pending (unless
 // the flow is idle). Call it after every send and every ACK.
 func (t *RecoveryTimer) Touch() {
 	t.last = t.eng.Now()
-	if t.pending || t.cfg.Idle() {
+	if t.pending || t.owner.Idle() {
 		return
 	}
 	t.pending = true
-	delay := t.cfg.BaseRTO()
+	delay := t.owner.BaseRTO()
 	if t.cfg.ShiftOnArm {
 		delay = t.rto()
 	}
@@ -85,12 +96,12 @@ func (t *RecoveryTimer) rto() sim.Time {
 	if bo > t.cfg.MaxShift {
 		bo = t.cfg.MaxShift
 	}
-	return t.cfg.BaseRTO() << bo
+	return t.owner.BaseRTO() << bo
 }
 
 func (t *RecoveryTimer) check() {
 	t.pending = false
-	if t.cfg.Idle() {
+	if t.owner.Idle() {
 		return
 	}
 	deadline := t.last + t.rto()
@@ -99,5 +110,5 @@ func (t *RecoveryTimer) check() {
 		t.eng.At(deadline, t.checkFn)
 		return
 	}
-	t.cfg.Expire()
+	t.owner.Expire()
 }

@@ -8,37 +8,49 @@ import (
 
 const testRTO = sim.Millisecond
 
-func newTestTimer(eng *sim.Engine, fired *int, idle *bool, shiftOnArm bool) *RecoveryTimer {
-	return NewRecoveryTimer(eng, RecoveryConfig{
-		BaseRTO:    func() sim.Time { return testRTO },
-		Expire:     func() { *fired++ },
-		Idle:       func() bool { return *idle },
-		MaxShift:   4,
-		ShiftOnArm: shiftOnArm,
-	})
+// testOwner stands in for a sender: it embeds its timer by value and
+// implements RecoveryOwner, as the transports do.
+type testOwner struct {
+	RecoveryTimer
+	fired int
+	idle  bool
+	// backOff makes Expire bump the backoff and re-arm.
+	backOff bool
+}
+
+func (o *testOwner) BaseRTO() sim.Time { return testRTO }
+func (o *testOwner) Idle() bool        { return o.idle }
+func (o *testOwner) Expire() {
+	o.fired++
+	if o.backOff {
+		o.Bump()
+		o.Touch()
+	}
+}
+
+func newTestTimer(eng *sim.Engine, cfg RecoveryConfig) *testOwner {
+	o := &testOwner{}
+	o.Init(eng, o, cfg)
+	return o
 }
 
 func TestRecoveryTimerFiresAfterSilence(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fired := 0
-	idle := false
-	rt := newTestTimer(eng, &fired, &idle, false)
+	rt := newTestTimer(eng, RecoveryConfig{MaxShift: 4})
 	rt.Touch()
 	eng.Run(testRTO - 1)
-	if fired != 0 {
+	if rt.fired != 0 {
 		t.Fatal("fired before the deadline")
 	}
 	eng.Run(testRTO + 1)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
+	if rt.fired != 1 {
+		t.Fatalf("fired = %d, want 1", rt.fired)
 	}
 }
 
 func TestRecoveryTimerLazyReschedule(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fired := 0
-	idle := false
-	rt := newTestTimer(eng, &fired, &idle, false)
+	rt := newTestTimer(eng, RecoveryConfig{MaxShift: 4})
 	rt.Touch()
 	// Progress keeps arriving: each Touch restamps, and the single pending
 	// check re-derives the live deadline instead of firing stale.
@@ -46,36 +58,25 @@ func TestRecoveryTimerLazyReschedule(t *testing.T) {
 		eng.At(sim.Time(i)*testRTO/2, rt.Touch)
 	}
 	eng.Run(3 * testRTO)
-	if fired != 0 {
-		t.Fatalf("fired = %d despite continuous progress", fired)
+	if rt.fired != 0 {
+		t.Fatalf("fired = %d despite continuous progress", rt.fired)
 	}
 	eng.Run(5 * testRTO)
-	if fired != 1 {
-		t.Fatalf("fired = %d once progress stopped, want 1", fired)
+	if rt.fired != 1 {
+		t.Fatalf("fired = %d once progress stopped, want 1", rt.fired)
 	}
 }
 
 func TestRecoveryTimerBackoffShift(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fired := 0
-	idle := false
-	var rt *RecoveryTimer
-	rt = NewRecoveryTimer(eng, RecoveryConfig{
-		BaseRTO: func() sim.Time { return testRTO },
-		Expire: func() {
-			fired++
-			rt.Bump()
-			rt.Touch()
-		},
-		Idle:     func() bool { return idle },
-		MaxShift: 2,
-	})
+	rt := newTestTimer(eng, RecoveryConfig{MaxShift: 2})
+	rt.backOff = true
 	rt.Touch()
 	// Deadlines at 1, then +2, then +4, then capped at +4: fire times
 	// 1ms, 3ms, 7ms, 11ms, 15ms...
 	eng.Run(11*testRTO + 1)
-	if fired != 4 {
-		t.Fatalf("fired = %d by 11ms with capped backoff, want 4", fired)
+	if rt.fired != 4 {
+		t.Fatalf("fired = %d by 11ms with capped backoff, want 4", rt.fired)
 	}
 	if rt.Backoff() != 4 {
 		t.Fatalf("Backoff = %d, want 4", rt.Backoff())
@@ -88,19 +89,17 @@ func TestRecoveryTimerBackoffShift(t *testing.T) {
 
 func TestRecoveryTimerIdleSuppression(t *testing.T) {
 	eng := sim.NewEngine(1)
-	fired := 0
-	idle := false
-	rt := newTestTimer(eng, &fired, &idle, true)
+	rt := newTestTimer(eng, RecoveryConfig{MaxShift: 4, ShiftOnArm: true})
 	rt.Touch()
-	idle = true // flow finishes before the check wakes
+	rt.idle = true // flow finishes before the check wakes
 	eng.Run(10 * testRTO)
-	if fired != 0 {
-		t.Fatalf("fired = %d on an idle flow, want 0", fired)
+	if rt.fired != 0 {
+		t.Fatalf("fired = %d on an idle flow, want 0", rt.fired)
 	}
 	// Touch while idle must not arm at all.
 	rt.Touch()
 	eng.Run(20 * testRTO)
-	if fired != 0 {
-		t.Fatalf("fired = %d after idle Touch, want 0", fired)
+	if rt.fired != 0 {
+		t.Fatalf("fired = %d after idle Touch, want 0", rt.fired)
 	}
 }

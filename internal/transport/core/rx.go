@@ -43,12 +43,29 @@ func (r *Reassembly) Deliver(fl *transport.Flow, stats transport.Counters, seq i
 // Full reports whether every segment has arrived.
 func (r *Reassembly) Full() bool { return r.Received >= len(r.got) }
 
-// Grow extends a per-subflow arrival bitmap so index n is addressable.
-func Grow(b []bool, n int) []bool {
-	for len(b) <= n {
-		b = append(b, false)
+// Bitmap is a growable set of small non-negative integers, one bit each:
+// a receiver's per-sub-flow arrival map.
+type Bitmap []uint64
+
+// Has reports whether i is in the set.
+func (b Bitmap) Has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+// Add puts i in the set, growing it as needed, and reports whether i is
+// new.
+func (b *Bitmap) Add(i int) bool {
+	w := i >> 6
+	for w >= len(*b) {
+		*b = append(*b, 0)
 	}
-	return b
+	bit := uint64(1) << (i & 63)
+	if (*b)[w]&bit != 0 {
+		return false
+	}
+	(*b)[w] |= bit
+	return true
 }
 
 // SendAck emits the standard ACK for a data packet: Seq echoes the data's
@@ -82,19 +99,19 @@ func Complete(eng *sim.Engine, fl *transport.Flow, stats transport.Counters, rin
 	ring.Add(trace.FlowDone, fl.ID, int64(fl.FCT()/sim.Microsecond), "fct_us")
 }
 
-// StartSenderSide registers the sender on the source agent and stamps the
+// StartSenderSide sets the flow's sender endpoint and stamps the
 // flow-start stats/trace events on the sender's plane — the shared
 // prologue of every transport's StartSender. Only this half labels the
 // flow: the Flow's send-side fields belong to the source host's engine.
 // The caller still invokes its sender's Begin.
 func StartSenderSide(fl *transport.Flow, snd transport.Endpoint, stats transport.Counters, ring *trace.Ring, label string) {
-	fl.Src.Register(fl.ID, snd)
+	fl.Sender = snd
 	stats.Started.Inc()
 	ring.Add(trace.FlowStart, fl.ID, fl.Size, label)
 }
 
-// StartReceiverSide registers only the receiver on the destination agent,
-// mutating nothing the sender's engine touches.
+// StartReceiverSide sets only the flow's receiver endpoint, mutating
+// nothing the sender's engine touches.
 func StartReceiverSide(fl *transport.Flow, rcv transport.Endpoint) {
-	fl.Dst.Register(fl.ID, rcv)
+	fl.Receiver = rcv
 }

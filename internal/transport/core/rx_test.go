@@ -48,14 +48,20 @@ func TestReassemblyDeliver(t *testing.T) {
 	}
 }
 
+// TestGrow holds the arrival bitmap's growth: adding past the end grows
+// it, and neither growing nor a repeated add clobbers what it holds.
 func TestGrow(t *testing.T) {
-	var b []bool
-	b = Grow(b, 3)
-	if len(b) != 4 {
-		t.Fatalf("len = %d, want 4", len(b))
+	var b Bitmap
+	if !b.Add(3) || b.Has(2) || !b.Has(3) {
+		t.Fatalf("after Add(3): %b", b)
 	}
-	b[3] = true
-	if got := Grow(b, 2); len(got) != 4 || !got[3] {
-		t.Fatal("Grow shrank or clobbered the bitmap")
+	if b.Add(3) {
+		t.Fatal("a repeated Add reported a new member")
+	}
+	if !b.Add(200) || len(b) != 4 || !b.Has(3) || !b.Has(200) || b.Has(199) {
+		t.Fatalf("growing to 200 shrank or clobbered the bitmap: %b", b)
+	}
+	if b.Has(1 << 20) {
+		t.Fatal("Has past the end reported a member")
 	}
 }

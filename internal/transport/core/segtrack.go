@@ -24,7 +24,7 @@ type SegTracker struct {
 	DupAcks  int
 	Inflight int
 
-	lostQ    []int
+	lostQ    LostQueue
 	scanned  int  // the dup-ACK loss scan has passed [0, scanned)
 	oldest   int  // scan pointer for tail retransmission
 	rescanOK bool // a fresh ACK arrived since the last full tail rescan
@@ -46,14 +46,12 @@ func (t *SegTracker) MarkSent(seq int) {
 
 // PopLost pops the next segment still marked Lost, or -1.
 func (t *SegTracker) PopLost() int {
-	for len(t.lostQ) > 0 {
-		cand := t.lostQ[0]
-		t.lostQ = t.lostQ[1:]
-		if t.State[cand] == StLost {
+	for {
+		cand := t.lostQ.Pop()
+		if cand < 0 || t.State[cand] == StLost {
 			return cand
 		}
 	}
-	return -1
 }
 
 // PickNew hands out the next never-transmitted segment, or -1.
@@ -155,7 +153,7 @@ func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 			if t.State[seq] == StSent {
 				t.State[seq] = StLost
 				t.Inflight--
-				t.lostQ = append(t.lostQ, seq)
+				t.lostQ.Push(seq)
 				newLoss = true
 			}
 		}
@@ -171,7 +169,30 @@ func (t *SegTracker) LoseOutstanding() {
 		if t.State[seq] == StSent {
 			t.State[seq] = StLost
 			t.Inflight--
-			t.lostQ = append(t.lostQ, seq)
+			t.lostQ.Push(seq)
 		}
 	}
+}
+
+// LostQueue is the FIFO of segments awaiting retransmission. It pops by
+// head index and rewinds when it drains, so the backing array is reused
+// across loss episodes instead of re-grown behind a sliding window.
+type LostQueue struct {
+	segs []int32
+	head int
+}
+
+// Push appends seg.
+func (q *LostQueue) Push(seg int) { q.segs = append(q.segs, int32(seg)) }
+
+// Pop removes and returns the oldest segment, or -1 when empty.
+func (q *LostQueue) Pop() int {
+	if q.head == len(q.segs) {
+		return -1
+	}
+	seg := int(q.segs[q.head])
+	if q.head++; q.head == len(q.segs) {
+		q.segs, q.head = q.segs[:0], 0
+	}
+	return seg
 }

@@ -29,7 +29,8 @@ type Config struct {
 }
 
 // LegacyConfig returns the paper's legacy-traffic configuration: data and
-// ACKs in the legacy queue, ECN-capable, iw=10, RTOmin=4ms.
+// ACKs in the legacy queue, ECN-capable, iw=10, RTOmin=4ms. A scheme
+// builds it once and its endpoints share it by pointer, read-only.
 func LegacyConfig() Config {
 	return Config{
 		DataClass: netem.ClassLegacy,
@@ -45,13 +46,13 @@ func LegacyConfig() Config {
 
 // Sender is the DCTCP send side of one flow.
 type Sender struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
-	win  *Window
+	win  Window
 
 	trk core.SegTracker
-	rec *core.RecoveryTimer
+	rec core.RecoveryTimer
 
 	srtt, rttvar sim.Time
 	recoverEdge  int
@@ -59,7 +60,7 @@ type Sender struct {
 }
 
 // NewSender builds the send side; call Begin to start transmitting.
-func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := &Sender{
 		cfg:  cfg,
 		eng:  eng,
@@ -67,13 +68,7 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 		win:  NewWindow(cfg.InitCwnd),
 		trk:  core.NewSegTracker(flow.Segs()),
 	}
-	s.rec = core.NewRecoveryTimer(eng, core.RecoveryConfig{
-		BaseRTO:    s.baseRTO,
-		Expire:     s.onTimeout,
-		Idle:       func() bool { return s.finished || s.trk.Inflight == 0 },
-		MaxShift:   6,
-		ShiftOnArm: true,
-	})
+	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 6, ShiftOnArm: true})
 	return s
 }
 
@@ -121,8 +116,9 @@ func (s *Sender) transmit(seq int, retx bool) {
 	host.Send(pkt)
 }
 
-// baseRTO is the un-backed-off timeout: srtt + 4·rttvar, floored at MinRTO.
-func (s *Sender) baseRTO() sim.Time {
+// BaseRTO is the un-backed-off timeout: srtt + 4·rttvar, floored at
+// MinRTO (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time {
 	r := s.cfg.MinRTO
 	if s.srtt != 0 {
 		if est := s.srtt + 4*s.rttvar; est > r {
@@ -132,7 +128,13 @@ func (s *Sender) baseRTO() sim.Time {
 	return r
 }
 
-func (s *Sender) onTimeout() {
+// Idle reports nothing to time out: the flow finished or nothing is in
+// flight (core.RecoveryOwner).
+func (s *Sender) Idle() bool { return s.finished || s.trk.Inflight == 0 }
+
+// Expire is the RTO: back off, collapse the window and resend everything
+// outstanding (core.RecoveryOwner).
+func (s *Sender) Expire() {
 	s.flow.Timeouts++
 	s.cfg.Stats.Timeouts.Inc()
 	s.cfg.Trace.Add(trace.Timeout, s.flow.ID, int64(s.trk.CumAck), "rto")
@@ -193,14 +195,14 @@ func (s *Sender) Handle(pkt *netem.Packet) {
 // Receiver is the DCTCP receive side of one flow. It acknowledges every
 // data packet and completes the flow when all bytes have arrived.
 type Receiver struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 	asm  core.Reassembly
 }
 
 // NewReceiver builds the receive side.
-func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	return &Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(flow.Segs())}
 }
 
@@ -218,7 +220,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins transmission.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeDCTCP)
 	s.Begin()
@@ -226,7 +228,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 }
 
 // StartReceiver wires only the receive side.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := NewReceiver(eng, flow, cfg)
 	core.StartReceiverSide(flow, r)
 	return r

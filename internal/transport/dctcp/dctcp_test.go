@@ -12,8 +12,9 @@ import (
 // Start begins both halves of a DCTCP flow on one engine: StartReceiver,
 // then StartSender, which transmits immediately.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
+	flow.Src.Flows.Add(flow)
+	r := StartReceiver(eng, flow, &cfg)
+	return StartSender(eng, flow, &cfg), r
 }
 
 func testFabric(t *testing.T, hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
@@ -28,8 +29,9 @@ func testFabric(t *testing.T, hosts int) (*sim.Engine, *topo.Fabric, []*transpor
 		Profile:   topo.PlainProfile(100 * units.KB),
 	})
 	agents := make([]*transport.Agent, hosts)
+	table := new(transport.Flows)
 	for i := range agents {
-		agents[i] = transport.NewAgent(eng, f.Net.Host(i))
+		agents[i] = transport.NewAgent(eng, f.Net.Host(i), table)
 	}
 	return eng, f, agents
 }
@@ -144,10 +146,11 @@ func TestLossRecoveryWithTinyBuffer(t *testing.T) {
 		BufAlpha:  1.0,
 		Profile:   topo.PlainProfile(0), // no ECN: loss-driven
 	})
+	table := new(transport.Flows)
 	ag := []*transport.Agent{
-		transport.NewAgent(eng, f.Net.Host(0)),
-		transport.NewAgent(eng, f.Net.Host(1)),
-		transport.NewAgent(eng, f.Net.Host(2)),
+		transport.NewAgent(eng, f.Net.Host(0), table),
+		transport.NewAgent(eng, f.Net.Host(1), table),
+		transport.NewAgent(eng, f.Net.Host(2), table),
 	}
 	fl1 := newFlow(1, ag[0], ag[2], 3_000_000, 0)
 	fl2 := newFlow(2, ag[1], ag[2], 3_000_000, 0)

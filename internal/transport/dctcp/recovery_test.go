@@ -21,9 +21,10 @@ func lossyLink(rate float64, seed int64) (*sim.Engine, []*transport.Agent) {
 		Profile:   topo.PlainProfile(100 * units.KB),
 	})
 	f.Net.Switches[0].Ports()[1].SetLossRate(rate)
+	table := new(transport.Flows)
 	return eng, []*transport.Agent{
-		transport.NewAgent(eng, f.Net.Host(0)),
-		transport.NewAgent(eng, f.Net.Host(1)),
+		transport.NewAgent(eng, f.Net.Host(0), table),
+		transport.NewAgent(eng, f.Net.Host(1), table),
 	}
 }
 
@@ -78,9 +79,10 @@ func TestTailLossRecoveredByRTO(t *testing.T) {
 		Profile:   topo.PlainProfile(100 * units.KB),
 	})
 	port := fb.Net.Switches[0].Ports()[1]
+	table := new(transport.Flows)
 	ag := []*transport.Agent{
-		transport.NewAgent(eng, fb.Net.Host(0)),
-		transport.NewAgent(eng, fb.Net.Host(1)),
+		transport.NewAgent(eng, fb.Net.Host(0), table),
+		transport.NewAgent(eng, fb.Net.Host(1), table),
 	}
 	f := newFlow(1, ag[0], ag[1], 100_000_000, 0)
 	Start(eng, f, LegacyConfig())

@@ -19,9 +19,10 @@ type Window struct {
 	reduceEdge  int // at most one multiplicative decrease per window
 }
 
-// NewWindow returns a window starting at initCwnd segments, in slow start.
-func NewWindow(initCwnd float64) *Window {
-	return &Window{
+// NewWindow returns a window starting at initCwnd segments, in slow start;
+// its owner keeps it by value.
+func NewWindow(initCwnd float64) Window {
+	return Window{
 		Cwnd:     initCwnd,
 		Ssthresh: 1 << 30,
 		Alpha:    1, // standard conservative initialization

@@ -18,7 +18,7 @@ import (
 type Config struct {
 	DataClass netem.Class
 	AckClass  netem.Class
-	Pacer     PacerConfig
+	Pacer     core.PacerConfig
 
 	// DataECN makes data packets ECN-capable (used by the layering
 	// scheme, where ExpressPass data must carry DCTCP's congestion
@@ -39,9 +39,10 @@ type Config struct {
 	Stats transport.Counters
 }
 
-// DefaultConfig returns the paper's ExpressPass setup for a flow whose
-// per-flow credit ceiling is maxCredit.
-func DefaultConfig(p PacerConfig) Config {
+// DefaultConfig returns the paper's ExpressPass setup for the given
+// credit pacer configuration. A scheme builds it once and its endpoints
+// share it by pointer, read-only.
+func DefaultConfig(p core.PacerConfig) Config {
 	return Config{
 		DataClass: netem.ClassFlex,
 		AckClass:  netem.ClassFlex,
@@ -53,21 +54,21 @@ func DefaultConfig(p PacerConfig) Config {
 // Sender is the ExpressPass send side: data leaves only when a credit
 // arrives.
 type Sender struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 
 	trk core.SegTracker
-	rec *core.RecoveryTimer
+	rec core.RecoveryTimer
 
-	// Layering state.
-	win *dctcp.Window
+	// Layering state (zero unless cfg.Layered).
+	win dctcp.Window
 
 	finished bool
 }
 
 // NewSender builds the send side; Begin issues the credit request.
-func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := &Sender{
 		cfg:  cfg,
 		eng:  eng,
@@ -77,12 +78,7 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 	if cfg.Layered {
 		s.win = dctcp.NewWindow(10)
 	}
-	s.rec = core.NewRecoveryTimer(eng, core.RecoveryConfig{
-		BaseRTO:  func() sim.Time { return cfg.MinRTO },
-		Expire:   s.onRecoveryTimeout,
-		Idle:     func() bool { return s.finished },
-		MaxShift: 4,
-	})
+	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
 }
 
@@ -111,9 +107,16 @@ func (s *Sender) sendRequest() {
 	host.Send(pkt)
 }
 
-// onRecoveryTimeout fires when neither credits nor ACKs arrived for an RTO:
-// the credit request (or the whole credit stream) was lost. Re-request.
-func (s *Sender) onRecoveryTimeout() {
+// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+
+// Idle reports a finished flow (core.RecoveryOwner).
+func (s *Sender) Idle() bool { return s.finished }
+
+// Expire fires when neither credits nor ACKs arrived for an RTO: the
+// credit request (or the whole credit stream) was lost. Re-request
+// (core.RecoveryOwner).
+func (s *Sender) Expire() {
 	s.flow.Timeouts++
 	s.cfg.Stats.Timeouts.Inc()
 	s.cfg.Trace.Add(trace.Timeout, s.flow.ID, int64(s.trk.CumAck), "re-request")
@@ -199,26 +202,22 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 // Receiver is the ExpressPass receive side: it paces credits and
 // acknowledges data.
 type Receiver struct {
-	cfg   Config
+	cfg   *Config
 	eng   *sim.Engine
 	flow  *transport.Flow
-	pacer *Pacer
+	pacer core.Pacer
 	asm   core.Reassembly
 }
 
 // NewReceiver builds the receive side.
-func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
-	return &Receiver{
-		cfg:   cfg,
-		eng:   eng,
-		flow:  flow,
-		pacer: NewPacer(eng, flow.Dst.Host, flow.Src.Host.NodeID(), flow.ID, cfg.Pacer),
-		asm:   core.NewReassembly(flow.Segs()),
-	}
+func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
+	r := &Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(flow.Segs())}
+	r.pacer.Init(eng, flow.Dst.Host, flow.Src.Host.NodeID(), flow.ID, &cfg.Pacer)
+	return r
 }
 
 // Pacer exposes the credit pacer (stats, tests).
-func (r *Receiver) Pacer() *Pacer { return r.pacer }
+func (r *Receiver) Pacer() *core.Pacer { return &r.pacer }
 
 // Handle processes credit requests and data.
 func (r *Receiver) Handle(pkt *netem.Packet) {
@@ -240,7 +239,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeExpressPass)
 	s.Begin()
@@ -249,7 +248,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 
 // StartReceiver wires only the receive side; its credit pacer engages on
 // the first data/request arrival as usual.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := NewReceiver(eng, flow, cfg)
 	core.StartReceiverSide(flow, r)
 	return r

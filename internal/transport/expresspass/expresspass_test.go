@@ -7,6 +7,7 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/core"
 	"flexpass/internal/transport/dctcp"
 	"flexpass/internal/units"
 )
@@ -14,8 +15,9 @@ import (
 // Start begins both halves of an ExpressPass flow on one engine:
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
+	flow.Src.Flows.Add(flow)
+	r := StartReceiver(eng, flow, &cfg)
+	return StartSender(eng, flow, &cfg), r
 }
 
 const gig = units.Gbps
@@ -31,8 +33,9 @@ func naiveFabric(hosts int, rate units.Rate) (*sim.Engine, *topo.Fabric, []*tran
 		Profile:   topo.NaiveProfile(topo.Spec{}),
 	})
 	agents := make([]*transport.Agent, hosts)
+	table := new(transport.Flows)
 	for i := range agents {
-		agents[i] = transport.NewAgent(eng, f.Net.Host(i))
+		agents[i] = transport.NewAgent(eng, f.Net.Host(i), table)
 	}
 	return eng, f, agents
 }
@@ -48,7 +51,7 @@ func xpFlow(id uint64, src, dst *transport.Agent, size int64) *transport.Flow {
 func TestSingleFlowNearLineRate(t *testing.T) {
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 10_000_000)
-	Start(eng, fl, DefaultConfig(DefaultPacerConfig(fullCreditRate(10*gig))))
+	Start(eng, fl, DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10*gig))))
 	eng.Run(50 * sim.Millisecond)
 	if !fl.Completed {
 		t.Fatal("flow did not complete")
@@ -66,7 +69,7 @@ func TestSingleFlowNearLineRate(t *testing.T) {
 func TestFirstRTTSpentOnCreditRequest(t *testing.T) {
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 1460) // one segment
-	Start(eng, fl, DefaultConfig(DefaultPacerConfig(fullCreditRate(10*gig))))
+	Start(eng, fl, DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10*gig))))
 	eng.Run(10 * sim.Millisecond)
 	if !fl.Completed {
 		t.Fatal("flow did not complete")
@@ -82,7 +85,7 @@ func TestTwoFlowsShareViaCreditFeedback(t *testing.T) {
 	eng, _, ag := naiveFabric(3, 10*gig)
 	f1 := xpFlow(1, ag[0], ag[2], 1<<30)
 	f2 := xpFlow(2, ag[1], ag[2], 1<<30)
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	Start(eng, f1, cfg)
 	Start(eng, f2, cfg)
 	eng.Run(30 * sim.Millisecond)
@@ -107,7 +110,7 @@ func TestCreditDropsDriveFeedbackDown(t *testing.T) {
 	eng, _, ag := naiveFabric(3, 10*gig)
 	f1 := xpFlow(1, ag[0], ag[2], 1<<30)
 	f2 := xpFlow(2, ag[1], ag[2], 1<<30)
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	_, r1 := Start(eng, f1, cfg)
 	_, r2 := Start(eng, f2, cfg)
 	eng.Run(20 * sim.Millisecond)
@@ -123,9 +126,11 @@ func TestExpressPassStarvesDCTCPInSharedQueue(t *testing.T) {
 	eng, _, ag := naiveFabric(3, 10*gig)
 	xp := xpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
-	Start(eng, xp, DefaultConfig(DefaultPacerConfig(fullCreditRate(10*gig))))
-	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
+	Start(eng, xp, DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10*gig))))
+	legacy := dctcp.LegacyConfig()
+	dc.Src.Flows.Add(dc)
+	dctcp.StartReceiver(eng, dc, &legacy)
+	dctcp.StartSender(eng, dc, &legacy)
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -143,12 +148,14 @@ func TestLayeredModeDoesNotStarveDCTCP(t *testing.T) {
 	eng, _, ag := naiveFabric(3, 10*gig)
 	xp := xpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	cfg.Layered = true
 	cfg.DataECN = true
 	Start(eng, xp, cfg)
-	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
+	legacy := dctcp.LegacyConfig()
+	dc.Src.Flows.Add(dc)
+	dctcp.StartReceiver(eng, dc, &legacy)
+	dctcp.StartSender(eng, dc, &legacy)
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -163,14 +170,15 @@ func TestRecoveryAfterLostCreditRequest(t *testing.T) {
 	// request drops, and rely on the recovery timer to re-request.
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 100_000)
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	cfg.MinRTO = 1 * sim.Millisecond
-	s := NewSender(eng, fl, cfg)
-	r := NewReceiver(eng, fl, cfg)
-	ag[0].Register(fl.ID, s)
-	// Register the receiver only after 0.5ms: the first request hits an
-	// unregistered flow and is ignored (equivalent to a loss).
-	eng.After(500*sim.Microsecond, func() { ag[1].Register(fl.ID, r) })
+	fl.Src.Flows.Add(fl)
+	s := NewSender(eng, fl, &cfg)
+	r := NewReceiver(eng, fl, &cfg)
+	fl.Sender = s
+	// Start the receiver only after 0.5ms: the first request reaches a
+	// flow with no receiver and is ignored (equivalent to a loss).
+	eng.After(500*sim.Microsecond, func() { fl.Receiver = r })
 	s.Begin()
 	eng.Run(50 * sim.Millisecond)
 	if !fl.Completed {
@@ -185,9 +193,10 @@ func TestPacerFeedbackUnit(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nic := netem.NewPort(eng, "nic", 10*gig, 0, topo.NaiveProfile(topo.Spec{})(10*gig), nil)
 	h := netem.NewHost(eng, 1, "h", nic, 0)
-	cfg := DefaultPacerConfig(500 * units.Mbps)
+	cfg := core.DefaultPacerConfig(500 * units.Mbps)
 	cfg.InitRate = 50 * units.Mbps
-	p := NewPacer(eng, h, 2, 7, cfg)
+	var p core.Pacer
+	p.Init(eng, h, 2, 7, &cfg)
 	// Every credit that leaves the NIC counts as delivered data: a
 	// lossless path. Rate must climb to the max.
 	nic.Connect(deliverFunc(func(pkt *netem.Packet) { p.OnData(pkt.SubSeq) }))
@@ -206,8 +215,9 @@ func TestPacerBacksOffUnderTotalLoss(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nic := netem.NewPort(eng, "nic", 10*gig, 0, topo.NaiveProfile(topo.Spec{})(10*gig), nil)
 	h := netem.NewHost(eng, 1, "h", nic, 0)
-	cfg := DefaultPacerConfig(500 * units.Mbps)
-	p := NewPacer(eng, h, 2, 7, cfg)
+	cfg := core.DefaultPacerConfig(500 * units.Mbps)
+	var p core.Pacer
+	p.Init(eng, h, 2, 7, &cfg)
 	nic.Connect(deliverFunc(func(*netem.Packet) {})) // nothing delivered
 	p.Start()
 	eng.Run(50 * cfg.Period)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexpass/internal/sim"
+	"flexpass/internal/transport/core"
 	"flexpass/internal/units"
 )
 
@@ -13,7 +14,7 @@ func TestLayeredWindowGatesCredits(t *testing.T) {
 	// underutilizes when there is no competing traffic — §6.2).
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 50_000_000)
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	cfg.Layered = true
 	cfg.DataECN = true
 	s, _ := Start(eng, fl, cfg)
@@ -33,7 +34,7 @@ func TestLayeredWindowGatesCredits(t *testing.T) {
 func TestLayeredBeatsNothingButStillCompletes(t *testing.T) {
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 3_000_000)
-	cfg := DefaultConfig(DefaultPacerConfig(fullCreditRate(10 * gig)))
+	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
 	cfg.Layered = true
 	cfg.DataECN = true
 	Start(eng, fl, cfg)

@@ -25,9 +25,10 @@ func lossyPair(rate float64, spec topo.Spec) (*sim.Engine, *topo.Fabric, []*tran
 		Profile:   topo.FlexPassProfile(spec),
 	})
 	f.Net.Switches[0].Ports()[1].SetLossRate(rate)
+	table := new(transport.Flows)
 	ag := []*transport.Agent{
-		transport.NewAgent(eng, f.Net.Host(0)),
-		transport.NewAgent(eng, f.Net.Host(1)),
+		transport.NewAgent(eng, f.Net.Host(0), table),
+		transport.NewAgent(eng, f.Net.Host(1), table),
 	}
 	return eng, f, ag
 }
@@ -78,13 +79,16 @@ func TestDCTCPSurvivesRandomLoss(t *testing.T) {
 		Profile:   topo.PlainProfile(100 * units.KB),
 	})
 	f.Net.Switches[0].Ports()[1].SetLossRate(0.02)
+	table := new(transport.Flows)
 	ag := []*transport.Agent{
-		transport.NewAgent(eng, f.Net.Host(0)),
-		transport.NewAgent(eng, f.Net.Host(1)),
+		transport.NewAgent(eng, f.Net.Host(0), table),
+		transport.NewAgent(eng, f.Net.Host(1), table),
 	}
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 2_000_000, Transport: "dctcp", Legacy: true}
-	dctcp.StartReceiver(eng, fl, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, fl, dctcp.LegacyConfig())
+	legacy := dctcp.LegacyConfig()
+	fl.Src.Flows.Add(fl)
+	dctcp.StartReceiver(eng, fl, &legacy)
+	dctcp.StartSender(eng, fl, &legacy)
 	eng.Run(2 * sim.Second)
 	if !fl.Completed {
 		t.Fatal("DCTCP did not complete under 2% loss")

@@ -15,6 +15,8 @@
 package flexpass
 
 import (
+	"slices"
+
 	"flexpass/internal/netem"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
@@ -88,7 +90,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's FlexPass setup given the per-flow
-// credit pacer configuration.
+// credit pacer configuration. A scheme builds it once and its endpoints
+// share it by pointer, read-only.
 func DefaultConfig(p core.PacerConfig) Config {
 	return Config{
 		ProClass: netem.ClassFlex,
@@ -116,34 +119,40 @@ const (
 	subLost
 )
 
+// txRecord is one transmission of a sub-flow, indexed by its sub-flow
+// sequence: when it left, the flow segment it carried, and its state.
+type txRecord struct {
+	at    sim.Time
+	seg   int32
+	state uint8
+}
+
 // Sender is the FlexPass send side.
 type Sender struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 
 	st          []uint8 // per flow segment
 	segReSub    []int32 // flow segment → its reactive transmission (-1 none)
-	lostQ       []int
+	lostQ       core.LostQueue
 	nextPending int // forward scan for Pending
 	tailPending int // backward scan (RC3 mode)
 	ackedCount  int
 
 	// Reactive sub-flow (no retransmissions of its own).
-	win           reactiveWindow
-	reECT         bool    // reactive packets ECN-capable?
-	reMap         []int32 // reactive subseq → flow seq
-	reState       []uint8
-	reTime        []sim.Time // send time per reactive transmission
+	win           reactiveWindow // &dwin or &rwin, by cfg.Reactive
+	dwin          dctcpWindow
+	rwin          renoWindow
+	reECT         bool       // reactive packets ECN-capable?
+	re            []txRecord // per reactive transmission
 	reOutstanding int
 	reCum         int
 	reSackHigh    int
 	reDupAcks     int
 
 	// Proactive sub-flow (credit-clocked).
-	proMap      []int32
-	proState    []uint8
-	proTime     []sim.Time // send time per proactive transmission
+	pro         []txRecord // per proactive transmission
 	srtt        sim.Time   // smoothed RTT from ACK timestamp echoes
 	proCum      int
 	proSackHigh int
@@ -153,12 +162,12 @@ type Sender struct {
 	rackScan    int // time-ordered reactive loss-detection scan
 
 	pumped   bool // first reactive window sent (PreCreditOnly)
-	rec      *core.RecoveryTimer
+	rec      core.RecoveryTimer
 	finished bool
 }
 
 // NewSender builds the send side; Begin starts both sub-flows.
-func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	segs := flow.Segs()
 	s := &Sender{
 		cfg:         cfg,
@@ -167,18 +176,13 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 		st:          make([]uint8, segs),
 		segReSub:    make([]int32, segs),
 		tailPending: segs - 1,
-		win:         newReactiveWindow(cfg.Reactive, cfg.InitCwnd),
 		reECT:       ecnCapableFor(cfg.Reactive),
 	}
 	for i := range s.segReSub {
 		s.segReSub[i] = -1
 	}
-	s.rec = core.NewRecoveryTimer(eng, core.RecoveryConfig{
-		BaseRTO:  func() sim.Time { return cfg.MinRTO },
-		Expire:   s.onRecoveryTimeout,
-		Idle:     func() bool { return s.finished },
-		MaxShift: 4,
-	})
+	s.initReactiveWindow()
+	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
 }
 
@@ -211,31 +215,33 @@ func (s *Sender) sendCreditRequest() {
 	host.Send(pkt)
 }
 
-// onRecoveryTimeout fires only when credits and ACKs both stopped for a
-// full RTO (e.g. the credit request was lost before any data got through).
-// It re-requests credits and requeues every unacked transmission for
-// proactive recovery.
-func (s *Sender) onRecoveryTimeout() {
+// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+
+// Idle reports a finished flow (core.RecoveryOwner).
+func (s *Sender) Idle() bool { return s.finished }
+
+// Expire fires only when credits and ACKs both stopped for a full RTO
+// (e.g. the credit request was lost before any data got through). It
+// re-requests credits and requeues every unacked transmission for
+// proactive recovery (core.RecoveryOwner).
+func (s *Sender) Expire() {
 	s.flow.Timeouts++
 	s.cfg.Stats.Timeouts.Inc()
 	s.rec.Bump()
 	s.cfg.Trace.Add(trace.Timeout, s.flow.ID, int64(s.ackedCount), "recovery timer fired")
 	s.sendCreditRequest()
-	for sub := s.reCum; sub < len(s.reState); sub++ {
-		if s.reState[sub] == subSent {
-			s.reState[sub] = subLost
+	for sub := s.reCum; sub < len(s.re); sub++ {
+		if tx := &s.re[sub]; tx.state == subSent {
+			tx.state = subLost
 			s.reOutstanding--
-			s.markSegLost(int(s.reMap[sub]))
+			s.markSegLost(int(tx.seg))
 		}
 	}
-	for sub := s.proCum; sub < len(s.proState); sub++ {
-		if s.proState[sub] == subSent {
-			s.proState[sub] = subLost
-			seg := int(s.proMap[sub])
-			if s.st[seg] == stSentPro {
-				s.st[seg] = stLost
-				s.lostQ = append(s.lostQ, seg)
-			}
+	for sub := s.proCum; sub < len(s.pro); sub++ {
+		if tx := &s.pro[sub]; tx.state == subSent {
+			tx.state = subLost
+			s.markProLost(int(tx.seg))
 		}
 	}
 	s.win.OnTimeout()
@@ -256,17 +262,17 @@ func (s *Sender) rackDetect() {
 	}
 	cutoff := s.eng.Now() - 2*s.srtt
 	newLoss := false
-	for s.rackScan < len(s.reState) && s.reTime[s.rackScan] <= cutoff {
-		if s.reState[s.rackScan] == subSent {
-			s.reState[s.rackScan] = subLost
+	for s.rackScan < len(s.re) && s.re[s.rackScan].at <= cutoff {
+		if tx := &s.re[s.rackScan]; tx.state == subSent {
+			tx.state = subLost
 			s.reOutstanding--
-			s.markSegLost(int(s.reMap[s.rackScan]))
+			s.markSegLost(int(tx.seg))
 			newLoss = true
 		}
 		s.rackScan++
 	}
 	if newLoss {
-		s.win.OnLoss(s.reCum, len(s.reMap))
+		s.win.OnLoss(s.reCum, len(s.re))
 		s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(s.reCum), "rack cwnd=%.1f", s.win.Cwnd())
 	}
 }
@@ -276,7 +282,16 @@ func (s *Sender) rackDetect() {
 func (s *Sender) markSegLost(seg int) {
 	if s.st[seg] == stSentRe {
 		s.st[seg] = stLost
-		s.lostQ = append(s.lostQ, seg)
+		s.lostQ.Push(seg)
+	}
+}
+
+// markProLost moves a flow segment whose proactive transmission was lost
+// to Lost, unless it was recovered or re-sent since.
+func (s *Sender) markProLost(seg int) {
+	if s.st[seg] == stSentPro {
+		s.st[seg] = stLost
+		s.lostQ.Push(seg)
 	}
 }
 
@@ -291,8 +306,8 @@ func (s *Sender) segAcked(seg int) {
 	}
 	s.st[seg] = stAcked
 	s.ackedCount++
-	if sub := s.segReSub[seg]; sub >= 0 && s.reState[sub] == subSent {
-		s.reState[sub] = subAcked
+	if sub := s.segReSub[seg]; sub >= 0 && s.re[sub].state == subSent {
+		s.re[sub].state = subAcked
 		s.reOutstanding--
 	}
 	if s.ackedCount >= len(s.st) {
@@ -339,10 +354,8 @@ func (s *Sender) pumpReactive() {
 		if seg < 0 {
 			return
 		}
-		sub := len(s.reMap)
-		s.reMap = append(s.reMap, int32(seg))
-		s.reState = append(s.reState, subSent)
-		s.reTime = append(s.reTime, s.eng.Now())
+		sub := len(s.re)
+		s.re = s.record(s.re, seg)
 		s.segReSub[seg] = int32(sub)
 		s.reOutstanding++
 		s.st[seg] = stSentRe
@@ -364,12 +377,22 @@ func (s *Sender) pumpReactive() {
 	}
 }
 
+// record appends a transmission of seg, sent now, to a sub-flow's
+// records. The first makes room for min(segs, InitCwnd) — all of a short
+// flow's transmissions, a long flow's first window — and a full slice
+// doubles: append's gentler growth past 256 entries would allocate a
+// long flow's records several times over on the way up.
+func (s *Sender) record(rs []txRecord, seg int) []txRecord {
+	if len(rs) == cap(rs) {
+		rs = slices.Grow(rs, max(len(rs), min(len(s.st), int(s.cfg.InitCwnd))))
+	}
+	return append(rs, txRecord{at: s.eng.Now(), seg: int32(seg), state: subSent})
+}
+
 // pickProactive chooses what a fresh credit carries (§4.2 priority order).
 func (s *Sender) pickProactive() (seg int, proRetx, retx bool) {
 	// 1. Lost segments: loss recovery rides only the proactive sub-flow.
-	for len(s.lostQ) > 0 {
-		cand := s.lostQ[0]
-		s.lostQ = s.lostQ[1:]
+	for cand := s.lostQ.Pop(); cand >= 0; cand = s.lostQ.Pop() {
 		if s.st[cand] == stLost {
 			return cand, false, true
 		}
@@ -406,28 +429,26 @@ func (s *Sender) pickProactive() (seg int, proRetx, retx bool) {
 		return -1, false, false // no RTT estimate yet; recovery timer covers us
 	}
 	age := s.eng.Now() - s.srtt*5/4
-	for s.reRetxScan < len(s.reMap) {
-		sub := s.reRetxScan
-		if s.reTime[sub] > age {
+	for s.reRetxScan < len(s.re) {
+		tx := s.re[s.reRetxScan]
+		if tx.at > age {
 			break
 		}
 		s.reRetxScan++
-		seg := int(s.reMap[sub])
-		if s.reState[sub] == subSent && s.st[seg] == stSentRe {
+		if seg := int(tx.seg); tx.state == subSent && s.st[seg] == stSentRe {
 			return seg, true, true
 		}
 	}
 	// 4. Tail robustness beyond the paper's list: re-send the oldest
 	// unacked proactive transmission so a lost final proactive packet
 	// does not have to wait for the recovery timer.
-	for s.proTailScan < len(s.proMap) {
-		sub := s.proTailScan
-		if s.proTime[sub] > age {
+	for s.proTailScan < len(s.pro) {
+		tx := s.pro[s.proTailScan]
+		if tx.at > age {
 			break
 		}
 		s.proTailScan++
-		seg := int(s.proMap[sub])
-		if s.proState[sub] == subSent && s.st[seg] == stSentPro {
+		if seg := int(tx.seg); tx.state == subSent && s.st[seg] == stSentPro {
 			return seg, false, true
 		}
 	}
@@ -435,10 +456,8 @@ func (s *Sender) pickProactive() (seg int, proRetx, retx bool) {
 }
 
 func (s *Sender) sendProactive(seg int, echo uint32, proRetx, retx bool) {
-	sub := len(s.proMap)
-	s.proMap = append(s.proMap, int32(seg))
-	s.proState = append(s.proState, subSent)
-	s.proTime = append(s.proTime, s.eng.Now())
+	sub := len(s.pro)
+	s.pro = s.record(s.pro, seg)
 	s.st[seg] = stSentPro
 	if proRetx {
 		s.flow.ProRetx++
@@ -510,25 +529,25 @@ func (s *Sender) onReactiveAck(pkt *netem.Packet) {
 	s.rackDetect()
 	cum := int(pkt.SubSeq)
 	sack := int(pkt.Seq)
-	if sack < len(s.reState) {
-		if s.reState[sack] == subSent {
-			s.reState[sack] = subAcked
+	if sack < len(s.re) {
+		if tx := &s.re[sack]; tx.state == subSent {
+			tx.state = subAcked
 			s.reOutstanding--
-			s.segAcked(int(s.reMap[sack]))
-		} else if s.reState[sack] == subLost {
-			s.reState[sack] = subAcked
-			s.segAcked(int(s.reMap[sack]))
+			s.segAcked(int(tx.seg))
+		} else if tx.state == subLost {
+			tx.state = subAcked
+			s.segAcked(int(tx.seg))
 		}
 	}
 	if sack > s.reSackHigh {
 		s.reSackHigh = sack
 	}
 	if cum > s.reCum {
-		for sub := s.reCum; sub < cum && sub < len(s.reState); sub++ {
-			if s.reState[sub] == subSent {
-				s.reState[sub] = subAcked
+		for sub := s.reCum; sub < cum && sub < len(s.re); sub++ {
+			if tx := &s.re[sub]; tx.state == subSent {
+				tx.state = subAcked
 				s.reOutstanding--
-				s.segAcked(int(s.reMap[sub]))
+				s.segAcked(int(tx.seg))
 			}
 		}
 		s.reCum = cum
@@ -536,26 +555,26 @@ func (s *Sender) onReactiveAck(pkt *netem.Packet) {
 	} else if sack >= s.reCum {
 		s.reDupAcks++
 	}
-	s.win.OnAck(cum, len(s.reMap), pkt.CE)
+	s.win.OnAck(cum, len(s.re), pkt.CE)
 	// Loss: mark Lost, update the window, slide the left edge (the
 	// reactive sub-flow never retransmits; recovery is proactive).
 	if s.reDupAcks >= 3 {
 		edge := s.reSackHigh - 2
 		newLoss := false
-		for sub := s.reCum; sub < edge && sub < len(s.reState); sub++ {
-			if s.reState[sub] == subSent {
-				s.reState[sub] = subLost
+		for sub := s.reCum; sub < edge && sub < len(s.re); sub++ {
+			if tx := &s.re[sub]; tx.state == subSent {
+				tx.state = subLost
 				s.reOutstanding--
-				s.markSegLost(int(s.reMap[sub]))
+				s.markSegLost(int(tx.seg))
 				newLoss = true
 			}
 		}
 		if newLoss {
-			s.win.OnLoss(cum, len(s.reMap))
+			s.win.OnLoss(cum, len(s.re))
 			s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(cum), "dupack cwnd=%.1f", s.win.Cwnd())
 		}
 		// Slide the left edge past lost transmissions.
-		for s.reCum < len(s.reState) && s.reState[s.reCum] != subSent {
+		for s.reCum < len(s.re) && s.re[s.reCum].state != subSent {
 			s.reCum++
 		}
 	}
@@ -574,20 +593,20 @@ func (s *Sender) onProactiveAck(pkt *netem.Packet) {
 	s.rackDetect()
 	cum := int(pkt.SubSeq)
 	sack := int(pkt.Seq)
-	if sack < len(s.proState) {
-		if s.proState[sack] != subAcked {
-			s.proState[sack] = subAcked
-			s.segAcked(int(s.proMap[sack]))
+	if sack < len(s.pro) {
+		if tx := &s.pro[sack]; tx.state != subAcked {
+			tx.state = subAcked
+			s.segAcked(int(tx.seg))
 		}
 	}
 	if sack > s.proSackHigh {
 		s.proSackHigh = sack
 	}
 	if cum > s.proCum {
-		for sub := s.proCum; sub < cum && sub < len(s.proState); sub++ {
-			if s.proState[sub] != subAcked {
-				s.proState[sub] = subAcked
-				s.segAcked(int(s.proMap[sub]))
+		for sub := s.proCum; sub < cum && sub < len(s.pro); sub++ {
+			if tx := &s.pro[sub]; tx.state != subAcked {
+				tx.state = subAcked
+				s.segAcked(int(tx.seg))
 			}
 		}
 		s.proCum = cum
@@ -599,17 +618,13 @@ func (s *Sender) onProactiveAck(pkt *netem.Packet) {
 	// and give the lost segment top priority on the next credit.
 	if s.proDupAcks >= 3 {
 		edge := s.proSackHigh - 2
-		for sub := s.proCum; sub < edge && sub < len(s.proState); sub++ {
-			if s.proState[sub] == subSent {
-				s.proState[sub] = subLost
-				seg := int(s.proMap[sub])
-				if s.st[seg] == stSentPro {
-					s.st[seg] = stLost
-					s.lostQ = append(s.lostQ, seg)
-				}
+		for sub := s.proCum; sub < edge && sub < len(s.pro); sub++ {
+			if tx := &s.pro[sub]; tx.state == subSent {
+				tx.state = subLost
+				s.markProLost(int(tx.seg))
 			}
 		}
-		for s.proCum < len(s.proState) && s.proState[s.proCum] != subSent {
+		for s.proCum < len(s.pro) && s.pro[s.proCum].state != subSent {
 			s.proCum++
 		}
 	}
@@ -625,10 +640,11 @@ func (s *Sender) onProactiveAck(pkt *netem.Packet) {
 // Receiver is the FlexPass receive side: per-sub-flow ACKs, reassembly by
 // flow sequence number, duplicate discard, and the credit pacer.
 type Receiver struct {
-	cfg   Config
+	cfg   *Config
 	eng   *sim.Engine
 	flow  *transport.Flow
-	pacer CreditSource
+	pacer CreditSource // &ep unless cfg.NewCreditSource overrides it
+	ep    core.Pacer   // the default ExpressPass pacer
 
 	got      []bool
 	cum      int
@@ -637,29 +653,24 @@ type Receiver struct {
 	receivedB  int64 // distinct payload bytes received
 	deliveredB int64 // in-order bytes delivered to the app
 
-	reGot  []bool
+	reGot  core.Bitmap
 	reCum  int
-	proGot []bool
+	proGot core.Bitmap
 	proCum int
 
 	started bool
 }
 
 // NewReceiver builds the receive side.
-func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
-	var src CreditSource
+func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
+	r := &Receiver{cfg: cfg, eng: eng, flow: flow, got: make([]bool, flow.Segs())}
 	if cfg.NewCreditSource != nil {
-		src = cfg.NewCreditSource(eng, flow)
+		r.pacer = cfg.NewCreditSource(eng, flow)
 	} else {
-		src = core.NewPacer(eng, flow.Dst.Host, flow.Src.Host.NodeID(), flow.ID, cfg.Pacer)
+		r.ep.Init(eng, flow.Dst.Host, flow.Src.Host.NodeID(), flow.ID, &cfg.Pacer)
+		r.pacer = &r.ep
 	}
-	return &Receiver{
-		cfg:   cfg,
-		eng:   eng,
-		flow:  flow,
-		pacer: src,
-		got:   make([]bool, flow.Segs()),
-	}
+	return r
 }
 
 // Pacer exposes the credit source (the ExpressPass pacer by default).
@@ -676,10 +687,8 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	case netem.KindCreditReq:
 		// Crediting already started above.
 	case netem.KindReData:
-		r.reGot = core.Grow(r.reGot, int(pkt.SubSeq))
-		if !r.reGot[pkt.SubSeq] {
-			r.reGot[pkt.SubSeq] = true
-			for r.reCum < len(r.reGot) && r.reGot[r.reCum] {
+		if r.reGot.Add(int(pkt.SubSeq)) {
+			for r.reGot.Has(r.reCum) {
 				r.reCum++
 			}
 		}
@@ -688,10 +697,8 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 		r.checkComplete()
 	case netem.KindProData:
 		r.pacer.OnData(pkt.Echo)
-		r.proGot = core.Grow(r.proGot, int(pkt.SubSeq))
-		if !r.proGot[pkt.SubSeq] {
-			r.proGot[pkt.SubSeq] = true
-			for r.proCum < len(r.proGot) && r.proGot[r.proCum] {
+		if r.proGot.Add(int(pkt.SubSeq)) {
+			for r.proGot.Has(r.proCum) {
 				r.proCum++
 			}
 		}
@@ -740,7 +747,7 @@ func (r *Receiver) checkComplete() {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeFlexPass)
 	s.Begin()
@@ -749,7 +756,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 
 // StartReceiver wires only the receive side: the proactive credit source
 // it owns runs on the destination host's engine.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := NewReceiver(eng, flow, cfg)
 	core.StartReceiverSide(flow, r)
 	return r

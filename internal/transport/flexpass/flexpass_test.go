@@ -7,16 +7,17 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/core"
 	"flexpass/internal/transport/dctcp"
-	"flexpass/internal/transport/expresspass"
 	"flexpass/internal/units"
 )
 
 // Start begins both halves of a FlexPass flow on one engine:
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
+	flow.Src.Flows.Add(flow)
+	r := StartReceiver(eng, flow, &cfg)
+	return StartSender(eng, flow, &cfg), r
 }
 
 const gig = units.Gbps
@@ -33,14 +34,15 @@ func flexFabric(hosts int, rate units.Rate, spec topo.Spec) (*sim.Engine, *topo.
 		Profile:   topo.FlexPassProfile(spec),
 	})
 	agents := make([]*transport.Agent, hosts)
+	table := new(transport.Flows)
 	for i := range agents {
-		agents[i] = transport.NewAgent(eng, f.Net.Host(i))
+		agents[i] = transport.NewAgent(eng, f.Net.Host(i), table)
 	}
 	return eng, f, agents
 }
 
 func flexCfg(rate units.Rate, wq float64) Config {
-	return DefaultConfig(expresspass.DefaultPacerConfig(netem.CreditRateFor(rate, wq)))
+	return DefaultConfig(core.DefaultPacerConfig(netem.CreditRateFor(rate, wq)))
 }
 
 func fpFlow(id uint64, src, dst *transport.Agent, size int64) *transport.Flow {
@@ -73,8 +75,10 @@ func TestFlexPassSharesFairlyWithDCTCP(t *testing.T) {
 	fp := fpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	Start(eng, fp, flexCfg(10*gig, 0.5))
-	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
+	legacy := dctcp.LegacyConfig()
+	dc.Src.Flows.Add(dc)
+	dctcp.StartReceiver(eng, dc, &legacy)
+	dctcp.StartSender(eng, dc, &legacy)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -283,16 +287,17 @@ func TestCreditWasteUsedByReactive(t *testing.T) {
 }
 
 func TestRecoveryTimerRestartsAfterDeadStart(t *testing.T) {
-	// The receiver is registered late: the first reactive window and the
+	// The receiver starts late: the first reactive window and the
 	// credit request all vanish. The recovery timer must restart the flow.
 	eng, _, ag := flexFabric(2, 10*gig, topo.Spec{})
 	fl := fpFlow(1, ag[0], ag[1], 100_000)
 	cfg := flexCfg(10*gig, 0.5)
 	cfg.MinRTO = 1 * sim.Millisecond
-	s := NewSender(eng, fl, cfg)
-	r := NewReceiver(eng, fl, cfg)
-	ag[0].Register(fl.ID, s)
-	eng.After(2500*sim.Microsecond, func() { ag[1].Register(fl.ID, r) })
+	fl.Src.Flows.Add(fl)
+	s := NewSender(eng, fl, &cfg)
+	r := NewReceiver(eng, fl, &cfg)
+	fl.Sender = s
+	eng.After(2500*sim.Microsecond, func() { fl.Receiver = r })
 	s.Begin()
 	eng.Run(100 * sim.Millisecond)
 	if !fl.Completed {

@@ -28,13 +28,15 @@ func TestSenderRobustAgainstAdversarialPackets(t *testing.T) {
 			BufAlpha:  0.5,
 			Profile:   topo.FlexPassProfile(topo.Spec{}),
 		})
+		table := new(transport.Flows)
 		ag := []*transport.Agent{
-			transport.NewAgent(eng, fb.Net.Host(0)),
-			transport.NewAgent(eng, fb.Net.Host(1)),
+			transport.NewAgent(eng, fb.Net.Host(0), table),
+			transport.NewAgent(eng, fb.Net.Host(1), table),
 		}
-		fl := fpFlow(1, ag[0], ag[1], 50_000)
-		s := NewSender(eng, fl, flexCfg(10*gig, 0.5))
-		ag[0].Register(fl.ID, s)
+		fl := table.Add(fpFlow(1, ag[0], ag[1], 50_000))
+		cfg := flexCfg(10*gig, 0.5)
+		s := NewSender(eng, fl, &cfg)
+		fl.Sender = s
 		// No receiver: every packet the fuzzer crafts goes straight into
 		// the sender's Handle.
 		s.Begin()
@@ -88,13 +90,15 @@ func TestReceiverRobustAgainstAdversarialPackets(t *testing.T) {
 			BufAlpha:  0.5,
 			Profile:   topo.FlexPassProfile(topo.Spec{}),
 		})
+		table := new(transport.Flows)
 		ag := []*transport.Agent{
-			transport.NewAgent(eng, fb.Net.Host(0)),
-			transport.NewAgent(eng, fb.Net.Host(1)),
+			transport.NewAgent(eng, fb.Net.Host(0), table),
+			transport.NewAgent(eng, fb.Net.Host(1), table),
 		}
-		fl := fpFlow(1, ag[0], ag[1], 20_000)
-		r := NewReceiver(eng, fl, flexCfg(10*gig, 0.5))
-		ag[1].Register(fl.ID, r)
+		fl := table.Add(fpFlow(1, ag[0], ag[1], 20_000))
+		cfg := flexCfg(10*gig, 0.5)
+		r := NewReceiver(eng, fl, &cfg)
+		fl.Receiver = r
 		completions := 0
 		fl.OnComplete = func(*transport.Flow) { completions++ }
 		kinds := []netem.Kind{netem.KindProData, netem.KindReData, netem.KindCreditReq, netem.KindAckPro}

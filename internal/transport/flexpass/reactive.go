@@ -34,15 +34,18 @@ type reactiveWindow interface {
 	Cwnd() float64
 }
 
-// newReactiveWindow builds the configured algorithm.
-func newReactiveWindow(algo ReactiveCC, initCwnd float64) reactiveWindow {
-	switch algo {
+// initReactiveWindow starts the configured algorithm in the window value
+// the sender holds for it.
+func (s *Sender) initReactiveWindow() {
+	switch s.cfg.Reactive {
 	case "", ReactiveDCTCP:
-		return &dctcpWindow{dctcp.NewWindow(initCwnd)}
+		s.dwin = dctcpWindow{dctcp.NewWindow(s.cfg.InitCwnd)}
+		s.win = &s.dwin
 	case ReactiveReno:
-		return &renoWindow{cwnd: initCwnd, ssthresh: 1 << 30}
+		s.rwin = renoWindow{cwnd: s.cfg.InitCwnd, ssthresh: 1 << 30}
+		s.win = &s.rwin
 	default:
-		panic(fmt.Sprintf("flexpass: unknown reactive algorithm %q", algo))
+		panic(fmt.Sprintf("flexpass: unknown reactive algorithm %q", s.cfg.Reactive))
 	}
 }
 
@@ -54,7 +57,7 @@ func ecnCapableFor(algo ReactiveCC) bool {
 }
 
 // dctcpWindow adapts dctcp.Window to the interface.
-type dctcpWindow struct{ *dctcp.Window }
+type dctcpWindow struct{ dctcp.Window }
 
 func (w *dctcpWindow) Cwnd() float64 { return w.Window.Cwnd }
 

@@ -39,8 +39,10 @@ func TestRenoReactiveStillYieldsToLegacy(t *testing.T) {
 	fp := fpFlow(1, ag[0], ag[2], 1<<30)
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	Start(eng, fp, cfg)
-	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
+	legacy := dctcp.LegacyConfig()
+	dc.Src.Flows.Add(dc)
+	dctcp.StartReceiver(eng, dc, &legacy)
+	dctcp.StartSender(eng, dc, &legacy)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -82,5 +84,6 @@ func TestUnknownReactiveAlgoPanics(t *testing.T) {
 			t.Fatal("expected panic for unknown algorithm")
 		}
 	}()
-	newReactiveWindow("cubic-xyz", 10)
+	s := &Sender{cfg: &Config{Reactive: "cubic-xyz", InitCwnd: 10}}
+	s.initReactiveWindow()
 }

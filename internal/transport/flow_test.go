@@ -80,20 +80,26 @@ func TestFCTBeforeCompletion(t *testing.T) {
 
 func TestAgentDispatch(t *testing.T) {
 	eng := sim.NewEngine(1)
-	nic := netem.NewPort(eng, "nic", 1000, 0, netem.PortConfig{Queues: []netem.QueueConfig{{}}}, nil)
-	h := netem.NewHost(eng, 1, "h", nic, 0)
-	a := NewAgent(eng, h)
-	got := 0
-	a.Register(7, handlerFunc(func(p *netem.Packet) { got++ }))
-	h.Receive(&netem.Packet{Flow: 7})
-	h.Receive(&netem.Packet{Flow: 8}) // unknown: dropped silently
-	if got != 1 {
-		t.Fatalf("dispatched %d, want 1", got)
+	host := func(id netem.NodeID) *netem.Host {
+		nic := netem.NewPort(eng, "nic", 1000, 0, netem.PortConfig{Queues: []netem.QueueConfig{{}}}, nil)
+		return netem.NewHost(eng, id, "h", nic, 0)
 	}
-	a.Unregister(7)
-	h.Receive(&netem.Packet{Flow: 7})
-	if got != 1 {
-		t.Fatal("dispatch after unregister")
+	var flows Flows
+	hs, hd := host(1), host(2)
+	src, dst := NewAgent(eng, hs, &flows), NewAgent(eng, hd, &flows)
+	fl := flows.Add(&Flow{ID: 1, Src: src, Dst: dst})
+	sent, got := 0, 0
+	fl.Sender = handlerFunc(func(p *netem.Packet) { sent++ })
+	fl.Receiver = handlerFunc(func(p *netem.Packet) { got++ })
+	hd.Receive(&netem.Packet{Flow: 1})
+	hs.Receive(&netem.Packet{Flow: 1})
+	hs.Receive(&netem.Packet{Flow: 1})
+	hd.Receive(&netem.Packet{Flow: 2}) // unknown: dropped
+	if sent != 2 || got != 1 {
+		t.Fatalf("dispatched %d to the sender and %d to the receiver, want 2 and 1", sent, got)
+	}
+	if src.Strays != 0 || dst.Strays != 1 {
+		t.Fatalf("strays %d at the source and %d at the destination, want 0 and 1", src.Strays, dst.Strays)
 	}
 }
 

@@ -47,6 +47,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the Fig 1(b) setup for the given bottleneck rate.
+// A scheme builds it once and its endpoints share it by pointer,
+// read-only.
 func DefaultConfig(line units.Rate) Config {
 	return Config{
 		UnschedSegs:  8,
@@ -61,7 +63,7 @@ func DefaultConfig(line units.Rate) Config {
 // Sender transmits unscheduled bursts at message starts and one scheduled
 // segment per grant.
 type Sender struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 
@@ -70,7 +72,7 @@ type Sender struct {
 }
 
 // NewSender builds the send side; Begin fires the first unscheduled burst.
-func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	return &Sender{cfg: cfg, eng: eng, flow: flow}
 }
 
@@ -134,7 +136,7 @@ func (s *Sender) Handle(pkt *netem.Packet) {
 // Receiver counts arrivals and grants blindly at the configured rate.
 // There is no retransmission: Homa-lite is a throughput baseline.
 type Receiver struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 
@@ -145,7 +147,7 @@ type Receiver struct {
 }
 
 // NewReceiver builds the receive side.
-func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := &Receiver{cfg: cfg, eng: eng, flow: flow}
 	r.grantFn = r.grantTick
 	return r
@@ -203,7 +205,7 @@ func (r *Receiver) grantTick() {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeHoma)
 	s.Begin()
@@ -212,7 +214,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 
 // StartReceiver wires only the receive side; granting engages on the
 // first unscheduled arrival.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg Config) *Receiver {
+func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := NewReceiver(eng, flow, cfg)
 	core.StartReceiverSide(flow, r)
 	return r

@@ -14,8 +14,9 @@ import (
 // Start begins both halves of a Homa-lite flow on one engine:
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, cfg)
-	return StartSender(eng, flow, cfg), r
+	flow.Src.Flows.Add(flow)
+	r := StartReceiver(eng, flow, &cfg)
+	return StartSender(eng, flow, &cfg), r
 }
 
 const gig = units.Gbps
@@ -60,8 +61,9 @@ func homaFabric(nPairs int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {
 		Profile:   homaProfile(100 * units.KB),
 	})
 	agents := make([]*transport.Agent, len(f.Net.Hosts))
+	table := new(transport.Flows)
 	for i := range agents {
-		agents[i] = transport.NewAgent(eng, f.Net.Host(i))
+		agents[i] = transport.NewAgent(eng, f.Net.Host(i), table)
 	}
 	return eng, f, agents
 }
@@ -104,8 +106,10 @@ func TestManyHomaFlowsStarveDCTCP(t *testing.T) {
 	for i := 16; i < 32; i++ {
 		fl := &transport.Flow{ID: id, Src: ag[i], Dst: ag[32+i], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 		dcFlows = append(dcFlows, fl)
-		dctcp.StartReceiver(eng, fl, dctcp.LegacyConfig())
-		dctcp.StartSender(eng, fl, dctcp.LegacyConfig())
+		legacy := dctcp.LegacyConfig()
+		fl.Src.Flows.Add(fl)
+		dctcp.StartReceiver(eng, fl, &legacy)
+		dctcp.StartSender(eng, fl, &legacy)
 		id++
 	}
 	eng.Run(60 * sim.Millisecond)

@@ -7,12 +7,15 @@
 // layered sender logic.
 package layering
 
-import "flexpass/internal/transport/expresspass"
+import (
+	"flexpass/internal/transport/core"
+	"flexpass/internal/transport/expresspass"
+)
 
 // Config returns the layered configuration for the given pacer settings:
 // ECN-capable data (so the shared-queue marking reaches the window) and
 // the window gate enabled.
-func Config(p expresspass.PacerConfig) expresspass.Config {
+func Config(p core.PacerConfig) expresspass.Config {
 	cfg := expresspass.DefaultConfig(p)
 	cfg.Layered = true
 	cfg.DataECN = true

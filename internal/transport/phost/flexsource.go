@@ -17,7 +17,7 @@ import (
 // keeps legacy co-existence intact under an allocator that has no rate
 // feedback of its own.
 type FlexSource struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	arb  *Arbiter
 	flow *transport.Flow
@@ -30,9 +30,10 @@ type FlexSource struct {
 }
 
 // NewFlexSource builds a CreditSource for flow backed by the receiver
-// host's arbiter. Pass it to flexpass.Config.NewCreditSource.
-func NewFlexSource(eng *sim.Engine, arb *Arbiter, flow *transport.Flow, cfg Config) *FlexSource {
-	cfg.TokenClass = netem.ClassCredit // ride the rate-limited credit queue
+// host's arbiter. Pass it to flexpass.Config.NewCreditSource. Its tokens
+// ride the rate-limited credit queue whatever cfg.TokenClass says; cfg
+// gives the outstanding cap, the token timeout and the stats.
+func NewFlexSource(eng *sim.Engine, arb *Arbiter, flow *transport.Flow, cfg *Config) *FlexSource {
 	return &FlexSource{cfg: cfg, eng: eng, arb: arb, flow: flow}
 }
 
@@ -89,7 +90,7 @@ func (s *FlexSource) sendToken() {
 	tok := host.NewPacket()
 	*tok = netem.Packet{
 		Kind:   netem.KindCredit,
-		Class:  s.cfg.TokenClass,
+		Class:  netem.ClassCredit,
 		Dst:    s.flow.Src.Host.NodeID(),
 		Flow:   s.flow.ID,
 		SubSeq: s.seq,

@@ -6,8 +6,8 @@ import (
 	"flexpass/internal/netem"
 	"flexpass/internal/sim"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/core"
 	"flexpass/internal/transport/dctcp"
-	"flexpass/internal/transport/expresspass"
 	"flexpass/internal/transport/flexpass"
 	"flexpass/internal/units"
 )
@@ -15,12 +15,14 @@ import (
 // flexOverPHost wires a FlexPass flow whose proactive sub-flow is driven
 // by pHost token arbitration instead of the ExpressPass pacer.
 func flexOverPHost(eng *sim.Engine, fl *transport.Flow, arb *Arbiter, rate units.Rate) {
-	cfg := flexpass.DefaultConfig(expresspass.DefaultPacerConfig(netem.CreditRateFor(rate, 0.5)))
+	cfg := flexpass.DefaultConfig(core.DefaultPacerConfig(netem.CreditRateFor(rate, 0.5)))
+	tokens := DefaultConfig()
 	cfg.NewCreditSource = func(e *sim.Engine, f *transport.Flow) flexpass.CreditSource {
-		return NewFlexSource(e, arb, f, DefaultConfig())
+		return NewFlexSource(e, arb, f, &tokens)
 	}
-	flexpass.StartReceiver(eng, fl, cfg)
-	flexpass.StartSender(eng, fl, cfg)
+	fl.Src.Flows.Add(fl)
+	flexpass.StartReceiver(eng, fl, &cfg)
+	flexpass.StartSender(eng, fl, &cfg)
 }
 
 func TestFlexPassOverPHostCompletes(t *testing.T) {
@@ -53,8 +55,10 @@ func TestFlexPassOverPHostCoexistsWithDCTCP(t *testing.T) {
 	fp := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[2], Size: 1 << 30, Transport: "flexpass+phost"}
 	dc := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 1 << 30, Transport: "dctcp", Legacy: true}
 	flexOverPHost(eng, fp, arbs[2], 10*gig)
-	dctcp.StartReceiver(eng, dc, dctcp.LegacyConfig())
-	dctcp.StartSender(eng, dc, dctcp.LegacyConfig())
+	legacy := dctcp.LegacyConfig()
+	dc.Src.Flows.Add(dc)
+	dctcp.StartReceiver(eng, dc, &legacy)
+	dctcp.StartSender(eng, dc, &legacy)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

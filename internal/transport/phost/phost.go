@@ -45,7 +45,8 @@ type Config struct {
 	Stats transport.Counters
 }
 
-// DefaultConfig returns a reasonable setup for the given fabric.
+// DefaultConfig returns a reasonable setup for the given fabric. A scheme
+// builds it once and its endpoints share it by pointer, read-only.
 func DefaultConfig() Config {
 	return Config{
 		DataClass:      netem.ClassFlex,
@@ -170,25 +171,20 @@ func (a *Arbiter) tick() {
 // Sender is the pHost send side: free first-RTT segments, then
 // token-clocked transmission.
 type Sender struct {
-	cfg  Config
+	cfg  *Config
 	eng  *sim.Engine
 	flow *transport.Flow
 
 	trk core.SegTracker
-	rec *core.RecoveryTimer
+	rec core.RecoveryTimer
 
 	finished bool
 }
 
 // NewSender builds the send side.
-func NewSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := &Sender{cfg: cfg, eng: eng, flow: flow, trk: core.NewSegTracker(flow.Segs())}
-	s.rec = core.NewRecoveryTimer(eng, core.RecoveryConfig{
-		BaseRTO:  func() sim.Time { return cfg.MinRTO },
-		Expire:   s.onRecoveryTimeout,
-		Idle:     func() bool { return s.finished },
-		MaxShift: 4,
-	})
+	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
 }
 
@@ -230,9 +226,16 @@ func (s *Sender) transmit(seq int, retx bool) {
 	host.Send(pkt)
 }
 
-// onRecoveryTimeout re-announces the flow with the oldest unacked segment
-// (tokens stopped coming: either our data or the token stream was lost).
-func (s *Sender) onRecoveryTimeout() {
+// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+
+// Idle reports a finished flow (core.RecoveryOwner).
+func (s *Sender) Idle() bool { return s.finished }
+
+// Expire re-announces the flow with the oldest unacked segment (tokens
+// stopped coming: either our data or the token stream was lost;
+// core.RecoveryOwner).
+func (s *Sender) Expire() {
 	s.flow.Timeouts++
 	s.cfg.Stats.Timeouts.Inc()
 	s.cfg.Trace.Add(trace.Timeout, s.flow.ID, int64(s.trk.CumAck), "re-announce")
@@ -283,7 +286,7 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 // Receiver acknowledges data and participates in its host's token
 // arbitration.
 type Receiver struct {
-	cfg     Config
+	cfg     *Config
 	eng     *sim.Engine
 	flow    *transport.Flow
 	arbiter *Arbiter
@@ -294,7 +297,7 @@ type Receiver struct {
 }
 
 // NewReceiver builds the receive side bound to the host's arbiter.
-func NewReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) *Receiver {
+func NewReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg *Config) *Receiver {
 	return &Receiver{cfg: cfg, eng: eng, flow: flow, arbiter: arb, asm: core.NewReassembly(flow.Segs())}
 }
 
@@ -359,7 +362,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow with its RTS.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
+func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemePHost)
 	s.Begin()
@@ -368,7 +371,7 @@ func StartSender(eng *sim.Engine, flow *transport.Flow, cfg Config) *Sender {
 
 // StartReceiver wires only the receive side onto the destination host's
 // arbiter (which lives on the destination shard).
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) *Receiver {
+func StartReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg *Config) *Receiver {
 	r := NewReceiver(eng, flow, arb, cfg)
 	core.StartReceiverSide(flow, r)
 	return r

@@ -12,8 +12,9 @@ import (
 // Start begins both halves of a pHost flow on one engine — StartReceiver
 // on the receiver host's arbiter, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) (*Sender, *Receiver) {
-	r := StartReceiver(eng, flow, arb, cfg)
-	return StartSender(eng, flow, cfg), r
+	flow.Src.Flows.Add(flow)
+	r := StartReceiver(eng, flow, arb, &cfg)
+	return StartSender(eng, flow, &cfg), r
 }
 
 const gig = units.Gbps
@@ -30,8 +31,9 @@ func fabric(hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent, []*Arbite
 	})
 	ag := make([]*transport.Agent, hosts)
 	arbs := make([]*Arbiter, hosts)
+	table := new(transport.Flows)
 	for i := range ag {
-		ag[i] = transport.NewAgent(eng, f.Net.Host(i))
+		ag[i] = transport.NewAgent(eng, f.Net.Host(i), table)
 		arbs[i] = NewArbiter(eng, f.Net.Host(i), 10*gig)
 	}
 	return eng, f, ag, arbs

@@ -19,10 +19,10 @@ func newDCTCP(env *transport.SchemeEnv) transport.Scheme {
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeDCTCP
 			fl.Legacy = true
-			dctcp.StartSender(env.Eng, fl, cfg)
+			dctcp.StartSender(env.Eng, fl, &cfg)
 		},
 		startReceiver: func(fl *transport.Flow) {
-			dctcp.StartReceiver(env.Eng, fl, cfg)
+			dctcp.StartReceiver(env.Eng, fl, &cfg)
 		},
 	}
 }

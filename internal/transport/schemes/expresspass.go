@@ -4,6 +4,7 @@ import (
 	"flexpass/internal/netem"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/core"
 	"flexpass/internal/transport/expresspass"
 	"flexpass/internal/transport/layering"
 )
@@ -11,14 +12,14 @@ import (
 // expressCfg builds the ExpressPass connection config at the given credit
 // weight, billing to the shared "expresspass" counter set (naive and oWF
 // are the same transport under different queue layouts and credit rates).
-func expressCfg(env *transport.SchemeEnv, wq float64) expresspass.Config {
+func expressCfg(env *transport.SchemeEnv, wq float64) *expresspass.Config {
 	cfg := expresspass.DefaultConfig(
-		expresspass.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, wq)))
+		core.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, wq)))
 	st := env.Counters(transport.SchemeExpressPass)
 	cfg.Stats = st
 	cfg.Trace = env.Trace
 	cfg.Pacer.Trace, cfg.Pacer.Issued = env.Trace, st.CreditsIssued
-	return cfg
+	return &cfg
 }
 
 // newExpressPass composes plain ExpressPass — full-rate credits sharing
@@ -64,7 +65,7 @@ func newOWF(env *transport.SchemeEnv) transport.Scheme {
 // shared queue (see the layering package).
 func newLayering(env *transport.SchemeEnv) transport.Scheme {
 	cfg := layering.Config(
-		expresspass.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, 1.0)))
+		core.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, 1.0)))
 	st := env.Counters(transport.SchemeLayering)
 	cfg.Stats = st
 	cfg.Trace = env.Trace
@@ -73,10 +74,10 @@ func newLayering(env *transport.SchemeEnv) transport.Scheme {
 		profile: func() topo.PortProfile { return topo.LayeringProfile(env.Spec) },
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeLayering
-			expresspass.StartSender(env.Eng, fl, cfg)
+			expresspass.StartSender(env.Eng, fl, &cfg)
 		},
 		startReceiver: func(fl *transport.Flow) {
-			expresspass.StartReceiver(env.Eng, fl, cfg)
+			expresspass.StartReceiver(env.Eng, fl, &cfg)
 		},
 	}
 }

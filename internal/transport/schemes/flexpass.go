@@ -12,7 +12,7 @@ import (
 // scheme options, billing to the shared "flexpass" counter set (the AltQ
 // and RC3 ablations are the same transport under different knobs) plus
 // its per-sub-flow rx_bytes_pro and rx_bytes_re.
-func flexCfg(env *transport.SchemeEnv) flexpass.Config {
+func flexCfg(env *transport.SchemeEnv) *flexpass.Config {
 	cfg := flexpass.DefaultConfig(
 		core.DefaultPacerConfig(netem.CreditRateFor(env.LinkRate, legacyWQ(env.WQ))))
 	cfg.DisableProRetx = env.BoolOption(transport.OptDisableProRetx)
@@ -24,10 +24,10 @@ func flexCfg(env *transport.SchemeEnv) flexpass.Config {
 	cfg.RxPro, cfg.RxRe = env.Registry.Counter(ent, "rx_bytes_pro"), env.Registry.Counter(ent, "rx_bytes_re")
 	cfg.Trace = env.Trace
 	cfg.Pacer.Trace, cfg.Pacer.Issued = env.Trace, st.CreditsIssued
-	return cfg
+	return &cfg
 }
 
-func flexScheme(env *transport.SchemeEnv, cfg flexpass.Config, profile func() topo.PortProfile) transport.Scheme {
+func flexScheme(env *transport.SchemeEnv, cfg *flexpass.Config, profile func() topo.PortProfile) transport.Scheme {
 	return &scheme{
 		profile: profile,
 		startSender: func(fl *transport.Flow) {

@@ -22,10 +22,10 @@ func newHoma(env *transport.SchemeEnv) transport.Scheme {
 		profile: func() topo.PortProfile { return topo.FlexPassProfile(env.Spec) },
 		startSender: func(fl *transport.Flow) {
 			fl.Transport = transport.SchemeHoma
-			homa.StartSender(env.Eng, fl, cfg)
+			homa.StartSender(env.Eng, fl, &cfg)
 		},
 		startReceiver: func(fl *transport.Flow) {
-			homa.StartReceiver(env.Eng, fl, cfg)
+			homa.StartReceiver(env.Eng, fl, &cfg)
 		},
 	}
 }

@@ -12,7 +12,7 @@ import (
 // shared by every flow that lands on it.
 type phostScheme struct {
 	env      *transport.SchemeEnv
-	cfg      phost.Config
+	cfg      *phost.Config
 	arbiters map[*netem.Host]*phost.Arbiter
 }
 
@@ -24,7 +24,7 @@ func newPHost(env *transport.SchemeEnv) transport.Scheme {
 	cfg.Trace = env.Trace
 	return &phostScheme{
 		env:      env,
-		cfg:      cfg,
+		cfg:      &cfg,
 		arbiters: make(map[*netem.Host]*phost.Arbiter),
 	}
 }

@@ -14,47 +14,75 @@ type Endpoint interface {
 	Handle(pkt *netem.Packet)
 }
 
-// Agent owns a host's receive path and demultiplexes packets to endpoints
-// by flow ID.
+// Flows is a run's flow table, shared by every agent of the run: the flow
+// with ID i (runner-assigned, 1..N) is Flows[i-1]; a nil entry is an ID no
+// flow holds. Agents resolve a packet's flow through it, so the endpoints
+// live on the Flow and no host keeps a table of its own.
+type Flows []*Flow
+
+// Add puts fl at its ID's place, growing the table, and returns fl.
+func (t *Flows) Add(fl *Flow) *Flow {
+	for uint64(len(*t)) < fl.ID {
+		*t = append(*t, nil)
+	}
+	(*t)[fl.ID-1] = fl
+	return fl
+}
+
+// Agent owns a host's receive path and demultiplexes packets to the
+// endpoint of their flow that lives on this host.
 type Agent struct {
 	Host *netem.Host
 	Eng  *sim.Engine
+	// Flows is the run's flow table, shared with every other agent.
+	Flows *Flows
 
-	// Strays counts packets that arrived for no registered flow and were
-	// dropped (stragglers after completion, or a mis-wired experiment).
+	// Strays counts packets that arrived for no started endpoint on this
+	// host and were dropped (an unknown flow, a flow this host is not an
+	// end of, or an end that has not started).
 	Strays int64
 
-	flows map[uint64]Endpoint
 	stray *obs.Counter
 }
 
-// NewAgent installs an agent on h.
-func NewAgent(eng *sim.Engine, h *netem.Host) *Agent {
-	a := &Agent{Host: h, Eng: eng, flows: make(map[uint64]Endpoint)}
+// NewAgent installs an agent on h that demultiplexes through flows.
+func NewAgent(eng *sim.Engine, h *netem.Host, flows *Flows) *Agent {
+	a := &Agent{Host: h, Eng: eng, Flows: flows}
 	h.SetHandler(a.dispatch)
 	return a
 }
-
-// Register binds flow to ep.
-func (a *Agent) Register(flow uint64, ep Endpoint) { a.flows[flow] = ep }
-
-// Unregister removes the binding for flow.
-func (a *Agent) Unregister(flow uint64) { delete(a.flows, flow) }
 
 // ObserveStrays bills this agent's stray-packet drops to c (typically one
 // run-wide counter shared across agents; nil detaches).
 func (a *Agent) ObserveStrays(c *obs.Counter) { a.stray = c }
 
 func (a *Agent) dispatch(pkt *netem.Packet) {
-	if ep, ok := a.flows[pkt.Flow]; ok {
+	if ep := a.endpoint(pkt.Flow); ep != nil {
 		ep.Handle(pkt)
 		return
 	}
-	// Packets for unknown flows (e.g. stragglers after completion) are
-	// dropped, as a real stack would RST/ignore — but counted, so a
-	// mis-wired experiment is visible in telemetry.
+	// Packets for unknown flows are dropped, as a real stack would
+	// RST/ignore — but counted, so a mis-wired experiment is visible in
+	// telemetry.
 	a.Strays++
 	a.stray.Inc()
+}
+
+// endpoint returns this host's started end of flow id, or nil. It reads
+// only the Flow's immutable ends and the one endpoint field this host's
+// plane writes.
+func (a *Agent) endpoint(id uint64) Endpoint {
+	t := *a.Flows
+	if id-1 >= uint64(len(t)) || t[id-1] == nil { // id 0 wraps
+		return nil
+	}
+	switch fl := t[id-1]; a {
+	case fl.Src:
+		return fl.Sender
+	case fl.Dst:
+		return fl.Receiver
+	}
+	return nil
 }
 
 // Flow describes one application flow and accumulates its statistics.
@@ -72,6 +100,12 @@ type Flow struct {
 	// deployment studies.
 	Transport string
 	Legacy    bool
+
+	// The flow's two endpoints, nil until each half starts. The sender
+	// half sets Sender on the source host's plane and the receiver half
+	// sets Receiver on the destination's, and each host's agent reads only
+	// its own end's, so no plane writes what another reads.
+	Sender, Receiver Endpoint
 
 	// Live receive-side counters (sampled for throughput time series).
 	RxBytes    int64
