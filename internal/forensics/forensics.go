@@ -144,41 +144,42 @@ type HopRecord struct {
 	Reason netem.DropReason // HopDrop only
 }
 
-// flowLog is a per-flow ring of hop records; the newest HopCap win.
+// hop is the recorder's form of a HopRecord: it holds no pointer and no
+// string, so a block of them is one allocation the garbage collector
+// never scans. port indexes the recorder's port table; val is the wait on
+// a dequeue and the queue occupancy on an enqueue.
+type hop struct {
+	at, val, tx sim.Time
+	port, seq   uint32
+	queue       int16
+	ev          HopEvent
+	kind        netem.Kind
+	color       netem.Color
+	reason      netem.DropReason
+}
+
+// blockLen is how many records one log block holds (10 KB): enough that a
+// long flow's ring is a few blocks, few enough that a short flow does not
+// hold much more than it records.
+const blockLen = 256
+
+// noBlock ends a chain of blocks.
+const noBlock = -1
+
+// flowLog is one flow's ring of hop records, the newest HopCap of them. It
+// is a chain of blocks taken from the recorder's free list as the ring
+// fills, and it wraps in place once full.
 type flowLog struct {
-	recs    []HopRecord
-	next    int
-	wrapped bool
-	dropped int64
+	flow      uint64
+	head, cur int32 // first block of the chain, and the one slot is in
+	slot      int32 // ring position of the next record
+	n         int64 // records ever added
 }
 
-func (l *flowLog) add(cap int, rec HopRecord) {
-	if len(l.recs) < cap {
-		l.recs = append(l.recs, rec)
-		return
-	}
-	l.recs[l.next] = rec
-	l.next = (l.next + 1) % len(l.recs)
-	l.wrapped = true
-	l.dropped++
-}
-
-func (l *flowLog) events() []HopRecord {
-	if !l.wrapped {
-		out := make([]HopRecord, len(l.recs))
-		copy(out, l.recs)
-		return out
-	}
-	out := make([]HopRecord, 0, len(l.recs))
-	out = append(out, l.recs[l.next:]...)
-	out = append(out, l.recs[:l.next]...)
-	return out
-}
-
-// released stands in the flow table for a flow whose log was given up
-// (see Recorder.Done): the flow still counts against MaxFlows and keeps
-// its place in the first-seen order, and nothing is recorded for it again.
-var released = &flowLog{}
+// released marks, in the flow table, a flow whose log was given up (see
+// Recorder.Done): the flow still counts against MaxFlows and keeps its
+// place in the first-seen order, and nothing is recorded for it again.
+const released = -1
 
 // Recorder implements netem.HopObserver, bucketing hop records per flow.
 // A nil *Recorder is a valid no-op observer component, but note that
@@ -189,16 +190,27 @@ type Recorder struct {
 	hopCap   int
 	maxFlows int
 	only     map[uint64]struct{}
-	flows    map[uint64]*flowLog
-	order    []uint64 // first-seen order: deterministic iteration
-	skipped  int64    // records not kept (flow cap / filter overflow)
+	flows    []int32   // by flow ID (the runner's dense 1..N): 0 unseen, released, or 1 + index in logs
+	logs     []flowLog // first-seen order: deterministic iteration
+	skipped  int64     // records not kept (flow cap / filter overflow)
+
+	// Every block made, by number, and the next block after each in its
+	// log's chain or in the free list. A block holds blockLen records, or
+	// HopCap when that is fewer.
+	blocks   [][]hop
+	next     []int32
+	free     int32
+	blockLen int
+
+	// The port table: ports by index, and 1 + index by Port.Rank.
+	ports  []*netem.Port
+	byRank []uint32
 
 	// Completed flows WorstTimelines may still pick: the keep best
 	// scores reported to Done, best first, with every tie for the last
-	// place. The logs of the rest wait in free for the next new flow.
+	// place. The blocks of the rest go back to the free list.
 	keep  int
 	worst []doneFlow
-	free  []*flowLog
 }
 
 type doneFlow struct {
@@ -211,9 +223,10 @@ func NewRecorder(opts *Options) *Recorder {
 	r := &Recorder{
 		hopCap:   opts.hopCap(),
 		maxFlows: opts.maxFlows(),
-		flows:    make(map[uint64]*flowLog),
+		free:     noBlock,
 		keep:     opts.timelines(),
 	}
+	r.blockLen = min(blockLen, r.hopCap)
 	if opts != nil && len(opts.Flows) > 0 {
 		r.only = make(map[uint64]struct{}, len(opts.Flows))
 		for _, f := range opts.Flows {
@@ -223,37 +236,146 @@ func NewRecorder(opts *Options) *Recorder {
 	return r
 }
 
+// recorded returns flow's log, or nil when it has none: not seen yet,
+// released, or a nil recorder.
+func (r *Recorder) recorded(flow uint64) *flowLog {
+	if r == nil || flow >= uint64(len(r.flows)) || r.flows[flow] <= 0 {
+		return nil
+	}
+	return &r.logs[r.flows[flow]-1]
+}
+
+// log returns the log flow's next record goes to, starting one for a new
+// flow, or nil when the flow is not recorded.
 func (r *Recorder) log(flow uint64) *flowLog {
 	if r.only != nil {
 		if _, ok := r.only[flow]; !ok {
 			return nil
 		}
 	}
-	l := r.flows[flow]
-	if l == released {
+	if flow < uint64(len(r.flows)) {
+		switch i := r.flows[flow]; {
+		case i == released:
+			return nil
+		case i > 0:
+			return &r.logs[i-1]
+		}
+	}
+	if len(r.logs) >= r.maxFlows {
+		r.skipped++
 		return nil
 	}
-	if l == nil {
-		if len(r.flows) >= r.maxFlows {
-			r.skipped++
-			return nil
-		}
-		if n := len(r.free); n > 0 {
-			l, r.free = r.free[n-1], r.free[:n-1]
-		} else {
-			l = &flowLog{}
-		}
-		r.flows[flow] = l
-		r.order = append(r.order, flow)
+	// The table never shrinks, so what lies past its length is still zero.
+	if n := int(flow) + 1; n > len(r.flows) {
+		r.flows = slices.Grow(r.flows, n-len(r.flows))[:n]
 	}
-	return l
+	r.logs = append(r.logs, flowLog{flow: flow, head: noBlock})
+	r.flows[flow] = int32(len(r.logs))
+	return &r.logs[len(r.logs)-1]
+}
+
+// add writes h at l's ring position, taking a block for it while the
+// ring is still filling.
+func (r *Recorder) add(l *flowLog, h hop) {
+	off := int(l.slot) % r.blockLen
+	if off == 0 {
+		switch {
+		case l.slot == 0 && l.n > 0: // wrapped
+			l.cur = l.head
+		case l.n >= int64(r.hopCap): // the ring is full: its next block
+			l.cur = r.next[l.cur]
+		case l.n == 0:
+			l.head = r.take()
+			l.cur = l.head
+		default:
+			b := r.take()
+			r.next[l.cur], l.cur = b, b
+		}
+	}
+	r.blocks[l.cur][off] = h
+	l.n++
+	if l.slot++; int(l.slot) == r.hopCap {
+		l.slot = 0
+	}
+}
+
+// take returns a free block, or a new one.
+func (r *Recorder) take() int32 {
+	if b := r.free; b != noBlock {
+		r.free, r.next[b] = r.next[b], noBlock
+		return b
+	}
+	r.blocks = append(r.blocks, make([]hop, r.blockLen))
+	r.next = append(r.next, noBlock)
+	return int32(len(r.blocks) - 1)
+}
+
+// port returns p's index in the port table, adding it on first sight.
+// Ranks are dense inside a Network; ports outside one all have rank 1,
+// so a rank whose entry is another port falls back to a scan.
+func (r *Recorder) port(p *netem.Port) uint32 {
+	rank := p.Rank()
+	if n := int(rank) + 1; n > len(r.byRank) {
+		r.byRank = slices.Grow(r.byRank, n-len(r.byRank))[:n]
+	}
+	i := r.byRank[rank]
+	if i != 0 {
+		if r.ports[i-1] == p {
+			return i - 1
+		}
+		if j := slices.Index(r.ports, p); j >= 0 {
+			return uint32(j)
+		}
+	}
+	r.ports = append(r.ports, p)
+	if i == 0 {
+		r.byRank[rank] = uint32(len(r.ports))
+	}
+	return uint32(len(r.ports) - 1)
+}
+
+// record expands h to its public form.
+func (r *Recorder) record(h *hop) HopRecord {
+	rec := HopRecord{
+		At: h.at, Port: r.ports[h.port].Name(), Queue: int(h.queue), Ev: h.ev,
+		Kind: h.kind, Seq: h.seq, Color: h.color,
+	}
+	switch h.ev {
+	case HopDeq:
+		rec.Wait, rec.Tx = h.val, h.tx
+	case HopEnq:
+		rec.QBytes = int64(h.val)
+	case HopDrop:
+		rec.Reason = h.reason
+	}
+	return rec
+}
+
+// each visits l's retained records, oldest first.
+func (r *Recorder) each(l *flowLog, f func(*hop)) {
+	held, start := l.n, 0
+	if held >= int64(r.hopCap) {
+		held, start = int64(r.hopCap), int(l.slot)
+	}
+	b := l.head
+	for range start / r.blockLen {
+		b = r.next[b]
+	}
+	for k := start; held > 0; held-- {
+		f(&r.blocks[b][k%r.blockLen])
+		if k++; k == r.hopCap {
+			k, b = 0, l.head
+		} else if k%r.blockLen == 0 {
+			b = r.next[b]
+		}
+	}
 }
 
 // Done tells the recorder that flow completed with the given slowdown
 // score — the score WorstTimelines will rank it by. A completed flow's
 // score never changes and the keep-th best completed score only rises,
 // so a flow strictly below it can never be exported: its log is released
-// and its memory goes to the next new flow. Ties for the last place are
+// and its blocks go to the next new records. Ties for the last place are
 // kept, which leaves WorstTimelines' (start, ID) tie-break alone, and so
 // are incomplete flows and, under Options.Flows, every recorded flow.
 func (r *Recorder) Done(flow uint64, score float64) {
@@ -268,9 +390,11 @@ func (r *Recorder) Done(flow uint64, score float64) {
 	floor := r.worst[r.keep-1].score
 	for last := len(r.worst) - 1; r.worst[last].score < floor; last-- {
 		out := r.worst[last].flow
-		if l := r.flows[out]; l != nil {
-			*l = flowLog{recs: l.recs[:0]}
-			r.free = append(r.free, l)
+		if l := r.recorded(out); l != nil {
+			for b := l.head; b != noBlock; {
+				b, r.next[b], r.free = r.next[b], r.free, b
+			}
+			*l = flowLog{flow: out, head: noBlock}
 			r.flows[out] = released
 		}
 		r.worst = r.worst[:last]
@@ -283,9 +407,9 @@ func (r *Recorder) HopEnqueue(now sim.Time, p *netem.Port, queue int, pkt *netem
 		return
 	}
 	if l := r.log(pkt.Flow); l != nil {
-		l.add(r.hopCap, HopRecord{
-			At: now, Port: p.Name(), Queue: queue, Ev: HopEnq,
-			Kind: pkt.Kind, Seq: pkt.Seq, Color: pkt.Color, QBytes: qBytes,
+		r.add(l, hop{
+			at: now, val: sim.Time(qBytes), port: r.port(p), queue: int16(queue), ev: HopEnq,
+			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color,
 		})
 	}
 }
@@ -296,9 +420,9 @@ func (r *Recorder) HopDequeue(now sim.Time, p *netem.Port, queue int, pkt *netem
 		return
 	}
 	if l := r.log(pkt.Flow); l != nil {
-		l.add(r.hopCap, HopRecord{
-			At: now, Port: p.Name(), Queue: queue, Ev: HopDeq,
-			Kind: pkt.Kind, Seq: pkt.Seq, Color: pkt.Color, Wait: waited, Tx: tx,
+		r.add(l, hop{
+			at: now, val: waited, tx: tx, port: r.port(p), queue: int16(queue), ev: HopDeq,
+			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color,
 		})
 	}
 }
@@ -309,9 +433,9 @@ func (r *Recorder) HopDrop(now sim.Time, p *netem.Port, queue int, pkt *netem.Pa
 		return
 	}
 	if l := r.log(pkt.Flow); l != nil {
-		l.add(r.hopCap, HopRecord{
-			At: now, Port: p.Name(), Queue: queue, Ev: HopDrop,
-			Kind: pkt.Kind, Seq: pkt.Seq, Color: pkt.Color, Reason: reason,
+		r.add(l, hop{
+			at: now, port: r.port(p), queue: int16(queue), ev: HopDrop,
+			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color, reason: reason,
 		})
 	}
 }
@@ -321,29 +445,30 @@ func (r *Recorder) Flows() []uint64 {
 	if r == nil {
 		return nil
 	}
-	out := make([]uint64, len(r.order))
-	copy(out, r.order)
+	out := make([]uint64, len(r.logs))
+	for i := range r.logs {
+		out[i] = r.logs[i].flow
+	}
 	return out
 }
 
 // Hops returns flow's retained hop records in chronological order.
 func (r *Recorder) Hops(flow uint64) []HopRecord {
-	if r == nil {
-		return nil
-	}
-	l := r.flows[flow]
+	l := r.recorded(flow)
 	if l == nil {
 		return nil
 	}
-	return l.events()
+	hops, _ := r.timeline(l)
+	return hops
 }
 
 // HopsDropped reports how many of flow's records the per-flow cap displaced.
 func (r *Recorder) HopsDropped(flow uint64) int64 {
-	if r == nil || r.flows[flow] == nil {
+	l := r.recorded(flow)
+	if l == nil {
 		return 0
 	}
-	return r.flows[flow].dropped
+	return max(l.n-int64(r.hopCap), 0)
 }
 
 // Skipped reports records not kept because of the flow-count cap.
@@ -388,43 +513,42 @@ func (r *Recorder) Timeline(fl *transport.Flow, ring *trace.Ring) *Timeline {
 		Start:     fl.Start,
 		FCT:       fl.FCT(),
 	}
-	t.Hops = r.Hops(fl.ID)
-	t.HopsDropped = r.HopsDropped(fl.ID)
-	t.PerHop = aggregate(t.Hops)
+	if l := r.recorded(fl.ID); l != nil {
+		t.Hops, t.PerHop = r.timeline(l)
+		t.HopsDropped = r.HopsDropped(fl.ID)
+	}
 	if ring != nil {
 		t.Events = ring.Filter(func(ev trace.Event) bool { return ev.Flow == fl.ID })
 	}
 	return t
 }
 
-// aggregate folds hop records into per-port delay summaries, keeping
-// ports in first-traversed order.
-func aggregate(hops []HopRecord) []HopDelay {
-	idx := map[string]int{}
-	var out []HopDelay
-	at := func(port string) *HopDelay {
-		i, ok := idx[port]
-		if !ok {
-			i = len(out)
-			idx[port] = i
-			out = append(out, HopDelay{Port: port})
+// timeline expands l's records and folds them into per-port delay
+// summaries, keeping ports in first-traversed order.
+func (r *Recorder) timeline(l *flowLog) ([]HopRecord, []HopDelay) {
+	hops := make([]HopRecord, 0, min(l.n, int64(r.hopCap)))
+	var perHop []HopDelay
+	at := make([]int32, len(r.ports)) // 1 + index in perHop, by port index
+	delay := func(h *hop) *HopDelay {
+		if at[h.port] == 0 {
+			perHop = append(perHop, HopDelay{Port: r.ports[h.port].Name()})
+			at[h.port] = int32(len(perHop))
 		}
-		return &out[i]
+		return &perHop[at[h.port]-1]
 	}
-	for _, h := range hops {
-		switch h.Ev {
+	r.each(l, func(h *hop) {
+		hops = append(hops, r.record(h))
+		switch h.ev {
 		case HopDeq:
-			d := at(h.Port)
+			d := delay(h)
 			d.Dequeues++
-			d.TotalWait += h.Wait
-			if h.Wait > d.MaxWait {
-				d.MaxWait = h.Wait
-			}
+			d.TotalWait += h.val
+			d.MaxWait = max(d.MaxWait, h.val)
 		case HopDrop:
-			at(h.Port).Drops++
+			delay(h).Drops++
 		}
-	}
-	return out
+	})
+	return hops, perHop
 }
 
 // Export converts the timeline to its artifact form.
@@ -438,8 +562,12 @@ func (t *Timeline) Export() obs.TimelineData {
 		Slowdown:    t.Slowdown,
 		HopsDropped: t.HopsDropped,
 	}
-	for _, h := range t.Hops {
-		hd := obs.HopData{
+	if len(t.Hops) > 0 {
+		td.Hops = make([]obs.HopData, len(t.Hops))
+	}
+	for i, h := range t.Hops {
+		hd := &td.Hops[i]
+		*hd = obs.HopData{
 			AtPs: int64(h.At), Port: h.Port, Queue: h.Queue,
 			Event: h.Ev.String(), Kind: h.Kind.String(), Seq: h.Seq,
 		}
@@ -455,19 +583,24 @@ func (t *Timeline) Export() obs.TimelineData {
 		case HopDrop:
 			hd.Reason = h.Reason.String()
 		}
-		td.Hops = append(td.Hops, hd)
 	}
-	for _, d := range t.PerHop {
-		td.Delays = append(td.Delays, obs.HopDelayData{
+	if len(t.PerHop) > 0 {
+		td.Delays = make([]obs.HopDelayData, len(t.PerHop))
+	}
+	for i, d := range t.PerHop {
+		td.Delays[i] = obs.HopDelayData{
 			Port: d.Port, Dequeues: d.Dequeues, Drops: d.Drops,
 			TotalWaitPs: int64(d.TotalWait), MaxWaitPs: int64(d.MaxWait),
-		})
+		}
 	}
-	for _, ev := range t.Events {
-		td.Events = append(td.Events, obs.TraceData{
+	if len(t.Events) > 0 {
+		td.Events = make([]obs.TraceData, len(t.Events))
+	}
+	for i, ev := range t.Events {
+		td.Events[i] = obs.TraceData{
 			AtPs: int64(ev.At), Kind: ev.Kind.String(),
 			Flow: ev.Flow, Seq: ev.Seq, Note: ev.Note,
-		})
+		}
 	}
 	return td
 }

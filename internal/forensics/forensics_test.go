@@ -366,18 +366,15 @@ func TestRecorderDoneKeepsExportedTimelines(t *testing.T) {
 			t.Fatalf("seed %d: recorded flows changed: %v (skipped %d), want %v (skipped %d)",
 				seed, told.Flows(), told.Skipped(), ref.Flows(), ref.Skipped())
 		}
-		logs := map[*flowLog]bool{}
-		for id, l := range told.flows {
-			if l == released {
+		for id, i := range told.flows {
+			if i == released {
 				gaveUp++
 				if fl := flows[id-1]; !fl.Completed {
 					t.Fatalf("seed %d: incomplete flow %d lost its log", seed, id)
 				}
-			} else {
-				logs[l] = true
 			}
 		}
-		reused += len(ref.flows) - len(logs) - len(told.free)
+		reused += len(ref.blocks) - len(told.blocks)
 	}
 	if gaveUp == 0 || reused == 0 {
 		t.Fatalf("released %d logs and reused %d: the recorder kept everything", gaveUp, reused)

@@ -444,23 +444,26 @@ func TestFlowAllocBudget(t *testing.T) {
 // source) over a fixed-seed telemetry + forensics + profile run whose
 // 60 ms drain is mostly idle ticks, as the benchmark's observed workload
 // is. A series costs memory per value change, not per sample
-// (obs.Samples), so the whole run — fabric, trace ring, hop logs and the
-// collected artifact included — allocates 7.94 B per tick × source; with
-// an 8 B ring slot per sample, grown by doubling and copied once at
-// exit, it allocated 41.9 [in brackets, as above]. The second run doubles
-// the drain: twice the ticks and no new value changes, so its series
-// must hold exactly as many runs as the first's.
+// (obs.Samples), hop records sit in pointer-free blocks reused across
+// flows, and the registry is sized once for the fabric, so the whole run —
+// fabric, trace ring, hop logs and the collected artifact included —
+// allocates 4.04 B per tick × source; with 80-byte hop records in per-flow
+// slices grown by append and a registry grown a source at a time, it
+// allocated 7.91 [in brackets, as above], and with an 8 B ring slot per
+// sample, grown by doubling and copied once at exit, 41.9. The second run
+// doubles the drain: twice the ticks and no new value changes, so its
+// series must hold exactly as many runs as the first's.
 //
 // Heap objects per registered source pin the cost of registering and
 // probing one: a source is an address the tick reads, its series sits in
 // the prober's one slice, and a series that never changes keeps its run in
-// an array shared with its neighbours, so the whole run costs 5.64 objects
-// per source; with a closure, a *Series and a run slice of its own for
-// each, it cost 8.70.
+// an array shared with its neighbours, so the whole run costs 5.38 objects
+// per source [5.50]; with a closure, a *Series and a run slice of its own
+// for each, it cost 8.70.
 func TestObservedAllocBudget(t *testing.T) {
 	const (
-		budget        = 10.3 // measured 7.94 [41.94]
-		objectsBudget = 7.3  // measured 5.64 [8.70]
+		budget        = 5.3 // measured 4.04 [7.91]
+		objectsBudget = 7.0 // measured 5.38 [5.50]
 	)
 	observe := func(drain sim.Time) (perTickSource, perSource float64, runs, samples int) {
 		sc := forensicsScenario()

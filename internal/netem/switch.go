@@ -72,8 +72,11 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // It never changes the set of any other destination. dst indexes the
 // table, so it must not be negative.
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
+	// slices.Grow, not append(routes, make(…)...), which -race builds do
+	// not fuse: its make was a heap object per new destination. The table
+	// never shrinks, so what lies past its length is still zero.
 	if n := int(dst) + 1; n > len(s.routes) {
-		s.routes = append(s.routes, make([]int32, n-len(s.routes))...)
+		s.routes = slices.Grow(s.routes, n-len(s.routes))[:n]
 	}
 	s.grow = append(append(s.grow[:0], s.groups[s.routes[dst]]...), ports...)
 	s.routes[dst] = s.intern(s.grow)
