@@ -119,12 +119,14 @@ bench-sim:
 
 # Hot-path benchmark set: scheduler dispatch/churn/cancellation plus the
 # netem per-hop costs (BenchmarkHostHop matches both the Network and the
-# HandWired variant), for a quick look while working. The standing
+# HandWired variant; BenchmarkPortQueued is a hop through a standing
+# queue, BenchmarkPortForward an uncongested one), for a quick look while
+# working. The standing
 # benchmark's ledger below measures the same layers (sim.dispatch_ns,
 # netem.port_hop_ns, shard.speedup on big-sharded) in a comparable,
 # checked-in shape.
 HOT_SIM   = BenchmarkEngineDispatch|BenchmarkEventChurn|BenchmarkTimerStopPending
-HOT_NETEM = BenchmarkPortForward|BenchmarkHostHop
+HOT_NETEM = BenchmarkPortForward|BenchmarkPortQueued|BenchmarkHostHop
 
 bench-hot:
 	@$(GO) test -bench '$(HOT_SIM)' -benchmem -benchtime 1s -run '^$$' ./internal/sim/

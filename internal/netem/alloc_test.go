@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 
 	"flexpass/internal/sim"
@@ -49,7 +50,7 @@ func TestZeroAllocPooledHop(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		send()
 	}
-	eng.Run(eng.Now() + sim.Millisecond) // warm queues, pipes, free lists
+	eng.Run(eng.Now() + sim.Millisecond) // warm the free lists and the event heap
 	allocs := testing.AllocsPerRun(500, func() {
 		send()
 		eng.Run(eng.Now() + sim.Millisecond)
@@ -111,5 +112,82 @@ func TestPoolRecyclesDrops(t *testing.T) {
 	}
 	if pool.Recycled != nic.QueueStats(0).Dropped {
 		t.Fatalf("recycled %d, want %d (one per drop)", pool.Recycled, nic.QueueStats(0).Dropped)
+	}
+}
+
+// TestPoolDoubleRecyclePanics: a frame recycled while it is already on the
+// free list would have two owners, so the second put panics. A frame taken
+// back off the list may be recycled again.
+func TestPoolDoubleRecyclePanics(t *testing.T) {
+	ha, _, pool := poolPair(sim.NewEngine(1))
+	pkt := ha.NewPacket()
+	pool.put(pkt)
+	if got := ha.NewPacket(); got != pkt {
+		t.Fatal("the free list did not hand back the frame just recycled")
+	}
+	pool.put(pkt)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recycling a frame twice did not panic")
+		}
+	}()
+	pool.put(pkt)
+}
+
+// TestQueueGrowthAllocatesNothing: with the pool and the engine warm, a
+// burst through a host whose delay FIFO, NIC queue and wire have never held
+// a frame allocates nothing. Frames link through themselves, so no FIFO
+// grows with its backlog.
+func TestQueueGrowthAllocatesNothing(t *testing.T) {
+	const burst = 1000
+	eng := sim.NewEngine(1)
+	ha, hb, pool := poolPair(eng)
+	hb.SetHandler(func(*Packet) {})
+	frames := make([]*Packet, burst)
+	for i := range frames {
+		frames[i] = ha.NewPacket()
+	}
+	for _, pkt := range frames {
+		pool.put(pkt)
+	}
+	for i := 0; i < 2*burst; i++ {
+		eng.After(sim.Nanosecond, func() {})
+	}
+	eng.Run(eng.Now() + sim.Microsecond)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < burst; i++ {
+		pkt := ha.NewPacket()
+		*pkt = Packet{Dst: hb.NodeID(), Size: MTUWire}
+		ha.Send(pkt)
+	}
+	eng.Run(eng.Now() + sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	if hb.RxPackets != burst {
+		t.Fatalf("delivered %d of %d frames", hb.RxPackets, burst)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a %d-frame burst through a fresh port made %d heap objects, want 0", burst, n)
+	}
+}
+
+// TestPortBuildAllocs bounds what one port costs to build with the paper's
+// three-queue layout (topo.FlexPassProfile): the port, its queues by
+// value, its bands over one array, and three pre-bound callbacks.
+func TestPortBuildAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	shared := NewSharedBuffer(4*units.MB, 0.25)
+	cfg := PortConfig{Queues: []QueueConfig{
+		{Name: "Q0-credit", Band: 0, CapBytes: units.KB, RateLimit: CreditRateFor(100*units.Gbps, 0.5)},
+		{Name: "Q1-flex", Band: 1, Weight: 0.5, ECNThreshold: 65 * units.KB, RedDropThreshold: 150 * units.KB},
+		{Name: "Q2-legacy", Band: 1, Weight: 0.5, ECNThreshold: 100 * units.KB},
+	}}
+	allocs := testing.AllocsPerRun(100, func() {
+		NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared)
+	})
+	t.Logf("%.0f heap objects", allocs)
+	if allocs > 8 {
+		t.Fatalf("NewPort with three queues made %.0f heap objects, want <= 8", allocs)
 	}
 }

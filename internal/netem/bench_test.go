@@ -47,6 +47,33 @@ func BenchmarkPortForward(b *testing.B) {
 	}
 }
 
+// BenchmarkPortQueued measures one hop through a standing queue: the sink
+// sends every arrival back into the port, behind the backlog of depth
+// frames, so each op is an enqueue behind that backlog, a dequeue,
+// serialization and delivery. BenchmarkPortForward is the uncongested hop.
+func BenchmarkPortQueued(b *testing.B) {
+	const depth = 64
+	eng := sim.NewEngine(1)
+	p := benchPort(eng)
+	delivered := 0
+	sink := &benchNode{id: 1}
+	sink.onRecv = func(pkt *Packet) {
+		delivered++
+		p.Send(pkt)
+	}
+	p.Connect(sink)
+	for i := 0; i < depth; i++ {
+		p.Send(&Packet{Dst: 1, Size: MTUWire})
+	}
+	eng.Run(eng.Now() + sim.Millisecond) // warm the free lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	target := delivered + b.N
+	for delivered < target {
+		eng.Run(eng.Now() + sim.Millisecond)
+	}
+}
+
 // benchHostHop measures the end-host injection path: NewPacket, Host.Send
 // with a host processing delay, NIC serialization, propagation, handler
 // dispatch at the peer, and the end of the frame's life. Two hosts

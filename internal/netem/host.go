@@ -18,13 +18,13 @@ type Host struct {
 
 	// Outbound frames waiting out the host processing delay. One event is
 	// scheduled per Send (so event ordering is identical to scheduling a
-	// closure per packet), but the packet rides this FIFO and the single
-	// pre-bound sendFn, not a fresh closure: the delay is constant, so
-	// FIFO order and event dispatch order always agree.
-	sendQ    []*Packet
-	sendHead int
-	sendFn   func()
-	comp     sim.Component // profiling attribution for delayed-send events
+	// closure per packet), but the frame rides this fifo, linked through
+	// the frame itself, and the single pre-bound sendFn, not a fresh
+	// closure: the delay is constant, so fifo order and event dispatch
+	// order always agree, and waiting allocates nothing.
+	delayed fifo
+	sendFn  func()
+	comp    sim.Component // profiling attribution for delayed-send events
 
 	pool *PacketPool // packet free list; nil only outside a Network
 
@@ -57,8 +57,8 @@ func (h *Host) NIC() *Port { return h.nic }
 func (h *Host) SetHandler(fn func(*Packet)) { h.handler = fn }
 
 // NewPacket returns a zeroed packet for the caller to fill
-// (`*pkt = Packet{...}`) and Send: a recycled frame, or a heap allocation
-// on a host that was never added to a Network.
+// (`*pkt = Packet{...}`) and Send: a recycled or slab-carved frame, or a
+// heap allocation on a host that was never added to a Network.
 func (h *Host) NewPacket() *Packet {
 	if h.pool != nil {
 		return h.pool.get()
@@ -70,7 +70,7 @@ func (h *Host) NewPacket() *Packet {
 func (h *Host) Send(pkt *Packet) {
 	pkt.Src = h.id
 	if h.delay > 0 {
-		h.sendQ = append(h.sendQ, pkt)
+		h.delayed.push(pkt)
 		prev := h.eng.SetComponent(h.comp)
 		h.eng.After(h.delay, h.sendFn)
 		h.eng.SetComponent(prev)
@@ -81,21 +81,7 @@ func (h *Host) Send(pkt *Packet) {
 
 // sendNext hands the oldest delayed frame to the NIC.
 func (h *Host) sendNext() {
-	pkt := h.sendQ[h.sendHead]
-	h.sendQ[h.sendHead] = nil
-	h.sendHead++
-	if h.sendHead >= len(h.sendQ) {
-		h.sendQ = h.sendQ[:0]
-		h.sendHead = 0
-	} else if h.sendHead > 64 && h.sendHead*2 > len(h.sendQ) {
-		n := copy(h.sendQ, h.sendQ[h.sendHead:])
-		for i := n; i < len(h.sendQ); i++ {
-			h.sendQ[i] = nil
-		}
-		h.sendQ = h.sendQ[:n]
-		h.sendHead = 0
-	}
-	h.nic.Send(pkt)
+	h.nic.Send(h.delayed.pop())
 }
 
 // Receive implements Node: deliver to the transport handler, then recycle

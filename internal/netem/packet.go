@@ -93,6 +93,7 @@ type Packet struct {
 
 	ECNCapable bool // ECT: eligible for CE marking
 	CE         bool // congestion experienced
+	free       bool // on a PacketPool's free list: recycling it again panics
 
 	Src, Dst NodeID
 	Flow     uint64 // global flow identifier (shared by ACKs/credits of the flow)
@@ -106,10 +107,40 @@ type Packet struct {
 
 	SentAt sim.Time // stamped by the sending endpoint (for RTT estimates)
 
-	// enqAt is restamped by each port at enqueue so the dequeue hook can
-	// report per-hop queueing delay. It is data-plane bookkeeping, not
-	// visible to endpoints.
-	enqAt sim.Time
+	// at and next are data-plane bookkeeping, not visible to endpoints.
+	// at is the time the frame entered its port queue while it is queued
+	// (the dequeue hook reports the wait from it), then its arrival time
+	// at the peer while it is on the wire. next links the frame into the
+	// one fifo, or free list, that holds it.
+	at   sim.Time
+	next *Packet
+}
+
+// fifo is a queue of frames linked through Packet.next: pushing and
+// popping never allocate, and a frame sits in at most one fifo at a time.
+// Port queues, the wire and the host delay are fifos.
+type fifo struct{ head, tail *Packet }
+
+func (f *fifo) empty() bool   { return f.head == nil }
+func (f *fifo) peek() *Packet { return f.head }
+
+func (f *fifo) push(p *Packet) {
+	if f.tail == nil {
+		f.head = p
+	} else {
+		f.tail.next = p
+	}
+	f.tail = p
+}
+
+// pop removes the head; the caller guarantees the fifo is not empty.
+func (f *fifo) pop() *Packet {
+	p := f.head
+	f.head, p.next = p.next, nil
+	if f.head == nil {
+		f.tail = nil
+	}
+	return p
 }
 
 // Node consumes packets delivered by the network.

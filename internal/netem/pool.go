@@ -19,37 +19,51 @@ package netem
 //
 // Recycling never changes simulation results: TestGoldenDigestPooled
 // strips the pools (SetPool(nil)) and requires identical digests, so a
-// consumer that retains a frame fails a test.
+// consumer that retains a frame fails a test. The free list is a stack
+// linked through Packet.next over slabs of packetSlab frames; recycling a
+// frame already on it panics, as the frame would have two owners.
 type PacketPool struct {
-	free []*Packet
+	free *Packet  // top of the free stack
+	slab []Packet // frames not yet handed out
 
-	// Recycled and Fresh count Put calls and pool misses (observability;
-	// a healthy steady state recycles nearly everything).
+	// Recycled and Fresh count put calls and first-time frames
+	// (observability; a healthy steady state recycles nearly everything).
 	Recycled int64
 	Fresh    int64
 }
 
+const packetSlab = 64 // frames a PacketPool carves at once
+
 // get returns a zeroed packet, reusing a recycled one when available.
 func (p *PacketPool) get() *Packet {
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if pkt := p.free; pkt != nil {
+		p.free = pkt.next
 		*pkt = Packet{}
 		return pkt
 	}
+	if len(p.slab) == 0 {
+		p.slab = make([]Packet, packetSlab)
+	}
+	pkt := &p.slab[0]
+	p.slab = p.slab[1:]
 	p.Fresh++
-	return &Packet{}
+	return pkt
 }
 
 // put returns a consumed packet to the free list. Nil pools and nil
-// packets no-op, so call sites need no guards.
+// packets no-op, so call sites need no guards; a packet already on the
+// free list panics.
 func (p *PacketPool) put(pkt *Packet) {
 	if p == nil || pkt == nil {
 		return
 	}
+	if pkt.free {
+		panic("netem: frame recycled twice")
+	}
+	pkt.free = true
 	pkt.Meta = nil // drop the payload reference so it can be collected
-	p.free = append(p.free, pkt)
+	pkt.next = p.free
+	p.free = pkt
 	p.Recycled++
 }
 

@@ -67,9 +67,8 @@ type Port struct {
 	link  uint32     // number in the Network, 0 outside one; see Rank
 	rng   sim.Stream // RED marking and fault-loss draws, keyed by link
 
-	queues   []*queue
-	bands    [][]*queue
-	rr       []int
+	queues   []queue // by value: a port is a handful of allocations
+	bands    []band
 	classify func(*Packet) int
 	shared   *SharedBuffer
 
@@ -86,8 +85,8 @@ type Port struct {
 	// Delivery pipeline: arrivals at the peer are FIFO with a constant
 	// propagation offset, so one scheduled event per port suffices
 	// instead of one per in-flight packet (keeps the event heap small).
-	pipe     []pipeEntry
-	pipeHead int
+	// Each frame on the wire carries its arrival time in Packet.at.
+	wire fifo
 
 	txDoneFn  func()
 	deliverFn func()
@@ -122,9 +121,11 @@ type Port struct {
 	stats PortStats
 }
 
-type pipeEntry struct {
-	at  sim.Time
-	pkt *Packet
+// band is one strict-priority band: its queues, in queue order, and the
+// DWRR pointer among them.
+type band struct {
+	qs []*queue
+	rr int
 }
 
 // NewPort builds an egress port. shared may be nil for ports with only
@@ -143,20 +144,24 @@ func NewPort(eng *sim.Engine, name string, rate units.Rate, prop sim.Time, cfg P
 		classify: cfg.Classify,
 		shared:   shared,
 	}
+	p.queues = make([]queue, len(cfg.Queues))
 	maxBand := 0
 	for i, qc := range cfg.Queues {
-		q := newQueue(qc)
-		q.idx = i
-		p.queues = append(p.queues, q)
-		if qc.Band > maxBand {
-			maxBand = qc.Band
+		initQueue(&p.queues[i], i, qc)
+		maxBand = max(maxBand, qc.Band)
+	}
+	// Every band's queues are a sub-slice of one array.
+	p.bands = make([]band, maxBand+1)
+	all := make([]*queue, 0, len(p.queues))
+	for b := range p.bands {
+		from := len(all)
+		for i := range p.queues {
+			if p.queues[i].cfg.Band == b {
+				all = append(all, &p.queues[i])
+			}
 		}
+		p.bands[b].qs = all[from:]
 	}
-	p.bands = make([][]*queue, maxBand+1)
-	for _, q := range p.queues {
-		p.bands[q.cfg.Band] = append(p.bands[q.cfg.Band], q)
-	}
-	p.rr = make([]int, maxBand+1)
 	p.txDoneFn = p.kick
 	p.deliverFn = p.deliverHead
 	p.wakeFn = p.wake
@@ -176,8 +181,9 @@ func (p *Port) deliverAt(t sim.Time, pkt *Packet) {
 		p.remote(t, pkt)
 		return
 	}
-	p.pipe = append(p.pipe, pipeEntry{at: t, pkt: pkt})
-	if len(p.pipe)-p.pipeHead == 1 {
+	pkt.at = t
+	p.wire.push(pkt)
+	if p.wire.peek() == pkt {
 		prev := p.eng.SetComponent(p.compDeliver)
 		p.eng.AtRank(t, p.Rank(), p.deliverFn)
 		p.eng.SetComponent(prev)
@@ -186,24 +192,10 @@ func (p *Port) deliverAt(t sim.Time, pkt *Packet) {
 
 // deliverHead delivers the head packet and schedules the next arrival.
 func (p *Port) deliverHead() {
-	e := p.pipe[p.pipeHead]
-	p.pipe[p.pipeHead].pkt = nil
-	p.pipeHead++
-	if p.pipeHead >= len(p.pipe) {
-		p.pipe = p.pipe[:0]
-		p.pipeHead = 0
-	} else if p.pipeHead > 64 && p.pipeHead*2 > len(p.pipe) {
-		n := copy(p.pipe, p.pipe[p.pipeHead:])
-		for i := n; i < len(p.pipe); i++ {
-			p.pipe[i].pkt = nil
-		}
-		p.pipe = p.pipe[:n]
-		p.pipeHead = 0
-	}
-	p.peer.Receive(e.pkt)
-	if p.pipeHead < len(p.pipe) {
+	p.peer.Receive(p.wire.pop())
+	if next := p.wire.peek(); next != nil {
 		prev := p.eng.SetComponent(p.compDeliver)
-		p.eng.AtRank(p.pipe[p.pipeHead].at, p.Rank(), p.deliverFn)
+		p.eng.AtRank(next.at, p.Rank(), p.deliverFn)
 		p.eng.SetComponent(prev)
 	}
 }
@@ -253,7 +245,7 @@ func (p *Port) QueueConfig(i int) QueueConfig { return p.queues[i].cfg }
 // QueueBytes returns queue i's instantaneous occupancy in bytes, and the
 // portion of it that is Red-colored.
 func (p *Port) QueueBytes(i int) (total, red int64) {
-	return p.queues[i].lenBytes(), p.queues[i].redB
+	return p.queues[i].bytes, p.queues[i].redB
 }
 
 // NumQueues returns how many queues the port has.
@@ -269,47 +261,26 @@ func (p *Port) Send(pkt *Packet) {
 	if p.classify != nil {
 		qi = p.classify(pkt)
 	}
-	if qi < 0 {
-		qi = 0
-	}
-	if qi >= len(p.queues) {
-		qi = len(p.queues) - 1
-	}
-	q := p.queues[qi]
+	q := &p.queues[max(0, min(qi, len(p.queues)-1))]
 	sz := int64(pkt.Size)
 
 	// Color-aware selective dropping (paper §4.1): red packets are dropped
 	// once the queue's red occupancy would exceed the threshold; green
 	// packets are only subject to buffer admission.
 	if q.cfg.RedDropThreshold > 0 && pkt.Color == Red && q.redB+sz > int64(q.cfg.RedDropThreshold) {
-		q.stats.Dropped++
-		q.stats.DroppedRed++
-		if p.hop != nil {
-			p.hop.HopDrop(p.eng.Now(), p, qi, pkt, DropRedThreshold)
-		}
-		p.pool.put(pkt)
+		p.drop(q, pkt, DropRedThreshold)
 		return
 	}
 
 	// Buffer admission: private cap, or shared dynamic threshold.
 	if q.cfg.CapBytes > 0 {
 		if q.bytes+sz > int64(q.cfg.CapBytes) {
-			q.stats.Dropped++
-			q.stats.DroppedOver++
-			if p.hop != nil {
-				p.hop.HopDrop(p.eng.Now(), p, qi, pkt, DropPrivateCap)
-			}
-			p.pool.put(pkt)
+			p.drop(q, pkt, DropPrivateCap)
 			return
 		}
 	} else if p.shared != nil {
 		if !p.shared.admits(q.bytes, sz) {
-			q.stats.Dropped++
-			q.stats.DroppedOver++
-			if p.hop != nil {
-				p.hop.HopDrop(p.eng.Now(), p, qi, pkt, DropSharedBuffer)
-			}
-			p.pool.put(pkt)
+			p.drop(q, pkt, DropSharedBuffer)
 			return
 		}
 		p.shared.used += sz
@@ -337,12 +308,26 @@ func (p *Port) Send(pkt *Packet) {
 		}
 	}
 
-	pkt.enqAt = p.eng.Now()
+	pkt.at = p.eng.Now()
 	q.push(pkt)
 	if p.hop != nil {
-		p.hop.HopEnqueue(pkt.enqAt, p, qi, pkt, q.bytes)
+		p.hop.HopEnqueue(pkt.at, p, q.idx, pkt, q.bytes)
 	}
 	p.kick()
+}
+
+// drop counts, observes and recycles a frame queue q refused.
+func (p *Port) drop(q *queue, pkt *Packet, reason DropReason) {
+	q.stats.Dropped++
+	if reason == DropRedThreshold {
+		q.stats.DroppedRed++
+	} else {
+		q.stats.DroppedOver++
+	}
+	if p.hop != nil {
+		p.hop.HopDrop(p.eng.Now(), p, q.idx, pkt, reason)
+	}
+	p.pool.put(pkt)
 }
 
 // kick starts a transmission if the port is up, idle, and a packet is
@@ -383,7 +368,7 @@ func (p *Port) kick() {
 	tx := p.effRate.TxTime(pkt.Size)
 	if p.hop != nil {
 		now := p.eng.Now()
-		p.hop.HopDequeue(now, p, q.idx, pkt, now-pkt.enqAt, tx)
+		p.hop.HopDequeue(now, p, q.idx, pkt, now-pkt.at, tx)
 	}
 	p.stats.TxPackets++
 	p.stats.TxBytes += int64(pkt.Size)
@@ -392,8 +377,8 @@ func (p *Port) kick() {
 	}
 	p.txEnd = p.eng.Reserve(p.eng.Now() + tx)
 	p.txArmed = false
-	for _, behind := range p.queues {
-		if !behind.empty() {
+	for i := range p.queues {
+		if !p.queues[i].empty() {
 			p.armTxDone()
 			break
 		}
@@ -430,9 +415,10 @@ func (p *Port) eligible(q *queue) bool {
 // returns the earliest time a queue becomes eligible.
 func (p *Port) selectNext() (*Packet, *queue, sim.Time) {
 	var wait sim.Time
-	for b, qs := range p.bands {
+	for b := range p.bands {
+		bd := &p.bands[b]
 		anyEligible := false
-		for _, q := range qs {
+		for _, q := range bd.qs {
 			if q.empty() {
 				continue
 			}
@@ -445,31 +431,31 @@ func (p *Port) selectNext() (*Packet, *queue, sim.Time) {
 		if !anyEligible {
 			continue // rate-limited band waiting: serve lower bands meanwhile
 		}
-		if len(qs) == 1 {
-			q := qs[0]
+		if len(bd.qs) == 1 {
+			q := bd.qs[0]
 			return q.pop(), q, 0
 		}
 		// DWRR within the band. Queues accumulate one quantum per visit;
 		// a queue keeps the pointer while its deficit affords its head.
-		n := len(qs)
+		n := len(bd.qs)
 		for pass := 0; pass < 1000*n; pass++ {
-			q := qs[p.rr[b]]
+			q := bd.qs[bd.rr]
 			if q.empty() {
 				q.deficit = 0
-				p.rr[b] = (p.rr[b] + 1) % n
+				bd.rr = (bd.rr + 1) % n
 				continue
 			}
 			if !p.eligible(q) {
-				p.rr[b] = (p.rr[b] + 1) % n
+				bd.rr = (bd.rr + 1) % n
 				continue
 			}
-			head := q.headPkt()
+			head := q.pkts.peek()
 			if q.deficit >= int64(head.Size) {
 				q.deficit -= int64(head.Size)
 				return q.pop(), q, 0
 			}
 			q.deficit += q.quantum
-			p.rr[b] = (p.rr[b] + 1) % n
+			bd.rr = (bd.rr + 1) % n
 		}
 		panic(fmt.Sprintf("netem: DWRR failed to converge on port %s band %d", p.name, b))
 	}

@@ -67,8 +67,7 @@ type QueueStats struct {
 type queue struct {
 	cfg   QueueConfig
 	idx   int // position within the owning port (for hop observers)
-	pkts  []*Packet
-	head  int
+	pkts  fifo
 	bytes int64 // current occupancy in bytes
 	redB  int64 // bytes of Red packets currently queued
 
@@ -80,33 +79,21 @@ type queue struct {
 	stats QueueStats
 }
 
-func newQueue(cfg QueueConfig) *queue {
+// initQueue sets up q, held by value in its port, as queue idx.
+func initQueue(q *queue, idx int, cfg QueueConfig) {
 	w := cfg.Weight
 	if w <= 0 {
 		w = 1
 	}
-	q := &queue{cfg: cfg}
 	// Quantum proportional to weight; the base quantum is one MTU so that
 	// a weight-1 queue can always send a full frame per round.
-	q.quantum = int64(w * 1538)
-	if q.quantum < 64 {
-		q.quantum = 64
-	}
-	return q
+	*q = queue{cfg: cfg, idx: idx, quantum: max(64, int64(w*1538))}
 }
 
-func (q *queue) empty() bool     { return q.head >= len(q.pkts) }
-func (q *queue) lenBytes() int64 { return q.bytes }
-
-func (q *queue) headPkt() *Packet {
-	if q.empty() {
-		return nil
-	}
-	return q.pkts[q.head]
-}
+func (q *queue) empty() bool { return q.pkts.empty() }
 
 func (q *queue) push(p *Packet) {
-	q.pkts = append(q.pkts, p)
+	q.pkts.push(p)
 	q.bytes += int64(p.Size)
 	if p.Color == Red {
 		q.redB += int64(p.Size)
@@ -122,25 +109,11 @@ func (q *queue) push(p *Packet) {
 }
 
 func (q *queue) pop() *Packet {
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.pkts.pop()
 	q.bytes -= int64(p.Size)
 	if p.Color == Red {
 		q.redB -= int64(p.Size)
 	}
 	q.stats.Dequeued++
-	// Reclaim space once the slice is fully drained or mostly dead.
-	if q.head >= len(q.pkts) {
-		q.pkts = q.pkts[:0]
-		q.head = 0
-	} else if q.head > 1024 && q.head*2 > len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }

@@ -67,8 +67,8 @@ func (p *Port) Register(reg *obs.Registry) {
 	}
 	ent := "port/" + p.name
 	register(reg, ent, p, portMetrics[:])
-	for i, q := range p.queues {
-		register(reg, ent+"/q"+strconv.Itoa(i), q, queueMetrics[:])
+	for i := range p.queues {
+		register(reg, ent+"/q"+strconv.Itoa(i), &p.queues[i], queueMetrics[:])
 	}
 }
 

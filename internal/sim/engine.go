@@ -97,6 +97,7 @@ type Engine struct {
 	cur     uint64   // key of the dispatching event; between Runs, above every key taken
 	events  []*event // 4-ary min-heap ordered by (at, key)
 	free    []*event // recycled events
+	slab    []event  // events not yet handed out
 	stopped bool
 
 	// Component attribution. curComp labels whoever is currently
@@ -204,7 +205,9 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// alloc takes an event from the free list, or heap-allocates when empty.
+const eventSlab = 64 // events alloc carves at once
+
+// alloc takes an event from the free list, or from a new slab when empty.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -212,7 +215,13 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{idx: -1}
+	if len(e.slab) == 0 {
+		e.slab = make([]event, eventSlab)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	ev.idx = -1
+	return ev
 }
 
 // recycle returns a detached event to the free list. Bumping gen
