@@ -153,6 +153,25 @@ func (rt *Runtime) Connect(from, to int) *Edge {
 	return e
 }
 
+// InFlight counts the frames between shards: flushed onto an edge but
+// not yet received, received but not yet due, or scheduled into an engine
+// but not yet delivered. Call it only while Run is not executing.
+func (rt *Runtime) InFlight() int64 {
+	var n int64
+	for _, e := range rt.edges {
+		n += int64(len(e.buf))
+		for range len(e.ch) { // rotate each batch through, order kept
+			batch := <-e.ch
+			n += int64(len(batch))
+			e.ch <- batch
+		}
+	}
+	for _, s := range rt.shards {
+		n += int64(len(s.pending) + len(s.injQ) - s.injHead)
+	}
+	return n
+}
+
 // fail records the first shard panic and releases every blocked peer.
 func (rt *Runtime) fail(v any) {
 	rt.failOnce.Do(func() {

@@ -1,6 +1,7 @@
 package flexpass
 
 import (
+	"maps"
 	"testing"
 
 	"flexpass/internal/netem"
@@ -305,5 +306,73 @@ func TestRecoveryTimerRestartsAfterDeadStart(t *testing.T) {
 	}
 	if fl.Timeouts == 0 {
 		t.Fatal("recovery timer should have fired")
+	}
+}
+
+// arrays maps every array on l to its capacity, by its first element.
+func (l *recordArrays) arrays() map[*txRecord]int {
+	out := map[*txRecord]int{}
+	for _, stack := range l.free {
+		for _, rs := range stack {
+			out[&rs[:1][0]] = cap(rs)
+		}
+	}
+	return out
+}
+
+// TestRecordArraysReused runs two identical flows one after the other on
+// one config: the first grows its records through the config's free list
+// and gives every array back when it finishes, and the second takes all
+// of its records from those arrays, allocating none. The finished first
+// sender then gets duplicate credits and ACKs, which must neither panic,
+// move its counters, nor hand its arrays back a second time.
+func TestRecordArraysReused(t *testing.T) {
+	eng, _, ag := flexFabric(2, 10*gig, topo.Spec{})
+	cfg := flexCfg(10*gig, 0.5)
+	run := func(id uint64) (*transport.Flow, *Sender) {
+		fl := fpFlow(id, ag[0], ag[1], 1_000_000)
+		fl.Start = eng.Now()
+		fl.Src.Flows.Add(fl)
+		StartReceiver(eng, fl, &cfg)
+		s := StartSender(eng, fl, &cfg)
+		for !fl.Completed {
+			eng.Run(eng.Now() + sim.Millisecond)
+		}
+		return fl, s
+	}
+	first, s := run(1)
+	if s.re != nil || s.pro != nil {
+		t.Fatalf("finished sender still holds %d + %d records", cap(s.re), cap(s.pro))
+	}
+	after := cfg.records.arrays()
+	if len(after) < 2 {
+		t.Fatalf("free list holds %d arrays after a 1 MB flow, want its sub-flows' arrays", len(after))
+	}
+	if _, s2 := run(2); s2.re != nil || s2.pro != nil {
+		t.Fatal("second sender kept its records after finishing")
+	}
+	if again := cfg.records.arrays(); !maps.Equal(again, after) {
+		t.Fatalf("free list after the second flow %v, want the first flow's arrays %v: records came from the heap", again, after)
+	}
+
+	before := *first
+	for _, pkt := range []netem.Packet{
+		{Kind: netem.KindCredit, SubSeq: 3},
+		{Kind: netem.KindAckRe, Seq: 1, SubSeq: 2},
+		{Kind: netem.KindAckRe, Seq: 0, SubSeq: 0},
+		{Kind: netem.KindAckPro, Seq: 1, SubSeq: 2},
+		{Kind: netem.KindAckPro, Seq: 5, SubSeq: 1},
+	} {
+		pkt.Flow, pkt.SentAt = first.ID, eng.Now()
+		s.Handle(&pkt)
+	}
+	eng.Run(eng.Now() + 20*sim.Millisecond) // past any recovery deadline
+	if first.CreditsGranted != before.CreditsGranted || first.CreditsWasted != before.CreditsWasted ||
+		first.Retransmits != before.Retransmits || first.ProRetx != before.ProRetx ||
+		first.Timeouts != before.Timeouts || first.RxBytes != before.RxBytes {
+		t.Fatalf("finished flow's counters moved: %+v, then %+v", before, *first)
+	}
+	if again := cfg.records.arrays(); !maps.Equal(again, after) {
+		t.Fatalf("duplicates after finishing changed the free list: %v, want %v", again, after)
 	}
 }
