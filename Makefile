@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check figs figs-check figs-paper fig-csvs bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build vet test race race-core race-shard check examples-check figs figs-check figs-paper fig-csvs bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
@@ -44,6 +44,17 @@ race-shard:
 	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical|TestEach' ./internal/harness/
 
 check: vet build race
+
+# The façade's examples, pinned: each builds and runs, and its stdout
+# must equal the checked-in examples/<name>/output.txt. Every one drives
+# a Testbed, so a change beneath the façade that moves one printed number
+# fails here, naming the example with a diff (< checked in, > now).
+EXAMPLES = quickstart coexistence faulttolerance incast
+examples-check:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	 for e in $(EXAMPLES); do $(GO) build -o "$$bin/$$e" ./examples/$$e && "$$bin/$$e" > "$$bin/$$e.txt" || exit 1; \
+	   diff examples/$$e/output.txt "$$bin/$$e.txt" || { echo "examples-check: examples/$$e differs"; exit 1; }; done && \
+	 echo "examples-check: $(words $(EXAMPLES)) examples print their checked-in output"
 
 # Every figure is a farm sweep: a checked-in spec under ci/figures/ (the
 # ablations are two specs under one sweep name; Fig 7(c) is a point of
