@@ -1,6 +1,7 @@
 package flexpass
 
 import (
+	"cmp"
 	"fmt"
 
 	"flexpass/internal/faults"
@@ -11,7 +12,6 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
-	_ "flexpass/internal/transport/schemes" // link the built-in schemes in
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -127,44 +127,22 @@ type TestbedConfig struct {
 // Testbed is a small fabric with the FlexPass switch configuration, for
 // hand-built experiments: start flows by transport name and run the
 // clock. All hosts share one switch (or a dumbbell) configured with the
-// paper's three-queue layout. The fabric owns every frame and recycles it
-// at the end of its life (DESIGN.md "Packet ownership"): a custom
-// receive handler installed on a host must not retain a *Packet past the
-// callback.
+// paper's three-queue layout. It is a one-plane harness session whose
+// scenario has no flows of its own (harness.Open). The fabric owns every
+// frame and recycles it at the end of its life (DESIGN.md "Packet
+// ownership"): a custom receive handler installed on a host must not
+// retain a *Packet past the callback.
 type Testbed struct {
 	Eng    *sim.Engine
 	Fabric *topo.Fabric
 
-	agents  []*transport.Agent
-	env     *transport.SchemeEnv
-	schemes map[string]transport.Scheme // lazily built per transport name
-	flows   transport.Flows             // every flow started, by ID; the agents' demux table
+	s *harness.Session
 }
 
-// NewTestbed builds a testbed.
+// NewTestbed builds a testbed: harness.BaseFor's scenario on the layout,
+// with the §6.2 switch thresholds rather than the §6.1 testbed's.
 func NewTestbed(cfg TestbedConfig) *Testbed {
-	if cfg.Hosts == 0 {
-		cfg.Hosts = 3
-	}
-	if cfg.LinkRate == 0 {
-		cfg.LinkRate = 10 * Gbps
-	}
-	if cfg.WQ == 0 {
-		cfg.WQ = 0.5
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	eng := sim.NewEngine(cfg.Seed)
-	spec := topo.Spec{WQ: cfg.WQ}
-	params := topo.Params{
-		LinkRate:  cfg.LinkRate,
-		LinkDelay: 2 * Microsecond,
-		HostDelay: 1 * Microsecond,
-		SwitchBuf: 4500 * KB,
-		BufAlpha:  0.25,
-		Profile:   topo.FlexPassProfile(spec),
-	}
+	cfg.Hosts = cmp.Or(cfg.Hosts, 3)
 	var layout topo.Layout
 	switch cfg.Kind {
 	case SingleSwitch:
@@ -174,19 +152,11 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	default:
 		panic("flexpass: unknown testbed kind")
 	}
-	fab := layout.Build([]*sim.Engine{eng}, params)
-	tb := &Testbed{Eng: eng, Fabric: fab}
-	for i := 0; i < cfg.Hosts; i++ {
-		tb.agents = append(tb.agents, transport.NewAgent(eng, fab.Net.Host(i), &tb.flows))
-	}
-	tb.env = &transport.SchemeEnv{
-		Eng:      eng,
-		LinkRate: cfg.LinkRate,
-		WQ:       cfg.WQ,
-		Spec:     spec,
-	}
-	tb.schemes = make(map[string]transport.Scheme)
-	return tb
+	sc := harness.BaseFor(layout)
+	sc.Seed, sc.LinkRate, sc.WQ = cmp.Or(cfg.Seed, sc.Seed), cmp.Or(cfg.LinkRate, sc.LinkRate), cmp.Or(cfg.WQ, sc.WQ)
+	sc.Spec, sc.TraceFlows = topo.Spec{}, []workload.FlowSpec{}
+	s := harness.Open(sc)
+	return &Testbed{Eng: s.Engine(), Fabric: s.Fabric(), s: s}
 }
 
 // SetLossRate injects random non-congestion loss around host dst,
@@ -231,51 +201,21 @@ func (tb *Testbed) FaultPort(dst int) *netem.Port {
 
 // StartFlow begins a flow of size bytes from host src to host dst using
 // the named transport — any name in the scheme registry: "flexpass",
-// "dctcp", "expresspass", "layering", "homa", "phost", ... The returned
-// Flow exposes live statistics (RxBytes, FCT, ...).
+// "dctcp", "expresspass", "layering", "homa", "phost", ... — at the
+// current simulated time. The returned Flow exposes live statistics
+// (RxBytes, FCT, ...). An unknown name panics.
 func (tb *Testbed) StartFlow(transportName string, src, dst int, size int64) *Flow {
-	fl := tb.newFlow(transportName, src, dst, size, tb.Eng.Now())
-	tb.startNow(fl)
-	return fl
+	return tb.s.StartFlow(tb.Eng.Now(), transportName, src, dst, size)
 }
 
-// StartFlowAt schedules a flow to begin at an absolute simulated time.
+// StartFlowAt schedules a flow to begin at an absolute simulated time. An
+// unknown transport name panics here, not when the flow would start.
 func (tb *Testbed) StartFlowAt(at Time, transportName string, src, dst int, size int64) *Flow {
-	fl := tb.newFlow(transportName, src, dst, size, at)
-	tb.Eng.At(at, func() { tb.startNow(fl) })
-	return fl
-}
-
-func (tb *Testbed) newFlow(transportName string, src, dst int, size int64, at Time) *Flow {
-	fl := &Flow{
-		ID:        uint64(len(tb.flows) + 1),
-		Src:       tb.agents[src],
-		Dst:       tb.agents[dst],
-		Size:      size,
-		Start:     at,
-		Transport: transportName,
-		Legacy:    transportName == transport.SchemeDCTCP,
-	}
-	return tb.flows.Add(fl)
-}
-
-func (tb *Testbed) startNow(fl *Flow) {
-	// Schemes are memoized under the name the flow was started with
-	// ("naive" and "expresspass" resolve to distinct instances of the same
-	// transport; each keeps its own pHost-style per-run state).
-	sch := tb.schemes[fl.Transport]
-	if sch == nil {
-		var err error
-		if sch, err = transport.NewScheme(fl.Transport, tb.env); err != nil {
-			panic(fmt.Sprintf("flexpass: unknown transport %q", fl.Transport))
-		}
-		tb.schemes[fl.Transport] = sch
-	}
-	transport.Start(sch, fl)
+	return tb.s.StartFlow(at, transportName, src, dst, size)
 }
 
 // Run advances the simulation until the given absolute time.
-func (tb *Testbed) Run(until Time) { tb.Eng.Run(until) }
+func (tb *Testbed) Run(until Time) { tb.s.Run(until) }
 
 // Flows returns every flow started on the testbed.
-func (tb *Testbed) Flows() []*Flow { return tb.flows }
+func (tb *Testbed) Flows() []*Flow { return tb.s.Flows() }

@@ -11,10 +11,10 @@ import (
 
 	"flexpass/internal/farm"
 	"flexpass/internal/faults"
+	"flexpass/internal/harness"
 	"flexpass/internal/netem"
 	"flexpass/internal/sim"
-	"flexpass/internal/topo"
-	"flexpass/internal/units"
+	"flexpass/internal/workload"
 )
 
 // Coords pins one trial's scenario coordinates. They are everything a
@@ -68,18 +68,12 @@ func portPool(label string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown topology %q", label)
 	}
-	// Port names depend only on the fabric's shape, not on rates or
-	// buffers, so a throwaway fabric with nominal parameters is enough.
-	fab := layout.Build([]*sim.Engine{sim.NewEngine(1)}, topo.Params{
-		LinkRate:  40 * units.Gbps,
-		LinkDelay: 2 * sim.Microsecond,
-		HostDelay: 1 * sim.Microsecond,
-		SwitchBuf: 1000 * units.KB,
-		BufAlpha:  0.25,
-		Profile:   topo.PlainProfile(80 * units.KB),
-	})
+	// Port names depend only on the fabric's shape: the fabric of a
+	// session with no flows is enough.
+	sc := harness.BaseFor(layout)
+	sc.TraceFlows = []workload.FlowSpec{}
 	var names []string
-	fab.Net.EachPort(func(p *netem.Port) { names = append(names, p.Name()) })
+	harness.Open(sc).Fabric().Net.EachPort(func(p *netem.Port) { names = append(names, p.Name()) })
 	sort.Strings(names)
 	portPools.Store(label, names)
 	return names, nil

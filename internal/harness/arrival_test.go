@@ -11,7 +11,7 @@ import (
 	"flexpass/internal/workload"
 )
 
-// TestArrivalCursorOneEventPerPlane: after build, each plane's engine
+// TestArrivalCursorOneEventPerPlane: after Open, each plane's engine
 // holds one pending event — its next arrival — whatever the flow count.
 func TestArrivalCursorOneEventPerPlane(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -19,7 +19,7 @@ func TestArrivalCursorOneEventPerPlane(t *testing.T) {
 		for _, window := range []sim.Time{3 * sim.Millisecond, 30 * sim.Millisecond} {
 			sc := shardScenario(SchemeFlexPass, shards)
 			sc.Duration = window
-			for i, pl := range build(sc).planes {
+			for i, pl := range Open(sc).planes {
 				owed[window] += len(pl.arrivals)
 				if pl.eng.Pending() != 1 {
 					t.Errorf("%v window, shards %d, plane %d: %d events pending for %d arrivals, want one",
@@ -47,8 +47,9 @@ func TestArrivalCursorOrder(t *testing.T) {
 		{Src: 1, Dst: 5, Size: 50_000, At: sc.Duration + sc.Drain + sim.Microsecond},
 		{Src: 7, Dst: 3, Size: 50_000, At: at},
 	}
-	b := build(sc)
-	res := b.run()
+	b := Open(sc)
+	b.Run(sc.Duration + sc.Drain)
+	res := b.Close()
 	var started []uint64
 	res.Trace.Each(func(ev trace.Event) {
 		if ev.Kind == trace.FlowStart {

@@ -36,11 +36,9 @@ type plane struct {
 	ring     *trace.Ring
 	strays   *obs.Counter
 
-	// One scheme env — and so one set of scheme instances and counter
-	// sets — per plane; the legacy side is always DCTCP.
-	env                    *transport.SchemeEnv
-	legacy, active         transport.Scheme
-	compLegacy, compActive sim.Component
+	// One scheme env, so one set of counter sets, per plane.
+	env     *transport.SchemeEnv
+	schemes map[string]*instance // by name, built on first use
 
 	prober *obs.Prober // the telemetry plane's series
 	q1     *obs.Prober // Q1 occupancy of this plane's ToR uplinks (SampleQueues)
@@ -56,12 +54,35 @@ type plane struct {
 	startFn  func() // pre-bound pl.startNext
 }
 
+// instance is a scheme built on a plane, with the profiling component
+// its flow starts run under.
+type instance struct {
+	transport.Scheme
+	comp sim.Component
+}
+
+// scheme returns the plane's instance of the named scheme, built on first
+// use; an unknown name panics. "naive" and "expresspass" are two
+// instances of one transport, each with its own per-run state.
+func (pl *plane) scheme(name string) *instance {
+	in := pl.schemes[name]
+	if in == nil {
+		sch, err := transport.NewScheme(name, pl.env)
+		if err != nil {
+			panic(fmt.Sprintf("harness: %v", err))
+		}
+		in = &instance{sch, pl.eng.Component("transport/" + name)}
+		pl.schemes[name] = in
+	}
+	return in
+}
+
 // arrival is one flow start a plane owes, at the dispatch position an
 // eager schedule would have given its event.
 type arrival struct {
-	slot     sim.Slot
-	fl       *transport.Flow
-	upgraded bool
+	slot sim.Slot
+	fl   *transport.Flow
+	in   *instance
 }
 
 // arrive reserves, at fl.Start, the start of the halves of fl that live
@@ -69,8 +90,8 @@ type arrival struct {
 // that crosses a cut, whose other half the other plane reserves at the
 // same instant on its own engine. Reserve takes the position At would
 // have, so the arrival keeps its dispatch key; armArrivals schedules it.
-func (pl *plane) arrive(fl *transport.Flow, upgraded bool) {
-	pl.arrivals = append(pl.arrivals, arrival{pl.eng.Reserve(fl.Start), fl, upgraded})
+func (pl *plane) arrive(fl *transport.Flow, scheme string) {
+	pl.arrivals = append(pl.arrivals, arrival{pl.eng.Reserve(fl.Start), fl, pl.scheme(scheme)})
 }
 
 // armArrivals puts the reserved arrivals in dispatch order — start time,
@@ -87,71 +108,81 @@ func (pl *plane) armArrivals() {
 	pl.eng.SetComponent(prev)
 }
 
-// startNext starts the cursor's flow and re-arms at the next arrival. The
-// start runs under its scheme's profiling label, so every timer the
-// transport schedules — pacer ticks, RTO checks, host sends — inherits
-// that component transitively. The receiver half goes first, as in
-// transport.Start.
+// startNext starts the cursor's flow and re-arms at the next arrival.
 func (pl *plane) startNext() {
 	a := pl.arrivals[pl.next]
 	pl.next++
-	sch, comp := pl.legacy, pl.compLegacy
-	if a.upgraded {
-		sch, comp = pl.active, pl.compActive
-	}
-	prev := pl.eng.SetComponent(comp)
-	if a.fl.Dst.Eng == pl.eng {
-		sch.StartReceiver(a.fl)
-	}
-	if a.fl.Src.Eng == pl.eng {
-		sch.StartSender(a.fl)
-		pl.started.Add(1)
-	}
-	pl.eng.SetComponent(prev)
+	pl.start(a.in, a.fl)
 	if pl.next < len(pl.arrivals) {
 		pl.eng.AtSlot(pl.arrivals[pl.next].slot, pl.startFn)
 	}
 }
 
-// Run executes the scenario and returns collected metrics: build, then
-// run and fold.
+// start begins the halves of fl that live on this plane, the receiver's
+// first, so its endpoint exists before a frame addressed to it can. Every
+// timer the start schedules — pacer ticks, RTO checks, host sends —
+// inherits the scheme's profiling label transitively.
+func (pl *plane) start(in *instance, fl *transport.Flow) {
+	prev := pl.eng.SetComponent(in.comp)
+	if fl.Dst.Eng == pl.eng {
+		in.StartReceiver(fl)
+	}
+	if fl.Src.Eng == pl.eng {
+		in.StartSender(fl)
+		pl.started.Add(1)
+	}
+	pl.eng.SetComponent(prev)
+}
+
+// Run executes the scenario and returns collected metrics: Open, Run to
+// the end of the drain, Close.
 //
 // The layout is cut into N = sc.Clos.Planes(sc.Shards) planes — a Clos by
 // pod blocks, a testbed never — each with its own engine; N > 1 runs them
 // on one goroutine each, synchronized conservatively on the propagation
 // delay across the cut (see internal/sim/shard). One plane is the same
-// composition with N = 1. N matters in two places only: the run call (one
-// engine has no cut and no lookahead) and forensics (the recorder and
-// auditors are single-goroutine state). Arrivals are not one of them:
-// every flow starts through its scheme's two endpoint halves, reserved
-// by plane.arrive on the plane that owns each host and started by that
-// plane's arrival cursor.
+// composition with N = 1. N matters only to the run call (one engine has
+// no cut and no lookahead), to forensics (single-goroutine state) and to
+// a session's StartFlow and second Run (the shard protocol runs once).
+// Every flow starts through its scheme's two endpoint halves, reserved by
+// plane.arrive on the plane that owns each host.
 //
 // Flow results do not depend on N: every port and pacer draws from its own
 // stream of (seed, entity), and same-instant order is the model's (see
 // internal/sim/shard), so shards = N reproduces shards = 1 exactly
 // (TestShardedGolden); Result.Events adds the second arrival of every
 // flow that crosses a cut.
-func Run(sc Scenario) *Result { return build(sc).run() }
+func Run(sc Scenario) *Result {
+	s := Open(sc)
+	s.Run(sc.Duration + sc.Drain)
+	return s.Close()
+}
 
-// built is a run between its two halves: fabric, planes, observers and
-// every arrival in place, no event dispatched yet.
-type built struct {
-	sc                      Scenario
-	plan                    *runPlan
-	planes                  []*plane
-	fab                     *topo.Fabric
-	rt                      *shard.Runtime // nil on one plane
-	res                     *Result
-	flows                   transport.Flows   // prebuilt in one slab, by ID (spec order); the agents' demux table
-	all                     []*transport.Flow // those starting inside the run window, in (start, ID) order
-	rec                     *forensics.Recorder
-	aud                     *forensics.Auditor
+// Session is a run between Open and Close. A one-plane session also takes
+// flows after Open and runs in steps; the Testbed façade is one.
+type Session struct {
+	sc     Scenario
+	plan   *runPlan
+	planes []*plane
+	fab    *topo.Fabric
+	rt     *shard.Runtime // nil on one plane
+	res    *Result
+	agents []*transport.Agent
+	onDone func(*transport.Flow)
+	flows  transport.Flows   // by ID: the scenario's, in one slab, then StartFlow's; the agents' demux table
+	all    []*transport.Flow // the flows to record, in (start, ID) order once Close sorts and cuts it
+	rec    *forensics.Recorder
+	aud    *forensics.Auditor
+
+	ran                     bool
+	watches                 fleet
+	publishFinal            func()
 	flowsStarted, flowsDone atomic.Int64
 }
 
-// build is Run's first half.
-func build(sc Scenario) *built {
+// Open builds the scenario's run: fabric, planes, observers and every
+// arrival of the scenario's flows in place, no event dispatched yet.
+func Open(sc Scenario) *Session {
 	n := sc.Clos.Planes(sc.Shards)
 	if sc.Forensics != nil && n > 1 {
 		panic(fmt.Sprintf("harness: forensics needs one engine, this run has %d (set Shards to 0 or 1)", n))
@@ -171,13 +202,13 @@ func build(sc Scenario) *built {
 	}
 
 	plan := planWorkload(sc)
-	b := &built{sc: sc, plan: plan}
+	s := &Session{sc: sc, plan: plan}
 	spec := sc.Spec
 	spec.WQ = sc.WQ
 	planes := make([]*plane, n)
 	engs := make([]*sim.Engine, n)
 	for i := range planes {
-		pl := &plane{started: &b.flowsStarted, eng: sim.NewEngine(sc.Seed)}
+		pl := &plane{started: &s.flowsStarted, eng: sim.NewEngine(sc.Seed)}
 		if sc.Profile {
 			pl.profiler = prof.New()
 			pl.profiler.Attach(pl.eng)
@@ -200,12 +231,14 @@ func build(sc Scenario) *built {
 			Trace:    pl.ring,
 			Options:  sc.SchemeOptions,
 		}
-		pl.legacy = mustScheme(transport.SchemeDCTCP, pl.env)
-		pl.active = mustScheme(string(sc.Scheme), pl.env)
+		// DCTCP is the legacy side; the scenario's scheme lays out the queues.
+		pl.schemes = make(map[string]*instance, 2)
+		pl.scheme(transport.SchemeDCTCP)
+		pl.scheme(string(sc.Scheme))
 		pl.strays = pl.reg.Counter("transport/agent", "stray_packets")
 		planes[i], engs[i] = pl, pl.eng
 	}
-	b.planes = planes
+	s.planes = planes
 
 	fab := sc.Clos.Build(engs, topo.Params{
 		LinkRate:  sc.LinkRate,
@@ -213,9 +246,9 @@ func build(sc Scenario) *built {
 		HostDelay: sc.HostDelay,
 		SwitchBuf: sc.SwitchBuf,
 		BufAlpha:  sc.BufAlpha,
-		Profile:   planes[0].active.Profile(),
+		Profile:   planes[0].scheme(string(sc.Scheme)).Profile(),
 	})
-	b.fab = fab
+	s.fab = fab
 	// planeOf maps node i to its plane under the fabric's host or switch
 	// partition; a one-plane fabric records none.
 	planeOf := func(shard []int, i int) *plane {
@@ -225,7 +258,7 @@ func build(sc Scenario) *built {
 		return planes[shard[i]]
 	}
 	if n > 1 {
-		b.rt = bridgeShards(engs, fab.Cross)
+		s.rt = bridgeShards(engs, fab.Cross)
 	}
 
 	// Nodes, their agents, and telemetry live with the plane that owns
@@ -250,15 +283,15 @@ func build(sc Scenario) *built {
 	for i, sw := range fab.Net.Switches {
 		sw.Register(planeOf(fab.SwitchShard, i).reg)
 	}
-	b.flows = make(transport.Flows, len(plan.flows))
-	agents := make([]*transport.Agent, plan.hosts)
+	s.flows = make(transport.Flows, len(plan.flows))
+	s.agents = make([]*transport.Agent, plan.hosts)
 	for i, h := range fab.Net.Hosts {
 		pl := planeOf(fab.HostShard, i)
-		agents[i] = transport.NewAgent(pl.eng, h, &b.flows)
-		agents[i].ObserveStrays(pl.strays)
+		s.agents[i] = transport.NewAgent(pl.eng, h, &s.flows)
+		s.agents[i].ObserveStrays(pl.strays)
 		h.Register(pl.reg)
 	}
-	b.res = &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
+	s.res = &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
 
 	// Apply the fault plan at a fixed point in setup — after the fabric
 	// and observers exist, before any flow arrival is scheduled — so each
@@ -271,7 +304,7 @@ func build(sc Scenario) *built {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
 		applied.Register(planes[0].reg)
-		b.res.Faults = applied
+		s.res.Faults = applied
 	}
 
 	// Flows are prebuilt in one slab with ID = spec index + 1 and their
@@ -282,48 +315,41 @@ func build(sc Scenario) *built {
 	// completion with the flow's score, and gives up the logs of flows
 	// that can no longer rank among the exported timelines.
 	if sc.Forensics != nil {
-		b.rec = forensics.NewRecorder(sc.Forensics)
+		s.rec = forensics.NewRecorder(sc.Forensics)
 	}
-	onDone := func(fl *transport.Flow) {
-		b.flowsDone.Add(1)
-		if b.rec != nil {
-			b.rec.Done(fl.ID, b.slowdown(fl))
+	s.onDone = func(fl *transport.Flow) {
+		s.flowsDone.Add(1)
+		if s.rec != nil {
+			s.rec.Done(fl.ID, s.slowdown(fl))
 		}
 	}
 	slab := make([]transport.Flow, len(plan.flows))
-	for _, pl := range planes {
-		pl.compLegacy = pl.eng.Component("transport/" + transport.SchemeDCTCP)
-		pl.compActive = pl.eng.Component("transport/" + string(sc.Scheme))
-	}
 	for i, fs := range plan.flows {
 		fl := &slab[i]
 		*fl = transport.Flow{
 			ID:         uint64(i + 1),
-			Src:        agents[fs.Src],
-			Dst:        agents[fs.Dst],
+			Src:        s.agents[fs.Src],
+			Dst:        s.agents[fs.Dst],
 			Size:       fs.Size,
 			Start:      fs.At,
-			OnComplete: onDone,
+			OnComplete: s.onDone,
 		}
-		b.flows[i] = fl
-		upgraded := plan.upgraded(fs)
+		s.flows[i] = fl
+		scheme := transport.SchemeDCTCP
+		if plan.upgraded(fs) {
+			scheme = string(sc.Scheme)
+		}
 		src, dst := planeOf(fab.HostShard, fs.Src), planeOf(fab.HostShard, fs.Dst)
-		src.arrive(fl, upgraded)
+		src.arrive(fl, scheme)
 		if dst != src {
-			dst.arrive(fl, upgraded)
+			dst.arrive(fl, scheme)
 		}
 	}
 	for _, pl := range planes {
 		pl.armArrivals()
 	}
-	// Result.Flows holds the flows whose arrival fires inside the run
-	// window, in (start, ID) order — the order a single engine dispatches
-	// their arrivals in. A spec past the window never starts and is not a
-	// record (recordWorkloadObs still counts it as an incomplete member
-	// of its tenant and coflow).
-	all := slices.Clone(b.flows)
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-	b.all = all[:sort.Search(len(all), func(i int) bool { return all[i].Start > end })]
+	s.all = slices.Clone(s.flows)
+	slices.SortStableFunc(s.all, byStart)
 
 	for _, pl := range planes {
 		pl.prober = obs.NewProber(pl.eng, pl.reg, tel)
@@ -334,7 +360,7 @@ func build(sc Scenario) *built {
 	// auditors — credit conservation samples the live pacer / sender
 	// counters and the fabric's rate-limited credit-queue drops.
 	if sc.Forensics != nil {
-		fab.Net.SetHopObserver(b.rec)
+		fab.Net.SetHopObserver(s.rec)
 		credits := func(pick func(transport.Counters) *obs.Counter) func() int64 {
 			return func() (n int64) {
 				planes[0].env.EachCounters(func(_ string, c transport.Counters) { n += pick(c).Value() })
@@ -353,11 +379,11 @@ func build(sc Scenario) *built {
 			})
 			return n
 		}
-		// The auditors see every prebuilt flow; the starvation check
-		// skips those that have not started yet.
-		b.aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
-			func() []*transport.Flow { return b.all }, issued, consumed, creditDrops)
-		b.aud.Start()
+		// The auditors see every flow to be recorded; the starvation
+		// check skips those that have not started yet.
+		s.aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
+			func() []*transport.Flow { return s.all }, issued, consumed, creditDrops)
+		s.aud.Start()
 	}
 
 	// Q1 occupancy of the ToR uplinks, each sampled by the plane whose
@@ -376,119 +402,172 @@ func build(sc Scenario) *built {
 			pl.q1 = sample(pl.eng, reg, 100*sim.Microsecond, end)
 		}
 	}
-	return b
+
+	// Progress cells: the watchdog and the live board read the run from
+	// other goroutines through one sim.Watch per engine.
+	if sc.Live != nil || sc.Deadline > 0 || sc.StallTimeout > 0 {
+		for _, pl := range planes {
+			w := &sim.Watch{}
+			pl.eng.SetWatch(w)
+			s.watches = append(s.watches, w)
+		}
+	}
+	if sc.Live == nil {
+		return s
+	}
+	wallStart := time.Now()
+	// Every plane reports on its own engine clock, like any observer: it
+	// refreshes its slot with its registry's readings — plain ints only
+	// its goroutine may read while the run executes. Plane 0's tick also
+	// posts the fleet's progress with all slots merged, so the merge runs
+	// once per interval, not once per plane.
+	var mu sync.Mutex
+	slots := make([][]obs.CounterData, n)
+	report := func(i int, post, done bool) {
+		final := planes[i].reg.Final()
+		mu.Lock()
+		defer mu.Unlock()
+		slots[i] = final
+		if !post {
+			return
+		}
+		st := live.RunStatus{
+			SimNowPs:     s.watches.horizonPs(),
+			SimEndPs:     int64(end),
+			Events:       s.watches.events(),
+			FlowsTotal:   len(s.plan.flows),
+			FlowsStarted: int(s.flowsStarted.Load()),
+			FlowsDone:    int(s.flowsDone.Load()),
+			WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
+			Done:         done,
+		}
+		if secs := time.Since(wallStart).Seconds(); secs > 0 {
+			st.EventsPerSec = float64(st.Events) / secs
+		}
+		sc.Live.Publish(st, mergeReadings(slots))
+	}
+	for i, pl := range planes {
+		prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
+		pl.eng.Every(liveEvery, func() { report(i, i == 0, false) })
+		pl.eng.SetComponent(prev)
+	}
+	s.publishFinal = func() {
+		for i := range planes {
+			report(i, i == n-1, true) // post once every slot is final
+		}
+	}
+	return s
+}
+
+// Engine is a one-plane session's engine.
+func (s *Session) Engine() *sim.Engine { return s.onePlane("Engine").eng }
+
+// Fabric is the session's fabric.
+func (s *Session) Fabric() *topo.Fabric { return s.fab }
+
+// Flows is the session's flow table by ID.
+func (s *Session) Flows() transport.Flows { return s.flows }
+
+// onePlane returns the session's one plane, or panics: the shard protocol
+// runs once (shard.Runtime.Run), so a late flow has no round to join.
+func (s *Session) onePlane(op string) *plane {
+	if n := len(s.planes); n > 1 {
+		panic(fmt.Sprintf("harness: %s needs one engine, this session has %d (set Shards to 0 or 1)", op, n))
+	}
+	return s.planes[0]
+}
+
+// StartFlow adds a flow of size bytes from host src to host dst on the
+// named scheme, starting at at, to a one-plane session. It takes the next
+// ID in the flow table and its start is one event at at, as a scenario
+// flow's arrival is. An unknown scheme name panics here, at the call.
+func (s *Session) StartFlow(at sim.Time, scheme string, src, dst int, size int64) *transport.Flow {
+	pl := s.onePlane("StartFlow")
+	in := pl.scheme(scheme)
+	fl := s.flows.Add(&transport.Flow{
+		ID:         uint64(len(s.flows) + 1),
+		Src:        s.agents[src],
+		Dst:        s.agents[dst],
+		Size:       size,
+		Start:      at,
+		OnComplete: s.onDone,
+	})
+	s.all = append(s.all, fl)
+	pl.eng.At(at, func() { pl.start(in, fl) })
+	return fl
 }
 
 // slowdown ranks forensic timelines: the FCT over an ideal of wire bytes
 // at line rate plus a fixed propagation allowance. Crude, but monotone in
 // the real ideal, which is all slowdown ordering needs.
-func (b *built) slowdown(fl *transport.Flow) float64 {
+func (s *Session) slowdown(fl *transport.Flow) float64 {
 	wire := fl.Size
 	if segs := fl.Segs(); segs > 0 {
 		wire += int64(segs * (fl.SegWire(0) - fl.SegPayload(0)))
 	}
-	ideal := b.sc.LinkRate.TxTime(int(wire)) + 4*b.sc.LinkDelay + 2*b.sc.HostDelay
+	ideal := s.sc.LinkRate.TxTime(int(wire)) + 4*s.sc.LinkDelay + 2*s.sc.HostDelay
 	if fct := fl.FCT(); fct > 0 && ideal > 0 {
 		return float64(fct) / float64(ideal)
 	}
 	return 0
 }
 
-// run is Run's second half: supervise and run the engines, then fold the
-// planes into the result.
-func (b *built) run() *Result {
-	sc, planes, res := b.sc, b.planes, b.res
-	n, end := len(planes), sc.Duration+sc.Drain
-	// Progress cells: the watchdog and the live board read the run from
-	// other goroutines through one sim.Watch per engine.
-	var watches fleet
-	if sc.Live != nil || sc.Deadline > 0 || sc.StallTimeout > 0 {
-		for _, pl := range planes {
-			w := &sim.Watch{}
-			pl.eng.SetWatch(w)
-			watches = append(watches, w)
-		}
+// Run runs the session's engines until every event at or before until
+// has fired, under the scenario's watchdog. A one-plane session may Run
+// again, in steps; a sharded one runs once.
+func (s *Session) Run(until sim.Time) {
+	if s.ran {
+		s.onePlane("a second Run")
 	}
-
-	wallStart := time.Now()
-	var publishFinal func()
-	if sc.Live != nil {
-		// Every plane reports on its own engine clock, like any observer:
-		// it refreshes its slot with its registry's readings — plain ints
-		// only its goroutine may read while the run executes. Plane 0's
-		// tick also posts the fleet's progress with all slots merged, so
-		// the merge runs once per interval, not once per plane.
-		var mu sync.Mutex
-		slots := make([][]obs.CounterData, n)
-		report := func(i int, post, done bool) {
-			final := planes[i].reg.Final()
-			mu.Lock()
-			defer mu.Unlock()
-			slots[i] = final
-			if !post {
-				return
-			}
-			st := live.RunStatus{
-				SimNowPs:     watches.horizonPs(),
-				SimEndPs:     int64(end),
-				Events:       watches.events(),
-				FlowsTotal:   len(b.plan.flows),
-				FlowsStarted: int(b.flowsStarted.Load()),
-				FlowsDone:    int(b.flowsDone.Load()),
-				WallMS:       float64(time.Since(wallStart)) / float64(time.Millisecond),
-				Done:         done,
-			}
-			if secs := time.Since(wallStart).Seconds(); secs > 0 {
-				st.EventsPerSec = float64(st.Events) / secs
-			}
-			sc.Live.Publish(st, mergeReadings(slots))
-		}
-		for i, pl := range planes {
-			prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
-			pl.eng.Every(liveEvery, func() { report(i, i == 0, false) })
-			pl.eng.SetComponent(prev)
-		}
-		publishFinal = func() {
-			for i := range planes {
-				report(i, i == n-1, true) // post once every slot is final
-			}
-		}
-	}
-	// An aborted engine still advances its clock through each round
-	// window, so the shard protocol drains normally after a kill.
-	wd := startWatchdog(sc.Deadline, sc.StallTimeout, watches.horizonPs, watches.events, watches.abort)
-	if b.rt == nil {
-		planes[0].eng.Run(end)
+	s.ran = true
+	start := time.Now()
+	wd := startWatchdog(s.sc.Deadline, s.sc.StallTimeout, s.watches.horizonPs, s.watches.events, s.watches.abort)
+	if s.rt == nil {
+		s.planes[0].eng.Run(until)
 	} else {
-		b.rt.Run(end)
+		s.rt.Run(until) // leaves every engine at until
 	}
-	res.WallClock = time.Since(wallStart)
+	s.res.WallClock += time.Since(start)
 	if ke := wd.stop(); ke != nil {
 		panic(ke)
 	}
-	if publishFinal != nil {
-		publishFinal()
+}
+
+// Close folds the planes into the session's result, once, after the last
+// Run.
+func (s *Session) Close() *Result {
+	sc, planes, res := s.sc, s.planes, s.res
+	n := len(planes)
+	if s.publishFinal != nil {
+		s.publishFinal()
 	}
 
-	res.Flows.Records = make([]metrics.FlowRecord, len(b.all))
-	for i, fl := range b.all {
-		res.Flows.Records[i] = snapshot(fl, b.plan.flows[fl.ID-1].Incast)
+	// Result.Flows holds the flows whose start the run reached, in the
+	// (start, ID) order one engine starts them in. A spec past the window
+	// is no record, but recordWorkloadObs counts it as an incomplete
+	// member of its tenant and coflow.
+	now := planes[0].eng.Now()
+	slices.SortStableFunc(s.all, byStart)
+	s.all = s.all[:sort.Search(len(s.all), func(i int) bool { return s.all[i].Start > now })]
+	res.Flows.Records = make([]metrics.FlowRecord, len(s.all))
+	for i, fl := range s.all {
+		res.Flows.Records[i] = snapshot(fl, fl.ID <= uint64(len(s.plan.flows)) && s.plan.flows[fl.ID-1].Incast)
 	}
 	if sc.SampleQueues {
 		var totals, reds []int64
 		for _, pl := range planes {
-			for _, s := range pl.q1.Series() {
-				if s.Metric == "bytes" {
-					totals = s.Values.AppendTo(totals)
+			for _, ser := range pl.q1.Series() {
+				if ser.Metric == "bytes" {
+					totals = ser.Values.AppendTo(totals)
 				} else {
-					reds = s.Values.AppendTo(reds)
+					reds = ser.Values.AppendTo(reds)
 				}
 			}
 		}
 		res.QueueAvg, res.QueueP90 = metrics.Stats(totals, 0.9)
 		res.QueueRedAvg, res.QueueRedP90 = metrics.Stats(reds, 0.9)
 	}
-	countFabricDrops(b.fab, res)
+	countFabricDrops(s.fab, res)
 	rings := make([]*trace.Ring, n)
 	profiles := make([][]obs.ComponentProfile, n)
 	for i, pl := range planes {
@@ -503,16 +582,16 @@ func (b *built) run() *Result {
 
 	if sc.Forensics != nil {
 		res.Forensics = &forensics.Report{
-			Violations:        b.aud.Violations(),
-			ViolationsDropped: b.aud.Dropped(),
-			Timelines:         forensics.WorstTimelines(b.rec, res.Trace, b.all, b.slowdown, sc.Forensics),
+			Violations:        s.aud.Violations(),
+			ViolationsDropped: s.aud.Dropped(),
+			Timelines:         forensics.WorstTimelines(s.rec, res.Trace, s.all, s.slowdown, sc.Forensics),
 		}
 	}
 
 	if planes[0].reg != nil { // telemetry on
 		// Workload accounting is global, not per-plane: fold it into
 		// plane 0's registry before the merge.
-		recordWorkloadObs(planes[0].reg, b.plan.flows, b.all)
+		recordWorkloadObs(planes[0].reg, s.plan.flows, s.all)
 		runs := make([]*obs.Run, n)
 		for i, pl := range planes {
 			runs[i] = obs.Collect(pl.reg, pl.prober, obs.Manifest{})
@@ -528,6 +607,9 @@ func (b *built) run() *Result {
 	}
 	return res
 }
+
+// byStart orders flows by start time.
+func byStart(a, b *transport.Flow) int { return cmp.Compare(a.Start, b.Start) }
 
 // liveEvery is the sim-time period of a run's live status reports.
 const liveEvery = sim.Millisecond

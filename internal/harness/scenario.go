@@ -255,16 +255,6 @@ func WorkloadRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed*7919 + 17))
 }
 
-// mustScheme builds a registered scheme or panics: by the time Run is
-// invoked the scheme name is part of the scenario contract.
-func mustScheme(name string, env *transport.SchemeEnv) transport.Scheme {
-	s, err := transport.NewScheme(name, env)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return s
-}
-
 // runPlan is the engine-independent half of a run: the generated flow
 // list and the deployment assignment.
 type runPlan struct {

@@ -109,14 +109,6 @@ type Scheme interface {
 	StartReceiver(fl *Flow)
 }
 
-// Start begins both halves of fl on one scheme instance, for callers whose
-// two hosts share an engine. The receiver half goes first: the endpoint is
-// registered before a frame addressed to it can exist.
-func Start(s Scheme, fl *Flow) {
-	s.StartReceiver(fl)
-	s.StartSender(fl)
-}
-
 // SchemeFactory builds a scheme instance for one run.
 type SchemeFactory func(env *SchemeEnv) Scheme
 

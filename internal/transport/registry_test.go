@@ -113,7 +113,8 @@ func runScheme(t *testing.T, name string) sim.Time {
 		Dst:  transport.NewAgent(eng, fab.Net.Host(2), &flows),
 		Size: 64_000,
 	})
-	transport.Start(sch, fl)
+	sch.StartReceiver(fl)
+	sch.StartSender(fl)
 	if fl.Transport == "" {
 		t.Errorf("scheme %q did not label the flow's transport", name)
 	}
@@ -145,23 +146,6 @@ func TestEveryRegisteredSchemeRuns(t *testing.T) {
 				t.Fatalf("non-deterministic: FCT %v then %v", fct, again)
 			}
 		})
-	}
-}
-
-// orderScheme records which half of a flow was started when.
-type orderScheme struct{ calls []string }
-
-func (s *orderScheme) Profile() topo.PortProfile        { return nil }
-func (s *orderScheme) StartSender(fl *transport.Flow)   { s.calls = append(s.calls, "sender") }
-func (s *orderScheme) StartReceiver(fl *transport.Flow) { s.calls = append(s.calls, "receiver") }
-
-// TestStartReceiverFirst pins transport.Start's order: the receiving
-// endpoint is registered before the sender can put a frame on the wire.
-func TestStartReceiverFirst(t *testing.T) {
-	s := &orderScheme{}
-	transport.Start(s, &transport.Flow{ID: 1})
-	if len(s.calls) != 2 || s.calls[0] != "receiver" || s.calls[1] != "sender" {
-		t.Fatalf("Start called %v, want [receiver sender]", s.calls)
 	}
 }
 
@@ -213,7 +197,10 @@ func runShared(t *testing.T, name string, ids ...uint64) map[uint64]flowOutcome 
 	for _, id := range ids {
 		src, at := 2*int(id-1), sim.Time(id-1)*5*sim.Millisecond
 		fl := flows.Add(&transport.Flow{ID: id, Src: ag[src], Dst: ag[src+1], Size: 64_000, Start: at})
-		eng.At(at, func() { transport.Start(sch, fl) })
+		eng.At(at, func() {
+			sch.StartReceiver(fl)
+			sch.StartSender(fl)
+		})
 	}
 	eng.Run(500 * sim.Millisecond)
 	out := map[uint64]flowOutcome{}

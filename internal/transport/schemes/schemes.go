@@ -50,7 +50,7 @@ func (s *scheme) StartSender(fl *transport.Flow)   { s.startSender(fl) }
 func (s *scheme) StartReceiver(fl *transport.Flow) { s.startReceiver(fl) }
 
 // legacyWQ falls back to the paper's default weight when the env leaves
-// w_q unset (hand-built testbeds).
+// w_q unset (an env built by hand, as the registry tests build theirs).
 func legacyWQ(wq float64) float64 {
 	if wq == 0 {
 		return 0.5
