@@ -14,12 +14,11 @@
 //
 // This root package is the public façade:
 //
-//   - Testbed: build small fabrics and start flows by transport name, for
-//     hand-rolled experiments (see examples/).
-//   - Scenario / Run / Sweep: the paper's large-scale deployment studies
-//     on the 3-tier Clos fabric.
-//   - The Fig* drivers regenerate every figure of the paper's evaluation
-//     (see EXPERIMENTS.md for the recorded results).
+//   - Testbed: a single-switch or dumbbell fabric on which flows start by
+//     transport name (see examples/), run as a one-plane harness session.
+//   - Scenario / Run: the paper's deployment studies on the 3-tier Clos
+//     fabric or a testbed layout; every figure is a sweep of them (see
+//     EXPERIMENTS.md for the recorded results).
 //
 // Everything is standard library only and bit-for-bit reproducible for a
 // given configuration and seed.

@@ -174,8 +174,8 @@ type Session struct {
 	rec    *forensics.Recorder
 	aud    *forensics.Auditor
 
-	ran                     bool
-	watches                 fleet
+	ran                     bool  // a second Run needs one plane
+	watches                 fleet // progress cells for the watchdog and the live board
 	publishFinal            func()
 	flowsStarted, flowsDone atomic.Int64
 }
@@ -379,7 +379,7 @@ func Open(sc Scenario) *Session {
 			})
 			return n
 		}
-		// The auditors see every flow to be recorded; the starvation
+		// The auditors see every flow, in start order; the starvation
 		// check skips those that have not started yet.
 		s.aud = forensics.WireAudit(engs[0], sc.Forensics, fab.Net,
 			func() []*transport.Flow { return s.all }, issued, consumed, creditDrops)
