@@ -242,10 +242,12 @@ workload-demo:
 # Observation-only flow forensics on an incast run: records hop-by-hop
 # packet events, runs the invariant auditors (credit conservation,
 # shared-buffer accounting, starvation — a healthy run reports zero
-# violations), and renders the worst-slowdown flow timelines.
+# violations), lists the worst-slowdown flow timelines, and renders
+# flow 1's (forced by -trace-flow) as one chronology.
 forensics-demo:
-	$(GO) run ./cmd/flexsim -incast 0.1 -duration 2 -forensics-out forensics.jsonl
+	$(GO) run ./cmd/flexsim -incast 0.1 -duration 2 -trace-flow 1 -forensics-out forensics.jsonl
 	$(GO) run ./cmd/flexplot timeline forensics.jsonl
+	$(GO) run ./cmd/flexplot timeline -flow 1 forensics.jsonl
 
 # Scripted fault injection as a sweep: the four deployment schemes, each
 # clean and under the sample flap+burst plan (a fault axis of "" and the

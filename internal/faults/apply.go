@@ -1,9 +1,11 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"path"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"flexpass/internal/netem"
@@ -11,27 +13,19 @@ import (
 	"flexpass/internal/sim"
 )
 
-// Action is one fault-plan action as it actually fired: the resolved
-// port, the instant, and the kind-specific magnitude. Engage and clear
-// actions are logged separately (an Event with End yields two Actions
-// per matched port).
-type Action struct {
-	At    sim.Time
-	Kind  Kind
-	Link  string  // resolved port name, not the pattern
-	Value float64 // fraction / loss probability; 0 for up/restore/down
-}
-
-// Applied is the execution log of a plan: every action in simulation
-// order, appended as the scheduled timers fire. It doubles as the
-// telemetry bridge — Register exposes the running action count, and
-// Export converts the log to obs artifact lines. Sharded runs fire
-// timers from several shard goroutines, so the log is mutex-guarded.
+// Applied is the execution log of a plan: every action as it actually
+// fired — the instant, the kind, the resolved port name (not the
+// pattern) and the kind-specific magnitude — logged as its artifact
+// line as the scheduled timers fire. Engage and clear are logged
+// separately (an Event with End yields two actions per matched port).
+// It doubles as the telemetry bridge: Register exposes the running
+// action count. Sharded runs fire timers from several shard goroutines,
+// so the log is mutex-guarded.
 type Applied struct {
 	Plan *Plan
 
 	mu      sync.Mutex
-	actions []Action
+	actions []obs.FaultData
 }
 
 // Len returns the number of actions fired so far.
@@ -39,13 +33,6 @@ func (a *Applied) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.actions)
-}
-
-// Snapshot returns a copy of the fired-action log.
-func (a *Applied) Snapshot() []Action {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Action(nil), a.actions...)
 }
 
 // Apply resolves every event's link pattern against the network's port
@@ -191,7 +178,7 @@ func clearKind(k Kind) Kind {
 // record appends one fired action to the log.
 func (a *Applied) record(at sim.Time, kind Kind, p *netem.Port, val float64) {
 	a.mu.Lock()
-	a.actions = append(a.actions, Action{At: at, Kind: kind, Link: p.Name(), Value: val})
+	a.actions = append(a.actions, obs.FaultData{AtPs: int64(at), Kind: string(kind), Link: p.Name(), Value: val})
 	a.mu.Unlock()
 }
 
@@ -206,33 +193,20 @@ func (a *Applied) Register(reg *obs.Registry) {
 	})
 }
 
-// Export converts the fired-action log into artifact lines, in
-// simulation order. Sharded runs append from several goroutines in
-// nondeterministic interleave, so the sort key covers the whole line —
-// (time, kind, link, value) — making the artifact a pure function of
-// what fired, not of goroutine scheduling.
+// Export returns a sorted copy of the fired-action log. Sharded runs
+// append from several goroutines in nondeterministic interleave, so the
+// sort key covers the whole line — (time, kind, link, value) — making the
+// artifact a pure function of what fired, not of goroutine scheduling.
 func (a *Applied) Export() []obs.FaultData {
 	if a == nil {
 		return nil
 	}
-	acts := a.Snapshot()
-	out := make([]obs.FaultData, 0, len(acts))
-	for _, ac := range acts {
-		out = append(out, obs.FaultData{
-			AtPs: int64(ac.At), Kind: string(ac.Kind), Link: ac.Link, Value: ac.Value,
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].AtPs != out[j].AtPs {
-			return out[i].AtPs < out[j].AtPs
-		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		if out[i].Link != out[j].Link {
-			return out[i].Link < out[j].Link
-		}
-		return out[i].Value < out[j].Value
+	a.mu.Lock()
+	out := append(make([]obs.FaultData, 0, len(a.actions)), a.actions...)
+	a.mu.Unlock()
+	slices.SortStableFunc(out, func(x, y obs.FaultData) int {
+		return cmp.Or(cmp.Compare(x.AtPs, y.AtPs), strings.Compare(x.Kind, y.Kind),
+			strings.Compare(x.Link, y.Link), cmp.Compare(x.Value, y.Value))
 	})
 	return out
 }

@@ -281,15 +281,11 @@ func TestApplyFlap(t *testing.T) {
 	if st := bottleneck.FaultStats(); st.LinkDown != 1 {
 		t.Fatalf("FaultStats = %+v, want 1 link-down drop", st)
 	}
-	acts := applied.Snapshot()
+	acts := applied.Export()
 	if len(acts) != 2 ||
-		acts[0].Kind != LinkDown || acts[0].At != sim.Millisecond ||
-		acts[1].Kind != LinkUp || acts[1].At != 2*sim.Millisecond {
+		acts[0].Kind != string(LinkDown) || acts[0].AtPs != int64(sim.Millisecond) || acts[0].Link != "sw0->h2" ||
+		acts[1].Kind != string(LinkUp) || acts[1].AtPs != int64(2*sim.Millisecond) {
 		t.Fatalf("action log: %+v", acts)
-	}
-	exp := applied.Export()
-	if len(exp) != 2 || exp[0].Kind != "link-down" || exp[0].Link != "sw0->h2" {
-		t.Fatalf("export: %+v", exp)
 	}
 }
 

@@ -14,34 +14,6 @@ import (
 // violations; it must never mutate anything, so a run with auditors
 // enabled is byte-identical to one without.
 
-// Violation is one auditor finding.
-type Violation struct {
-	At      sim.Time
-	Auditor string
-	Entity  string
-	Flow    uint64
-	Detail  string
-}
-
-// Export converts the violation to its artifact form.
-func (v Violation) Export() obs.ViolationData {
-	return obs.ViolationData{
-		AtPs: int64(v.At), Auditor: v.Auditor,
-		Entity: v.Entity, Flow: v.Flow, Detail: v.Detail,
-	}
-}
-
-func (v Violation) String() string {
-	s := fmt.Sprintf("%v [%s]", v.At, v.Auditor)
-	if v.Entity != "" {
-		s += " " + v.Entity
-	}
-	if v.Flow != 0 {
-		s += fmt.Sprintf(" flow=%d", v.Flow)
-	}
-	return s + ": " + v.Detail
-}
-
 // Check is one named invariant. Fn runs on every auditor tick; it
 // reports findings through emit and must be strictly read-only.
 type Check struct {
@@ -55,7 +27,7 @@ type Auditor struct {
 	every      sim.Time
 	max        int
 	checks     []Check
-	violations []Violation
+	violations []obs.ViolationData
 	dropped    int64
 	started    bool
 
@@ -115,17 +87,17 @@ func (a *Auditor) emit(entity string, flow uint64, detail string) {
 		a.dropped++
 		return
 	}
-	a.violations = append(a.violations, Violation{
-		At: a.now, Auditor: a.check, Entity: entity, Flow: flow, Detail: detail,
+	a.violations = append(a.violations, obs.ViolationData{
+		AtPs: int64(a.now), Auditor: a.check, Entity: entity, Flow: flow, Detail: detail,
 	})
 }
 
 // Violations returns the retained findings in emission order.
-func (a *Auditor) Violations() []Violation {
+func (a *Auditor) Violations() []obs.ViolationData {
 	if a == nil {
 		return nil
 	}
-	out := make([]Violation, len(a.violations))
+	out := make([]obs.ViolationData, len(a.violations))
 	copy(out, a.violations)
 	return out
 }

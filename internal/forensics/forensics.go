@@ -14,8 +14,6 @@
 package forensics
 
 import (
-	"fmt"
-	"io"
 	"slices"
 	"sort"
 
@@ -108,51 +106,27 @@ func (o *Options) maxViolations() int {
 	return o.MaxViolations
 }
 
-// HopEvent says what happened to a packet at a port.
-type HopEvent uint8
+// hopEvent says what happened to a packet at a port.
+type hopEvent uint8
 
-// Hop events.
+// Hop events, named in the artifact by hopEvents.
 const (
-	HopEnq HopEvent = iota
-	HopDeq
-	HopDrop
+	hopEnq hopEvent = iota
+	hopDeq
+	hopDrop
 )
 
-var hopEventNames = [...]string{"enq", "deq", "drop"}
+var hopEvents = [...]string{"enq", "deq", "drop"}
 
-// String names the event.
-func (e HopEvent) String() string {
-	if int(e) < len(hopEventNames) {
-		return hopEventNames[e]
-	}
-	return "unknown"
-}
-
-// HopRecord is one packet event at one port.
-type HopRecord struct {
-	At    sim.Time
-	Port  string
-	Queue int // -1 for fault drops (pre-classification)
-	Ev    HopEvent
-	Kind  netem.Kind
-	Seq   uint32
-	Color netem.Color
-
-	Wait   sim.Time         // HopDeq: time spent queued at this port
-	Tx     sim.Time         // HopDeq: serialization time
-	QBytes int64            // HopEnq: queue occupancy including this packet
-	Reason netem.DropReason // HopDrop only
-}
-
-// hop is the recorder's form of a HopRecord: it holds no pointer and no
-// string, so a block of them is one allocation the garbage collector
+// hop is the recorder's form of an obs.HopData: it holds no pointer and
+// no string, so a block of them is one allocation the garbage collector
 // never scans. port indexes the recorder's port table; val is the wait on
 // a dequeue and the queue occupancy on an enqueue.
 type hop struct {
 	at, val, tx sim.Time
 	port, seq   uint32
 	queue       int16
-	ev          HopEvent
+	ev          hopEvent
 	kind        netem.Kind
 	color       netem.Color
 	reason      netem.DropReason
@@ -334,21 +308,24 @@ func (r *Recorder) port(p *netem.Port) uint32 {
 	return uint32(len(r.ports) - 1)
 }
 
-// record expands h to its public form.
-func (r *Recorder) record(h *hop) HopRecord {
-	rec := HopRecord{
-		At: h.at, Port: r.ports[h.port].Name(), Queue: int(h.queue), Ev: h.ev,
-		Kind: h.kind, Seq: h.seq, Color: h.color,
+// record expands h to its artifact form.
+func (r *Recorder) record(h *hop) obs.HopData {
+	hd := obs.HopData{
+		AtPs: int64(h.at), Port: r.ports[h.port].Name(), Queue: int(h.queue),
+		Event: hopEvents[h.ev], Kind: h.kind.String(), Seq: h.seq,
+	}
+	if h.color != 0 {
+		hd.Color = h.color.String()
 	}
 	switch h.ev {
-	case HopDeq:
-		rec.Wait, rec.Tx = h.val, h.tx
-	case HopEnq:
-		rec.QBytes = int64(h.val)
-	case HopDrop:
-		rec.Reason = h.reason
+	case hopDeq:
+		hd.WaitPs, hd.TxPs = int64(h.val), int64(h.tx)
+	case hopEnq:
+		hd.QueueBytes = int64(h.val)
+	case hopDrop:
+		hd.Reason = h.reason.String()
 	}
-	return rec
+	return hd
 }
 
 // each visits l's retained records, oldest first.
@@ -408,7 +385,7 @@ func (r *Recorder) HopEnqueue(now sim.Time, p *netem.Port, queue int, pkt *netem
 	}
 	if l := r.log(pkt.Flow); l != nil {
 		r.add(l, hop{
-			at: now, val: sim.Time(qBytes), port: r.port(p), queue: int16(queue), ev: HopEnq,
+			at: now, val: sim.Time(qBytes), port: r.port(p), queue: int16(queue), ev: hopEnq,
 			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color,
 		})
 	}
@@ -421,7 +398,7 @@ func (r *Recorder) HopDequeue(now sim.Time, p *netem.Port, queue int, pkt *netem
 	}
 	if l := r.log(pkt.Flow); l != nil {
 		r.add(l, hop{
-			at: now, val: waited, tx: tx, port: r.port(p), queue: int16(queue), ev: HopDeq,
+			at: now, val: waited, tx: tx, port: r.port(p), queue: int16(queue), ev: hopDeq,
 			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color,
 		})
 	}
@@ -434,7 +411,7 @@ func (r *Recorder) HopDrop(now sim.Time, p *netem.Port, queue int, pkt *netem.Pa
 	}
 	if l := r.log(pkt.Flow); l != nil {
 		r.add(l, hop{
-			at: now, port: r.port(p), queue: int16(queue), ev: HopDrop,
+			at: now, port: r.port(p), queue: int16(queue), ev: hopDrop,
 			kind: pkt.Kind, seq: pkt.Seq, color: pkt.Color, reason: reason,
 		})
 	}
@@ -453,7 +430,7 @@ func (r *Recorder) Flows() []uint64 {
 }
 
 // Hops returns flow's retained hop records in chronological order.
-func (r *Recorder) Hops(flow uint64) []HopRecord {
+func (r *Recorder) Hops(flow uint64) []obs.HopData {
 	l := r.recorded(flow)
 	if l == nil {
 		return nil
@@ -479,180 +456,75 @@ func (r *Recorder) Skipped() int64 {
 	return r.skipped
 }
 
-// HopDelay aggregates a flow's queueing behaviour at one port.
-type HopDelay struct {
-	Port      string
-	Dequeues  int64
-	Drops     int64
-	TotalWait sim.Time
-	MaxWait   sim.Time
-}
-
-// Timeline is one flow's assembled forensic record.
-type Timeline struct {
-	Flow      uint64
-	Transport string
-	Size      int64
-	Start     sim.Time
-	FCT       sim.Time // -1 when incomplete
-	Slowdown  float64  // FCT / ideal FCT estimate (0 if unknown)
-
-	Hops        []HopRecord
-	HopsDropped int64
-	PerHop      []HopDelay    // per-port aggregation, first-traversed order
-	Events      []trace.Event // transport lifecycle events for this flow
-}
-
 // Timeline assembles flow fl's timeline from the recorder's hop records
 // and the transport trace ring (either may be empty/nil).
-func (r *Recorder) Timeline(fl *transport.Flow, ring *trace.Ring) *Timeline {
-	t := &Timeline{
+func (r *Recorder) Timeline(fl *transport.Flow, ring *trace.Ring) obs.TimelineData {
+	t := obs.TimelineData{
 		Flow:      fl.ID,
 		Transport: fl.Transport,
 		Size:      fl.Size,
-		Start:     fl.Start,
-		FCT:       fl.FCT(),
+		StartPs:   int64(fl.Start),
+		FctPs:     int64(fl.FCT()),
 	}
 	if l := r.recorded(fl.ID); l != nil {
-		t.Hops, t.PerHop = r.timeline(l)
+		t.Hops, t.Delays = r.timeline(l)
 		t.HopsDropped = r.HopsDropped(fl.ID)
 	}
-	if ring != nil {
-		t.Events = ring.Filter(func(ev trace.Event) bool { return ev.Flow == fl.ID })
-	}
+	ring.Each(func(ev trace.Event) {
+		if ev.Flow == fl.ID {
+			t.Events = append(t.Events, obs.TraceOf(ev))
+		}
+	})
 	return t
 }
 
 // timeline expands l's records and folds them into per-port delay
 // summaries, keeping ports in first-traversed order.
-func (r *Recorder) timeline(l *flowLog) ([]HopRecord, []HopDelay) {
-	hops := make([]HopRecord, 0, min(l.n, int64(r.hopCap)))
-	var perHop []HopDelay
-	at := make([]int32, len(r.ports)) // 1 + index in perHop, by port index
-	delay := func(h *hop) *HopDelay {
+func (r *Recorder) timeline(l *flowLog) ([]obs.HopData, []obs.HopDelayData) {
+	hops := make([]obs.HopData, 0, min(l.n, int64(r.hopCap)))
+	var delays []obs.HopDelayData
+	at := make([]int32, len(r.ports)) // 1 + index in delays, by port index
+	delay := func(h *hop) *obs.HopDelayData {
 		if at[h.port] == 0 {
-			perHop = append(perHop, HopDelay{Port: r.ports[h.port].Name()})
-			at[h.port] = int32(len(perHop))
+			delays = append(delays, obs.HopDelayData{Port: r.ports[h.port].Name()})
+			at[h.port] = int32(len(delays))
 		}
-		return &perHop[at[h.port]-1]
+		return &delays[at[h.port]-1]
 	}
 	r.each(l, func(h *hop) {
 		hops = append(hops, r.record(h))
 		switch h.ev {
-		case HopDeq:
+		case hopDeq:
 			d := delay(h)
 			d.Dequeues++
-			d.TotalWait += h.val
-			d.MaxWait = max(d.MaxWait, h.val)
-		case HopDrop:
+			d.TotalWaitPs += int64(h.val)
+			d.MaxWaitPs = max(d.MaxWaitPs, int64(h.val))
+		case hopDrop:
 			delay(h).Drops++
 		}
 	})
-	return hops, perHop
-}
-
-// Export converts the timeline to its artifact form.
-func (t *Timeline) Export() obs.TimelineData {
-	td := obs.TimelineData{
-		Flow:        t.Flow,
-		Transport:   t.Transport,
-		Size:        t.Size,
-		StartPs:     int64(t.Start),
-		FctPs:       int64(t.FCT),
-		Slowdown:    t.Slowdown,
-		HopsDropped: t.HopsDropped,
-	}
-	if len(t.Hops) > 0 {
-		td.Hops = make([]obs.HopData, len(t.Hops))
-	}
-	for i, h := range t.Hops {
-		hd := &td.Hops[i]
-		*hd = obs.HopData{
-			AtPs: int64(h.At), Port: h.Port, Queue: h.Queue,
-			Event: h.Ev.String(), Kind: h.Kind.String(), Seq: h.Seq,
-		}
-		if h.Color != 0 {
-			hd.Color = h.Color.String()
-		}
-		switch h.Ev {
-		case HopDeq:
-			hd.WaitPs = int64(h.Wait)
-			hd.TxPs = int64(h.Tx)
-		case HopEnq:
-			hd.QueueBytes = h.QBytes
-		case HopDrop:
-			hd.Reason = h.Reason.String()
-		}
-	}
-	if len(t.PerHop) > 0 {
-		td.Delays = make([]obs.HopDelayData, len(t.PerHop))
-	}
-	for i, d := range t.PerHop {
-		td.Delays[i] = obs.HopDelayData{
-			Port: d.Port, Dequeues: d.Dequeues, Drops: d.Drops,
-			TotalWaitPs: int64(d.TotalWait), MaxWaitPs: int64(d.MaxWait),
-		}
-	}
-	if len(t.Events) > 0 {
-		td.Events = make([]obs.TraceData, len(t.Events))
-	}
-	for i, ev := range t.Events {
-		td.Events[i] = obs.TraceData{
-			AtPs: int64(ev.At), Kind: ev.Kind.String(),
-			Flow: ev.Flow, Seq: ev.Seq, Note: ev.Note,
-		}
-	}
-	return td
-}
-
-// Dump writes a human-readable rendering of the timeline.
-func (t *Timeline) Dump(w io.Writer) error {
-	fct := "incomplete"
-	if t.FCT >= 0 {
-		fct = t.FCT.String()
-	}
-	if _, err := fmt.Fprintf(w, "flow %d %s size=%dB start=%v fct=%s slowdown=%.2f\n",
-		t.Flow, t.Transport, t.Size, t.Start, fct, t.Slowdown); err != nil {
-		return err
-	}
-	if len(t.PerHop) > 0 {
-		fmt.Fprintf(w, "  per-hop queueing delay:\n")
-		for _, d := range t.PerHop {
-			avg := sim.Time(0)
-			if d.Dequeues > 0 {
-				avg = d.TotalWait / sim.Time(d.Dequeues)
-			}
-			fmt.Fprintf(w, "    %-28s %5d pkts  avg %-10v max %-10v drops %d\n",
-				d.Port, d.Dequeues, avg, d.MaxWait, d.Drops)
-		}
-	}
-	for _, ev := range t.Events {
-		fmt.Fprintf(w, "  %12v %-12s seq=%d %s\n", ev.At, ev.Kind, ev.Seq, ev.Note)
-	}
-	return nil
+	return hops, delays
 }
 
 // Report is the harness-facing result of a forensic run: auditor
 // findings plus exported timelines.
 type Report struct {
-	Violations        []Violation
+	Violations        []obs.ViolationData
 	ViolationsDropped int64
-	Timelines         []*Timeline
+	Timelines         []obs.TimelineData
 }
 
-// Export converts the report to artifact lines (violations first).
+// Export interleaves the report into artifact lines (violations first).
 func (r *Report) Export() []obs.ForensicsData {
 	if r == nil {
 		return nil
 	}
 	out := make([]obs.ForensicsData, 0, len(r.Violations)+len(r.Timelines))
-	for _, v := range r.Violations {
-		vd := v.Export()
-		out = append(out, obs.ForensicsData{Violation: &vd})
+	for i := range r.Violations {
+		out = append(out, obs.ForensicsData{Violation: &r.Violations[i]})
 	}
-	for _, t := range r.Timelines {
-		td := t.Export()
-		out = append(out, obs.ForensicsData{Timeline: &td})
+	for i := range r.Timelines {
+		out = append(out, obs.ForensicsData{Timeline: &r.Timelines[i]})
 	}
 	return out
 }
@@ -662,7 +534,7 @@ func (r *Report) Export() []obs.ForensicsData {
 // estimates a flow's ideal-relative completion cost; incomplete flows
 // rank worst of all.
 func WorstTimelines(rec *Recorder, ring *trace.Ring, flows []*transport.Flow,
-	slowdown func(*transport.Flow) float64, opts *Options) []*Timeline {
+	slowdown func(*transport.Flow) float64, opts *Options) []obs.TimelineData {
 	if rec == nil || len(flows) == 0 {
 		return nil
 	}
@@ -689,7 +561,7 @@ func WorstTimelines(rec *Recorder, ring *trace.Ring, flows []*transport.Flow,
 	for _, id := range must {
 		want[id] = true
 	}
-	var out []*Timeline
+	var out []obs.TimelineData
 	taken := map[uint64]bool{}
 	add := func(fl *transport.Flow, score float64) {
 		if taken[fl.ID] {

@@ -1,7 +1,6 @@
 package forensics
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -43,16 +42,16 @@ func TestRecorderCapturesHops(t *testing.T) {
 	}
 	var enq, deq int
 	for _, h := range hops {
-		switch h.Ev {
-		case HopEnq:
+		switch h.Event {
+		case "enq":
 			enq++
-			if h.QBytes == 0 {
+			if h.QueueBytes == 0 {
 				t.Fatalf("enqueue record missing queue occupancy: %+v", h)
 			}
-		case HopDeq:
+		case "deq":
 			deq++
-			if h.Tx != sim.Microsecond { // 1250B at 10Gbps
-				t.Fatalf("tx time = %v, want 1us", h.Tx)
+			if h.TxPs != int64(sim.Microsecond) { // 1250B at 10Gbps
+				t.Fatalf("tx time = %v, want 1us", sim.Time(h.TxPs))
 			}
 		}
 		if h.Port != "tor0-up" || h.Queue != 0 {
@@ -65,8 +64,8 @@ func TestRecorderCapturesHops(t *testing.T) {
 	// Packets 2 and 3 queued behind serialization: their waits are 1us, 2us.
 	var waits []sim.Time
 	for _, h := range hops {
-		if h.Ev == HopDeq {
-			waits = append(waits, h.Wait)
+		if h.Event == "deq" {
+			waits = append(waits, sim.Time(h.WaitPs))
 		}
 	}
 	if waits[0] != 0 || waits[1] != sim.Microsecond || waits[2] != 2*sim.Microsecond {
@@ -89,9 +88,9 @@ func TestRecorderDropRecords(t *testing.T) {
 
 	var drops int
 	for _, h := range rec.Hops(1) {
-		if h.Ev == HopDrop {
+		if h.Event == "drop" {
 			drops++
-			if h.Reason != netem.DropPrivateCap {
+			if h.Reason != netem.DropPrivateCap.String() {
 				t.Fatalf("drop reason = %v, want private-cap", h.Reason)
 			}
 		}
@@ -120,7 +119,7 @@ func TestRecorderCapsAndFilter(t *testing.T) {
 	}
 	// The ring keeps the newest records in chronological order.
 	for i := 1; i < len(hops); i++ {
-		if hops[i].At < hops[i-1].At {
+		if hops[i].AtPs < hops[i-1].AtPs {
 			t.Fatalf("records out of order: %+v", hops)
 		}
 	}
@@ -165,7 +164,7 @@ func TestAuditorEmissionAndCap(t *testing.T) {
 		t.Fatal("over-cap findings not counted")
 	}
 	v := vs[0]
-	if v.Auditor != "always" || v.Entity != "e" || v.Flow != 5 || v.At == 0 {
+	if v.Auditor != "always" || v.Entity != "e" || v.Flow != 5 || v.AtPs == 0 {
 		t.Fatalf("violation fields wrong: %+v", v)
 	}
 	if s := v.String(); !strings.Contains(s, "always") || !strings.Contains(s, "boom") {
@@ -244,21 +243,24 @@ func TestWorstTimelines(t *testing.T) {
 	if tls[0].Flow != 3 || tls[1].Flow != 2 || tls[2].Flow != 1 {
 		t.Fatalf("timeline order = [%d %d %d], want [3 2 1]", tls[0].Flow, tls[1].Flow, tls[2].Flow)
 	}
-	if tls[0].FCT != -1 || tls[0].Slowdown != 0 {
+	if tls[0].FctPs != -1 || tls[0].Slowdown != 0 {
 		t.Fatalf("incomplete flow mis-rendered: %+v", tls[0])
 	}
 	if tls[1].Slowdown != 10 {
 		t.Fatalf("flow 2 slowdown = %v, want 10", tls[1].Slowdown)
 	}
-	if len(tls[1].Events) != 1 || tls[1].Events[0].Kind != trace.FlowStart {
+	if len(tls[1].Events) != 1 || tls[1].Events[0].Kind != trace.FlowStart.String() {
 		t.Fatalf("flow 2 lifecycle events = %+v", tls[1].Events)
 	}
-	if len(tls[1].Hops) == 0 || len(tls[1].PerHop) != 1 || tls[1].PerHop[0].Dequeues != 1 {
-		t.Fatalf("flow 2 hop data wrong: hops=%d perhop=%+v", len(tls[1].Hops), tls[1].PerHop)
+	if len(tls[1].Hops) == 0 || len(tls[1].Delays) != 1 || tls[1].Delays[0].Dequeues != 1 {
+		t.Fatalf("flow 2 hop data wrong: hops=%d perhop=%+v", len(tls[1].Hops), tls[1].Delays)
 	}
 }
 
-func TestTimelineExportAndDump(t *testing.T) {
+// TestRecorderTimeline: a timeline carries its flow's identity, every
+// hop record in artifact form, the per-port delay summary and the flow's
+// lifecycle events.
+func TestRecorderTimeline(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rec := NewRecorder(nil)
 	p := testPort(eng, 2500)
@@ -268,21 +270,19 @@ func TestTimelineExportAndDump(t *testing.T) {
 	}
 	ring := trace.NewRing(eng, 16)
 	ring.Add(trace.Retransmit, 1, 3, "")
+	ring.Add(trace.Retransmit, 2, 3, "")
 	eng.Run(sim.Second)
 
 	fl := &transport.Flow{ID: 1, Size: 6250, Transport: "flexpass"}
 	fl.Complete(10 * sim.Microsecond)
-	tl := rec.Timeline(fl, ring)
-	tl.Slowdown = 1.5
-
-	td := tl.Export()
-	if td.Flow != 1 || td.Transport != "flexpass" || td.FctPs != int64(10*sim.Microsecond) {
-		t.Fatalf("export identity wrong: %+v", td)
+	td := rec.Timeline(fl, ring)
+	if td.Flow != 1 || td.Transport != "flexpass" || td.Size != 6250 || td.FctPs != int64(10*sim.Microsecond) {
+		t.Fatalf("timeline identity wrong: %+v", td)
 	}
 	var sawDeq, sawDrop bool
 	for _, h := range td.Hops {
-		if h.Color != "red" {
-			t.Fatalf("color not exported: %+v", h)
+		if h.Color != "red" || h.Port != "tor0-up" {
+			t.Fatalf("hop identity not carried: %+v", h)
 		}
 		switch h.Event {
 		case "deq":
@@ -300,22 +300,11 @@ func TestTimelineExportAndDump(t *testing.T) {
 	if !sawDeq || !sawDrop {
 		t.Fatalf("missing hop events: deq=%v drop=%v", sawDeq, sawDrop)
 	}
-	if len(td.Delays) != 1 || td.Delays[0].Drops != 2 || td.Delays[0].Dequeues != 3 {
+	if len(td.Delays) != 1 || td.Delays[0].Port != "tor0-up" || td.Delays[0].Drops != 2 || td.Delays[0].Dequeues != 3 {
 		t.Fatalf("per-hop delays wrong: %+v", td.Delays)
 	}
-	if len(td.Events) != 1 || td.Events[0].Kind != "retx" {
+	if len(td.Events) != 1 || td.Events[0].Kind != "retx" || td.Events[0].Flow != 1 {
 		t.Fatalf("events wrong: %+v", td.Events)
-	}
-
-	var buf bytes.Buffer
-	if err := tl.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"flow 1 flexpass", "per-hop queueing delay", "tor0-up", "retx"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
 	}
 }
 

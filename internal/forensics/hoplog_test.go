@@ -29,8 +29,8 @@ func feed(rec *Recorder, p *netem.Port, flow uint64, n int) {
 
 // TestHopLogAllocBudget pins what the hop recorder allocates: its records
 // and nothing else. A record is 40 pointer-free bytes in a block from the
-// recorder's free list; with 80-byte HopRecords (a string port and an int
-// queue among them) in per-flow slices grown by append, a log cost about
+// recorder's free list; with 80-byte expanded records (a string port and
+// an int queue among them) in per-flow slices grown by append, a log cost about
 // 2.5 times its final 80 bytes a record, and a new flow could inherit a
 // small released log and grow it all over again.
 func TestHopLogAllocBudget(t *testing.T) {
@@ -139,7 +139,7 @@ func TestHopRingKeepsNewest(t *testing.T) {
 					t.Fatalf("HopCap %d, %d records: flow %d kept %d, want %d", hopCap, n, flow, len(hops), len(kept))
 				}
 				for i, h := range hops {
-					if h.Seq != kept[i] || h.At != sim.Time(kept[i]) || h.Port != p.Name() || h.QBytes != 1 {
+					if h.Seq != kept[i] || h.AtPs != int64(kept[i]) || h.Port != p.Name() || h.QueueBytes != 1 {
 						t.Fatalf("HopCap %d, %d records: flow %d record %d is %+v, want seq %d", hopCap, n, flow, i, h, kept[i])
 					}
 				}

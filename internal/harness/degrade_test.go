@@ -175,7 +175,7 @@ func TestFaultedDigestDeterminism(t *testing.T) {
 		t.Fatalf("fault accounting diverged: %+v vs %+v", res1.FaultDrops, res2.FaultDrops)
 	}
 	// The action logs replay identically too.
-	acts1, acts2 := res1.Faults.Snapshot(), res2.Faults.Snapshot()
+	acts1, acts2 := res1.Faults.Export(), res2.Faults.Export()
 	if len(acts1) != len(acts2) {
 		t.Fatalf("action logs diverged: %d vs %d", len(acts1), len(acts2))
 	}

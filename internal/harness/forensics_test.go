@@ -42,7 +42,7 @@ func TestForensicsRunArtifact(t *testing.T) {
 		if len(tl.Hops) == 0 {
 			t.Fatalf("flow %d timeline has no hop records", tl.Flow)
 		}
-		if len(tl.PerHop) == 0 {
+		if len(tl.Delays) == 0 {
 			t.Fatalf("flow %d timeline has no per-hop delay breakdown", tl.Flow)
 		}
 		if len(tl.Events) == 0 {
@@ -82,7 +82,7 @@ func TestForensicsRunArtifact(t *testing.T) {
 	if rt == nil {
 		t.Fatalf("flow %d timeline missing after round trip", want.Flow)
 	}
-	if len(rt.Hops) != len(want.Hops) || len(rt.Delays) != len(want.PerHop) ||
+	if len(rt.Hops) != len(want.Hops) || len(rt.Delays) != len(want.Delays) ||
 		len(rt.Events) != len(want.Events) || rt.Transport != want.Transport {
 		t.Fatalf("timeline shape changed across round trip: %+v", rt)
 	}

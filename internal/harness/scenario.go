@@ -208,7 +208,7 @@ func BaseFor(layout topo.Layout) Scenario {
 	sc.Clos = layout
 	if _, clos := layout.(topo.ClosParams); !clos {
 		sc.LinkRate = 10 * units.Gbps
-		sc.Spec = topo.Spec{WQ: 0.5, FlexECN: 60 * units.KB, FlexRed: 100 * units.KB, LegacyECN: 60 * units.KB}
+		sc.Spec = topo.Spec{FlexECN: 60 * units.KB, FlexRed: 100 * units.KB, LegacyECN: 60 * units.KB}
 	}
 	return sc
 }

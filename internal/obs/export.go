@@ -132,6 +132,11 @@ type TraceData struct {
 	Note string `json:"note,omitempty"`
 }
 
+// TraceOf returns ev's artifact form.
+func TraceOf(ev trace.Event) TraceData {
+	return TraceData{AtPs: int64(ev.At), Kind: ev.Kind.String(), Flow: ev.Flow, Seq: ev.Seq, Note: ev.Note}
+}
+
 // FaultData is one applied fault-plan action: what the plan did to which
 // link, and when. Recovery analysis reads these back to locate the fault
 // window without re-parsing the plan.
@@ -180,12 +185,7 @@ func Collect(reg *Registry, p *Prober, m Manifest) *Run {
 // AttachTrace appends the ring's events to the artifact.
 func (r *Run) AttachTrace(ring *trace.Ring) {
 	r.Trace = slices.Grow(r.Trace, ring.Len())
-	ring.Each(func(ev trace.Event) {
-		r.Trace = append(r.Trace, TraceData{
-			AtPs: int64(ev.At), Kind: ev.Kind.String(),
-			Flow: ev.Flow, Seq: ev.Seq, Note: ev.Note,
-		})
-	})
+	ring.Each(func(ev trace.Event) { r.Trace = append(r.Trace, TraceOf(ev)) })
 }
 
 // FindSeries returns the series for entity/metric, or nil.

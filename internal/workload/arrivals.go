@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
@@ -157,15 +158,14 @@ func Merge(lists ...[]FlowSpec) []FlowSpec {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	// Stable sort by arrival time.
-	sortStable(all)
+	stableSortByAt(all)
 	return all
 }
 
-func sortStable(fs []FlowSpec) {
-	// Insertion-friendly: use sort.SliceStable equivalent without
-	// importing sort twice... plain stable sort.
-	stableSortByAt(fs)
+// stableSortByAt orders flows by arrival time, preserving generation order
+// for equal instants (determinism).
+func stableSortByAt(fs []FlowSpec) {
+	sort.SliceStable(fs, func(i, j int) bool { return fs[i].At < fs[j].At })
 }
 
 // DeployRacks returns the set of FlexPass-enabled racks for a deployment
