@@ -156,10 +156,11 @@ bench-ledger:
 # A speed or memory claim, as one command: bench-pair BASE=<rev>
 # [PAIRS=10] [WORKLOAD=<name>] [SEED=1] builds ./bench at BASE (a git
 # worktree under .bench_build/) and in the working tree, runs PAIRS
-# alternating pairs, and writes bench-pair.json: per workload and
-# end-to-end metric, both sides' median and quartiles, the change's wins,
-# whether the gain meets the claim rule (claimable) and whether the
-# change is worse than BENCHMARK.json's bound (regressed). It is checked
+# alternating pairs, and writes bench-pair.json: per workload, for each
+# end-to-end metric and for wall_s, both sides' median and quartiles,
+# the change's wins, whether the gain meets the claim rule (claimable)
+# and whether the change is worse than BENCHMARK.json's bound
+# (regressed; wall_s has no bound and never is). It is checked
 # in as BENCH_PR<N>.json; `flexfarm bench BENCH_PR*.json` lists them all.
 PAIRS ?= 10
 SEED  ?= 1

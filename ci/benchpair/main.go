@@ -2,8 +2,8 @@
 // speed or memory claim must be measured: the standing benchmark
 // (./bench) built at both revisions, run in alternating pairs on one box
 // at one seed, and for every workload and every end-to-end metric
-// BENCHMARK.json names, each side's median and quartiles and the number
-// of pairs the change won.
+// BENCHMARK.json names, plus wall_s, each side's median and quartiles
+// and the number of pairs the change won.
 //
 //	go run ./ci/benchpair -base <rev> [-pairs 10] [-workload observed] [-seed 1] [-out bench-pair.json]
 //
@@ -15,7 +15,7 @@
 // from one side stops the run. The output is a lake.BenchReport, which
 // `flexfarm bench` reads: each metric is marked claimable by the house
 // claim rule and regressed by the bound BENCHMARK.json gives it (see
-// compare).
+// compare). wall_s has no bound, so it is never regressed.
 package main
 
 import (
@@ -51,6 +51,11 @@ type metric struct {
 	Bound  float64 `json:"bound"`  // the relative worsening that counts as a regression
 }
 
+// wallMetric is the run's wall time, which bench's summary line prints
+// beside the end-to-end metrics. BENCHMARK.json lists it per layer,
+// without a bound: no slowdown regresses it.
+var wallMetric = metric{Name: "wall_s", Better: "lower", Bound: math.Inf(1)}
+
 // runs is what one side's runs of one workload read, run by run.
 type runs struct {
 	digests []string
@@ -75,7 +80,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	metrics, err := endToEnd(filepath.Join(root, "BENCHMARK.json"))
+	metrics, err := pairedMetrics(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		return err
 	}
@@ -129,8 +134,9 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// endToEnd reads the end-to-end metrics the benchmark contract names.
-func endToEnd(path string) ([]metric, error) {
+// pairedMetrics reads the end-to-end metrics the benchmark contract
+// names and adds wall_s.
+func pairedMetrics(path string) ([]metric, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -141,7 +147,7 @@ func endToEnd(path string) ([]metric, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return b.EndToEnd, nil
+	return append(b.EndToEnd, wallMetric), nil
 }
 
 // buildBase checks rev out as a worktree at dir, builds its benchmark to

@@ -124,3 +124,24 @@ func TestMissingValuesAreErrors(t *testing.T) {
 		t.Errorf("paired medians %g -> %g, want 80 -> 56", c.Base.Median, c.Change.Median)
 	}
 }
+
+// TestWallPaired: wall_s is paired after BENCHMARK.json's end-to-end
+// metrics, lower reads better, a gain is claimable by the same rule, and
+// no slowdown regresses it, because it has no bound.
+func TestWallPaired(t *testing.T) {
+	ms, err := pairedMetrics("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) < 2 || ms[len(ms)-1] != wallMetric || ms[0].Name != "setup_s" || ms[0].Bound != 0.25 {
+		t.Fatalf("paired metrics %+v: want BENCHMARK.json's end-to-end list, then wall_s", ms)
+	}
+	base := []float64{10, 12, 11, 13, 10, 10, 12, 11, 13, 10}
+	slower := []float64{100, 120, 110, 130, 100, 100, 120, 110, 130, 100}
+	if c := compare(wallMetric, base, slower); c.Regressed || c.Claimable || c.Losses != 10 {
+		t.Errorf("wall_s 10x slower: regressed %t, claimable %t, losses %d", c.Regressed, c.Claimable, c.Losses)
+	}
+	if c := compare(wallMetric, base, []float64{5, 6, 5, 6, 5, 5, 6, 5, 6, 5}); !c.Claimable || c.Regressed {
+		t.Errorf("wall_s 11 -> 5: claimable %t, regressed %t", c.Claimable, c.Regressed)
+	}
+}

@@ -109,6 +109,11 @@ type Spec struct {
 	// from any working directory. ParseSpec (bytes) leaves it empty:
 	// paths then resolve against the process cwd.
 	baseDir string
+	// wplans and fplans hold each workload and fault entry resolved, by
+	// entry: Validate reads an entry's files once and Points reuses the
+	// plan, so a file edited after parsing does not reach the points.
+	wplans map[string]*workload.Plan
+	fplans map[string]*faults.Plan
 }
 
 // resolvePath anchors a relative plan-file path at the spec's directory.
@@ -186,8 +191,9 @@ func CheckNames(schemes, topologies, workloads []string) error {
 
 // Validate checks every axis value against its registry: scheme names,
 // topology labels, workload names, probability-like knobs, and fault
-// entries (plan files are parsed here, so a broken plan fails the spec,
-// not the sweep).
+// entries. Plan and trace files are parsed here, so a broken plan fails
+// the spec, not the sweep, and the spec keeps what they resolved to for
+// Points.
 func (s *Spec) Validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("farm: spec has no schemes")
@@ -242,13 +248,15 @@ func (s *Spec) Validate() error {
 // resolveFault turns a spec fault entry into a plan: "" is a clean run
 // (nil plan), a *.json path a plan file, anything else the CLI shorthand.
 func (s *Spec) resolveFault(entry string) (*faults.Plan, error) {
-	switch {
-	case entry == "":
-		return nil, nil
-	case strings.HasSuffix(entry, ".json"):
-		return faults.ParsePlanFile(s.resolvePath(entry))
-	}
-	return faults.ParseSpec(entry)
+	return memo(&s.fplans, entry, func() (*faults.Plan, error) {
+		switch {
+		case entry == "":
+			return nil, nil
+		case strings.HasSuffix(entry, ".json"):
+			return faults.ParsePlanFile(s.resolvePath(entry))
+		}
+		return faults.ParseSpec(entry)
+	})
 }
 
 // resolveWorkload turns a spec workload entry into a plan: a *.json path
@@ -256,18 +264,37 @@ func (s *Spec) resolveFault(entry string) (*faults.Plan, error) {
 // named by the file stem, which names and hashes like a plan file
 // wrapping it — and anything else a distribution name (nil plan).
 func (s *Spec) resolveWorkload(entry string) (*workload.Plan, error) {
-	path := s.resolvePath(entry)
-	switch filepath.Ext(entry) {
-	case ".json":
-		return workload.ParsePlanFile(path)
-	case ".csv":
-		p := &workload.Plan{
-			Name:    strings.TrimSuffix(filepath.Base(path), ".csv"),
-			Sources: []workload.Source{{Kind: workload.SrcTrace, Path: path}},
+	return memo(&s.wplans, entry, func() (*workload.Plan, error) {
+		path := s.resolvePath(entry)
+		switch filepath.Ext(entry) {
+		case ".json":
+			return workload.ParsePlanFile(path)
+		case ".csv":
+			p := &workload.Plan{
+				Name:    strings.TrimSuffix(filepath.Base(path), ".csv"),
+				Sources: []workload.Source{{Kind: workload.SrcTrace, Path: path}},
+			}
+			return p, p.Resolve("")
 		}
-		return p, p.Resolve("")
+		return nil, nil
+	})
+}
+
+// memo returns the plan cache holds for entry, resolving and keeping it
+// the first time; a failed resolution is not kept.
+func memo[P any](cache *map[string]*P, entry string, resolve func() (*P, error)) (*P, error) {
+	if p, ok := (*cache)[entry]; ok {
+		return p, nil
 	}
-	return nil, nil
+	p, err := resolve()
+	if err != nil {
+		return nil, err
+	}
+	if *cache == nil {
+		*cache = map[string]*P{}
+	}
+	(*cache)[entry] = p
+	return p, nil
 }
 
 // Point is one expanded scenario of a sweep: the coordinates on every
@@ -394,7 +421,7 @@ func orDefault[T any](axis []T, def T) []T {
 
 // Points expands the spec's cross-product in a fixed axis order
 // (scheme, options, topology, workload, load, deployment, wq, red_kb,
-// fault, seed, shards), resolving every fault and workload entry once.
+// fault, seed, shards). An entry Validate resolved is not read again.
 func (s *Spec) Points() ([]Point, error) {
 	opts := s.Options
 	if len(opts) == 0 {

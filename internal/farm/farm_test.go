@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -472,6 +473,58 @@ func TestTraceWorkloadEntry(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(specFor(filepath.Join(dir, "missing.csv")))); err == nil {
 		t.Fatal("spec naming an unreadable trace should fail validation")
+	}
+}
+
+// TestSpecResolvesEntriesOnce: ParseSpecFile reads each plan, trace and
+// fault file once, and Points expands what it read. With every file
+// deleted after parsing, Points gives the same point hashes and the
+// scenarios still carry the plans.
+func TestSpecResolvesEntriesOnce(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"burst.csv":  "at_us,src,dst,size_bytes,incast\n0.000,0,2,30000,0\n2.000,1,3,8000,1\n",
+		"mix.json":   `{"sources": [{"kind": "poisson", "cdf": "websearch"}, {"kind": "trace", "path": "burst.csv"}]}`,
+		"fault.json": `{"events": [{"kind": "link-down", "link": "tor0.0->h0.0.0", "at": "0.1ms", "end": "0.2ms"}]}`,
+		"spec.json": `{"scheme": ["flexpass"], "topology": ["tiny"],
+			"workload": ["websearch", "mix.json", "burst.csv"], "fault": ["", "fault.json", "down@sw0->h1@1ms-2ms"]}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := ParseSpecFile(filepath.Join(dir, "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := func() []string {
+		t.Helper()
+		pts, err := s.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs []string
+		for _, p := range pts {
+			sc := p.Scenario()
+			if (p.WorkloadHash != "") != (sc.WorkloadPlan != nil) || (p.FaultHash != "") != (sc.FaultPlan != nil) {
+				t.Fatalf("%s: scenario lost its plans", p.Label())
+			}
+			hs = append(hs, p.Hash())
+		}
+		return hs
+	}
+	want := hashes()
+	if len(want) != 9 {
+		t.Fatalf("%d points, want 9", len(want))
+	}
+	for name := range files {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hashes(); !slices.Equal(got, want) {
+		t.Errorf("points after the files went: %v, want %v", got, want)
 	}
 }
 

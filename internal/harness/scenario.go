@@ -260,7 +260,7 @@ func WorkloadRand(seed int64) *rand.Rand {
 type runPlan struct {
 	hosts    int
 	rackOf   []int // deployment group per host
-	enabled  map[int]bool
+	deployed int   // groups 0 to deployed-1 run the active scheme
 	flows    []workload.FlowSpec
 	oracleWQ float64
 }
@@ -268,7 +268,7 @@ type runPlan struct {
 // upgraded reports whether a flow runs the active (non-legacy) scheme:
 // both endpoints' deployment groups must be enabled.
 func (p *runPlan) upgraded(f workload.FlowSpec) bool {
-	return p.enabled[p.rackOf[f.Src]] && p.enabled[p.rackOf[f.Dst]]
+	return p.rackOf[f.Src] < p.deployed && p.rackOf[f.Dst] < p.deployed
 }
 
 // planWorkload generates the scenario's flow list, group deployment, and
@@ -282,7 +282,7 @@ func planWorkload(sc Scenario) *runPlan {
 		p.rackOf[i] = sc.Clos.Group(i)
 		groups = max(groups, p.rackOf[i]+1)
 	}
-	p.enabled = workload.DeployRacks(groups, sc.Deployment)
+	p.deployed = workload.DeployRacks(groups, sc.Deployment)
 	env := workload.Env{
 		Hosts:          p.hosts,
 		RackOf:         p.rackOf,

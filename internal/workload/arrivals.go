@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
@@ -151,35 +152,61 @@ func (p IncastParams) Generate(r *rand.Rand) []FlowSpec {
 	return flows
 }
 
-// Merge combines flow lists into one sorted-by-time slice (stable for
-// equal times).
+// Merge combines flow lists into one slice sorted by arrival time and
+// stable for equal times: ties keep list order, then order within a
+// list. Sorted lists, which every generator produces, merge in one
+// linear pass; an unsorted list is stable-sorted on a copy first. The
+// inputs are not modified, and the result is nil when every list is
+// empty.
 func Merge(lists ...[]FlowSpec) []FlowSpec {
-	var all []FlowSpec
+	n := 0
+	heads := make([][]FlowSpec, 0, len(lists))
 	for _, l := range lists {
-		all = append(all, l...)
+		if len(l) == 0 {
+			continue
+		}
+		if !sortedByAt(l) {
+			l = slices.Clone(l)
+			slices.SortStableFunc(l, byAt)
+		}
+		n += len(l)
+		heads = append(heads, l)
 	}
-	stableSortByAt(all)
-	return all
+	if n == 0 {
+		return nil
+	}
+	all := make([]FlowSpec, 0, n)
+	for len(heads) > 1 {
+		k := 0 // the earliest head; the first list wins a tie
+		for j := 1; j < len(heads); j++ {
+			if heads[j][0].At < heads[k][0].At {
+				k = j
+			}
+		}
+		all = append(all, heads[k][0])
+		if heads[k] = heads[k][1:]; len(heads[k]) == 0 {
+			heads = slices.Delete(heads, k, k+1)
+		}
+	}
+	return append(all, heads[0]...)
 }
 
-// stableSortByAt orders flows by arrival time, preserving generation order
+func byAt(a, b FlowSpec) int { return cmp.Compare(a.At, b.At) }
+
+func sortedByAt(fs []FlowSpec) bool { return slices.IsSortedFunc(fs, byAt) }
+
+// stableSortByAt orders flows by arrival time, preserving input order
 // for equal instants (determinism).
 func stableSortByAt(fs []FlowSpec) {
-	sort.SliceStable(fs, func(i, j int) bool { return fs[i].At < fs[j].At })
+	if !sortedByAt(fs) {
+		slices.SortStableFunc(fs, byAt)
+	}
 }
 
-// DeployRacks returns the set of FlexPass-enabled racks for a deployment
-// ratio: the first ceil(ratio × racks) racks, matching the paper's
+// DeployRacks returns how many racks run FlexPass at a deployment ratio:
+// racks 0 to n-1 for n = ceil(ratio × racks), matching the paper's
 // per-rack rollout. Both endpoints must be in enabled racks for a flow to
 // use the new transport.
-func DeployRacks(racks int, ratio float64) map[int]bool {
-	n := int(math.Ceil(ratio * float64(racks)))
-	if n > racks {
-		n = racks
-	}
-	enabled := make(map[int]bool, n)
-	for i := 0; i < n; i++ {
-		enabled[i] = true
-	}
-	return enabled
+func DeployRacks(racks int, ratio float64) int {
+	return min(int(math.Ceil(ratio*float64(racks))), racks)
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -329,7 +330,7 @@ func (p *Plan) Resolve(baseDir string) error {
 		if err != nil {
 			return fmt.Errorf("workload: trace source %d: %w", i, err)
 		}
-		flows, err := ReadTrace(strings.NewReader(string(data)))
+		flows, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return fmt.Errorf("workload: trace source %d (%s): %w", i, s.Path, err)
 		}
@@ -411,6 +412,10 @@ func (p *Plan) Generate(env Env, r *rand.Rand) ([]FlowSpec, error) {
 			}
 		}
 		lists = append(lists, flows)
+	}
+	// One sorted source is the merged list already, and Generate owns it.
+	if len(lists) == 1 && len(lists[0]) > 0 && sortedByAt(lists[0]) {
+		return lists[0], nil
 	}
 	return Merge(lists...), nil
 }

@@ -2,6 +2,9 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -173,17 +176,13 @@ func TestEventRateFor(t *testing.T) {
 }
 
 func TestDeployRacks(t *testing.T) {
-	if len(DeployRacks(32, 0)) != 0 {
-		t.Fatal("0% deployment must enable no racks")
-	}
-	if len(DeployRacks(32, 1)) != 32 {
-		t.Fatal("100% deployment must enable all racks")
-	}
-	if len(DeployRacks(32, 0.5)) != 16 {
-		t.Fatal("50% deployment must enable 16 racks")
-	}
-	if len(DeployRacks(32, 0.25)) != 8 {
-		t.Fatal("25% deployment must enable 8 racks")
+	for _, c := range []struct {
+		ratio float64
+		want  int
+	}{{0, 0}, {1, 32}, {0.5, 16}, {0.25, 8}, {0.01, 1}, {1.5, 32}} {
+		if got := DeployRacks(32, c.ratio); got != c.want {
+			t.Errorf("%g deployment of 32 racks enables %d, want %d", c.ratio, got, c.want)
+		}
 	}
 }
 
@@ -198,5 +197,39 @@ func TestMergeSorts(t *testing.T) {
 	}
 	if len(m) != 4 {
 		t.Fatalf("merged %d, want 4", len(m))
+	}
+}
+
+// TestMergeMatchesStableSort: Merge returns what a stable sort of the
+// concatenated lists returns, for zero to four lists, sorted and
+// unsorted, empty ones among them and ties within and across lists, and
+// leaves its inputs as they were. Src and Dst record where a flow came
+// from, so a tie broken the other way shows.
+func TestMergeMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		lists := make([][]FlowSpec, r.Intn(5))
+		var concat []FlowSpec
+		for i := range lists {
+			n := r.Intn(4) * r.Intn(8) // empty lists are common
+			for j := 0; j < n; j++ {
+				lists[i] = append(lists[i], FlowSpec{At: sim.Time(r.Intn(12)), Src: i, Dst: j})
+			}
+			if r.Intn(3) > 0 {
+				slices.SortStableFunc(lists[i], func(a, b FlowSpec) int { return int(a.At - b.At) })
+			}
+			concat = append(concat, lists[i]...)
+		}
+		before := make([][]FlowSpec, len(lists))
+		for i, l := range lists {
+			before[i] = slices.Clone(l)
+		}
+		sort.SliceStable(concat, func(i, j int) bool { return concat[i].At < concat[j].At })
+		if got := Merge(lists...); !reflect.DeepEqual(got, concat) {
+			t.Fatalf("trial %d: Merge(%v) = %v, stable sort %v", trial, before, got, concat)
+		}
+		if !reflect.DeepEqual(lists, before) {
+			t.Fatalf("trial %d: Merge changed its inputs: %v, was %v", trial, lists, before)
+		}
 	}
 }
