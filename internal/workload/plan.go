@@ -48,7 +48,7 @@ const (
 	// requests from a random root to Fanout workers and collecting
 	// responses, all flows sharing a coflow ID.
 	SrcRPC SourceKind = "rpc"
-	// SrcTrace replays a CSV flow trace file verbatim.
+	// SrcTrace replays a CSV flow trace file as ReadTrace reads it.
 	SrcTrace SourceKind = "trace"
 )
 
