@@ -207,10 +207,15 @@ lake-baseline:
 # all fail the trial). The seed is pinned, so the job is deterministic;
 # a failing trial leaves chaos-ci/repro-<N>.json, which CI uploads and
 # `flexsim -fault chaos-ci/repro-<N>.json` replays exactly (exit 1 while
-# the failure reproduces).
+# the failure reproduces). The trial list is pinned as well: the target
+# fails when the digest the run prints is not CHAOS_DIGEST, which a
+# change to the generator or to ci/chaos-smoke.json re-pins here.
+CHAOS_DIGEST = 0c3a87c5657548d6
 chaos-smoke:
-	rm -rf chaos-ci
-	$(GO) run ./cmd/flexfarm chaos run -spec ci/chaos-smoke.json -out chaos-ci -shrink
+	rm -rf chaos-ci && mkdir chaos-ci
+	{ $(GO) run ./cmd/flexfarm chaos run -spec ci/chaos-smoke.json -out chaos-ci -shrink 2>&1; echo $$? >chaos-ci/status; } | tee chaos-ci/run.log
+	@grep -qF 'digest $(CHAOS_DIGEST))' chaos-ci/run.log || { echo "chaos-smoke: trial digest is not the pinned $(CHAOS_DIGEST)" >&2; exit 1; }
+	@exit $$(cat chaos-ci/status)
 
 # End-to-end smoke of the runtime introspection plane: the micro-sweep
 # served live (/status polled to completion, /metrics format-checked)

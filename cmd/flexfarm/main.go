@@ -100,8 +100,6 @@ func runCmd(args []string) {
 	linger := fs.Duration("serve-linger", 0, "keep the -serve endpoint up this long after the sweep finishes")
 	summaryEvery := fs.Duration("summary-every", 2*time.Second, "periodic progress summary interval (0 disables)")
 	pointTimeout := fs.Duration("point-timeout", 0, "wall-clock deadline per scenario; exceeded points are killed and recorded as failures (0 = off)")
-	retries := fs.Int("retries", 0, "re-run a failed point up to this many extra times")
-	backoff := fs.Duration("backoff", 0, "base delay before a retry, doubling per attempt (default 250ms when retries > 0)")
 	fs.Parse(args)
 	if *spec == "" || *out == "" {
 		fatal(fmt.Errorf("run needs -spec and -out"))
@@ -140,8 +138,6 @@ func runCmd(args []string) {
 		Workers: *workers, Force: *force,
 		Progress:     farm.Fanout(tracker.Observe, logLine),
 		PointTimeout: *pointTimeout,
-		Retries:      *retries,
-		Backoff:      *backoff,
 		Ctx:          ctx,
 	}
 

@@ -290,14 +290,7 @@ func timelineCmd(args []string) {
 	if vs := run.Violations(); len(vs) > 0 {
 		fmt.Printf("%d invariant violations:\n", len(vs))
 		for _, v := range vs {
-			line := fmt.Sprintf("  %12v [%s]", sim.Time(v.AtPs), v.Auditor)
-			if v.Entity != "" {
-				line += " " + v.Entity
-			}
-			if v.Flow != 0 {
-				line += fmt.Sprintf(" flow=%d", v.Flow)
-			}
-			fmt.Println(line + ": " + v.Detail)
+			fmt.Println("  " + v.String())
 		}
 		fmt.Println()
 	}

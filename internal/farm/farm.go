@@ -505,16 +505,13 @@ func (s *Spec) Points() ([]Point, error) {
 }
 
 // Failure is one isolated scenario failure, recorded in
-// failures.jsonl. Attempt and ElapsedMS make retried and timed-out
-// points auditable after a soak: Attempt is how many executions the
-// point got before being given up on, ElapsedMS the wall-clock cost of
-// the last one.
+// failures.jsonl. ElapsedMS, the wall-clock cost of the run, makes a
+// timed-out point auditable after a soak.
 type Failure struct {
 	Hash      string  `json:"hash"`
 	Label     string  `json:"label"`
 	Point     Point   `json:"point"`
 	Error     string  `json:"error"`
-	Attempt   int     `json:"attempt"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
@@ -538,28 +535,20 @@ type Options struct {
 	// (Tracker.Observe is; compose consumers with Fanout).
 	Progress func(ProgressEvent)
 
-	// PointTimeout, when positive, bounds each point's execution: the
-	// scenario runs under a harness deadline of this much wall clock,
-	// and a hard backstop at ~2x abandons even a run whose engine never
-	// reaches a watchdog poll (wedged outside the dispatch loop). A
-	// timed-out point becomes an ordinary failure; the sweep continues.
+	// PointTimeout, when positive, is the one per-point guard: the
+	// scenario runs under a Deadline of this much wall clock, which its
+	// engines enforce at their watch poll, and a wedge backstop at ~2x
+	// abandons a run whose engines never reach that poll (blocked
+	// outside the dispatch loop). A timed-out point becomes an ordinary
+	// failure; the sweep continues. A failing point is not re-run: a
+	// scenario is deterministic and fails the same way every time.
 	PointTimeout time.Duration
 
-	// Retries is how many additional executions a failing point gets
-	// before it is recorded in failures.jsonl (0 = fail on the first
-	// error). Retries target transient host-level trouble; a
-	// deterministic scenario panic will simply fail Retries+1 times.
-	Retries int
-
-	// Backoff is the wait before the first retry, doubling with each
-	// subsequent one. Zero defaults to 250ms.
-	Backoff time.Duration
-
 	// Ctx, when non-nil, cancels the sweep cooperatively: once done, no
-	// new point is dispatched and no retry waits out its backoff, but
-	// in-flight points drain, failures.jsonl is flushed, and the index
-	// is rebuilt — so an interrupted sweep resumes exactly where it
-	// stopped. Nil means run to completion.
+	// new point is dispatched, but in-flight points drain,
+	// failures.jsonl is flushed, and the index is rebuilt — so an
+	// interrupted sweep resumes exactly where it stopped. Nil means run
+	// to completion.
 	Ctx context.Context
 }
 
@@ -608,39 +597,13 @@ func Execute(points []Point, dir string, opt Options) (*Report, error) {
 			return
 		}
 		progress(ProgressEvent{Kind: EventStarted, Worker: worker, Hash: hash, Label: label})
-		var err error
-		var elapsed time.Duration
-		attempt := 0
-		for {
-			attempt++
-			start := time.Now()
-			run, err = runPoint(pt, path, attempt, opt.PointTimeout)
-			elapsed = time.Since(start)
-			if err == nil || attempt > opt.Retries || ctx.Err() != nil {
-				break
-			}
-			// Exponential backoff between attempts; a canceled
-			// context skips the wait and gives up on the point.
-			wait := opt.Backoff
-			if wait <= 0 {
-				wait = 250 * time.Millisecond
-			}
-			wait <<= uint(attempt - 1)
-			timer := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-			case <-timer.C:
-			}
-			if ctx.Err() != nil {
-				break
-			}
-		}
+		start := time.Now()
+		run, err := runPoint(pt, path, opt.PointTimeout)
+		elapsed := time.Since(start)
 		mu.Lock()
 		if err != nil {
 			rep.Failures = append(rep.Failures, Failure{
 				Hash: hash, Label: label, Point: pt, Error: err.Error(),
-				Attempt:   attempt,
 				ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 			})
 			mu.Unlock()
@@ -698,16 +661,16 @@ func validArtifact(path, hash string) *obs.Run {
 // simulator primitives.
 var runScenario = harness.Run
 
-// runPoint executes one scenario attempt and lands its artifact
-// atomically (tmp + rename), returning the run it wrote. With a timeout
-// it adds two layers of supervision: the harness deadline watchdog
-// kills the engine cooperatively at timeout, and a hard backstop at ~2x
-// abandons the worker goroutine entirely if the run wedged somewhere
-// the watchdog cannot reach; an abandoned run is barred from landing
-// its artifact, so a timed-out point never masquerades as a completed one.
-func runPoint(pt Point, path string, attempt int, timeout time.Duration) (*obs.Run, error) {
+// runPoint executes one scenario and lands its artifact atomically
+// (tmp + rename), returning the run it wrote. A timeout is the
+// scenario's Deadline, which its engines enforce themselves at their
+// watch poll, plus a hard backstop at ~2x that abandons the worker
+// goroutine entirely if the run wedged where no poll is reached; an
+// abandoned run is barred from landing its artifact, so a timed-out
+// point never masquerades as a completed one.
+func runPoint(pt Point, path string, timeout time.Duration) (*obs.Run, error) {
 	if timeout <= 0 {
-		return executePoint(pt, path, attempt, 0, nil)
+		return executePoint(pt, path, 0, nil)
 	}
 	backstop := 2 * timeout
 	if backstop < timeout+time.Second {
@@ -718,7 +681,7 @@ func runPoint(pt Point, path string, attempt int, timeout time.Duration) (*obs.R
 	done := make(chan error, 1)
 	go func() {
 		var err error
-		run, err = executePoint(pt, path, attempt, timeout, &abandoned)
+		run, err = executePoint(pt, path, timeout, &abandoned)
 		done <- err
 	}()
 	timer := time.NewTimer(backstop)
@@ -728,20 +691,15 @@ func runPoint(pt Point, path string, attempt int, timeout time.Duration) (*obs.R
 		return run, err
 	case <-timer.C:
 		abandoned.Store(true)
-		return nil, fmt.Errorf("point wedged: no result after %v (deadline %v; engine watchdog unreachable)", backstop, timeout)
+		return nil, fmt.Errorf("point wedged: no result after %v (deadline %v; no engine reached its watch poll)", backstop, timeout)
 	}
 }
 
 // executePoint runs the scenario under harness.Try, so a scenario
 // contract violation or a deadline/stall kill is this point's error.
-func executePoint(pt Point, path string, attempt int, deadline time.Duration, abandoned *atomic.Bool) (*obs.Run, error) {
+func executePoint(pt Point, path string, deadline time.Duration, abandoned *atomic.Bool) (*obs.Run, error) {
 	sc := pt.Scenario()
 	sc.Deadline = deadline
-	if attempt > 0 {
-		// The attempt count rides in the manifest config so the lake's
-		// attempts column can report how many executions a point took.
-		sc.ManifestConfig["attempts"] = strconv.Itoa(attempt)
-	}
 	res, err := harness.Try(runScenario, sc)
 	if err != nil {
 		return nil, err

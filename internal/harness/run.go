@@ -174,8 +174,9 @@ type Session struct {
 	rec    *forensics.Recorder
 	aud    *forensics.Auditor
 
-	ran                     bool  // a second Run needs one plane
-	watches                 fleet // progress cells for the watchdog and the live board
+	ran                     bool      // a second Run needs one plane
+	watches                 fleet     // progress cells for the live board and a kill's snapshot
+	kill                    *sim.Kill // the scenario's limits, shared by the watches; nil without limits
 	publishFinal            func()
 	flowsStarted, flowsDone atomic.Int64
 }
@@ -403,11 +404,15 @@ func Open(sc Scenario) *Session {
 		}
 	}
 
-	// Progress cells: the watchdog and the live board read the run from
-	// other goroutines through one sim.Watch per engine.
-	if sc.Live != nil || sc.Deadline > 0 || sc.StallTimeout > 0 {
+	// Progress cells: the live board reads the run from other goroutines
+	// through one sim.Watch per engine, and the engines enforce the
+	// scenario's limits at their watch poll, through one shared record.
+	if sc.Deadline > 0 || sc.StallTimeout > 0 {
+		s.kill = sim.NewKill(sc.Deadline, sc.StallTimeout)
+	}
+	if sc.Live != nil || s.kill != nil {
 		for _, pl := range planes {
-			w := &sim.Watch{}
+			w := sim.NewWatch(s.kill)
 			pl.eng.SetWatch(w)
 			s.watches = append(s.watches, w)
 		}
@@ -422,9 +427,9 @@ func Open(sc Scenario) *Session {
 	// posts the fleet's progress with all slots merged, so the merge runs
 	// once per interval, not once per plane.
 	var mu sync.Mutex
-	slots := make([][]obs.CounterData, n)
+	slots := make([]*obs.Run, n)
 	report := func(i int, post, done bool) {
-		final := planes[i].reg.Final()
+		final := &obs.Run{Counters: planes[i].reg.Final()}
 		mu.Lock()
 		defer mu.Unlock()
 		slots[i] = final
@@ -444,7 +449,7 @@ func Open(sc Scenario) *Session {
 		if secs := time.Since(wallStart).Seconds(); secs > 0 {
 			st.EventsPerSec = float64(st.Events) / secs
 		}
-		sc.Live.Publish(st, mergeReadings(slots))
+		sc.Live.Publish(st, obs.MergeRuns(obs.Manifest{}, slots...).Counters)
 	}
 	for i, pl := range planes {
 		prev := pl.eng.SetComponent(pl.eng.Component("live/status"))
@@ -513,23 +518,27 @@ func (s *Session) slowdown(fl *transport.Flow) float64 {
 }
 
 // Run runs the session's engines until every event at or before until
-// has fired, under the scenario's watchdog. A one-plane session may Run
-// again, in steps; a sharded one runs once.
+// has fired, under the scenario's limits, which count from this call. A
+// tripped limit stops every engine and Run panics with a *KilledError;
+// the kill is sticky, so a later Run dispatches nothing and panics
+// again. A one-plane session may Run again, in steps; a sharded one runs
+// once.
 func (s *Session) Run(until sim.Time) {
 	if s.ran {
 		s.onePlane("a second Run")
 	}
 	s.ran = true
 	start := time.Now()
-	wd := startWatchdog(s.sc.Deadline, s.sc.StallTimeout, s.watches.horizonPs, s.watches.events, s.watches.abort)
+	s.kill.Arm()
 	if s.rt == nil {
 		s.planes[0].eng.Run(until)
 	} else {
 		s.rt.Run(until) // leaves every engine at until
 	}
 	s.res.WallClock += time.Since(start)
-	if ke := wd.stop(); ke != nil {
-		panic(ke)
+	if trip := s.kill.Tripped(); trip != nil {
+		panic(&KilledError{Reason: trip.Reason, Elapsed: trip.Elapsed,
+			HorizonPs: s.watches.horizonPs(), Events: s.watches.events()})
 	}
 }
 
@@ -665,31 +674,6 @@ func bridgeShards(engs []*sim.Engine, cross []topo.CrossLink) *shard.Runtime {
 		})
 	}
 	return rt
-}
-
-// mergeReadings folds per-plane registry finals into one reading set,
-// summing values that share (entity, metric, kind); one plane's finals
-// are returned as they are. Finals are sorted, so the merged order is
-// deterministic.
-func mergeReadings(slots [][]obs.CounterData) []obs.CounterData {
-	if len(slots) == 1 {
-		return slots[0]
-	}
-	type key struct{ entity, metric, kind string }
-	idx := map[key]int{}
-	var out []obs.CounterData
-	for _, finals := range slots {
-		for _, r := range finals {
-			k := key{r.Entity, r.Metric, r.Kind}
-			if j, ok := idx[k]; ok {
-				out[j].Value += r.Value
-				continue
-			}
-			idx[k] = len(out)
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // countFabricDrops folds every port's drop and fault-loss counters into

@@ -154,19 +154,20 @@ type Scenario struct {
 	// valid for the configured fabric.
 	TraceFlows []workload.FlowSpec
 
-	// Deadline, when positive, caps the run's wall-clock time: a
-	// wall-clock watchdog aborts the engine(s) when it elapses and Run
-	// panics with a *KilledError (Reason "deadline"). Zero disables.
-	// Supervision is observation-only until it trips — the watchdog
-	// never perturbs event order, so a run that finishes in time is
-	// bit-identical to an unsupervised one.
+	// Deadline, when positive, caps the wall-clock time of each
+	// Session.Run call: every engine checks it at its 256-dispatch watch
+	// poll, the first past it stops them all, and Run panics with a
+	// *KilledError (Reason "deadline"). Zero disables. The check only
+	// reads the wall clock — it never perturbs event order, so a run
+	// that finishes in time is bit-identical to an unsupervised one.
 	Deadline time.Duration
 
-	// StallTimeout, when positive, kills the run when the engine horizon
-	// (the minimum over engines) stops advancing for this much
-	// wall-clock time — catching both livelocks (events churning at one
-	// instant) and wedged engines. Run panics with a *KilledError
-	// (Reason "stall"). Zero disables.
+	// StallTimeout, when positive, kills the run when an engine finds,
+	// at its watch poll, that its own clock has not moved for this much
+	// wall-clock time — a livelock, events churning at one instant. It
+	// stops every engine and Run panics with a *KilledError (Reason
+	// "stall"). Zero disables. An engine that dispatches nothing at all
+	// reaches no poll; the farm's PointTimeout backstop covers that.
 	StallTimeout time.Duration
 }
 

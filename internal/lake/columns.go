@@ -85,7 +85,6 @@ var runColumns = []column{
 	{name: "cct_p99_us", gf: func(r *Row) *float64 { return &r.CCTP99Us }},
 	{name: "violations", gi: func(r *Row) *int64 { return &r.Violations }},
 	{name: "violations_dropped", gi: func(r *Row) *int64 { return &r.VioDropped }},
-	{name: "attempts", gi: func(r *Row) *int64 { return &r.Attempts }},
 	{name: "events", gi: func(r *Row) *int64 { return &r.Events }},
 	{name: "wall_ms", gf: func(r *Row) *float64 { return &r.WallMS }},
 	{name: "events_per_sec", gf: func(r *Row) *float64 { return &r.EventsPerSec }},

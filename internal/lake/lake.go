@@ -96,7 +96,6 @@ type Row struct {
 	CCTP99Us          float64 // coflow completion time p99 (log-bucket bound)
 	Violations        int64   // auditor violations kept in the artifact ("forensics" violation lines)
 	VioDropped        int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
-	Attempts          int64   // farm execution attempts that produced this artifact (config "attempts"; 0 = unfarmed or pre-retry)
 	Events            int64
 	WallMS            float64 // perf self-report; machine-dependent
 	EventsPerSec      float64
@@ -222,16 +221,8 @@ func FromRun(r *obs.Run, file string, salvaged bool) Row {
 	// A nonzero violations_dropped marks the kept violations as a
 	// truncated sample: the true count is at least Violations+VioDropped.
 	row.VioDropped = m.ViolationsDropped
-	row.Attempts = configInt(m.Config, "attempts")
-	row.RedKB = configInt(m.Config, "red_kb")
+	row.RedKB, _ = strconv.ParseInt(m.Config["red_kb"], 10, 64) // the farm's stamp; absent reads 0
 	return row
-}
-
-// configInt reads an integer the farm stamped into the manifest config;
-// absent or malformed reads 0.
-func configInt(config map[string]string, key string) int64 {
-	n, _ := strconv.ParseInt(config[key], 10, 64)
-	return n
 }
 
 // Index is the lake: every ingested run row plus the bench table.
@@ -281,8 +272,7 @@ func (ix *Index) IngestDir(dir string) (int, []error) {
 	return added, errs
 }
 
-// Sort orders rows by (sweep, scheme, topo, workload, load, deploy,
-// wq, options, fault sig, seed) so indexes built from the same runs
+// Sort orders rows by (ID, file) so indexes built from the same runs
 // compare byte-identically regardless of ingest order, and bench rows
 // by (generated_at, source, bench, metric, side), so they read in time
 // order.

@@ -114,9 +114,9 @@ type Engine struct {
 	// fast path (no clock reads).
 	profile func(Component, time.Duration)
 
-	// watch, when set, receives periodic progress publications and is
-	// polled for aborts (see Watch). Nil keeps the dispatch loop on the
-	// unobserved fast path.
+	// watch, when set, receives periodic progress publications and
+	// enforces its run's kill limits (see Watch). Nil keeps the dispatch
+	// loop on the unobserved fast path.
 	watch *Watch
 
 	// Processed counts events dispatched so far (for perf reporting).
@@ -372,24 +372,22 @@ func (e *Engine) Run(until Time) {
 	e.stopped = false
 	w := e.watch
 	if w != nil {
-		// A sticky abort makes every later Run a no-op dispatch-wise;
+		// A sticky kill makes every later Run a no-op dispatch-wise;
 		// the clock still advances to until below, so sharded windows
 		// keep their causality guarantees after a kill.
-		if w.abort.Load() {
+		if w.Aborted() {
 			e.stopped = true
+		} else {
+			w.publish(e.now, e.Processed)
 		}
-		w.publish(e.now, e.Processed)
 	}
 	for len(e.events) > 0 && !e.stopped {
 		next := e.events[0]
 		if next.at > until {
 			break
 		}
-		if w != nil && e.Processed&255 == 0 {
-			w.publish(next.at, e.Processed)
-			if w.abort.Load() {
-				break
-			}
+		if w != nil && e.Processed&255 == 0 && w.poll(next.at, e.Processed) {
+			break
 		}
 		e.popMin()
 		e.now = next.at
@@ -416,7 +414,7 @@ func (e *Engine) Run(until Time) {
 		e.now = until
 		e.cur = maxRank<<seqBits | (e.seq - 1)
 	}
-	if w != nil {
+	if w != nil && !w.Aborted() {
 		w.publish(e.now, e.Processed)
 	}
 }
