@@ -3,12 +3,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-core race-shard check examples-check figs figs-check figs-paper fig-csvs bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
+.PHONY: all build fmt vet test race race-core race-shard check examples-check figs figs-check figs-paper fig-csvs bench-sim bench-hot bench-ledger bench-pair loc lake-baseline lake-regression chaos-smoke introspection-smoke sweep-demo workload-demo forensics-demo faults-demo clean clean-results
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, naming them, when gofmt would rewrite any file.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -20,7 +24,7 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the packages with shared mutable hot paths (the
-# engine, the network, the transport stack incl. the scheme registry, and
+# engine, the network, the transport stack incl. the scheme table, and
 # the fault-plan scheduler that mutates ports mid-run); faster than the
 # full -race sweep, used as a dedicated CI job.
 race-core:
@@ -43,7 +47,7 @@ race-shard:
 	$(GO) test -race ./internal/sim/shard/
 	$(GO) test -race -run 'Sharded|TestProfileDigestIdentical|TestEach' ./internal/harness/
 
-check: vet build race
+check: fmt vet build race
 
 # The façade's examples, pinned: each builds and runs, and its stdout
 # must equal the checked-in examples/<name>/output.txt. Every one drives

@@ -34,6 +34,7 @@ import (
 	"flexpass/internal/prof"
 	"flexpass/internal/sim"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/workload"
 )
 
@@ -56,7 +57,7 @@ func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	var (
 		scheme = fs.String("scheme", transport.SchemeFlexPass,
-			"deployment scheme, one of: "+strings.Join(transport.SchemeNames(), ", "))
+			"deployment scheme, one of: "+strings.Join(schemes.Names(), ", "))
 		schemeOpts = fs.String("scheme-opt", "", "per-scheme options as comma-separated key=value pairs (e.g. reactive=reno,disable_proretx=1)")
 		deployment = fs.Float64("deployment", 0.5, "fraction of FlexPass/ExpressPass-enabled racks")
 		load       = fs.Float64("load", 0.5, "target core (ToR uplink) utilization")

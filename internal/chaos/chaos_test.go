@@ -14,6 +14,7 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/units"
+	"flexpass/internal/workload"
 )
 
 func testSpec() *Spec {
@@ -429,10 +430,40 @@ func brokenLinkRepro(t *testing.T) *Repro {
 				At: faults.TimeSpec(0), End: faults.TimeSpec(fullPS),
 			}},
 		},
-		Flows: []ReproFlow{
-			{Src: 3, Dst: 0, Size: 40000, AtPs: 0},                      // into the dead link: never completes
-			{Src: 2, Dst: 1, Size: 40000, AtPs: int64(sim.Microsecond)}, // healthy path: completes
+		Flows: []workload.FlowSpec{
+			{Src: 3, Dst: 0, Size: 40000, At: 0},               // into the dead link: never completes
+			{Src: 2, Dst: 1, Size: 40000, At: sim.Microsecond}, // healthy path: completes
 		},
+	}
+}
+
+// TestReproBytesStable pins the repro document's layout, pinned flows
+// included: written, parsed and written again, a repro is byte for byte
+// testdata/repro.json, which a build that kept its own flow type wrote
+// from the same repro.
+func TestReproBytesStable(t *testing.T) {
+	want, err := os.ReadFile("testdata/repro.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := brokenLinkRepro(t)
+	r.Flows = append(r.Flows, workload.FlowSpec{Src: 1, Dst: 2, Size: 8000, At: 3 * sim.Microsecond, Incast: true, Tenant: "rpc", Coflow: 7})
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "first.json"), filepath.Join(dir, "second.json")
+	if err := r.WriteFile(first); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseReproFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parsed.WriteFile(second); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{first, second} {
+		if got, err := os.ReadFile(p); err != nil || string(got) != string(want) {
+			t.Fatalf("%s (err %v):\n%s\nwant testdata/repro.json:\n%s", filepath.Base(p), err, got, want)
+		}
 	}
 }
 
@@ -524,7 +555,7 @@ func TestSoakWritesReproForFailure(t *testing.T) {
 		// sampled plan and flows with the known dead-downlink scenario.
 		Mutate: func(sc *harness.Scenario) {
 			sc.FaultPlan = src.Plan
-			sc.TraceFlows = fromReproFlows(src.Flows)
+			sc.TraceFlows = src.Flows
 		},
 	})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"flexpass/internal/faults"
 	"flexpass/internal/harness"
 	"flexpass/internal/planspec"
-	"flexpass/internal/sim"
 	"flexpass/internal/workload"
 )
 
@@ -20,47 +19,13 @@ import (
 // replay the full scenario rather than just its fault timeline.
 const ReproSchema = 1
 
-// ReproFlow is one pinned flow in a repro document: workload.FlowSpec
-// with stable JSON names. Pinning the flow list (instead of just the
-// workload seed) is what makes the flow set shrinkable — the ddmin
-// pass deletes entries and replays via the trace path.
-type ReproFlow struct {
-	Src    int    `json:"src"`
-	Dst    int    `json:"dst"`
-	Size   int64  `json:"size"`
-	AtPs   int64  `json:"at_ps"`
-	Incast bool   `json:"incast,omitempty"`
-	Tenant string `json:"tenant,omitempty"`
-	Coflow uint64 `json:"coflow,omitempty"`
-}
-
-func toReproFlows(fs []workload.FlowSpec) []ReproFlow {
-	out := make([]ReproFlow, len(fs))
-	for i, f := range fs {
-		out[i] = ReproFlow{
-			Src: f.Src, Dst: f.Dst, Size: f.Size, AtPs: int64(f.At),
-			Incast: f.Incast, Tenant: f.Tenant, Coflow: f.Coflow,
-		}
-	}
-	return out
-}
-
-func fromReproFlows(fs []ReproFlow) []workload.FlowSpec {
-	out := make([]workload.FlowSpec, len(fs))
-	for i, f := range fs {
-		out[i] = workload.FlowSpec{
-			Src: f.Src, Dst: f.Dst, Size: f.Size, At: sim.Time(f.AtPs),
-			Incast: f.Incast, Tenant: f.Tenant, Coflow: f.Coflow,
-		}
-	}
-	return out
-}
-
 // Repro is a self-contained failure reproduction: scenario
 // coordinates, oracle thresholds, the fault plan, and the pinned flow
 // list. Replay() rebuilds the exact scenario — the flow list rides the
 // trace path, so the replay is bit-identical to the failing trial
-// regardless of workload-generator evolution.
+// regardless of workload-generator evolution. Pinning the flow list
+// (instead of just the workload seed) is also what makes the flow set
+// shrinkable: the ddmin pass deletes entries and replays.
 type Repro struct {
 	Chaos   int     `json:"chaos"` // ReproSchema; also the format marker
 	Spec    string  `json:"spec,omitempty"`
@@ -68,11 +33,11 @@ type Repro struct {
 	Outcome Outcome `json:"outcome,omitempty"` // the failure class being reproduced
 	Detail  string  `json:"detail,omitempty"`
 	Coords
-	Oracles OracleSpec   `json:"oracles"`
-	Plan    *faults.Plan `json:"fault_plan,omitempty"`
-	Flows   []ReproFlow  `json:"flows,omitempty"`
-	Shrunk  bool         `json:"shrunk,omitempty"`
-	Probes  int          `json:"probes,omitempty"` // replays the shrinker spent
+	Oracles OracleSpec          `json:"oracles"`
+	Plan    *faults.Plan        `json:"fault_plan,omitempty"`
+	Flows   []workload.FlowSpec `json:"flows,omitempty"`
+	Shrunk  bool                `json:"shrunk,omitempty"`
+	Probes  int                 `json:"probes,omitempty"` // replays the shrinker spent
 }
 
 // IsRepro cheaply tests whether a JSON document is a chaos repro (as
@@ -138,9 +103,7 @@ func (r *Repro) WriteFile(p string) error {
 func (r *Repro) Scenario() harness.Scenario {
 	sc := r.Coords.Scenario(r.Oracles)
 	sc.FaultPlan = r.Plan
-	if r.Flows != nil {
-		sc.TraceFlows = fromReproFlows(r.Flows)
-	}
+	sc.TraceFlows = r.Flows
 	return sc
 }
 
@@ -164,6 +127,6 @@ func reproFor(t Trial, specName string, o OracleSpec, v Verdict) *Repro {
 		Coords:  t.Coords,
 		Oracles: o,
 		Plan:    t.Plan,
-		Flows:   toReproFlows(harness.Flows(sc)),
+		Flows:   harness.Flows(sc),
 	}
 }

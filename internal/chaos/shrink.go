@@ -6,6 +6,7 @@ import (
 
 	"flexpass/internal/faults"
 	"flexpass/internal/harness"
+	"flexpass/internal/workload"
 )
 
 // ShrinkResult reports a minimization: the shrunk repro plus how much
@@ -41,7 +42,7 @@ type ShrinkOptions struct {
 func Shrink(r *Repro, opt ShrinkOptions) (*ShrinkResult, error) {
 	work := *r
 	if work.Flows == nil {
-		work.Flows = toReproFlows(harness.Flows(work.Coords.Scenario(work.Oracles)))
+		work.Flows = harness.Flows(work.Coords.Scenario(work.Oracles))
 	}
 	res := &ShrinkResult{
 		EventsBefore: planLen(work.Plan),
@@ -88,7 +89,7 @@ func Shrink(r *Repro, opt ShrinkOptions) (*ShrinkResult, error) {
 	// Then the flow set. The floor is one flow: an empty pinned list
 	// would fall back to the generated workload, changing the scenario.
 	if len(work.Flows) > 1 {
-		work.Flows = ddmin(work.Flows, func(fs []ReproFlow) bool {
+		work.Flows = ddmin(work.Flows, func(fs []workload.FlowSpec) bool {
 			cand := work
 			cand.Flows = fs
 			return probe(cand).Outcome == target

@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -42,7 +43,7 @@ import (
 	"flexpass/internal/planspec"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
-	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -161,12 +162,12 @@ func ParseSpecFile(path string) (*Spec, error) {
 }
 
 // CheckNames validates scheme, topology and workload-distribution names
-// against the registries a scenario resolves them in — the one check
-// behind sweep specs (and so flexsim's flags), chaos specs and repros.
-// The error names what is known.
-func CheckNames(schemes, topologies, workloads []string) error {
-	registered := transport.SchemeNames()
-	for _, sch := range schemes {
+// against the tables a scenario resolves them in — the one check behind
+// sweep specs (and so flexsim's flags), chaos specs and repros. The
+// error names what is known.
+func CheckNames(schemeNames, topologies, workloads []string) error {
+	registered := schemes.Names()
+	for _, sch := range schemeNames {
 		if !slices.Contains(registered, sch) {
 			return fmt.Errorf("unknown scheme %q (registered: %s)", sch, strings.Join(registered, ", "))
 		}
@@ -209,28 +210,35 @@ func (s *Spec) Validate() error {
 	if err := CheckNames(s.Schemes, s.Topologies, named); err != nil {
 		return fmt.Errorf("farm: %w", err)
 	}
+	// The range checks are written so that NaN fails them.
 	for _, l := range s.Loads {
-		if l <= 0 || l > 1 {
+		if !(l > 0 && l <= 1) {
 			return fmt.Errorf("farm: load %g outside (0,1]", l)
 		}
 	}
 	for _, d := range s.Deployments {
-		if d < 0 || d > 1 {
+		if !(d >= 0 && d <= 1) {
 			return fmt.Errorf("farm: deployment %g outside [0,1]", d)
 		}
 	}
 	for _, w := range s.WQs {
-		if w <= 0 || w >= 1 {
+		if !(w > 0 && w < 1) {
 			return fmt.Errorf("farm: wq %g outside (0,1)", w)
 		}
+	}
+	if !(s.IncastFraction >= 0 && s.IncastFraction < 1) {
+		return fmt.Errorf("farm: incast %g outside [0,1)", s.IncastFraction)
 	}
 	for _, r := range s.RedKBs {
 		if r < 0 {
 			return fmt.Errorf("farm: red_kb %d negative", r)
 		}
 	}
-	if s.DurationMS < 0 || s.DrainMS != nil && *s.DrainMS < 0 {
-		return fmt.Errorf("farm: negative duration")
+	if !(s.DurationMS >= 0 && s.DurationMS <= math.MaxFloat64) {
+		return fmt.Errorf("farm: duration %g ms not finite and non-negative", s.DurationMS)
+	}
+	if s.DrainMS != nil && !(*s.DrainMS >= 0 && *s.DrainMS <= math.MaxFloat64) {
+		return fmt.Errorf("farm: drain %g ms not finite and non-negative", *s.DrainMS)
 	}
 	for _, n := range s.Shards {
 		if n < 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -80,10 +81,33 @@ func TestSpecValidation(t *testing.T) {
 		`{"scheme": ["flexpass"], "fault": ["garbage spec"]}`,
 		`{"scheme": ["flexpass"]} {"scheme": ["dctcp"]}`, // second document
 		`{"scheme": ["flexpass"]} trailing`,
+		`{"scheme": ["flexpass"], "incast": 1}`,  // incast out of range
+		`{"scheme": ["flexpass"], "incast": -1}`, // incast out of range
+		`{"scheme": ["flexpass"], "drain_ms": -1}`,
 	}
 	for _, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {
 			t.Errorf("spec %s accepted", in)
+		}
+	}
+	// JSON has no NaN or Inf; flexsim's flags build a Spec directly.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*Spec){
+		"load NaN":       func(s *Spec) { s.Loads = []float64{nan} },
+		"deployment NaN": func(s *Spec) { s.Deployments = []float64{nan} },
+		"wq NaN":         func(s *Spec) { s.WQs = []float64{nan} },
+		"incast NaN":     func(s *Spec) { s.IncastFraction = nan },
+		"incast 1.5":     func(s *Spec) { s.IncastFraction = 1.5 },
+		"incast -1":      func(s *Spec) { s.IncastFraction = -1 },
+		"duration NaN":   func(s *Spec) { s.DurationMS = nan },
+		"duration Inf":   func(s *Spec) { s.DurationMS = inf },
+		"drain NaN":      func(s *Spec) { s.DrainMS = &nan },
+		"drain Inf":      func(s *Spec) { s.DrainMS = &inf },
+	} {
+		s := Spec{Schemes: []string{"flexpass"}}
+		mutate(&s)
+		if err := s.Validate(); err == nil || !strings.HasPrefix(err.Error(), "farm: ") {
+			t.Errorf("%s: Validate returned %v, want a farm: error", name, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"path"
 	"slices"
 	"strings"
-	"sync"
 
 	"flexpass/internal/netem"
 	"flexpass/internal/obs"
@@ -18,21 +17,32 @@ import (
 // pattern) and the kind-specific magnitude — logged as its artifact
 // line as the scheduled timers fire. Engage and clear are logged
 // separately (an Event with End yields two actions per matched port).
-// It doubles as the telemetry bridge: Register exposes the running
-// action count. Sharded runs fire timers from several shard goroutines,
-// so the log is mutex-guarded.
+// Each engine appends to a log of its own, so the shards of a run never
+// share one; Register bridges an engine's running action count into that
+// engine's stats registry.
 type Applied struct {
 	Plan *Plan
 
-	mu      sync.Mutex
-	actions []obs.FaultData
+	logs map[*sim.Engine]*[]obs.FaultData
 }
 
-// Len returns the number of actions fired so far.
+// Len returns the number of actions fired; read it once the run is over.
 func (a *Applied) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.actions)
+	n := 0
+	for _, l := range a.logs {
+		n += len(*l)
+	}
+	return n
+}
+
+// log returns eng's action log, made on first use during set-up.
+func (a *Applied) log(eng *sim.Engine) *[]obs.FaultData {
+	l := a.logs[eng]
+	if l == nil {
+		l = new([]obs.FaultData)
+		a.logs[eng] = l
+	}
+	return l
 }
 
 // Apply resolves every event's link pattern against the network's port
@@ -48,7 +58,7 @@ func Apply(p *Plan, eng *sim.Engine, net *netem.Network) (*Applied, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Applied{Plan: p}
+	a := &Applied{Plan: p, logs: map[*sim.Engine]*[]obs.FaultData{}}
 	// All fault timers — and anything their engage/clear closures
 	// schedule — attribute to the "faults" component. A port always
 	// schedules on its own engine so sharded runs flip port state from
@@ -80,18 +90,19 @@ func Apply(p *Plan, eng *sim.Engine, net *netem.Network) (*Applied, error) {
 				pe = e
 			}
 			faultsComp(pe)
+			log := a.log(pe)
 			engage, clear, val := actions(ev, port)
 			at := ev.At.Time()
 			pe.At(at, func() {
 				engage()
-				a.record(at, ev.Kind, port, val)
+				record(log, at, ev.Kind, port, val)
 			})
 			if ev.End != 0 && clear != nil {
 				end := ev.End.Time()
 				kind := clearKind(ev.Kind)
 				pe.At(end, func() {
 					clear()
-					a.record(end, kind, port, 0)
+					record(log, end, kind, port, 0)
 				})
 			}
 		}
@@ -175,35 +186,36 @@ func clearKind(k Kind) Kind {
 	}
 }
 
-// record appends one fired action to the log.
-func (a *Applied) record(at sim.Time, kind Kind, p *netem.Port, val float64) {
-	a.mu.Lock()
-	a.actions = append(a.actions, obs.FaultData{AtPs: int64(at), Kind: string(kind), Link: p.Name(), Value: val})
-	a.mu.Unlock()
+// record appends one fired action to its engine's log.
+func record(log *[]obs.FaultData, at sim.Time, kind Kind, p *netem.Port, val float64) {
+	*log = append(*log, obs.FaultData{AtPs: int64(at), Kind: string(kind), Link: p.Name(), Value: val})
 }
 
-// Register exposes the plan's execution progress in the stats registry
-// under entity "faults": the number of actions fired so far.
-func (a *Applied) Register(reg *obs.Registry) {
+// Register exposes the actions fired on eng in eng's stats registry under
+// entity "faults" as "actions_applied". Each plane of a run registers
+// its own; the run's counter is their sum (obs.MergeRuns).
+func (a *Applied) Register(reg *obs.Registry, eng *sim.Engine) {
 	if reg == nil || a == nil {
 		return
 	}
+	log := a.log(eng)
 	reg.CounterFunc("faults", "actions_applied", func() int64 {
-		return int64(a.Len())
+		return int64(len(*log))
 	})
 }
 
-// Export returns a sorted copy of the fired-action log. Sharded runs
-// append from several goroutines in nondeterministic interleave, so the
-// sort key covers the whole line — (time, kind, link, value) — making the
-// artifact a pure function of what fired, not of goroutine scheduling.
+// Export returns the fired-action log of every engine, merged and sorted
+// once the run is over. The sort key covers the whole line — (time,
+// kind, link, value) — so the artifact is a pure function of what fired,
+// not of which engine fired it.
 func (a *Applied) Export() []obs.FaultData {
 	if a == nil {
 		return nil
 	}
-	a.mu.Lock()
-	out := append(make([]obs.FaultData, 0, len(a.actions)), a.actions...)
-	a.mu.Unlock()
+	out := make([]obs.FaultData, 0, a.Len())
+	for _, l := range a.logs {
+		out = append(out, *l...)
+	}
 	slices.SortStableFunc(out, func(x, y obs.FaultData) int {
 		return cmp.Or(cmp.Compare(x.AtPs, y.AtPs), strings.Compare(x.Kind, y.Kind),
 			strings.Compare(x.Link, y.Link), cmp.Compare(x.Value, y.Value))

@@ -9,7 +9,7 @@ import (
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
-	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -60,7 +60,7 @@ func faultScenario(scheme Scheme) Scenario {
 // actually injected, every flow still completes inside the generous
 // drain, and the stray-packet / RTO counters stay bounded.
 func TestFlapAndRecoverAllSchemes(t *testing.T) {
-	for _, name := range transport.SchemeNames() {
+	for _, name := range schemes.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			sc := faultScenario(Scheme(name))
@@ -115,7 +115,7 @@ func TestFlapAndRecoverAllSchemes(t *testing.T) {
 // engines but the plan's schedule is position-independent. (The name
 // carries "Sharded" so the race-detector shard suite picks it up.)
 func TestFlapAndRecoverShardedSchemes(t *testing.T) {
-	for _, name := range transport.SchemeNames() {
+	for _, name := range schemes.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			run := func(shards int) *Result {

@@ -21,6 +21,7 @@ import (
 	"flexpass/internal/topo"
 	"flexpass/internal/trace"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 )
 
 // plane is everything one engine owns while a run executes: its scheme
@@ -57,7 +58,7 @@ type plane struct {
 // instance is a scheme built on a plane, with the profiling component
 // its flow starts run under.
 type instance struct {
-	transport.Scheme
+	*schemes.Scheme
 	comp sim.Component
 }
 
@@ -67,7 +68,7 @@ type instance struct {
 func (pl *plane) scheme(name string) *instance {
 	in := pl.schemes[name]
 	if in == nil {
-		sch, err := transport.NewScheme(name, pl.env)
+		sch, err := schemes.New(name, pl.env)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
@@ -125,10 +126,10 @@ func (pl *plane) startNext() {
 func (pl *plane) start(in *instance, fl *transport.Flow) {
 	prev := pl.eng.SetComponent(in.comp)
 	if fl.Dst.Eng == pl.eng {
-		in.StartReceiver(fl)
+		in.StartReceiver(pl.eng, fl)
 	}
 	if fl.Src.Eng == pl.eng {
-		in.StartSender(fl)
+		in.StartSender(pl.eng, fl)
 		pl.started.Add(1)
 	}
 	pl.eng.SetComponent(prev)
@@ -223,7 +224,6 @@ func Open(sc Scenario) *Session {
 		// Every env sees the same oracle weight and options; only the
 		// engine, registry, and ring differ.
 		pl.env = &transport.SchemeEnv{
-			Eng:      pl.eng,
 			LinkRate: sc.LinkRate,
 			WQ:       sc.WQ,
 			OracleWQ: plan.oracleWQ,
@@ -247,7 +247,7 @@ func Open(sc Scenario) *Session {
 		HostDelay: sc.HostDelay,
 		SwitchBuf: sc.SwitchBuf,
 		BufAlpha:  sc.BufAlpha,
-		Profile:   planes[0].scheme(string(sc.Scheme)).Profile(),
+		Profile:   planes[0].scheme(string(sc.Scheme)).Profile,
 	})
 	s.fab = fab
 	// planeOf maps node i to its plane under the fabric's host or switch
@@ -263,9 +263,9 @@ func Open(sc Scenario) *Session {
 	}
 
 	// Nodes, their agents, and telemetry live with the plane that owns
-	// them. Each registry is sized once for its share of the fabric and,
-	// on plane 0, the fault plan's one action counter: it registers after
-	// the fabric, and one source past the size would copy the registry.
+	// them. Each registry is sized once for its share of the fabric and
+	// the fault plan's action counter: it registers after the fabric, and
+	// one source past the size would copy the registry.
 	if tel != nil {
 		room := make(map[*plane]int, n)
 		for i, sw := range fab.Net.Switches {
@@ -274,10 +274,10 @@ func Open(sc Scenario) *Session {
 		for i, h := range fab.Net.Hosts {
 			room[planeOf(fab.HostShard, i)] += h.Sources()
 		}
-		if sc.FaultPlan != nil {
-			room[planes[0]]++
-		}
 		for _, pl := range planes {
+			if sc.FaultPlan != nil {
+				room[pl]++
+			}
 			pl.reg.Grow(room[pl])
 		}
 	}
@@ -297,14 +297,16 @@ func Open(sc Scenario) *Session {
 	// Apply the fault plan at a fixed point in setup — after the fabric
 	// and observers exist, before any flow arrival is scheduled — so each
 	// engine's event tie-break order is a pure function of the scenario.
-	// Actions schedule on each matched port's own engine (see
-	// faults.Apply); the action-count bridge registers on plane 0.
+	// Actions schedule and log on each matched port's own engine (see
+	// faults.Apply), and each plane counts its own.
 	if sc.FaultPlan != nil {
 		applied, err := faults.Apply(sc.FaultPlan, engs[0], fab.Net)
 		if err != nil {
 			panic(fmt.Sprintf("harness: %v", err))
 		}
-		applied.Register(planes[0].reg)
+		for _, pl := range planes {
+			applied.Register(pl.reg, pl.eng)
+		}
 		s.res.Faults = applied
 	}
 

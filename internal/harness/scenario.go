@@ -20,7 +20,6 @@ import (
 	"flexpass/internal/topo"
 	"flexpass/internal/trace"
 	"flexpass/internal/transport"
-	_ "flexpass/internal/transport/schemes" // link the built-in schemes in
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -28,8 +27,8 @@ import (
 // Scheme is a deployment strategy from §6.2.
 type Scheme string
 
-// The compared schemes. Any name registered with transport.RegisterScheme
-// is accepted; these are the ones the paper's figures sweep.
+// The compared schemes. Any name in schemes.Names() is accepted; these
+// are the ones the paper's figures sweep.
 const (
 	SchemeNaive        Scheme = transport.SchemeNaive        // ExpressPass sharing the legacy queue, full-rate credits
 	SchemeOWF          Scheme = transport.SchemeOWF          // oracle weighted fair queueing

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"flexpass/internal/sim"
-	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/workload"
 )
 
@@ -82,9 +82,10 @@ func TestSessionOnePlaneOnly(t *testing.T) {
 // orderScheme records which half of a flow was started when.
 type orderScheme struct{ calls []string }
 
-func (s *orderScheme) Profile() topo.PortProfile        { return nil }
-func (s *orderScheme) StartSender(fl *transport.Flow)   { s.calls = append(s.calls, "sender") }
-func (s *orderScheme) StartReceiver(fl *transport.Flow) { s.calls = append(s.calls, "receiver") }
+func (s *orderScheme) StartSender(*sim.Engine, *transport.Flow) { s.calls = append(s.calls, "sender") }
+func (s *orderScheme) StartReceiver(*sim.Engine, *transport.Flow) {
+	s.calls = append(s.calls, "receiver")
+}
 
 // TestStartReceiverFirst pins a plane's start order: the receiving
 // endpoint is registered before the sender can put a frame on the wire.
@@ -93,7 +94,7 @@ func TestStartReceiverFirst(t *testing.T) {
 	pl := &plane{eng: eng, started: new(atomic.Int64)}
 	s := &orderScheme{}
 	end := &transport.Agent{Eng: eng}
-	pl.start(&instance{Scheme: s}, &transport.Flow{ID: 1, Src: end, Dst: end})
+	pl.start(&instance{Scheme: &schemes.Scheme{Halves: s}}, &transport.Flow{ID: 1, Src: end, Dst: end})
 	if len(s.calls) != 2 || s.calls[0] != "receiver" || s.calls[1] != "sender" {
 		t.Fatalf("start called %v, want [receiver sender]", s.calls)
 	}

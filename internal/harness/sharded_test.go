@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,11 +15,12 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
 
-// allSchemeNames is every registered built-in scheme, paper order.
+// allSchemeNames is every scheme of the table, paper order.
 var allSchemeNames = []Scheme{
 	Scheme(transport.SchemeDCTCP),
 	Scheme(transport.SchemeExpressPass),
@@ -30,6 +32,20 @@ var allSchemeNames = []Scheme{
 	SchemeFlexPassRC3,
 	Scheme(transport.SchemeHoma),
 	Scheme(transport.SchemePHost),
+}
+
+// TestAllSchemeNamesCoverTable keeps the sharded, frame-balance and
+// session suites on every scheme: a new table entry fails here until it
+// joins allSchemeNames.
+func TestAllSchemeNamesCoverTable(t *testing.T) {
+	var names []string
+	for _, s := range allSchemeNames {
+		names = append(names, string(s))
+	}
+	slices.Sort(names)
+	if want := schemes.Names(); !slices.Equal(names, want) {
+		t.Fatalf("allSchemeNames = %v, want schemes.Names() = %v", names, want)
+	}
 }
 
 // shardScenario is a small 4-pod Clos (8 hosts, 2 cores) that actually
@@ -342,6 +358,48 @@ func TestShardedFaultPlanRunTwice(t *testing.T) {
 				t.Fatal("fault plan injected no losses; scenario does not exercise the faults")
 			}
 		})
+	}
+}
+
+// TestShardedFaultCounter: every plane counts the fault actions its own
+// engine fires, so a two-shard faulted run with telemetry writes the same
+// artifact every time, and the merged faults/actions_applied counter is
+// the number of fault lines.
+func TestShardedFaultCounter(t *testing.T) {
+	var want [][]byte
+	for run := range 3 {
+		sc := shardFaultScenario(SchemeFlexPass)
+		sc.Shards = 2
+		sc.Drain = 10 * sim.Millisecond // past the plan's last action, at 4 ms
+		sc.FaultPlan = shardFaultPlan(t)
+		sc.Telemetry = &obs.Options{}
+		tel := Run(sc).Telemetry
+		applied := int64(-1)
+		for _, c := range tel.Counters {
+			if c.Entity == "faults" && c.Metric == "actions_applied" {
+				applied = c.Value
+			}
+		}
+		if applied != int64(len(tel.Faults)) || applied == 0 {
+			t.Fatalf("run %d: faults/actions_applied = %d, the artifact has %d fault lines", run, applied, len(tel.Faults))
+		}
+		var buf bytes.Buffer
+		if err := tel.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got := bytes.SplitAfter(buf.Bytes(), []byte("\n"))[1:]
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range min(len(got), len(want)) {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("run %d: line %d differs from run 0:\n got %.300s\nwant %.300s", run, i+2, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d lines, run 0 wrote %d", run, len(got)+1, len(want)+1)
+		}
 	}
 }
 

@@ -220,16 +220,13 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins transmission.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
+func (cfg *Config) StartSender(eng *sim.Engine, flow *transport.Flow) {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeDCTCP)
 	s.Begin()
-	return s
 }
 
 // StartReceiver wires only the receive side.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	r := NewReceiver(eng, flow, cfg)
-	core.StartReceiverSide(flow, r)
-	return r
+func (cfg *Config) StartReceiver(eng *sim.Engine, flow *transport.Flow) {
+	core.StartReceiverSide(flow, NewReceiver(eng, flow, cfg))
 }

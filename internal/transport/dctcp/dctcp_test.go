@@ -13,8 +13,9 @@ import (
 // then StartSender, which transmits immediately.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
 	flow.Src.Flows.Add(flow)
-	r := StartReceiver(eng, flow, &cfg)
-	return StartSender(eng, flow, &cfg), r
+	cfg.StartReceiver(eng, flow)
+	cfg.StartSender(eng, flow)
+	return flow.Sender.(*Sender), flow.Receiver.(*Receiver)
 }
 
 func testFabric(t *testing.T, hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent) {

@@ -16,8 +16,9 @@ import (
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
 	flow.Src.Flows.Add(flow)
-	r := StartReceiver(eng, flow, &cfg)
-	return StartSender(eng, flow, &cfg), r
+	cfg.StartReceiver(eng, flow)
+	cfg.StartSender(eng, flow)
+	return flow.Sender.(*Sender), flow.Receiver.(*Receiver)
 }
 
 const gig = units.Gbps
@@ -129,8 +130,8 @@ func TestExpressPassStarvesDCTCPInSharedQueue(t *testing.T) {
 	Start(eng, xp, DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10*gig))))
 	legacy := dctcp.LegacyConfig()
 	dc.Src.Flows.Add(dc)
-	dctcp.StartReceiver(eng, dc, &legacy)
-	dctcp.StartSender(eng, dc, &legacy)
+	legacy.StartReceiver(eng, dc)
+	legacy.StartSender(eng, dc)
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -154,8 +155,8 @@ func TestLayeredModeDoesNotStarveDCTCP(t *testing.T) {
 	Start(eng, xp, cfg)
 	legacy := dctcp.LegacyConfig()
 	dc.Src.Flows.Add(dc)
-	dctcp.StartReceiver(eng, dc, &legacy)
-	dctcp.StartSender(eng, dc, &legacy)
+	legacy.StartReceiver(eng, dc)
+	legacy.StartSender(eng, dc)
 	eng.Run(60 * sim.Millisecond)
 	tot := xp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -87,8 +87,8 @@ func TestDCTCPSurvivesRandomLoss(t *testing.T) {
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 2_000_000, Transport: "dctcp", Legacy: true}
 	legacy := dctcp.LegacyConfig()
 	fl.Src.Flows.Add(fl)
-	dctcp.StartReceiver(eng, fl, &legacy)
-	dctcp.StartSender(eng, fl, &legacy)
+	legacy.StartReceiver(eng, fl)
+	legacy.StartSender(eng, fl)
 	eng.Run(2 * sim.Second)
 	if !fl.Completed {
 		t.Fatal("DCTCP did not complete under 2% loss")

@@ -799,17 +799,14 @@ func (r *Receiver) checkComplete() {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
+func (cfg *Config) StartSender(eng *sim.Engine, flow *transport.Flow) {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemeFlexPass)
 	s.Begin()
-	return s
 }
 
 // StartReceiver wires only the receive side: the proactive credit source
 // it owns runs on the destination host's engine.
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	r := NewReceiver(eng, flow, cfg)
-	core.StartReceiverSide(flow, r)
-	return r
+func (cfg *Config) StartReceiver(eng *sim.Engine, flow *transport.Flow) {
+	core.StartReceiverSide(flow, NewReceiver(eng, flow, cfg))
 }

@@ -17,8 +17,9 @@ import (
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
 	flow.Src.Flows.Add(flow)
-	r := StartReceiver(eng, flow, &cfg)
-	return StartSender(eng, flow, &cfg), r
+	cfg.StartReceiver(eng, flow)
+	cfg.StartSender(eng, flow)
+	return flow.Sender.(*Sender), flow.Receiver.(*Receiver)
 }
 
 const gig = units.Gbps
@@ -78,8 +79,8 @@ func TestFlexPassSharesFairlyWithDCTCP(t *testing.T) {
 	Start(eng, fp, flexCfg(10*gig, 0.5))
 	legacy := dctcp.LegacyConfig()
 	dc.Src.Flows.Add(dc)
-	dctcp.StartReceiver(eng, dc, &legacy)
-	dctcp.StartSender(eng, dc, &legacy)
+	legacy.StartReceiver(eng, dc)
+	legacy.StartSender(eng, dc)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)
@@ -333,8 +334,9 @@ func TestRecordArraysReused(t *testing.T) {
 		fl := fpFlow(id, ag[0], ag[1], 1_000_000)
 		fl.Start = eng.Now()
 		fl.Src.Flows.Add(fl)
-		StartReceiver(eng, fl, &cfg)
-		s := StartSender(eng, fl, &cfg)
+		cfg.StartReceiver(eng, fl)
+		cfg.StartSender(eng, fl)
+		s := fl.Sender.(*Sender)
 		for !fl.Completed {
 			eng.Run(eng.Now() + sim.Millisecond)
 		}

@@ -41,8 +41,8 @@ func TestRenoReactiveStillYieldsToLegacy(t *testing.T) {
 	Start(eng, fp, cfg)
 	legacy := dctcp.LegacyConfig()
 	dc.Src.Flows.Add(dc)
-	dctcp.StartReceiver(eng, dc, &legacy)
-	dctcp.StartSender(eng, dc, &legacy)
+	legacy.StartReceiver(eng, dc)
+	legacy.StartSender(eng, dc)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -15,8 +15,9 @@ import (
 // StartReceiver, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, cfg Config) (*Sender, *Receiver) {
 	flow.Src.Flows.Add(flow)
-	r := StartReceiver(eng, flow, &cfg)
-	return StartSender(eng, flow, &cfg), r
+	cfg.StartReceiver(eng, flow)
+	cfg.StartSender(eng, flow)
+	return flow.Sender.(*Sender), flow.Receiver.(*Receiver)
 }
 
 const gig = units.Gbps
@@ -108,8 +109,8 @@ func TestManyHomaFlowsStarveDCTCP(t *testing.T) {
 		dcFlows = append(dcFlows, fl)
 		legacy := dctcp.LegacyConfig()
 		fl.Src.Flows.Add(fl)
-		dctcp.StartReceiver(eng, fl, &legacy)
-		dctcp.StartSender(eng, fl, &legacy)
+		legacy.StartReceiver(eng, fl)
+		legacy.StartSender(eng, fl)
 		id++
 	}
 	eng.Run(60 * sim.Millisecond)

@@ -1,16 +1,17 @@
 package transport
 
-// Registry-owned scheme and transport-label names. Every package that
-// composes transports (harness scenarios, the testbed façade, cmd tools)
-// refers to these constants instead of scattering string literals.
+// Scheme and transport-label names. Every package that composes
+// transports (the scheme table, harness scenarios, the testbed façade,
+// cmd tools) refers to these constants instead of scattering string
+// literals.
 //
-// A name is both a registry key (RegisterScheme/NewScheme) and, for the
+// A name is both a key of the scheme table (schemes.New) and, for the
 // plain transports, the Flow.Transport label the scheme stamps on the
 // flows it starts. The deployment schemes naive/owf label their flows
 // "expresspass" (they are ExpressPass under different queue profiles and
 // credit rates), and the flexpass ablations label theirs "flexpass".
 const (
-	// Plain transports (registry name == flow label).
+	// Plain transports (scheme name == flow label).
 	SchemeDCTCP       = "dctcp"
 	SchemeExpressPass = "expresspass"
 	SchemeLayering    = "layering"
@@ -25,7 +26,7 @@ const (
 	SchemeFlexPassRC3  = "flexpass-rc3"  // §4.3 ablation: RC3-style flow splitting
 )
 
-// Scheme option keys understood by the built-in factories (passed as the
+// Scheme option keys understood by the scheme table (passed as the
 // SchemeEnv.Options map; harness.Scenario.SchemeOptions feeds it).
 const (
 	// OptDisableProRetx ("true") ablates FlexPass's proactive

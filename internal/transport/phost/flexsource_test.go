@@ -16,13 +16,13 @@ import (
 // by pHost token arbitration instead of the ExpressPass pacer.
 func flexOverPHost(eng *sim.Engine, fl *transport.Flow, arb *Arbiter, rate units.Rate) {
 	cfg := flexpass.DefaultConfig(core.DefaultPacerConfig(netem.CreditRateFor(rate, 0.5)))
-	tokens := DefaultConfig()
+	tokens := DefaultConfig(rate)
 	cfg.NewCreditSource = func(e *sim.Engine, f *transport.Flow) flexpass.CreditSource {
 		return NewFlexSource(e, arb, f, &tokens)
 	}
 	fl.Src.Flows.Add(fl)
-	flexpass.StartReceiver(eng, fl, &cfg)
-	flexpass.StartSender(eng, fl, &cfg)
+	cfg.StartReceiver(eng, fl)
+	cfg.StartSender(eng, fl)
 }
 
 func TestFlexPassOverPHostCompletes(t *testing.T) {
@@ -57,8 +57,8 @@ func TestFlexPassOverPHostCoexistsWithDCTCP(t *testing.T) {
 	flexOverPHost(eng, fp, arbs[2], 10*gig)
 	legacy := dctcp.LegacyConfig()
 	dc.Src.Flows.Add(dc)
-	dctcp.StartReceiver(eng, dc, &legacy)
-	dctcp.StartSender(eng, dc, &legacy)
+	legacy.StartReceiver(eng, dc)
+	legacy.StartSender(eng, dc)
 	eng.Run(60 * sim.Millisecond)
 	tot := fp.RxBytes + dc.RxBytes
 	dcShare := float64(dc.RxBytes) / float64(tot)

@@ -43,11 +43,16 @@ type Config struct {
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
 	Stats transport.Counters
+
+	// arbiters are the receivers' token arbiters, shared by every copy
+	// of the config.
+	arbiters arbiters
 }
 
-// DefaultConfig returns a reasonable setup for the given fabric. A scheme
-// builds it once and its endpoints share it by pointer, read-only.
-func DefaultConfig() Config {
+// DefaultConfig returns a reasonable setup for a fabric whose receiver
+// downlinks run at downlink. A scheme builds it once and its endpoints
+// share it by pointer; only its arbiters change as flows land.
+func DefaultConfig(downlink units.Rate) Config {
 	return Config{
 		DataClass:      netem.ClassFlex,
 		AckClass:       netem.ClassFlex,
@@ -56,6 +61,7 @@ func DefaultConfig() Config {
 		OutstandingCap: 16,
 		TokenTimeout:   500 * sim.Microsecond,
 		MinRTO:         4 * sim.Millisecond,
+		arbiters:       arbiters{downlink, map[*netem.Host]*Arbiter{}},
 	}
 }
 
@@ -362,17 +368,34 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 
 // StartSender wires only the send side, on the source host's engine, and
 // begins the flow with its RTS.
-func StartSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
+func (cfg *Config) StartSender(eng *sim.Engine, flow *transport.Flow) {
 	s := NewSender(eng, flow, cfg)
 	core.StartSenderSide(flow, s, cfg.Stats, cfg.Trace, transport.SchemePHost)
 	s.Begin()
-	return s
 }
 
 // StartReceiver wires only the receive side onto the destination host's
-// arbiter (which lives on the destination shard).
-func StartReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg *Config) *Receiver {
-	r := NewReceiver(eng, flow, arb, cfg)
-	core.StartReceiverSide(flow, r)
-	return r
+// arbiter, made on the destination host's engine by the first flow that
+// lands there.
+func (cfg *Config) StartReceiver(eng *sim.Engine, flow *transport.Flow) {
+	core.StartReceiverSide(flow, NewReceiver(eng, flow, cfg.arbiters.of(eng, flow.Dst.Host), cfg))
+}
+
+// arbiters holds one token arbiter per destination host, pacing tokens
+// at the downlink rate: pHost serialises tokens per receiver downlink, so
+// every flow that lands on a host shares its arbiter.
+type arbiters struct {
+	downlink units.Rate
+	byHost   map[*netem.Host]*Arbiter
+}
+
+// of returns host's arbiter, making it on first use on eng, the engine of
+// the downlink it paces.
+func (a arbiters) of(eng *sim.Engine, host *netem.Host) *Arbiter {
+	arb := a.byHost[host]
+	if arb == nil {
+		arb = NewArbiter(eng, host, a.downlink)
+		a.byHost[host] = arb
+	}
+	return arb
 }

@@ -3,6 +3,7 @@ package phost
 import (
 	"testing"
 
+	"flexpass/internal/netem"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
@@ -10,11 +11,13 @@ import (
 )
 
 // Start begins both halves of a pHost flow on one engine — StartReceiver
-// on the receiver host's arbiter, then StartSender.
+// on arb, as the receiver host's arbiter, then StartSender.
 func Start(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg Config) (*Sender, *Receiver) {
 	flow.Src.Flows.Add(flow)
-	r := StartReceiver(eng, flow, arb, &cfg)
-	return StartSender(eng, flow, &cfg), r
+	cfg.arbiters.byHost = map[*netem.Host]*Arbiter{flow.Dst.Host: arb}
+	cfg.StartReceiver(eng, flow)
+	cfg.StartSender(eng, flow)
+	return flow.Sender.(*Sender), flow.Receiver.(*Receiver)
 }
 
 const gig = units.Gbps
@@ -42,7 +45,7 @@ func fabric(hosts int) (*sim.Engine, *topo.Fabric, []*transport.Agent, []*Arbite
 func TestSingleFlowCompletes(t *testing.T) {
 	eng, _, ag, arbs := fabric(2)
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 5_000_000, Transport: "phost"}
-	Start(eng, fl, arbs[1], DefaultConfig())
+	Start(eng, fl, arbs[1], DefaultConfig(10*gig))
 	eng.Run(100 * sim.Millisecond)
 	if !fl.Completed {
 		t.Fatal("flow did not complete")
@@ -59,7 +62,7 @@ func TestSingleFlowCompletes(t *testing.T) {
 func TestTinyFlowRidesFreeWindow(t *testing.T) {
 	eng, _, ag, arbs := fabric(2)
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 4000, Transport: "phost"}
-	Start(eng, fl, arbs[1], DefaultConfig())
+	Start(eng, fl, arbs[1], DefaultConfig(10*gig))
 	eng.Run(10 * sim.Millisecond)
 	if !fl.Completed {
 		t.Fatal("flow did not complete")
@@ -80,7 +83,7 @@ func TestArbiterSharesDownlinkRoundRobin(t *testing.T) {
 	eng, _, ag, arbs := fabric(3)
 	f1 := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[2], Size: 20_000_000, Transport: "phost"}
 	f2 := &transport.Flow{ID: 2, Src: ag[1], Dst: ag[2], Size: 20_000_000, Transport: "phost"}
-	cfg := DefaultConfig()
+	cfg := DefaultConfig(10 * gig)
 	Start(eng, f1, arbs[2], cfg)
 	Start(eng, f2, arbs[2], cfg)
 	eng.Run(20 * sim.Millisecond)
@@ -103,7 +106,7 @@ func TestOutstandingCapStopsTokenLeak(t *testing.T) {
 	eng, fab, ag, arbs := fabric(2)
 	fab.Net.Switches[0].Ports()[1].SetLossRate(1.0)
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 1_000_000, Transport: "phost"}
-	Start(eng, fl, arbs[1], DefaultConfig())
+	Start(eng, fl, arbs[1], DefaultConfig(10*gig))
 	eng.Run(20 * sim.Millisecond)
 	if fl.Completed {
 		t.Fatal("flow cannot complete over a dead link")
@@ -119,7 +122,7 @@ func TestRecoveryUnderPartialLoss(t *testing.T) {
 	eng, fab, ag, arbs := fabric(2)
 	fab.Net.Switches[0].Ports()[1].SetLossRate(0.02)
 	fl := &transport.Flow{ID: 1, Src: ag[0], Dst: ag[1], Size: 2_000_000, Transport: "phost"}
-	Start(eng, fl, arbs[1], DefaultConfig())
+	Start(eng, fl, arbs[1], DefaultConfig(10*gig))
 	eng.Run(sim.Second)
 	if !fl.Completed {
 		t.Fatal("flow did not recover under 2% loss")
@@ -132,7 +135,7 @@ func TestRecoveryUnderPartialLoss(t *testing.T) {
 func TestManyFlowsAllComplete(t *testing.T) {
 	eng, _, ag, arbs := fabric(9)
 	var flows []*transport.Flow
-	cfg := DefaultConfig()
+	cfg := DefaultConfig(10 * gig)
 	for i := 0; i < 40; i++ {
 		fl := &transport.Flow{ID: uint64(i + 1), Src: ag[i%8], Dst: ag[8], Size: 64_000, Transport: "phost"}
 		flows = append(flows, fl)

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,47 +9,33 @@ import (
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
-	_ "flexpass/internal/transport/schemes"
+	"flexpass/internal/transport/schemes"
 	"flexpass/internal/units"
 )
 
+// TestSchemeNamesIncludeBuiltins pins the table to the ten schemes.
 func TestSchemeNamesIncludeBuiltins(t *testing.T) {
-	names := transport.SchemeNames()
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
+	want := []string{
+		transport.SchemeDCTCP, transport.SchemeExpressPass, transport.SchemeFlexPass,
+		transport.SchemeFlexPassAltQ, transport.SchemeFlexPassRC3, transport.SchemeHoma,
+		transport.SchemeLayering, transport.SchemeNaive, transport.SchemeOWF,
+		transport.SchemePHost,
 	}
-	for _, want := range []string{
-		transport.SchemeDCTCP, transport.SchemeExpressPass, transport.SchemeLayering,
-		transport.SchemeFlexPass, transport.SchemeHoma, transport.SchemePHost,
-		transport.SchemeNaive, transport.SchemeOWF,
-		transport.SchemeFlexPassAltQ, transport.SchemeFlexPassRC3,
-	} {
-		if !have[want] {
-			t.Errorf("built-in scheme %q not registered (have %v)", want, names)
-		}
+	if names := schemes.Names(); !slices.Equal(names, want) {
+		t.Fatalf("schemes.Names() = %v, want %v", names, want)
 	}
 }
 
 func TestNewSchemeUnknown(t *testing.T) {
-	_, err := transport.NewScheme("no-such-scheme", &transport.SchemeEnv{})
+	_, err := schemes.New("no-such-scheme", &transport.SchemeEnv{})
 	if err == nil {
-		t.Fatal("NewScheme accepted an unknown name")
+		t.Fatal("New accepted an unknown name")
 	}
-	if !strings.Contains(err.Error(), "no-such-scheme") ||
-		!strings.Contains(err.Error(), transport.SchemeFlexPass) {
-		t.Fatalf("error should name the scheme and list what is registered: %v", err)
-	}
-}
-
-func TestRegisterSchemeRejectsDuplicates(t *testing.T) {
-	transport.RegisterScheme("registry-test-dup", func(*transport.SchemeEnv) transport.Scheme { return nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+	for _, name := range append(schemes.Names(), "no-such-scheme") {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error should name the scheme and list the known ones, %q missing: %v", name, err)
 		}
-	}()
-	transport.RegisterScheme("registry-test-dup", func(*transport.SchemeEnv) transport.Scheme { return nil })
+	}
 }
 
 func TestSchemeEnvOptions(t *testing.T) {
@@ -82,21 +69,20 @@ func TestSchemeEnvCountersMemoized(t *testing.T) {
 	}
 }
 
-// runScheme builds one registered scheme against a 3-host single-switch
+// runScheme builds one scheme against a 3-host single-switch
 // micro-fabric, runs a 64kB flow over it, and returns the FCT.
 func runScheme(t *testing.T, name string) sim.Time {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	env := &transport.SchemeEnv{
-		Eng:      eng,
 		LinkRate: 10 * units.Gbps,
 		WQ:       0.5,
 		OracleWQ: 0.5,
 		Spec:     topo.Spec{WQ: 0.5},
 	}
-	sch, err := transport.NewScheme(name, env)
+	sch, err := schemes.New(name, env)
 	if err != nil {
-		t.Fatalf("NewScheme(%q): %v", name, err)
+		t.Fatalf("New(%q): %v", name, err)
 	}
 	fab := topo.SingleSwitch(eng, 3, topo.Params{
 		LinkRate:  10 * units.Gbps,
@@ -104,7 +90,7 @@ func runScheme(t *testing.T, name string) sim.Time {
 		HostDelay: 1 * sim.Microsecond,
 		SwitchBuf: 4500 * units.KB,
 		BufAlpha:  0.25,
-		Profile:   sch.Profile(),
+		Profile:   sch.Profile,
 	})
 	var flows transport.Flows
 	fl := flows.Add(&transport.Flow{
@@ -113,8 +99,8 @@ func runScheme(t *testing.T, name string) sim.Time {
 		Dst:  transport.NewAgent(eng, fab.Net.Host(2), &flows),
 		Size: 64_000,
 	})
-	sch.StartReceiver(fl)
-	sch.StartSender(fl)
+	sch.StartReceiver(eng, fl)
+	sch.StartSender(eng, fl)
 	if fl.Transport == "" {
 		t.Errorf("scheme %q did not label the flow's transport", name)
 	}
@@ -128,15 +114,11 @@ func runScheme(t *testing.T, name string) sim.Time {
 	return fl.FCT()
 }
 
-// TestEveryRegisteredSchemeRuns is the registry's contract test: every
-// scheme in the registry must compose into a working transport on a
-// micro-fabric, deterministically.
+// TestEveryRegisteredSchemeRuns is the table's contract test: every
+// scheme in it must compose into a working transport on a micro-fabric,
+// deterministically.
 func TestEveryRegisteredSchemeRuns(t *testing.T) {
-	for _, name := range transport.SchemeNames() {
-		if name == "registry-test-dup" { // from the duplicate-registration test
-			continue
-		}
-		name := name
+	for _, name := range schemes.Names() {
 		t.Run(name, func(t *testing.T) {
 			fct := runScheme(t, name)
 			if fct <= 0 {
@@ -167,15 +149,14 @@ func runShared(t *testing.T, name string, ids ...uint64) map[uint64]flowOutcome 
 	t.Helper()
 	eng := sim.NewEngine(1)
 	env := &transport.SchemeEnv{
-		Eng:      eng,
 		LinkRate: 10 * units.Gbps,
 		WQ:       0.5,
 		OracleWQ: 0.5,
 		Spec:     topo.Spec{WQ: 0.5},
 	}
-	sch, err := transport.NewScheme(name, env)
+	sch, err := schemes.New(name, env)
 	if err != nil {
-		t.Fatalf("NewScheme(%q): %v", name, err)
+		t.Fatalf("New(%q): %v", name, err)
 	}
 	fab := topo.SingleSwitch(eng, 4, topo.Params{
 		LinkRate:  10 * units.Gbps,
@@ -183,7 +164,7 @@ func runShared(t *testing.T, name string, ids ...uint64) map[uint64]flowOutcome 
 		HostDelay: 1 * sim.Microsecond,
 		SwitchBuf: 4500 * units.KB,
 		BufAlpha:  0.25,
-		Profile:   sch.Profile(),
+		Profile:   sch.Profile,
 	})
 	for _, p := range fab.Net.PortsTo(fab.Net.Host(1).NodeID()) {
 		p.SetLossRate(1)
@@ -198,8 +179,8 @@ func runShared(t *testing.T, name string, ids ...uint64) map[uint64]flowOutcome 
 		src, at := 2*int(id-1), sim.Time(id-1)*5*sim.Millisecond
 		fl := flows.Add(&transport.Flow{ID: id, Src: ag[src], Dst: ag[src+1], Size: 64_000, Start: at})
 		eng.At(at, func() {
-			sch.StartReceiver(fl)
-			sch.StartSender(fl)
+			sch.StartReceiver(eng, fl)
+			sch.StartSender(eng, fl)
 		})
 	}
 	eng.Run(500 * sim.Millisecond)
@@ -218,10 +199,7 @@ func runShared(t *testing.T, name string, ids ...uint64) map[uint64]flowOutcome 
 // flow to another: a flow that timed out and one that did not, run side
 // by side on one scheme instance, each end exactly as they do alone.
 func TestSchemeConfigShared(t *testing.T) {
-	for _, name := range transport.SchemeNames() {
-		if name == "registry-test-dup" {
-			continue
-		}
+	for _, name := range schemes.Names() {
 		t.Run(name, func(t *testing.T) {
 			both := runShared(t, name, 1, 2)
 			// Homa-lite has no loss recovery: its flow 1 never finishes.

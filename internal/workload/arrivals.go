@@ -10,21 +10,23 @@ import (
 	"flexpass/internal/units"
 )
 
-// FlowSpec is one generated flow.
+// FlowSpec is one generated flow. Its JSON form is a pinned flow of a
+// chaos repro document.
 type FlowSpec struct {
-	Src, Dst int // host indices
-	Size     int64
-	At       sim.Time
-	Incast   bool // foreground incast flow
+	Src    int      `json:"src"` // host indices
+	Dst    int      `json:"dst"`
+	Size   int64    `json:"size"`
+	At     sim.Time `json:"at_ps"`
+	Incast bool     `json:"incast,omitempty"` // foreground incast flow
 
 	// Tenant labels the load class the flow belongs to ("" = untagged);
 	// plan sources stamp their tenant name here so per-tenant accounting
 	// and lake columns can tell classes apart.
-	Tenant string
+	Tenant string `json:"tenant,omitempty"`
 	// Coflow groups flows that complete together (an RPC fan-out/fan-in
 	// or a tagged incast event). 0 = not part of a coflow. IDs are
 	// unique within one generated workload.
-	Coflow uint64
+	Coflow uint64 `json:"coflow,omitempty"`
 }
 
 // BackgroundParams calibrates the §6.2 background traffic: Poisson flow
