@@ -234,11 +234,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("farm: red_kb %d negative", r)
 		}
 	}
-	if !(s.DurationMS >= 0 && s.DurationMS <= math.MaxFloat64) {
-		return fmt.Errorf("farm: duration %g ms not finite and non-negative", s.DurationMS)
+	if d := s.DurationMS; math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+		return fmt.Errorf("farm: duration %g ms not finite and non-negative", d)
 	}
-	if s.DrainMS != nil && !(*s.DrainMS >= 0 && *s.DrainMS <= math.MaxFloat64) {
-		return fmt.Errorf("farm: drain %g ms not finite and non-negative", *s.DrainMS)
+	if d := s.DrainMS; d != nil && (math.IsNaN(*d) || math.IsInf(*d, 0) || *d < 0) {
+		return fmt.Errorf("farm: drain %g ms not finite and non-negative", *d)
 	}
 	for _, n := range s.Shards {
 		if n < 0 {

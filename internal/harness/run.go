@@ -222,7 +222,7 @@ func Open(sc Scenario) *Session {
 			}
 		}
 		// Every env sees the same oracle weight and options; only the
-		// engine, registry, and ring differ.
+		// registry and ring differ.
 		pl.env = &transport.SchemeEnv{
 			LinkRate: sc.LinkRate,
 			WQ:       sc.WQ,

@@ -55,9 +55,9 @@ func (s *Scheme) StartReceiver(eng *sim.Engine, fl *transport.Flow) {
 	s.Halves.StartReceiver(eng, fl)
 }
 
-// table builds each scheme by name. "naive" is plain ExpressPass under
-// its own legacy-shared queue layout; naive and oWF bill to the
-// "expresspass" counter set and the ablations to "flexpass".
+// table builds each scheme by name. "expresspass" and "naive" build the
+// same scheme; naive and oWF bill to the "expresspass" counter set and
+// the ablations to "flexpass".
 var table = map[string]func(env *transport.SchemeEnv) Scheme{
 	// Plain legacy DCTCP: data and ACKs in the legacy queue.
 	transport.SchemeDCTCP: func(env *transport.SchemeEnv) Scheme {
