@@ -200,10 +200,10 @@ func (tb *Testbed) FaultPort(dst int) *netem.Port {
 }
 
 // StartFlow begins a flow of size bytes from host src to host dst using
-// the named transport — any name in the scheme registry: "flexpass",
-// "dctcp", "expresspass", "layering", "homa", "phost", ... — at the
-// current simulated time. The returned Flow exposes live statistics
-// (RxBytes, FCT, ...). An unknown name panics.
+// the named transport — any name of the scheme table, schemes.Names():
+// "flexpass", "dctcp", "expresspass", "layering", "homa", "phost", ...
+// — at the current simulated time. The returned Flow exposes live
+// statistics (RxBytes, FCT, ...). An unknown name panics.
 func (tb *Testbed) StartFlow(transportName string, src, dst int, size int64) *Flow {
 	return tb.s.StartFlow(tb.Eng.Now(), transportName, src, dst, size)
 }

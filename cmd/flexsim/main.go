@@ -84,6 +84,11 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline; a run still going after this is killed with a clean error (0 = off)")
 	fs.DurationVar(&o.stall, "stall-timeout", 0, "kill the run when the engine horizon stops advancing for this long (livelock/wedge guard; 0 = off)")
 	fs.Parse(args)
+	// A sweep spec reads a zero duration as "omitted" and runs its 2 ms
+	// default, so flexsim refuses it here.
+	if *durMS <= 0 {
+		return nil, fmt.Errorf("-duration %g: want a positive number of milliseconds", *durMS)
+	}
 
 	// The §6.2 base's drain, on every fabric.
 	drainMS := float64(harness.BaseScenario(false).Drain) / float64(sim.Millisecond)

@@ -76,6 +76,15 @@ func TestDefaultFlagsAreTheSpecPoint(t *testing.T) {
 	}
 }
 
+// A non-positive -duration is an error, not the sweep spec's default.
+func TestNonPositiveDurationRejected(t *testing.T) {
+	for _, d := range []string{"0", "-1"} {
+		if _, err := parseFlags([]string{"-duration", d}); err == nil {
+			t.Errorf("-duration %s was accepted", d)
+		}
+	}
+}
+
 // -workload t.csv is the one-source trace plan a wrapper .json names.
 func TestTraceWorkloadIsTheWrapperPlan(t *testing.T) {
 	dir := t.TempDir()

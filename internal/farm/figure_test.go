@@ -285,8 +285,9 @@ func figureShapes(read func(string) table) []string {
 	}
 
 	// Fig 10: FlexPass leaves the legacy tail within 1.5x of all-DCTCP
-	// during the rollout, naive does not, and FlexPass fully deployed
-	// beats the baseline.
+	// during the rollout, naive does not; FlexPass's upgraded tail beats
+	// its legacy tail at 50%, and fully deployed it beats the baseline
+	// tail without losing more than a quarter of its average FCT.
 	f10 := read("fig10_12_13.csv")
 	base := f10.num("mean(p99_small_us)", "scheme", "naive", "deployment", "0")
 	for _, dep := range []string{"0.25", "0.5", "0.75"} {
@@ -295,8 +296,12 @@ func figureShapes(read func(string) table) []string {
 	}
 	naive := f10.num("mean(p99_small_legacy_us)", "scheme", "naive", "deployment", "0.5")
 	claim(naive > 1.5*base, "fig10: naive legacy p99 %.1fus at 0.5, within 1.5x the baseline %.1fus", naive, base)
+	fpNew, fpLegacy := f10.num("mean(p99_small_new_us)", "scheme", "flexpass", "deployment", "0.5"), f10.num("mean(p99_small_legacy_us)", "scheme", "flexpass", "deployment", "0.5")
+	claim(fpNew < fpLegacy, "fig10: flexpass upgraded p99 %.1fus at 0.5, not under its legacy p99 %.1fus", fpNew, fpLegacy)
 	full := f10.num("mean(p99_small_us)", "scheme", "flexpass", "deployment", "1")
 	claim(full < base, "fig10: flexpass p99 %.1fus at full deployment, not under the baseline %.1fus", full, base)
+	avgFull, avg0 := f10.num("mean(avg_fct_us)", "scheme", "flexpass", "deployment", "1"), f10.num("mean(avg_fct_us)", "scheme", "flexpass", "deployment", "0")
+	claim(avgFull <= 1.25*avg0, "fig10: flexpass avg FCT %.1fus at full deployment, over 1.25x its %.1fus at 0", avgFull, avg0)
 
 	// Fig 1: beside a credit transport, DCTCP starves — one naive
 	// ExpressPass flow on a full 10G bottleneck (a), 16 HOMA flows (b).
@@ -387,6 +392,8 @@ func TestFigureShapes(t *testing.T) {
 		{"fig7a.csv", "Reactive", ""},
 		{"fig7c.csv", "Reactive", ""},
 		{"fig10_12_13.csv", "mean(p99_small_us)", "flexpass,1"},
+		{"fig10_12_13.csv", "mean(p99_small_new_us)", "flexpass,0.5"},
+		{"fig10_12_13.csv", "mean(avg_fct_us)", "flexpass,1"},
 		{"fig8.csv", "sum(timeouts)", "64,flexpass"},
 		{"fig9c.csv", "mean(legacy_starved_frac)", "flexpass"},
 		{"fig18.csv", "mean(p99_small_legacy_us)", "0.5,0.5"},

@@ -15,7 +15,7 @@ import (
 )
 
 // flapPlan is the canonical flap-and-recover micro-plan for the
-// schemeDigestScenario fabric: a 1ms blackhole on one ToR downlink,
+// faultScenario fabric: a 1ms blackhole on one ToR downlink,
 // then 2ms of Gilbert–Elliott burst loss on the pod-0 ToR uplink.
 func flapPlan(t *testing.T) *faults.Plan {
 	t.Helper()
@@ -28,18 +28,32 @@ func flapPlan(t *testing.T) *faults.Plan {
 	return p
 }
 
-// faultScenario is schemeDigestScenario with a pinned trace instead of
-// the random workload, so traffic is guaranteed to cross both faulted
-// links inside their windows regardless of scheme: hosts 0–3 hang off
+// faultScenario is a small mixed-deployment fabric, two racks of four
+// hosts at 50% deployment, with a pinned trace instead of a random
+// workload, so traffic is guaranteed to cross both faulted links inside
+// their windows regardless of scheme: hosts 0–3 hang off
 // tor0.0 (so flows to host 0 ride "tor0.0->h0.0.0" through the 2–3ms
 // blackhole) and hosts 4–7 off tor1.0 (so pod-0-sourced inter-pod flows
 // ride "tor0.0<->agg0.0:fwd" through the 4–6ms burst window). The drain
 // is long enough for RTO-backoff chains (MinRTO 4ms, doubling) to
 // finish.
 func faultScenario(scheme Scheme) Scenario {
-	sc := schemeDigestScenario(scheme)
-	sc.Duration = 8 * sim.Millisecond
-	sc.Drain = 300 * sim.Millisecond
+	sc := Scenario{
+		Seed:       7,
+		Clos:       topo.ClosParams{Pods: 2, AggPerPod: 1, TorPerPod: 1, HostsPerTor: 4, Cores: 1},
+		LinkRate:   10 * units.Gbps,
+		LinkDelay:  2 * sim.Microsecond,
+		HostDelay:  sim.Microsecond,
+		SwitchBuf:  1000 * units.KB,
+		BufAlpha:   0.25,
+		Scheme:     scheme,
+		WQ:         0.5,
+		Workload:   workload.WebSearch,
+		Load:       0.7,
+		Deployment: 0.5,
+		Duration:   8 * sim.Millisecond,
+		Drain:      300 * sim.Millisecond,
+	}
 	sc.TraceFlows = []workload.FlowSpec{
 		{Src: 4, Dst: 0, Size: 3_000_000, At: 500 * sim.Microsecond}, // spans the blackhole
 		{Src: 7, Dst: 3, Size: 500_000, At: 500 * sim.Microsecond},

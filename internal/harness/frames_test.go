@@ -6,7 +6,6 @@ import (
 
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
-	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
 
@@ -40,9 +39,7 @@ func TestFrameBalance(t *testing.T) {
 			names = append(names, string(scheme)+"/cut")
 			cases = append(cases, cut(shardScenario(scheme, shards)))
 		}
-		red := cut(shardScenario(SchemeFlexPass, shards))
-		red.Spec.FlexRed = 3 * units.KB
-		names, cases = append(names, "flexpass/red"), append(cases, red)
+		names, cases = append(names, "flexpass/red"), append(cases, cut(redScenario(shards)))
 		faulted := cut(shardFaultScenario(SchemeFlexPass))
 		faulted.Shards, faulted.Duration, faulted.FaultPlan = shards, 1500*sim.Microsecond, shardFaultPlan(t)
 		names, cases = append(names, "flexpass/faulted"), append(cases, faulted)

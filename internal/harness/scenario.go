@@ -304,7 +304,7 @@ func planWorkload(sc Scenario) *runPlan {
 		// background at the scenario load plus the optional legacy
 		// incast mix. LegacyPlan consumes the seeded stream exactly as
 		// the historical direct-parameter path did, so golden flow
-		// digests are unchanged (see scheme_digest_test.go).
+		// digests are unchanged (see shardGolden in sharded_test.go).
 		legacy := workload.LegacyPlan(sc.Workload, sc.IncastFraction, sc.IncastFlowSize)
 		flows, err := legacy.Generate(env, WorkloadRand(sc.Seed))
 		if err != nil {

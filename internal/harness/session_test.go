@@ -14,7 +14,7 @@ import (
 
 // TestSessionMatchesRun: a session opened with no flows of its own, given
 // the scenario's flows one StartFlow each in spec order, runs what Run
-// runs — the same records and the same event count — for every scheme.
+// runs — its golden row's records and event count — for every scheme.
 // oWF is the exception that proves where the flows come from: its queue
 // weights are the upgraded byte share of the scenario's own flows,
 // measured at Open, so a session that is handed them later runs at the
@@ -35,23 +35,13 @@ func TestSessionMatchesRun(t *testing.T) {
 			}
 			s.Run(sc.Duration + sc.Drain)
 			got := s.Close()
-			sc.TraceFlows = plan.flows
-			want := Run(sc)
 			if scheme == SchemeOWF {
-				if got.OracleWQ != 0.5 || want.OracleWQ == 0.5 {
-					t.Fatalf("oracle weight %g in the session, %g in Run: want the fallback and a measured share", got.OracleWQ, want.OracleWQ)
+				if got.OracleWQ != 0.5 || plan.oracleWQ == 0.5 {
+					t.Fatalf("oracle weight %g in the session, %g in Run: want the fallback and a measured share", got.OracleWQ, plan.oracleWQ)
 				}
 				return
 			}
-			if len(got.Flows.Records) == 0 {
-				t.Fatal("the session recorded no flows")
-			}
-			if g, w := recordsDigest(got), recordsDigest(want); g != w {
-				t.Fatalf("session digest %s != Run's %s", g, w)
-			}
-			if got.Events != want.Events {
-				t.Fatalf("session dispatched %d events, Run %d", got.Events, want.Events)
-			}
+			matchGolden(t, got, shardGolden[scheme])
 		})
 	}
 }

@@ -2,7 +2,9 @@ package harness
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"maps"
 	"math/rand"
 	"runtime"
@@ -139,12 +141,53 @@ func TestShardedRunTwice(t *testing.T) {
 	}
 }
 
-// shardGolden pins the flow digest and event count of shardScenario on
-// one engine for every built-in scheme, and shardFaultGolden those of the
-// faulted pinned trace (shardFaultScenario + shardFaultPlan, flexpass).
-// TestShardedGolden holds shards 2 and 4 to the same digests. Recorded on
-// linux/amd64, go1.24; they change only when the simulated model does.
-// Re-record with:
+// recordsDigest hashes every flow record of a run into one hex digest —
+// the harness-level counterpart of the testbed FlowsDigest in the root
+// package. Two runs match iff their flow-visible results are identical.
+func recordsDigest(res *Result) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	w := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	wb := func(b bool) {
+		if b {
+			w(1)
+		} else {
+			w(0)
+		}
+	}
+	for _, r := range res.Flows.Records {
+		w(int64(r.ID))
+		w(r.Size)
+		w(int64(r.Start))
+		w(int64(r.FCT))
+		wb(r.Completed)
+		wb(r.Legacy)
+		w(int64(len(r.Transport)))
+		h.Write([]byte(r.Transport))
+		w(int64(r.Timeouts))
+		w(int64(r.Retransmits))
+		w(int64(r.ProRetx))
+		w(int64(r.Redundant))
+		w(r.MaxReorderB)
+		w(r.RxBytes)
+	}
+	w(res.DropsRed)
+	w(res.DropsCredit)
+	w(res.DropsOther)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// shardGolden is the harness's golden table: the flow digest and
+// one-engine event count of shardScenario for every built-in scheme.
+// shardFaultGolden is the faulted pinned trace's row (shardFaultScenario
+// + shardFaultPlan, flexpass), shardRedGolden shardScenario(flexpass)
+// with a 3 kB selective-dropping threshold (redScenario). A test that
+// needs a pinned point's flows compares with its row (matchGolden)
+// rather than running the point again. Recorded on linux/amd64, go1.24;
+// they change only when the simulated model does. Re-record with:
 //
 //	go test -run TestShardedGolden -v ./internal/harness/
 type shardGoldenRow struct {
@@ -167,13 +210,38 @@ var shardGolden = map[Scheme]shardGoldenRow{
 
 var shardFaultGolden = shardGoldenRow{"808c98d9eadd27a8", 65906}
 
+var shardRedGolden = shardGoldenRow{"68f49ae527e3be08", 185274}
+
+// redScenario is shardScenario(flexpass) with a 3 kB Q1 red threshold,
+// so selective dropping decides the flows.
+func redScenario(shards int) Scenario {
+	sc := shardScenario(SchemeFlexPass, shards)
+	sc.Spec.FlexRed = 3 * units.KB
+	return sc
+}
+
+// matchGolden fails t unless res has want's digest and, on one engine,
+// its event count; a sharded run adds shard/inject events. The rows were
+// recorded on amd64, so elsewhere it skips.
+func matchGolden(t *testing.T, res *Result, want shardGoldenRow) {
+	t.Helper()
+	got := shardGoldenRow{recordsDigest(res), res.Events}
+	t.Logf("{%q, %d}", got.digest, got.events)
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
+	}
+	if got.digest != want.digest || res.Scenario.Shards <= 1 && got.events != want.events {
+		t.Fatalf("shards %d: got %+v, recorded %+v — the simulated model changed", res.Scenario.Shards, got, want)
+	}
+}
+
 // TestShardedGolden is the proof that the shard count is invisible. Per
-// scheme, and for the faulted row: shards=1 must give the golden digest
-// and event count; shards=2 and shards=4 the same digest, and the same
-// events per profiler component with two exceptions — a cross-shard
-// arrival is one shard/inject event where one engine has a netem/deliver
-// event, and a flow whose hosts sit on different shards starts with one
-// harness/arrival event on each side.
+// scheme, and for the faulted and red rows, shards 1, 2 and 4 must each
+// give the row's digest, and shards 1 its event count. Shards 2 and 4
+// must also give the shards-1 events per profiler component, with two
+// exceptions: a cross-shard arrival is one shard/inject event where one
+// engine has a netem/deliver event, and a flow whose hosts sit on
+// different shards starts with one harness/arrival event on each side.
 func TestShardedGolden(t *testing.T) {
 	type row struct {
 		name string
@@ -186,42 +254,31 @@ func TestShardedGolden(t *testing.T) {
 	}
 	fault := shardFaultScenario(SchemeFlexPass)
 	fault.FaultPlan = shardFaultPlan(t)
-	rows = append(rows, row{"faulted", fault, shardFaultGolden})
+	rows = append(rows, row{"faulted", fault, shardFaultGolden}, row{"flexpass/red", redScenario(1), shardRedGolden})
 
 	for _, r := range rows {
 		r.sc.Profile = true
-		var one shardGoldenRow
 		var oneEvents map[string]uint64
 		for _, shards := range []int{1, 2, 4} {
 			r.sc.Shards = shards
 			t.Run(fmt.Sprintf("%s/shards=%d", r.name, shards), func(t *testing.T) {
-				if shards > 1 && oneEvents == nil {
-					t.Skip("compares with the shards=1 subtest, which did not run")
-				}
 				res := Run(r.sc)
-				got := shardGoldenRow{recordsDigest(res), res.Events}
+				if r.name == "flexpass/red" && res.DropsRed == 0 {
+					t.Fatal("a 3 kB red threshold dropped nothing")
+				}
 				events := componentEvents(res)
 				if shards == 1 {
-					one, oneEvents = got, events
-					t.Logf("{%q, %d}", got.digest, got.events)
-					if runtime.GOARCH != "amd64" {
-						t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
+					oneEvents = events
+				} else if oneEvents != nil { // nil when -run left out the shards=1 subtest
+					want := maps.Clone(oneEvents)
+					want["netem/deliver"] -= events["shard/inject"]
+					want["shard/inject"] = events["shard/inject"]
+					want["harness/arrival"] += crossings(r.sc)
+					if !maps.Equal(events, want) {
+						t.Errorf("events per component at shards %d:\n%v\nwant (from shards 1)\n%v", shards, events, want)
 					}
-					if got != r.want {
-						t.Fatalf("got %+v, recorded %+v — the simulated model changed", got, r.want)
-					}
-					return
 				}
-				if got.digest != one.digest {
-					t.Fatalf("digest %s at shards %d != %s at shards 1", got.digest, shards, one.digest)
-				}
-				want := maps.Clone(oneEvents)
-				want["netem/deliver"] -= events["shard/inject"]
-				want["shard/inject"] = events["shard/inject"]
-				want["harness/arrival"] += crossings(r.sc)
-				if !maps.Equal(events, want) {
-					t.Fatalf("events per component at shards %d:\n%v\nwant (from shards 1)\n%v", shards, events, want)
-				}
+				matchGolden(t, res, r.want)
 			})
 		}
 	}

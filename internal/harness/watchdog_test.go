@@ -175,11 +175,7 @@ func TestScenarioDeadlineKillsShardedRun(t *testing.T) {
 }
 
 // TestScenarioNoWatchdogByDefault: zero limits add no watchdog and
-// change nothing about a normal run.
+// change nothing about a normal run, which gives its golden row.
 func TestScenarioNoWatchdogByDefault(t *testing.T) {
-	sc := schemeDigestScenario(SchemeFlexPass)
-	res := Run(sc)
-	if len(res.Flows.Records) == 0 {
-		t.Fatal("scenario ran no flows")
-	}
+	matchGolden(t, Run(shardScenario(SchemeFlexPass, 1)), shardGolden[SchemeFlexPass])
 }

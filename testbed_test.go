@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestStartFlowRejectsUnknownTransport: a transport name no scheme is
-// registered under panics at the call that names it — for a scheduled
+// TestStartFlowRejectsUnknownTransport: a transport name that is not in
+// the scheme table (schemes.Names()) panics at the call that names it — for a scheduled
 // start too, not later from inside Run when the start would fire.
 func TestStartFlowRejectsUnknownTransport(t *testing.T) {
 	starts := map[string]func(*Testbed){
