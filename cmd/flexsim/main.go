@@ -89,6 +89,11 @@ func parseFlags(args []string) (*options, error) {
 	if *durMS <= 0 {
 		return nil, fmt.Errorf("-duration %g: want a positive number of milliseconds", *durMS)
 	}
+	// Only a positive capacity makes a ring, so a negative one would run
+	// without the trace it asked for.
+	if o.traceRing < 0 {
+		return nil, fmt.Errorf("-trace-ring %d: want a capacity of 0 (off) or more", o.traceRing)
+	}
 
 	// The §6.2 base's drain, on every fabric.
 	drainMS := float64(harness.BaseScenario(false).Drain) / float64(sim.Millisecond)

@@ -85,6 +85,16 @@ func TestNonPositiveDurationRejected(t *testing.T) {
 	}
 }
 
+// A negative -trace-ring is refused, not run without a ring.
+func TestNegativeTraceRingRejected(t *testing.T) {
+	if _, err := parseFlags([]string{"-trace-ring", "-5"}); err == nil {
+		t.Error("-trace-ring -5 was accepted")
+	}
+	if _, err := parseFlags([]string{"-trace-ring", "0"}); err != nil {
+		t.Errorf("-trace-ring 0: %v", err)
+	}
+}
+
 // -workload t.csv is the one-source trace plan a wrapper .json names.
 func TestTraceWorkloadIsTheWrapperPlan(t *testing.T) {
 	dir := t.TempDir()

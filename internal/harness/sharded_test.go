@@ -610,23 +610,27 @@ func TestFlowBytesBudget(t *testing.T) {
 // (obs.Samples), hop records sit in pointer-free blocks reused across
 // flows, and the registry is sized once for the fabric, so the whole run —
 // fabric, trace ring, hop logs and the collected artifact included —
-// allocates 4.04 B per tick × source; with 80-byte hop records in per-flow
-// slices grown by append and a registry grown a source at a time, it
-// allocated 7.91 [in brackets, as above], and with an 8 B ring slot per
-// sample, grown by doubling and copied once at exit, 41.9. The second run
-// doubles the drain: twice the ticks and no new value changes, so its
-// series must hold exactly as many runs as the first's.
+// allocates 3.25 B per tick × source; when each series grew a run array
+// of its own by doubling, it allocated 3.22 [in brackets, as above]: the
+// prober's blocks and the one copy Series makes of them cost what the
+// doubling arrays' slack and outgrown copies did. With 80-byte hop records
+// in per-flow slices grown by append and a registry grown a source at a
+// time, the run allocated 7.91, and with an 8 B ring slot per sample,
+// grown by doubling and copied once at exit, 41.9. The second run doubles
+// the drain: twice the ticks and no new value changes, so its series must
+// hold exactly as many runs as the first's.
 //
 // Heap objects per registered source pin the cost of registering and
 // probing one: a source is an address the tick reads, its series sits in
-// the prober's one slice, and a series that never changes keeps its run in
-// an array shared with its neighbours, so the whole run costs 5.38 objects
-// per source [5.50]; with a closure, a *Series and a run slice of its own
+// the prober's one slice, a value change is a run in a block carved from
+// the prober's chunks, and a series that never changes keeps its run in
+// the array the tick held it open in, so the whole run costs 4.05 objects
+// per source [4.43]; with a closure, a *Series and a run slice of its own
 // for each, it cost 8.70.
 func TestObservedAllocBudget(t *testing.T) {
 	const (
-		budget        = 5.3 // measured 4.04 [7.91]
-		objectsBudget = 7.0 // measured 5.38 [5.50]
+		budget        = 4.2 // measured 3.25 [3.22]
+		objectsBudget = 5.3 // measured 4.05 [4.43]
 	)
 	observe := func(drain sim.Time) (perTickSource, perSource float64, runs, samples int) {
 		sc := forensicsScenario()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -224,14 +225,15 @@ type jsonlLine struct {
 	Fault     *FaultData          `json:"fault,omitempty"`
 }
 
-// seriesLine is a series line as written: SeriesData's wire twin, whose
-// Values — a shallower field, so it shadows the series' own — holds the
-// samples already encoded, in one buffer every series line reuses.
-type seriesLine struct {
+// seriesHead is a series line without its values: SeriesData's wire
+// twin, whose Values — a shallower field, so it shadows the series' own —
+// is nil and so omitted. encoding/json writes the head, escaping the
+// names as it does for any line, and WriteJSONL appends the values.
+type seriesHead struct {
 	Type   string `json:"type"`
 	Series struct {
 		*SeriesData
-		Values *json.RawMessage `json:"values"`
+		Values *struct{} `json:"values,omitempty"`
 	} `json:"series"`
 }
 
@@ -239,8 +241,10 @@ type seriesLine struct {
 // line per flow — so a torn artifact keeps its flow table — then one per
 // series, counter, histogram, trace event, forensics line and fault
 // action. Every line is encoded from one envelope, so Encode boxes one
-// pointer per artifact rather than a fresh envelope per line, and every
-// series line's values from one buffer; the first error stops the rest.
+// pointer per artifact rather than a fresh envelope per line. A series
+// line is its head, encoded into one reused buffer, with the values
+// appended there as Samples.AppendJSON writes them: encoding/json never
+// re-scans them. The first error stops the rest.
 func (r *Run) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -250,13 +254,19 @@ func (r *Run) WriteJSONL(w io.Writer) error {
 		*l = jsonlLine{Type: "flow", Flow: &r.Flows[i]}
 		err = enc.Encode(l)
 	}
-	sl := &seriesLine{Type: "series"}
-	var values json.RawMessage
-	sl.Series.Values = &values
+	var line bytes.Buffer
+	head, lineEnc := &seriesHead{Type: "series"}, json.NewEncoder(&line)
 	for i := 0; err == nil && i < len(r.Series); i++ {
-		sl.Series.SeriesData = &r.Series[i]
-		values = r.Series[i].Values.AppendJSON(values[:0])
-		err = enc.Encode(sl)
+		line.Reset()
+		head.Series.SeriesData = &r.Series[i]
+		if err = lineEnc.Encode(head); err != nil {
+			break
+		}
+		line.Truncate(line.Len() - len("}}\n"))
+		line.WriteString(`,"values":`)
+		line.Write(r.Series[i].Values.AppendJSON(line.AvailableBuffer()))
+		line.WriteString("}}\n")
+		_, err = bw.Write(line.Bytes())
 	}
 	for i := 0; err == nil && i < len(r.Counters); i++ {
 		*l = jsonlLine{Type: "counter", Counter: &r.Counters[i]}

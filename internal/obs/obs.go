@@ -10,13 +10,19 @@
 //   - A source is a plain *int64 — a stats field the fabric already
 //     keeps, or an owned Counter's value — or, for a computed value only,
 //     a closure (CounterFunc, Gauge). A probe tick reads memory.
-//   - There is one series type, SeriesData: the prober appends into it,
-//     Collect hands the prober's slice to the Run, and the exporter
-//     writes it. Its Samples hold one run per value change, and a series
-//     that never changes keeps that run in an array shared by every
-//     series the tick created, so it allocates nothing of its own.
-//   - WriteJSONL streams every series line through one reused values
-//     buffer.
+//   - There is one series type, SeriesData: the prober builds it once,
+//     when its ticks are over, Collect hands the prober's slice to the
+//     Run, and the exporter writes it. Its Samples hold one run per value
+//     change.
+//   - A tick writes on change. Each source's open run sits in a flat
+//     array, so an unchanged reading is a compare and a count; a change
+//     closes the run into the series' chain of fixed-size blocks, carved
+//     from chunks the prober owns. Series cuts every series that changed
+//     an exact-length slice of one allocation, and a series that never
+//     changed keeps its one run where the tick kept it open.
+//   - WriteJSONL streams every series line through one reused buffer:
+//     encoding/json writes the line's names and the values are appended
+//     after them, never re-scanned.
 //
 // MergeRuns folds the per-plane runs of a sharded run and lists counters
 // and series in (entity, metric) order, so an artifact is the same lines

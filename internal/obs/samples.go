@@ -12,11 +12,11 @@ import (
 // constant series is one run however long it gets, and one that changes
 // on every tick pays 16 B a sample.
 //
-// It is the series representation end to end: the prober appends into
-// it, the artifact carries it, and on the wire it is the plain JSON
-// array a []int64 encodes to (null when nil, [] when empty). Like a
-// slice, a copy shares storage with the original: append to one of them
-// only.
+// It is the series representation end to end: the prober builds it once
+// its ticks are over, the artifact carries it, and on the wire it is the
+// plain JSON array a []int64 encodes to (null when nil, [] when empty).
+// Like a slice, a copy shares storage with the original: append to one of
+// them only.
 type Samples struct {
 	runs []valueRun // adjacent runs always differ in value
 	n    int
@@ -41,19 +41,6 @@ func (s *Samples) appendRun(v, n int64) {
 		s.runs = append(s.runs, valueRun{v, n})
 	}
 	s.n += int(n)
-}
-
-// DropFront discards the oldest sample. A run that empties is sliced
-// off the front; the next growth of the slice leaves it behind, so a
-// capped series holds at most twice its live runs.
-func (s *Samples) DropFront() {
-	if s.n == 0 {
-		return
-	}
-	s.n--
-	if s.runs[0].n--; s.runs[0].n == 0 {
-		s.runs = s.runs[1:]
-	}
 }
 
 // Each calls fn with the index and value of every sample, oldest first.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,101 +18,27 @@ func samplesOf(vs ...int64) Samples {
 	return s
 }
 
-// refRing is the fixed-capacity []int64 ring a series used to be, kept
-// as the reference the run-length form is checked against.
-type refRing struct {
-	values  []int64
-	next    int
-	dropped int64
-}
-
-func (r *refRing) add(v int64, capacity int) {
-	if len(r.values) < capacity {
-		r.values = append(r.values, v)
-		return
-	}
-	r.values[r.next] = v
-	r.next = (r.next + 1) % capacity
-	r.dropped++
-}
-
-func (r *refRing) slice() []int64 {
-	return append(append([]int64{}, r.values[r.next:]...), r.values[:r.next]...)
-}
-
-// TestSeriesMatchesReferenceRing appends the same random samples to a
-// series and to the reference ring — flat stretches, bursts of change,
-// caps from one sample to more than the series ever holds — and wants
-// the same retained samples, drop count and start time after every one.
-func TestSeriesMatchesReferenceRing(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 7, 64, 1 << 20} {
-		rng := rand.New(rand.NewSource(int64(capacity)))
-		s := &SeriesData{IntervalPs: int64(10 * sim.Microsecond), StartPs: int64(30 * sim.Microsecond)}
-		ref := &refRing{}
-		v := int64(0)
-		for i := 0; i < 600; i++ {
-			switch rng.Intn(8) {
-			case 0:
-				v = rng.Int63n(5) - 2
-			case 1:
-				v = rng.Int63() - math.MaxInt64/2
-			} // else: the value holds, as most probe readings do
-			s.add(v, capacity)
-			ref.add(v, capacity)
-			if i%37 != 0 && i != 599 {
-				continue
-			}
-			got, want := s.Values, ref.slice()
-			if got.Len() != len(want) || !reflect.DeepEqual(got.Slice(), want) {
-				t.Fatalf("cap %d after %d appends: %d samples %v, want %d %v",
-					capacity, i+1, got.Len(), got.Slice(), len(want), want)
-			}
-			if s.Dropped != ref.dropped {
-				t.Fatalf("cap %d after %d appends: dropped %d, want %d", capacity, i+1, s.Dropped, ref.dropped)
-			}
-			if wantStart := int64(30*sim.Microsecond) + ref.dropped*s.IntervalPs; s.StartPs != wantStart {
-				t.Fatalf("cap %d after %d appends: start %v, want %v", capacity, i+1, s.StartPs, wantStart)
-			}
-			var each []int64
-			got.Each(func(i int, v int64) {
-				if i != len(each) {
-					t.Fatalf("Each index %d, want %d", i, len(each))
-				}
-				each = append(each, v)
-			})
-			if !reflect.DeepEqual(each, want) && len(want) > 0 {
-				t.Fatalf("cap %d: Each saw %v, want %v", capacity, each, want)
-			}
-			for k := 1; k < len(got.runs); k++ {
-				if got.runs[k].v == got.runs[k-1].v {
-					t.Fatalf("cap %d: adjacent runs share value %d", capacity, got.runs[k].v)
-				}
-			}
-		}
-	}
-}
-
 // TestConstantSeriesIsOneRun: a source that never moves costs one run
-// however many ticks it is read and however often the cap drops its
-// oldest sample — and a capped series that does move keeps its backing
-// array within twice its live runs.
+// however many ticks it is read and however many samples the cap drops,
+// and a series that moves on every tick gets exactly the runs it keeps.
 func TestConstantSeriesIsOneRun(t *testing.T) {
-	s := &SeriesData{}
-	for i := 0; i < 100000; i++ {
-		s.add(0, 512)
-	}
-	if got := s.Values; got.Len() != 512 || got.Runs() != 1 || cap(got.runs) != 1 {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	var zero int64
+	reg.GaugeAt("flat", "v", &zero)
+	reg.Gauge("busy", "v", func() int64 { return int64(eng.Now()) })
+	p := NewProber(eng, reg, &Options{ProbeInterval: sim.Microsecond, SeriesCap: 512})
+	p.Start()
+	eng.Run(100000 * sim.Microsecond)
+	flat, busy := p.Series()[0], p.Series()[1]
+	if got := flat.Values; got.Len() != 512 || got.Runs() != 1 || cap(got.runs) != 1 {
 		t.Fatalf("constant series: %d samples in %d runs (cap %d), want 512 in 1 (cap 1)",
 			got.Len(), got.Runs(), cap(got.runs))
 	}
-	if s.Dropped != 100000-512 {
-		t.Fatalf("dropped = %d", s.Dropped)
+	if flat.Dropped != 100000-512 {
+		t.Fatalf("dropped = %d", flat.Dropped)
 	}
-	s = &SeriesData{}
-	for i := 0; i < 100000; i++ {
-		s.add(int64(i), 512)
-	}
-	if got := s.Values; got.Runs() != 512 || cap(got.runs) > 4*512 {
+	if got := busy.Values; got.Runs() != 512 || cap(got.runs) != 512 {
 		t.Fatalf("changing series: %d runs in a backing array of %d", got.Runs(), cap(got.runs))
 	}
 }
