@@ -139,8 +139,9 @@ type Testbed struct {
 	s *harness.Session
 }
 
-// NewTestbed builds a testbed: harness.BaseFor's scenario on the layout,
-// with the §6.2 switch thresholds rather than the §6.1 testbed's.
+// NewTestbed builds a testbed: harness.TestbedScenario on the layout,
+// BaseFor's scenario with the §6.2 switch thresholds rather than the §6.1
+// testbed's.
 func NewTestbed(cfg TestbedConfig) *Testbed {
 	cfg.Hosts = cmp.Or(cfg.Hosts, 3)
 	var layout topo.Layout
@@ -152,9 +153,8 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	default:
 		panic("flexpass: unknown testbed kind")
 	}
-	sc := harness.BaseFor(layout)
+	sc := harness.TestbedScenario(layout)
 	sc.Seed, sc.LinkRate, sc.WQ = cmp.Or(cfg.Seed, sc.Seed), cmp.Or(cfg.LinkRate, sc.LinkRate), cmp.Or(cfg.WQ, sc.WQ)
-	sc.Spec, sc.TraceFlows = topo.Spec{}, []workload.FlowSpec{}
 	s := harness.Open(sc)
 	return &Testbed{Eng: s.Engine(), Fabric: s.Fabric(), s: s}
 }

@@ -628,20 +628,24 @@ const liveEvery = sim.Millisecond
 // snapshot is fl's row in the run's flow table.
 func snapshot(fl *transport.Flow, incast bool) metrics.FlowRecord {
 	return metrics.FlowRecord{
-		ID:          fl.ID,
-		Size:        fl.Size,
-		Start:       fl.Start,
-		FCT:         fl.FCT(),
-		Completed:   fl.Completed,
-		Legacy:      fl.Legacy,
-		Incast:      incast,
-		Transport:   fl.Transport,
-		Timeouts:    fl.Timeouts,
-		Retransmits: fl.Retransmits,
-		ProRetx:     fl.ProRetx,
-		Redundant:   fl.RedundantSegs,
-		MaxReorderB: fl.MaxReorderB,
-		RxBytes:     fl.RxBytes,
+		ID:             fl.ID,
+		Size:           fl.Size,
+		Start:          fl.Start,
+		FCT:            fl.FCT(),
+		Completed:      fl.Completed,
+		Legacy:         fl.Legacy,
+		Incast:         incast,
+		Transport:      fl.Transport,
+		Timeouts:       fl.Timeouts,
+		Retransmits:    fl.Retransmits,
+		ProRetx:        fl.ProRetx,
+		Redundant:      fl.RedundantSegs,
+		MaxReorderB:    fl.MaxReorderB,
+		RxBytes:        fl.RxBytes,
+		RxBytesPro:     fl.RxBytesPro,
+		RxBytesRe:      fl.RxBytesRe,
+		CreditsGranted: fl.CreditsGranted,
+		CreditsWasted:  fl.CreditsWasted,
 	}
 }
 

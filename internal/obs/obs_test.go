@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"math"
@@ -195,7 +197,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	})
 	run.AttachTrace(ring)
 	run.Flows = []metrics.FlowRecord{
-		{ID: 1, Size: 1460, Start: 3, FCT: 9 * sim.Microsecond, Completed: true, Transport: "flexpass", RxBytes: 1460},
+		{ID: 1, Size: 1460, Start: 3, FCT: 9 * sim.Microsecond, Completed: true, Transport: "flexpass", RxBytes: 1460,
+			RxBytesPro: 1000, RxBytesRe: 460, CreditsGranted: 3, CreditsWasted: 2},
 		{ID: 2, Size: 90_000, Start: 7, FCT: -1, Legacy: true, Incast: true, Transport: "dctcp", Timeouts: 2, Retransmits: 5, RxBytes: 4380},
 	}
 
@@ -229,6 +232,32 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if got.Trace[0].Kind != "credit-waste" || got.Trace[0].AtPs != int64(25*sim.Microsecond) {
 		t.Fatalf("trace: %+v", got.Trace[0])
+	}
+}
+
+// TestFlowsDigestIsFlowLines: FlowsDigest is the sha256 of an
+// artifact's flow lines as WriteJSONL writes them, so it can be read off
+// the file; it moves with any one field of any one record.
+func TestFlowsDigestIsFlowLines(t *testing.T) {
+	run := sampleRun()
+	run.Flows[0].CreditsWasted = 4
+	var buf bytes.Buffer
+	if err := run.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"type":"flow"`)) {
+			h.Write(line)
+		}
+	}
+	got := FlowsDigest(run.Flows)
+	if want := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("FlowsDigest = %s, sha256 of the flow lines = %s", got, want)
+	}
+	run.Flows[0].CreditsWasted++
+	if FlowsDigest(run.Flows) == got {
+		t.Fatal("FlowsDigest did not move with credits_wasted")
 	}
 }
 
