@@ -167,21 +167,17 @@ func TestFlapAndRecoverShardedSchemes(t *testing.T) {
 }
 
 // TestFaultedDigestDeterminism: same seed + same plan ⇒ bit-identical
-// flow digests, with at least one LinkDown/LinkUp flap and one
+// flows, with at least one LinkDown/LinkUp flap and one
 // BurstLoss interval in effect (the determinism contract of the fault
 // subsystem).
 func TestFaultedDigestDeterminism(t *testing.T) {
-	run := func() (*Result, string) {
+	run := func() *Result {
 		sc := faultScenario(SchemeFlexPass)
 		sc.FaultPlan = flapPlan(t)
-		res := Run(sc)
-		return res, recordsDigest(res)
+		return Run(sc)
 	}
-	res1, d1 := run()
-	res2, d2 := run()
-	if d1 != d2 {
-		t.Fatalf("faulted run not deterministic: %s vs %s", d1, d2)
-	}
+	res1, res2 := run(), run()
+	sameFlows(t, "faulted run twice", res2, res1)
 	if res1.FaultDrops.LinkDown == 0 || res1.FaultDrops.BurstLoss == 0 {
 		t.Fatalf("plan must exercise both mechanisms: %+v", res1.FaultDrops)
 	}
@@ -198,10 +194,9 @@ func TestFaultedDigestDeterminism(t *testing.T) {
 			t.Fatalf("action %d diverged: %+v vs %+v", i, acts1[i], acts2[i])
 		}
 	}
-	// And the clean run differs — the faults are actually in the digest.
-	clean := faultScenario(SchemeFlexPass)
-	if dc := recordsDigest(Run(clean)); dc == d1 {
-		t.Fatal("faulted digest equals clean digest; plan had no effect")
+	// And the clean run differs — the faults are actually in the flows.
+	if flowsDiff(Run(faultScenario(SchemeFlexPass)), res1) == "" {
+		t.Fatal("faulted flows equal the clean run's; plan had no effect")
 	}
 }
 

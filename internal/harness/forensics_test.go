@@ -2,7 +2,6 @@ package harness
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"flexpass/internal/faults"
@@ -151,8 +150,9 @@ func TestTestbedObservers(t *testing.T) {
 	sc.Telemetry, sc.Forensics, sc.Profile = &obs.Options{}, &forensics.Options{}, true
 	res := Run(sc)
 
-	if !reflect.DeepEqual(res.Flows.Records, plain.Flows.Records) || len(plain.Flows.Records) != 2 {
-		t.Fatalf("observed records %+v, plain %+v", res.Flows.Records, plain.Flows.Records)
+	sameFlows(t, "observed vs plain", res, plain)
+	if len(plain.Flows.Records) != 2 {
+		t.Fatalf("%d flow records, want 2", len(plain.Flows.Records))
 	}
 	if incomplete(res) != 0 || res.FaultDrops.Injected == 0 {
 		t.Fatalf("%d flows incomplete, %d fault drops: the run does not exercise the fault", incomplete(res), res.FaultDrops.Injected)

@@ -41,7 +41,7 @@ func TestSessionMatchesRun(t *testing.T) {
 				}
 				return
 			}
-			matchGolden(t, got, shardGolden[scheme])
+			matchGolden(t, got, string(scheme))
 		})
 	}
 }

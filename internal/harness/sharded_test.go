@@ -2,9 +2,7 @@ package harness
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"maps"
 	"math/rand"
 	"runtime"
@@ -75,17 +73,15 @@ func shardScenario(scheme Scheme, shards int) Scenario {
 
 // TestShardedMatchesSingleEngine checks the invariance TestShardedGolden
 // pins, on a seed nothing pins: every scheme at seed 12 gives the
-// one-engine flow digest at four shards.
+// one-engine flows at four shards.
 func TestShardedMatchesSingleEngine(t *testing.T) {
 	for _, scheme := range allSchemeNames {
 		t.Run(string(scheme), func(t *testing.T) {
 			sc := shardScenario(scheme, 1)
 			sc.Seed = 12
-			single := recordsDigest(Run(sc))
+			single := Run(sc)
 			sc.Shards = 4
-			if sharded := recordsDigest(Run(sc)); sharded != single {
-				t.Fatalf("digest %s at shards 4 != %s at shards 1", sharded, single)
-			}
+			sameFlows(t, "shards 4 vs 1", Run(sc), single)
 		})
 	}
 }
@@ -94,7 +90,7 @@ func TestShardedMatchesSingleEngine(t *testing.T) {
 // fires inside the run window, in (start, ID) order, at every shard
 // count — an unsorted trace with one spec past the window yields the
 // same two records, later-listed-but-earlier flow first, and so the
-// same digest on one engine and on two.
+// same flows on one engine and on two.
 func TestShardedFlowRecordRule(t *testing.T) {
 	run := func(shards int) *Result {
 		sc := shardScenario(Scheme(transport.SchemeDCTCP), shards)
@@ -112,9 +108,7 @@ func TestShardedFlowRecordRule(t *testing.T) {
 			t.Fatalf("shards=%d: records %+v, want flows [2 1]", res.Scenario.Shards, recs)
 		}
 	}
-	if d1, d2 := recordsDigest(one), recordsDigest(two); d1 != d2 {
-		t.Fatalf("digest %s at shards 1 != %s at shards 2", d1, d2)
-	}
+	sameFlows(t, "shards 2 vs 1", two, one)
 }
 
 // TestShardedRunTwice runs two copies of a sharded run at once, as the
@@ -124,93 +118,20 @@ func TestShardedFlowRecordRule(t *testing.T) {
 func TestShardedRunTwice(t *testing.T) {
 	for _, scheme := range allSchemeNames {
 		t.Run(string(scheme), func(t *testing.T) {
-			var d [2]string
+			var res [2]*Result
 			var wg sync.WaitGroup
-			for i := range d {
+			for i := range res {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					d[i] = recordsDigest(Run(shardScenario(scheme, 2)))
+					res[i] = Run(shardScenario(scheme, 2))
 				}()
 			}
 			wg.Wait()
-			if d[0] != d[1] {
-				t.Fatalf("concurrent sharded runs diverged: %s vs %s", d[0], d[1])
-			}
+			sameFlows(t, "concurrent sharded runs", res[1], res[0])
 		})
 	}
 }
-
-// recordsDigest hashes every flow record of a run into one hex digest —
-// the harness-level counterpart of the testbed FlowsDigest in the root
-// package. Two runs match iff their flow-visible results are identical.
-func recordsDigest(res *Result) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	w := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wb := func(b bool) {
-		if b {
-			w(1)
-		} else {
-			w(0)
-		}
-	}
-	for _, r := range res.Flows.Records {
-		w(int64(r.ID))
-		w(r.Size)
-		w(int64(r.Start))
-		w(int64(r.FCT))
-		wb(r.Completed)
-		wb(r.Legacy)
-		w(int64(len(r.Transport)))
-		h.Write([]byte(r.Transport))
-		w(int64(r.Timeouts))
-		w(int64(r.Retransmits))
-		w(int64(r.ProRetx))
-		w(int64(r.Redundant))
-		w(r.MaxReorderB)
-		w(r.RxBytes)
-	}
-	w(res.DropsRed)
-	w(res.DropsCredit)
-	w(res.DropsOther)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// shardGolden is the harness's golden table: the flow digest and
-// one-engine event count of shardScenario for every built-in scheme.
-// shardFaultGolden is the faulted pinned trace's row (shardFaultScenario
-// + shardFaultPlan, flexpass), shardRedGolden shardScenario(flexpass)
-// with a 3 kB selective-dropping threshold (redScenario). A test that
-// needs a pinned point's flows compares with its row (matchGolden)
-// rather than running the point again. Recorded on linux/amd64, go1.24;
-// they change only when the simulated model does. Re-record with:
-//
-//	go test -run TestShardedGolden -v ./internal/harness/
-type shardGoldenRow struct {
-	digest string
-	events uint64
-}
-
-var shardGolden = map[Scheme]shardGoldenRow{
-	Scheme(transport.SchemeDCTCP):       {"aeb581469deca90c", 159873},
-	Scheme(transport.SchemeExpressPass): {"de5adda214414df0", 191900},
-	SchemeNaive:                         {"de5adda214414df0", 191900},
-	SchemeOWF:                           {"8a8eccf4c863eee1", 188604},
-	SchemeLayering:                      {"1bbc67e23f6c38d3", 189359},
-	SchemeFlexPass:                      {"03261066e337a8d6", 176361},
-	SchemeFlexPassAltQ:                  {"a2a4545de2517e48", 182448},
-	SchemeFlexPassRC3:                   {"b6e87bbb246439ab", 177298},
-	Scheme(transport.SchemeHoma):        {"94da7e1559611a27", 951313},
-	Scheme(transport.SchemePHost):       {"72eafc210d9535dd", 176627},
-}
-
-var shardFaultGolden = shardGoldenRow{"808c98d9eadd27a8", 65906}
-
-var shardRedGolden = shardGoldenRow{"68f49ae527e3be08", 185274}
 
 // redScenario is shardScenario(flexpass) with a 3 kB Q1 red threshold,
 // so selective dropping decides the flows.
@@ -218,21 +139,6 @@ func redScenario(shards int) Scenario {
 	sc := shardScenario(SchemeFlexPass, shards)
 	sc.Spec.FlexRed = 3 * units.KB
 	return sc
-}
-
-// matchGolden fails t unless res has want's digest and, on one engine,
-// its event count; a sharded run adds shard/inject events. The rows were
-// recorded on amd64, so elsewhere it skips.
-func matchGolden(t *testing.T, res *Result, want shardGoldenRow) {
-	t.Helper()
-	got := shardGoldenRow{recordsDigest(res), res.Events}
-	t.Logf("{%q, %d}", got.digest, got.events)
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden constants recorded on amd64; got %s", runtime.GOARCH)
-	}
-	if got.digest != want.digest || res.Scenario.Shards <= 1 && got.events != want.events {
-		t.Fatalf("shards %d: got %+v, recorded %+v — the simulated model changed", res.Scenario.Shards, got, want)
-	}
 }
 
 // TestShardedGolden is the proof that the shard count is invisible. Per
@@ -246,15 +152,14 @@ func TestShardedGolden(t *testing.T) {
 	type row struct {
 		name string
 		sc   Scenario
-		want shardGoldenRow
 	}
 	var rows []row
 	for _, scheme := range allSchemeNames {
-		rows = append(rows, row{string(scheme), shardScenario(scheme, 1), shardGolden[scheme]})
+		rows = append(rows, row{string(scheme), shardScenario(scheme, 1)})
 	}
 	fault := shardFaultScenario(SchemeFlexPass)
 	fault.FaultPlan = shardFaultPlan(t)
-	rows = append(rows, row{"faulted", fault, shardFaultGolden}, row{"flexpass/red", redScenario(1), shardRedGolden})
+	rows = append(rows, row{"faulted", fault}, row{"flexpass/red", redScenario(1)})
 
 	for _, r := range rows {
 		r.sc.Profile = true
@@ -278,7 +183,7 @@ func TestShardedGolden(t *testing.T) {
 						t.Errorf("events per component at shards %d:\n%v\nwant (from shards 1)\n%v", shards, events, want)
 					}
 				}
-				matchGolden(t, res, r.want)
+				matchGolden(t, res, r.name)
 			})
 		}
 	}
@@ -399,9 +304,7 @@ func TestShardedFaultPlanRunTwice(t *testing.T) {
 				return Run(sc)
 			}
 			r1, r2 := run(), run()
-			if d1, d2 := recordsDigest(r1), recordsDigest(r2); d1 != d2 {
-				t.Fatalf("faulted sharded run not reproducible: %s vs %s", d1, d2)
-			}
+			sameFlows(t, "faulted sharded run twice", r2, r1)
 			f1, f2 := r1.Faults.Export(), r2.Faults.Export()
 			if len(f1) != len(f2) {
 				t.Fatalf("fault logs diverged: %d vs %d actions", len(f1), len(f2))

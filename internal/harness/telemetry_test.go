@@ -137,18 +137,7 @@ func TestTelemetryDoesNotPerturb(t *testing.T) {
 		name := row.name
 		sc.Telemetry = &row.tel
 		withTel := Run(sc)
-		a, b := withTel.Flows.Records, without.Flows.Records
-		if len(a) != len(b) {
-			t.Fatalf("%s: flow counts differ: %d vs %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].FCT != b[i].FCT || a[i].Size != b[i].Size {
-				t.Fatalf("%s: flow %d diverged: telemetry %+v vs plain %+v", name, i, a[i], b[i])
-			}
-		}
-		if withTel.DropsRed != without.DropsRed || withTel.DropsOther != without.DropsOther {
-			t.Fatalf("%s: drop counts diverged under telemetry", name)
-		}
+		sameFlows(t, name+" telemetry vs plain", withTel, without)
 		if withTel.QueueAvg != without.QueueAvg || withTel.QueueP90 != without.QueueP90 ||
 			withTel.QueueRedAvg != without.QueueRedAvg || withTel.QueueRedP90 != without.QueueRedP90 {
 			t.Fatalf("%s: Q1 occupancy diverged under telemetry: avg %d p90 %d red %d/%d vs plain avg %d p90 %d red %d/%d",

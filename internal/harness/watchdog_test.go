@@ -177,5 +177,5 @@ func TestScenarioDeadlineKillsShardedRun(t *testing.T) {
 // TestScenarioNoWatchdogByDefault: zero limits add no watchdog and
 // change nothing about a normal run, which gives its golden row.
 func TestScenarioNoWatchdogByDefault(t *testing.T) {
-	matchGolden(t, Run(shardScenario(SchemeFlexPass, 1)), shardGolden[SchemeFlexPass])
+	matchGolden(t, Run(shardScenario(SchemeFlexPass, 1)), string(SchemeFlexPass))
 }

@@ -48,7 +48,7 @@ func TestWorkloadPlanLegacyEquivalence(t *testing.T) {
 	legacy := planScenario()
 	legacy.IncastFraction = 0.1
 	legacy.IncastFlowSize = 8000
-	want := recordsDigest(Run(legacy))
+	want := Run(legacy)
 
 	planned := planScenario()
 	planned.Workload = nil
@@ -56,9 +56,7 @@ func TestWorkloadPlanLegacyEquivalence(t *testing.T) {
 		{"kind":"poisson","cdf":"websearch"},
 		{"kind":"incast","fraction":0.1,"flow_size":8000}
 	]}`)
-	if got := recordsDigest(Run(planned)); got != want {
-		t.Fatalf("plan-driven run diverged from the legacy path: %s vs %s", got, want)
-	}
+	sameFlows(t, "plan-driven vs the legacy path", Run(planned), want)
 }
 
 // A plan-driven telemetry run lands the plan identity in the manifest,
