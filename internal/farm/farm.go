@@ -191,10 +191,10 @@ func CheckNames(schemeNames, topologies, workloads []string) error {
 }
 
 // Validate checks every axis value against its registry: scheme names,
-// topology labels, workload names, probability-like knobs, and fault
-// entries. Plan and trace files are parsed here, so a broken plan fails
-// the spec, not the sweep, and the spec keeps what they resolved to for
-// Points.
+// scheme options, topology labels, workload names, probability-like
+// knobs, and fault entries. Plan and trace files are parsed here, so a
+// broken plan fails the spec, not the sweep, and the spec keeps what
+// they resolved to for Points.
 func (s *Spec) Validate() error {
 	if len(s.Schemes) == 0 {
 		return fmt.Errorf("farm: spec has no schemes")
@@ -209,6 +209,11 @@ func (s *Spec) Validate() error {
 	}
 	if err := CheckNames(s.Schemes, s.Topologies, named); err != nil {
 		return fmt.Errorf("farm: %w", err)
+	}
+	for _, o := range s.Options {
+		if err := schemes.CheckOptions(o); err != nil {
+			return fmt.Errorf("farm: %w", err)
+		}
 	}
 	// The range checks are written so that NaN fails them.
 	for _, l := range s.Loads {

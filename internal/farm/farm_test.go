@@ -84,11 +84,18 @@ func TestSpecValidation(t *testing.T) {
 		`{"scheme": ["flexpass"], "incast": 1}`,  // incast out of range
 		`{"scheme": ["flexpass"], "incast": -1}`, // incast out of range
 		`{"scheme": ["flexpass"], "drain_ms": -1}`,
+		`{"scheme": ["flexpass"], "options": [{"reactiv": "reno"}]}`,          // unknown option
+		`{"scheme": ["flexpass"], "options": [{}, {"reactive": "cubic"}]}`,    // unknown value
+		`{"scheme": ["flexpass"], "options": [{"disable_proretx": "flase"}]}`, // not a flag
 	}
 	for _, in := range bad {
 		if _, err := ParseSpec([]byte(in)); err == nil {
 			t.Errorf("spec %s accepted", in)
 		}
+	}
+	// An option a scheme of the cross-product does not read is legal.
+	if _, err := ParseSpec([]byte(`{"scheme": ["dctcp", "flexpass"], "options": [{"reactive": "reno"}]}`)); err != nil {
+		t.Errorf("a FlexPass option crossed with dctcp: %v", err)
 	}
 	// JSON has no NaN or Inf; flexsim's flags build a Spec directly.
 	nan, inf := math.NaN(), math.Inf(1)

@@ -113,15 +113,12 @@ func (a *Auditor) Dropped() int64 {
 // WireAudit builds the standard auditor set for a run: credit
 // conservation over the given accounting closures (routed through
 // opts.WrapCreditAccountant when set — the test seam), per-switch
-// shared-buffer accounting, and the flow-progress starvation watchdog.
-// Returns nil when opts disables auditing (AuditEvery < 0). The caller
+// shared-buffer accounting, and the flow-progress starvation watchdog,
+// ticking every 100 µs and keeping at most 1024 findings. The caller
 // must Start the result before Engine.Run.
 func WireAudit(eng *sim.Engine, opts *Options, net *netem.Network,
 	flows func() []*transport.Flow, issued, consumed, dropped func() int64) *Auditor {
-	if opts != nil && opts.AuditEvery < 0 {
-		return nil
-	}
-	a := NewAuditor(eng, opts.auditEvery(), opts.maxViolations())
+	a := NewAuditor(eng, 100*sim.Microsecond, 1024)
 	if opts != nil && opts.WrapCreditAccountant != nil {
 		issued, consumed, dropped = opts.WrapCreditAccountant(issued, consumed, dropped)
 	}

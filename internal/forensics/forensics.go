@@ -44,17 +44,10 @@ type Options struct {
 	// exports on completion. Default 4.
 	Timelines int
 
-	// AuditEvery is the auditor tick period. Default 100µs; negative
-	// disables the auditors entirely.
-	AuditEvery sim.Time
-
 	// StarveAfter is how long a started, incomplete flow may go without
 	// receiving a byte before the starvation watchdog flags it.
 	// Default 10ms.
 	StarveAfter sim.Time
-
-	// MaxViolations bounds retained auditor findings. Default 1024.
-	MaxViolations int
 
 	// WrapCreditAccountant is a test seam: when set, the harness passes
 	// its credit accounting closures (issued, consumed, dropped) through
@@ -85,25 +78,11 @@ func (o *Options) timelines() int {
 	return o.Timelines
 }
 
-func (o *Options) auditEvery() sim.Time {
-	if o == nil || o.AuditEvery == 0 {
-		return 100 * sim.Microsecond
-	}
-	return o.AuditEvery
-}
-
 func (o *Options) starveAfter() sim.Time {
 	if o == nil || o.StarveAfter <= 0 {
 		return 10 * sim.Millisecond
 	}
 	return o.StarveAfter
-}
-
-func (o *Options) maxViolations() int {
-	if o == nil || o.MaxViolations <= 0 {
-		return 1024
-	}
-	return o.MaxViolations
 }
 
 // hopEvent says what happened to a packet at a port.

@@ -24,6 +24,10 @@
 //     encoding/json writes the line's names and the values are appended
 //     after them, never re-scanned.
 //
+// FlowsDigest is the one digest of a run's flows: the sha256 of its flow
+// lines, written by the same code WriteJSONL writes them with, so the
+// golden rows that pin the model can be read off any artifact.
+//
 // MergeRuns folds the per-plane runs of a sharded run and lists counters
 // and series in (entity, metric) order, so an artifact is the same lines
 // at every shard count.

@@ -20,13 +20,12 @@ type PortProfile func(rate units.Rate) netem.PortConfig
 
 // Params carries fabric-wide constants.
 type Params struct {
-	LinkRate   units.Rate     // line rate of every link
-	LinkDelay  sim.Time       // one-way propagation per link
-	HostDelay  sim.Time       // per-packet host processing delay at send
-	SwitchBuf  units.ByteSize // shared buffer per switch
-	BufAlpha   float64        // dynamic threshold factor
-	Profile    PortProfile    // queue layout applied to every port (switch and NIC)
-	HostBufCap bool           // if true, host NICs also use a shared buffer of SwitchBuf
+	LinkRate  units.Rate     // line rate of every link
+	LinkDelay sim.Time       // one-way propagation per link
+	HostDelay sim.Time       // per-packet host processing delay at send
+	SwitchBuf units.ByteSize // shared buffer per switch
+	BufAlpha  float64        // dynamic threshold factor
+	Profile   PortProfile    // queue layout applied to every port (switch and NIC)
 }
 
 // CrossLink is one egress port whose propagation crosses a shard cut in

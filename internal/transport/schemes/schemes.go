@@ -138,13 +138,16 @@ func New(name string, env *transport.SchemeEnv) (*Scheme, error) {
 }
 
 // Names lists every scheme name, sorted.
-func Names() []string {
-	names := make([]string, 0, len(table))
-	for n := range table {
-		names = append(names, n)
+func Names() []string { return sortedKeys(table) }
+
+// sortedKeys lists m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.Sort(names)
-	return names
+	slices.Sort(keys)
+	return keys
 }
 
 // naive is plain ExpressPass: full-rate credits sharing the legacy queue.
@@ -163,6 +166,34 @@ func expressCfg(env *transport.SchemeEnv, label string, wq float64) *expresspass
 	cfg.Trace = env.Trace
 	cfg.Pacer.Trace, cfg.Pacer.Issued = env.Trace, st.CreditsIssued
 	return &cfg
+}
+
+// options is every scheme option a scheme of the table reads — all of
+// them FlexPass's, read by flexCfg below — with the values it accepts.
+var options = map[string][]string{
+	transport.OptDisableProRetx: boolValues,
+	transport.OptReactive:       {string(flexpass.ReactiveDCTCP), string(flexpass.ReactiveReno)},
+	transport.OptPreCreditOnly:  boolValues,
+}
+
+// boolValues are the spellings SchemeEnv.BoolOption reads as a flag.
+var boolValues = []string{"1", "true", "yes", "0", "false", "no"}
+
+// CheckOptions rejects an option map that names a key no scheme reads,
+// or a value its key does not accept; the error lists the known keys or
+// the accepted values. A known key that a given scheme does not read is
+// legal: a sweep crosses every option map with every scheme.
+func CheckOptions(opts map[string]string) error {
+	for _, k := range sortedKeys(opts) {
+		accepted, ok := options[k]
+		if !ok {
+			return fmt.Errorf("unknown scheme option %q (known: %s)", k, strings.Join(sortedKeys(options), ", "))
+		}
+		if !slices.Contains(accepted, opts[k]) {
+			return fmt.Errorf("scheme option %s=%q: want one of %s", k, opts[k], strings.Join(accepted, ", "))
+		}
+	}
+	return nil
 }
 
 // flexCfg builds the FlexPass connection config from the env's w_q and
