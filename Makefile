@@ -50,10 +50,11 @@ race-shard:
 check: fmt vet build race
 
 # The façade's examples, pinned: each builds and runs, and its stdout
-# must equal the checked-in examples/<name>/output.txt. Every one drives
-# a Testbed, so a change beneath the façade that moves one printed number
-# fails here, naming the example with a diff (< checked in, > now).
-EXAMPLES = quickstart coexistence faulttolerance incast
+# must equal the checked-in examples/<name>/output.txt. Four drive a
+# Testbed and gradual runs ten small Clos scenarios (~7 s), so a change
+# beneath the façade that moves one printed number fails here, naming
+# the example with a diff (< checked in, > now).
+EXAMPLES = quickstart coexistence faulttolerance incast gradual
 examples-check:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	 for e in $(EXAMPLES); do $(GO) build -o "$$bin/$$e" ./examples/$$e && "$$bin/$$e" > "$$bin/$$e.txt" || exit 1; \

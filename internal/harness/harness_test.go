@@ -2,10 +2,13 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"flexpass/internal/metrics"
 	"flexpass/internal/sim"
+	"flexpass/internal/topo"
+	"flexpass/internal/transport"
 	"flexpass/internal/units"
 )
 
@@ -141,5 +144,41 @@ func TestQueueOccupancySampled(t *testing.T) {
 	// scale, far below the 1.125MB dynamic buffer bound.
 	if res.QueueP90 > 300_000 {
 		t.Fatalf("Q1 p90 occupancy %dB; not bounded", res.QueueP90)
+	}
+}
+
+// TestQueueSamplingPlainProfile: the all-legacy profile's ports have one
+// queue and no Q1, so sampling queues on a DCTCP run samples nothing and
+// reports no Q1 occupancy, where it used to index the missing queue.
+func TestQueueSamplingPlainProfile(t *testing.T) {
+	sc := miniBase()
+	sc.Clos = topo.ClosParams{Pods: 2, AggPerPod: 1, TorPerPod: 1, HostsPerTor: 2, Cores: 1}
+	sc.Scheme = Scheme(transport.SchemeDCTCP)
+	sc.Duration = sim.Millisecond
+	sc.SampleQueues = true
+	res := Run(sc)
+	if len(res.Flows.Records) == 0 {
+		t.Fatal("no flows generated")
+	}
+	if res.QueueAvg != 0 || res.QueueP90 != 0 || res.QueueRedAvg != 0 || res.QueueRedP90 != 0 {
+		t.Fatalf("one-queue run reports Q1 occupancy avg %d p90 %d red %d/%d",
+			res.QueueAvg, res.QueueP90, res.QueueRedAvg, res.QueueRedP90)
+	}
+}
+
+// TestOpenChecksSchemeOptions: a scenario built in code with an option
+// value the table does not accept is refused by Open with the table's
+// error, before any event runs, not by the first sender that reads it.
+func TestOpenChecksSchemeOptions(t *testing.T) {
+	sc := miniBase()
+	sc.Deployment = 1
+	sc.SchemeOptions = map[string]string{transport.OptReactive: "cubic"}
+	_, err := Try(func(sc Scenario) *Result {
+		Open(sc)
+		t.Error("Open accepted reactive=cubic")
+		return nil
+	}, sc)
+	if err == nil || !strings.Contains(err.Error(), "want one of dctcp, reno") {
+		t.Fatalf("Open came back with %v, want the options table's error", err)
 	}
 }

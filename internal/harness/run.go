@@ -185,6 +185,9 @@ type Session struct {
 // Open builds the scenario's run: fabric, planes, observers and every
 // arrival of the scenario's flows in place, no event dispatched yet.
 func Open(sc Scenario) *Session {
+	if err := schemes.CheckOptions(sc.SchemeOptions); err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
 	n := sc.Clos.Planes(sc.Shards)
 	if sc.Forensics != nil && n > 1 {
 		panic(fmt.Sprintf("harness: forensics needs one engine, this run has %d (set Shards to 0 or 1)", n))
@@ -392,14 +395,16 @@ func Open(sc Scenario) *Session {
 	// Q1 occupancy of the ToR uplinks, each sampled by the plane whose
 	// engine owns it. The prober is private rather than the telemetry
 	// plane's: Result.Queue* keeps every sample whether or not telemetry
-	// is on and whatever its SeriesCap.
+	// is on and whatever its SeriesCap. A one-queue profile (all legacy)
+	// has no Q1, so its uplinks give no samples and the run no q1_*.
 	if sc.SampleQueues {
+		const q1 = int(netem.ClassFlex)
 		for _, pl := range planes {
 			reg := obs.NewRegistry()
 			for _, up := range fab.TorUplinks {
-				if up.Engine() == pl.eng {
-					reg.Gauge(up.Name(), "bytes", func() int64 { total, _ := up.QueueBytes(fab.FlexQueueIndex); return total })
-					reg.Gauge(up.Name(), "red_bytes", func() int64 { _, red := up.QueueBytes(fab.FlexQueueIndex); return red })
+				if up.Engine() == pl.eng && up.NumQueues() > q1 {
+					reg.Gauge(up.Name(), "bytes", func() int64 { total, _ := up.QueueBytes(q1); return total })
+					reg.Gauge(up.Name(), "red_bytes", func() int64 { _, red := up.QueueBytes(q1); return red })
 				}
 			}
 			pl.q1 = sample(pl.eng, reg, 100*sim.Microsecond, end)

@@ -56,16 +56,15 @@ type Scenario struct {
 	WQ     float64   // FlexPass queue weight (w_q); FlexPass is insensitive to it
 	Spec   topo.Spec // threshold overrides (selective drop / ECN)
 
-	// Workload. The legacy parameter knobs (Workload CDF, IncastFraction,
-	// IncastFlowSize) and the composable plan below both route through
+	// Workload. The legacy parameter knobs (Workload CDF, IncastFraction
+	// of 8 kB flows) and the composable plan below both route through
 	// the same generator: when WorkloadPlan is nil, planWorkload builds
 	// the equivalent builtin plan, which consumes the workload RNG stream
 	// bit-identically to the historical direct-parameter path.
 	Workload       *workload.CDF
 	Load           float64
-	Deployment     float64 // fraction of FlexPass/ExpressPass-enabled deployment groups (racks)
-	IncastFraction float64 // foreground incast volume fraction (0 = none)
-	IncastFlowSize int64
+	Deployment     float64  // fraction of FlexPass/ExpressPass-enabled deployment groups (racks)
+	IncastFraction float64  // foreground incast volume fraction (0 = none)
 	Duration       sim.Time // arrival window
 	Drain          sim.Time // extra time for in-flight flows to finish
 
@@ -77,9 +76,9 @@ type Scenario struct {
 	WorkloadPlan *workload.Plan
 
 	// SampleQueues enables Q1 occupancy sampling at ToR uplinks (every
-	// 100us, Result.Queue*; a testbed has none). The samples come from a
-	// prober of their own, so the statistics do not depend on Telemetry or
-	// its SeriesCap.
+	// 100us, Result.Queue*; a testbed has none, nor has the one-queue
+	// all-legacy profile). The samples come from a prober of their own,
+	// so the statistics do not depend on Telemetry or its SeriesCap.
 	SampleQueues bool
 
 	// Shards requests the parallel engine: the fabric is cut into
@@ -175,21 +174,20 @@ type Scenario struct {
 // default duration so the full suite runs quickly.
 func BaseScenario(full bool) Scenario {
 	sc := Scenario{
-		Seed:           1,
-		Clos:           topo.SmallClos,
-		LinkRate:       40 * units.Gbps,
-		LinkDelay:      2 * sim.Microsecond,
-		HostDelay:      1 * sim.Microsecond,
-		SwitchBuf:      4500 * units.KB,
-		BufAlpha:       0.25,
-		Scheme:         SchemeFlexPass,
-		WQ:             0.5,
-		Workload:       workload.WebSearch,
-		Load:           0.5,
-		Deployment:     0.5,
-		IncastFlowSize: 8000,
-		Duration:       15 * sim.Millisecond,
-		Drain:          60 * sim.Millisecond,
+		Seed:       1,
+		Clos:       topo.SmallClos,
+		LinkRate:   40 * units.Gbps,
+		LinkDelay:  2 * sim.Microsecond,
+		HostDelay:  1 * sim.Microsecond,
+		SwitchBuf:  4500 * units.KB,
+		BufAlpha:   0.25,
+		Scheme:     SchemeFlexPass,
+		WQ:         0.5,
+		Workload:   workload.WebSearch,
+		Load:       0.5,
+		Deployment: 0.5,
+		Duration:   15 * sim.Millisecond,
+		Drain:      60 * sim.Millisecond,
 	}
 	if full {
 		sc.Clos = topo.PaperClos
@@ -315,7 +313,7 @@ func planWorkload(sc Scenario) *runPlan {
 		// incast mix. LegacyPlan consumes the seeded stream exactly as
 		// the historical direct-parameter path did, so the golden rows
 		// are unchanged (golden in golden_test.go).
-		legacy := workload.LegacyPlan(sc.Workload, sc.IncastFraction, sc.IncastFlowSize)
+		legacy := workload.LegacyPlan(sc.Workload, sc.IncastFraction)
 		flows, err := legacy.Generate(env, WorkloadRand(sc.Seed))
 		if err != nil {
 			panic(fmt.Sprintf("harness: builtin workload: %v", err))

@@ -7,6 +7,7 @@ import (
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
+	"flexpass/internal/transport"
 	"flexpass/internal/units"
 	"flexpass/internal/workload"
 )
@@ -167,5 +168,50 @@ func TestEventsPerHopBudget(t *testing.T) {
 	}
 	if perHop := float64(res.Events) / float64(hops); perHop > 1.7 {
 		t.Fatalf("%d events over %d packet-hops = %.2f events/hop, budget 1.7", res.Events, hops, perHop)
+	}
+}
+
+// TestFlowRecordsSumToCounters: the per-flow outcome in the flow lines
+// and the per-transport counters are two books of one run. For each
+// transport label, the flow records' timeouts, retransmits, granted and
+// wasted credits and delivered bytes sum to the artifact's
+// transport/<label> counters, on a two-shard Clos at full deployment with
+// a heavy incast, where ExpressPass wastes credits. A transport that
+// bills one book and not the other fails here.
+func TestFlowRecordsSumToCounters(t *testing.T) {
+	for _, scheme := range []Scheme{Scheme(transport.SchemeExpressPass), SchemeLayering, SchemeFlexPass, Scheme(transport.SchemePHost)} {
+		t.Run(string(scheme), func(t *testing.T) {
+			sc := shardScenario(scheme, 2)
+			sc.Deployment, sc.Load, sc.IncastFraction = 1, 0.7, 0.3
+			sc.Telemetry = &obs.Options{}
+			res := Run(sc)
+			sums := map[string]map[string]int64{}
+			for _, r := range res.Flows.Records {
+				s := sums[r.Transport]
+				if s == nil {
+					s = map[string]int64{}
+					sums[r.Transport] = s
+				}
+				s["timeouts"] += int64(r.Timeouts)
+				s["retransmits"] += int64(r.Retransmits)
+				s["credits_granted"] += int64(r.CreditsGranted)
+				s["credits_wasted"] += int64(r.CreditsWasted)
+				s["rx_bytes"] += r.RxBytes
+			}
+			counters := map[string]int64{}
+			for _, c := range res.Telemetry.Counters {
+				counters[c.Entity+":"+c.Metric] = c.Value
+			}
+			for label, s := range sums {
+				for metric, want := range s {
+					if got := counters["transport/"+label+":"+metric]; got != want {
+						t.Errorf("transport/%s %s = %d, flow records sum to %d", label, metric, got, want)
+					}
+				}
+			}
+			if scheme == Scheme(transport.SchemeExpressPass) && sums[transport.SchemeExpressPass]["credits_wasted"] == 0 {
+				t.Fatal("ExpressPass wasted no credits: the scenario no longer exercises credits_wasted")
+			}
+		})
 	}
 }

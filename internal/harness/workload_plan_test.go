@@ -47,7 +47,6 @@ func parsePlanOrDie(t *testing.T, js string) *workload.Plan {
 func TestWorkloadPlanLegacyEquivalence(t *testing.T) {
 	legacy := planScenario()
 	legacy.IncastFraction = 0.1
-	legacy.IncastFlowSize = 8000
 	want := Run(legacy)
 
 	planned := planScenario()
@@ -134,7 +133,7 @@ func TestWorkloadPlanArtifactAndLakeRow(t *testing.T) {
 // get a content-addressed "trace:<digest>".
 func TestTraceRunManifestIdentity(t *testing.T) {
 	sc := planScenario()
-	flows, err := workload.LegacyPlan(workload.WebSearch, 0, 0).Generate(workload.Env{
+	flows, err := workload.LegacyPlan(workload.WebSearch, 0).Generate(workload.Env{
 		Hosts:          6,
 		UplinkCapacity: 320 * units.Gbps,
 		Load:           0.4,

@@ -14,7 +14,7 @@ import (
 // Observers must be strictly read-only: they may inspect the port, queue
 // state, and packet, but must not mutate them, send packets, or schedule
 // events, or they would perturb the simulation they are watching; and they
-// must not retain a *Packet or its Meta past the callback (see PacketPool).
+// must not retain a *Packet past the callback (see PacketPool).
 
 // DropReason says why a port discarded a packet.
 type DropReason uint8

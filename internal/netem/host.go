@@ -53,7 +53,7 @@ func (h *Host) NIC() *Port { return h.nic }
 
 // SetHandler installs the receive callback. The transport framework calls
 // this once per host. The frame is recycled when fn returns: fn must not
-// retain the *Packet or its Meta (see PacketPool).
+// retain the *Packet (see PacketPool).
 func (h *Host) SetHandler(fn func(*Packet)) { h.handler = fn }
 
 // NewPacket returns a zeroed packet for the caller to fill

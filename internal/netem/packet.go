@@ -29,7 +29,6 @@ const (
 	KindReData                 // unscheduled (reactive) data
 	KindCredit                 // ExpressPass credit
 	KindCreditReq              // ExpressPass credit request (flow start)
-	KindCreditStop             // receiver tells sender-side it stopped credits
 	KindAckPro                 // ACK for credit-scheduled (proactive) data
 	KindAckRe                  // ACK for reactive sub-flow data
 	KindHomaData               // Homa data segment
@@ -38,7 +37,7 @@ const (
 
 var kindNames = [...]string{
 	"legacy-data", "legacy-ack", "pro-data", "re-data", "credit",
-	"credit-req", "credit-stop", "ack-pro", "ack-re", "homa-data", "homa-grant",
+	"credit-req", "ack-pro", "ack-re", "homa-data", "homa-grant",
 }
 
 func (k Kind) String() string {
@@ -102,8 +101,6 @@ type Packet struct {
 	Echo     uint32 // credit sequence echoed by credit-scheduled data
 
 	Size int // wire bytes
-
-	Meta any // transport-specific payload (ACK blocks, grant info, ...)
 
 	SentAt sim.Time // stamped by the sending endpoint (for RTT estimates)
 

@@ -14,8 +14,8 @@ package netem
 //     Host.Receive after the transport handler returns, or by the dropping
 //     Port when admission fails.
 //   - Consumers — transport Handle callbacks and HopObservers — must not
-//     retain a *Packet (or its Meta) past the callback; copy what they
-//     need. All in-repo transports and observers obey this.
+//     retain a *Packet past the callback; copy what they need. All
+//     in-repo transports and observers obey this.
 //
 // Recycling never changes simulation results: TestGoldenDigestPooled
 // strips the pools (SetPool(nil)) and requires identical digests, so a
@@ -61,7 +61,6 @@ func (p *PacketPool) put(pkt *Packet) {
 		panic("netem: frame recycled twice")
 	}
 	pkt.free = true
-	pkt.Meta = nil // drop the payload reference so it can be collected
 	pkt.next = p.free
 	p.free = pkt
 	p.Recycled++

@@ -36,13 +36,10 @@ func (s *SharedBuffer) admits(qbytes, size int64) bool {
 	return float64(qbytes+size) <= s.Alpha*float64(free)
 }
 
-// PortStats accumulates per-port transmit counters, including a by-kind
-// byte breakdown (credits vs proactive vs reactive vs legacy, etc.) for
-// utilization studies without per-flow sampling.
+// PortStats accumulates per-port transmit counters.
 type PortStats struct {
-	TxPackets   int64
-	TxBytes     int64
-	TxBytesKind [16]int64 // indexed by Kind
+	TxPackets int64
+	TxBytes   int64
 }
 
 // PortConfig describes an egress port's queues and classification.
@@ -65,7 +62,7 @@ type Port struct {
 	peer  Node
 	owner NodeID
 	link  uint32     // number in the Network, 0 outside one; see Rank
-	rng   sim.Stream // RED marking and fault-loss draws, keyed by link
+	rng   sim.Stream // fault-loss draws, keyed by link
 
 	queues   []queue // by value: a port is a handful of allocations
 	bands    []band
@@ -286,26 +283,10 @@ func (p *Port) Send(pkt *Packet) {
 		p.shared.used += sz
 	}
 
-	// ECN marking on ECN-capable packets: RED-style probabilistic when
-	// configured, otherwise DCTCP-style instantaneous threshold.
-	if pkt.ECNCapable {
-		occ := q.bytes + sz
-		switch {
-		case q.cfg.REDMax > 0:
-			if occ >= int64(q.cfg.REDMax) {
-				pkt.CE = true
-				q.stats.Marked++
-			} else if occ > int64(q.cfg.REDMin) {
-				frac := float64(occ-int64(q.cfg.REDMin)) / float64(q.cfg.REDMax-q.cfg.REDMin)
-				if p.rng.Float64() < frac*q.cfg.REDPMax {
-					pkt.CE = true
-					q.stats.Marked++
-				}
-			}
-		case q.cfg.ECNThreshold > 0 && occ > int64(q.cfg.ECNThreshold):
-			pkt.CE = true
-			q.stats.Marked++
-		}
+	// ECN marking on ECN-capable packets at the instantaneous threshold.
+	if pkt.ECNCapable && q.cfg.ECNThreshold > 0 && q.bytes+sz > int64(q.cfg.ECNThreshold) {
+		pkt.CE = true
+		q.stats.Marked++
 	}
 
 	pkt.at = p.eng.Now()
@@ -372,9 +353,6 @@ func (p *Port) kick() {
 	}
 	p.stats.TxPackets++
 	p.stats.TxBytes += int64(pkt.Size)
-	if int(pkt.Kind) < len(p.stats.TxBytesKind) {
-		p.stats.TxBytesKind[pkt.Kind] += int64(pkt.Size)
-	}
 	p.txEnd = p.eng.Reserve(p.eng.Now() + tx)
 	p.txArmed = false
 	for i := range p.queues {

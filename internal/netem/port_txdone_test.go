@@ -224,11 +224,24 @@ func TestTxDoneRemotePort(t *testing.T) {
 	wantTimes(t, "hand-offs", handed, 3*us, 13*us, 14*us, 15*us)
 }
 
-// TestPortAllocationSizeClass keeps Port inside the 512-byte malloc size
-// class it has always occupied: a fabric holds thousands of ports, and
-// spilling into the next class (576) shows up as set-up memory.
+// TestPortAllocationSizeClass holds the data plane's per-frame and
+// per-port structs to the sizes they carry nothing unread at: Port in the
+// 352-byte malloc size class (a fabric holds thousands of ports, and the
+// next class, 384, shows up as set-up memory), Packet at 72 bytes (every
+// slab and every hop touches it) and queue, held by value in its port,
+// at 192. A field added to any of them fails here until it earns its
+// bytes.
 func TestPortAllocationSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Port{}); sz > 512 {
-		t.Fatalf("Port is %d bytes, over the 512-byte size class", sz)
+	for _, c := range []struct {
+		name     string
+		sz, most uintptr
+	}{
+		{"Port", unsafe.Sizeof(Port{}), 352},
+		{"Packet", unsafe.Sizeof(Packet{}), 72},
+		{"queue", unsafe.Sizeof(queue{}), 192},
+	} {
+		if c.sz > c.most {
+			t.Errorf("%s is %d bytes, over %d", c.name, c.sz, c.most)
+		}
 	}
 }

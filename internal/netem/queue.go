@@ -19,20 +19,9 @@ type QueueConfig struct {
 
 	// ECNThreshold marks CE on ECN-capable packets when the queue's byte
 	// occupancy after enqueue exceeds it (DCTCP-style instantaneous
-	// threshold marking). Zero disables marking.
+	// threshold marking: the paper's K, which is RED with min = max).
+	// Zero disables marking.
 	ECNThreshold units.ByteSize
-
-	// REDMin/REDMax/REDPMax enable RED-style probabilistic marking
-	// instead of the hard threshold: below REDMin no packet is marked,
-	// between REDMin and REDMax the marking probability rises linearly
-	// to REDPMax, and above REDMax every ECN-capable packet is marked.
-	// When REDMax is zero the hard ECNThreshold applies instead. The
-	// paper's switches run "RED/ECN marking" on Q1; with REDMin=REDMax
-	// the two configurations coincide, which is why threshold marking is
-	// the default everywhere.
-	REDMin  units.ByteSize
-	REDMax  units.ByteSize
-	REDPMax float64
 
 	// RedDropThreshold drops incoming Red packets once the queue's
 	// red-colored byte occupancy would exceed it (color-aware selective
@@ -54,7 +43,6 @@ type QueueConfig struct {
 type QueueStats struct {
 	Enqueued     int64 // packets accepted
 	EnqueuedB    int64 // bytes accepted
-	Dequeued     int64
 	Dropped      int64 // all drops
 	DroppedRed   int64 // drops due to the red threshold
 	DroppedOver  int64 // drops due to buffer exhaustion / cap / dynamic threshold
@@ -114,6 +102,5 @@ func (q *queue) pop() *Packet {
 	if p.Color == Red {
 		q.redB -= int64(p.Size)
 	}
-	q.stats.Dequeued++
 	return p
 }

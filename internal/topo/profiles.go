@@ -20,9 +20,10 @@ type Spec struct {
 	FlexRed units.ByteSize
 	// LegacyECN is the legacy queue's DCTCP marking threshold (100kB).
 	LegacyECN units.ByteSize
-	// CreditCap is the credit queue's private buffer (<1KB in the paper).
-	CreditCap units.ByteSize
 }
+
+// creditCap is the credit queue's private buffer (<1KB in the paper).
+const creditCap = 1 * units.KB
 
 // Defaults fills zero fields with the paper's §6.2 values.
 func (s Spec) Defaults() Spec {
@@ -38,16 +39,7 @@ func (s Spec) Defaults() Spec {
 	if s.LegacyECN == 0 {
 		s.LegacyECN = 100 * units.KB
 	}
-	if s.CreditCap == 0 {
-		s.CreditCap = 1 * units.KB
-	}
 	return s
-}
-
-// creditLimit computes the credit-queue rate limit so that triggered data
-// fills frac of the line rate.
-func creditLimit(rate units.Rate, frac float64) units.Rate {
-	return netem.CreditRateFor(rate, frac)
 }
 
 // FlexPassProfile is the paper's deployment layout: Q0 credits (strict
@@ -58,7 +50,7 @@ func FlexPassProfile(s Spec) PortProfile {
 	s = s.Defaults()
 	return func(rate units.Rate) netem.PortConfig {
 		return netem.PortConfig{Queues: []netem.QueueConfig{
-			{Name: "Q0-credit", Band: 0, CapBytes: s.CreditCap, RateLimit: creditLimit(rate, s.WQ)},
+			{Name: "Q0-credit", Band: 0, CapBytes: creditCap, RateLimit: netem.CreditRateFor(rate, s.WQ)},
 			{Name: "Q1-flex", Band: 1, Weight: s.WQ, ECNThreshold: s.FlexECN, RedDropThreshold: s.FlexRed},
 			{Name: "Q2-legacy", Band: 1, Weight: 1 - s.WQ, ECNThreshold: s.LegacyECN},
 		}}
@@ -73,7 +65,7 @@ func OWFProfile(s Spec) PortProfile {
 	s = s.Defaults()
 	return func(rate units.Rate) netem.PortConfig {
 		return netem.PortConfig{Queues: []netem.QueueConfig{
-			{Name: "Q0-credit", Band: 0, CapBytes: s.CreditCap, RateLimit: creditLimit(rate, s.WQ)},
+			{Name: "Q0-credit", Band: 0, CapBytes: creditCap, RateLimit: netem.CreditRateFor(rate, s.WQ)},
 			{Name: "Q1-xpass", Band: 1, Weight: s.WQ},
 			{Name: "Q2-legacy", Band: 1, Weight: 1 - s.WQ, ECNThreshold: s.LegacyECN},
 		}}
@@ -88,7 +80,7 @@ func NaiveProfile(s Spec) PortProfile {
 	return func(rate units.Rate) netem.PortConfig {
 		return netem.PortConfig{
 			Queues: []netem.QueueConfig{
-				{Name: "Q0-credit", Band: 0, CapBytes: s.CreditCap, RateLimit: creditLimit(rate, 1.0)},
+				{Name: "Q0-credit", Band: 0, CapBytes: creditCap, RateLimit: netem.CreditRateFor(rate, 1.0)},
 				{Name: "Q1-shared", Band: 1, ECNThreshold: s.LegacyECN},
 			},
 			Classify: func(p *netem.Packet) int {
@@ -113,7 +105,7 @@ func AltQueueProfile(s Spec) PortProfile {
 	s = s.Defaults()
 	return func(rate units.Rate) netem.PortConfig {
 		return netem.PortConfig{Queues: []netem.QueueConfig{
-			{Name: "Q0-credit", Band: 0, CapBytes: s.CreditCap, RateLimit: creditLimit(rate, s.WQ)},
+			{Name: "Q0-credit", Band: 0, CapBytes: creditCap, RateLimit: netem.CreditRateFor(rate, s.WQ)},
 			{Name: "Q1-pro", Band: 1, Weight: s.WQ},
 			{Name: "Q2-mixed", Band: 1, Weight: 1 - s.WQ, ECNThreshold: s.LegacyECN},
 		}}

@@ -41,12 +41,9 @@ type Fabric struct {
 	Net *netem.Network
 
 	// TorUplinks lists ToR→Agg egress ports; their aggregate capacity
-	// defines "network load" in §6.2. Empty for non-Clos fabrics.
+	// defines "network load" in §6.2. Empty for non-Clos fabrics. Their
+	// Q1, where a profile has one, is queue netem.ClassFlex.
 	TorUplinks []*netem.Port
-
-	// FlexQueueIndex is the queue index carrying FlexPass data in the
-	// active profile (for occupancy sampling); -1 when not applicable.
-	FlexQueueIndex int
 
 	// Partition metadata of a Clos build (nil on the one-plane testbed
 	// fabrics): HostShard and SwitchShard give each node's engine index in
@@ -76,7 +73,7 @@ func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 	shared := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	sw := netem.NewSwitch(eng, net.AllocID(), "sw0", shared)
 	net.AddSwitch(sw)
-	f := &Fabric{Net: net, FlexQueueIndex: 1}
+	f := &Fabric{Net: net}
 	for i := 0; i < n; i++ {
 		id := net.AllocID()
 		nic := netem.NewPort(eng, fmt.Sprintf("h%d:nic", i), p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
@@ -107,7 +104,7 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 	swL.AddPort(lr)
 	swR.AddPort(rl)
 
-	f := &Fabric{Net: net, FlexQueueIndex: 1}
+	f := &Fabric{Net: net}
 	addHost := func(sw *netem.Switch, shared *netem.SharedBuffer, name string) netem.NodeID {
 		id := net.AllocID()
 		nic := netem.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
@@ -202,7 +199,7 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 	podShard := ClosPodShards(c, len(engs))
 	eng := engs[0] // core tier and the network container
 	net := netem.NewNetwork(eng)
-	f := &Fabric{Net: net, FlexQueueIndex: 1}
+	f := &Fabric{Net: net}
 
 	newSwitch := func(e *sim.Engine, name string, shard int) *netem.Switch {
 		sh := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)

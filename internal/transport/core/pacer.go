@@ -103,9 +103,6 @@ type Pacer struct {
 	fbTimer     sim.Timer
 	creditFn    func() // pre-bound creditTick: one closure per pacer, not per credit
 	feedbackFn  func() // pre-bound feedback, same reason
-
-	// TotalCredits counts all credits ever sent (stats).
-	TotalCredits int
 }
 
 // Init readies the pacer, inactive, to send credits from host toward dst
@@ -179,7 +176,6 @@ func (p *Pacer) creditTick() {
 
 func (p *Pacer) sendCredit() {
 	p.sent++
-	p.TotalCredits++
 	p.cfg.Issued.Inc()
 	p.cfg.Trace.Add(trace.CreditIssue, p.flow, int64(p.creditSeq), "")
 	pkt := p.host.NewPacket()

@@ -362,13 +362,18 @@ func ParsePlanFile(path string) (*Plan, error) {
 	return p, nil
 }
 
+// legacyIncastFlow is the size of every flow of the parameter workload's
+// incast: the paper's synchronized 8 kB responses.
+const legacyIncastFlow = 8000
+
 // LegacyPlan is the builtin plan equivalent of the pre-plan parameter
 // workload (Scenario.Workload + IncastFraction): one Poisson background
 // source at the scenario load plus, when fraction > 0, one incast
-// source at the legacy volume fraction. Generating it against the same
-// seed consumes the RNG stream identically to the old direct-parameter
-// path, so golden flow digests are preserved bit for bit.
-func LegacyPlan(cdf *CDF, incastFraction float64, incastFlowSize int64) *Plan {
+// source of 8 kB flows at the legacy volume fraction. Generating it
+// against the same seed consumes the RNG stream identically to the old
+// direct-parameter path, so golden flow digests are preserved bit for
+// bit.
+func LegacyPlan(cdf *CDF, incastFraction float64) *Plan {
 	p := &Plan{
 		Name:    "builtin:" + cdf.Name,
 		Sources: []Source{{Kind: SrcPoisson, CDF: cdf.Name, cdf: cdf}},
@@ -377,7 +382,7 @@ func LegacyPlan(cdf *CDF, incastFraction float64, incastFlowSize int64) *Plan {
 		p.Sources = append(p.Sources, Source{
 			Kind:     SrcIncast,
 			Fraction: incastFraction,
-			FlowSize: incastFlowSize,
+			FlowSize: legacyIncastFlow,
 		})
 	}
 	return p

@@ -248,7 +248,7 @@ func TestLegacyPlanMatchesDirectParams(t *testing.T) {
 	}.Generate(r)
 	want = Merge(want, inc)
 
-	got := mustGenerate(t, LegacyPlan(WebSearch, 0.1, 8000), env, 9)
+	got := mustGenerate(t, LegacyPlan(WebSearch, 0.1), env, 9)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("LegacyPlan diverged from the direct-parameter path: %d vs %d flows", len(got), len(want))
 	}
