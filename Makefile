@@ -136,17 +136,20 @@ bench-sim:
 # Hot-path benchmark set: scheduler dispatch/churn/cancellation plus the
 # netem per-hop costs (BenchmarkHostHop matches both the Network and the
 # HandWired variant; BenchmarkPortQueued is a hop through a standing
-# queue, BenchmarkPortForward an uncongested one), for a quick look while
-# working. The standing
+# queue, BenchmarkPortForward an uncongested one), and the fabric build
+# (BenchmarkClosBuild: the paper Clos on one engine, BigClos on two), for
+# a quick look while working. The standing
 # benchmark's ledger below measures the same layers (sim.dispatch_ns,
 # netem.port_hop_ns, shard.speedup on big-sharded) in a comparable,
 # checked-in shape.
 HOT_SIM   = BenchmarkEngineDispatch|BenchmarkEventChurn|BenchmarkTimerStopPending
 HOT_NETEM = BenchmarkPortForward|BenchmarkPortQueued|BenchmarkHostHop
+HOT_TOPO  = BenchmarkClosBuild
 
 bench-hot:
 	@$(GO) test -bench '$(HOT_SIM)' -benchmem -benchtime 1s -run '^$$' ./internal/sim/
 	@$(GO) test -bench '$(HOT_NETEM)' -benchmem -benchtime 1s -run '^$$' ./internal/netem/
+	@$(GO) test -bench '$(HOT_TOPO)' -benchmem -benchtime 1s -run '^$$' ./internal/topo/
 
 # The standing benchmark's ledger (bench/README.md): every workload's
 # end-to-end metrics plus the traced pass's per-layer metrics, one side

@@ -166,6 +166,40 @@ func TestQueueSamplingPlainProfile(t *testing.T) {
 	}
 }
 
+// TestQueueSamplingWithoutQ1AddsNoEvents: a plane with no Q1 to sample —
+// a one-queue (all-legacy) Clos at one and two planes, a single-switch
+// testbed with no ToR uplink — starts no Q1 prober, so SampleQueues
+// leaves its events and flow records as they are without it.
+func TestQueueSamplingWithoutQ1AddsNoEvents(t *testing.T) {
+	mini := topo.ClosParams{Pods: 2, AggPerPod: 1, TorPerPod: 1, HostsPerTor: 2, Cores: 1}
+	for _, tc := range []struct {
+		name   string
+		layout topo.Layout
+		scheme string
+		shards int
+	}{
+		{"dctcp/clos", mini, transport.SchemeDCTCP, 1},
+		{"dctcp/clos/shards=2", mini, transport.SchemeDCTCP, 2},
+		{"flexpass/single-switch", topo.SingleSwitchLayout{N: 4}, transport.SchemeFlexPass, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := BaseFor(tc.layout)
+			sc.Scheme, sc.Shards, sc.Deployment = Scheme(tc.scheme), tc.shards, 1
+			sc.Duration, sc.Drain = sim.Millisecond, 5*sim.Millisecond
+			plain := Run(sc)
+			sc.SampleQueues = true
+			sampled := Run(sc)
+			if len(plain.Flows.Records) == 0 {
+				t.Fatal("no flows generated")
+			}
+			if sampled.Events != plain.Events {
+				t.Fatalf("SampleQueues dispatched %d events, %d without it", sampled.Events, plain.Events)
+			}
+			sameFlows(t, "SampleQueues against none", sampled, plain)
+		})
+	}
+}
+
 // TestOpenChecksSchemeOptions: a scenario built in code with an option
 // value the table does not accept is refused by Open with the table's
 // error, before any event runs, not by the first sender that reads it.

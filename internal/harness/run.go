@@ -91,6 +91,7 @@ type arrival struct {
 // that crosses a cut, whose other half the other plane reserves at the
 // same instant on its own engine. Reserve takes the position At would
 // have, so the arrival keeps its dispatch key; armArrivals schedules it.
+// Open makes the list at its final length first.
 func (pl *plane) arrive(fl *transport.Flow, scheme string) {
 	pl.arrivals = append(pl.arrivals, arrival{pl.eng.Reserve(fl.Start), fl, pl.scheme(scheme)})
 }
@@ -168,7 +169,7 @@ type Session struct {
 	fab    *topo.Fabric
 	rt     *shard.Runtime // nil on one plane
 	res    *Result
-	agents []*transport.Agent
+	agents []transport.Agent // by host index
 	onDone func(*transport.Flow)
 	flows  transport.Flows   // by ID: the scenario's, in one slab, then StartFlow's; the agents' demux table
 	all    []*transport.Flow // the flows to record, in (start, ID) order once Close sorts and cuts it
@@ -253,14 +254,15 @@ func Open(sc Scenario) *Session {
 		Profile:   planes[0].scheme(string(sc.Scheme)).Profile,
 	})
 	s.fab = fab
-	// planeOf maps node i to its plane under the fabric's host or switch
+	// index and planeOf map node i to its plane under the host or switch
 	// partition; a one-plane fabric records none.
-	planeOf := func(shard []int, i int) *plane {
+	index := func(shard []int, i int) int {
 		if shard == nil {
-			return planes[0]
+			return 0
 		}
-		return planes[shard[i]]
+		return shard[i]
 	}
+	planeOf := func(shard []int, i int) *plane { return planes[index(shard, i)] }
 	if n > 1 {
 		s.rt = bridgeShards(engs, fab.Cross)
 	}
@@ -288,10 +290,10 @@ func Open(sc Scenario) *Session {
 		sw.Register(planeOf(fab.SwitchShard, i).reg)
 	}
 	s.flows = make(transport.Flows, len(plan.flows))
-	s.agents = make([]*transport.Agent, plan.hosts)
+	s.agents = make([]transport.Agent, plan.hosts)
 	for i, h := range fab.Net.Hosts {
 		pl := planeOf(fab.HostShard, i)
-		s.agents[i] = transport.NewAgent(pl.eng, h, &s.flows)
+		s.agents[i].Install(pl.eng, h, &s.flows)
 		s.agents[i].ObserveStrays(pl.strays)
 		h.Register(pl.reg)
 	}
@@ -329,13 +331,24 @@ func Open(sc Scenario) *Session {
 			s.rec.Done(fl.ID, s.slowdown(fl))
 		}
 	}
+	owed := make([]int, n) // each plane's arrivals, so its list is made once
+	for _, fs := range plan.flows {
+		src, dst := index(fab.HostShard, fs.Src), index(fab.HostShard, fs.Dst)
+		owed[src]++
+		if dst != src {
+			owed[dst]++
+		}
+	}
+	for i, pl := range planes {
+		pl.arrivals = make([]arrival, 0, owed[i])
+	}
 	slab := make([]transport.Flow, len(plan.flows))
 	for i, fs := range plan.flows {
 		fl := &slab[i]
 		*fl = transport.Flow{
 			ID:         uint64(i + 1),
-			Src:        s.agents[fs.Src],
-			Dst:        s.agents[fs.Dst],
+			Src:        &s.agents[fs.Src],
+			Dst:        &s.agents[fs.Dst],
 			Size:       fs.Size,
 			Start:      fs.At,
 			OnComplete: s.onDone,
@@ -396,16 +409,21 @@ func Open(sc Scenario) *Session {
 	// engine owns it. The prober is private rather than the telemetry
 	// plane's: Result.Queue* keeps every sample whether or not telemetry
 	// is on and whatever its SeriesCap. A one-queue profile (all legacy)
-	// has no Q1, so its uplinks give no samples and the run no q1_*.
+	// has no Q1, so its uplinks give no samples and the run no q1_*; a
+	// plane with no Q1 to sample starts no prober.
 	if sc.SampleQueues {
 		const q1 = int(netem.ClassFlex)
 		for _, pl := range planes {
-			reg := obs.NewRegistry()
+			var reg *obs.Registry
 			for _, up := range fab.TorUplinks {
-				if up.Engine() == pl.eng && up.NumQueues() > q1 {
-					reg.Gauge(up.Name(), "bytes", func() int64 { total, _ := up.QueueBytes(q1); return total })
-					reg.Gauge(up.Name(), "red_bytes", func() int64 { _, red := up.QueueBytes(q1); return red })
+				if up.Engine() != pl.eng || up.NumQueues() <= q1 {
+					continue
 				}
+				if reg == nil {
+					reg = obs.NewRegistry()
+				}
+				reg.Gauge(up.Name(), "bytes", func() int64 { total, _ := up.QueueBytes(q1); return total })
+				reg.Gauge(up.Name(), "red_bytes", func() int64 { _, red := up.QueueBytes(q1); return red })
 			}
 			pl.q1 = sample(pl.eng, reg, 100*sim.Microsecond, end)
 		}
@@ -498,8 +516,8 @@ func (s *Session) StartFlow(at sim.Time, scheme string, src, dst int, size int64
 	in := pl.scheme(scheme)
 	fl := s.flows.Add(&transport.Flow{
 		ID:         uint64(len(s.flows) + 1),
-		Src:        s.agents[src],
-		Dst:        s.agents[dst],
+		Src:        &s.agents[src],
+		Dst:        &s.agents[dst],
 		Size:       size,
 		Start:      at,
 		OnComplete: s.onDone,
@@ -656,7 +674,8 @@ func snapshot(fl *transport.Flow, incast bool) metrics.FlowRecord {
 
 // sample starts a private prober over reg — a measurement's own sources
 // and cadence, apart from the run's telemetry options — capped to hold
-// every tick of a run of length window, so no sample is displaced.
+// every tick of a run of length window, so no sample is displaced. A nil
+// reg gives a nil prober, which schedules nothing.
 func sample(eng *sim.Engine, reg *obs.Registry, every, window sim.Time) *obs.Prober {
 	p := obs.NewProber(eng, reg, &obs.Options{ProbeInterval: every, SeriesCap: int(window/every) + 1})
 	p.Start()

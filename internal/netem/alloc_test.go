@@ -173,8 +173,12 @@ func TestQueueGrowthAllocatesNothing(t *testing.T) {
 }
 
 // TestPortBuildAllocs bounds what one port costs to build with the paper's
-// three-queue layout (topo.FlexPassProfile): the port, its queues by
-// value, its bands over one array, and three pre-bound callbacks.
+// three-queue layout (topo.FlexPassProfile). A standalone port (NewPort)
+// is the port, its queues by value, its bands, their one queue array and
+// three pre-bound callbacks. A port carved from a Network's slab
+// (Network.NewPort) is the three callbacks: the rest comes from arrays
+// shared with the engine's other ports, whose allocations the per-port
+// mean truncates away.
 func TestPortBuildAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	shared := NewSharedBuffer(4*units.MB, 0.25)
@@ -183,11 +187,25 @@ func TestPortBuildAllocs(t *testing.T) {
 		{Name: "Q1-flex", Band: 1, Weight: 0.5, ECNThreshold: 65 * units.KB, RedDropThreshold: 150 * units.KB},
 		{Name: "Q2-legacy", Band: 1, Weight: 0.5, ECNThreshold: 100 * units.KB},
 	}}
-	allocs := testing.AllocsPerRun(100, func() {
-		NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared)
-	})
-	t.Logf("%.0f heap objects", allocs)
-	if allocs > 8 {
-		t.Fatalf("NewPort with three queues made %.0f heap objects, want <= 8", allocs)
+	net := NewNetwork(eng)
+	for _, tc := range []struct {
+		name  string
+		build func() *Port
+		want  float64
+	}{
+		{"standalone", func() *Port { return NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 7},
+		{"slab", func() *Port { return net.NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() { tc.build() })
+			t.Logf("%.0f heap objects", allocs)
+			if allocs > tc.want {
+				t.Fatalf("a three-queue port made %.0f heap objects, want <= %.0f", allocs, tc.want)
+			}
+			p := tc.build()
+			if p.NumQueues() != 3 || len(p.bands) != 2 || len(p.bands[1].qs) != 2 || p.bands[1].qs[1] != &p.queues[2] {
+				t.Fatalf("port layout: %d queues, bands %v", p.NumQueues(), p.bands)
+			}
+		})
 	}
 }

@@ -33,13 +33,11 @@ type Host struct {
 }
 
 // NewHost creates a host. nic must already be constructed; the host takes
-// ownership of it.
+// ownership of it. A fabric carves its hosts from a per-engine slab
+// instead (Network.NewHost).
 func NewHost(eng *sim.Engine, id NodeID, name string, nic *Port, delay sim.Time) *Host {
-	nic.SetOwner(id)
-	h := &Host{id: id, name: name, eng: eng, nic: nic, delay: delay}
-	h.sendFn = h.sendNext
-	h.comp = eng.Component("netem/host")
-	return h
+	var s slab
+	return s.host(eng, id, name, nic, delay)
 }
 
 // NodeID implements Node.

@@ -2,12 +2,14 @@ package netem
 
 import (
 	"flexpass/internal/sim"
+	"flexpass/internal/units"
 )
 
 // Network is a container for the simulated fabric: the engine plus every
 // node, with stable IDs assigned in construction order, and every egress
-// port, numbered as it joins (Port.Rank). It owns the fabric's packet free
-// lists, one per engine its nodes run on.
+// port, numbered as it joins (Port.Rank). It owns what the fabric keeps
+// per engine its nodes run on: the packet free list, and the slab its
+// ports and hosts are carved from (NewPort, NewHost).
 type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*Host
@@ -15,20 +17,45 @@ type Network struct {
 	nodes    map[NodeID]Node
 	nextID   NodeID
 	links    uint32
-	pools    map[*sim.Engine]*PacketPool
+	engines  map[*sim.Engine]*perEngine
+}
+
+// perEngine is what a Network keeps for one engine: only that engine's
+// goroutine touches it, or anything carved from it, while a run executes.
+type perEngine struct {
+	pool PacketPool
+	slab slab
 }
 
 // NewNetwork creates an empty network bound to eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	return &Network{Eng: eng, nodes: make(map[NodeID]Node), pools: make(map[*sim.Engine]*PacketPool)}
+	return &Network{Eng: eng, nodes: make(map[NodeID]Node), engines: make(map[*sim.Engine]*perEngine)}
+}
+
+// on returns what the network keeps for eng.
+func (n *Network) on(eng *sim.Engine) *perEngine {
+	pe := n.engines[eng]
+	if pe == nil {
+		pe = &perEngine{slab: chunked()}
+		n.engines[eng] = pe
+	}
+	return pe
 }
 
 // pool returns the free list shared by the nodes eng drives.
-func (n *Network) pool(eng *sim.Engine) *PacketPool {
-	if n.pools[eng] == nil {
-		n.pools[eng] = &PacketPool{}
-	}
-	return n.pools[eng]
+func (n *Network) pool(eng *sim.Engine) *PacketPool { return &n.on(eng).pool }
+
+// NewPort builds an egress port as the package's NewPort does, carved
+// from the slab of eng, the engine the port runs on. It joins the network
+// with the node that adds it (Switch.AddPort, AddHost).
+func (n *Network) NewPort(eng *sim.Engine, name string, rate units.Rate, prop sim.Time, cfg PortConfig, shared *SharedBuffer) *Port {
+	return n.on(eng).slab.port(eng, name, rate, prop, cfg, shared)
+}
+
+// NewHost builds a host as the package's NewHost does, carved from the
+// slab of eng; AddHost registers it.
+func (n *Network) NewHost(eng *sim.Engine, id NodeID, name string, nic *Port, delay sim.Time) *Host {
+	return n.on(eng).slab.host(eng, id, name, nic, delay)
 }
 
 // Frames is the frame-balance oracle's two sides: the frames this
@@ -39,9 +66,9 @@ func (n *Network) pool(eng *sim.Engine) *PacketPool {
 // (shard.Runtime.InFlight), and by frames leaked. Call it only while no
 // engine of the network runs.
 func (n *Network) Frames() (fresh, held int64) {
-	for _, pool := range n.pools {
-		fresh += pool.Fresh
-		held += chainLen(pool.free)
+	for _, pe := range n.engines {
+		fresh += pe.pool.Fresh
+		held += chainLen(pe.pool.free)
 	}
 	n.EachPort(func(p *Port) {
 		for i := range p.queues {

@@ -64,7 +64,7 @@ type Port struct {
 	link  uint32     // number in the Network, 0 outside one; see Rank
 	rng   sim.Stream // fault-loss draws, keyed by link
 
-	queues   []queue // by value: a port is a handful of allocations
+	queues   []queue // by value, carved with the port (see slab)
 	bands    []band
 	classify func(*Packet) int
 	shared   *SharedBuffer
@@ -127,45 +127,12 @@ type band struct {
 
 // NewPort builds an egress port. shared may be nil for ports with only
 // privately-capped queues; queues with CapBytes==0 then have unlimited
-// buffer (useful for host NICs).
+// buffer (useful for host NICs). The port, its queues and bands are
+// allocated for it alone; a fabric carves its ports from a per-engine
+// slab instead (Network.NewPort), through the same code.
 func NewPort(eng *sim.Engine, name string, rate units.Rate, prop sim.Time, cfg PortConfig, shared *SharedBuffer) *Port {
-	if len(cfg.Queues) == 0 {
-		panic("netem: port with no queues")
-	}
-	p := &Port{
-		eng:      eng,
-		name:     name,
-		rate:     rate,
-		effRate:  rate,
-		prop:     prop,
-		classify: cfg.Classify,
-		shared:   shared,
-	}
-	p.queues = make([]queue, len(cfg.Queues))
-	maxBand := 0
-	for i, qc := range cfg.Queues {
-		initQueue(&p.queues[i], i, qc)
-		maxBand = max(maxBand, qc.Band)
-	}
-	// Every band's queues are a sub-slice of one array.
-	p.bands = make([]band, maxBand+1)
-	all := make([]*queue, 0, len(p.queues))
-	for b := range p.bands {
-		from := len(all)
-		for i := range p.queues {
-			if p.queues[i].cfg.Band == b {
-				all = append(all, &p.queues[i])
-			}
-		}
-		p.bands[b].qs = all[from:]
-	}
-	p.txDoneFn = p.kick
-	p.deliverFn = p.deliverHead
-	p.wakeFn = p.wake
-	p.compTx = eng.Component("netem/tx")
-	p.compDeliver = eng.Component("netem/deliver")
-	p.compPacing = eng.Component("netem/pacing")
-	return p
+	var s slab
+	return s.port(eng, name, rate, prop, cfg, shared)
 }
 
 // Rank returns the rank of this port's deliveries (sim.Engine.AtRank): 1 +

@@ -64,6 +64,15 @@ func (s *Switch) AddPort(p *Port) {
 	s.ports = append(s.ports, p)
 }
 
+// GrowPorts makes room for n more egress ports, so a builder that knows
+// the switch's degree sizes its port list once.
+func (s *Switch) GrowPorts(n int) {
+	// One allocation: slices.Grow's append of a make is two under -race.
+	ports := make([]*Port, len(s.ports), len(s.ports)+n)
+	copy(ports, s.ports)
+	s.ports = ports
+}
+
 // Ports returns the switch's egress ports in registration order.
 func (s *Switch) Ports() []*Port { return s.ports }
 

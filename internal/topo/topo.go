@@ -15,7 +15,9 @@ import (
 // PortProfile builds the queue configuration for an egress port of the
 // given line rate. Schemes provide profiles implementing the paper's queue
 // layouts (Q0 credits / Q1 FlexPass / Q2 legacy, oracle WFQ, naïve single
-// queue, Homa's 8 priorities).
+// queue, Homa's 8 priorities). A builder calls it once per distinct rate
+// and every port of that rate shares the result: a port copies each
+// QueueConfig, and a Classify must keep no state.
 type PortProfile func(rate units.Rate) netem.PortConfig
 
 // Params carries fabric-wide constants.
@@ -25,7 +27,7 @@ type Params struct {
 	HostDelay sim.Time       // per-packet host processing delay at send
 	SwitchBuf units.ByteSize // shared buffer per switch
 	BufAlpha  float64        // dynamic threshold factor
-	Profile   PortProfile    // queue layout applied to every port (switch and NIC)
+	Profile   PortProfile    // queue layout of every port (switch and NIC), asked once per rate
 }
 
 // CrossLink is one egress port whose propagation crosses a shard cut in
@@ -56,12 +58,13 @@ type Fabric struct {
 
 // link creates the two directed ports of a full-duplex link between nodes a
 // and b and wires routing-free delivery (the caller adds routes). Each
-// directed port schedules on its owning node's engine: engA drives a→b,
-// engB drives b→a — identical when the link stays inside one shard.
-func link(engA, engB *sim.Engine, name string, a, b netem.Node, rate units.Rate, delay sim.Time, prof PortProfile, sharedA, sharedB *netem.SharedBuffer) (ab, ba *netem.Port) {
-	ab = netem.NewPort(engA, name+":fwd", rate, delay, prof(rate), sharedA)
+// directed port schedules on, and is carved from the slab of, its owning
+// node's engine: engA drives a→b, engB drives b→a — identical when the
+// link stays inside one shard.
+func link(net *netem.Network, engA, engB *sim.Engine, name string, a, b netem.Node, rate units.Rate, delay sim.Time, cfg netem.PortConfig, sharedA, sharedB *netem.SharedBuffer) (ab, ba *netem.Port) {
+	ab = net.NewPort(engA, name+":fwd", rate, delay, cfg, sharedA)
 	ab.Connect(b)
-	ba = netem.NewPort(engB, name+":rev", rate, delay, prof(rate), sharedB)
+	ba = net.NewPort(engB, name+":rev", rate, delay, cfg, sharedB)
 	ba.Connect(a)
 	return ab, ba
 }
@@ -70,18 +73,20 @@ func link(engA, engB *sim.Engine, name string, a, b netem.Node, rate units.Rate,
 // (§6.1: 9 servers and one Tomahawk switch).
 func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 	net := netem.NewNetwork(eng)
+	cfg := p.Profile(p.LinkRate)
 	shared := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	sw := netem.NewSwitch(eng, net.AllocID(), "sw0", shared)
+	sw.GrowPorts(n)
 	net.AddSwitch(sw)
 	f := &Fabric{Net: net}
 	for i := 0; i < n; i++ {
 		id := net.AllocID()
-		nic := netem.NewPort(eng, fmt.Sprintf("h%d:nic", i), p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
-		h := netem.NewHost(eng, id, fmt.Sprintf("h%d", i), nic, p.HostDelay)
+		nic := net.NewPort(eng, fmt.Sprintf("h%d:nic", i), p.LinkRate, p.LinkDelay, cfg, nil)
+		h := net.NewHost(eng, id, fmt.Sprintf("h%d", i), nic, p.HostDelay)
 		nic.Connect(sw)
 		net.AddHost(h)
 		// Switch egress toward the host.
-		down := netem.NewPort(eng, fmt.Sprintf("sw0->h%d", i), p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), shared)
+		down := net.NewPort(eng, fmt.Sprintf("sw0->h%d", i), p.LinkRate, p.LinkDelay, cfg, shared)
 		down.Connect(h)
 		sw.AddPort(down)
 		sw.AddRoute(id, down)
@@ -93,25 +98,32 @@ func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 // single bottleneck link of rate bottleneck (Fig 1: 10Gbps).
 func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fabric {
 	net := netem.NewNetwork(eng)
+	cfg := p.Profile(p.LinkRate)
+	coreCfg := cfg
+	if bottleneck != p.LinkRate {
+		coreCfg = p.Profile(bottleneck)
+	}
 	sharedL := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	sharedR := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	swL := netem.NewSwitch(eng, net.AllocID(), "swL", sharedL)
 	swR := netem.NewSwitch(eng, net.AllocID(), "swR", sharedR)
+	swL.GrowPorts(1 + nL)
+	swR.GrowPorts(1 + nR)
 	net.AddSwitch(swL)
 	net.AddSwitch(swR)
 
-	lr, rl := link(eng, eng, "core", swL, swR, bottleneck, p.LinkDelay, p.Profile, sharedL, sharedR)
+	lr, rl := link(net, eng, eng, "core", swL, swR, bottleneck, p.LinkDelay, coreCfg, sharedL, sharedR)
 	swL.AddPort(lr)
 	swR.AddPort(rl)
 
 	f := &Fabric{Net: net}
 	addHost := func(sw *netem.Switch, shared *netem.SharedBuffer, name string) netem.NodeID {
 		id := net.AllocID()
-		nic := netem.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
-		h := netem.NewHost(eng, id, name, nic, p.HostDelay)
+		nic := net.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, cfg, nil)
+		h := net.NewHost(eng, id, name, nic, p.HostDelay)
 		nic.Connect(sw)
 		net.AddHost(h)
-		down := netem.NewPort(eng, "sw->"+name, p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), shared)
+		down := net.NewPort(eng, "sw->"+name, p.LinkRate, p.LinkDelay, cfg, shared)
 		down.Connect(h)
 		sw.AddPort(down)
 		sw.AddRoute(id, down)
@@ -200,10 +212,13 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 	eng := engs[0] // core tier and the network container
 	net := netem.NewNetwork(eng)
 	f := &Fabric{Net: net}
+	cfg := p.Profile(p.LinkRate) // every port's: the Clos has one line rate
 
-	newSwitch := func(e *sim.Engine, name string, shard int) *netem.Switch {
+	// newSwitch adds a switch of the given degree.
+	newSwitch := func(e *sim.Engine, name string, shard, ports int) *netem.Switch {
 		sh := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 		sw := netem.NewSwitch(e, net.AllocID(), name, sh)
+		sw.GrowPorts(ports)
 		net.AddSwitch(sw)
 		f.SwitchShard = append(f.SwitchShard, shard)
 		return sw
@@ -211,7 +226,7 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 
 	cores := make([]*netem.Switch, c.Cores)
 	for i := range cores {
-		cores[i] = newSwitch(eng, fmt.Sprintf("core%d", i), 0)
+		cores[i] = newSwitch(eng, fmt.Sprintf("core%d", i), 0, c.Pods)
 	}
 	aggs := make([][]*netem.Switch, c.Pods) // [pod][a]
 	tors := make([][]*netem.Switch, c.Pods) // [pod][t]
@@ -220,12 +235,12 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 		podEng := engs[podShard[pod]]
 		aggs[pod] = make([]*netem.Switch, c.AggPerPod)
 		for a := range aggs[pod] {
-			aggs[pod][a] = newSwitch(podEng, fmt.Sprintf("agg%d.%d", pod, a), podShard[pod])
+			aggs[pod][a] = newSwitch(podEng, fmt.Sprintf("agg%d.%d", pod, a), podShard[pod], c.TorPerPod+upPerAgg)
 		}
 		tors[pod] = make([]*netem.Switch, c.TorPerPod)
 		hostIDs[pod] = make([][]netem.NodeID, c.TorPerPod)
 		for t := range tors[pod] {
-			tors[pod][t] = newSwitch(podEng, fmt.Sprintf("tor%d.%d", pod, t), podShard[pod])
+			tors[pod][t] = newSwitch(podEng, fmt.Sprintf("tor%d.%d", pod, t), podShard[pod], c.HostsPerTor+c.AggPerPod)
 		}
 	}
 
@@ -237,12 +252,12 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 			for hidx := 0; hidx < c.HostsPerTor; hidx++ {
 				id := net.AllocID()
 				name := fmt.Sprintf("h%d.%d.%d", pod, t, hidx)
-				nic := netem.NewPort(podEng, name+":nic", p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), nil)
-				h := netem.NewHost(podEng, id, name, nic, p.HostDelay)
+				nic := net.NewPort(podEng, name+":nic", p.LinkRate, p.LinkDelay, cfg, nil)
+				h := net.NewHost(podEng, id, name, nic, p.HostDelay)
 				nic.Connect(tor)
 				net.AddHost(h)
 				f.HostShard = append(f.HostShard, podShard[pod])
-				down := netem.NewPort(podEng, tor.Name()+"->"+name, p.LinkRate, p.LinkDelay, p.Profile(p.LinkRate), tor.Shared())
+				down := net.NewPort(podEng, tor.Name()+"->"+name, p.LinkRate, p.LinkDelay, cfg, tor.Shared())
 				down.Connect(h)
 				tor.AddPort(down)
 				tor.AddRoute(id, down)
@@ -266,8 +281,8 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 			torUp[pod][t] = make([]*netem.Port, c.AggPerPod)
 			for a := 0; a < c.AggPerPod; a++ {
 				agg := aggs[pod][a]
-				up, down := link(podEng, podEng, fmt.Sprintf("%s<->%s", tor.Name(), agg.Name()),
-					tor, agg, p.LinkRate, p.LinkDelay, p.Profile, tor.Shared(), agg.Shared())
+				up, down := link(net, podEng, podEng, fmt.Sprintf("%s<->%s", tor.Name(), agg.Name()),
+					tor, agg, p.LinkRate, p.LinkDelay, cfg, tor.Shared(), agg.Shared())
 				tor.AddPort(up)
 				agg.AddPort(down)
 				torUp[pod][t][a] = up
@@ -292,8 +307,8 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 			for u := 0; u < upPerAgg; u++ {
 				coreIdx := a*upPerAgg + u
 				core := cores[coreIdx]
-				up, down := link(podEng, eng, fmt.Sprintf("%s<->%s", agg.Name(), core.Name()),
-					agg, core, p.LinkRate, p.LinkDelay, p.Profile, agg.Shared(), core.Shared())
+				up, down := link(net, podEng, eng, fmt.Sprintf("%s<->%s", agg.Name(), core.Name()),
+					agg, core, p.LinkRate, p.LinkDelay, cfg, agg.Shared(), core.Shared())
 				agg.AddPort(up)
 				core.AddPort(down)
 				aggUp[pod][a] = append(aggUp[pod][a], up)

@@ -1,9 +1,12 @@
 package topo
 
 import (
+	"cmp"
 	"maps"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"flexpass/internal/netem"
 	"flexpass/internal/sim"
@@ -427,12 +430,14 @@ func TestFabricsRecycleFrames(t *testing.T) {
 // TestBigClosBuildAllocs bounds the heap objects of building BigClos on two
 // shards. Route tables are dense and ECMP sets interned per switch, so the
 // build allocates per port and per distinct port set; with a copied set per
-// (switch, destination) it made ≈ 148 K objects. A port is seven objects
-// (its queues held by value, its bands over one array), not fifteen as
-// when the build made the count in brackets. The budget holds under -race
-// too (28 226).
+// (switch, destination) it made ≈ 148 K objects. Ports, their queue arrays
+// and hosts are carved from per-engine slabs, and every port shares one
+// PortConfig, so a port costs its three pre-bound callbacks and a host
+// one; when each port was seven objects (its own queue, band and band
+// array, plus a fresh profile) the build made the count in brackets. The
+// budget holds under -race too (≈ 16 400).
 func TestBigClosBuildAllocs(t *testing.T) {
-	const budget = 36_000 // measured 27 164 [44 572]
+	const budget = 20_000 // measured 15 320 [27 164]
 	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -445,5 +450,76 @@ func TestBigClosBuildAllocs(t *testing.T) {
 	}
 	if len(fab.Net.Hosts) != BigClos.Hosts() {
 		t.Fatalf("%d hosts, want %d", len(fab.Net.Hosts), BigClos.Hosts())
+	}
+	for _, sw := range fab.Net.Switches {
+		if ports := sw.Ports(); cap(ports) != len(ports) {
+			t.Fatalf("switch %s: %d ports in a list sized for %d", sw.Name(), len(ports), cap(ports))
+		}
+	}
+}
+
+// TestShardedSlabsKeepEnginesApart: a two-shard BigClos build carves each
+// engine's ports and hosts from arrays of that engine alone, so no cache
+// line holds state that both shard goroutines write. From one slab shared
+// by both engines, the agg<->core links, whose two ports run on the pod's
+// engine and the core's, would interleave the engines within an array and
+// share lines (a Port is not a multiple of 64 bytes).
+func TestShardedSlabsKeepEnginesApart(t *testing.T) {
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
+	fab := BigClos.Build(engs, testParams())
+	type node struct {
+		lo, hi uintptr // [lo, hi) in memory
+		shard  int
+		name   string
+	}
+	var nodes []node
+	add := func(at unsafe.Pointer, size uintptr, eng *sim.Engine, name string) {
+		shard := slices.Index(engs, eng)
+		nodes = append(nodes, node{uintptr(at), uintptr(at) + size, shard, name})
+	}
+	fab.Net.EachPort(func(p *netem.Port) { add(unsafe.Pointer(p), unsafe.Sizeof(*p), p.Engine(), p.Name()) })
+	for i, h := range fab.Net.Hosts {
+		add(unsafe.Pointer(h), unsafe.Sizeof(*h), engs[fab.HostShard[i]], h.Name())
+	}
+	slices.SortFunc(nodes, func(a, b node) int { return cmp.Compare(a.lo, b.lo) })
+	const line = 64
+	mixed := 0
+	for i := 1; i < len(nodes); i++ {
+		a, b := nodes[i-1], nodes[i]
+		if a.shard != b.shard && (a.hi-1)/line >= b.lo/line {
+			if mixed == 0 {
+				t.Errorf("%s (shard %d) and %s (shard %d) share a cache line", a.name, a.shard, b.name, b.shard)
+			}
+			mixed++
+		}
+	}
+	if mixed > 0 {
+		t.Fatalf("%d neighbouring nodes of two shards share a cache line", mixed)
+	}
+}
+
+// built keeps BenchmarkClosBuild's fabrics reachable.
+var built *Fabric
+
+// BenchmarkClosBuild measures building a fabric, fresh engines included:
+// the §6.2 Clos on one engine and BigClos on two. With -benchmem
+// (make bench-hot), allocs/op is the build's heap objects.
+func BenchmarkClosBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		c       ClosParams
+		engines int
+	}{{"paper", PaperClos, 1}, {"big/shards=2", BigClos, 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := testParams()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				engs := make([]*sim.Engine, bc.engines)
+				for j := range engs {
+					engs[j] = sim.NewEngine(1)
+				}
+				built = bc.c.Build(engs, p)
+			}
+		})
 	}
 }

@@ -47,9 +47,17 @@ type Agent struct {
 
 // NewAgent installs an agent on h that demultiplexes through flows.
 func NewAgent(eng *sim.Engine, h *netem.Host, flows *Flows) *Agent {
-	a := &Agent{Host: h, Eng: eng, Flows: flows}
-	h.SetHandler(a.dispatch)
+	a := new(Agent)
+	a.Install(eng, h, flows)
 	return a
+}
+
+// Install makes a the agent of h, demultiplexing through flows, as
+// NewAgent does for an agent of its own: a runner keeps a run's agents
+// by value in one array.
+func (a *Agent) Install(eng *sim.Engine, h *netem.Host, flows *Flows) {
+	*a = Agent{Host: h, Eng: eng, Flows: flows}
+	h.SetHandler(a.dispatch)
 }
 
 // ObserveStrays bills this agent's stray-packet drops to c (typically one
