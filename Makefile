@@ -137,7 +137,9 @@ bench-sim:
 # netem per-hop costs (BenchmarkHostHop matches both the Network and the
 # HandWired variant; BenchmarkPortQueued is a hop through a standing
 # queue, BenchmarkPortForward an uncongested one), and the fabric build
-# (BenchmarkClosBuild: the paper Clos on one engine, BigClos on two), for
+# (BenchmarkClosBuild: the paper Clos on one engine, BigClos on two) and
+# per-flow cost (BenchmarkFlowStart, one 8 kB flow per op and transport;
+# a fixed op count, since every flow stays in its session's table), for
 # a quick look while working. The standing
 # benchmark's ledger below measures the same layers (sim.dispatch_ns,
 # netem.port_hop_ns, shard.speedup on big-sharded) in a comparable,
@@ -145,11 +147,13 @@ bench-sim:
 HOT_SIM   = BenchmarkEngineDispatch|BenchmarkEventChurn|BenchmarkTimerStopPending
 HOT_NETEM = BenchmarkPortForward|BenchmarkPortQueued|BenchmarkHostHop
 HOT_TOPO  = BenchmarkClosBuild
+HOT_FLOW  = BenchmarkFlowStart
 
 bench-hot:
 	@$(GO) test -bench '$(HOT_SIM)' -benchmem -benchtime 1s -run '^$$' ./internal/sim/
 	@$(GO) test -bench '$(HOT_NETEM)' -benchmem -benchtime 1s -run '^$$' ./internal/netem/
 	@$(GO) test -bench '$(HOT_TOPO)' -benchmem -benchtime 1s -run '^$$' ./internal/topo/
+	@$(GO) test -bench '$(HOT_FLOW)' -benchmem -benchtime 5000x -run '^$$' ./internal/harness/
 
 # The standing benchmark's ledger (bench/README.md): every workload's
 # end-to-end metrics plus the traced pass's per-layer metrics, one side

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -409,15 +411,14 @@ func TestShardedAllocBudget(t *testing.T) {
 // twice, the second time with as many flows again after the first ones;
 // the extra mallocs over the extra flows are one flow's cost, net of the
 // fabric and the run's fixed set-up. A flow is one Flow in the run's slab
-// and its two endpoint halves, each holding its recovery timer, window,
-// pacer and config pointer by value, plus the engine's pre-bound
-// callbacks and the few slices that grow with what it sends. Each budget
-// is ~1.3x the measurement and below the parent's (in brackets), when a
-// flow was a Flow of its own, a map entry per end, closures for its
-// timer and a private copy of its scheme's config. FlexPass's is 1.1x,
-// to stay below its parent's: its transmission records now come from
-// the plane's free list, and its mallocs repeat to within 0.5 %, with or
-// without -race.
+// and its two endpoint halves, carved with their per-segment arrays from
+// the arena of their plane's scheme config, each holding its recovery
+// timer, window, pacer and config pointer by value; what is left on the
+// heap is the engine's pre-bound callbacks (a sender's recovery check, a
+// pacer's credit and feedback ticks, a Homa receiver's grant tick) and
+// the arenas' arrays. Each budget is ~1.3x the measurement; in brackets,
+// the measurement when each endpoint, its segment states, arrival flags,
+// bitmaps and lost queue were heap objects of their own.
 func TestFlowAllocBudget(t *testing.T) {
 	const n = 400
 	const gap = 10 * sim.Microsecond
@@ -446,11 +447,11 @@ func TestFlowAllocBudget(t *testing.T) {
 		scheme Scheme
 		budget float64 // heap objects per started flow
 	}{
-		{Scheme(transport.SchemeDCTCP), 6.6},       // measured 5.08 [11.12]
-		{Scheme(transport.SchemeExpressPass), 9.4}, // measured 7.23 [14.27]
-		{SchemeFlexPass, 10.0},                     // measured 9.10 [10.27]
-		{Scheme(transport.SchemeHoma), 3.9},        // measured 3.06 [4.12]
-		{Scheme(transport.SchemePHost), 6.6},       // measured 5.07 [10.11]
+		{Scheme(transport.SchemeDCTCP), 1.4},       // measured 1.05 [4.99]
+		{Scheme(transport.SchemeExpressPass), 4.0}, // measured 3.08 [7.00]
+		{SchemeFlexPass, 4.1},                      // measured 3.15 [9.12]
+		{Scheme(transport.SchemeHoma), 1.4},        // measured 1.01 [3.00]
+		{Scheme(transport.SchemePHost), 1.4},       // measured 1.04 [5.00]
 	} {
 		t.Run(string(c.scheme), func(t *testing.T) {
 			got := float64(mallocs(c.scheme, 2*n)-mallocs(c.scheme, n)) / n
@@ -502,6 +503,70 @@ func TestFlowBytesBudget(t *testing.T) {
 	t.Logf("%.0f heap bytes per 1 MB FlexPass flow", got)
 	if got > budget {
 		t.Fatalf("%.0f heap bytes per 1 MB FlexPass flow after the first, budget %d", got, budget)
+	}
+}
+
+// TestShardedArenasKeepEnginesApart: on two shards, every flow's sender
+// is carved from the arena of its source host's plane and its receiver
+// from its destination's, so no cache line holds endpoints of two
+// engines, even for the flows that cross the cut. One arena shared by the
+// planes would interleave the two shard goroutines' endpoints within an
+// array, as one slab would their ports (topo's
+// TestShardedSlabsKeepEnginesApart). Half the racks run FlexPass and half
+// DCTCP, so both kinds of arena are covered, and neighbours of one engine
+// that abut show the endpoints really are carved from shared arrays.
+func TestShardedArenasKeepEnginesApart(t *testing.T) {
+	sc := shardScenario(SchemeFlexPass, 2)
+	sc.Duration = sim.Millisecond
+	s := Open(sc)
+	s.Run(sc.Duration + sc.Drain)
+	type end struct {
+		lo, hi uintptr // [lo, hi) in memory
+		eng    *sim.Engine
+		what   string
+	}
+	var ends []end
+	add := func(ep transport.Endpoint, eng *sim.Engine, what string, id uint64) {
+		v := reflect.ValueOf(ep)
+		lo := v.Pointer()
+		ends = append(ends, end{lo, lo + v.Type().Elem().Size(), eng, fmt.Sprintf("flow %d %s (%T)", id, what, ep)})
+	}
+	engines, cross := map[*sim.Engine]bool{}, 0
+	for _, fl := range s.Flows() {
+		if fl.Sender == nil || fl.Receiver == nil {
+			continue
+		}
+		add(fl.Sender, fl.Src.Eng, "sender", fl.ID)
+		add(fl.Receiver, fl.Dst.Eng, "receiver", fl.ID)
+		engines[fl.Src.Eng] = true
+		if fl.Src.Eng != fl.Dst.Eng {
+			cross++
+		}
+	}
+	s.Close()
+	if len(engines) != 2 || cross == 0 {
+		t.Fatalf("flows start on %d engines, %d of them across the cut: the scenario no longer covers two planes", len(engines), cross)
+	}
+	slices.SortFunc(ends, func(a, b end) int { return cmp.Compare(a.lo, b.lo) })
+	const line = 64
+	mixed, abut := 0, 0
+	for i := 1; i < len(ends); i++ {
+		a, b := ends[i-1], ends[i]
+		switch {
+		case a.eng != b.eng && (a.hi-1)/line >= b.lo/line:
+			if mixed == 0 {
+				t.Errorf("%s and %s run on two engines and share a cache line", a.what, b.what)
+			}
+			mixed++
+		case a.eng == b.eng && a.hi == b.lo:
+			abut++
+		}
+	}
+	if mixed > 0 {
+		t.Fatalf("%d neighbouring endpoints of two engines share a cache line", mixed)
+	}
+	if abut < len(ends)/2 {
+		t.Fatalf("only %d of %d endpoints abut a neighbour of their engine: endpoints are not carved from arenas", abut, len(ends))
 	}
 }
 

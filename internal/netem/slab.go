@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"flexpass/internal/chunks"
 	"flexpass/internal/sim"
 	"flexpass/internal/units"
 )
@@ -13,11 +14,11 @@ import (
 // The zero slab carves every run as an array of its own: NewPort and
 // NewHost build a standalone node through it.
 type slab struct {
-	ports  chunks[Port]
-	queues chunks[queue]
-	bands  chunks[band]
-	refs   chunks[*queue] // every band's queues, one sub-slice per band
-	hosts  chunks[Host]
+	ports  chunks.Of[Port]
+	queues chunks.Of[queue]
+	bands  chunks.Of[band]
+	refs   chunks.Of[*queue] // every band's queues, one sub-slice per band
+	hosts  chunks.Of[Host]
 }
 
 // slabMin and slabMax bound the arrays a Network's slab makes: they
@@ -31,34 +32,12 @@ const (
 // chunked returns a slab whose arrays start at slabMin elements.
 func chunked() slab {
 	return slab{
-		ports:  chunks[Port]{next: slabMin},
-		queues: chunks[queue]{next: slabMin},
-		bands:  chunks[band]{next: slabMin},
-		refs:   chunks[*queue]{next: slabMin},
-		hosts:  chunks[Host]{next: slabMin},
+		ports:  chunks.Sized[Port](slabMin, slabMax),
+		queues: chunks.Sized[queue](slabMin, slabMax),
+		bands:  chunks.Sized[band](slabMin, slabMax),
+		refs:   chunks.Sized[*queue](slabMin, slabMax),
+		hosts:  chunks.Sized[Host](slabMin, slabMax),
 	}
-}
-
-// chunks hands out zeroed runs of Ts from the front of one array.
-type chunks[T any] struct {
-	free []T
-	next int // length of the next array made; 0 makes each run exactly
-}
-
-// take returns n zeroed Ts, capped at n, making a new array when the
-// current one is too short (the rest of it is left unused).
-func (r *chunks[T]) take(n int) []T {
-	if len(r.free) < n {
-		size := n
-		if r.next > 0 {
-			size = max(n, r.next)
-			r.next = min(2*r.next, slabMax)
-		}
-		r.free = make([]T, size)
-	}
-	out := r.free[:n:n]
-	r.free = r.free[n:]
-	return out
 }
 
 // port builds an egress port, its queues, bands and band array carved
@@ -67,18 +46,18 @@ func (s *slab) port(eng *sim.Engine, name string, rate units.Rate, prop sim.Time
 	if len(cfg.Queues) == 0 {
 		panic("netem: port with no queues")
 	}
-	p := &s.ports.take(1)[0]
+	p := &s.ports.Take(1)[0]
 	p.eng, p.name, p.rate, p.effRate, p.prop = eng, name, rate, rate, prop
 	p.classify, p.shared = cfg.Classify, shared
-	p.queues = s.queues.take(len(cfg.Queues))
+	p.queues = s.queues.Take(len(cfg.Queues))
 	maxBand := 0
 	for i, qc := range cfg.Queues {
 		initQueue(&p.queues[i], i, qc)
 		maxBand = max(maxBand, qc.Band)
 	}
 	// Every band's queues are a sub-slice of one array.
-	p.bands = s.bands.take(maxBand + 1)
-	all := s.refs.take(len(p.queues))[:0]
+	p.bands = s.bands.Take(maxBand + 1)
+	all := s.refs.Take(len(p.queues))[:0]
 	for b := range p.bands {
 		from := len(all)
 		for i := range p.queues {
@@ -100,7 +79,7 @@ func (s *slab) port(eng *sim.Engine, name string, rate units.Rate, prop sim.Time
 // host builds a host carved from s; NewHost documents the arguments.
 func (s *slab) host(eng *sim.Engine, id NodeID, name string, nic *Port, delay sim.Time) *Host {
 	nic.SetOwner(id)
-	h := &s.hosts.take(1)[0]
+	h := &s.hosts.Take(1)[0]
 	h.id, h.name, h.eng, h.nic, h.delay = id, name, eng, nic, delay
 	h.sendFn = h.sendNext
 	h.comp = eng.Component("netem/host")

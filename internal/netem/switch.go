@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"flexpass/internal/chunks"
 	"flexpass/internal/sim"
 )
 
@@ -16,18 +17,20 @@ import (
 // Groups are interned, so a Clos switch holds one group per distinct port
 // sequence (each downlink, one uplink set), not one set per destination;
 // a group never changes once built, which is what keeps one destination's
-// AddRoute from reaching another's.
+// AddRoute from reaching another's. Interned groups are carved from
+// members, one array as long as the port list once GrowRoutes sized it.
 type Switch struct {
-	id     NodeID
-	name   string
-	eng    *sim.Engine
-	ports  []*Port
-	routes []int32
-	groups [][]*Port
-	grow   []*Port // AddRoute's scratch set
-	shared *SharedBuffer
-	pool   *PacketPool // handed to every egress port; nil outside a Network
-	net    *Network    // numbers every egress port; nil outside a Network
+	id      NodeID
+	name    string
+	eng     *sim.Engine
+	ports   []*Port
+	routes  []int32
+	groups  [][]*Port
+	members chunks.Of[*Port]
+	grow    []*Port // AddRoute's scratch set, when it extends a route
+	shared  *SharedBuffer
+	pool    *PacketPool // handed to every egress port; nil outside a Network
+	net     *Network    // numbers every egress port; nil outside a Network
 
 	// RxPackets counts packets entering the switch.
 	RxPackets int64
@@ -73,6 +76,23 @@ func (s *Switch) GrowPorts(n int) {
 	s.ports = ports
 }
 
+// GrowRoutes makes room for routes to the node ids below n and for a group
+// per port of the list GrowPorts sized, so a builder that knows the
+// fabric's node count and the switch's degree routes without growing a
+// table: interned groups are carved from one array as long as the port
+// list, which holds them all when each port is in one group (its
+// downlink's, or one uplink set), as in every fabric of package topo.
+func (s *Switch) GrowRoutes(n int) {
+	// make and copy, not slices.Grow, for GrowPorts's reason.
+	routes := make([]int32, len(s.routes), max(n, len(s.routes)))
+	copy(routes, s.routes)
+	s.routes = routes
+	groups := make([][]*Port, len(s.groups), len(s.groups)+cap(s.ports))
+	copy(groups, s.groups)
+	s.groups = groups
+	s.members = chunks.Sized[*Port](cap(s.ports), cap(s.ports))
+}
+
 // Ports returns the switch's egress ports in registration order.
 func (s *Switch) Ports() []*Port { return s.ports }
 
@@ -87,20 +107,26 @@ func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
 	if n := int(dst) + 1; n > len(s.routes) {
 		s.routes = slices.Grow(s.routes, n-len(s.routes))[:n]
 	}
-	s.grow = append(append(s.grow[:0], s.groups[s.routes[dst]]...), ports...)
-	s.routes[dst] = s.intern(s.grow)
+	set := ports
+	if g := s.routes[dst]; g != 0 {
+		s.grow = append(append(s.grow[:0], s.groups[g]...), ports...)
+		set = s.grow
+	}
+	s.routes[dst] = s.intern(set)
 }
 
-// intern returns the index of the group equal to set, adding a copy when
-// there is none. A switch has about as many groups as ports, so a scan
-// is build-time cost only.
+// intern returns the index of the group equal to set, adding a copy
+// carved from members when there is none. A switch has about as many
+// groups as ports, so a scan is build-time cost only.
 func (s *Switch) intern(set []*Port) int32 {
 	for i, g := range s.groups {
 		if slices.Equal(g, set) {
 			return int32(i)
 		}
 	}
-	s.groups = append(s.groups, slices.Clone(set))
+	g := s.members.Take(len(set))
+	copy(g, set)
+	s.groups = append(s.groups, g)
 	return int32(len(s.groups) - 1)
 }
 

@@ -77,6 +77,7 @@ func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 	shared := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 	sw := netem.NewSwitch(eng, net.AllocID(), "sw0", shared)
 	sw.GrowPorts(n)
+	sw.GrowRoutes(1 + n)
 	net.AddSwitch(sw)
 	f := &Fabric{Net: net}
 	for i := 0; i < n; i++ {
@@ -109,6 +110,8 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 	swR := netem.NewSwitch(eng, net.AllocID(), "swR", sharedR)
 	swL.GrowPorts(1 + nL)
 	swR.GrowPorts(1 + nR)
+	swL.GrowRoutes(2 + nL + nR)
+	swR.GrowRoutes(2 + nL + nR)
 	net.AddSwitch(swL)
 	net.AddSwitch(swR)
 
@@ -213,12 +216,15 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 	net := netem.NewNetwork(eng)
 	f := &Fabric{Net: net}
 	cfg := p.Profile(p.LinkRate) // every port's: the Clos has one line rate
+	nodes := c.Cores + c.Pods*(c.AggPerPod+c.TorPerPod) + c.Hosts()
 
-	// newSwitch adds a switch of the given degree.
+	// newSwitch adds a switch of the given degree, its route table sized
+	// for every node.
 	newSwitch := func(e *sim.Engine, name string, shard, ports int) *netem.Switch {
 		sh := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
 		sw := netem.NewSwitch(e, net.AllocID(), name, sh)
 		sw.GrowPorts(ports)
+		sw.GrowRoutes(nodes)
 		net.AddSwitch(sw)
 		f.SwitchShard = append(f.SwitchShard, shard)
 		return sw

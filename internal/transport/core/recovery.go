@@ -11,9 +11,11 @@
 // credit-clocked transports).
 //
 // The helpers are values: a sender embeds its RecoveryTimer and
-// SegTracker, a receiver its Reassembly and Pacer, so a flow's state is a
-// few allocations whatever it uses. Configs are shared by pointer, built
-// once per scheme, and never written after.
+// SegTracker, a receiver its Reassembly and Pacer, and both halves and
+// their per-segment arrays are carved from the Arena their config points
+// to, so a flow's own heap objects are only the callbacks its timers
+// bind. Configs are shared by pointer, built once per scheme, and never
+// written after.
 package core
 
 import "flexpass/internal/sim"
@@ -38,7 +40,7 @@ type RecoveryOwner interface {
 type RecoveryConfig struct {
 	// MaxShift caps the exponential-backoff shift applied to BaseRTO when
 	// computing the deadline (4 for the credit transports, 6 for DCTCP).
-	MaxShift uint
+	MaxShift uint8
 	// ShiftOnArm arms the hardware timer with the backoff-shifted RTO
 	// (DCTCP) instead of the plain base (credit transports). Either way
 	// the deadline re-checked at wakeup uses the shifted value.
@@ -53,11 +55,11 @@ type RecoveryConfig struct {
 type RecoveryTimer struct {
 	owner   RecoveryOwner
 	eng     *sim.Engine
-	cfg     RecoveryConfig
 	backoff uint
-	pending bool
 	last    sim.Time
 	checkFn func() // pre-bound check: one closure per flow, not per arm
+	cfg     RecoveryConfig
+	pending bool
 }
 
 // Init readies the timer embedded in owner, idle; Touch arms it.
@@ -93,8 +95,8 @@ func (t *RecoveryTimer) Backoff() uint { return t.backoff }
 // rto is the backoff-shifted timeout used for the deadline.
 func (t *RecoveryTimer) rto() sim.Time {
 	bo := t.backoff
-	if bo > t.cfg.MaxShift {
-		bo = t.cfg.MaxShift
+	if bo > uint(t.cfg.MaxShift) {
+		bo = uint(t.cfg.MaxShift)
 	}
 	return t.owner.BaseRTO() << bo
 }

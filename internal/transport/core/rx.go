@@ -10,14 +10,15 @@ import (
 // Reassembly is the receive-side segment ledger shared by the transports:
 // arrival dedup, cumulative edge tracking, and delivery accounting.
 type Reassembly struct {
-	got      []bool
+	got      Bitmap
+	segs     int
 	Cum      int
 	Received int
 }
 
-// NewReassembly builds a ledger for segs segments.
-func NewReassembly(segs int) Reassembly {
-	return Reassembly{got: make([]bool, segs)}
+// NewReassembly builds a ledger for segs segments, carved from a.
+func NewReassembly(a *Segs, segs int) Reassembly {
+	return Reassembly{got: a.Bitmap(segs), segs: segs}
 }
 
 // Deliver absorbs segment seq for fl: a new segment is credited to the
@@ -25,26 +26,26 @@ func NewReassembly(segs int) Reassembly {
 // cumulative edge (returning true); duplicates and out-of-range arrivals
 // count as redundant (returning false).
 func (r *Reassembly) Deliver(fl *transport.Flow, stats transport.Counters, seq int) bool {
-	if seq >= len(r.got) || r.got[seq] {
+	if seq >= r.segs || !r.got.Add(seq) {
 		fl.RedundantSegs++
 		return false
 	}
-	r.got[seq] = true
 	r.Received++
 	payload := int64(fl.SegPayload(seq))
 	fl.RxBytes += payload
 	stats.RxBytes.Add(payload)
-	for r.Cum < len(r.got) && r.got[r.Cum] {
+	for r.Cum < r.segs && r.got.Has(r.Cum) {
 		r.Cum++
 	}
 	return true
 }
 
 // Full reports whether every segment has arrived.
-func (r *Reassembly) Full() bool { return r.Received >= len(r.got) }
+func (r *Reassembly) Full() bool { return r.Received >= r.segs }
 
 // Bitmap is a growable set of small non-negative integers, one bit each:
-// a receiver's per-sub-flow arrival map.
+// a receiver's per-sub-flow arrival map, carved with room for its flow's
+// segments (Segs.Bitmap). A member past that grows it on the heap.
 type Bitmap []uint64
 
 // Has reports whether i is in the set.

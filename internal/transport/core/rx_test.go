@@ -13,7 +13,7 @@ func TestReassemblyDeliver(t *testing.T) {
 	if segs != 3 {
 		t.Fatalf("Segs = %d, want 3", segs)
 	}
-	asm := NewReassembly(segs)
+	asm := NewReassembly(new(Segs), segs)
 	var stats transport.Counters // zero value: increments no-op
 
 	if !asm.Deliver(fl, stats, 1) {

@@ -25,14 +25,16 @@ type SegTracker struct {
 	Inflight int
 
 	lostQ    LostQueue
-	scanned  int  // the dup-ACK loss scan has passed [0, scanned)
-	oldest   int  // scan pointer for tail retransmission
-	rescanOK bool // a fresh ACK arrived since the last full tail rescan
+	arena    *Segs // carves lostQ on the first loss
+	scanned  int   // the dup-ACK loss scan has passed [0, scanned)
+	oldest   int   // scan pointer for tail retransmission
+	rescanOK bool  // a fresh ACK arrived since the last full tail rescan
 }
 
-// NewSegTracker builds a tracker for segs segments, all Pending.
-func NewSegTracker(segs int) SegTracker {
-	return SegTracker{State: make([]uint8, segs)}
+// NewSegTracker builds a tracker for segs segments, all Pending, carved
+// from a.
+func NewSegTracker(a *Segs, segs int) SegTracker {
+	return SegTracker{State: a.States(segs), arena: a}
 }
 
 // Done reports whether every segment has been cumulatively acked.
@@ -153,7 +155,7 @@ func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 			if t.State[seq] == StSent {
 				t.State[seq] = StLost
 				t.Inflight--
-				t.lostQ.Push(seq)
+				t.lostQ.Push(t.arena, len(t.State), seq)
 				newLoss = true
 			}
 		}
@@ -169,7 +171,7 @@ func (t *SegTracker) LoseOutstanding() {
 		if t.State[seq] == StSent {
 			t.State[seq] = StLost
 			t.Inflight--
-			t.lostQ.Push(seq)
+			t.lostQ.Push(t.arena, len(t.State), seq)
 		}
 	}
 }
@@ -182,8 +184,22 @@ type LostQueue struct {
 	head int
 }
 
-// Push appends seg.
-func (q *LostQueue) Push(seg int) { q.segs = append(q.segs, int32(seg)) }
+// Push appends seg. The first push carves the queue's array from a, with
+// room for min(n, lostRoom) entries, n the flow's segment count, so a
+// flow that never loses a segment carves none. A queue rarely holds more
+// than a few entries at once (it rewinds when it drains); one that
+// outgrows its run moves to the heap on append.
+func (q *LostQueue) Push(a *Segs, n, seg int) {
+	if q.segs == nil {
+		q.segs = a.Seqs(min(n, lostRoom))[:0]
+	}
+	q.segs = append(q.segs, int32(seg))
+}
+
+// lostRoom bounds the array a lost queue carves: a whole flow's worth, as
+// an RTO that loses a large window would need, costs a large flow
+// kilobytes it almost never fills.
+const lostRoom = 8
 
 // Pop removes and returns the oldest segment, or -1 when empty.
 func (q *LostQueue) Pop() int {

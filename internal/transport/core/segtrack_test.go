@@ -13,7 +13,7 @@ func sendAll(t *SegTracker, n int) {
 }
 
 func TestSegTrackerCumAdvance(t *testing.T) {
-	trk := NewSegTracker(4)
+	trk := NewSegTracker(new(Segs), 4)
 	sendAll(&trk, 4)
 	if trk.Inflight != 4 {
 		t.Fatalf("Inflight = %d, want 4", trk.Inflight)
@@ -35,7 +35,7 @@ func TestSegTrackerCumAdvance(t *testing.T) {
 }
 
 func TestSegTrackerDupAckLoss(t *testing.T) {
-	trk := NewSegTracker(6)
+	trk := NewSegTracker(new(Segs), 6)
 	sendAll(&trk, 6)
 	// Segment 0 lost: sacks for 1..4 are duplicates at cum 0.
 	var newLoss bool
@@ -55,7 +55,7 @@ func TestSegTrackerDupAckLoss(t *testing.T) {
 	}
 	// A late arrival of the lost segment flips it to Acked; a queued
 	// lost entry for it must then be skipped.
-	trk2 := NewSegTracker(6)
+	trk2 := NewSegTracker(new(Segs), 6)
 	sendAll(&trk2, 6)
 	for sack := 1; sack <= 4; sack++ {
 		trk2.OnAck(0, sack, 3)
@@ -72,7 +72,7 @@ func TestSegTrackerDupAckLoss(t *testing.T) {
 // on every ACK: two retransmits per ACK, 83 733 on one DCTCP flow of the
 // sharded golden scenario). Only an RTO re-declares it.
 func TestSegTrackerNoDuplicateRetransmitStorm(t *testing.T) {
-	trk := NewSegTracker(8)
+	trk := NewSegTracker(new(Segs), 8)
 	sendAll(&trk, 8)
 	for sack := 1; sack <= 4; sack++ {
 		trk.OnAck(0, sack, 3)
@@ -103,7 +103,7 @@ func TestSegTrackerNoDuplicateRetransmitStorm(t *testing.T) {
 }
 
 func TestSegTrackerPickOrderAndTailRescan(t *testing.T) {
-	trk := NewSegTracker(3)
+	trk := NewSegTracker(new(Segs), 3)
 	sendAll(&trk, 3)
 	// All sent, nothing lost: Pick falls through to the tail rescan,
 	// which hands out each unacked segment once per round.
@@ -130,7 +130,7 @@ func TestSegTrackerPickOrderAndTailRescan(t *testing.T) {
 }
 
 func TestSegTrackerLoseOutstanding(t *testing.T) {
-	trk := NewSegTracker(5)
+	trk := NewSegTracker(new(Segs), 5)
 	sendAll(&trk, 4) // one segment never sent
 	trk.OnAck(1, 0, 3)
 	trk.LoseOutstanding()

@@ -26,11 +26,15 @@ type Config struct {
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
 	Stats transport.Counters
+
+	// arena carves the endpoints this config starts (nil: each exactly).
+	arena *core.Arena[Sender, Receiver]
 }
 
 // LegacyConfig returns the paper's legacy-traffic configuration: data and
-// ACKs in the legacy queue, ECN-capable, iw=10, RTOmin=4ms. A scheme
-// builds it once and its endpoints share it by pointer, read-only.
+// ACKs in the legacy queue, ECN-capable, iw=10, RTOmin=4ms, with an
+// endpoint arena of its own. A scheme builds it once per plane and its
+// endpoints share it by pointer, read-only.
 func LegacyConfig() Config {
 	return Config{
 		DataClass: netem.ClassLegacy,
@@ -41,6 +45,7 @@ func LegacyConfig() Config {
 		InitCwnd:  10,
 		MinRTO:    4 * sim.Millisecond,
 		DupThresh: 3,
+		arena:     core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -59,14 +64,17 @@ type Sender struct {
 	finished     bool
 }
 
-// NewSender builds the send side; call Begin to start transmitting.
+// NewSender builds the send side, carved from the config's arena; call
+// Begin to start transmitting.
 func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
-	s := &Sender{
+	a := cfg.arena.Or()
+	s := a.Sender()
+	*s = Sender{
 		cfg:  cfg,
 		eng:  eng,
 		flow: flow,
 		win:  NewWindow(cfg.InitCwnd),
-		trk:  core.NewSegTracker(flow.Segs()),
+		trk:  core.NewSegTracker(&a.Segs, flow.Segs()),
 	}
 	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 6, ShiftOnArm: true})
 	return s
@@ -201,9 +209,12 @@ type Receiver struct {
 	asm  core.Reassembly
 }
 
-// NewReceiver builds the receive side.
+// NewReceiver builds the receive side, carved from the config's arena.
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	return &Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(flow.Segs())}
+	a := cfg.arena.Or()
+	r := a.Receiver()
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(&a.Segs, flow.Segs())}
+	return r
 }
 
 // Handle processes data packets.

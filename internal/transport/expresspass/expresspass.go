@@ -37,17 +37,22 @@ type Config struct {
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
 	Stats transport.Counters
+
+	// arena carves the endpoints this config starts (nil: each exactly).
+	arena *core.Arena[Sender, Receiver]
 }
 
 // DefaultConfig returns the paper's ExpressPass setup for the given
-// credit pacer configuration. A scheme builds it once and its endpoints
-// share it by pointer, read-only.
+// credit pacer configuration, with an endpoint arena of its own. A scheme
+// builds it once per plane and its endpoints share it by pointer,
+// read-only.
 func DefaultConfig(p core.PacerConfig) Config {
 	return Config{
 		DataClass: netem.ClassFlex,
 		AckClass:  netem.ClassFlex,
 		Pacer:     p,
 		MinRTO:    4 * sim.Millisecond,
+		arena:     core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -67,13 +72,16 @@ type Sender struct {
 	finished bool
 }
 
-// NewSender builds the send side; Begin issues the credit request.
+// NewSender builds the send side, carved from the config's arena; Begin
+// issues the credit request.
 func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
-	s := &Sender{
+	a := cfg.arena.Or()
+	s := a.Sender()
+	*s = Sender{
 		cfg:  cfg,
 		eng:  eng,
 		flow: flow,
-		trk:  core.NewSegTracker(flow.Segs()),
+		trk:  core.NewSegTracker(&a.Segs, flow.Segs()),
 	}
 	if cfg.Layered {
 		s.win = dctcp.NewWindow(10)
@@ -209,9 +217,11 @@ type Receiver struct {
 	asm   core.Reassembly
 }
 
-// NewReceiver builds the receive side.
+// NewReceiver builds the receive side, carved from the config's arena.
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	r := &Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(flow.Segs())}
+	a := cfg.arena.Or()
+	r := a.Receiver()
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(&a.Segs, flow.Segs())}
 	r.pacer.Init(eng, flow.Dst.Host, flow.Src.Host.NodeID(), flow.ID, &cfg.Pacer)
 	return r
 }

@@ -89,16 +89,18 @@ type Config struct {
 	Reactive ReactiveCC
 
 	// records is the free list every sender of this config takes its
-	// transmission records from (nil: the heap). The config's fields are
-	// never written; the list it points to, like Stats, is.
+	// transmission records from (nil: the heap), and arena carves the
+	// endpoints it starts (nil: each exactly). The config's fields are
+	// never written; the list and arena they point to, like Stats, are.
 	records *recordArrays
+	arena   *core.Arena[Sender, Receiver]
 }
 
 // DefaultConfig returns the paper's FlexPass setup given the per-flow
 // credit pacer configuration, with a free list of its own for its
-// senders' transmission records. A scheme builds it once per plane and
-// its endpoints share it by pointer, read-only, from the plane's one
-// goroutine.
+// senders' transmission records and an endpoint arena. A scheme builds it
+// once per plane and its endpoints share it by pointer, read-only, from
+// the plane's one goroutine.
 func DefaultConfig(p core.PacerConfig) Config {
 	return Config{
 		ProClass: netem.ClassFlex,
@@ -108,6 +110,7 @@ func DefaultConfig(p core.PacerConfig) Config {
 		InitCwnd: 10,
 		MinRTO:   4 * sim.Millisecond,
 		records:  new(recordArrays),
+		arena:    core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -207,15 +210,18 @@ type Sender struct {
 	finished bool
 }
 
-// NewSender builds the send side; Begin starts both sub-flows.
+// NewSender builds the send side, carved from the config's arena; Begin
+// starts both sub-flows.
 func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 	segs := flow.Segs()
-	s := &Sender{
+	a := cfg.arena.Or()
+	s := a.Sender()
+	*s = Sender{
 		cfg:         cfg,
 		eng:         eng,
 		flow:        flow,
-		st:          make([]uint8, segs),
-		segReSub:    make([]int32, segs),
+		st:          a.States(segs),
+		segReSub:    a.Seqs(segs),
 		tailPending: segs - 1,
 		reECT:       ecnCapableFor(cfg.Reactive),
 	}
@@ -322,8 +328,7 @@ func (s *Sender) rackDetect() {
 // or being recovered proactively.
 func (s *Sender) markSegLost(seg int) {
 	if s.st[seg] == stSentRe {
-		s.st[seg] = stLost
-		s.lostQ.Push(seg)
+		s.lose(seg)
 	}
 }
 
@@ -331,9 +336,14 @@ func (s *Sender) markSegLost(seg int) {
 // to Lost, unless it was recovered or re-sent since.
 func (s *Sender) markProLost(seg int) {
 	if s.st[seg] == stSentPro {
-		s.st[seg] = stLost
-		s.lostQ.Push(seg)
+		s.lose(seg)
 	}
+}
+
+// lose marks a flow segment Lost and queues it for proactive recovery.
+func (s *Sender) lose(seg int) {
+	s.st[seg] = stLost
+	s.lostQ.Push(&s.cfg.arena.Or().Segs, len(s.st), seg)
 }
 
 // segAcked marks a flow segment delivered (from either sub-flow's ACK).
@@ -698,7 +708,8 @@ type Receiver struct {
 	pacer CreditSource // &ep unless cfg.NewCreditSource overrides it
 	ep    core.Pacer   // the default ExpressPass pacer
 
-	got      []bool
+	got      core.Bitmap // flow segments arrived, of segs
+	segs     int
 	cum      int
 	received int
 
@@ -713,9 +724,13 @@ type Receiver struct {
 	started bool
 }
 
-// NewReceiver builds the receive side.
+// NewReceiver builds the receive side, carved from the config's arena.
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	r := &Receiver{cfg: cfg, eng: eng, flow: flow, got: make([]bool, flow.Segs())}
+	segs := flow.Segs()
+	a := cfg.arena.Or()
+	r := a.Receiver()
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow, segs: segs,
+		got: a.Bitmap(segs), reGot: a.Bitmap(segs), proGot: a.Bitmap(segs)}
 	if cfg.NewCreditSource != nil {
 		r.pacer = cfg.NewCreditSource(eng, flow)
 	} else {
@@ -764,11 +779,10 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 // tracks the reordering-buffer high-water mark.
 func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
 	seq := int(pkt.Seq)
-	if seq >= len(r.got) || r.got[seq] {
+	if seq >= r.segs || !r.got.Add(seq) {
 		r.flow.RedundantSegs++
 		return
 	}
-	r.got[seq] = true
 	r.received++
 	payload := int64(r.flow.SegPayload(seq))
 	r.receivedB += payload
@@ -781,7 +795,7 @@ func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
 		r.flow.RxBytesRe += payload
 		r.cfg.RxRe.Add(payload)
 	}
-	for r.cum < len(r.got) && r.got[r.cum] {
+	for r.cum < r.segs && r.got.Has(r.cum) {
 		r.deliveredB += int64(r.flow.SegPayload(r.cum))
 		r.cum++
 	}
@@ -791,7 +805,7 @@ func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
 }
 
 func (r *Receiver) checkComplete() {
-	if r.received >= r.flow.Segs() && !r.flow.Completed {
+	if r.received >= r.segs && !r.flow.Completed {
 		r.pacer.Stop()
 		core.Complete(r.eng, r.flow, r.cfg.Stats, r.cfg.Trace)
 	}

@@ -44,11 +44,14 @@ type Config struct {
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
 	Stats transport.Counters
+
+	// arena carves the endpoints this config starts (nil: each exactly).
+	arena *core.Arena[Sender, Receiver]
 }
 
-// DefaultConfig returns the Fig 1(b) setup for the given bottleneck rate.
-// A scheme builds it once and its endpoints share it by pointer,
-// read-only.
+// DefaultConfig returns the Fig 1(b) setup for the given bottleneck rate,
+// with an endpoint arena of its own. A scheme builds it once per plane
+// and its endpoints share it by pointer, read-only.
 func DefaultConfig(line units.Rate) Config {
 	return Config{
 		UnschedSegs:  8,
@@ -57,6 +60,7 @@ func DefaultConfig(line units.Rate) Config {
 		UnschedClass: 0,
 		SchedClass:   2,
 		GrantClass:   0,
+		arena:        core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -71,9 +75,12 @@ type Sender struct {
 	msgSent int // segments of the current message already sent
 }
 
-// NewSender builds the send side; Begin fires the first unscheduled burst.
+// NewSender builds the send side, carved from the config's arena; Begin
+// fires the first unscheduled burst.
 func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
-	return &Sender{cfg: cfg, eng: eng, flow: flow}
+	s := cfg.arena.Or().Sender()
+	*s = Sender{cfg: cfg, eng: eng, flow: flow}
+	return s
 }
 
 // Begin sends the first message's unscheduled burst.
@@ -146,9 +153,10 @@ type Receiver struct {
 	received int
 }
 
-// NewReceiver builds the receive side.
+// NewReceiver builds the receive side, carved from the config's arena.
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
-	r := &Receiver{cfg: cfg, eng: eng, flow: flow}
+	r := cfg.arena.Or().Receiver()
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow}
 	r.grantFn = r.grantTick
 	return r
 }

@@ -47,11 +47,14 @@ type Config struct {
 	// arbiters are the receivers' token arbiters, shared by every copy
 	// of the config.
 	arbiters arbiters
+	// arena carves the endpoints this config starts (nil: each exactly).
+	arena *core.Arena[Sender, Receiver]
 }
 
 // DefaultConfig returns a reasonable setup for a fabric whose receiver
-// downlinks run at downlink. A scheme builds it once and its endpoints
-// share it by pointer; only its arbiters change as flows land.
+// downlinks run at downlink, with an endpoint arena of its own. A scheme
+// builds it once per plane and its endpoints share it by pointer; only
+// its arbiters and arena change as flows land.
 func DefaultConfig(downlink units.Rate) Config {
 	return Config{
 		DataClass:      netem.ClassFlex,
@@ -62,6 +65,7 @@ func DefaultConfig(downlink units.Rate) Config {
 		TokenTimeout:   500 * sim.Microsecond,
 		MinRTO:         4 * sim.Millisecond,
 		arbiters:       arbiters{downlink, map[*netem.Host]*Arbiter{}},
+		arena:          core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -187,9 +191,11 @@ type Sender struct {
 	finished bool
 }
 
-// NewSender builds the send side.
+// NewSender builds the send side, carved from the config's arena.
 func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
-	s := &Sender{cfg: cfg, eng: eng, flow: flow, trk: core.NewSegTracker(flow.Segs())}
+	a := cfg.arena.Or()
+	s := a.Sender()
+	*s = Sender{cfg: cfg, eng: eng, flow: flow, trk: core.NewSegTracker(&a.Segs, flow.Segs())}
 	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
 }
@@ -302,9 +308,13 @@ type Receiver struct {
 	lastArrival sim.Time
 }
 
-// NewReceiver builds the receive side bound to the host's arbiter.
+// NewReceiver builds the receive side bound to the host's arbiter,
+// carved from the config's arena.
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, arb *Arbiter, cfg *Config) *Receiver {
-	return &Receiver{cfg: cfg, eng: eng, flow: flow, arbiter: arb, asm: core.NewReassembly(flow.Segs())}
+	a := cfg.arena.Or()
+	r := a.Receiver()
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow, arbiter: arb, asm: core.NewReassembly(&a.Segs, flow.Segs())}
+	return r
 }
 
 // completed implements participant.
