@@ -67,9 +67,15 @@ func (a *Auditor) Start() {
 	}
 	a.started = true
 	prev := a.eng.SetComponent(a.eng.Component("forensics/audit"))
-	a.eng.Every(a.every, a.tick)
+	a.eng.ScheduleEvery(a.every, (*auditTick)(a))
 	a.eng.SetComponent(prev)
 }
+
+// auditTick is the auditor's periodic event, the auditor itself: starting
+// it binds no closure.
+type auditTick Auditor
+
+func (t *auditTick) Fire() { (*Auditor)(t).tick() }
 
 // tick runs every check once.
 func (a *Auditor) tick() {

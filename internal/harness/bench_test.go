@@ -12,11 +12,12 @@ import (
 // BenchmarkFlowStart measures what a flow costs, per transport: 8 kB
 // flows on TestFlowAllocBudget's fabric at full deployment, each started
 // through Session.StartFlow and run for the 10 µs until the next starts,
-// so a flow's set-up is its endpoints and the engine callbacks they bind,
-// carved from its plane's arenas, and its run the few dozen events an
-// 8 kB flow takes. With -benchmem (make bench-hot), allocs/op is one
-// flow's heap objects: TestFlowAllocBudget's count plus the session's own
-// per-flow two, the Flow and the closure of its start event.
+// so a flow's set-up is its endpoints, carved from its plane's arenas
+// (their engine events are the endpoints themselves), and its run the
+// few dozen events an 8 kB flow takes. With -benchmem (make bench-hot),
+// allocs/op is one flow's heap objects: TestFlowAllocBudget's count plus
+// the session's own per-flow two, the Flow and the closure of its start
+// event.
 func BenchmarkFlowStart(b *testing.B) {
 	const gap = 10 * sim.Microsecond
 	for _, name := range []string{transport.SchemeDCTCP, transport.SchemeExpressPass,

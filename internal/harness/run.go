@@ -52,7 +52,6 @@ type plane struct {
 	// order, and the one pending event that works through them.
 	arrivals []arrival
 	next     int
-	startFn  func() // pre-bound pl.startNext
 }
 
 // instance is a scheme built on a plane, with the profiling component
@@ -102,21 +101,24 @@ func (pl *plane) arrive(fl *transport.Flow, scheme string) {
 // their attribution are those of one pending event per flow.
 func (pl *plane) armArrivals() {
 	slices.SortStableFunc(pl.arrivals, func(a, b arrival) int { return cmp.Compare(a.fl.Start, b.fl.Start) })
-	pl.startFn = pl.startNext
 	prev := pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
 	if len(pl.arrivals) > 0 {
-		pl.eng.AtSlot(pl.arrivals[0].slot, pl.startFn)
+		pl.eng.ScheduleSlot(pl.arrivals[0].slot, (*arrivalCursor)(pl))
 	}
 	pl.eng.SetComponent(prev)
 }
 
-// startNext starts the cursor's flow and re-arms at the next arrival.
-func (pl *plane) startNext() {
+// arrivalCursor is a plane's one pending arrival event, the plane itself:
+// it starts the cursor's flow and re-arms at the next arrival.
+type arrivalCursor plane
+
+func (c *arrivalCursor) Fire() {
+	pl := (*plane)(c)
 	a := pl.arrivals[pl.next]
 	pl.next++
 	pl.start(a.in, a.fl)
 	if pl.next < len(pl.arrivals) {
-		pl.eng.AtSlot(pl.arrivals[pl.next].slot, pl.startFn)
+		pl.eng.ScheduleSlot(pl.arrivals[pl.next].slot, c)
 	}
 }
 

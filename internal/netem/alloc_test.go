@@ -174,11 +174,13 @@ func TestQueueGrowthAllocatesNothing(t *testing.T) {
 
 // TestPortBuildAllocs bounds what one port costs to build with the paper's
 // three-queue layout (topo.FlexPassProfile). A standalone port (NewPort)
-// is the port, its queues by value, its bands, their one queue array and
-// three pre-bound callbacks. A port carved from a Network's slab
-// (Network.NewPort) is the three callbacks: the rest comes from arrays
-// shared with the engine's other ports, whose allocations the per-port
-// mean truncates away.
+// is the port, its queues by value, its bands and their one queue array;
+// its three events are the port itself (portTxDone, portDeliver,
+// portWake), so they cost nothing. A port carved from a Network's slab
+// (Network.NewPort) costs nothing of its own: everything comes from
+// arrays shared with the engine's other ports, whose allocations the
+// per-port mean truncates away. With a pre-bound callback per event the
+// rows were 7 and 3.
 func TestPortBuildAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	shared := NewSharedBuffer(4*units.MB, 0.25)
@@ -193,8 +195,8 @@ func TestPortBuildAllocs(t *testing.T) {
 		build func() *Port
 		want  float64
 	}{
-		{"standalone", func() *Port { return NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 7},
-		{"slab", func() *Port { return net.NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 3},
+		{"standalone", func() *Port { return NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 4},
+		{"slab", func() *Port { return net.NewPort(eng, "p", 100*units.Gbps, sim.Microsecond, cfg, shared) }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(100, func() { tc.build() })

@@ -85,10 +85,6 @@ type Port struct {
 	// Each frame on the wire carries its arrival time in Packet.at.
 	wire fifo
 
-	txDoneFn  func()
-	deliverFn func()
-	wakeFn    func() // pre-bound wake: one closure per port, not per pacing stall
-
 	pool *PacketPool // packet free list (nil outside a Network); drops recycle through it
 
 	// Profiling attribution for the events this port schedules (pure
@@ -149,17 +145,31 @@ func (p *Port) deliverAt(t sim.Time, pkt *Packet) {
 	p.wire.push(pkt)
 	if p.wire.peek() == pkt {
 		prev := p.eng.SetComponent(p.compDeliver)
-		p.eng.AtRank(t, p.Rank(), p.deliverFn)
+		p.eng.ScheduleRank(t, p.Rank(), (*portDeliver)(p))
 		p.eng.SetComponent(prev)
 	}
 }
+
+// A port's three events are the port itself under three names, so
+// scheduling one allocates nothing: portTxDone fires when the frame in
+// flight finishes serializing, portDeliver when the wire's head frame
+// reaches the peer, portWake when a rate-limited queue becomes eligible.
+type (
+	portTxDone  Port
+	portDeliver Port
+	portWake    Port
+)
+
+func (p *portTxDone) Fire()  { (*Port)(p).kick() }
+func (p *portDeliver) Fire() { (*Port)(p).deliverHead() }
+func (p *portWake) Fire()    { (*Port)(p).wake() }
 
 // deliverHead delivers the head packet and schedules the next arrival.
 func (p *Port) deliverHead() {
 	p.peer.Receive(p.wire.pop())
 	if next := p.wire.peek(); next != nil {
 		prev := p.eng.SetComponent(p.compDeliver)
-		p.eng.AtRank(next.at, p.Rank(), p.deliverFn)
+		p.eng.ScheduleRank(next.at, p.Rank(), (*portDeliver)(p))
 		p.eng.SetComponent(prev)
 	}
 }
@@ -297,7 +307,7 @@ func (p *Port) kick() {
 		if wait > 0 && (p.wakeAt == 0 || wait < p.wakeAt || p.wakeAt <= p.eng.Now()) {
 			p.wakeAt = wait
 			prev := p.eng.SetComponent(p.compPacing)
-			p.eng.At(wait, p.wakeFn)
+			p.eng.Schedule(wait, (*portWake)(p))
 			p.eng.SetComponent(prev)
 		}
 		return
@@ -335,7 +345,7 @@ func (p *Port) kick() {
 func (p *Port) armTxDone() {
 	p.txArmed = true
 	prev := p.eng.SetComponent(p.compTx)
-	p.eng.AtSlot(p.txEnd, p.txDoneFn)
+	p.eng.ScheduleSlot(p.txEnd, (*portTxDone)(p))
 	p.eng.SetComponent(prev)
 }
 

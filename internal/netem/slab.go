@@ -67,9 +67,6 @@ func (s *slab) port(eng *sim.Engine, name string, rate units.Rate, prop sim.Time
 		}
 		p.bands[b].qs = all[from:]
 	}
-	p.txDoneFn = p.kick
-	p.deliverFn = p.deliverHead
-	p.wakeFn = p.wake
 	p.compTx = eng.Component("netem/tx")
 	p.compDeliver = eng.Component("netem/deliver")
 	p.compPacing = eng.Component("netem/pacing")
@@ -81,7 +78,6 @@ func (s *slab) host(eng *sim.Engine, id NodeID, name string, nic *Port, delay si
 	nic.SetOwner(id)
 	h := &s.hosts.Take(1)[0]
 	h.id, h.name, h.eng, h.nic, h.delay = id, name, eng, nic, delay
-	h.sendFn = h.sendNext
 	h.comp = eng.Component("netem/host")
 	return h
 }

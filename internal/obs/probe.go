@@ -120,7 +120,7 @@ func (p *Prober) Start() {
 		return
 	}
 	prev := p.eng.SetComponent(p.eng.Component("obs/prober"))
-	p.ticker = p.eng.Every(p.interval, p.tick)
+	p.ticker = p.eng.ScheduleEvery(p.interval, (*proberTick)(p))
 	p.eng.SetComponent(prev)
 }
 
@@ -130,6 +130,12 @@ func (p *Prober) Stop() {
 		p.ticker.Stop()
 	}
 }
+
+// proberTick is the prober's periodic event, the prober itself: starting
+// it binds no closure.
+type proberTick Prober
+
+func (t *proberTick) Fire() { (*Prober)(t).tick() }
 
 // tick reads every source. Sources registered after Start are picked up
 // on their first subsequent tick (their series simply begins later).

@@ -46,6 +46,50 @@ func TestZeroAllocTimerChurn(t *testing.T) {
 	}
 }
 
+// countFire is a handler that counts its firings.
+type countFire struct{ n int }
+
+func (c *countFire) Fire() { c.n++ }
+
+// TestHandlerEventsAllocateNothing pins the path every fabric node and
+// transport endpoint schedules through: once the free list is warm,
+// scheduling an owner with Schedule, ScheduleSlot, ScheduleRank and
+// ScheduleAfter, firing three and stopping one, allocates nothing. A
+// fired or stopped event must then hold no handler, or the free list
+// would keep finished flows and their endpoints reachable.
+func TestHandlerEventsAllocateNothing(t *testing.T) {
+	e := NewEngine(1)
+	h := &countFire{}
+	cycle := func() {
+		now := e.Now()
+		e.Schedule(now+Microsecond, h)
+		e.ScheduleSlot(e.Reserve(now+2*Microsecond), h)
+		e.ScheduleRank(now+2*Microsecond, 1, h)
+		tm := e.ScheduleAfter(Second, h)
+		tm.Stop()
+		e.Run(now + Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the heap and free list
+	}
+	h.n = 0
+	allocs := testing.AllocsPerRun(1000, cycle)
+	if allocs != 0 {
+		t.Fatalf("Schedule+ScheduleSlot+ScheduleRank+ScheduleAfter+Stop+dispatch allocates %.1f objects/op, want 0", allocs)
+	}
+	if h.n != 3*1001 {
+		t.Fatalf("handler fired %d times, want %d", h.n, 3*1001)
+	}
+	if e.Pending() != 0 || len(e.free) == 0 {
+		t.Fatalf("%d events pending, %d free; want every event back on the free list", e.Pending(), len(e.free))
+	}
+	for i, ev := range e.free {
+		if ev.h != nil {
+			t.Fatalf("free event %d still holds its handler %T", i, ev.h)
+		}
+	}
+}
+
 // TestTimerStopRemovesImmediately verifies the new Stop semantics: the
 // cancelled event leaves the schedule at once instead of lingering as a
 // nil-fn placeholder until popped.

@@ -44,22 +44,48 @@ func BenchmarkTimerStop(b *testing.B) {
 }
 
 // BenchmarkEngineDispatch is the headline scheduler cost number: one
-// iteration is one schedule (After) plus one dispatch, measured at a
-// steady working set, so ns/op and allocs/op read directly as ns/event
-// and allocs/event.
+// iteration is one schedule plus one dispatch, measured at a steady
+// working set, so ns/op and allocs/op read directly as ns/event and
+// allocs/event. The func row schedules a closure through After, the
+// handler row an owner through ScheduleAfter, the way the fabric and the
+// transports do.
 func BenchmarkEngineDispatch(b *testing.B) {
-	e := NewEngine(1)
+	b.Run("func", func(b *testing.B) {
+		e := NewEngine(1)
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			e.After(Time(1+n%127)*Microsecond, tick)
+		}
+		benchDispatch(b, e, func(at Time) { e.After(at, tick) })
+	})
+	b.Run("handler", func(b *testing.B) {
+		e := NewEngine(1)
+		tick := &dispatchTick{e: e}
+		benchDispatch(b, e, func(at Time) { e.ScheduleAfter(at, tick) })
+	})
+}
+
+// dispatchTick re-arms itself on every firing, as a port or pacer does.
+type dispatchTick struct {
+	e *Engine
+	n int
+}
+
+func (d *dispatchTick) Fire() {
+	d.n++
+	d.e.ScheduleAfter(Time(1+d.n%127)*Microsecond, d)
+}
+
+// benchDispatch seeds 256 self-re-arming events through arm, warms the
+// heap and free list, then dispatches b.N events.
+func benchDispatch(b *testing.B, e *Engine, arm func(Time)) {
 	const pending = 256
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		e.After(Time(1+n%127)*Microsecond, tick)
-	}
 	for i := 0; i < pending; i++ {
-		e.After(Time(i)*Nanosecond, tick)
+		arm(Time(i) * Nanosecond)
 	}
-	e.Run(e.Now() + Millisecond) // warm the heap and any free lists
+	e.Run(e.Now() + Millisecond)
 	b.ReportAllocs()
 	b.ResetTimer()
 	target := e.Processed + uint64(b.N)

@@ -48,13 +48,27 @@ func (t Time) String() string {
 	}
 }
 
+// Handler is what an event calls when it fires. An owner that schedules
+// the same callback again and again implements it on itself, or on a
+// named pointer type over itself (type pacerCredit Pacer), and schedules
+// that pointer: a pointer converts to an interface in place, so binding
+// the callback allocates nothing, where a method value is a heap closure.
+type Handler interface{ Fire() }
+
+// Func adapts a closure to Handler. A func value converts to an interface
+// in place, so the adapter allocates nothing beyond the closure itself.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // event is one scheduled callback. Events are owned by the engine and
 // recycled through a free list; gen distinguishes incarnations so a stale
 // Timer for a recycled event cannot cancel its successor.
 type event struct {
 	at   Time
 	key  uint64 // rank<<seqBits | sequence: the order within an instant
-	fn   func()
+	h    Handler
 	gen  uint64
 	idx  int32 // heap index; -1 when not in the heap
 	comp uint8 // Component that scheduled the event (attribution only)
@@ -224,18 +238,22 @@ func (e *Engine) alloc() *event {
 	return ev
 }
 
-// recycle returns a detached event to the free list. Bumping gen
+// recycle returns a detached event to the free list. Dropping the handler
+// keeps a fired or stopped event from retaining its owner; bumping gen
 // invalidates every outstanding Timer for this incarnation.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
+	ev.h = nil
 	ev.gen++
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a logic error in the caller.
-func (e *Engine) At(t Time, fn func()) Timer {
-	return e.AtSlot(e.Reserve(t), fn)
+// At schedules fn to run at absolute time t; see Schedule.
+func (e *Engine) At(t Time, fn func()) Timer { return e.Schedule(t, Func(fn)) }
+
+// Schedule schedules h to fire at absolute time t. Scheduling in the past
+// panics: it always indicates a logic error in the caller.
+func (e *Engine) Schedule(t Time, h Handler) Timer {
+	return e.ScheduleSlot(e.Reserve(t), h)
 }
 
 // Slot is a position in dispatch order — the (time, key) pair At would
@@ -283,36 +301,50 @@ func (e *Engine) Passed(s Slot) bool {
 	return s.at < e.now || (s.at == e.now && s.key <= e.cur)
 }
 
-// AtSlot schedules fn at a reserved position. It panics if s has passed.
-func (e *Engine) AtSlot(s Slot, fn func()) Timer {
+// AtSlot schedules fn at a reserved position; see ScheduleSlot.
+func (e *Engine) AtSlot(s Slot, fn func()) Timer { return e.ScheduleSlot(s, Func(fn)) }
+
+// ScheduleSlot schedules h at a reserved position. It panics if s has
+// passed.
+func (e *Engine) ScheduleSlot(s Slot, h Handler) Timer {
 	if e.Passed(s) {
 		panic(fmt.Sprintf("sim: materialising slot at %v already passed at %v", s.at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = s.at
 	ev.key = s.key
-	ev.fn = fn
+	ev.h = h
 	ev.comp = uint8(e.curComp)
 	e.push(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
-// AtRank schedules fn at t like At, after every lower rank of instant t
-// whatever their sequence: link deliveries (rank 1 + link id) sort by the
-// model, not by scheduling history. rank must be below 1<<20 - 1.
+// AtRank schedules fn at t and rank; see ScheduleRank.
 func (e *Engine) AtRank(t Time, rank uint32, fn func()) Timer {
+	return e.ScheduleRank(t, rank, Func(fn))
+}
+
+// ScheduleRank schedules h at t like Schedule, after every lower rank of
+// instant t whatever their sequence: link deliveries (rank 1 + link id)
+// sort by the model, not by scheduling history. rank must be below
+// 1<<20 - 1.
+func (e *Engine) ScheduleRank(t Time, rank uint32, h Handler) Timer {
 	if rank >= maxRank {
 		panic(fmt.Sprintf("sim: rank %d out of range", rank))
 	}
-	return e.AtSlot(e.reserve(t, uint64(rank)), fn)
+	return e.ScheduleSlot(e.reserve(t, uint64(rank)), h)
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) Timer {
+// After schedules fn to run d after the current time; see ScheduleAfter.
+func (e *Engine) After(d Time, fn func()) Timer { return e.ScheduleAfter(d, Func(fn)) }
+
+// ScheduleAfter schedules h to fire d after the current time (now, for a
+// negative d).
+func (e *Engine) ScheduleAfter(d Time, h Handler) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.Schedule(e.now+d, h)
 }
 
 // Stop makes Run return after the currently dispatching event completes.
@@ -322,37 +354,42 @@ func (e *Engine) Stop() { e.stopped = true }
 type Ticker struct {
 	eng     *Engine
 	period  Time
-	fn      func()
-	tickFn  func() // pre-bound t.tick, one closure for the ticker's lifetime
+	h       Handler
 	timer   Timer
 	stopped bool
 }
 
-// Every schedules fn to run repeatedly, every period, starting one period
-// from now. It is the engine's hook for periodic observers (telemetry
-// probes, samplers): the callback runs between same-instant events without
-// perturbing their relative order, so a read-only fn never changes
-// simulation results. Period must be positive.
-func (e *Engine) Every(period Time, fn func()) *Ticker {
+// Every schedules fn to run every period; see ScheduleEvery.
+func (e *Engine) Every(period Time, fn func()) *Ticker { return e.ScheduleEvery(period, Func(fn)) }
+
+// ScheduleEvery schedules h to fire repeatedly, every period, starting one
+// period from now. It is the engine's hook for periodic observers
+// (telemetry probes, samplers): the callback runs between same-instant
+// events without perturbing their relative order, so a read-only h never
+// changes simulation results. Period must be positive.
+func (e *Engine) ScheduleEvery(period Time, h Handler) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every period must be positive, got %v", period))
 	}
-	t := &Ticker{eng: e, period: period, fn: fn}
-	t.tickFn = t.tick
+	t := &Ticker{eng: e, period: period, h: h}
 	t.schedule()
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.timer = t.eng.After(t.period, t.tickFn)
-}
+// tickerTick is a Ticker's own event: it fires the handler and re-arms.
+type tickerTick Ticker
 
-func (t *Ticker) tick() {
+func (k *tickerTick) Fire() {
+	t := (*Ticker)(k)
 	if t.stopped {
 		return
 	}
-	t.fn()
+	t.h.Fire()
 	t.schedule()
+}
+
+func (t *Ticker) schedule() {
+	t.timer = t.eng.ScheduleAfter(t.period, (*tickerTick)(t))
 }
 
 // Stop cancels the ticker; the callback will not fire again and the
@@ -392,7 +429,7 @@ func (e *Engine) Run(until Time) {
 		e.popMin()
 		e.now = next.at
 		e.cur = next.key
-		fn := next.fn
+		h := next.h
 		comp := Component(next.comp)
 		// Recycle before dispatch: a callback that schedules reuses this
 		// event immediately, keeping the working set hot.
@@ -402,10 +439,10 @@ func (e *Engine) Run(until Time) {
 		// schedules inherit its attribution.
 		e.curComp = comp
 		if e.profile == nil {
-			fn()
+			h.Fire()
 		} else {
 			start := time.Now()
-			fn()
+			h.Fire()
 			e.profile(comp, time.Since(start))
 		}
 	}

@@ -92,7 +92,6 @@ type Shard struct {
 	pending []Item // received items beyond the current horizon
 	injQ    []Item // FIFO of items scheduled into the engine
 	injHead int
-	injFn   func()
 	comp    sim.Component
 }
 
@@ -125,7 +124,6 @@ func New(engs []*sim.Engine, lookahead sim.Time) *Runtime {
 	}
 	for i, eng := range engs {
 		s := &Shard{id: i, eng: eng, rt: rt, comp: eng.Component("shard/inject")}
-		s.injFn = s.injectNext
 		rt.shards = append(rt.shards, s)
 	}
 	return rt
@@ -272,8 +270,8 @@ func (s *Shard) run(until sim.Time, rounds int) {
 
 // inject schedules every pending item with arrival ≤ w into the engine at
 // its rank, in merge order. The engine dispatches in (time, rank, schedule)
-// order, which is merge order, so a FIFO queue drained by one pre-bound
-// callback reproduces it exactly with no per-item closure.
+// order, which is merge order, so a FIFO queue drained by the shard's own
+// event (shardInject) reproduces it exactly with no per-item closure.
 func (s *Shard) inject(w sim.Time) {
 	n := 0
 	for n < len(s.pending) && s.pending[n].At <= w {
@@ -290,7 +288,7 @@ func (s *Shard) inject(w sim.Time) {
 				s.id, it.At, s.eng.Now(), s.rt.lookahead))
 		}
 		s.injQ = append(s.injQ, it)
-		s.eng.AtRank(it.At, it.Rank, s.injFn)
+		s.eng.ScheduleRank(it.At, it.Rank, (*shardInject)(s))
 	}
 	s.eng.SetComponent(prev)
 	rem := copy(s.pending, s.pending[n:])
@@ -299,6 +297,12 @@ func (s *Shard) inject(w sim.Time) {
 	}
 	s.pending = s.pending[:rem]
 }
+
+// shardInject is a shard's injection event, the shard itself: it delivers
+// the FIFO head into the destination node.
+type shardInject Shard
+
+func (k *shardInject) Fire() { (*Shard)(k).injectNext() }
 
 // injectNext delivers the FIFO head into the destination node.
 func (s *Shard) injectNext() {

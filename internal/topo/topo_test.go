@@ -432,16 +432,17 @@ func TestFabricsRecycleFrames(t *testing.T) {
 // build allocates per port and per distinct port set; with a copied set per
 // (switch, destination) it made ≈ 148 K objects. Ports, their queue arrays
 // and hosts are carved from per-engine slabs, and every port shares one
-// PortConfig, so a port costs its three pre-bound callbacks and a host
-// one; when each port was seven objects (its own queue, band and band
-// array, plus a fresh profile) the build made 27 164. Each switch's route
-// table is sized once for the fabric's nodes (Switch.GrowRoutes) and its
-// interned groups are carved from one array; when tables grew by
-// destination and each group was a slice of its own, the build made the
-// count in brackets. The budget is ~1.3x the measurement and holds under
-// -race too (≈ 14 050).
+// PortConfig; when each port was seven objects (its own queue, band and
+// band array, plus a fresh profile) the build made 27 164. Each switch's
+// route table is sized once for the fabric's nodes (Switch.GrowRoutes) and
+// its interned groups are carved from one array; when tables grew by
+// destination and each group was a slice of its own, the build made
+// 15 320. A port's and a host's events are the node itself, so neither
+// costs an object of its own; with three pre-bound callbacks per port and
+// one per host the build made the count in brackets. The budget is ~1.3x
+// the measurement and holds under -race too (≈ 6 780).
 func TestBigClosBuildAllocs(t *testing.T) {
-	const budget = 17_400 // measured 13 364 [15 320]
+	const budget = 8_000 // measured 6 057 [13 364]
 	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

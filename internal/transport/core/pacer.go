@@ -101,9 +101,17 @@ type Pacer struct {
 	active      bool
 	creditTimer sim.Timer
 	fbTimer     sim.Timer
-	creditFn    func() // pre-bound creditTick: one closure per pacer, not per credit
-	feedbackFn  func() // pre-bound feedback, same reason
 }
+
+// A pacer's two events are the pacer itself under two names, so arming
+// either allocates nothing.
+type (
+	pacerCredit   Pacer // the next credit
+	pacerFeedback Pacer // the next feedback update
+)
+
+func (p *pacerCredit) Fire()   { (*Pacer)(p).creditTick() }
+func (p *pacerFeedback) Fire() { (*Pacer)(p).feedback() }
 
 // Init readies the pacer, inactive, to send credits from host toward dst
 // for flow.
@@ -118,8 +126,6 @@ func (p *Pacer) Init(eng *sim.Engine, host *netem.Host, dst netem.NodeID, flow u
 		w:    cfg.WInit,
 		rng:  eng.Stream(flow<<32 | uint64(uint32(host.NodeID()))),
 	}
-	p.creditFn = p.creditTick
-	p.feedbackFn = p.feedback
 }
 
 // Rate returns the current credit rate (for tests and stats).
@@ -135,7 +141,7 @@ func (p *Pacer) Start() {
 	}
 	p.active = true
 	p.scheduleCredit()
-	p.fbTimer = p.eng.After(p.cfg.Period, p.feedbackFn)
+	p.fbTimer = p.eng.ScheduleAfter(p.cfg.Period, (*pacerFeedback)(p))
 }
 
 // Stop halts credit generation (flow complete).
@@ -163,7 +169,7 @@ func (p *Pacer) interval() sim.Time {
 }
 
 func (p *Pacer) scheduleCredit() {
-	p.creditTimer = p.eng.After(p.interval(), p.creditFn)
+	p.creditTimer = p.eng.ScheduleAfter(p.interval(), (*pacerCredit)(p))
 }
 
 func (p *Pacer) creditTick() {
@@ -198,7 +204,7 @@ func (p *Pacer) feedback() {
 		return
 	}
 	defer func() {
-		p.fbTimer = p.eng.After(p.cfg.Period, p.feedbackFn)
+		p.fbTimer = p.eng.ScheduleAfter(p.cfg.Period, (*pacerFeedback)(p))
 	}()
 	sent := p.sent
 	got := p.echoCount

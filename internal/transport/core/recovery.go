@@ -57,7 +57,6 @@ type RecoveryTimer struct {
 	eng     *sim.Engine
 	backoff uint
 	last    sim.Time
-	checkFn func() // pre-bound check: one closure per flow, not per arm
 	cfg     RecoveryConfig
 	pending bool
 }
@@ -65,7 +64,6 @@ type RecoveryTimer struct {
 // Init readies the timer embedded in owner, idle; Touch arms it.
 func (t *RecoveryTimer) Init(eng *sim.Engine, owner RecoveryOwner, cfg RecoveryConfig) {
 	*t = RecoveryTimer{owner: owner, eng: eng, cfg: cfg}
-	t.checkFn = t.check
 }
 
 // Touch stamps progress now and makes sure a check is pending (unless
@@ -80,7 +78,7 @@ func (t *RecoveryTimer) Touch() {
 	if t.cfg.ShiftOnArm {
 		delay = t.rto()
 	}
-	t.eng.After(delay, t.checkFn)
+	t.eng.ScheduleAfter(delay, (*recoveryCheck)(t))
 }
 
 // Bump increases the exponential backoff (call on each timeout).
@@ -101,6 +99,12 @@ func (t *RecoveryTimer) rto() sim.Time {
 	return t.owner.BaseRTO() << bo
 }
 
+// recoveryCheck is the timer's pending check, the timer itself: arming it
+// allocates nothing.
+type recoveryCheck RecoveryTimer
+
+func (c *recoveryCheck) Fire() { (*RecoveryTimer)(c).check() }
+
 func (t *RecoveryTimer) check() {
 	t.pending = false
 	if t.owner.Idle() {
@@ -109,7 +113,7 @@ func (t *RecoveryTimer) check() {
 	deadline := t.last + t.rto()
 	if t.eng.Now() < deadline {
 		t.pending = true
-		t.eng.At(deadline, t.checkFn)
+		t.eng.Schedule(deadline, (*recoveryCheck)(t))
 		return
 	}
 	t.owner.Expire()

@@ -148,7 +148,7 @@ func (s *Sender) Expire() {
 	s.cfg.Trace.Add(trace.Timeout, s.flow.ID, int64(s.trk.CumAck), "rto")
 	s.rec.Bump()
 	s.win.OnTimeout()
-	s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(s.trk.CumAck), "timeout cwnd=%.1f", s.win.Cwnd)
+	s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.trk.CumAck), "timeout", s.win.Cwnd)
 	s.trk.DupAcks = 0
 	s.trk.LoseOutstanding()
 	s.recoverEdge = s.trk.NextNew
@@ -190,7 +190,7 @@ func (s *Sender) Handle(pkt *netem.Packet) {
 	if newLoss && s.trk.CumAck >= s.recoverEdge {
 		s.win.OnLoss(s.trk.CumAck, s.trk.NextNew)
 		s.recoverEdge = s.trk.NextNew
-		s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(s.trk.CumAck), "dupack cwnd=%.1f", s.win.Cwnd)
+		s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.trk.CumAck), "dupack", s.win.Cwnd)
 	}
 
 	if s.trk.Done() {

@@ -292,7 +292,7 @@ func (s *Sender) Expire() {
 		}
 	}
 	s.win.OnTimeout()
-	s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(s.reCum), "timeout cwnd=%.1f", s.win.Cwnd())
+	s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "timeout", s.win.Cwnd())
 	s.pumpReactive()
 	s.rec.Touch()
 }
@@ -320,7 +320,7 @@ func (s *Sender) rackDetect() {
 	}
 	if newLoss {
 		s.win.OnLoss(s.reCum, len(s.re))
-		s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(s.reCum), "rack cwnd=%.1f", s.win.Cwnd())
+		s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "rack", s.win.Cwnd())
 	}
 }
 
@@ -633,7 +633,7 @@ func (s *Sender) onReactiveAck(pkt *netem.Packet) {
 		}
 		if newLoss {
 			s.win.OnLoss(cum, len(s.re))
-			s.cfg.Trace.Addf(trace.WindowCut, s.flow.ID, int64(cum), "dupack cwnd=%.1f", s.win.Cwnd())
+			s.cfg.Trace.AddWindowCut(s.flow.ID, int64(cum), "dupack", s.win.Cwnd())
 		}
 		// Slide the left edge past lost transmissions.
 		for s.reCum < len(s.re) && s.re[s.reCum].state != subSent {

@@ -45,3 +45,23 @@ func TestTraceNilIsFree(t *testing.T) {
 	}
 	_ = units.KB
 }
+
+// TestNilTraceTimeoutAllocatesNothing holds a timeout with tracing off to
+// zero heap objects: the window-cut note is formatted only on a ring, so
+// a nil one boxes no cwnd. The link toward the receiver loses everything,
+// so each Expire resends into frames the fabric recycles.
+func TestNilTraceTimeoutAllocatesNothing(t *testing.T) {
+	eng, _, ag := lossyPair(1, topo.Spec{})
+	fl := fpFlow(1, ag[0], ag[1], 100_000)
+	s, _ := Start(eng, fl, flexCfg(10*gig, 0.5))
+	timeout := func() {
+		s.Expire()
+		eng.Run(eng.Now() + 100*sim.Microsecond)
+	}
+	for i := 0; i < 16; i++ {
+		timeout() // warm the free lists
+	}
+	if a := testing.AllocsPerRun(100, timeout); a != 0 {
+		t.Fatalf("a timeout with no trace ring allocates %.1f objects, want 0", a)
+	}
+}

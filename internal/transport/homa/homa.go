@@ -149,7 +149,6 @@ type Receiver struct {
 
 	granting bool
 	timer    sim.Timer
-	grantFn  func() // pre-bound grantTick: one closure per receiver, not per grant
 	received int
 }
 
@@ -157,7 +156,6 @@ type Receiver struct {
 func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	r := cfg.arena.Or().Receiver()
 	*r = Receiver{cfg: cfg, eng: eng, flow: flow}
-	r.grantFn = r.grantTick
 	return r
 }
 
@@ -188,8 +186,14 @@ func (r *Receiver) stop() {
 // scheduleGrant paces one grant per full-size segment at GrantRate — the
 // full link capacity, with no co-existence awareness.
 func (r *Receiver) scheduleGrant() {
-	r.timer = r.eng.After(r.cfg.GrantRate.TxTime(netem.MTUWire), r.grantFn)
+	r.timer = r.eng.ScheduleAfter(r.cfg.GrantRate.TxTime(netem.MTUWire), (*receiverGrant)(r))
 }
+
+// receiverGrant is the receiver's next grant, the receiver itself: arming
+// it allocates nothing.
+type receiverGrant Receiver
+
+func (g *receiverGrant) Fire() { (*Receiver)(g).grantTick() }
 
 func (r *Receiver) grantTick() {
 	if !r.granting {

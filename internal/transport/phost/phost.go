@@ -92,17 +92,13 @@ type Arbiter struct {
 	// expiry can fire even with no arrivals.
 	poll sim.Time
 
-	tickFn func() // pre-bound tick: one closure per arbiter, not per token
-
 	// TokensSent counts all tokens emitted (stats).
 	TokensSent int64
 }
 
 // NewArbiter builds the token scheduler for a receiver host.
 func NewArbiter(eng *sim.Engine, host *netem.Host, downlink units.Rate) *Arbiter {
-	a := &Arbiter{eng: eng, host: host, rate: downlink, poll: 200 * sim.Microsecond}
-	a.tickFn = a.tick
-	return a
+	return &Arbiter{eng: eng, host: host, rate: downlink, poll: 200 * sim.Microsecond}
 }
 
 // register adds a flow to the rotation (idempotent).
@@ -125,10 +121,10 @@ func (a *Arbiter) wake() {
 	switch {
 	case a.anyDemand():
 		a.ticking = true
-		a.eng.After(a.rate.TxTime(netem.MTUWire), a.tickFn)
+		a.eng.ScheduleAfter(a.rate.TxTime(netem.MTUWire), (*arbiterTick)(a))
 	case a.anyIncomplete():
 		a.ticking = true
-		a.eng.After(a.poll, a.tickFn)
+		a.eng.ScheduleAfter(a.poll, (*arbiterTick)(a))
 	}
 }
 
@@ -149,6 +145,12 @@ func (a *Arbiter) anyIncomplete() bool {
 	}
 	return false
 }
+
+// arbiterTick is the arbiter's token clock, the arbiter itself: arming it
+// allocates nothing.
+type arbiterTick Arbiter
+
+func (t *arbiterTick) Fire() { (*Arbiter)(t).tick() }
 
 func (a *Arbiter) tick() {
 	a.ticking = false

@@ -57,8 +57,14 @@ func NewAgent(eng *sim.Engine, h *netem.Host, flows *Flows) *Agent {
 // by value in one array.
 func (a *Agent) Install(eng *sim.Engine, h *netem.Host, flows *Flows) {
 	*a = Agent{Host: h, Eng: eng, Flows: flows}
-	h.SetHandler(a.dispatch)
+	h.Attach((*agentRx)(a))
 }
+
+// agentRx is an agent as its host's receive handler: attaching it binds
+// no closure.
+type agentRx Agent
+
+func (r *agentRx) Handle(pkt *netem.Packet) { (*Agent)(r).dispatch(pkt) }
 
 // ObserveStrays bills this agent's stray-packet drops to c (typically one
 // run-wide counter shared across agents; nil detaches).
