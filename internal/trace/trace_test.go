@@ -10,11 +10,22 @@ import (
 func TestNilRingNoOps(t *testing.T) {
 	var r *Ring
 	r.Add(Drop, 1, 2, "x") // must not panic
-	r.Addf(Mark, 1, 2, "y %d", 3)
+	r.AddWindowCut(1, 2, "timeout", 3)
 	if r.Len() != 0 || r.Events() != nil || r.Overwritten() != 0 {
 		t.Fatal("nil ring must be empty")
 	}
 	r.Each(func(Event) { t.Fatal("nil ring visited an event") })
+}
+
+func TestAddWindowCutNote(t *testing.T) {
+	r := NewRing(nil, 4)
+	r.AddWindowCut(7, 3, "timeout", 12.25)
+	r.AddWindowCut(7, 4, "rack", 2)
+	evs := r.Events()
+	if len(evs) != 2 || evs[0] != (Event{Kind: WindowCut, Flow: 7, Seq: 3, Note: "timeout cwnd=12.2"}) ||
+		evs[1].Note != "rack cwnd=2.0" {
+		t.Fatalf("window cuts recorded as %+v", evs)
+	}
 }
 
 func TestRingRecordsInOrder(t *testing.T) {
