@@ -33,72 +33,79 @@ import (
 // Row is one run flattened into the lake's schema. Dimension columns
 // come from the manifest; metric columns are derived from the
 // artifact's flow lines, counters, histograms, and fault lines.
+//
+// Each field's `lake` tag is its column: the name queries, diffs and
+// the index file address it by. The field's type picks the column's
+// family (string, int64, float64 or bool), field order is ColumnNames'
+// order, and every numeric column but PerfMetrics is gated by Diff.
+// Schema, untagged, is the one field the index holds out-of-band.
 type Row struct {
 	// Identity dimensions.
-	ID        string // scenario content hash (config "scenario_hash") or artifact stem
-	File      string // artifact basename the row was ingested from
-	Schema    int    // artifact schema version
-	Salvaged  bool   // artifact was damaged; row built from the salvaged prefix
-	Sweep     string // sweep name (config "sweep"), if farmed
-	Scheme    string
-	Topo      string // short topology label (config "topo") or manifest topology
-	Workload  string
-	Options   string // canonical "k=v k2=v2" rendering of the scheme options
-	Fault     string // fault-plan name ("" = clean run)
-	FaultSig  string // fault-plan content hash
-	WlPlan    string // workload-plan name ("" = parameter workload)
-	WlPlanSig string // workload-plan content hash (rename-invariant)
-	Revision  string
-	Seed      int64
-	Shards    int64 // parallel-engine shard count (0 = single engine)
-	Load      float64
-	Deploy    float64
-	WQ        float64
-	RedKB     int64 // Q1 selective-drop threshold override in kB (config "red_kb"; 0 = the profile's)
+	ID        string  `lake:"id"`   // scenario content hash (config "scenario_hash") or artifact stem
+	File      string  `lake:"file"` // artifact basename the row was ingested from
+	Schema    int     // artifact schema version
+	Sweep     string  `lake:"sweep"` // sweep name (config "sweep"), if farmed
+	Scheme    string  `lake:"scheme"`
+	Topo      string  `lake:"topo"` // short topology label (config "topo") or manifest topology
+	Workload  string  `lake:"workload"`
+	Options   string  `lake:"options"`           // canonical "k=v k2=v2" rendering of the scheme options
+	Fault     string  `lake:"fault"`             // fault-plan name ("" = clean run)
+	FaultSig  string  `lake:"fault_sig"`         // fault-plan content hash
+	WlPlan    string  `lake:"workload_plan"`     // workload-plan name ("" = parameter workload)
+	WlPlanSig string  `lake:"workload_plan_sig"` // workload-plan content hash (rename-invariant)
+	Revision  string  `lake:"revision"`
+	Salvaged  bool    `lake:"salvaged"` // artifact was damaged; row built from the salvaged prefix
+	Seed      int64   `lake:"seed"`
+	Shards    int64   `lake:"shards"` // parallel-engine shard count (0 = single engine)
+	Load      float64 `lake:"load"`
+	Deploy    float64 `lake:"deployment"`
+	WQ        float64 `lake:"wq"`
+	RedKB     int64   `lake:"red_kb"` // Q1 selective-drop threshold override in kB (config "red_kb"; 0 = the profile's)
 
-	// Metrics. Flows through RedundantFrac come from the flow lines (FCT
-	// statistics over completed flows, "small" under 100 kB); the rest
-	// from the manifest, counters, histograms and fault lines.
-	DurationPs       int64
-	Flows            int64 // flows started
-	Completed        int64
-	Timeouts         int64
-	Retransmits      int64
-	GoodputGbps      float64 // delivered payload bytes over the run window
-	AvgFCTUs         float64
-	FCTP50Us         float64
-	FCTP99Us         float64
-	FCTMaxUs         float64 // slowest completed flow
-	LastFinishUs     float64 // latest completion instant
-	P99SmallUs       float64
-	P99SmallLegacyUs float64
-	P99SmallNewUs    float64
-	StdSmallLegacyUs float64
-	StdSmallNewUs    float64
-	ReorderKB        float64 // mean reordering-buffer high-water mark of upgraded flows
-	RedundantFrac    float64 // duplicate segment volume over delivered volume
+	// Metrics. Flows through RedundantFrac, Timeouts and Retransmits come
+	// from the flow lines (FCT statistics over completed flows, "small"
+	// under 100 kB); the rest from the manifest, counters, histograms and
+	// fault lines.
+	DurationPs       int64   `lake:"duration_ps"`
+	Flows            int64   `lake:"flows"` // flows started
+	Completed        int64   `lake:"completed"`
+	GoodputGbps      float64 `lake:"goodput_gbps"` // delivered payload bytes over the run window
+	AvgFCTUs         float64 `lake:"avg_fct_us"`
+	FCTP50Us         float64 `lake:"fct_p50_us"`
+	FCTP99Us         float64 `lake:"fct_p99_us"`
+	FCTMaxUs         float64 `lake:"fct_max_us"`     // slowest completed flow
+	LastFinishUs     float64 `lake:"last_finish_us"` // latest completion instant
+	P99SmallUs       float64 `lake:"p99_small_us"`
+	P99SmallLegacyUs float64 `lake:"p99_small_legacy_us"`
+	P99SmallNewUs    float64 `lake:"p99_small_new_us"`
+	StdSmallLegacyUs float64 `lake:"std_small_legacy_us"`
+	StdSmallNewUs    float64 `lake:"std_small_new_us"`
+	ReorderKB        float64 `lake:"reorder_kb"`     // mean reordering-buffer high-water mark of upgraded flows
+	RedundantFrac    float64 `lake:"redundant_frac"` // duplicate segment volume over delivered volume
 	// LegacyStarvedFrac is the share of non-idle SeriesWindow windows in
 	// which legacy (DCTCP) traffic got under a fifth of the link rate.
-	LegacyStarvedFrac float64
-	Q1AvgB            int64 // ToR-uplink Q1 occupancy, when sampled (manifest q1_*)
-	Q1P90B            int64
-	Q1RedAvgB         int64
-	Q1RedP90B         int64
-	CreditsIss        int64   // credits issued by receivers
-	CreditsWaste      int64   // credits that arrived with nothing to send
-	DropsRed          int64   // selective (red-threshold) drops
-	DropsTotal        int64   // all queue drops
-	FaultActions      int64   // applied fault-plan actions (artifact "fault" lines)
-	FaultDrops        int64   // packets destroyed by fault injection
-	Tenants           int64   // distinct tenant load classes the workload tagged
-	Coflows           int64   // coflow groups generated (RPC jobs, tagged incasts)
-	CoflowsDone       int64   // coflows whose every member flow completed
-	CCTP99Us          float64 // coflow completion time p99 (log-bucket bound)
-	Violations        int64   // auditor violations kept in the artifact ("forensics" violation lines)
-	VioDropped        int64   // violations discarded over the auditor retention cap (manifest violations_dropped)
-	Events            int64
-	WallMS            float64 // perf self-report; machine-dependent
-	EventsPerSec      float64
+	LegacyStarvedFrac float64 `lake:"legacy_starved_frac"`
+	Q1AvgB            int64   `lake:"q1_avg_b"` // ToR-uplink Q1 occupancy, when sampled (manifest q1_*)
+	Q1P90B            int64   `lake:"q1_p90_b"`
+	Q1RedAvgB         int64   `lake:"q1_red_avg_b"`
+	Q1RedP90B         int64   `lake:"q1_red_p90_b"`
+	Timeouts          int64   `lake:"timeouts"`
+	Retransmits       int64   `lake:"retransmits"`
+	CreditsIss        int64   `lake:"credits_issued"`     // credits issued by receivers
+	CreditsWaste      int64   `lake:"credits_wasted"`     // credits that arrived with nothing to send
+	DropsRed          int64   `lake:"drops_red"`          // selective (red-threshold) drops
+	DropsTotal        int64   `lake:"drops_total"`        // all queue drops
+	FaultActions      int64   `lake:"fault_actions"`      // applied fault-plan actions (artifact "fault" lines)
+	FaultDrops        int64   `lake:"fault_drops"`        // packets destroyed by fault injection
+	Tenants           int64   `lake:"tenants"`            // distinct tenant load classes the workload tagged
+	Coflows           int64   `lake:"coflows"`            // coflow groups generated (RPC jobs, tagged incasts)
+	CoflowsDone       int64   `lake:"coflows_done"`       // coflows whose every member flow completed
+	CCTP99Us          float64 `lake:"cct_p99_us"`         // coflow completion time p99 (log-bucket bound)
+	Violations        int64   `lake:"violations"`         // auditor violations kept in the artifact ("forensics" violation lines)
+	VioDropped        int64   `lake:"violations_dropped"` // violations discarded over the auditor retention cap (manifest violations_dropped)
+	Events            int64   `lake:"events"`
+	WallMS            float64 `lake:"wall_ms"` // perf self-report; machine-dependent
+	EventsPerSec      float64 `lake:"events_per_sec"`
 }
 
 // OptionsString canonicalizes a scheme-option map as space-separated

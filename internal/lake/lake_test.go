@@ -2,6 +2,7 @@ package lake
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -303,5 +304,56 @@ func TestMergedQuantileEmpty(t *testing.T) {
 	r := FromRun(run, "a.jsonl", false)
 	if r.Flows != 0 || r.FCTP50Us != 0 || r.FCTP99Us != 0 || r.P99SmallUs != 0 || r.AvgFCTUs != 0 || r.CCTP99Us != 0 {
 		t.Errorf("empty run has FCT columns %+v", r)
+	}
+}
+
+// TestEveryFieldRoundTrips: a row whose every field holds a distinct
+// non-zero value survives WriteFile and ReadFile, and value reads each
+// field back under exactly one column name — so a Row field that loses
+// its lake tag, or two columns that read one field, fail here.
+func TestEveryFieldRoundTrips(t *testing.T) {
+	var row Row
+	rv := reflect.ValueOf(&row).Elem()
+	want := map[string]bool{} // each field's display string
+	for i := range rv.NumField() {
+		f := rv.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(fmt.Sprintf("s%d", i))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Row.%s is a %s, which no column family holds", rv.Type().Field(i).Name, f.Type())
+		}
+		want[fmt.Sprint(f.Interface())] = true
+	}
+	if len(want) != rv.NumField() {
+		t.Fatalf("%d distinct values for %d fields", len(want), rv.NumField())
+	}
+	ix := &Index{Rows: []Row{row}}
+	path := filepath.Join(t.TempDir(), IndexFile)
+	if err := ix.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, ix.Rows) {
+		t.Errorf("row did not round-trip:\nwant %+v\ngot  %+v", ix.Rows, got.Rows)
+	}
+	for _, name := range ColumnNames() {
+		s, _, _, ok := value(&got.Rows[0], name)
+		if !ok || !want[s] {
+			t.Errorf("column %s reads %q (ok %v), not a field's value or a second column's", name, s, ok)
+		}
+		delete(want, s)
+	}
+	for s := range want {
+		t.Errorf("no column reads the field holding %s", s)
 	}
 }
