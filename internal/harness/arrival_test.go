@@ -67,3 +67,43 @@ func TestArrivalCursorOrder(t *testing.T) {
 		t.Fatalf("cursor stopped at flow %d, want %d", pl.arrivals[pl.next].fl.ID, late.ID)
 	}
 }
+
+// TestStartFlowJoinsCursor: a session's StartFlow joins the plane's one
+// cursor event instead of scheduling its own, in the order At would
+// have given it — TestArrivalCursorOrder's flows, handed over one by
+// one, start in that test's order — and a flow added between Runs that
+// starts before every pending one re-arms the cursor and goes first.
+func TestStartFlowJoinsCursor(t *testing.T) {
+	sc := shardScenario(Scheme(transport.SchemeDCTCP), 1)
+	sc.Telemetry = &obs.Options{TraceCap: 1 << 16}
+	sc.TraceFlows = []workload.FlowSpec{}
+	s := Open(sc)
+	eng := s.Engine()
+	idle := eng.Pending()
+	at := 100 * sim.Microsecond
+	for _, f := range []workload.FlowSpec{
+		{Src: 0, Dst: 4, At: at}, {Src: 5, Dst: 1, At: at / 2}, {Src: 2, Dst: 6, At: at},
+		{Src: 1, Dst: 5, At: sc.Duration + sc.Drain + sim.Microsecond}, {Src: 7, Dst: 3, At: at},
+	} {
+		s.StartFlow(f.At, transport.SchemeDCTCP, f.Src, f.Dst, 50_000)
+		if n := eng.Pending(); n != idle+1 {
+			t.Fatalf("%d events pending after a StartFlow, want %d: one cursor for every flow", n, idle+1)
+		}
+	}
+	s.Run(at / 4)
+	s.StartFlow(at/4+sim.Microsecond, transport.SchemeDCTCP, 3, 7, 50_000)
+	if n := eng.Pending(); n != idle+1 {
+		t.Fatalf("%d events pending after an earlier StartFlow, want %d", n, idle+1)
+	}
+	s.Run(sc.Duration + sc.Drain)
+	res := s.Close()
+	var started []uint64
+	res.Trace.Each(func(ev trace.Event) {
+		if ev.Kind == trace.FlowStart {
+			started = append(started, ev.Flow)
+		}
+	})
+	if want := []uint64{6, 2, 1, 3, 5}; !slices.Equal(started, want) {
+		t.Fatalf("flows started in order %v, want %v", started, want)
+	}
+}

@@ -50,8 +50,10 @@ type plane struct {
 
 	// The arrival cursor: the flow starts this plane owes, in dispatch
 	// order, and the one pending event that works through them.
-	arrivals []arrival
-	next     int
+	arrivals    []arrival
+	next        int
+	cursor      sim.Timer
+	arrivalComp sim.Component // the cursor's profiling label
 }
 
 // instance is a scheme built on a plane, with the profiling component
@@ -101,25 +103,48 @@ func (pl *plane) arrive(fl *transport.Flow, scheme string) {
 // their attribution are those of one pending event per flow.
 func (pl *plane) armArrivals() {
 	slices.SortStableFunc(pl.arrivals, func(a, b arrival) int { return cmp.Compare(a.fl.Start, b.fl.Start) })
-	prev := pl.eng.SetComponent(pl.eng.Component("harness/arrival"))
+	pl.arrivalComp = pl.eng.Component("harness/arrival")
 	if len(pl.arrivals) > 0 {
-		pl.eng.ScheduleSlot(pl.arrivals[0].slot, (*arrivalCursor)(pl))
+		pl.arm()
 	}
+}
+
+// admit adds a, reserved after every other arrival, to the pending ones,
+// after each that starts no later, and re-arms the cursor when a is now
+// the first. With none pending, the list starts over.
+func (pl *plane) admit(a arrival) {
+	if pl.next == len(pl.arrivals) {
+		pl.arrivals, pl.next = pl.arrivals[:0], 0
+	}
+	pending := pl.arrivals[pl.next:]
+	i := pl.next + sort.Search(len(pending), func(j int) bool { return pending[j].fl.Start > a.fl.Start })
+	pl.arrivals = slices.Insert(pl.arrivals, i, a)
+	if i == pl.next {
+		pl.cursor.Stop()
+		pl.arm()
+	}
+}
+
+// arm schedules the cursor at the next pending arrival.
+func (pl *plane) arm() {
+	prev := pl.eng.SetComponent(pl.arrivalComp)
+	pl.cursor = pl.eng.ScheduleSlot(pl.arrivals[pl.next].slot, (*arrivalCursor)(pl))
 	pl.eng.SetComponent(prev)
 }
 
 // arrivalCursor is a plane's one pending arrival event, the plane itself:
-// it starts the cursor's flow and re-arms at the next arrival.
+// it re-arms at the next arrival, then starts its own flow, so a flow
+// added during the start finds the cursor where it stands.
 type arrivalCursor plane
 
 func (c *arrivalCursor) Fire() {
 	pl := (*plane)(c)
 	a := pl.arrivals[pl.next]
 	pl.next++
-	pl.start(a.in, a.fl)
 	if pl.next < len(pl.arrivals) {
-		pl.eng.ScheduleSlot(pl.arrivals[pl.next].slot, c)
+		pl.arm()
 	}
+	pl.start(a.in, a.fl)
 }
 
 // start begins the halves of fl that live on this plane, the receiver's
@@ -511,8 +536,9 @@ func (s *Session) onePlane(op string) *plane {
 
 // StartFlow adds a flow of size bytes from host src to host dst on the
 // named scheme, starting at at, to a one-plane session. It takes the next
-// ID in the flow table and its start is one event at at, as a scenario
-// flow's arrival is. An unknown scheme name panics here, at the call.
+// ID in the flow table and joins the plane's arrival cursor at the
+// position At would have given it, as a scenario flow's arrival does. An
+// unknown scheme name panics here, at the call.
 func (s *Session) StartFlow(at sim.Time, scheme string, src, dst int, size int64) *transport.Flow {
 	pl := s.onePlane("StartFlow")
 	in := pl.scheme(scheme)
@@ -525,7 +551,7 @@ func (s *Session) StartFlow(at sim.Time, scheme string, src, dst int, size int64
 		OnComplete: s.onDone,
 	})
 	s.all = append(s.all, fl)
-	pl.eng.At(at, func() { pl.start(in, fl) })
+	pl.admit(arrival{pl.eng.Reserve(at), fl, in})
 	return fl
 }
 
