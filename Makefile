@@ -190,21 +190,24 @@ loc:
 # Cross-run regression gate over the result lake. lake-regression runs
 # the fixed-seed CI micro-sweep into lake-ci/ and diffs its index
 # against the checked-in baseline: the simulator is deterministic, so
-# the diff runs at zero tolerance and any drift in goodput, FCT
-# quantiles, drops, or event counts fails the target (perf self-reports
-# are informational only). Re-baseline with lake-baseline after an
-# intentional behavior change and commit ci/lake-baseline.json:
-# lake-baseline prints the diff it is about to accept (it never fails
-# on drift), so the re-pin commit can record which columns moved. The
-# sweep indexes the runs it holds in memory; the cmp step re-indexes
-# runs/ from disk with `flexfarm ingest` and requires the same bytes.
+# the diff runs at zero tolerance and any drift in any numeric lake
+# column fails the target (the perf self-reports wall_ms and
+# events_per_sec are informational only). The diff's report is also
+# written to lake-ci/diff.txt, so a DRIFT names its columns in CI's
+# artifacts. Re-baseline with lake-baseline after an intentional
+# behavior change and commit ci/lake-baseline.json: lake-baseline
+# prints the diff it is about to accept (it never fails on drift), so
+# the re-pin commit can record which columns moved. The sweep indexes
+# the runs it holds in memory; the cmp step re-indexes runs/ from disk
+# with `flexfarm ingest` and requires the same bytes.
 lake-regression:
 	rm -rf lake-ci
 	$(GO) run ./cmd/flexfarm run -spec ci/microsweep.json -out lake-ci
 	cp lake-ci/index.json lake-ci/index.sweep.json
 	$(GO) run ./cmd/flexfarm ingest -lake lake-ci
 	cmp lake-ci/index.sweep.json lake-ci/index.json
-	$(GO) run ./cmd/flexfarm diff ci/lake-baseline.json lake-ci
+	$(GO) run ./cmd/flexfarm diff ci/lake-baseline.json lake-ci > lake-ci/diff.txt; \
+	 status=$$?; cat lake-ci/diff.txt; exit $$status
 
 lake-baseline:
 	rm -rf lake-ci

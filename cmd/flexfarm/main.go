@@ -338,7 +338,7 @@ func diffCmd(args []string) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	tolPct := fs.Float64("tolerance", 0, "relative drift tolerance in percent")
 	tolAbs := fs.Float64("abs", 0, "absolute drift tolerance")
-	metrics := fs.String("metrics", "", "comma-separated metric columns to gate on (default: the deterministic set)")
+	metrics := fs.String("metrics", "", "comma-separated metric columns to gate on (default: every numeric column but wall_ms and events_per_sec)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fatal(fmt.Errorf("diff needs exactly two lakes: flexfarm diff BASELINE CANDIDATE"))
