@@ -137,8 +137,10 @@ bench-sim:
 # netem per-hop costs (BenchmarkHostHop matches both the Network and the
 # HandWired variant; BenchmarkPortQueued is a hop through a standing
 # queue, BenchmarkPortForward an uncongested one), and the fabric build
-# (BenchmarkClosBuild: the paper Clos on one engine, BigClos on two) and
-# per-flow cost (BenchmarkFlowStart, one 8 kB flow per op and transport;
+# (BenchmarkClosBuild: the paper Clos on one engine, BigClos on two), its
+# set-up (BenchmarkRegister: every telemetry source of the paper Clos at
+# one and two planes; BenchmarkApply: one burst@* fault on all its ports,
+# the engine's event storage included) and per-flow cost (BenchmarkFlowStart, one 8 kB flow per op and transport;
 # a fixed op count, since every flow stays in its session's table), for
 # a quick look while working. The standing
 # benchmark's ledger below measures the same layers (sim.dispatch_ns,
@@ -147,12 +149,14 @@ bench-sim:
 HOT_SIM   = BenchmarkEngineDispatch|BenchmarkEventChurn|BenchmarkTimerStopPending
 HOT_NETEM = BenchmarkPortForward|BenchmarkPortQueued|BenchmarkHostHop
 HOT_TOPO  = BenchmarkClosBuild
+HOT_SETUP = BenchmarkRegister|BenchmarkApply
 HOT_FLOW  = BenchmarkFlowStart
 
 bench-hot:
 	@$(GO) test -bench '$(HOT_SIM)' -benchmem -benchtime 1s -run '^$$' ./internal/sim/
 	@$(GO) test -bench '$(HOT_NETEM)' -benchmem -benchtime 1s -run '^$$' ./internal/netem/
 	@$(GO) test -bench '$(HOT_TOPO)' -benchmem -benchtime 1s -run '^$$' ./internal/topo/
+	@$(GO) test -bench '$(HOT_SETUP)' -benchmem -benchtime 200x -run '^$$' ./internal/netem/ ./internal/faults/
 	@$(GO) test -bench '$(HOT_FLOW)' -benchmem -benchtime 5000x -run '^$$' ./internal/harness/
 
 # The standing benchmark's ledger (bench/README.md): every workload's

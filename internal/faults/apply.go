@@ -59,11 +59,11 @@ func Apply(p *Plan, eng *sim.Engine, net *netem.Network) (*Applied, error) {
 		return nil, err
 	}
 	a := &Applied{Plan: p, logs: map[*sim.Engine]*[]obs.FaultData{}}
-	// All fault timers — and anything their engage/clear closures
-	// schedule — attribute to the "faults" component. A port always
-	// schedules on its own engine so sharded runs flip port state from
-	// the goroutine that owns it; single-engine runs resolve every port
-	// to eng and behave exactly as before.
+	// All fault actions — and anything they schedule — attribute to the
+	// "faults" component. A port always schedules on its own engine so
+	// sharded runs flip port state from the goroutine that owns it;
+	// single-engine runs resolve every port to eng and behave exactly as
+	// before.
 	restore := map[*sim.Engine]sim.Component{}
 	faultsComp := func(e *sim.Engine) *sim.Engine {
 		if _, ok := restore[e]; !ok {
@@ -79,70 +79,90 @@ func Apply(p *Plan, eng *sim.Engine, net *netem.Network) (*Applied, error) {
 	faultsComp(eng)
 	for i := range p.Events {
 		ev := &p.Events[i]
-		ports := matchPorts(net, ev.Link)
-		if len(ports) == 0 {
+		matched := 0
+		net.EachPort(func(port *netem.Port) {
+			if matches(ev.Link, port) {
+				matched++
+			}
+		})
+		if matched == 0 {
 			return nil, &UnknownLinkError{Pattern: ev.Link}
 		}
-		for _, port := range ports {
-			port := port
+		clears := ev.End != 0 && ev.Kind != LinkUp && ev.Kind != RateRestore
+		if clears {
+			matched *= 2
+		}
+		acts := make([]action, 0, matched)
+		net.EachPort(func(port *netem.Port) {
+			if !matches(ev.Link, port) {
+				return
+			}
 			pe := eng
 			if e := port.Engine(); e != nil {
 				pe = e
 			}
 			faultsComp(pe)
 			log := a.log(pe)
-			engage, clear, val := actions(ev, port)
-			at := ev.At.Time()
-			pe.At(at, func() {
-				engage()
-				record(log, at, ev.Kind, port, val)
-			})
-			if ev.End != 0 && clear != nil {
-				end := ev.End.Time()
-				kind := clearKind(ev.Kind)
-				pe.At(end, func() {
-					clear()
-					record(log, end, kind, port, 0)
-				})
+			acts = append(acts, action{ev: ev, port: port, log: log})
+			pe.Schedule(ev.At.Time(), &acts[len(acts)-1])
+			if clears {
+				acts = append(acts, action{ev: ev, port: port, log: log, clear: true})
+				pe.Schedule(ev.End.Time(), &acts[len(acts)-1])
 			}
-		}
+		})
 	}
 	return a, nil
 }
 
-// matchPorts resolves a glob (or exact name) against every port.
-func matchPorts(net *netem.Network, pattern string) []*netem.Port {
-	var out []*netem.Port
-	net.EachPort(func(p *netem.Port) {
-		if ok, _ := path.Match(pattern, p.Name()); ok {
-			out = append(out, p)
-		}
-	})
-	return out
+// matches reports whether the glob (or exact name) pattern matches p.
+func matches(pattern string, p *netem.Port) bool {
+	ok, _ := path.Match(pattern, p.Name())
+	return ok
 }
 
-// actions builds the engage/clear closures for one event on one port.
-// val is the magnitude recorded with the engage action.
-func actions(ev *Event, p *netem.Port) (engage, clear func(), val float64) {
-	switch ev.Kind {
-	case LinkDown:
-		return func() { p.SetDown(true) }, func() { p.SetDown(false) }, 0
-	case LinkUp:
-		return func() { p.SetDown(false) }, nil, 0
-	case RateDegrade:
-		return func() { p.SetRateFraction(ev.Fraction) },
-			func() { p.SetRateFraction(1) }, ev.Fraction
-	case RateRestore:
-		return func() { p.SetRateFraction(1) }, nil, 0
-	case CreditLoss:
-		return func() { p.SetCreditLossRate(ev.Rate) },
-			func() { p.SetCreditLossRate(0) }, ev.Rate
-	case BurstLoss:
-		g := ev.Model()
-		return func() { p.SetGilbertElliott(g) },
-			func() { p.SetGilbertElliott(netem.GilbertElliott{}) }, g.LossBad
+// action is the engage, or the clear, of one event on one matched port,
+// scheduled as its own handler: an event's actions are carved from one
+// array, so a fault costs no closure per port.
+type action struct {
+	ev    *Event
+	port  *netem.Port
+	log   *[]obs.FaultData
+	clear bool
+}
+
+// Fire applies the action to its port and logs it with the magnitude it
+// installed: the engage's, 0 for a clear.
+func (x *action) Fire() {
+	ev, p, on := x.ev, x.port, !x.clear
+	at, kind, val := ev.At.Time(), ev.Kind, 0.0
+	if !on {
+		at, kind = ev.End.Time(), clearKind(ev.Kind)
 	}
-	panic(fmt.Sprintf("faults: unreachable kind %q", ev.Kind)) // Validate gates kinds
+	switch ev.Kind {
+	case LinkDown, LinkUp:
+		p.SetDown(on && ev.Kind == LinkDown)
+	case RateDegrade, RateRestore:
+		frac := 1.0
+		if on && ev.Kind == RateDegrade {
+			frac, val = ev.Fraction, ev.Fraction
+		}
+		p.SetRateFraction(frac)
+	case CreditLoss:
+		if on {
+			val = ev.Rate
+		}
+		p.SetCreditLossRate(val)
+	case BurstLoss:
+		var g netem.GilbertElliott
+		if on {
+			g = ev.Model()
+		}
+		p.SetGilbertElliott(g)
+		val = g.LossBad
+	default:
+		panic(fmt.Sprintf("faults: unreachable kind %q", ev.Kind)) // Validate gates kinds
+	}
+	*x.log = append(*x.log, obs.FaultData{AtPs: int64(at), Kind: string(kind), Link: p.Name(), Value: val})
 }
 
 // Model returns the Gilbert–Elliott parameters a BurstLoss event
@@ -184,11 +204,6 @@ func clearKind(k Kind) Kind {
 		// kind with value 0 so the pair is self-describing.
 		return k
 	}
-}
-
-// record appends one fired action to its engine's log.
-func record(log *[]obs.FaultData, at sim.Time, kind Kind, p *netem.Port, val float64) {
-	*log = append(*log, obs.FaultData{AtPs: int64(at), Kind: string(kind), Link: p.Name(), Value: val})
 }
 
 // Register exposes the actions fired on eng in eng's stats registry under

@@ -299,22 +299,15 @@ func Open(sc Scenario) *Session {
 	// the fault plan's action counter: it registers after the fabric, and
 	// one source past the size would copy the registry.
 	if tel != nil {
-		room := make(map[*plane]int, n)
-		for i, sw := range fab.Net.Switches {
-			room[planeOf(fab.SwitchShard, i)] += sw.Sources()
+		regs := make([]*obs.Registry, n)
+		for i, pl := range planes {
+			regs[i] = pl.reg
 		}
-		for i, h := range fab.Net.Hosts {
-			room[planeOf(fab.HostShard, i)] += h.Sources()
+		spare := 0
+		if sc.FaultPlan != nil {
+			spare = 1
 		}
-		for _, pl := range planes {
-			if sc.FaultPlan != nil {
-				room[pl]++
-			}
-			pl.reg.Grow(room[pl])
-		}
-	}
-	for i, sw := range fab.Net.Switches {
-		sw.Register(planeOf(fab.SwitchShard, i).reg)
+		fab.Net.Register(regs, fab.SwitchShard, fab.HostShard, spare)
 	}
 	s.flows = make(transport.Flows, len(plan.flows))
 	s.agents = make([]transport.Agent, plan.hosts)
@@ -322,7 +315,6 @@ func Open(sc Scenario) *Session {
 		pl := planeOf(fab.HostShard, i)
 		s.agents[i].Install(pl.eng, h, &s.flows)
 		s.agents[i].ObserveStrays(pl.strays)
-		h.Register(pl.reg)
 	}
 	s.res = &Result{Scenario: sc, OracleWQ: plan.oracleWQ}
 

@@ -126,7 +126,22 @@ func (s Summary) GoodputGbps(window sim.Time) float64 {
 // Summarize reduces a flow table to its Summary.
 func Summarize(records []FlowRecord) Summary {
 	s := Summary{Flows: len(records)}
-	var all, small, legacy, upgraded []sim.Time
+	// Count first, then carve the four FCT lists from one array.
+	var nAll, nSmall, nLegacy int
+	for i := range records {
+		if r := &records[i]; r.Completed {
+			nAll++
+			if r.Size < SmallFlow {
+				nSmall++
+				if r.Legacy {
+					nLegacy++
+				}
+			}
+		}
+	}
+	buf := make([]sim.Time, nAll+2*nSmall)
+	all, small, rest := buf[:0:nAll], buf[nAll:nAll:nAll+nSmall], buf[nAll+nSmall:]
+	legacy, upgraded := rest[:0:nLegacy], rest[nLegacy:nLegacy]
 	var reorderSum, reorderN float64
 	var redundant int64
 	for _, r := range records {

@@ -9,7 +9,7 @@ import (
 // node, with stable IDs assigned in construction order, and every egress
 // port, numbered as it joins (Port.Rank). It owns what the fabric keeps
 // per engine its nodes run on: the packet free list, and the slab its
-// ports and hosts are carved from (NewPort, NewHost).
+// ports, hosts and switches are carved from (NewPort, NewHost, NewSwitch).
 type Network struct {
 	Eng      *sim.Engine
 	Hosts    []*Host
@@ -56,6 +56,21 @@ func (n *Network) NewPort(eng *sim.Engine, name string, rate units.Rate, prop si
 // slab of eng; AddHost registers it.
 func (n *Network) NewHost(eng *sim.Engine, id NodeID, name string, nic *Port, delay sim.Time) *Host {
 	return n.on(eng).slab.host(eng, id, name, nic, delay)
+}
+
+// NewSwitch adds a switch named name on eng, with a shared buffer of
+// total bytes and threshold factor alpha, both carved from the slab of
+// eng, and room for ports egress ports and routes to nodes node ids
+// (Switch.GrowPorts, GrowRoutes). It takes the next node ID.
+func (n *Network) NewSwitch(eng *sim.Engine, name string, total units.ByteSize, alpha float64, ports, nodes int) *Switch {
+	s := &n.on(eng).slab
+	shared := &s.bufs.Take(1)[0]
+	shared.Total, shared.Alpha = total, alpha
+	sw := s.sw(eng, n.AllocID(), name, shared)
+	sw.GrowPorts(ports)
+	sw.GrowRoutes(nodes)
+	n.AddSwitch(sw)
+	return sw
 }
 
 // Frames is the frame-balance oracle's two sides: the frames this

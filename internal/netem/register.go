@@ -2,6 +2,7 @@ package netem
 
 import (
 	"strconv"
+	"strings"
 
 	"flexpass/internal/obs"
 )
@@ -10,12 +11,13 @@ import (
 // registry by address, so the periodic prober turns them into time series
 // by reading memory — cumulative counters become per-interval deltas
 // (port utilisation, drop/mark rates) and occupancies become instant
-// gauges (queue depth, shared-buffer usage). All Register methods are
-// nil-safe on reg, so construction code calls them unconditionally.
+// gauges (queue depth, shared-buffer usage).
 //
-// Each Register has a Sources twin that counts what it registers from the
-// same metric lists, so a caller can size the registry once
-// (obs.Registry.Grow) before a whole fabric registers.
+// One call registers a whole fabric (Network.Register), walking it twice
+// with the same code: the first walk counts each registry's sources and
+// name bytes, the second cuts every entity name from one string table per
+// registry and registers, so a registry is grown once (obs.Registry.Grow)
+// and its names are one allocation, not one per entity.
 
 // metric is one registered stats field of a T: its name, whether the
 // prober samples it as an instant gauge or a cumulative counter, and
@@ -49,71 +51,94 @@ var queueMetrics = [...]metric[*queue]{
 	{"enqueued_bytes", false, func(q *queue) *int64 { return &q.stats.EnqueuedB }},
 }
 
-func register[T any](reg *obs.Registry, ent string, x T, ms []metric[T]) {
-	for _, m := range ms {
-		if m.gauge {
-			reg.GaugeAt(ent, m.name, m.at(x))
-		} else {
-			reg.CounterAt(ent, m.name, m.at(x))
+// table is one registry's share of a fabric: while reg is nil it counts
+// the sources and entity-name bytes a walk visits, after that it
+// registers them with names cut from b.
+type table struct {
+	reg           *obs.Registry
+	sources, size int
+	b             strings.Builder
+}
+
+// entity returns the parts joined, a name cut from b.
+func (t *table) entity(parts ...string) string {
+	from := t.b.Len()
+	for _, s := range parts {
+		t.size += len(s)
+		if t.reg != nil {
+			t.b.WriteString(s)
 		}
 	}
+	return t.b.String()[from:]
 }
 
-// Register exposes the port's transmit counters and per-queue state
-// under "port/<name>" and "port/<name>/q<i>".
-func (p *Port) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
+// at registers (or counts) one source.
+func (t *table) at(ent, name string, gauge bool, v *int64) {
+	switch {
+	case t.reg == nil:
+		t.sources++
+	case gauge:
+		t.reg.GaugeAt(ent, name, v)
+	default:
+		t.reg.CounterAt(ent, name, v)
 	}
-	ent := "port/" + p.name
-	register(reg, ent, p, portMetrics[:])
+}
+
+func register[T any](t *table, ent string, x T, ms []metric[T]) {
+	for _, m := range ms {
+		t.at(ent, m.name, m.gauge, m.at(x))
+	}
+}
+
+// Register exposes every node to the registry of the plane that runs it,
+// regs[switchPlane[i]] for switch i and regs[hostPlane[i]] for host i (a
+// nil list puts every node on plane 0), growing each registry once for
+// its sources and spare more. Switches register first: "switch/<name>"
+// (ingress count, shared-buffer bytes), then each egress port as
+// "port/<name>" and "port/<name>/q<i>"; then each host as "host/<name>"
+// and its NIC. A nil registry's nodes register nothing.
+func (n *Network) Register(regs []*obs.Registry, switchPlane, hostPlane []int, spare int) {
+	tabs := make([]table, len(regs))
+	n.register(tabs, switchPlane, hostPlane)
+	for i, reg := range regs {
+		if reg != nil {
+			reg.Grow(tabs[i].sources + spare)
+			tabs[i].b.Grow(tabs[i].size)
+			tabs[i].reg = reg
+		}
+	}
+	n.register(tabs, switchPlane, hostPlane)
+}
+
+// register walks the network in registration order.
+func (n *Network) register(tabs []table, switchPlane, hostPlane []int) {
+	plane := func(planes []int, i int) *table {
+		if planes == nil {
+			return &tabs[0]
+		}
+		return &tabs[planes[i]]
+	}
+	for i, s := range n.Switches {
+		t := plane(switchPlane, i)
+		ent := t.entity("switch/", s.name)
+		t.at(ent, "rx_packets", false, &s.RxPackets)
+		if s.shared != nil {
+			t.at(ent, "shared_buffer_bytes", true, &s.shared.used)
+		}
+		for _, p := range s.ports {
+			p.register(t)
+		}
+	}
+	for i, h := range n.Hosts {
+		t := plane(hostPlane, i)
+		t.at(t.entity("host/", h.name), "rx_packets", false, &h.RxPackets)
+		h.nic.register(t)
+	}
+}
+
+func (p *Port) register(t *table) {
+	register(t, t.entity("port/", p.name), p, portMetrics[:])
 	for i := range p.queues {
-		register(reg, ent+"/q"+strconv.Itoa(i), &p.queues[i], queueMetrics[:])
+		register(t, t.entity("port/", p.name, "/q", strconv.Itoa(i)), &p.queues[i], queueMetrics[:])
 	}
 }
-
-// Sources counts the sources Register registers.
-func (p *Port) Sources() int {
-	return len(portMetrics) + len(p.queues)*len(queueMetrics)
-}
-
-// Register exposes the switch's ingress counter, shared-buffer occupancy
-// under "switch/<name>", and every egress port.
-func (s *Switch) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	ent := "switch/" + s.name
-	reg.CounterAt(ent, "rx_packets", &s.RxPackets)
-	if s.shared != nil {
-		reg.GaugeAt(ent, "shared_buffer_bytes", &s.shared.used)
-	}
-	for _, p := range s.ports {
-		p.Register(reg)
-	}
-}
-
-// Sources counts the sources Register registers.
-func (s *Switch) Sources() int {
-	n := 1
-	if s.shared != nil {
-		n++
-	}
-	for _, p := range s.ports {
-		n += p.Sources()
-	}
-	return n
-}
-
-// Register exposes the host's ingress counter under "host/<name>" and
-// its NIC port.
-func (h *Host) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterAt("host/"+h.name, "rx_packets", &h.RxPackets)
-	h.nic.Register(reg)
-}
-
-// Sources counts the sources Register registers.
-func (h *Host) Sources() int { return 1 + h.nic.Sources() }

@@ -6,19 +6,22 @@ import (
 	"flexpass/internal/units"
 )
 
-// slab carves ports, their queue state and hosts from shared arrays, as
-// PacketPool carves frames: building a fabric then costs a few
-// allocations per array, not several per port. A Network keeps one per
-// engine (see perEngine), so an array only ever holds state that one
-// shard goroutine writes, and no cache line is shared between shards.
-// The zero slab carves every run as an array of its own: NewPort and
-// NewHost build a standalone node through it.
+// slab carves ports, their queue state, hosts, switches and their shared
+// buffers from shared arrays, as PacketPool carves frames: building a
+// fabric then costs a few allocations per array, not several per port.
+// A Network keeps one per engine (see perEngine), so an array only ever
+// holds state that one shard goroutine writes, and no cache line is
+// shared between shards. The zero slab carves every run as an array of
+// its own: NewPort, NewHost and NewSwitch build a standalone node
+// through it.
 type slab struct {
 	ports  chunks.Of[Port]
 	queues chunks.Of[queue]
 	bands  chunks.Of[band]
 	refs   chunks.Of[*queue] // every band's queues, one sub-slice per band
 	hosts  chunks.Of[Host]
+	sws    chunks.Of[Switch]
+	bufs   chunks.Of[SharedBuffer]
 }
 
 // slabMin and slabMax bound the arrays a Network's slab makes: they
@@ -37,6 +40,8 @@ func chunked() slab {
 		bands:  chunks.Sized[band](slabMin, slabMax),
 		refs:   chunks.Sized[*queue](slabMin, slabMax),
 		hosts:  chunks.Sized[Host](slabMin, slabMax),
+		sws:    chunks.Sized[Switch](slabMin, slabMax),
+		bufs:   chunks.Sized[SharedBuffer](slabMin, slabMax),
 	}
 }
 
@@ -80,4 +85,16 @@ func (s *slab) host(eng *sim.Engine, id NodeID, name string, nic *Port, delay si
 	h.id, h.name, h.eng, h.nic, h.delay = id, name, eng, nic, delay
 	h.comp = eng.Component("netem/host")
 	return h
+}
+
+// noGroups is every new switch's group list, group 0, the empty set:
+// groups are only appended, which moves a switch to a list of its own.
+var noGroups = [][]*Port{nil}
+
+// sw builds a switch carved from s; NewSwitch documents the arguments.
+func (s *slab) sw(eng *sim.Engine, id NodeID, name string, shared *SharedBuffer) *Switch {
+	sw := &s.sws.Take(1)[0]
+	sw.id, sw.name, sw.eng, sw.shared = id, name, eng, shared
+	sw.groups = noGroups[:1:1]
+	return sw
 }

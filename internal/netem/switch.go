@@ -37,15 +37,12 @@ type Switch struct {
 }
 
 // NewSwitch creates a switch with the given shared buffer (may be nil for
-// an output-queued switch with per-queue caps only).
+// an output-queued switch with per-queue caps only). A fabric carves its
+// switches and their buffers from a per-engine slab instead
+// (Network.NewSwitch).
 func NewSwitch(eng *sim.Engine, id NodeID, name string, shared *SharedBuffer) *Switch {
-	return &Switch{
-		id:     id,
-		name:   name,
-		eng:    eng,
-		groups: [][]*Port{nil},
-		shared: shared,
-	}
+	var s slab
+	return s.sw(eng, id, name, shared)
 }
 
 // NodeID implements Node.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"flexpass/internal/netem"
 	"flexpass/internal/obs"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
@@ -12,7 +13,7 @@ import (
 )
 
 // TestRegistryBytesPerSource registers the paper fabric into a registry
-// sized once from netem's Sources: what the registry allocates, entity
+// that netem's Register sizes once: what the registry allocates, entity
 // names included, stays within 1.3 × (a source's slot + one map entry)
 // per source. Grown a source at a time, the slice's growth copies and a
 // map resized as it filled cost ≈ 500 B per source; sized once into a Go
@@ -22,26 +23,17 @@ func TestRegistryBytesPerSource(t *testing.T) {
 		LinkRate: 40 * units.Gbps, LinkDelay: sim.Microsecond, HostDelay: sim.Microsecond,
 		SwitchBuf: 4500 * units.KB, BufAlpha: 0.25, Profile: topo.FlexPassProfile(topo.Spec{}),
 	})
+	// A port is 6 sources and 6 per queue, a switch 2 and a host 1 beside.
 	n := 0
-	for _, sw := range fab.Net.Switches {
-		n += sw.Sources()
-	}
-	for _, h := range fab.Net.Hosts {
-		n += h.Sources()
-	}
+	fab.Net.EachPort(func(p *netem.Port) { n += 6 + 6*p.NumQueues() })
+	n += 2*len(fab.Net.Switches) + len(fab.Net.Hosts)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	reg := obs.NewRegistry()
-	reg.Grow(n)
-	for _, sw := range fab.Net.Switches {
-		sw.Register(reg)
-	}
-	for _, h := range fab.Net.Hosts {
-		h.Register(reg)
-	}
+	fab.Net.Register([]*obs.Registry{reg}, nil, nil, 0)
 	runtime.ReadMemStats(&after)
 	if got := len(reg.Final()); got != n {
-		t.Fatalf("the fabric registered %d sources, Sources counted %d", got, n)
+		t.Fatalf("the fabric registered %d sources, want %d", got, n)
 	}
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 	budget := 1.3 * float64(obs.SourceSize+obs.MapSlot)

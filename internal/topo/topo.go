@@ -5,7 +5,8 @@
 package topo
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"flexpass/internal/netem"
 	"flexpass/internal/sim"
@@ -56,17 +57,73 @@ type Fabric struct {
 	Cross       []CrossLink
 }
 
-// link creates the two directed ports of a full-duplex link between nodes a
-// and b and wires routing-free delivery (the caller adds routes). Each
-// directed port schedules on, and is carved from the slab of, its owning
-// node's engine: engA drives a→b, engB drives b→a — identical when the
-// link stays inside one shard.
-func link(net *netem.Network, engA, engB *sim.Engine, name string, a, b netem.Node, rate units.Rate, delay sim.Time, cfg netem.PortConfig, sharedA, sharedB *netem.SharedBuffer) (ab, ba *netem.Port) {
-	ab = net.NewPort(engA, name+":fwd", rate, delay, cfg, sharedA)
+// names is a fabric's name table: every switch, host and port name is
+// written into one buffer, sized once from the fabric's shape, and cut
+// from it as a substring, so naming a fabric costs one allocation, not
+// one or two per node and port. A size estimate that falls short costs
+// a copy of the buffer: names cut before stay valid.
+type names struct {
+	b    strings.Builder
+	from int // where the name being written starts
+}
+
+// str and num append a piece of the name being written.
+func (t *names) str(s string) *names {
+	t.b.WriteString(s)
+	return t
+}
+
+func (t *names) num(i int) *names {
+	var d [20]byte
+	t.b.Write(strconv.AppendInt(d[:0], int64(i), 10))
+	return t
+}
+
+// cut returns the name written since the last cut.
+func (t *names) cut() string {
+	s := t.b.String()[t.from:]
+	t.from = t.b.Len()
+	return s
+}
+
+// linkNames returns the names of the two directed ports of the link between
+// nodes a and b: "a<->b:fwd" and "a<->b:rev".
+func (t *names) linkNames(a, b string) (fwd, rev string) {
+	return t.str(a).str("<->").str(b).str(":fwd").cut(), t.str(a).str("<->").str(b).str(":rev").cut()
+}
+
+// digits is the decimal width of the largest index below n.
+func digits(n int) int { return len(strconv.Itoa(max(n-1, 0))) }
+
+// link creates the two directed ports of a full-duplex link between
+// switches a and b, fwd (a→b) and rev (b→a), and adds each to its switch
+// (the caller adds routes). Each directed port schedules on, and is
+// carved from the slab of, its owning switch's engine: engA drives a→b,
+// engB drives b→a — identical when the link stays inside one shard.
+func link(net *netem.Network, engA, engB *sim.Engine, fwd, rev string, a, b *netem.Switch, rate units.Rate, delay sim.Time, cfg netem.PortConfig) (ab, ba *netem.Port) {
+	ab = net.NewPort(engA, fwd, rate, delay, cfg, a.Shared())
 	ab.Connect(b)
-	ba = net.NewPort(engB, name+":rev", rate, delay, cfg, sharedB)
+	ba = net.NewPort(engB, rev, rate, delay, cfg, b.Shared())
 	ba.Connect(a)
+	a.AddPort(ab)
+	b.AddPort(ba)
 	return ab, ba
+}
+
+// hang adds a host on eng below sw and routes sw to it. nic names the
+// host's NIC, "<host>:nic"; the switch's egress toward it is named
+// "<down>-><host>".
+func hang(net *netem.Network, eng *sim.Engine, t *names, sw *netem.Switch, down, nic string, p Params, cfg netem.PortConfig) netem.NodeID {
+	id, name := net.AllocID(), nic[:len(nic)-len(":nic")]
+	port := net.NewPort(eng, nic, p.LinkRate, p.LinkDelay, cfg, nil)
+	h := net.NewHost(eng, id, name, port, p.HostDelay)
+	port.Connect(sw)
+	net.AddHost(h)
+	egress := net.NewPort(eng, t.str(down).str("->").str(name).cut(), p.LinkRate, p.LinkDelay, cfg, sw.Shared())
+	egress.Connect(h)
+	sw.AddPort(egress)
+	sw.AddRoute(id, egress)
+	return id
 }
 
 // SingleSwitch builds n hosts hanging off one switch — the testbed shape
@@ -74,25 +131,13 @@ func link(net *netem.Network, engA, engB *sim.Engine, name string, a, b netem.No
 func SingleSwitch(eng *sim.Engine, n int, p Params) *Fabric {
 	net := netem.NewNetwork(eng)
 	cfg := p.Profile(p.LinkRate)
-	shared := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
-	sw := netem.NewSwitch(eng, net.AllocID(), "sw0", shared)
-	sw.GrowPorts(n)
-	sw.GrowRoutes(1 + n)
-	net.AddSwitch(sw)
-	f := &Fabric{Net: net}
+	sw := net.NewSwitch(eng, "sw0", p.SwitchBuf, p.BufAlpha, n, 1+n)
+	var t names
+	t.b.Grow(n * (10 + 2*digits(n))) // h<i>:nic, sw0->h<i>
 	for i := 0; i < n; i++ {
-		id := net.AllocID()
-		nic := net.NewPort(eng, fmt.Sprintf("h%d:nic", i), p.LinkRate, p.LinkDelay, cfg, nil)
-		h := net.NewHost(eng, id, fmt.Sprintf("h%d", i), nic, p.HostDelay)
-		nic.Connect(sw)
-		net.AddHost(h)
-		// Switch egress toward the host.
-		down := net.NewPort(eng, fmt.Sprintf("sw0->h%d", i), p.LinkRate, p.LinkDelay, cfg, shared)
-		down.Connect(h)
-		sw.AddPort(down)
-		sw.AddRoute(id, down)
+		hang(net, eng, &t, sw, "sw0", t.str("h").num(i).str(":nic").cut(), p, cfg)
 	}
-	return f
+	return &Fabric{Net: net}
 }
 
 // Dumbbell builds nL senders and nR receivers joined by two switches with a
@@ -104,40 +149,19 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 	if bottleneck != p.LinkRate {
 		coreCfg = p.Profile(bottleneck)
 	}
-	sharedL := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
-	sharedR := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
-	swL := netem.NewSwitch(eng, net.AllocID(), "swL", sharedL)
-	swR := netem.NewSwitch(eng, net.AllocID(), "swR", sharedR)
-	swL.GrowPorts(1 + nL)
-	swR.GrowPorts(1 + nR)
-	swL.GrowRoutes(2 + nL + nR)
-	swR.GrowRoutes(2 + nL + nR)
-	net.AddSwitch(swL)
-	net.AddSwitch(swR)
+	swL := net.NewSwitch(eng, "swL", p.SwitchBuf, p.BufAlpha, 1+nL, 2+nL+nR)
+	swR := net.NewSwitch(eng, "swR", p.SwitchBuf, p.BufAlpha, 1+nR, 2+nL+nR)
 
-	lr, rl := link(net, eng, eng, "core", swL, swR, bottleneck, p.LinkDelay, coreCfg, sharedL, sharedR)
-	swL.AddPort(lr)
-	swR.AddPort(rl)
+	lr, rl := link(net, eng, eng, "core:fwd", "core:rev", swL, swR, bottleneck, p.LinkDelay, coreCfg)
 
-	f := &Fabric{Net: net}
-	addHost := func(sw *netem.Switch, shared *netem.SharedBuffer, name string) netem.NodeID {
-		id := net.AllocID()
-		nic := net.NewPort(eng, name+":nic", p.LinkRate, p.LinkDelay, cfg, nil)
-		h := net.NewHost(eng, id, name, nic, p.HostDelay)
-		nic.Connect(sw)
-		net.AddHost(h)
-		down := net.NewPort(eng, "sw->"+name, p.LinkRate, p.LinkDelay, cfg, shared)
-		down.Connect(h)
-		sw.AddPort(down)
-		sw.AddRoute(id, down)
-		return id
+	var t names
+	t.b.Grow((nL + nR) * (9 + 2*digits(max(nL, nR)))) // l<i>:nic, sw->l<i>
+	left, right := make([]netem.NodeID, nL), make([]netem.NodeID, nR)
+	for i := range left {
+		left[i] = hang(net, eng, &t, swL, "sw", t.str("l").num(i).str(":nic").cut(), p, cfg)
 	}
-	var left, right []netem.NodeID
-	for i := 0; i < nL; i++ {
-		left = append(left, addHost(swL, sharedL, fmt.Sprintf("l%d", i)))
-	}
-	for i := 0; i < nR; i++ {
-		right = append(right, addHost(swR, sharedR, fmt.Sprintf("r%d", i)))
+	for i := range right {
+		right[i] = hang(net, eng, &t, swR, "sw", t.str("r").num(i).str(":nic").cut(), p, cfg)
 	}
 	for _, id := range right {
 		swL.AddRoute(id, lr)
@@ -145,7 +169,7 @@ func Dumbbell(eng *sim.Engine, nL, nR int, bottleneck units.Rate, p Params) *Fab
 	for _, id := range left {
 		swR.AddRoute(id, rl)
 	}
-	return f
+	return &Fabric{Net: net}
 }
 
 // ClosParams sizes a 3-tier Clos. Cores must be divisible by AggPerPod;
@@ -214,169 +238,111 @@ func (c ClosParams) Build(engs []*sim.Engine, p Params) *Fabric {
 	podShard := ClosPodShards(c, len(engs))
 	eng := engs[0] // core tier and the network container
 	net := netem.NewNetwork(eng)
-	f := &Fabric{Net: net}
+	A, T, H := c.AggPerPod, c.TorPerPod, c.HostsPerTor
+	nAgg, nTor, nHost := c.Pods*A, c.Pods*T, c.Hosts()
+	f := &Fabric{
+		Net:         net,
+		TorUplinks:  make([]*netem.Port, nTor*A), // [tor][a], a ToR's ECMP uplink set
+		HostShard:   make([]int, 0, nHost),
+		SwitchShard: make([]int, 0, c.Cores+nAgg+nTor),
+	}
+	if len(engs) > 1 {
+		f.Cross = make([]CrossLink, 0, 2*nAgg*upPerAgg)
+	}
 	cfg := p.Profile(p.LinkRate) // every port's: the Clos has one line rate
-	nodes := c.Cores + c.Pods*(c.AggPerPod+c.TorPerPod) + c.Hosts()
+	nodes := c.Cores + nAgg + nTor + nHost
+
+	// The name table, sized for every name at the widest of its indices.
+	lc, la := 4+digits(c.Cores), 4+digits(c.Pods)+digits(A)
+	lt, lh := 4+digits(c.Pods)+digits(T), 3+digits(c.Pods)+digits(T)+digits(H)
+	var nm names
+	nm.b.Grow(c.Cores*lc + nAgg*la + nTor*lt + nHost*(lh+4+lt+2+lh) + // h:nic, tor->h
+		2*nTor*A*(lt+7+la) + 2*nAgg*upPerAgg*(la+7+lc)) // a<->b:fwd, a<->b:rev
 
 	// newSwitch adds a switch of the given degree, its route table sized
 	// for every node.
 	newSwitch := func(e *sim.Engine, name string, shard, ports int) *netem.Switch {
-		sh := netem.NewSharedBuffer(p.SwitchBuf, p.BufAlpha)
-		sw := netem.NewSwitch(e, net.AllocID(), name, sh)
-		sw.GrowPorts(ports)
-		sw.GrowRoutes(nodes)
-		net.AddSwitch(sw)
 		f.SwitchShard = append(f.SwitchShard, shard)
-		return sw
+		return net.NewSwitch(e, name, p.SwitchBuf, p.BufAlpha, ports, nodes)
 	}
 
+	// Switches and ports live in flat arrays: aggs [pod][a], tors
+	// [pod][t], hostIDs [pod][t][h], aggDown [pod][a][t], aggUp
+	// [pod][a][u], coreDown [core][pod].
 	cores := make([]*netem.Switch, c.Cores)
 	for i := range cores {
-		cores[i] = newSwitch(eng, fmt.Sprintf("core%d", i), 0, c.Pods)
+		cores[i] = newSwitch(eng, nm.str("core").num(i).cut(), 0, c.Pods)
 	}
-	aggs := make([][]*netem.Switch, c.Pods) // [pod][a]
-	tors := make([][]*netem.Switch, c.Pods) // [pod][t]
-	hostIDs := make([][][]netem.NodeID, c.Pods)
+	aggs, tors := make([]*netem.Switch, nAgg), make([]*netem.Switch, nTor)
+	hostIDs := make([]netem.NodeID, nHost)
 	for pod := 0; pod < c.Pods; pod++ {
 		podEng := engs[podShard[pod]]
-		aggs[pod] = make([]*netem.Switch, c.AggPerPod)
-		for a := range aggs[pod] {
-			aggs[pod][a] = newSwitch(podEng, fmt.Sprintf("agg%d.%d", pod, a), podShard[pod], c.TorPerPod+upPerAgg)
+		for a := 0; a < A; a++ {
+			aggs[pod*A+a] = newSwitch(podEng, nm.str("agg").num(pod).str(".").num(a).cut(), podShard[pod], T+upPerAgg)
 		}
-		tors[pod] = make([]*netem.Switch, c.TorPerPod)
-		hostIDs[pod] = make([][]netem.NodeID, c.TorPerPod)
-		for t := range tors[pod] {
-			tors[pod][t] = newSwitch(podEng, fmt.Sprintf("tor%d.%d", pod, t), podShard[pod], c.HostsPerTor+c.AggPerPod)
+		for t := 0; t < T; t++ {
+			tors[pod*T+t] = newSwitch(podEng, nm.str("tor").num(pod).str(".").num(t).cut(), podShard[pod], H+A)
 		}
 	}
 
 	// Hosts and host<->ToR links.
-	for pod := 0; pod < c.Pods; pod++ {
-		podEng := engs[podShard[pod]]
-		for t := 0; t < c.TorPerPod; t++ {
-			tor := tors[pod][t]
-			for hidx := 0; hidx < c.HostsPerTor; hidx++ {
-				id := net.AllocID()
-				name := fmt.Sprintf("h%d.%d.%d", pod, t, hidx)
-				nic := net.NewPort(podEng, name+":nic", p.LinkRate, p.LinkDelay, cfg, nil)
-				h := net.NewHost(podEng, id, name, nic, p.HostDelay)
-				nic.Connect(tor)
-				net.AddHost(h)
-				f.HostShard = append(f.HostShard, podShard[pod])
-				down := net.NewPort(podEng, tor.Name()+"->"+name, p.LinkRate, p.LinkDelay, cfg, tor.Shared())
-				down.Connect(h)
-				tor.AddPort(down)
-				tor.AddRoute(id, down)
-				hostIDs[pod][t] = append(hostIDs[pod][t], id)
-			}
-		}
+	for j := range hostIDs {
+		r, sp := j/H, podShard[j/(T*H)]
+		nic := nm.str("h").num(r / T).str(".").num(r % T).str(".").num(j % H).str(":nic").cut()
+		hostIDs[j] = hang(net, engs[sp], &nm, tors[r], tors[r].Name(), nic, p, cfg)
+		f.HostShard = append(f.HostShard, sp)
 	}
 
 	// ToR <-> Agg links: every ToR connects to every agg of its pod.
-	torUp := make([][][]*netem.Port, c.Pods) // [pod][t][a] ToR→agg
-	aggDown := make([][][]*netem.Port, c.Pods)
-	for pod := 0; pod < c.Pods; pod++ {
-		torUp[pod] = make([][]*netem.Port, c.TorPerPod)
-		aggDown[pod] = make([][]*netem.Port, c.AggPerPod)
-		for a := 0; a < c.AggPerPod; a++ {
-			aggDown[pod][a] = make([]*netem.Port, c.TorPerPod)
-		}
-		for t := 0; t < c.TorPerPod; t++ {
-			tor := tors[pod][t]
-			podEng := engs[podShard[pod]]
-			torUp[pod][t] = make([]*netem.Port, c.AggPerPod)
-			for a := 0; a < c.AggPerPod; a++ {
-				agg := aggs[pod][a]
-				up, down := link(net, podEng, podEng, fmt.Sprintf("%s<->%s", tor.Name(), agg.Name()),
-					tor, agg, p.LinkRate, p.LinkDelay, cfg, tor.Shared(), agg.Shared())
-				tor.AddPort(up)
-				agg.AddPort(down)
-				torUp[pod][t][a] = up
-				aggDown[pod][a][t] = down
-				f.TorUplinks = append(f.TorUplinks, up)
-			}
+	aggDown := make([]*netem.Port, nAgg*T)
+	for r, tor := range tors {
+		for a := 0; a < A; a++ {
+			g := r/T*A + a
+			fwd, rev := nm.linkNames(tor.Name(), aggs[g].Name())
+			podEng := engs[podShard[r/T]]
+			f.TorUplinks[r*A+a], aggDown[g*T+r%T] = link(net, podEng, podEng, fwd, rev, tor, aggs[g], p.LinkRate, p.LinkDelay, cfg)
 		}
 	}
 
 	// Agg <-> Core links: agg a uplinks to cores [a*upPerAgg, (a+1)*upPerAgg).
-	aggUp := make([][][]*netem.Port, c.Pods)   // [pod][a][u]
-	coreDown := make([][]*netem.Port, c.Cores) // [core][pod]
-	for i := range coreDown {
-		coreDown[i] = make([]*netem.Port, c.Pods)
-	}
-	for pod := 0; pod < c.Pods; pod++ {
-		sp := podShard[pod]
-		podEng := engs[sp]
-		aggUp[pod] = make([][]*netem.Port, c.AggPerPod)
-		for a := 0; a < c.AggPerPod; a++ {
-			agg := aggs[pod][a]
-			for u := 0; u < upPerAgg; u++ {
-				coreIdx := a*upPerAgg + u
-				core := cores[coreIdx]
-				up, down := link(net, podEng, eng, fmt.Sprintf("%s<->%s", agg.Name(), core.Name()),
-					agg, core, p.LinkRate, p.LinkDelay, cfg, agg.Shared(), core.Shared())
-				agg.AddPort(up)
-				core.AddPort(down)
-				aggUp[pod][a] = append(aggUp[pod][a], up)
-				coreDown[coreIdx][pod] = down
-				if sp != 0 {
-					f.Cross = append(f.Cross,
-						CrossLink{Port: up, From: sp, To: 0},
-						CrossLink{Port: down, From: 0, To: sp})
-				}
+	aggUp := make([]*netem.Port, nAgg*upPerAgg)
+	coreDown := make([]*netem.Port, c.Cores*c.Pods)
+	for g, agg := range aggs {
+		pod, sp := g/A, podShard[g/A]
+		for u := 0; u < upPerAgg; u++ {
+			i := g%A*upPerAgg + u
+			fwd, rev := nm.linkNames(agg.Name(), cores[i].Name())
+			up, down := link(net, engs[sp], eng, fwd, rev, agg, cores[i], p.LinkRate, p.LinkDelay, cfg)
+			aggUp[g*upPerAgg+u], coreDown[i*c.Pods+pod] = up, down
+			if sp != 0 {
+				f.Cross = append(f.Cross, CrossLink{Port: up, From: sp, To: 0}, CrossLink{Port: down, From: 0, To: sp})
 			}
 		}
 	}
 
-	// Routing.
-	for pod := 0; pod < c.Pods; pod++ {
-		// ToR routes: other hosts via agg uplinks (ECMP across aggs).
-		for t := 0; t < c.TorPerPod; t++ {
-			tor := tors[pod][t]
-			for p2 := 0; p2 < c.Pods; p2++ {
-				for t2 := 0; t2 < c.TorPerPod; t2++ {
-					if p2 == pod && t2 == t {
-						continue
-					}
-					for _, dst := range hostIDs[p2][t2] {
-						tor.AddRoute(dst, torUp[pod][t]...)
-					}
-				}
-			}
-		}
-		// Agg routes: intra-pod hosts down to their ToR, inter-pod up to
-		// cores (ECMP across this agg's uplinks).
-		for a := 0; a < c.AggPerPod; a++ {
-			agg := aggs[pod][a]
-			for t := 0; t < c.TorPerPod; t++ {
-				for _, dst := range hostIDs[pod][t] {
-					agg.AddRoute(dst, aggDown[pod][a][t])
-				}
-			}
-			for p2 := 0; p2 < c.Pods; p2++ {
-				if p2 == pod {
-					continue
-				}
-				for t2 := 0; t2 < c.TorPerPod; t2++ {
-					for _, dst := range hostIDs[p2][t2] {
-						agg.AddRoute(dst, aggUp[pod][a]...)
-					}
-				}
+	// Routing, by host index j (rack j/H): a ToR sends the other racks'
+	// hosts up across its aggs (ECMP), an agg its pod's hosts down to
+	// their ToR and the rest up across its cores, and a core each pod's
+	// hosts down its link to that pod's agg.
+	for r, tor := range tors {
+		for j, dst := range hostIDs {
+			if j/H != r {
+				tor.AddRoute(dst, f.TorUplinks[r*A:(r+1)*A]...)
 			}
 		}
 	}
-	// Core routes: each pod's hosts via the core's link to that pod's agg.
-	for coreIdx := 0; coreIdx < c.Cores; coreIdx++ {
-		for pod := 0; pod < c.Pods; pod++ {
-			down := coreDown[coreIdx][pod]
-			if down == nil {
-				continue
+	for g, agg := range aggs {
+		for j, dst := range hostIDs {
+			if r := j / H; r/T == g/A {
+				agg.AddRoute(dst, aggDown[g*T+r%T])
+			} else {
+				agg.AddRoute(dst, aggUp[g*upPerAgg:(g+1)*upPerAgg]...)
 			}
-			for t := 0; t < c.TorPerPod; t++ {
-				for _, dst := range hostIDs[pod][t] {
-					cores[coreIdx].AddRoute(dst, down)
-				}
-			}
+		}
+	}
+	for i, core := range cores {
+		for j, dst := range hostIDs {
+			core.AddRoute(dst, coreDown[i*c.Pods+j/(T*H)])
 		}
 	}
 	return f

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -99,6 +100,135 @@ func TestPaperClosShape(t *testing.T) {
 	if c.Group(0) != 0 || c.Group(5) != 0 || c.Group(6) != 1 || c.Group(191) != 31 {
 		t.Fatalf("rack assignment wrong: %d %d %d %d", c.Group(0), c.Group(5), c.Group(6), c.Group(191))
 	}
+}
+
+// fabricNames lists a fabric's switch, host and port names, ports in EachPort
+// order.
+func fabricNames(f *Fabric) (switches, hosts, ports []string) {
+	for _, sw := range f.Net.Switches {
+		switches = append(switches, sw.Name())
+	}
+	for _, h := range f.Net.Hosts {
+		hosts = append(hosts, h.Name())
+	}
+	f.Net.EachPort(func(p *netem.Port) { ports = append(ports, p.Name()) })
+	return switches, hosts, ports
+}
+
+// closNames is the Sprintf formula for a Clos's names: what the builder
+// wrote before it kept one name table, and what fault globs and artifact
+// entities key on.
+func closNames(c ClosParams) (switches, hosts, ports []string) {
+	up := c.Cores / c.AggPerPod
+	for i := 0; i < c.Cores; i++ {
+		switches = append(switches, fmt.Sprintf("core%d", i))
+	}
+	for pod := 0; pod < c.Pods; pod++ {
+		for a := 0; a < c.AggPerPod; a++ {
+			switches = append(switches, fmt.Sprintf("agg%d.%d", pod, a))
+		}
+		for t := 0; t < c.TorPerPod; t++ {
+			switches = append(switches, fmt.Sprintf("tor%d.%d", pod, t))
+		}
+	}
+	for i := 0; i < c.Cores; i++ {
+		for pod := 0; pod < c.Pods; pod++ {
+			ports = append(ports, fmt.Sprintf("agg%d.%d<->core%d:rev", pod, i/up, i))
+		}
+	}
+	var nics []string
+	for pod := 0; pod < c.Pods; pod++ {
+		for a := 0; a < c.AggPerPod; a++ {
+			for t := 0; t < c.TorPerPod; t++ {
+				ports = append(ports, fmt.Sprintf("tor%d.%d<->agg%d.%d:rev", pod, t, pod, a))
+			}
+			for u := 0; u < up; u++ {
+				ports = append(ports, fmt.Sprintf("agg%d.%d<->core%d:fwd", pod, a, a*up+u))
+			}
+		}
+		for t := 0; t < c.TorPerPod; t++ {
+			tor := fmt.Sprintf("tor%d.%d", pod, t)
+			for h := 0; h < c.HostsPerTor; h++ {
+				name := fmt.Sprintf("h%d.%d.%d", pod, t, h)
+				hosts = append(hosts, name)
+				nics = append(nics, name+":nic")
+				ports = append(ports, tor+"->"+name)
+			}
+			for a := 0; a < c.AggPerPod; a++ {
+				ports = append(ports, fmt.Sprintf("%s<->agg%d.%d:fwd", tor, pod, a))
+			}
+		}
+	}
+	return switches, hosts, append(ports, nics...)
+}
+
+// TestFabricNames holds every switch, host and port name of each builder,
+// at one and two shards for a Clos, to the formula it replaced: an index
+// or a separator out of place in the name table fails here.
+func TestFabricNames(t *testing.T) {
+	type want struct{ switches, hosts, ports []string }
+	check := func(label string, f *Fabric, w want) {
+		t.Helper()
+		switches, hosts, ports := fabricNames(f)
+		for _, c := range []struct {
+			what      string
+			got, want []string
+		}{{"switch", switches, w.switches}, {"host", hosts, w.hosts}, {"port", ports, w.ports}} {
+			if len(c.got) != len(c.want) {
+				t.Fatalf("%s: %d %s names, want %d", label, len(c.got), c.what, len(c.want))
+			}
+			for i := range c.got {
+				if c.got[i] != c.want[i] {
+					t.Fatalf("%s: %s %d is %q, want %q", label, c.what, i, c.got[i], c.want[i])
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		c    ClosParams
+	}{{"small", SmallClos}, {"paper", PaperClos}, {"big", BigClos}} {
+		for _, shards := range []int{1, 2} {
+			engs := make([]*sim.Engine, shards)
+			for i := range engs {
+				engs[i] = sim.NewEngine(1)
+			}
+			var w want
+			w.switches, w.hosts, w.ports = closNames(c.c)
+			check(fmt.Sprintf("%s/shards=%d", c.name, shards), c.c.Build(engs, testParams()), w)
+		}
+	}
+
+	const n = 9
+	var w want
+	w.switches = []string{"sw0"}
+	for i := 0; i < n; i++ {
+		w.hosts = append(w.hosts, fmt.Sprintf("h%d", i))
+		w.ports = append(w.ports, fmt.Sprintf("sw0->h%d", i))
+	}
+	for _, h := range w.hosts {
+		w.ports = append(w.ports, h+":nic")
+	}
+	check("single", SingleSwitch(sim.NewEngine(1), n, testParams()), w)
+
+	const nL, nR = 3, 12
+	w = want{switches: []string{"swL", "swR"}}
+	var nics []string
+	for _, side := range []struct {
+		name  string
+		n     int
+		trunk string
+	}{{"l", nL, "core:fwd"}, {"r", nR, "core:rev"}} {
+		w.ports = append(w.ports, side.trunk)
+		for i := 0; i < side.n; i++ {
+			name := fmt.Sprintf("%s%d", side.name, i)
+			w.hosts = append(w.hosts, name)
+			w.ports = append(w.ports, "sw->"+name)
+			nics = append(nics, name+":nic")
+		}
+	}
+	w.ports = append(w.ports, nics...)
+	check("dumbbell", Dumbbell(sim.NewEngine(1), nL, nR, 10*units.Gbps, testParams()), w)
 }
 
 func TestClosAllPairsConnectivity(t *testing.T) {
@@ -439,10 +569,13 @@ func TestFabricsRecycleFrames(t *testing.T) {
 // destination and each group was a slice of its own, the build made
 // 15 320. A port's and a host's events are the node itself, so neither
 // costs an object of its own; with three pre-bound callbacks per port and
-// one per host the build made the count in brackets. The budget is ~1.3x
-// the measurement and holds under -race too (≈ 6 780).
+// one per host the build made 13 364. Every name is cut from one table,
+// switches and their buffers are carved from the slabs, and the per-pod
+// lists are one array each; with a string or two per node and port and
+// lists grown by pod, the build made 6 057. The budget is ~1.3x the
+// measurement and holds under -race too.
 func TestBigClosBuildAllocs(t *testing.T) {
-	const budget = 8_000 // measured 6 057 [13 364]
+	const budget = 1_300 // measured 977
 	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -464,11 +597,12 @@ func TestBigClosBuildAllocs(t *testing.T) {
 }
 
 // TestShardedSlabsKeepEnginesApart: a two-shard BigClos build carves each
-// engine's ports and hosts from arrays of that engine alone, so no cache
-// line holds state that both shard goroutines write. From one slab shared
-// by both engines, the agg<->core links, whose two ports run on the pod's
-// engine and the core's, would interleave the engines within an array and
-// share lines (a Port is not a multiple of 64 bytes).
+// engine's ports, hosts, switches and switch buffers from arrays of that
+// engine alone, so no cache line holds state that both shard goroutines
+// write. From one slab shared by both engines, the agg<->core links, whose
+// two ports run on the pod's engine and the core's, would interleave the
+// engines within an array and share lines (a Port is not a multiple of 64
+// bytes).
 func TestShardedSlabsKeepEnginesApart(t *testing.T) {
 	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(1)}
 	fab := BigClos.Build(engs, testParams())
@@ -485,6 +619,10 @@ func TestShardedSlabsKeepEnginesApart(t *testing.T) {
 	fab.Net.EachPort(func(p *netem.Port) { add(unsafe.Pointer(p), unsafe.Sizeof(*p), p.Engine(), p.Name()) })
 	for i, h := range fab.Net.Hosts {
 		add(unsafe.Pointer(h), unsafe.Sizeof(*h), engs[fab.HostShard[i]], h.Name())
+	}
+	for i, sw := range fab.Net.Switches {
+		add(unsafe.Pointer(sw), unsafe.Sizeof(*sw), engs[fab.SwitchShard[i]], sw.Name())
+		add(unsafe.Pointer(sw.Shared()), unsafe.Sizeof(*sw.Shared()), engs[fab.SwitchShard[i]], sw.Name()+" buffer")
 	}
 	slices.SortFunc(nodes, func(a, b node) int { return cmp.Compare(a.lo, b.lo) })
 	const line = 64

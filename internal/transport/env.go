@@ -39,9 +39,14 @@ type SchemeEnv struct {
 	// "disable_proretx", ...). See the Opt* keys in names.go.
 	Options map[string]string
 
-	mu       sync.Mutex
-	counters map[string]Counters
-	labels   []string
+	mu   sync.Mutex
+	sets []counterSet // in creation order; only ever appended to
+}
+
+// counterSet is one label's memoized counters.
+type counterSet struct {
+	label string
+	c     Counters
 }
 
 // Option returns the named scheme option, or "" when unset.
@@ -62,29 +67,26 @@ func (e *SchemeEnv) BoolOption(key string) bool {
 func (e *SchemeEnv) Counters(label string) Counters {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c, ok := e.counters[label]; ok {
-		return c
+	for i := range e.sets {
+		if e.sets[i].label == label {
+			return e.sets[i].c
+		}
 	}
 	c := NewCounters(e.Registry, label)
-	if e.counters == nil {
-		e.counters = make(map[string]Counters)
-	}
-	e.counters[label] = c
-	e.labels = append(e.labels, label)
+	e.sets = append(e.sets, counterSet{label, c})
 	return c
 }
 
 // EachCounters visits every counter set created through this env in
 // creation order (the forensics credit-conservation audit sums issued and
-// consumed credits across all of them).
+// consumed credits across all of them). It visits the sets that existed
+// when it was called: the list is only appended to, so what it read
+// under the lock stays as it was, and f may create more.
 func (e *SchemeEnv) EachCounters(f func(label string, c Counters)) {
 	e.mu.Lock()
-	labels := append([]string(nil), e.labels...)
+	sets := e.sets
 	e.mu.Unlock()
-	for _, l := range labels {
-		e.mu.Lock()
-		c := e.counters[l]
-		e.mu.Unlock()
-		f(l, c)
+	for i := range sets {
+		f(sets[i].label, sets[i].c)
 	}
 }
