@@ -28,8 +28,9 @@ type goldenRow struct {
 // shardScenario(scheme) on one engine; "faulted" is the pinned trace
 // under a flap-and-burst plan (shardFaultScenario + shardFaultPlan,
 // flexpass), "flexpass/red" shardScenario(flexpass) with a 3 kB
-// selective-dropping threshold (redScenario), and "testbed/<transport>"
-// the façade's hand-driven testbed (testbedRun). A test that needs a
+// selective-dropping threshold (redScenario), "flexpass/<option>"
+// shardScenario(flexpass) under one sender option (optionRows), and
+// "testbed/<transport>" the façade's hand-driven testbed (testbedRun). A test that needs a
 // pinned point's flows compares with its row (matchGolden) rather than
 // running the point again. Recorded on linux/amd64, go1.24; they change
 // only when the simulated model does, and a mismatch prints the row that
@@ -47,6 +48,9 @@ var golden = map[string]goldenRow{
 	"phost":               {"79ea7587e4c67480f8b382de746bc6876fb77d0b9c1e42b0284377002ef4e0f3", 176627, 0, 0, 0},
 	"faulted":             {"e26aba1728b2acebc1ede802e296c39a21e35807f81c3e2779b56046bacbeccb", 65906, 0, 0, 0},
 	"flexpass/red":        {"4dd23e448b1d14af92dc310fc8f6bfeb3916bb3cdec8e34af69c3e8a0dfcacc8", 185274, 164, 134, 5},
+	"flexpass/reno":       {"d6d98a52f9628cbd9acf87fdb4437ffe6682e83518c59f7e746a2c9933a67731", 179069, 112, 35, 429},
+	"flexpass/noproretx":  {"cbfa6a9a383983cacbde12f5308fc61d26b14816c6ef903ef091486f06b3d761", 177239, 0, 72, 234},
+	"flexpass/precredit":  {"33cb51294833facab41214c4b9c7d80090a6aef9dd8a41c8427764702e9ac636", 184117, 0, 209, 0},
 	"testbed/flexpass":    {"49cec2d5d2f562ce522b76954898fec049dc25dafd59faef5f10b181bb0aecc0", 21075, 0, 114, 0},
 	"testbed/expresspass": {"64aba0c9a8c60eee2d9e1ec7442207ad0ea63dd545789812bc6f357f2d1d3659", 27311, 0, 755, 0},
 	"testbed/dctcp":       {"0f678fada9a80e798a72bc9b7364db6037eb19a07a5f5581c3c4e6ee21147da3", 15595, 0, 0, 0},
@@ -148,6 +152,35 @@ func TestTestbedGolden(t *testing.T) {
 	for _, tp := range testbedTransports {
 		t.Run(tp, func(t *testing.T) {
 			matchGolden(t, testbedRun(t, tp), "testbed/"+tp)
+		})
+	}
+}
+
+// optionRows are the golden rows of shardScenario(flexpass) under one
+// scheme option each. The options act on the sender alone, and the
+// shard twins of the plain flexpass row already cover the cut, so they
+// run on one engine.
+var optionRows = []struct {
+	name string
+	opts map[string]string
+}{
+	{"flexpass/reno", map[string]string{transport.OptReactive: "reno"}},
+	{"flexpass/noproretx", map[string]string{transport.OptDisableProRetx: "1"}},
+	{"flexpass/precredit", map[string]string{transport.OptPreCreditOnly: "1"}},
+}
+
+// TestOptionGolden pins each FlexPass scheme option to its row, which
+// must differ from the plain flexpass row: a row equal to it would pin
+// nothing the plain row does not.
+func TestOptionGolden(t *testing.T) {
+	for _, r := range optionRows {
+		t.Run(r.name, func(t *testing.T) {
+			if golden[r.name].digest == golden[string(SchemeFlexPass)].digest {
+				t.Fatalf("%s pins the plain flexpass row", r.name)
+			}
+			sc := shardScenario(SchemeFlexPass, 1)
+			sc.SchemeOptions = r.opts
+			matchGolden(t, Run(sc), r.name)
 		})
 	}
 }
