@@ -20,12 +20,17 @@ package core
 
 import "flexpass/internal/sim"
 
+// MinRTO is the retransmission-timeout floor of every sender: DCTCP's
+// RTOmin of 4 ms (§6.2), which the credit transports take as their
+// constant recovery timeout.
+const MinRTO = 4 * sim.Millisecond
+
 // RecoveryOwner is the sender a RecoveryTimer serves. The sender
 // implements it as methods and embeds the timer by value, so a flow's
 // recovery state binds no closures.
 type RecoveryOwner interface {
-	// BaseRTO returns the un-backed-off timeout (a constant MinRTO for
-	// the credit transports; srtt+4·rttvar floored at MinRTO for DCTCP).
+	// BaseRTO returns the un-backed-off timeout (MinRTO for the credit
+	// transports; srtt+4·rttvar floored at MinRTO for DCTCP).
 	BaseRTO() sim.Time
 	// Expire fires when the deadline truly passed. It runs with the timer
 	// idle; re-arm with Touch when retransmission was scheduled.

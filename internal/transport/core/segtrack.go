@@ -112,15 +112,20 @@ func (t *SegTracker) Pick() (seq int, retx bool) {
 	return -1, false
 }
 
+// DupThresh is the loss threshold every transport shares: DupThresh
+// duplicate ACKs declare lost what was sent at least DupThresh segments
+// below the highest SACK (TCP's fast-retransmit threshold).
+const DupThresh = 3
+
 // OnAck folds one (cum, sack) ACK pair in: the sacked segment is marked
 // delivered, the cumulative edge advances, duplicate ACKs accumulate, and
-// once dupThresh duplicates are seen everything sent but unacked more
-// than dupThresh below the highest SACK is marked Lost (queued for
+// once DupThresh duplicates are seen everything sent but unacked at
+// least DupThresh below the highest SACK is marked Lost (queued for
 // retransmission). The scan resumes where it stopped: the duplicates
 // behind a retransmission predate it, so only LoseOutstanding (an RTO)
 // declares a segment the scan has passed lost again. Returns whether the
 // cumulative edge advanced and whether fresh segments were declared lost.
-func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
+func (t *SegTracker) OnAck(cum, sack int) (advanced, newLoss bool) {
 	t.rescanOK = true
 	if sack < len(t.State) {
 		switch t.State[sack] {
@@ -149,8 +154,8 @@ func (t *SegTracker) OnAck(cum, sack, dupThresh int) (advanced, newLoss bool) {
 	} else if sack >= t.CumAck {
 		t.DupAcks++
 	}
-	if t.DupAcks >= dupThresh {
-		edge := t.SackHigh - dupThresh + 1
+	if t.DupAcks >= DupThresh {
+		edge := t.SackHigh - DupThresh + 1
 		for seq := max(t.CumAck, t.scanned); seq < edge && seq < len(t.State); seq++ {
 			if t.State[seq] == StSent {
 				t.State[seq] = StLost

@@ -18,7 +18,7 @@ func TestSegTrackerCumAdvance(t *testing.T) {
 	if trk.Inflight != 4 {
 		t.Fatalf("Inflight = %d, want 4", trk.Inflight)
 	}
-	adv, loss := trk.OnAck(2, 1, 3)
+	adv, loss := trk.OnAck(2, 1)
 	if !adv || loss {
 		t.Fatalf("OnAck(2,1) = (%v, %v), want (true, false)", adv, loss)
 	}
@@ -28,7 +28,7 @@ func TestSegTrackerCumAdvance(t *testing.T) {
 	if trk.Done() {
 		t.Fatal("Done before full ack")
 	}
-	trk.OnAck(4, 3, 3)
+	trk.OnAck(4, 3)
 	if !trk.Done() || trk.Inflight != 0 {
 		t.Fatalf("Done=%v Inflight=%d after full ack", trk.Done(), trk.Inflight)
 	}
@@ -40,7 +40,7 @@ func TestSegTrackerDupAckLoss(t *testing.T) {
 	// Segment 0 lost: sacks for 1..4 are duplicates at cum 0.
 	var newLoss bool
 	for sack := 1; sack <= 4; sack++ {
-		_, loss := trk.OnAck(0, sack, 3)
+		_, loss := trk.OnAck(0, sack)
 		newLoss = newLoss || loss
 	}
 	if !newLoss {
@@ -58,9 +58,9 @@ func TestSegTrackerDupAckLoss(t *testing.T) {
 	trk2 := NewSegTracker(new(Segs), 6)
 	sendAll(&trk2, 6)
 	for sack := 1; sack <= 4; sack++ {
-		trk2.OnAck(0, sack, 3)
+		trk2.OnAck(0, sack)
 	}
-	trk2.OnAck(1, 0, 3) // the "lost" segment arrives after all
+	trk2.OnAck(1, 0) // the "lost" segment arrives after all
 	if got := trk2.PopLost(); got != -1 {
 		t.Fatalf("PopLost after late ack = %d, want -1", got)
 	}
@@ -75,14 +75,14 @@ func TestSegTrackerNoDuplicateRetransmitStorm(t *testing.T) {
 	trk := NewSegTracker(new(Segs), 8)
 	sendAll(&trk, 8)
 	for sack := 1; sack <= 4; sack++ {
-		trk.OnAck(0, sack, 3)
+		trk.OnAck(0, sack)
 	}
 	if seq := trk.PopLost(); seq != 0 {
 		t.Fatalf("PopLost = %d, want 0", seq)
 	}
 	trk.MarkSent(0) // the retransmission
 	for sack := 5; sack <= 7; sack++ {
-		if _, loss := trk.OnAck(0, sack, 3); loss {
+		if _, loss := trk.OnAck(0, sack); loss {
 			t.Fatalf("dup ACK for %d re-declared the retransmitted segment lost", sack)
 		}
 		if seq := trk.PopLost(); seq != -1 {
@@ -97,7 +97,7 @@ func TestSegTrackerNoDuplicateRetransmitStorm(t *testing.T) {
 		t.Fatalf("after RTO: PopLost = %d Inflight = %d, want 0 0", seq, trk.Inflight)
 	}
 	trk.MarkSent(0)
-	if adv, _ := trk.OnAck(8, 0, 3); !adv || !trk.Done() || trk.Inflight != 0 {
+	if adv, _ := trk.OnAck(8, 0); !adv || !trk.Done() || trk.Inflight != 0 {
 		t.Fatalf("final ACK: advanced=%v done=%v Inflight=%d", adv, trk.Done(), trk.Inflight)
 	}
 }
@@ -122,7 +122,7 @@ func TestSegTrackerPickOrderAndTailRescan(t *testing.T) {
 		t.Fatalf("Pick after exhausted round = %d, want -1 (no duplicate storm)", seq)
 	}
 	// A fresh ACK reopens the round from the cumulative edge.
-	trk.OnAck(1, 0, 3)
+	trk.OnAck(1, 0)
 	seq, retx := trk.Pick()
 	if seq != 1 || !retx {
 		t.Fatalf("Pick after fresh ack = (%d, %v), want (1, true)", seq, retx)
@@ -132,7 +132,7 @@ func TestSegTrackerPickOrderAndTailRescan(t *testing.T) {
 func TestSegTrackerLoseOutstanding(t *testing.T) {
 	trk := NewSegTracker(new(Segs), 5)
 	sendAll(&trk, 4) // one segment never sent
-	trk.OnAck(1, 0, 3)
+	trk.OnAck(1, 0)
 	trk.LoseOutstanding()
 	if trk.Inflight != 0 {
 		t.Fatalf("Inflight = %d after LoseOutstanding, want 0", trk.Inflight)

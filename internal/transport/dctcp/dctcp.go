@@ -8,20 +8,11 @@ import (
 	"flexpass/internal/transport/core"
 )
 
-// Config parameterizes a DCTCP connection. The class/kind fields let the
-// same engine serve plain legacy traffic (legacy classes) and embedded
-// uses.
+// Config is what a DCTCP scheme instance shares with its endpoints. The
+// paper fixes the rest: data and ACKs ride the legacy queue, green and
+// ECN-capable, from an initial window of InitCwnd segments, with
+// core.MinRTO as the timeout floor.
 type Config struct {
-	DataClass netem.Class
-	AckClass  netem.Class
-	DataKind  netem.Kind
-	AckKind   netem.Kind
-	Color     netem.Color
-	InitCwnd  float64
-	MinRTO    sim.Time
-	// DupThresh is the duplicate-ACK / SACK reordering threshold.
-	DupThresh int
-
 	// Trace, when non-nil, records lifecycle/retransmit/timeout events.
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
@@ -31,22 +22,11 @@ type Config struct {
 	arena *core.Arena[Sender, Receiver]
 }
 
-// LegacyConfig returns the paper's legacy-traffic configuration: data and
-// ACKs in the legacy queue, ECN-capable, iw=10, RTOmin=4ms, with an
+// LegacyConfig returns the paper's legacy-traffic configuration with an
 // endpoint arena of its own. A scheme builds it once per plane and its
 // endpoints share it by pointer, read-only.
 func LegacyConfig() Config {
-	return Config{
-		DataClass: netem.ClassLegacy,
-		AckClass:  netem.ClassLegacy,
-		DataKind:  netem.KindLegacyData,
-		AckKind:   netem.KindLegacyAck,
-		Color:     netem.Green,
-		InitCwnd:  10,
-		MinRTO:    4 * sim.Millisecond,
-		DupThresh: 3,
-		arena:     core.NewArena[Sender, Receiver](),
-	}
+	return Config{arena: core.NewArena[Sender, Receiver]()}
 }
 
 // Sender is the DCTCP send side of one flow.
@@ -73,7 +53,7 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 		cfg:  cfg,
 		eng:  eng,
 		flow: flow,
-		win:  NewWindow(cfg.InitCwnd),
+		win:  NewWindow(InitCwnd),
 		trk:  core.NewSegTracker(&a.Segs, flow.Segs()),
 	}
 	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 6, ShiftOnArm: true})
@@ -110,9 +90,9 @@ func (s *Sender) transmit(seq int, retx bool) {
 	host := s.flow.Src.Host
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
-		Kind:       s.cfg.DataKind,
-		Class:      s.cfg.DataClass,
-		Color:      s.cfg.Color,
+		Kind:       netem.KindLegacyData,
+		Class:      netem.ClassLegacy,
+		Color:      netem.Green,
 		ECNCapable: true,
 		Dst:        s.flow.Dst.Host.NodeID(),
 		Flow:       s.flow.ID,
@@ -125,9 +105,9 @@ func (s *Sender) transmit(seq int, retx bool) {
 }
 
 // BaseRTO is the un-backed-off timeout: srtt + 4·rttvar, floored at
-// MinRTO (core.RecoveryOwner).
+// core.MinRTO (core.RecoveryOwner).
 func (s *Sender) BaseRTO() sim.Time {
-	r := s.cfg.MinRTO
+	r := core.MinRTO
 	if s.srtt != 0 {
 		if est := s.srtt + 4*s.rttvar; est > r {
 			r = est
@@ -159,7 +139,7 @@ func (s *Sender) Expire() {
 // cumulative in-order count, Seq = sub-flow seq that triggered the ACK,
 // CE = ECN echo, SentAt = original data timestamp.
 func (s *Sender) Handle(pkt *netem.Packet) {
-	if pkt.Kind != s.cfg.AckKind || s.finished {
+	if pkt.Kind != netem.KindLegacyAck || s.finished {
 		return
 	}
 	cum := int(pkt.SubSeq)
@@ -179,7 +159,7 @@ func (s *Sender) Handle(pkt *netem.Packet) {
 		s.srtt = (7*s.srtt + sample) / 8
 	}
 
-	advanced, newLoss := s.trk.OnAck(cum, sack, s.cfg.DupThresh)
+	advanced, newLoss := s.trk.OnAck(cum, sack)
 	if advanced {
 		s.rec.Reset()
 	}
@@ -219,11 +199,11 @@ func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 
 // Handle processes data packets.
 func (r *Receiver) Handle(pkt *netem.Packet) {
-	if pkt.Kind != r.cfg.DataKind {
+	if pkt.Kind != netem.KindLegacyData {
 		return
 	}
 	r.asm.Deliver(r.flow, r.cfg.Stats, int(pkt.SubSeq))
-	core.SendAck(r.flow, r.cfg.AckKind, r.cfg.AckClass, pkt, uint32(r.asm.Cum), true)
+	core.SendAck(r.flow, netem.KindLegacyAck, netem.ClassLegacy, pkt, uint32(r.asm.Cum), true)
 	if r.asm.Full() && !r.flow.Completed {
 		core.Complete(r.eng, r.flow, r.cfg.Stats, r.cfg.Trace)
 	}

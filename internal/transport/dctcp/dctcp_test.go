@@ -247,3 +247,32 @@ func TestWindowSlowStartDoubles(t *testing.T) {
 		t.Fatalf("cwnd = %.1f after first RTT, want 4", w.Cwnd)
 	}
 }
+
+// TestWindowLossCutsOncePerWindow: without CE — FlexPass's Reno reactive
+// sub-flow, whose data is never marked — the window grows by one per ACK
+// in slow start, halves on a loss at most once per window, and an RTO
+// collapses it to one segment with ssthresh floored at 2.
+func TestWindowLossCutsOncePerWindow(t *testing.T) {
+	w := NewWindow(InitCwnd)
+	w.OnAck(0, 10, false)
+	if w.Cwnd != 11 {
+		t.Fatalf("cwnd = %v after one ACK in slow start, want 11", w.Cwnd)
+	}
+	w.Cwnd = 12
+	w.OnLoss(2, 20)
+	if w.Cwnd != 6 || w.Ssthresh != 6 {
+		t.Fatalf("after loss cwnd=%v ssthresh=%v, want 6 6", w.Cwnd, w.Ssthresh)
+	}
+	w.OnLoss(3, 25) // same window: no second cut
+	if w.Cwnd != 6 {
+		t.Fatalf("cwnd after a same-window loss = %v, want 6", w.Cwnd)
+	}
+	w.OnTimeout()
+	if w.Cwnd != 1 || w.Ssthresh != 3 {
+		t.Fatalf("after timeout cwnd=%v ssthresh=%v, want 1 3", w.Cwnd, w.Ssthresh)
+	}
+	w.OnTimeout()
+	if w.Cwnd != 1 || w.Ssthresh != 2 {
+		t.Fatalf("after a second timeout cwnd=%v ssthresh=%v, want 1 2", w.Cwnd, w.Ssthresh)
+	}
+}

@@ -5,6 +5,10 @@
 // FlexPass's reactive sub-flow and the layering scheme embed.
 package dctcp
 
+// InitCwnd is the initial window, in segments, of every window-clocked
+// sender: DCTCP's, LY's and FlexPass's reactive sub-flow (§6.2).
+const InitCwnd = 10
+
 // Window is the DCTCP congestion window state machine, counted in
 // segments. Sequence arguments are per-sub-flow segment indices.
 type Window struct {

@@ -14,11 +14,10 @@ import (
 	"flexpass/internal/transport/dctcp"
 )
 
-// Config parameterizes an ExpressPass connection.
+// Config parameterizes an ExpressPass connection. Data, requests and
+// ACKs ride the FlexPass queue (Q1); the recovery timeout is core.MinRTO.
 type Config struct {
-	DataClass netem.Class
-	AckClass  netem.Class
-	Pacer     core.PacerConfig
+	Pacer core.PacerConfig
 
 	// DataECN makes data packets ECN-capable (used by the layering
 	// scheme, where ExpressPass data must carry DCTCP's congestion
@@ -29,9 +28,6 @@ type Config struct {
 	// credit loop; a credit may only trigger a send when the window has
 	// room.
 	Layered bool
-
-	// MinRTO is the credit re-request recovery timer.
-	MinRTO sim.Time
 
 	// Trace, when non-nil, records lifecycle/retransmit/timeout/waste events.
 	Trace *trace.Ring
@@ -47,13 +43,7 @@ type Config struct {
 // builds it once per plane and its endpoints share it by pointer,
 // read-only.
 func DefaultConfig(p core.PacerConfig) Config {
-	return Config{
-		DataClass: netem.ClassFlex,
-		AckClass:  netem.ClassFlex,
-		Pacer:     p,
-		MinRTO:    4 * sim.Millisecond,
-		arena:     core.NewArena[Sender, Receiver](),
-	}
+	return Config{Pacer: p, arena: core.NewArena[Sender, Receiver]()}
 }
 
 // Sender is the ExpressPass send side: data leaves only when a credit
@@ -84,7 +74,7 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 		trk:  core.NewSegTracker(&a.Segs, flow.Segs()),
 	}
 	if cfg.Layered {
-		s.win = dctcp.NewWindow(10)
+		s.win = dctcp.NewWindow(dctcp.InitCwnd)
 	}
 	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
@@ -106,7 +96,7 @@ func (s *Sender) sendRequest() {
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
 		Kind:   netem.KindCreditReq,
-		Class:  s.cfg.AckClass,
+		Class:  netem.ClassFlex,
 		Dst:    s.flow.Dst.Host.NodeID(),
 		Flow:   s.flow.ID,
 		Size:   netem.CtrlSize,
@@ -115,8 +105,9 @@ func (s *Sender) sendRequest() {
 	host.Send(pkt)
 }
 
-// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
-func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+// BaseRTO is the recovery timer's constant core.MinRTO
+// (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return core.MinRTO }
 
 // Idle reports a finished flow (core.RecoveryOwner).
 func (s *Sender) Idle() bool { return s.finished }
@@ -144,7 +135,7 @@ func (s *Sender) transmit(seq int, retx bool, echo uint32) {
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
 		Kind:       netem.KindProData,
-		Class:      s.cfg.DataClass,
+		Class:      netem.ClassFlex,
 		Color:      netem.Green,
 		ECNCapable: s.cfg.DataECN,
 		Dst:        s.flow.Dst.Host.NodeID(),
@@ -194,7 +185,7 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 	}
 	s.rec.Reset()
 	cum := int(pkt.SubSeq)
-	s.trk.OnAck(cum, int(pkt.Seq), 3)
+	s.trk.OnAck(cum, int(pkt.Seq))
 	if s.cfg.Layered {
 		// The window sees the raw cumulative ACK (not the folded edge): a
 		// stale reordered ACK must not fast-forward the alpha/reduce epochs.
@@ -239,7 +230,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	case netem.KindProData:
 		r.pacer.OnData(pkt.Echo)
 		r.asm.Deliver(r.flow, r.cfg.Stats, int(pkt.SubSeq))
-		core.SendAck(r.flow, netem.KindAckPro, r.cfg.AckClass, pkt, uint32(r.asm.Cum), true)
+		core.SendAck(r.flow, netem.KindAckPro, netem.ClassFlex, pkt, uint32(r.asm.Cum), true)
 		if r.asm.Full() && !r.flow.Completed {
 			r.pacer.Stop()
 			core.Complete(r.eng, r.flow, r.cfg.Stats, r.cfg.Trace)

@@ -172,7 +172,6 @@ func TestRecoveryAfterLostCreditRequest(t *testing.T) {
 	eng, _, ag := naiveFabric(2, 10*gig)
 	fl := xpFlow(1, ag[0], ag[1], 100_000)
 	cfg := DefaultConfig(core.DefaultPacerConfig(fullCreditRate(10 * gig)))
-	cfg.MinRTO = 1 * sim.Millisecond
 	fl.Src.Flows.Add(fl)
 	s := NewSender(eng, fl, &cfg)
 	r := NewReceiver(eng, fl, &cfg)

@@ -23,6 +23,7 @@ import (
 	"flexpass/internal/trace"
 	"flexpass/internal/transport"
 	"flexpass/internal/transport/core"
+	"flexpass/internal/transport/dctcp"
 )
 
 // CreditSource abstracts the receiver-side credit allocator that drives
@@ -40,19 +41,16 @@ type CreditSource interface {
 	OnData(echo uint32)
 }
 
-// Config parameterizes a FlexPass connection.
+// Config parameterizes a FlexPass connection. Proactive data, credit
+// requests and ACKs ride the FlexPass queue (Q1); the reactive window
+// starts at dctcp.InitCwnd and the recovery timeout is core.MinRTO.
 type Config struct {
-	ProClass netem.Class // queue class of proactive data (Q1)
-	ReClass  netem.Class // queue class of reactive data (Q1; Q2 in the AltQ ablation)
-	AckClass netem.Class // queue class of ACKs (Q1, FlexPass control)
-	Pacer    core.PacerConfig
+	ReClass netem.Class // queue class of reactive data (Q1; Q2 in the AltQ ablation)
+	Pacer   core.PacerConfig
 
 	// NewCreditSource, when non-nil, replaces the default ExpressPass
 	// pacer with a custom allocator (§4.3 extensibility).
 	NewCreditSource func(eng *sim.Engine, flow *transport.Flow) CreditSource
-
-	InitCwnd float64  // reactive sub-flow initial window (segments)
-	MinRTO   sim.Time // recovery timer (credit re-request)
 
 	// RC3Split enables the §4.3 ablation: instead of one shared Pending
 	// pool, the reactive sub-flow transmits from the end of the flow
@@ -103,14 +101,10 @@ type Config struct {
 // the plane's one goroutine.
 func DefaultConfig(p core.PacerConfig) Config {
 	return Config{
-		ProClass: netem.ClassFlex,
-		ReClass:  netem.ClassFlex,
-		AckClass: netem.ClassFlex,
-		Pacer:    p,
-		InitCwnd: 10,
-		MinRTO:   4 * sim.Millisecond,
-		records:  new(recordArrays),
-		arena:    core.NewArena[Sender, Receiver](),
+		ReClass: netem.ClassFlex,
+		Pacer:   p,
+		records: new(recordArrays),
+		arena:   core.NewArena[Sender, Receiver](),
 	}
 }
 
@@ -185,10 +179,8 @@ type Sender struct {
 	ackedCount  int
 
 	// Reactive sub-flow (no retransmissions of its own).
-	win           reactiveWindow // &dwin or &rwin, by cfg.Reactive
-	dwin          dctcpWindow
-	rwin          renoWindow
-	reECT         bool       // reactive packets ECN-capable?
+	win           dctcp.Window
+	reECT         bool       // reactive packets ECN-capable (not for Reno)
 	re            []txRecord // per reactive transmission
 	reOutstanding int
 	reCum         int
@@ -223,12 +215,12 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 		st:          a.States(segs),
 		segReSub:    a.Seqs(segs),
 		tailPending: segs - 1,
-		reECT:       ecnCapableFor(cfg.Reactive),
+		win:         dctcp.NewWindow(dctcp.InitCwnd),
+		reECT:       reactiveECT(cfg.Reactive),
 	}
 	for i := range s.segReSub {
 		s.segReSub[i] = -1
 	}
-	s.initReactiveWindow()
 	s.rec.Init(eng, s, core.RecoveryConfig{MaxShift: 4})
 	return s
 }
@@ -242,7 +234,7 @@ func (s *Sender) Begin() {
 }
 
 // Cwnd exposes the reactive window for tests.
-func (s *Sender) Cwnd() float64 { return s.win.Cwnd() }
+func (s *Sender) Cwnd() float64 { return s.win.Cwnd }
 
 // sendCreditRequest issues the flow-start request. Requests are FlexPass
 // control packets (their own DSCP in §5) and travel in the control/data
@@ -253,7 +245,7 @@ func (s *Sender) sendCreditRequest() {
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
 		Kind:   netem.KindCreditReq,
-		Class:  s.cfg.AckClass,
+		Class:  netem.ClassFlex,
 		Dst:    s.flow.Dst.Host.NodeID(),
 		Flow:   s.flow.ID,
 		Size:   netem.CtrlSize,
@@ -262,8 +254,9 @@ func (s *Sender) sendCreditRequest() {
 	host.Send(pkt)
 }
 
-// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
-func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+// BaseRTO is the recovery timer's constant core.MinRTO
+// (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return core.MinRTO }
 
 // Idle reports a finished flow (core.RecoveryOwner).
 func (s *Sender) Idle() bool { return s.finished }
@@ -292,7 +285,7 @@ func (s *Sender) Expire() {
 		}
 	}
 	s.win.OnTimeout()
-	s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "timeout", s.win.Cwnd())
+	s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "timeout", s.win.Cwnd)
 	s.pumpReactive()
 	s.rec.Touch()
 }
@@ -320,7 +313,7 @@ func (s *Sender) rackDetect() {
 	}
 	if newLoss {
 		s.win.OnLoss(s.reCum, len(s.re))
-		s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "rack", s.win.Cwnd())
+		s.cfg.Trace.AddWindowCut(s.flow.ID, int64(s.reCum), "rack", s.win.Cwnd)
 	}
 }
 
@@ -400,7 +393,7 @@ func (s *Sender) pumpReactive() {
 		return // Aeolus mode: unscheduled packets only in the first RTT
 	}
 	s.pumped = true
-	for s.reOutstanding < int(s.win.Cwnd()) {
+	for s.reOutstanding < int(s.win.Cwnd) {
 		seg := s.nextPendingSeg()
 		if seg < 0 {
 			return
@@ -429,13 +422,13 @@ func (s *Sender) pumpReactive() {
 }
 
 // record appends a transmission of seg, sent now, to a sub-flow's
-// records. The first array holds min(segs, InitCwnd) rounded up to a
-// power of two — all of a short flow's transmissions, a long flow's first
-// window — and a full one is swapped for one of twice its capacity from
-// the config's free list, which takes the outgrown array back.
+// records. The first array holds min(segs, dctcp.InitCwnd) rounded up
+// to a power of two — all of a short flow's transmissions, a long flow's
+// first window — and a full one is swapped for one of twice its capacity
+// from the config's free list, which takes the outgrown array back.
 func (s *Sender) record(rs []txRecord, seg int) []txRecord {
 	if len(rs) == cap(rs) {
-		want := max(2*cap(rs), min(len(s.st), int(s.cfg.InitCwnd)), 1)
+		want := max(2*cap(rs), min(len(s.st), dctcp.InitCwnd), 1)
 		grown := append(s.cfg.records.get(want), rs...)
 		s.cfg.records.put(rs)
 		rs = grown
@@ -525,7 +518,7 @@ func (s *Sender) sendProactive(seg int, echo uint32, proRetx, retx bool) {
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
 		Kind:   netem.KindProData,
-		Class:  s.cfg.ProClass,
+		Class:  netem.ClassFlex,
 		Color:  netem.Green,
 		Dst:    s.flow.Dst.Host.NodeID(),
 		Flow:   s.flow.ID,
@@ -620,8 +613,8 @@ func (s *Sender) onReactiveAck(pkt *netem.Packet) {
 	s.win.OnAck(cum, len(s.re), pkt.CE)
 	// Loss: mark Lost, update the window, slide the left edge (the
 	// reactive sub-flow never retransmits; recovery is proactive).
-	if s.reDupAcks >= 3 {
-		edge := s.reSackHigh - 2
+	if s.reDupAcks >= core.DupThresh {
+		edge := s.reSackHigh - core.DupThresh + 1
 		newLoss := false
 		for sub := s.reCum; sub < edge && sub < len(s.re); sub++ {
 			if tx := &s.re[sub]; tx.state == subSent {
@@ -633,7 +626,7 @@ func (s *Sender) onReactiveAck(pkt *netem.Packet) {
 		}
 		if newLoss {
 			s.win.OnLoss(cum, len(s.re))
-			s.cfg.Trace.AddWindowCut(s.flow.ID, int64(cum), "dupack", s.win.Cwnd())
+			s.cfg.Trace.AddWindowCut(s.flow.ID, int64(cum), "dupack", s.win.Cwnd)
 		}
 		// Slide the left edge past lost transmissions.
 		for s.reCum < len(s.re) && s.re[s.reCum].state != subSent {
@@ -678,8 +671,8 @@ func (s *Sender) onProactiveAck(pkt *netem.Packet) {
 	}
 	// Non-congestion proactive losses (§4.3): detect via duplicate ACKs
 	// and give the lost segment top priority on the next credit.
-	if s.proDupAcks >= 3 {
-		edge := s.proSackHigh - 2
+	if s.proDupAcks >= core.DupThresh {
+		edge := s.proSackHigh - core.DupThresh + 1
 		for sub := s.proCum; sub < edge && sub < len(s.pro); sub++ {
 			if tx := &s.pro[sub]; tx.state == subSent {
 				tx.state = subLost
@@ -708,13 +701,8 @@ type Receiver struct {
 	pacer CreditSource // &ep unless cfg.NewCreditSource overrides it
 	ep    core.Pacer   // the default ExpressPass pacer
 
-	got      core.Bitmap // flow segments arrived, of segs
-	segs     int
-	cum      int
-	received int
-
-	receivedB  int64 // distinct payload bytes received
-	deliveredB int64 // in-order bytes delivered to the app
+	asm        core.Reassembly // by flow sequence number
+	deliveredB int64           // in-order bytes delivered to the app
 
 	reGot  core.Bitmap
 	reCum  int
@@ -729,8 +717,8 @@ func NewReceiver(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Receiver {
 	segs := flow.Segs()
 	a := cfg.arena.Or()
 	r := a.Receiver()
-	*r = Receiver{cfg: cfg, eng: eng, flow: flow, segs: segs,
-		got: a.Bitmap(segs), reGot: a.Bitmap(segs), proGot: a.Bitmap(segs)}
+	*r = Receiver{cfg: cfg, eng: eng, flow: flow, asm: core.NewReassembly(&a.Segs, segs),
+		reGot: a.Bitmap(segs), proGot: a.Bitmap(segs)}
 	if cfg.NewCreditSource != nil {
 		r.pacer = cfg.NewCreditSource(eng, flow)
 	} else {
@@ -760,7 +748,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 			}
 		}
 		r.absorb(pkt, false)
-		core.SendAck(r.flow, netem.KindAckRe, r.cfg.AckClass, pkt, uint32(r.reCum), true)
+		core.SendAck(r.flow, netem.KindAckRe, netem.ClassFlex, pkt, uint32(r.reCum), true)
 		r.checkComplete()
 	case netem.KindProData:
 		r.pacer.OnData(pkt.Echo)
@@ -770,24 +758,21 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 			}
 		}
 		r.absorb(pkt, true)
-		core.SendAck(r.flow, netem.KindAckPro, r.cfg.AckClass, pkt, uint32(r.proCum), true)
+		core.SendAck(r.flow, netem.KindAckPro, netem.ClassFlex, pkt, uint32(r.proCum), true)
 		r.checkComplete()
 	}
 }
 
-// absorb records a data packet in the flow-level reassembly buffer and
-// tracks the reordering-buffer high-water mark.
+// absorb records a data packet in the flow-level reassembly, splits a new
+// segment's bytes by the sub-flow that delivered them, and tracks the
+// reordering-buffer high-water mark: the bytes received (Flow.RxBytes)
+// beyond the in-order prefix.
 func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
-	seq := int(pkt.Seq)
-	if seq >= r.segs || !r.got.Add(seq) {
-		r.flow.RedundantSegs++
+	seq, cum := int(pkt.Seq), r.asm.Cum
+	if !r.asm.Deliver(r.flow, r.cfg.Stats, seq) {
 		return
 	}
-	r.received++
 	payload := int64(r.flow.SegPayload(seq))
-	r.receivedB += payload
-	r.flow.RxBytes += payload
-	r.cfg.Stats.RxBytes.Add(payload)
 	if proactive {
 		r.flow.RxBytesPro += payload
 		r.cfg.RxPro.Add(payload)
@@ -795,17 +780,16 @@ func (r *Receiver) absorb(pkt *netem.Packet, proactive bool) {
 		r.flow.RxBytesRe += payload
 		r.cfg.RxRe.Add(payload)
 	}
-	for r.cum < r.segs && r.got.Has(r.cum) {
-		r.deliveredB += int64(r.flow.SegPayload(r.cum))
-		r.cum++
+	for ; cum < r.asm.Cum; cum++ {
+		r.deliveredB += int64(r.flow.SegPayload(cum))
 	}
-	if buf := r.receivedB - r.deliveredB; buf > r.flow.MaxReorderB {
+	if buf := r.flow.RxBytes - r.deliveredB; buf > r.flow.MaxReorderB {
 		r.flow.MaxReorderB = buf
 	}
 }
 
 func (r *Receiver) checkComplete() {
-	if r.received >= r.segs && !r.flow.Completed {
+	if r.asm.Full() && !r.flow.Completed {
 		r.pacer.Stop()
 		core.Complete(r.eng, r.flow, r.cfg.Stats, r.cfg.Trace)
 	}

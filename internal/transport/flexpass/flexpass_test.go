@@ -294,7 +294,6 @@ func TestRecoveryTimerRestartsAfterDeadStart(t *testing.T) {
 	eng, _, ag := flexFabric(2, 10*gig, topo.Spec{})
 	fl := fpFlow(1, ag[0], ag[1], 100_000)
 	cfg := flexCfg(10*gig, 0.5)
-	cfg.MinRTO = 1 * sim.Millisecond
 	fl.Src.Flows.Add(fl)
 	s := NewSender(eng, fl, &cfg)
 	r := NewReceiver(eng, fl, &cfg)

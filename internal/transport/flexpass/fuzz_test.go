@@ -63,8 +63,8 @@ func TestSenderRobustAgainstAdversarialPackets(t *testing.T) {
 				t.Errorf("ackedCount %d > segs %d", s.ackedCount, fl.Segs())
 				return false
 			}
-			if s.win.Cwnd() < 1 {
-				t.Errorf("cwnd below 1: %v", s.win.Cwnd())
+			if s.win.Cwnd < 1 {
+				t.Errorf("cwnd below 1: %v", s.win.Cwnd)
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package flexpass
 import (
 	"testing"
 
+	"flexpass/internal/netem"
 	"flexpass/internal/sim"
 	"flexpass/internal/topo"
 	"flexpass/internal/transport"
@@ -51,39 +52,41 @@ func TestRenoReactiveStillYieldsToLegacy(t *testing.T) {
 	}
 }
 
-func TestRenoWindowUnit(t *testing.T) {
-	w := &renoWindow{cwnd: 10, ssthresh: 1 << 30}
-	// Slow start: +1 per ack.
-	w.OnAck(0, 10, false)
-	if w.Cwnd() != 11 {
-		t.Fatalf("cwnd = %v", w.Cwnd())
-	}
-	// CE marks must be ignored.
-	w.OnAck(1, 12, true)
-	if w.Cwnd() != 12 {
-		t.Fatalf("cwnd after CE = %v; Reno must ignore marks", w.Cwnd())
-	}
-	// Loss halves once per window.
-	w.OnLoss(2, 20)
-	if w.Cwnd() != 6 {
-		t.Fatalf("cwnd after loss = %v, want 6", w.Cwnd())
-	}
-	w.OnLoss(3, 25) // same window: no second cut
-	if w.Cwnd() != 6 {
-		t.Fatalf("cwnd after same-window loss = %v, want 6", w.Cwnd())
-	}
-	w.OnTimeout()
-	if w.Cwnd() != 1 || w.ssthresh != 3 {
-		t.Fatalf("after timeout cwnd=%v ssthresh=%v", w.Cwnd(), w.ssthresh)
+// TestRenoReactiveIsNotECT: Reno means non-ECT reactive data. Two flows
+// into one host hold its Q1 above the ECN threshold; the DCTCP default's
+// reactive data is marked there, Reno's never is (nor is proactive data,
+// which no scheme sends ECN-capable).
+func TestRenoReactiveIsNotECT(t *testing.T) {
+	for _, tc := range []struct {
+		algo   ReactiveCC
+		marked bool
+	}{{"", true}, {ReactiveReno, false}} {
+		eng, fab, ag := flexFabric(3, 10*gig, topo.Spec{})
+		cfg := flexCfg(10*gig, 0.5)
+		cfg.Reactive = tc.algo
+		Start(eng, fpFlow(1, ag[0], ag[2], 1<<30), cfg)
+		Start(eng, fpFlow(2, ag[1], ag[2], 1<<30), cfg)
+		eng.Run(10 * sim.Millisecond)
+		q1 := fab.Net.Switches[0].Ports()[2].QueueStats(int(netem.ClassFlex))
+		if q1.MaxOccupancy <= int64(topo.Spec{}.Defaults().FlexECN) {
+			t.Fatalf("reactive %q: Q1 peaked at %d B, never above its ECN threshold", tc.algo, q1.MaxOccupancy)
+		}
+		if got := q1.Marked > 0; got != tc.marked {
+			t.Errorf("reactive %q: Q1 marked %d packets, want marks %v", tc.algo, q1.Marked, tc.marked)
+		}
 	}
 }
 
+// TestUnknownReactiveAlgoPanics: a reactive name outside the table fails
+// where the sender is built.
 func TestUnknownReactiveAlgoPanics(t *testing.T) {
+	eng, _, ag := flexFabric(2, 10*gig, topo.Spec{})
+	cfg := flexCfg(10*gig, 0.5)
+	cfg.Reactive = "cubic-xyz"
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for unknown algorithm")
 		}
 	}()
-	s := &Sender{cfg: &Config{Reactive: "cubic-xyz", InitCwnd: 10}}
-	s.initReactiveWindow()
+	NewSender(eng, fpFlow(1, ag[0], ag[1], 100_000), &cfg)
 }

@@ -21,6 +21,7 @@ type FlexSource struct {
 	eng  *sim.Engine
 	arb  *Arbiter
 	flow *transport.Flow
+	membership
 
 	seq         uint32
 	echoCount   int
@@ -31,8 +32,8 @@ type FlexSource struct {
 
 // NewFlexSource builds a CreditSource for flow backed by the receiver
 // host's arbiter. Pass it to flexpass.Config.NewCreditSource. Its tokens
-// ride the rate-limited credit queue whatever cfg.TokenClass says; cfg
-// gives the outstanding cap, the token timeout and the stats.
+// ride the rate-limited credit queue, under pHost's outstanding cap and
+// token timeout; cfg gives the stats and the trace.
 func NewFlexSource(eng *sim.Engine, arb *Arbiter, flow *transport.Flow, cfg *Config) *FlexSource {
 	return &FlexSource{cfg: cfg, eng: eng, arb: arb, flow: flow}
 }
@@ -72,10 +73,10 @@ func (s *FlexSource) demand() bool {
 		return false
 	}
 	outstanding := int(s.seq) - s.echoCount
-	if outstanding < s.cfg.OutstandingCap {
+	if outstanding < outstandingCap {
 		return true
 	}
-	if s.eng.Now()-s.lastArrival > s.cfg.TokenTimeout {
+	if s.eng.Now()-s.lastArrival > tokenTimeout {
 		s.echoCount = int(s.seq) // expire
 		return true
 	}

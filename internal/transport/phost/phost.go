@@ -22,23 +22,23 @@ import (
 	"flexpass/internal/units"
 )
 
-// Config parameterizes a pHost connection.
-type Config struct {
-	DataClass  netem.Class
-	AckClass   netem.Class
-	TokenClass netem.Class
-	// FreeSegs is the unscheduled first-RTT allowance (≈ one BDP).
-	FreeSegs int
-	// OutstandingCap bounds tokens-in-flight per flow (token leakage from
+// The token budget every pHost flow gets. The paper names pHost but fixes
+// none of these; they are this model's.
+const (
+	// freeSegs is the unscheduled first-RTT allowance (≈ one BDP).
+	freeSegs = 8
+	// outstandingCap bounds tokens-in-flight per flow (token leakage from
 	// lost data stops the arbiter wasting its downlink).
-	OutstandingCap int
-	// TokenTimeout expires outstanding tokens when no data has arrived
+	outstandingCap = 16
+	// tokenTimeout expires outstanding tokens when no data has arrived
 	// for this long, replenishing the allowance (pHost's token expiry:
 	// lost data must not permanently consume the flow's token budget).
-	TokenTimeout sim.Time
-	// MinRTO is the recovery timer.
-	MinRTO sim.Time
+	tokenTimeout = 500 * sim.Microsecond
+)
 
+// Config parameterizes a pHost connection. Data, tokens and ACKs ride the
+// FlexPass queue (Q1); the recovery timeout is core.MinRTO.
+type Config struct {
 	// Trace, when non-nil, records lifecycle/retransmit/timeout/waste events.
 	Trace *trace.Ring
 	// Stats aggregates transport-wide counters (zero value no-ops).
@@ -57,24 +57,24 @@ type Config struct {
 // its arbiters and arena change as flows land.
 func DefaultConfig(downlink units.Rate) Config {
 	return Config{
-		DataClass:      netem.ClassFlex,
-		AckClass:       netem.ClassFlex,
-		TokenClass:     netem.ClassFlex,
-		FreeSegs:       8,
-		OutstandingCap: 16,
-		TokenTimeout:   500 * sim.Microsecond,
-		MinRTO:         4 * sim.Millisecond,
-		arbiters:       arbiters{downlink, map[*netem.Host]*Arbiter{}},
-		arena:          core.NewArena[Sender, Receiver](),
+		arbiters: arbiters{downlink, map[*netem.Host]*Arbiter{}},
+		arena:    core.NewArena[Sender, Receiver](),
 	}
 }
 
 // participant is a flow taking part in a receiver's token arbitration.
 type participant interface {
-	demand() bool    // wants a token now
-	sendToken()      // emit one token toward the sender
-	completed() bool // flow finished (drop from the rotation)
+	demand() bool        // wants a token now
+	sendToken()          // emit one token toward the sender
+	completed() bool     // flow finished (drop from the rotation)
+	member() *membership // its place in the rotation
 }
+
+// membership marks a participant its arbiter lists, so registering it
+// again costs no scan of the rotation. Participants embed it.
+type membership struct{ listed bool }
+
+func (m *membership) member() *membership { return m }
 
 // Arbiter is the per-receiver token scheduler: one token per segment
 // time at the downlink rate, round-robin over flows with demand.
@@ -103,11 +103,11 @@ func NewArbiter(eng *sim.Engine, host *netem.Host, downlink units.Rate) *Arbiter
 
 // register adds a flow to the rotation (idempotent).
 func (a *Arbiter) register(r participant) {
-	for _, f := range a.flows {
-		if f == r {
-			return
-		}
+	m := r.member()
+	if m.listed {
+		return
 	}
+	m.listed = true
 	a.flows = append(a.flows, r)
 	a.wake()
 }
@@ -168,7 +168,9 @@ func (a *Arbiter) tick() {
 	if n > 16 {
 		alive := a.flows[:0]
 		for _, f := range a.flows {
-			if !f.completed() {
+			if f.completed() {
+				f.member().listed = false
+			} else {
 				alive = append(alive, f)
 			}
 		}
@@ -204,10 +206,7 @@ func NewSender(eng *sim.Engine, flow *transport.Flow, cfg *Config) *Sender {
 
 // Begin fires the free first-RTT window (which doubles as the request).
 func (s *Sender) Begin() {
-	free := s.cfg.FreeSegs
-	if free > len(s.trk.State) {
-		free = len(s.trk.State)
-	}
+	free := min(freeSegs, len(s.trk.State))
 	for i := 0; i < free; i++ {
 		s.transmit(s.trk.PickNew(), false)
 	}
@@ -229,7 +228,7 @@ func (s *Sender) transmit(seq int, retx bool) {
 	pkt := host.NewPacket()
 	*pkt = netem.Packet{
 		Kind:   netem.KindProData,
-		Class:  s.cfg.DataClass,
+		Class:  netem.ClassFlex,
 		Dst:    s.flow.Dst.Host.NodeID(),
 		Flow:   s.flow.ID,
 		Seq:    uint32(seq),
@@ -240,8 +239,9 @@ func (s *Sender) transmit(seq int, retx bool) {
 	host.Send(pkt)
 }
 
-// BaseRTO is the recovery timer's constant MinRTO (core.RecoveryOwner).
-func (s *Sender) BaseRTO() sim.Time { return s.cfg.MinRTO }
+// BaseRTO is the recovery timer's constant core.MinRTO
+// (core.RecoveryOwner).
+func (s *Sender) BaseRTO() sim.Time { return core.MinRTO }
 
 // Idle reports a finished flow (core.RecoveryOwner).
 func (s *Sender) Idle() bool { return s.finished }
@@ -289,7 +289,7 @@ func (s *Sender) onAck(pkt *netem.Packet) {
 		return
 	}
 	s.rec.Reset()
-	s.trk.OnAck(int(pkt.SubSeq), int(pkt.Seq), 3)
+	s.trk.OnAck(int(pkt.SubSeq), int(pkt.Seq))
 	if s.trk.Done() {
 		s.finished = true
 		return
@@ -305,6 +305,7 @@ type Receiver struct {
 	flow    *transport.Flow
 	arbiter *Arbiter
 	asm     core.Reassembly
+	membership
 
 	tokensSent  int
 	lastArrival sim.Time
@@ -324,20 +325,20 @@ func (r *Receiver) completed() bool { return r.flow.Completed }
 
 // demand reports whether this flow should receive more tokens: data still
 // missing and outstanding tokens under the cap. Tokens whose data never
-// arrived expire after TokenTimeout of silence and are re-issued.
+// arrived expire after tokenTimeout of silence and are re-issued.
 func (r *Receiver) demand() bool {
 	if r.flow.Completed || r.asm.Full() {
 		return false
 	}
-	tokened := r.asm.Received - r.cfg.FreeSegs // free segs arrive untokened
+	tokened := r.asm.Received - freeSegs // free segs arrive untokened
 	if tokened < 0 {
 		tokened = 0
 	}
 	outstanding := r.tokensSent - tokened
-	if outstanding < r.cfg.OutstandingCap {
+	if outstanding < outstandingCap {
 		return true
 	}
-	if r.eng.Now()-r.lastArrival > r.cfg.TokenTimeout {
+	if r.eng.Now()-r.lastArrival > tokenTimeout {
 		// Expire the stuck allowance: the data for those tokens is gone.
 		r.tokensSent = tokened
 		return true
@@ -353,7 +354,7 @@ func (r *Receiver) sendToken() {
 	tok := host.NewPacket()
 	*tok = netem.Packet{
 		Kind:   netem.KindCredit,
-		Class:  r.cfg.TokenClass,
+		Class:  netem.ClassFlex,
 		Dst:    r.flow.Src.Host.NodeID(),
 		Flow:   r.flow.ID,
 		Size:   netem.CtrlSize,
@@ -370,7 +371,7 @@ func (r *Receiver) Handle(pkt *netem.Packet) {
 	r.lastArrival = r.eng.Now()
 	r.arbiter.register(r)
 	r.asm.Deliver(r.flow, r.cfg.Stats, int(pkt.SubSeq))
-	core.SendAck(r.flow, netem.KindAckPro, r.cfg.AckClass, pkt, uint32(r.asm.Cum), false)
+	core.SendAck(r.flow, netem.KindAckPro, netem.ClassFlex, pkt, uint32(r.asm.Cum), false)
 	if r.asm.Full() && !r.flow.Completed {
 		core.Complete(r.eng, r.flow, r.cfg.Stats, r.cfg.Trace)
 		return

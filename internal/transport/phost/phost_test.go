@@ -67,7 +67,7 @@ func TestTinyFlowRidesFreeWindow(t *testing.T) {
 	if !fl.Completed {
 		t.Fatal("flow did not complete")
 	}
-	// 3 segments ≤ FreeSegs: one-way latency, no token round trip.
+	// 3 segments ≤ freeSegs: one-way latency, no token round trip.
 	if fl.FCT() > 12*sim.Microsecond {
 		t.Fatalf("FCT %v, want first-RTT completion", fl.FCT())
 	}
@@ -146,5 +146,40 @@ func TestManyFlowsAllComplete(t *testing.T) {
 		if !fl.Completed {
 			t.Fatal("incast flow incomplete")
 		}
+	}
+}
+
+// idleParticipant wants no tokens; done says whether its flow finished.
+type idleParticipant struct {
+	membership
+	done bool
+}
+
+func (p *idleParticipant) demand() bool    { return false }
+func (p *idleParticipant) sendToken()      {}
+func (p *idleParticipant) completed() bool { return p.done }
+
+// TestArbiterListsOnce: registering a listed participant again leaves
+// the rotation as it is, and one the compaction dropped joins it again.
+func TestArbiterListsOnce(t *testing.T) {
+	eng := sim.NewEngine(1)
+	a := NewArbiter(eng, nil, 10*gig)
+	ps := make([]*idleParticipant, 17) // the compaction runs past 16
+	for i := range ps {
+		ps[i] = new(idleParticipant)
+		a.register(ps[i])
+	}
+	a.register(ps[0])
+	if len(a.flows) != 17 {
+		t.Fatalf("%d listed after a second register, want 17", len(a.flows))
+	}
+	ps[0].done = true
+	a.tick()
+	if len(a.flows) != 16 || ps[0].listed {
+		t.Fatalf("after compaction: %d listed, dropped one listed=%v; want 16, false", len(a.flows), ps[0].listed)
+	}
+	a.register(ps[0])
+	if len(a.flows) != 17 || a.flows[16] != participant(ps[0]) {
+		t.Fatalf("a dropped participant did not rejoin at the end: %d listed", len(a.flows))
 	}
 }
