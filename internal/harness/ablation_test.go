@@ -6,9 +6,7 @@ import (
 
 	"flexpass/internal/metrics"
 	"flexpass/internal/sim"
-	"flexpass/internal/topo"
 	"flexpass/internal/transport"
-	"flexpass/internal/workload"
 )
 
 // TestAblationsRun runs the five §4.3 design-choice variants of
@@ -65,22 +63,8 @@ func TestTraceReplayMatchesGenerated(t *testing.T) {
 	sc.Duration = 3 * sim.Millisecond
 	direct := Run(sc)
 
-	// Regenerate the same workload out-of-band and replay it.
-	clos := sc.Clos.(topo.ClosParams)
-	rackOf := make([]int, clos.Hosts())
-	for i := range rackOf {
-		rackOf[i] = i / clos.HostsPerTor
-	}
-	uplinks := clos.Hosts() / clos.HostsPerTor * clos.AggPerPod
-	bg := workload.BackgroundParams{
-		CDF:            sc.Workload,
-		Hosts:          clos.Hosts(),
-		RackOf:         rackOf,
-		UplinkCapacity: sc.LinkRate.Scale(float64(uplinks)),
-		Load:           sc.Load,
-		Duration:       sc.Duration,
-	}
-	flows := bg.Generate(WorkloadRand(sc.Seed))
+	// Generate the same workload through the public path and replay it.
+	flows := Flows(sc)
 	replay := sc
 	replay.TraceFlows = flows
 	replayed := Run(replay)
