@@ -256,13 +256,17 @@ sweep-demo:
 # counters (workload/tenant/*, workload/coflow cct_us) in run.jsonl.
 # -workload takes a sweep's workload entry, so the flash crowd's flow
 # list dumped as a trace replays as one (flash-crowd.csv, a trace plan
-# named like the plan; its arrival times are rounded to the ns).
+# named like the plan; its arrival times are rounded to the ns, so the
+# replay is a different run). A trace already rounded comes back exact:
+# the replay, dumped again, must be the same file byte for byte.
 workload-demo:
 	$(GO) run ./cmd/flexsim -workload examples/workloads/flash-crowd.json -duration 5
 	$(GO) run ./cmd/flexsim -workload examples/workloads/tenant-classes.json -duration 5 -telemetry-out run.jsonl
 	@echo "per-tenant and coflow counters:" && grep -h '"workload/' run.jsonl | head -12
 	$(GO) run ./cmd/flexsim -workload examples/workloads/flash-crowd.json -duration 5 -dump-trace flash-crowd.csv
 	$(GO) run ./cmd/flexsim -workload flash-crowd.csv -duration 5
+	$(GO) run ./cmd/flexsim -workload flash-crowd.csv -duration 5 -dump-trace flash-crowd-replay.csv
+	cmp flash-crowd.csv flash-crowd-replay.csv
 
 # Observation-only flow forensics on an incast run: records hop-by-hop
 # packet events, runs the invariant auditors (credit conservation,
@@ -284,7 +288,7 @@ faults-demo:
 	  -agg goodput_gbps,fct_p99_us,completed,flows,timeouts,fault_drops,last_finish_us
 
 clean:
-	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl flash-crowd.csv bench-ledger.json
+	rm -f cpu.prof mem.prof run.jsonl forensics.jsonl flash-crowd.csv flash-crowd-replay.csv bench-ledger.json
 
 # Remove regenerated sweep/lake outputs. The checked-in results/ CSVs
 # are the figures and stay.

@@ -82,8 +82,10 @@ func TraceID(flows []FlowSpec) string {
 // An arrival time reads as sim.Time(at_us × 10^6), truncated: "1.001"
 // is 1 000 999 ps, 1 ps short of the time it prints, as 1 to 2 % of
 // three-decimal values read. A WriteTrace→ReadTrace round trip of
-// nanosecond times is therefore off by at most 1 ps, and reading a
-// trace written from a read trace gives the same flows again
+// nanosecond times is therefore off by at most 1 ps; other times, a
+// generated trace's, are rounded to the nanosecond by WriteTrace and
+// come back up to 501 ps early or 500 ps late. Reading a trace written
+// from a read trace gives the same flows again
 // (TestReadTraceTruncatesToThePicosecond).
 func ReadTrace(r io.Reader) ([]FlowSpec, error) {
 	sc := bufio.NewScanner(r)
