@@ -319,7 +319,7 @@ func ParseSpec(spec string) (*Plan, error) {
 			return nil, &PlanError{Index: i, Field: "spec", Msg: fmt.Sprintf("%q needs at least op@link@window", raw)}
 		}
 		op, link, window := f[0], f[1], f[2]
-		at, end, err := parseWindow(window)
+		at, end, err := planspec.ParseWindow(window)
 		if err != nil {
 			return nil, &PlanError{Index: i, Field: "window", Msg: err.Error()}
 		}
@@ -364,9 +364,4 @@ func ParseSpec(spec string) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// parseWindow parses "START-END" or "START" (end 0 = open).
-func parseWindow(w string) (at, end sim.Time, err error) {
-	return planspec.ParseWindow(w)
 }
